@@ -156,7 +156,7 @@ def _cluster_throughputs(rows, dimension: float):
         request_timeout=REQUEST_TIMEOUT,
     )
     try:
-        router = ShardRouter(cluster, batch_size=BATCH_SIZE, max_workers=0)
+        router = ShardRouter(cluster, batch_size=BATCH_SIZE)
         blocked_before = sum(handle.blocked_seconds for handle in cluster._handles)
         started = time.perf_counter()
         for row in rows:

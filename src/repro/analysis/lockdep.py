@@ -62,7 +62,6 @@ from repro.analysis.concurrency import find_cycles
 DEFAULT_MODULES: Tuple[str, ...] = (
     "repro.serve.server",
     "repro.serve.generations",
-    "repro.shard.router",
     "repro.cluster.coordinator",
 )
 

@@ -38,9 +38,9 @@ Sub-commands
     per-shard sizes; the final engine state can be checkpointed with
     ``--snapshot``.
 ``rebalance``
-    Resize and/or re-partition a checkpointed engine (or raw cluster
-    snapshot) with minimal key movement; without ``--output`` it is a
-    dry run that only prints the migration plan.
+    Resize and/or re-partition a checkpointed sharded engine with
+    minimal key movement; without ``--output`` it is a dry run that
+    only prints the migration plan.
 ``worker``
     Run one standalone shard worker of the multi-process cluster
     backend: listen on ``--listen host:port`` and serve coordinator
@@ -202,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--backend", choices=("sharded", "process"), default="sharded",
                        help="in-process shards (default) or one worker process "
                             "per shard (the repro.cluster coordinator)")
-    shard.add_argument("--workers", type=int, default=None,
-                       help="ingest worker threads (default: one per shard for "
-                            "the sharded backend; 0 for process — worker "
-                            "processes already ingest in parallel)")
     shard.add_argument("--snapshot", default=None,
                        help="write the final engine state to this file")
     shard.add_argument("--num-hashes", type=int, default=20,
@@ -217,11 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="resize / re-partition a checkpointed sharded engine",
     )
     rebalance.add_argument("--snapshot", required=True,
-                           help="engine snapshot written by 'repro shard --snapshot' "
-                                "(raw cluster snapshots are also accepted)")
+                           help="engine snapshot written by 'repro shard --snapshot'")
     rebalance.add_argument("--config", default=None,
-                           help="JSON EngineConfig for restoring raw (pre-engine) "
-                                "cluster snapshots; engine snapshots carry their own")
+                           help="JSON EngineConfig overriding the one the snapshot "
+                                "carries (same backend kind), e.g. to restore a "
+                                "process cluster onto different worker addresses")
     rebalance.add_argument("--shards", type=int, default=None,
                            help="target shard count S' (default: keep the current S)")
     rebalance.add_argument("--partitioner", choices=("modulo", "rendezvous"), default=None,
@@ -566,7 +562,6 @@ def _command_shard(args: argparse.Namespace) -> str:
             "num_shards": args.shards,
             "partitioner": args.partitioner,
             "batch_size": args.batch_size,
-            "workers": args.workers,
             # the exact path never reads reservoirs: skip per-shard repair work
             "shard_estimators": args.mode != "exact",
         },

@@ -30,7 +30,6 @@ from repro.cluster.coordinator import (
 from repro.engine.backends import ShardedBackend, _check_state, register_backend
 from repro.engine.config import EngineConfig
 from repro.errors import ValidationError
-from repro.shard import ShardedStreamingEstimator, ShardRouter
 
 
 @register_backend("process")
@@ -44,10 +43,6 @@ class ProcessBackend(ShardedBackend):
     ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` /
     ``dampening``
         As in the ``sharded`` backend.
-    ``workers``
-        Router flush threads; defaults to 0 here because the
-        coordinator's pipelined commit already runs every worker process
-        in parallel.
     ``addresses``
         ``["host:port", …]`` of pre-started ``repro worker`` endpoints,
         one per shard; omitted = spawn local worker processes.
@@ -125,23 +120,6 @@ class ProcessBackend(ShardedBackend):
         except BaseException:  # reprolint: disable=R007 - unwind the half-built cluster (reap workers) before re-raising
             self._index.close()
             raise
-
-    def _attach_serving_stack(self) -> None:
-        options = self.config.options
-        self._index.metrics = self.metrics
-        self._router = ShardRouter(
-            self._index,
-            batch_size=options.get("batch_size", 256),
-            # the pipelined commit parallelises across worker processes;
-            # router threads would only add contention (None — the sharded
-            # backend's "one per shard" — maps to 0 here)
-            max_workers=options.get("workers") or 0,
-            metrics=self.metrics,
-        )
-        merge_kwargs = {key: options[key] for key in self._MERGE_KEYS if key in options}
-        self._estimator = ShardedStreamingEstimator(
-            self._index, router=self._router, metrics=self.metrics, **merge_kwargs
-        )
 
     def close(self) -> None:
         """Flush-and-stop the router, then shut the workers down.

@@ -833,12 +833,10 @@ class ClusterCoordinator(ShardedMutableIndex):
         super().delete(vector_id)  # reads the key via the table proxy first
         self._key_of_id.pop(vector_id, None)
 
-    def commit_batch(self, batch: PreparedBatch, *, executor: Any = None) -> np.ndarray:
+    def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
         """Apply a prepared batch with every worker ingesting in parallel.
 
-        All shard slices are *sent* before any reply is awaited
-        (``executor`` is accepted for interface compatibility and
-        ignored — process parallelism replaces the thread pool), and the
+        All shard slices are *sent* before any reply is awaited, and the
         coordinator interleaves its own merge bookkeeping with the
         workers' ingest.  A transport failure mid-commit leaves shard
         slices partially applied, so it marks the cluster broken — the
@@ -924,7 +922,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         an in-process cluster writes restores here (each shard state is
         shipped to a fresh worker), and vice versa.
         """
-        state = cls._unwrap_sharded_state(state)
+        cls._check_sharded_state(state)
         cluster = cls.__new__(cls)
         cluster._init_cluster_plumbing(
             addresses=addresses,

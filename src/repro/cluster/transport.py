@@ -7,13 +7,11 @@ the library already serialises elsewhere — prepared-batch slices (ids /
 CSR rows / signatures), :meth:`MutableLSHIndex.to_state` snapshots, and
 :func:`split_index_state` migration payloads — so the wire format is the
 snapshot substrate, not a second serialisation scheme.  ``meta`` is an
-optional out-of-band envelope dict that never carries data the op
-handler needs: requests use it to propagate the trace context
+out-of-band envelope dict (``{}`` when absent) that never carries data
+the op handler needs: requests use it to propagate the trace context
 (``{"trace": {"trace_id", "span_id"}}``), replies to carry op timing
 (``{"seconds": ...}``) and finished worker spans (``{"spans": [...]}``).
-Two-element ``(op, payload)`` frames are still accepted on receive with
-an empty meta, and a ``None`` meta is encoded as the legacy 2-tuple, so
-payload-only exchanges are byte-identical to protocol version 1.
+Every frame is the 3-tuple; anything else is refused as malformed.
 
 Replies reuse the same frames: ``("ok", result, meta)`` or ``("error",
 payload, meta)`` where the payload carries the worker-side exception
@@ -40,7 +38,8 @@ from repro.errors import ClusterError, ReproError, ValidationError, WorkerCrashE
 #: wire protocol version; bumped on incompatible frame/op changes.
 #: 2: messages gained an optional third ``meta`` element (trace context
 #: on requests; op timing and spans on replies).
-PROTOCOL_VERSION = 2
+#: 3: ``meta`` is mandatory; the 2-tuple frame is refused.
+PROTOCOL_VERSION = 3
 
 #: refuse frames beyond this size (corrupt length prefix / runaway state)
 MAX_FRAME_BYTES = 4 << 30
@@ -89,15 +88,10 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
 
 
 def encode_message(op: str, payload: Any, meta: Optional[Dict[str, Any]] = None) -> bytes:
-    """Frame one message: header + pickled ``(op, payload[, meta])``.
-
-    An empty/absent meta encodes as the 2-tuple form, keeping frames
-    without envelope data identical to protocol version 1.
-    """
-    if meta:
-        body = pickle.dumps((op, payload, meta), protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        body = pickle.dumps((op, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    """Frame one message: header + pickled ``(op, payload, meta)``."""
+    body = pickle.dumps(
+        (op, payload, {} if meta is None else meta), protocol=pickle.HIGHEST_PROTOCOL
+    )
     if len(body) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"refusing to send a {len(body)}-byte frame (> {MAX_FRAME_BYTES})"
@@ -106,23 +100,18 @@ def encode_message(op: str, payload: Any, meta: Optional[Dict[str, Any]] = None)
 
 
 def decode_message(body: bytes) -> Tuple[str, Any, Dict[str, Any]]:
-    """Decode one frame body into ``(op, payload, meta)``; meta defaults ``{}``."""
+    """Decode one frame body into ``(op, payload, meta)``."""
     message = pickle.loads(body)
     if not (
         isinstance(message, tuple)
-        and len(message) in (2, 3)
+        and len(message) == 3
         and isinstance(message[0], str)
+        and isinstance(message[2], dict)
     ):
         raise ClusterError(
-            f"malformed frame: expected (op, payload[, meta]), got {type(message)}"
+            f"malformed frame: expected (op, payload, meta dict), got {type(message)}"
         )
-    if len(message) == 2:
-        return message[0], message[1], {}
     op, payload, meta = message
-    if meta is None:
-        meta = {}
-    elif not isinstance(meta, dict):
-        raise ClusterError(f"malformed frame: meta must be a dict, got {type(meta)}")
     return op, payload, meta
 
 

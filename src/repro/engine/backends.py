@@ -587,8 +587,8 @@ class ShardedBackend(EstimatorBackend):
     ``num_shards`` (default 4), ``partitioner`` (``"modulo"`` /
     ``"rendezvous"``), ``shard_estimators``, ``estimator_kwargs``
         Passed to :class:`ShardedMutableIndex`.
-    ``batch_size`` (default 256), ``workers``
-        Passed to :class:`ShardRouter` (``workers=None`` = one per shard).
+    ``batch_size`` (default 256)
+        Passed to :class:`ShardRouter`.
     ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` /
     ``dampening``
         Passed to the merged :class:`ShardedStreamingEstimator`.
@@ -601,7 +601,6 @@ class ShardedBackend(EstimatorBackend):
             "shard_estimators",
             "estimator_kwargs",
             "batch_size",
-            "workers",
             "sample_size_h",
             "sample_size_l",
             "answer_threshold",
@@ -641,7 +640,6 @@ class ShardedBackend(EstimatorBackend):
         self._router = ShardRouter(
             self._index,
             batch_size=options.get("batch_size", 256),
-            max_workers=options.get("workers"),
             metrics=self.metrics,
         )
         merge_kwargs = {key: options[key] for key in self._MERGE_KEYS if key in options}
@@ -749,10 +747,6 @@ class ShardedBackend(EstimatorBackend):
                 "partitioner": self._index.partitioner.kind,
             }
         )
-        if self._index.num_shards != current:
-            # resize the router's worker pool to the new shard count
-            self._router.close()
-            self._attach_serving_stack()
         return plan
 
     # ------------------------------------------------------------------

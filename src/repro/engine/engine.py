@@ -430,35 +430,24 @@ class JoinEstimationEngine:
     ) -> "JoinEstimationEngine":
         """Revive an engine from :meth:`snapshot` output.
 
-        Raw backend snapshots (a bare :meth:`ShardedMutableIndex.snapshot`
-        or :meth:`MutableLSHIndex.snapshot` file, as written by older CLI
-        versions) are also accepted: the config is inferred from the
-        index state, with backend-specific options left at defaults.
-        Passing ``config`` overrides the embedded/inferred one — its
-        backend kind must match the snapshot's.
+        Only engine bundles are accepted; a bare index snapshot carries
+        no config (hash family, backend options) to reopen it with.
+        Passing ``config`` overrides the embedded one — its backend kind
+        must match the snapshot's.
         """
         path = Path(path)
         if not path.is_file():
             raise ValidationError(f"engine snapshot not found: {path}")
         with open(path, "rb") as handle:
             state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        if not isinstance(state, Mapping):
-            raise ValidationError(f"{path} is not an engine or index snapshot")
-        if state.get("kind") == "engine-snapshot":
-            if state.get("format") != 1:
-                raise ValidationError(
-                    f"unsupported engine snapshot format {state.get('format')!r}"
-                )
-            snapshot_config = EngineConfig.from_dict(state["config"])
-            backend_state = state["backend"]
-        elif state.get("kind") == "sharded":  # raw ShardedMutableIndex snapshot
-            snapshot_config = cls._inferred_config("sharded", state)
-            backend_state = {"format": 1, "kind": "sharded-backend", "index": state}
-        elif state.get("format") == 1 and "tables" in state:  # raw MutableLSHIndex
-            snapshot_config = cls._inferred_config("streaming", state)
-            backend_state = {"format": 1, "kind": "streaming-backend", "index": state}
-        else:
-            raise ValidationError(f"{path} is not an engine or index snapshot")
+        if not isinstance(state, Mapping) or state.get("kind") != "engine-snapshot":
+            raise ValidationError(f"{path} is not an engine snapshot")
+        if state.get("format") != 1:
+            raise ValidationError(
+                f"unsupported engine snapshot format {state.get('format')!r}"
+            )
+        snapshot_config = EngineConfig.from_dict(state["config"])
+        backend_state = state["backend"]
         if config is not None:
             config = EngineConfig.coerce(config)
             if config.backend != snapshot_config.backend:
@@ -476,16 +465,6 @@ class JoinEstimationEngine:
                 )
         engine._closed = False
         return engine
-
-    @staticmethod
-    def _inferred_config(backend: str, state: Mapping[str, Any]) -> EngineConfig:
-        """Best-effort config for a raw index snapshot (family stays default)."""
-        return EngineConfig(
-            backend=backend,
-            num_hashes=int(state["num_hashes"]),  # reprolint: disable=R011 - raw-index-snapshot branch: reads MutableLSHIndex/ShardedMutableIndex schema, not the engine's own
-            num_tables=int(state["num_tables"]),  # reprolint: disable=R011 - raw-index-snapshot branch: reads MutableLSHIndex/ShardedMutableIndex schema, not the engine's own
-            dimension=int(state["dimension"]),  # reprolint: disable=R011 - raw-index-snapshot branch: reads MutableLSHIndex/ShardedMutableIndex schema, not the engine's own
-        )
 
     # ------------------------------------------------------------------
     # rebalancing

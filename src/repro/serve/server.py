@@ -217,6 +217,11 @@ class EstimationServer:
         self._closed = True
         self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=10.0)

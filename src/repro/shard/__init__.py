@@ -15,7 +15,7 @@ approximation:
   :class:`~repro.streaming.estimator.StreamingEstimator`) behind a
   drop-in single-index surface with the query-side merge layer built in.
 * :mod:`~repro.shard.router` — :class:`ShardRouter`, the buffered write
-  path: batch hashing, bucket-key partitioning, and shard-parallel
+  path: batch hashing, bucket-key partitioning, and per-shard
   ingestion on top of ``insert_many``; replays
   :class:`~repro.streaming.events.ChangeLog` streams.
 * :mod:`~repro.shard.merge` — :func:`merge_strata` /

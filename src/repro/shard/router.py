@@ -1,4 +1,4 @@
-"""Event routing into a sharded index: replay + async batched ingestion.
+"""Event routing into a sharded index: replay + batched ingestion.
 
 :class:`ShardRouter` is the write path of the sharded deployment.  It
 accepts the same event stream a single
@@ -10,9 +10,9 @@ deletes, checkpoints — usually replayed from a
 * **inserts buffer** up to ``batch_size`` rows; a flush coerces the
   buffered vectors, hashes them in one batch matrix product per table,
   partitions the rows by bucket key, and feeds every shard its slice
-  through :meth:`MutableLSHIndex.insert_many_prepared` — concurrently
-  across shards on a thread pool (shard groups touch disjoint state, so
-  the result is identical to the serial order);
+  through :meth:`MutableLSHIndex.insert_many_prepared`, one shard after
+  another (the bucket work is GIL-bound, so threads would not overlap
+  it; the ``process`` backend is the parallel path);
 * **deletes flush first** — a delete may target a still-buffered row, so
   buffered inserts are materialised before the delete is routed;
 * **checkpoints flush** and, when an estimator is attached to the
@@ -26,7 +26,6 @@ same merged estimates — as an unsharded index fed the same log.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Tuple
 
 from repro.core.base import SimilarityJoinSizeEstimator
@@ -43,13 +42,14 @@ from repro.streaming.mutable_index import VectorInput, coerce_row
 
 
 class ShardRouter:
-    """Buffered, shard-parallel writer for a :class:`ShardedMutableIndex`."""
+    """Buffered, batch-hashing writer for a :class:`ShardedMutableIndex`."""
 
     def __init__(
         self,
         index: ShardedMutableIndex,
         *,
         batch_size: int = 256,
+        # accepted and ignored: benchmarks/ledger/workloads.py still passes it
         max_workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -63,15 +63,6 @@ class ShardRouter:
         self._flush_seconds = registry.histogram("router_flush_seconds")
         self._flushed_rows = registry.counter("router_flushed_rows_total")
         self._routed_events = registry.counter("router_events_total")
-        workers = index.num_shards if max_workers is None else int(max_workers)
-        if workers < 0:
-            raise ValidationError(f"max_workers must be >= 0, got {workers}")
-        # 0 workers = synchronous shard-by-shard ingestion (useful in tests)
-        self._executor = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard")
-            if workers > 1
-            else None
-        )
         self._pending_rows: List[sparse.csr_matrix] = []
         self._events_routed = 0
         #: set when a batch commit raised partway — shard slices may be
@@ -150,7 +141,7 @@ class ShardRouter:
             # buffered rows are coerce_row output: canonical by construction
             batch = self.index.prepare_batch(stacked, coerced=True)
             try:
-                self.index.commit_batch(batch, executor=self._executor)
+                self.index.commit_batch(batch)
             except BaseException:  # reprolint: disable=R007 - any escape here means buffered rows may be lost; latch the failure flag before re-raising
                 self._commit_failed = True
                 raise
@@ -215,27 +206,22 @@ class ShardRouter:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush remaining inserts and stop the worker pool.
+        """Flush remaining inserts.
 
-        Idempotent: after the pool is shut down, later ``flush`` /
-        ``close`` calls fall back to synchronous ingestion, so no
-        buffered insert can be stranded by closing twice or by writing
-        after close.
+        Idempotent, and the router stays usable: later ``flush`` /
+        ``close`` calls ingest as before, so no buffered insert can be
+        stranded by closing twice or by writing after close.
 
         After a partial commit failure the final flush cannot run
         (retrying would double-ingest; see :meth:`flush`).  Rows still
-        buffered at that point are **not** silently dropped: the pool is
-        shut down, the rows are drained, and
-        :class:`~repro.errors.StrandedWritesError` is raised carrying
-        them, so callers always learn which inserts were never applied
-        (call :meth:`drain_pending` first to recover them and close
-        quietly).
+        buffered at that point are **not** silently dropped: they are
+        drained and :class:`~repro.errors.StrandedWritesError` is raised
+        carrying them, so callers always learn which inserts were never
+        applied (call :meth:`drain_pending` first to recover them and
+        close quietly).
         """
         if not self._commit_failed:
             self.flush()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._commit_failed and self._pending_rows:
             stranded = self.drain_pending()
             raise StrandedWritesError(

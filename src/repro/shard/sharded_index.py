@@ -36,7 +36,6 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from concurrent.futures import Executor
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -534,16 +533,13 @@ class ShardedMutableIndex:
                     shard_ids[position] = ref[1]
         return PreparedBatch(ids=ids, csr=csr, signatures=signatures, keys=keys, shard_ids=shard_ids)
 
-    def commit_batch(
-        self, batch: PreparedBatch, *, executor: Optional[Executor] = None
-    ) -> np.ndarray:
+    def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
         """Apply a prepared batch: shard-grouped ingestion + merge bookkeeping.
 
         Rows are grouped per shard (arrival order preserved within each
         group, so bucket member lists match an unsharded build) and fed
-        through :meth:`MutableLSHIndex.insert_many_prepared` — optionally
-        in parallel via ``executor`` (the shard groups touch disjoint
-        state).  Facade bucket bookkeeping follows the original row
+        through :meth:`MutableLSHIndex.insert_many_prepared` shard by
+        shard.  Facade bucket bookkeeping follows the original row
         order, so the merged SampleH layout is unaffected by the
         grouping; facade observers are notified once the whole batch is
         live (per-event granularity needs the unbatched :meth:`insert`).
@@ -551,43 +547,25 @@ class ShardedMutableIndex:
         histogram, rows_total = self._commit_instruments()
         started = time.perf_counter()
         with trace("shard.commit_batch", rows=len(batch)):
-            result = self._commit_batch_inner(batch, executor=executor)
+            for shard in self.shards:
+                rows = np.flatnonzero(batch.shard_ids == shard.shard_id)
+                if rows.size == 0:
+                    continue
+                shard.index.insert_many_prepared(
+                    batch.ids[rows],
+                    batch.csr[rows],
+                    [table_signatures[rows] for table_signatures in batch.signatures],
+                )
+            for position in range(len(batch)):
+                self._track_insert(
+                    int(batch.ids[position]), batch.keys[position], int(batch.shard_ids[position])
+                )
+            for position in range(len(batch)):
+                vector_id = int(batch.ids[position])
+                for observer in self._observers:
+                    observer.on_insert(vector_id)
         histogram.observe(time.perf_counter() - started)
         rows_total.inc(len(batch))
-        return result
-
-    def _commit_batch_inner(
-        self, batch: PreparedBatch, *, executor: Optional[Executor] = None
-    ) -> np.ndarray:
-        jobs = []
-        for shard in self.shards:
-            rows = np.flatnonzero(batch.shard_ids == shard.shard_id)
-            if rows.size == 0:
-                continue
-            sub_ids = batch.ids[rows]
-            sub_csr = batch.csr[rows]
-            sub_signatures = [table_signatures[rows] for table_signatures in batch.signatures]
-            jobs.append((shard, sub_ids, sub_csr, sub_signatures))
-        if executor is None:
-            for shard, sub_ids, sub_csr, sub_signatures in jobs:
-                shard.index.insert_many_prepared(sub_ids, sub_csr, sub_signatures)
-        else:
-            futures = [
-                executor.submit(
-                    shard.index.insert_many_prepared, sub_ids, sub_csr, sub_signatures
-                )
-                for shard, sub_ids, sub_csr, sub_signatures in jobs
-            ]
-            for future in futures:
-                future.result()
-        for position in range(len(batch)):
-            self._track_insert(
-                int(batch.ids[position]), batch.keys[position], int(batch.shard_ids[position])
-            )
-        for position in range(len(batch)):
-            vector_id = int(batch.ids[position])
-            for observer in self._observers:
-                observer.on_insert(vector_id)
         return batch.ids
 
     def insert_many(
@@ -595,12 +573,9 @@ class ShardedMutableIndex:
         matrix: Union[sparse.spmatrix, np.ndarray, VectorCollection],
         *,
         vector_ids: Optional[Sequence[int]] = None,
-        executor: Optional[Executor] = None,
     ) -> np.ndarray:
         """Batched ingestion: hash once, scatter rows to their shards."""
-        return self.commit_batch(
-            self.prepare_batch(matrix, vector_ids=vector_ids), executor=executor
-        )
+        return self.commit_batch(self.prepare_batch(matrix, vector_ids=vector_ids))
 
     def delete(self, vector_id: int) -> None:
         """Remove a live vector from its owning shard."""
@@ -865,12 +840,11 @@ class ShardedMutableIndex:
         with their reservoirs, staleness counters, and generator
         positions intact, so restored clusters serve the *same* sampled
         state the original would — the substrate key-range migration
-        relies on.  Only when a shard state carries no estimator (older
-        snapshots, or ``shard_estimators`` toggled on after the
-        snapshot) is a fresh estimator drawn, seeded from
-        ``estimator_seed``.
+        relies on.  Only when a shard state carries no estimator
+        (``shard_estimators`` toggled on after the snapshot) is a fresh
+        estimator drawn, seeded from ``estimator_seed``.
         """
-        state = cls._unwrap_sharded_state(state)
+        cls._check_sharded_state(state)
         sharded = cls.__new__(cls)
         sharded._restore_facade_fields(state)
         estimator_rngs = spawn(ensure_rng(estimator_seed), int(state["num_shards"]))
@@ -896,33 +870,19 @@ class ShardedMutableIndex:
         return sharded
 
     @staticmethod
-    def _unwrap_sharded_state(state: Mapping[str, object]) -> Mapping[str, object]:
-        """Validate (and engine-unwrap) a sharded-index snapshot state."""
-        if state.get("kind") == "engine-snapshot":
-            # engine bundles wrap the index state; unwrap so low-level
-            # tooling keeps working on front-door snapshots
-            state = state.get("backend", {}).get("index", {})
+    def _check_sharded_state(state: Mapping[str, object]) -> None:
+        """Refuse anything but a sharded-index snapshot state."""
         if state.get("format") != 1 or state.get("kind") != "sharded":
             raise ValidationError("not a sharded-index snapshot")
-        return state
 
     def _restore_facade_fields(self, state: Mapping[str, object]) -> None:
         """Restore the scalar facade fields (shared with the cluster restore)."""
         self.dimension = int(state["dimension"])
         self.num_hashes = int(state["num_hashes"])
         self.num_tables = int(state["num_tables"])
-        if "partitioner" in state:
-            self.partitioner = partitioner_from_state(state["partitioner"])
-        else:  # pre-rebalance snapshots carried only the shard count
-            self.partitioner = resolve_partitioner("modulo", int(state["num_shards"]))
+        self.partitioner = partitioner_from_state(state["partitioner"])
         self._shard_estimators = bool(state["shard_estimators"])
         self._estimator_kwargs = dict(state["estimator_kwargs"])
-        budget = self._estimator_kwargs.get("staleness_budget")
-        if isinstance(budget, (int, float)) and budget > 1.0:
-            # legacy snapshots could carry budgets > 1, which behaved
-            # exactly like 1.0 (staleness is a capped fraction); clamp so
-            # they keep restoring under the tightened validation
-            self._estimator_kwargs["staleness_budget"] = 1.0
 
     def _restore_facade_bookkeeping(self, state: Mapping[str, object]) -> None:
         """Restore the merge-layer bookkeeping (shared with the cluster restore)."""

@@ -823,20 +823,11 @@ class MutableLSHIndex:
         re-registered as observers; retrieve them via
         ``index.estimators`` (they resume bit-identically).
         """
-        if state.get("kind") == "engine-snapshot":
-            # engine bundles wrap the index state; unwrap so low-level
-            # tooling keeps working on front-door snapshots
-            backend_state = state.get("backend", {})
-            if backend_state.get("kind") != "streaming-backend":
-                raise ValidationError(
-                    "engine snapshot wraps a "
-                    f"{backend_state.get('kind', 'unknown')!r} state, not a "
-                    "streaming index; restore it with JoinEstimationEngine.restore"
-                )
-            state = backend_state.get("index", {})
-        if state.get("format") != 1:
+        # index states carry no kind; engine bundles and cluster states do
+        if state.get("format") != 1 or state.get("kind") is not None:
             raise ValidationError(
-                f"unsupported snapshot format {state.get('format')!r}"
+                f"not a streaming-index snapshot (format {state.get('format')!r}, "
+                f"kind {state.get('kind')!r})"
             )
         index = cls(
             int(state["dimension"]),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import JoinEstimationEngine
 
 
 class TestParser:
@@ -210,10 +211,8 @@ class TestShardCommand:
         capsys.readouterr()
         assert exit_code == 0
         assert snapshot.exists()
-        from repro.shard import ShardedMutableIndex
-
-        revived = ShardedMutableIndex.restore(snapshot)
-        revived.check_invariants()
+        with JoinEstimationEngine.restore(snapshot) as revived:
+            revived.backend.index.check_invariants()
 
     def test_shard_missing_file(self, capsys, tmp_path):
         exit_code = main(["shard", "--events", str(tmp_path / "nope.jsonl")])
@@ -264,42 +263,17 @@ class TestRebalanceCommand:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "written to" in captured.out
-        from repro.shard import ShardedMutableIndex
-
-        revived = ShardedMutableIndex.restore(output)
-        revived.check_invariants()
-        assert revived.num_shards == 3
-        assert revived.partitioner.kind == "rendezvous"
+        with JoinEstimationEngine.restore(output) as revived:
+            cluster = revived.backend.index
+            cluster.check_invariants()
+            assert cluster.num_shards == 3
+            assert cluster.partitioner.kind == "rendezvous"
 
     def test_missing_snapshot(self, capsys, tmp_path):
         exit_code = main(["rebalance", "--snapshot", str(tmp_path / "nope.pkl")])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "not found" in captured.err
-
-    def test_rebalance_raw_cluster_snapshot(self, capsys, tmp_path):
-        """Pre-engine snapshots (bare ShardedMutableIndex files) still work."""
-        import numpy as np
-
-        from repro.shard import ShardedMutableIndex
-
-        rng = np.random.default_rng(0)
-        index = ShardedMutableIndex(
-            8, num_shards=2, num_hashes=6, random_state=5, partitioner="rendezvous"
-        )
-        index.insert_many((rng.random((40, 8)) < 0.4).astype(float))
-        snapshot = tmp_path / "raw.pkl"
-        index.snapshot(snapshot)
-        output = tmp_path / "raw3.pkl"
-        exit_code = main(
-            ["rebalance", "--snapshot", str(snapshot), "--shards", "3",
-             "--output", str(output)]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "written to" in captured.out
-        revived = ShardedMutableIndex.restore(output)
-        assert revived.num_shards == 3
 
 
 class TestEngineConfigCLI:
@@ -440,8 +414,6 @@ class TestEngineConfigCLI:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "written to" in captured.out
-        from repro.engine import JoinEstimationEngine
-
         engine = JoinEstimationEngine.restore(tmp_path / "out.pkl")
         assert engine.config.num_hashes == 6  # config travelled with the snapshot
         assert engine.backend.index.num_shards == 3

@@ -557,31 +557,6 @@ class TestSnapshotRestore:
         revived.close()
         assert after.value == before.value
 
-    def test_restore_raw_sharded_snapshot(self, small_collection, tmp_path):
-        """Back-compat: bare ShardedMutableIndex snapshots restore too."""
-        index = ShardedMutableIndex(
-            small_collection.dimension, num_shards=2, num_hashes=8, random_state=5
-        )
-        index.insert_many(small_collection.matrix)
-        path = tmp_path / "raw.pkl"
-        index.snapshot(path)
-        direct = ShardedStreamingEstimator(index).estimate(0.8, random_state=2, mode="exact")
-        engine = JoinEstimationEngine.restore(path)
-        assert engine.config.backend == "sharded"
-        result = engine.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
-        engine.close()
-        assert result.value == direct.value
-
-    def test_restore_raw_streaming_snapshot(self, small_collection, tmp_path):
-        index = MutableLSHIndex(small_collection.dimension, num_hashes=8, random_state=5)
-        index.insert_many(small_collection.matrix)
-        path = tmp_path / "raw.pkl"
-        index.snapshot(path)
-        engine = JoinEstimationEngine.restore(path)
-        assert engine.config.backend == "streaming"
-        assert engine.size == small_collection.size
-        engine.close()
-
     def test_restore_config_override_must_match_kind(self, small_collection, tmp_path):
         config = EngineConfig(backend="streaming", num_hashes=8,
                               dimension=small_collection.dimension)
@@ -592,41 +567,37 @@ class TestSnapshotRestore:
         with pytest.raises(ValidationError, match="does not match"):
             JoinEstimationEngine.restore(path, config=EngineConfig(backend="static"))
 
-    def test_restore_garbage_rejected(self, tmp_path):
+    def test_restore_garbage_rejected(self, small_collection, tmp_path):
         path = tmp_path / "junk.pkl"
         with open(path, "wb") as handle:
             pickle.dump({"hello": "world"}, handle)
-        with pytest.raises(ValidationError, match="not an engine"):
-            JoinEstimationEngine.restore(path)
+        # bare index snapshots carry no config: engine bundles only
+        raw_sharded = ShardedMutableIndex(
+            small_collection.dimension, num_shards=2, num_hashes=8, random_state=5
+        )
+        raw_sharded.insert_many(small_collection.matrix)
+        raw_sharded.snapshot(tmp_path / "raw_sharded.pkl")
+        raw_streaming = MutableLSHIndex(
+            small_collection.dimension, num_hashes=8, random_state=5
+        )
+        raw_streaming.insert_many(small_collection.matrix)
+        raw_streaming.snapshot(tmp_path / "raw_streaming.pkl")
+        for name in ("junk.pkl", "raw_sharded.pkl", "raw_streaming.pkl"):
+            with pytest.raises(ValidationError, match="not an engine"):
+                JoinEstimationEngine.restore(tmp_path / name)
         with pytest.raises(ValidationError, match="not found"):
             JoinEstimationEngine.restore(tmp_path / "absent.pkl")
-
-    def test_engine_bundle_restores_via_low_level_too(self, small_collection, tmp_path):
-        """Forward-compat: low-level restore unwraps engine bundles."""
-        config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
-                              dimension=small_collection.dimension,
-                              options={"num_shards": 2})
-        path = tmp_path / "bundle.pkl"
-        with JoinEstimationEngine(config) as engine:
-            engine.ingest(small_collection)
-            engine.snapshot(path)
-        revived = ShardedMutableIndex.restore(path)
-        revived.check_invariants()
-        assert revived.size == small_collection.size
-        # the streaming unwrap refuses a sharded bundle with a clear error
-        with pytest.raises(ValidationError, match="sharded"):
-            MutableLSHIndex.restore(path)
-
-    def test_streaming_bundle_restores_via_low_level_too(self, small_collection, tmp_path):
-        config = EngineConfig(backend="streaming", num_hashes=8, seed=4,
-                              dimension=small_collection.dimension)
-        path = tmp_path / "bundle.pkl"
-        with JoinEstimationEngine(config) as engine:
-            engine.ingest(small_collection)
-            engine.snapshot(path)
-        revived = MutableLSHIndex.restore(path)
-        revived.check_invariants()
-        assert revived.size == small_collection.size
+        # ...and the low-level restores refuse engine bundles
+        for backend, options in (("sharded", {"num_shards": 2}), ("streaming", {})):
+            bundle = tmp_path / f"{backend}_bundle.pkl"
+            config = EngineConfig(backend=backend, num_hashes=8, seed=4,
+                                  dimension=small_collection.dimension, options=options)
+            with JoinEstimationEngine(config) as engine:
+                engine.ingest(small_collection)
+                engine.snapshot(bundle)
+            for index_class in (ShardedMutableIndex, MutableLSHIndex):
+                with pytest.raises(ValidationError):
+                    index_class.restore(bundle)
 
 
 # ----------------------------------------------------------------------
@@ -682,9 +653,9 @@ class TestRebalance:
             engine.rebalance(num_shards=4, partitioner="rendezvous")
             assert engine.config.options["num_shards"] == 4
             assert engine.config.options["partitioner"] == "rendezvous"
-            # the router pool is rebuilt for the new shard count and the
-            # serving estimator follows it; ingest keeps working
-            assert engine.backend._router is not router_before
+            # the router holds no per-shard state, so the same router and
+            # serving estimator carry on over the resized cluster
+            assert engine.backend._router is router_before
             assert engine.backend._estimator.router is engine.backend._router
             engine.ingest(small_collection)
             assert engine.size == 2 * small_collection.size

@@ -9,7 +9,7 @@ Covers the observability subsystem at every layer it touches:
   is what makes the cluster coordinator's per-worker fold order-free);
 - span trees: nesting, context propagation, retry-stable contexts,
   bounded buffers, and serialisation;
-- the protocol meta envelope (legacy 2-tuple compatibility included);
+- the protocol meta envelope (frames without a meta dict refused);
 - the engine surfaces: per-estimate metrics in ``Provenance``,
   ``engine.stats()``, and one cross-process estimate stitching into a
   single trace that spans the coordinator and every worker process.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import make_dblp_like
 from repro.engine import EngineConfig, EstimateRequest, JoinEstimationEngine
-from repro.errors import ValidationError
+from repro.errors import ClusterError, ValidationError
 from repro.cluster.transport import decode_message, encode_message
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -421,21 +422,16 @@ class TestTracing:
 # protocol meta envelope
 # ======================================================================
 class TestTransportMeta:
-    def test_empty_meta_encodes_as_legacy_frame(self):
-        assert encode_message("ping", {"x": 1}) == encode_message("ping", {"x": 1}, {})
-        assert encode_message("ping", {"x": 1}) == encode_message("ping", {"x": 1}, None)
-
     def test_meta_round_trip(self):
         meta = {"trace": {"trace_id": "ab", "span_id": "cd"}}
         frame = encode_message("estimate", {"threshold": 0.7}, meta)
         op, payload, decoded_meta = decode_message(frame[8:])
         assert (op, payload, decoded_meta) == ("estimate", {"threshold": 0.7}, meta)
-
-    def test_legacy_two_tuple_still_decodes(self):
-        import pickle
-
-        body = pickle.dumps(("ok", {"value": 1}))
-        assert decode_message(body) == ("ok", {"value": 1}, {})
+        # an absent meta travels as {}; frames without a meta dict are refused
+        assert decode_message(encode_message("ping", {"x": 1})[8:]) == ("ping", {"x": 1}, {})
+        for body in (("ok", {"value": 1}), ("ok", {"value": 1}, None)):
+            with pytest.raises(ClusterError, match="malformed frame"):
+                decode_message(pickle.dumps(body))
 
 
 # ======================================================================

@@ -383,19 +383,6 @@ class TestEstimatorMigration:
                 theirs = original.estimate(0.7, random_state=seed, mode=mode)
                 assert ours.value == theirs.value, (seed, mode)
 
-    def test_legacy_snapshot_without_estimators_restores(self, small_collection, churn_log_factory):
-        """Pre-rebalance snapshots (no partitioner / estimator states) load."""
-        _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2, partitioner="modulo")
-        state = sharded.to_state()
-        state.pop("partitioner")
-        state.pop("estimators", None)
-        for shard_state in state["shards"]:
-            shard_state.pop("estimators", None)
-        revived = ShardedMutableIndex.from_state(state, estimator_seed=7)
-        revived.check_invariants()
-        assert revived.partitioner == KeyPartitioner(2)
-        assert all(shard.estimator is not None for shard in revived.shards)
-
 
 class TestMigrationPropertyBased:
     """Acceptance property (b): for arbitrary event sequences, migrating a
@@ -499,7 +486,7 @@ class TestRouterFlushGuarantees:
 
     def test_close_is_idempotent_and_late_writes_flush(self):
         index = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
-        router = ShardRouter(index, batch_size=100, max_workers=4)
+        router = ShardRouter(index, batch_size=100)
         router.insert([1.0, 0.0, 0.0, 0.0])
         router.close()
         router.close()
@@ -578,20 +565,3 @@ class TestCommitFailureSafety:
         router.close()  # rows were drained into the error: now idempotent
         index.check_invariants()
         assert index.size == 0
-
-    def test_legacy_snapshot_with_out_of_range_budget_restores(self, small_collection,
-                                                               churn_log_factory):
-        """PR-2-era snapshots could store staleness_budget > 1 (then valid,
-        meaning 'never repair'); they must keep restoring, clamped to the
-        equivalent 1.0."""
-        _, sharded = _build_pair(
-            small_collection, churn_log_factory(small_collection, 200), num_shards=2
-        )
-        state = sharded.to_state()
-        state["estimator_kwargs"] = {"staleness_budget": 100.0}
-        for shard_state in state["shards"]:
-            shard_state.pop("estimators", None)  # old snapshots had none
-        revived = ShardedMutableIndex.from_state(state, estimator_seed=3)
-        revived.check_invariants()
-        for shard in revived.shards:
-            assert shard.estimator.staleness_budget == 1.0

@@ -535,6 +535,15 @@ class TestHandshake:
 
 class TestServerDrain:
     @pytest.mark.timeout(60)
+    def test_idle_shutdown_wakes_the_acceptor(self):
+        """Shutdown must not wait out the acceptor's join timeout."""
+        server = EstimationServer(_config()).start()
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 2.0
+        assert not server._acceptor.is_alive()
+
+    @pytest.mark.timeout(60)
     def test_shutdown_surfaces_stranded_rows_after_failed_commit(self):
         """Satellite: the server drains before engine close on shutdown."""
         config = _config(backend="sharded", options={"num_shards": 2, "batch_size": 1000})
