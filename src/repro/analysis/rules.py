@@ -23,19 +23,13 @@ R009 blocking-under-lock     no blocking call (socket/queue/sleep/
                              join/result/subprocess/engine) under a lock
 R010 lock-leak               bare ``.acquire()`` needs a ``finally``-
                              guaranteed ``.release()``
-R011 schema-parity           keys written by ``to_state`` are read by
-                             the paired ``from_state`` and vice versa
-R012 default-drift           no ``.get(k, default)`` of keys the
-                             paired writer always emits
-R013 plain-data              state-dict values are JSON/numpy-plain or
-                             nested ``to_state()`` calls
 ==== ======================= ==========================================
 
 R008–R010 live in :mod:`repro.analysis.concurrency` (they share the
-static lock model with the runtime lockdep harness) and R011–R013 in
-:mod:`repro.analysis.schema` (they share the snapshot-schema model with
-the runtime schema witness); both sets are imported lazily by
-:func:`default_rules` to avoid a circular import.
+static lock model with the runtime lockdep harness) and are imported
+lazily by :func:`default_rules` to avoid a circular import.  Snapshot
+state contracts need no rule: they are declared in :mod:`repro.state`
+and checked on every restore.
 """
 
 from __future__ import annotations
@@ -678,11 +672,6 @@ def default_rules() -> List[Rule]:
         LockLeakRule,
         LockOrderRule,
     )
-    from repro.analysis.schema import (
-        DefaultDriftRule,
-        PlainDataRule,
-        SchemaParityRule,
-    )
 
     return [
         SeedDisciplineRule(),
@@ -695,9 +684,6 @@ def default_rules() -> List[Rule]:
         LockOrderRule(),
         BlockingUnderLockRule(),
         LockLeakRule(),
-        SchemaParityRule(),
-        DefaultDriftRule(),
-        PlainDataRule(),
     ]
 
 

@@ -323,19 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the static acquisition model",
     )
     build_lockdep_report_parser(lockdep_report)
-
-    from repro.analysis.schema import build_schema_report_parser
-
-    schema_report = subparsers.add_parser(
-        "schema-report",
-        help="check observed snapshot key-sets against the static schema "
-             "model and emit the schema inventory",
-        description="schema: verify the key-sets observed by a "
-                    "REPRO_SCHEMA=1 test run are a subset of the static "
-                    "snapshot-schema model, and write the versioned "
-                    "schema-inventory JSON",
-    )
-    build_schema_report_parser(schema_report)
     return parser
 
 
@@ -824,11 +811,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis.lockdep import run_lockdep_report_from_args
 
         return run_lockdep_report_from_args(args)
-    if args.command == "schema-report":
-        # same contract: 1 = unexplained key, 2 = unreadable observed file
-        from repro.analysis.schema import run_schema_report_from_args
-
-        return run_schema_report_from_args(args)
     try:
         if args.command == "estimate":
             output = _command_estimate(args)

@@ -27,9 +27,10 @@ from repro.cluster.coordinator import (
     DEFAULT_REQUEST_TIMEOUT,
     ClusterCoordinator,
 )
-from repro.engine.backends import ShardedBackend, _check_state, register_backend
+from repro.engine.backends import ShardedBackend, register_backend
 from repro.engine.config import EngineConfig
 from repro.errors import ValidationError
+from repro.state import StateSpec
 
 
 @register_backend("process")
@@ -65,6 +66,10 @@ class ProcessBackend(ShardedBackend):
     CAPABILITIES = (
         ShardedBackend.CAPABILITIES | frozenset({"multi-process"})
     ) - frozenset({"concurrent-read"})
+    # the inherited to_state writes this: same index state, own kind tag
+    STATE = StateSpec(
+        "a 'process' backend snapshot", {"index": Mapping}, kind="process-backend"
+    )
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -155,13 +160,9 @@ class ProcessBackend(ShardedBackend):
         }
 
     # ------------------------------------------------------------------
-    def to_state(self) -> Dict[str, Any]:
-        self._router.flush()
-        return {"format": 1, "kind": "process-backend", "index": self._index.to_state()}
-
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ProcessBackend":
-        _check_state(state, "process")
+        cls.STATE.check(state)
         backend = cls(config)
         backend._index = ClusterCoordinator.from_state(
             state["index"],

@@ -61,8 +61,13 @@ from repro.errors import ClusterError, ValidationError, WorkerCrashError
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import current_trace_context, get_tracer, trace
 from repro.rng import RandomState, ensure_rng, generator_state, spawn
-from repro.shard.sharded_index import IndexShard, PreparedBatch, ShardedMutableIndex
-from repro.streaming.mutable_index import restore_estimator_states
+from repro.shard.sharded_index import (
+    SHARDED_STATE,
+    IndexShard,
+    PreparedBatch,
+    ShardedMutableIndex,
+)
+from repro.streaming.mutable_index import INDEX_STATE, restore_estimator_states
 
 DEFAULT_REQUEST_TIMEOUT = 120.0
 DEFAULT_SPAWN_TIMEOUT = 120.0
@@ -922,7 +927,10 @@ class ClusterCoordinator(ShardedMutableIndex):
         an in-process cluster writes restores here (each shard state is
         shipped to a fresh worker), and vice versa.
         """
-        cls._check_sharded_state(state)
+        SHARDED_STATE.check(state)
+        for shard_state in state["shards"]:
+            # read here (families, primary layout) before the workers see them
+            INDEX_STATE.check(shard_state)
         cluster = cls.__new__(cls)
         cluster._init_cluster_plumbing(
             addresses=addresses,

@@ -142,12 +142,14 @@ class ShardWorker:
         return self._stats()
 
     def op_restore(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        # revive first: a refused state leaves the served shard untouched
+        index = MutableLSHIndex.from_state(payload.get("state"))
         if "shard_id" in payload and payload["shard_id"] is not None:
             self.shard_id = int(payload["shard_id"])
         if self.estimator is not None:
             self.estimator.close()
             self.estimator = None
-        self.index = MutableLSHIndex.from_state(payload["state"])
+        self.index = index
         self._attach_estimator(
             shard_estimators=bool(payload.get("shard_estimators")),
             estimator_kwargs=payload.get("estimator_kwargs") or {},

@@ -55,6 +55,7 @@ from repro.rng import RandomState
 from repro.shard import ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter
 from repro.shard.partition import resolve_partitioner
 from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_cluster
+from repro.state import StateSpec
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
 from repro.streaming.mutable_index import coerce_row
 from repro.vectors import VectorCollection
@@ -260,11 +261,6 @@ class EstimatorBackend(abc.ABC):
         return f"{type(self).__name__}(kind={self.kind!r}, n={self.size})"
 
 
-def _check_state(state: Mapping[str, Any], kind: str) -> None:
-    if state.get("format") != 1 or state.get("kind") != f"{kind}-backend":
-        raise ValidationError(f"not a {kind!r} backend snapshot")
-
-
 # ----------------------------------------------------------------------
 # static
 # ----------------------------------------------------------------------
@@ -291,6 +287,11 @@ class StaticBackend(EstimatorBackend):
 
     OPTIONS = frozenset({"estimator", "estimator_kwargs"})
     CAPABILITIES = frozenset({"multi-estimator", "concurrent-read"})
+    STATE = StateSpec(
+        "a 'static' backend snapshot",
+        {"matrix": (sparse.spmatrix, type(None))},
+        kind="static-backend",
+    )
 
     #: request/estimator-name → builder(table, collection, **kwargs); the
     #: single registry of servable flavors (the CLI derives its choices
@@ -425,11 +426,11 @@ class StaticBackend(EstimatorBackend):
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
         matrix = sparse.vstack(self._blocks, format="csr") if self._blocks else None
-        return {"format": 1, "kind": "static-backend", "matrix": matrix}  # reprolint: disable=R013 - scipy CSR corpus; becomes raw numpy buffer frames in the wire-format migration (ROADMAP)
+        return self.STATE.dump(matrix=matrix)
 
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "StaticBackend":
-        _check_state(state, "static")
+        cls.STATE.check(state)
         backend = cls(config)
         backend.open()
         if state["matrix"] is not None:
@@ -471,6 +472,9 @@ class StreamingBackend(EstimatorBackend):
         }
     )
     CAPABILITIES = frozenset({"mutable", "concurrent-read"})
+    STATE = StateSpec(
+        "a 'streaming' backend snapshot", {"index": Mapping}, kind="streaming-backend"
+    )
 
     def open(self) -> None:
         if self.config.dimension is None:
@@ -544,20 +548,19 @@ class StreamingBackend(EstimatorBackend):
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
         # index state embeds the registered estimator's reservoirs
-        return {"format": 1, "kind": "streaming-backend", "index": self._index.to_state()}
+        return self.STATE.dump(index=self._index.to_state())
 
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "StreamingBackend":
-        _check_state(state, "streaming")
+        cls.STATE.check(state)
+        index = MutableLSHIndex.from_state(state["index"])
+        restored = index.estimators
+        if not restored:
+            # open() always registers one, so every streaming bundle carries it
+            cls.STATE.refuse("its index state carries no estimator")
         backend = cls(config)
-        backend._index = MutableLSHIndex.from_state(state["index"])
-        restored = backend._index.estimators
-        if restored:
-            backend._estimator = restored[0]
-        else:  # snapshot predates estimator persistence: redraw
-            backend._estimator = StreamingEstimator(
-                backend._index, random_state=config.seed + 2, **config.options
-            )
+        backend._index = index
+        backend._estimator = restored[0]
         return backend
 
     # ------------------------------------------------------------------
@@ -611,6 +614,9 @@ class ShardedBackend(EstimatorBackend):
     # read-only and touch no shared mutable state, so the serving layer
     # may run them from many threads without a lock (see repro.serve)
     CAPABILITIES = frozenset({"mutable", "rebalance", "concurrent-read"})
+    STATE = StateSpec(
+        "a 'sharded' backend snapshot", {"index": Mapping}, kind="sharded-backend"
+    )
 
     _MERGE_KEYS = ("sample_size_h", "sample_size_l", "answer_threshold", "dampening")
 
@@ -752,11 +758,11 @@ class ShardedBackend(EstimatorBackend):
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
         self._router.flush()
-        return {"format": 1, "kind": "sharded-backend", "index": self._index.to_state()}
+        return self.STATE.dump(index=self._index.to_state())
 
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ShardedBackend":
-        _check_state(state, "sharded")
+        cls.STATE.check(state)
         backend = cls(config)
         backend._index = ShardedMutableIndex.from_state(
             state["index"], estimator_seed=config.seed + 2

@@ -39,10 +39,15 @@ from repro.errors import IndexNotBuiltError, ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace
 from repro.shard.rebalance import RebalancePlan
+from repro.state import StateSpec
 from repro.streaming.events import ChangeLog, Checkpoint, Delete, Insert
 from repro.vectors import VectorCollection
 
 _EVENT_TYPES = (Insert, Delete, Checkpoint)
+
+_BUNDLE_STATE = StateSpec(
+    "an engine snapshot", {"config": Mapping, "backend": Mapping}, kind="engine-snapshot"
+)
 
 
 @dataclass(frozen=True)
@@ -411,12 +416,9 @@ class JoinEstimationEngine:
     def snapshot(self, path: Union[str, Path]) -> None:
         """Write config + backend state as one restorable bundle."""
         with trace("engine.snapshot", backend=self.config.backend):
-            state = {
-                "format": 1,
-                "kind": "engine-snapshot",
-                "config": self.config.to_dict(),
-                "backend": self.backend.to_state(),
-            }
+            state = _BUNDLE_STATE.dump(
+                config=self.config.to_dict(), backend=self.backend.to_state()
+            )
             with open(path, "wb") as handle:
                 pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -440,12 +442,7 @@ class JoinEstimationEngine:
             raise ValidationError(f"engine snapshot not found: {path}")
         with open(path, "rb") as handle:
             state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        if not isinstance(state, Mapping) or state.get("kind") != "engine-snapshot":
-            raise ValidationError(f"{path} is not an engine snapshot")
-        if state.get("format") != 1:
-            raise ValidationError(
-                f"unsupported engine snapshot format {state.get('format')!r}"
-            )
+        _BUNDLE_STATE.check(state)
         snapshot_config = EngineConfig.from_dict(state["config"])
         backend_state = state["backend"]
         if config is not None:

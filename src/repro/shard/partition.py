@@ -35,11 +35,13 @@ Two partitioners share that hash:
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Mapping, Union
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.state import StateSpec
 
 _MASK_64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -220,13 +222,20 @@ def resolve_partitioner(
     return spec
 
 
+#: ``kind`` here is the partitioner kind, a field rather than a fixed tag
+_PARTITIONER_STATE = StateSpec(
+    "a partitioner state", {"kind": str, "num_shards": Integral}, format=None
+)
+
+
 def partitioner_state(partitioner: Partitioner) -> Dict[str, object]:
     """A picklable description of a partitioner (snapshot substrate)."""
-    return {"kind": partitioner.kind, "num_shards": partitioner.num_shards}
+    return _PARTITIONER_STATE.dump(kind=partitioner.kind, num_shards=partitioner.num_shards)
 
 
 def partitioner_from_state(state: Mapping[str, object]) -> Partitioner:
     """Rebuild a partitioner from :func:`partitioner_state` output."""
+    _PARTITIONER_STATE.check(state)
     return resolve_partitioner(str(state["kind"]), int(state["num_shards"]))
 
 

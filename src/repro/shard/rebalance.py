@@ -36,6 +36,7 @@ with their member lists and rows — between shards.  This module does that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -49,6 +50,22 @@ from repro.shard.partition import (
     resolve_partitioner,
 )
 from repro.shard.sharded_index import ShardedMutableIndex
+from repro.state import StateSpec
+from repro.streaming.rowstore import ROW_STORE_STATE
+
+_MIGRATION_STATE = StateSpec(
+    "a bucket-migration payload",
+    {
+        "dimension": Integral,
+        "num_hashes": Integral,
+        "num_tables": Integral,
+        "ids": (list, tuple),
+        "rows": Mapping,
+        "tables": (list, tuple),
+        "collision_pairs": Integral,
+    },
+    kind="bucket-migration",
+)
 
 
 # ----------------------------------------------------------------------
@@ -136,24 +153,24 @@ def _split_index_state_groups(
             ]
         else:
             selected = sparse.csr_matrix((0, int(rows_state["dimension"])))
-        return {"dimension": rows_state["dimension"], "ids": list(subset), "matrix": selected}
+        return ROW_STORE_STATE.dump(
+            dimension=rows_state["dimension"], ids=list(subset), matrix=selected
+        )
 
     remaining_state = dict(state)
     remaining_state["live_ids"] = kept_live
     remaining_state["rows"] = select_rows(kept_live)
     remaining_state["tables"] = remaining_tables
     payloads = {
-        group: {
-            "format": 1,
-            "kind": "bucket-migration",
-            "dimension": state["dimension"],
-            "num_hashes": state["num_hashes"],
-            "num_tables": state["num_tables"],
-            "ids": moved_live[group],
-            "rows": select_rows(moved_live[group]),
-            "tables": fragments[group],
-            "collision_pairs": collision_pairs[group],
-        }
+        group: _MIGRATION_STATE.dump(
+            dimension=state["dimension"],
+            num_hashes=state["num_hashes"],
+            num_tables=state["num_tables"],
+            ids=moved_live[group],
+            rows=select_rows(moved_live[group]),
+            tables=fragments[group],
+            collision_pairs=collision_pairs[group],
+        )
         for group in groups
     }
     return remaining_state, payloads
@@ -185,8 +202,7 @@ def splice_index_state(
     already live here — a bucket has exactly one owner); non-primary
     fragments extend existing buckets or open new ones.
     """
-    if payload.get("kind") != "bucket-migration" or payload.get("format") != 1:
-        raise ValidationError("not a bucket-migration payload")
+    _MIGRATION_STATE.check(payload)
     for field_name in ("dimension", "num_hashes", "num_tables"):
         if int(payload[field_name]) != int(state[field_name]):
             raise ValidationError(
@@ -223,15 +239,15 @@ def splice_index_state(
         merged_tables.append(merged)
     target_rows = state["rows"]
     payload_rows = payload["rows"]
-    merged_rows = {
-        "dimension": target_rows["dimension"],
-        "ids": list(target_rows["ids"]) + list(payload_rows["ids"]),
-        "matrix": sparse.vstack(
+    merged_rows = ROW_STORE_STATE.dump(
+        dimension=target_rows["dimension"],
+        ids=list(target_rows["ids"]) + list(payload_rows["ids"]),
+        matrix=sparse.vstack(
             [target_rows["matrix"].tocsr(), payload_rows["matrix"].tocsr()], format="csr"
         )
         if arriving
         else target_rows["matrix"],
-    }
+    )
     merged_state = dict(state)
     merged_state["live_ids"] = [int(i) for i in state["live_ids"]] + arriving
     merged_state["rows"] = merged_rows

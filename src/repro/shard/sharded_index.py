@@ -35,8 +35,9 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
 
 import numpy as np
 from scipy import sparse
@@ -55,6 +56,7 @@ from repro.shard.partition import (
     partitioner_state,
     resolve_partitioner,
 )
+from repro.state import StateSpec
 from repro.streaming.estimator import StreamingEstimator
 from repro.streaming.mutable_index import (
     MutableLSHIndex,
@@ -70,6 +72,28 @@ from repro.streaming.mutable_index import (
 )
 from repro.streaming.rowstore import pairwise_cosine
 from repro.vectors.collection import VectorCollection
+
+#: also the state of a :class:`~repro.cluster.ClusterCoordinator`
+SHARDED_STATE = StateSpec(
+    "a sharded-index snapshot",
+    {
+        "dimension": Integral,
+        "num_hashes": Integral,
+        "num_tables": Integral,
+        "num_shards": Integral,
+        "partitioner": Mapping,
+        "next_id": Integral,
+        "live_ids": (list, tuple),
+        "shard_of": (list, tuple),
+        "bucket_refs": (list, tuple),
+        "shard_estimators": bool,
+        "estimator_kwargs": Mapping,
+        "shards": (list, tuple),
+        "estimators": (list, tuple),
+    },
+    kind="sharded",
+    optional=("estimators",),
+)
 
 
 @dataclass
@@ -806,29 +830,24 @@ class ShardedMutableIndex:
         under ``"estimators"``.  Restores therefore replay estimates
         bit-identically instead of redrawing sampled state.
         """
-        state = {
-            "format": 1,
-            "kind": "sharded",
-            "dimension": self.dimension,
-            "num_hashes": self.num_hashes,
-            "num_tables": self.num_tables,
-            "num_shards": self.num_shards,
-            "partitioner": partitioner_state(self.partitioner),
-            "next_id": self._next_id,
-            "live_ids": list(self._live_ids),
-            "shard_of": [self._shard_of_id[i] for i in self._live_ids],
-            "bucket_refs": [
+        return SHARDED_STATE.dump(
+            dimension=self.dimension,
+            num_hashes=self.num_hashes,
+            num_tables=self.num_tables,
+            num_shards=self.num_shards,
+            partitioner=partitioner_state(self.partitioner),
+            next_id=self._next_id,
+            live_ids=list(self._live_ids),
+            shard_of=[self._shard_of_id[i] for i in self._live_ids],
+            bucket_refs=[
                 (key, count, shard_id)
                 for key, (count, shard_id) in self._bucket_refs.items()
             ],
-            "shard_estimators": self._shard_estimators,
-            "estimator_kwargs": self._estimator_kwargs,
-            "shards": [shard.index.to_state() for shard in self.shards],
-        }
-        facade_estimators = collect_estimator_states(self._observers)
-        if facade_estimators:
-            state["estimators"] = facade_estimators
-        return state
+            shard_estimators=self._shard_estimators,
+            estimator_kwargs=self._estimator_kwargs,
+            shards=[shard.index.to_state() for shard in self.shards],
+            estimators=collect_estimator_states(self._observers),
+        )
 
     @classmethod
     def from_state(
@@ -844,7 +863,7 @@ class ShardedMutableIndex:
         (``shard_estimators`` toggled on after the snapshot) is a fresh
         estimator drawn, seeded from ``estimator_seed``.
         """
-        cls._check_sharded_state(state)
+        SHARDED_STATE.check(state)
         sharded = cls.__new__(cls)
         sharded._restore_facade_fields(state)
         estimator_rngs = spawn(ensure_rng(estimator_seed), int(state["num_shards"]))
@@ -869,14 +888,23 @@ class ShardedMutableIndex:
         restore_estimator_states(sharded, state.get("estimators", ()))
         return sharded
 
-    @staticmethod
-    def _check_sharded_state(state: Mapping[str, object]) -> None:
-        """Refuse anything but a sharded-index snapshot state."""
-        if state.get("format") != 1 or state.get("kind") != "sharded":
-            raise ValidationError("not a sharded-index snapshot")
-
     def _restore_facade_fields(self, state: Mapping[str, object]) -> None:
-        """Restore the scalar facade fields (shared with the cluster restore)."""
+        """Restore the scalar facade fields (shared with the cluster restore).
+
+        Runs before any shard is revived, so the length checks refuse a
+        truncated snapshot before a restore spends work (or workers) on it.
+        """
+        shards, shard_of, live_ids = (
+            cast(Sequence[object], state[name]) for name in ("shards", "shard_of", "live_ids")
+        )
+        if len(shards) != state["num_shards"]:
+            SHARDED_STATE.refuse(
+                f"{len(shards)} shard states for num_shards={state['num_shards']}"
+            )
+        if len(shard_of) != len(live_ids):
+            SHARDED_STATE.refuse(
+                f"{len(shard_of)} shard assignments for {len(live_ids)} live ids"
+            )
         self.dimension = int(state["dimension"])
         self.num_hashes = int(state["num_hashes"])
         self.num_tables = int(state["num_tables"])

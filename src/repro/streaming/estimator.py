@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from numbers import Integral, Real
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -60,12 +61,73 @@ from repro.core.lsh_ss import (
 )
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.rng import RandomState, ensure_rng, generator_from_state, generator_state
+from repro.state import StateSpec
 from repro.streaming.mutable_index import MutableLSHIndex
 
 _MODES = ("auto", "exact", "reservoir")
 
 #: draws ``size`` pair ids: (left ids, right ids)
 PairSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
+
+_OPTIONAL_INT = (type(None), Integral)
+
+_RESERVOIR_STATE = StateSpec(
+    "a pair-reservoir state",
+    {
+        "target_size": Integral,
+        "left": (list, tuple),
+        "right": (list, tuple),
+        "unseen_pairs": Integral,
+        "degraded": bool,
+    },
+    format=None,
+)
+
+_ESTIMATOR_STATE = StateSpec(
+    "a streaming-estimator snapshot",
+    {
+        "sample_size_h": _OPTIONAL_INT,
+        "sample_size_l": _OPTIONAL_INT,
+        "answer_threshold": _OPTIONAL_INT,
+        "dampening": (type(None), str, Real),
+        "reservoir_size": Integral,
+        "staleness_budget": Real,
+        "rng": dict,
+        "reservoir_h": Mapping,
+        "reservoir_l": Mapping,
+    },
+    kind="streaming-estimator",
+)
+
+
+def _validate_settings(
+    sample_size_h: Optional[int],
+    sample_size_l: Optional[int],
+    answer_threshold: Optional[int],
+    dampening: Dampening,
+    reservoir_size: int,
+    staleness_budget: float,
+) -> None:
+    """The estimator parameter checks, shared by construction and restore."""
+    for name, value in (
+        ("sample_size_h (m_H)", sample_size_h),
+        ("sample_size_l (m_L)", sample_size_l),
+        ("answer_threshold (δ)", answer_threshold),
+    ):
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+    if reservoir_size < 1:
+        raise ValidationError(f"reservoir_size must be >= 1, got {reservoir_size}")
+    if not 0.0 < staleness_budget <= 1.0:
+        # staleness is a fraction of the stratum, capped at 1.0 — a
+        # budget above 1 could never be exceeded, silently disabling
+        # repair while claiming a bound
+        raise ValidationError(
+            f"staleness_budget must lie in (0, 1], got {staleness_budget}"
+        )
+    if dampening is not None and dampening != "auto":
+        if isinstance(dampening, str) or not 0.0 < float(dampening) <= 1.0:
+            raise ValidationError(f"dampening must be in (0, 1] or 'auto', got {dampening}")
 
 
 class _PairReservoir:
@@ -151,16 +213,17 @@ class _PairReservoir:
 
     def state(self) -> Dict[str, object]:
         """A picklable snapshot: sampled pairs plus the staleness counters."""
-        return {
-            "target_size": self.target_size,
-            "left": list(self.left),
-            "right": list(self.right),
-            "unseen_pairs": self.unseen_pairs,
-            "degraded": self.degraded,
-        }
+        return _RESERVOIR_STATE.dump(
+            target_size=self.target_size,
+            left=list(self.left),
+            right=list(self.right),
+            unseen_pairs=self.unseen_pairs,
+            degraded=self.degraded,
+        )
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "_PairReservoir":
+        _RESERVOIR_STATE.check(state)
         reservoir = cls(int(state["target_size"]))
         reservoir.left = [int(u) for u in state["left"]]
         reservoir.right = [int(v) for v in state["right"]]
@@ -218,25 +281,10 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         staleness_budget: float = 0.25,
         random_state: RandomState = None,
     ) -> None:
-        for name, value in (
-            ("sample_size_h (m_H)", sample_size_h),
-            ("sample_size_l (m_L)", sample_size_l),
-            ("answer_threshold (δ)", answer_threshold),
-        ):
-            if value is not None and value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-        if reservoir_size < 1:
-            raise ValidationError(f"reservoir_size must be >= 1, got {reservoir_size}")
-        if not 0.0 < staleness_budget <= 1.0:
-            # staleness is a fraction of the stratum, capped at 1.0 — a
-            # budget above 1 could never be exceeded, silently disabling
-            # repair while claiming a bound
-            raise ValidationError(
-                f"staleness_budget must lie in (0, 1], got {staleness_budget}"
-            )
-        if dampening is not None and dampening != "auto":
-            if not 0.0 < float(dampening) <= 1.0:
-                raise ValidationError(f"dampening must be in (0, 1] or 'auto', got {dampening}")
+        _validate_settings(
+            sample_size_h, sample_size_l, answer_threshold, dampening,
+            reservoir_size, staleness_budget,
+        )
         self.index = index
         self.sample_size_h = sample_size_h
         self.sample_size_l = sample_size_l
@@ -268,19 +316,17 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         separately (:meth:`MutableLSHIndex.to_state`, which embeds this
         state for its registered estimators).
         """
-        return {
-            "format": 1,
-            "kind": "streaming-estimator",
-            "sample_size_h": self.sample_size_h,
-            "sample_size_l": self.sample_size_l,
-            "answer_threshold": self.answer_threshold,
-            "dampening": self.dampening,
-            "reservoir_size": self.reservoir_size,
-            "staleness_budget": self.staleness_budget,
-            "rng": generator_state(self._rng),
-            "reservoir_h": self._reservoir_h.state(),
-            "reservoir_l": self._reservoir_l.state(),
-        }
+        return _ESTIMATOR_STATE.dump(
+            sample_size_h=self.sample_size_h,
+            sample_size_l=self.sample_size_l,
+            answer_threshold=self.answer_threshold,
+            dampening=self.dampening,
+            reservoir_size=self.reservoir_size,
+            staleness_budget=self.staleness_budget,
+            rng=generator_state(self._rng),
+            reservoir_h=self._reservoir_h.state(),
+            reservoir_l=self._reservoir_l.state(),
+        )
 
     @classmethod
     def from_state(
@@ -293,8 +339,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         disposable scratch — and the generator resumes mid-stream, so
         restore is invisible to every later estimate.
         """
-        if state.get("format") != 1 or state.get("kind") != "streaming-estimator":
-            raise ValidationError("not a streaming-estimator snapshot")
+        _ESTIMATOR_STATE.check(state)
         estimator = cls.__new__(cls)
         estimator.index = index
         estimator.sample_size_h = state["sample_size_h"]
@@ -303,6 +348,11 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         estimator.dampening = state["dampening"]
         estimator.reservoir_size = int(state["reservoir_size"])
         estimator.staleness_budget = float(state["staleness_budget"])
+        _validate_settings(
+            estimator.sample_size_h, estimator.sample_size_l,
+            estimator.answer_threshold, estimator.dampening,
+            estimator.reservoir_size, estimator.staleness_budget,
+        )
         estimator._rng = generator_from_state(dict(state["rng"]))
         estimator._reservoir_h = _PairReservoir.from_state(state["reservoir_h"])
         estimator._reservoir_l = _PairReservoir.from_state(state["reservoir_l"])

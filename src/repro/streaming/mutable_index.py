@@ -35,8 +35,9 @@ draws replay identically), and the hash families themselves.
 from __future__ import annotations
 
 import pickle
+from numbers import Integral
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +47,7 @@ from repro.lsh.families import LSHFamily
 from repro.lsh.index import resolve_family
 from repro.lsh.table import sample_uniform_pairs, sample_weighted_bucket_pairs
 from repro.rng import RandomState, ensure_rng, spawn
+from repro.state import StateSpec
 from repro.streaming.rowstore import _MAX_ID, RowStore, pairwise_cosine
 from repro.vectors.collection import VectorCollection
 
@@ -53,6 +55,23 @@ VectorInput = Union[Mapping[int, float], Sequence[float], np.ndarray, sparse.spm
 
 #: Per-table bucket layout in dict iteration order: ``[(key, [member, …]), …]``.
 BucketState = List[Tuple[bytes, List[int]]]
+
+#: index states carry no kind tag; engine bundles and cluster states do
+INDEX_STATE = StateSpec(
+    "a streaming-index snapshot",
+    {
+        "dimension": Integral,
+        "num_hashes": Integral,
+        "num_tables": Integral,
+        "next_id": Integral,
+        "live_ids": (list, tuple),
+        "rows": Mapping,
+        "families": (list, tuple),
+        "tables": (list, tuple),
+        "estimators": (list, tuple),
+    },
+    optional=("estimators",),
+)
 
 
 def coerce_row(vector: VectorInput, dimension: int) -> sparse.csr_matrix:
@@ -799,21 +818,17 @@ class MutableLSHIndex:
         :meth:`from_state` reattaches them with their sampled state
         intact instead of redrawing.
         """
-        state = {
-            "format": 1,
-            "dimension": self.dimension,
-            "num_hashes": self.num_hashes,
-            "num_tables": self.num_tables,
-            "next_id": self._next_id,
-            "live_ids": list(self._live_ids),
-            "rows": self._rows.state(),
-            "families": self.families,  # reprolint: disable=R013 - LSHFamily carries its seeded hyperplanes; gains its own to_state() in the wire-format migration (ROADMAP)
-            "tables": [table.bucket_state() for table in self.tables],
-        }
-        estimator_states = collect_estimator_states(self._observers)
-        if estimator_states:
-            state["estimators"] = estimator_states
-        return state
+        return INDEX_STATE.dump(
+            dimension=self.dimension,
+            num_hashes=self.num_hashes,
+            num_tables=self.num_tables,
+            next_id=self._next_id,
+            live_ids=list(self._live_ids),
+            rows=self._rows.state(),
+            families=self.families,
+            tables=[table.bucket_state() for table in self.tables],
+            estimators=collect_estimator_states(self._observers),
+        )
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "MutableLSHIndex":
@@ -823,11 +838,11 @@ class MutableLSHIndex:
         re-registered as observers; retrieve them via
         ``index.estimators`` (they resume bit-identically).
         """
-        # index states carry no kind; engine bundles and cluster states do
-        if state.get("format") != 1 or state.get("kind") is not None:
-            raise ValidationError(
-                f"not a streaming-index snapshot (format {state.get('format')!r}, "
-                f"kind {state.get('kind')!r})"
+        INDEX_STATE.check(state)
+        tables = cast(List[BucketState], state["tables"])
+        if len(tables) != state["num_tables"]:
+            INDEX_STATE.refuse(
+                f"{len(tables)} table layouts for num_tables={state['num_tables']}"
             )
         index = cls(
             int(state["dimension"]),
@@ -841,7 +856,7 @@ class MutableLSHIndex:
             vector_id: position for position, vector_id in enumerate(index._live_ids)
         }
         index._next_id = int(state["next_id"])
-        for table, buckets in zip(index.tables, state["tables"]):
+        for table, buckets in zip(index.tables, tables):
             table.load_bucket_state(buckets)
         restore_estimator_states(index, state.get("estimators", ()))
         return index

@@ -30,12 +30,14 @@ static query path.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Iterator, List, Mapping, Sequence, cast
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ValidationError
+from repro.state import StateSpec
 
 _MIN_CAPACITY = 1024
 _MIN_SLOTS = 64
@@ -45,6 +47,12 @@ _COMPACTION_FLOOR = 4096
 #: count would translate directly into allocated memory; the cap turns a
 #: runaway allocation into a validation error.  2^27 ids = 1 GiB of map.
 _MAX_ID = 1 << 27
+
+ROW_STORE_STATE = StateSpec(
+    "a row-store state",
+    {"dimension": Integral, "ids": (list, tuple), "matrix": sparse.spmatrix},
+    format=None,
+)
 
 
 def pairwise_cosine(rows_left: sparse.csr_matrix, rows_right: sparse.csr_matrix) -> np.ndarray:
@@ -298,10 +306,11 @@ class RowStore:
         """A picklable snapshot of the live rows (ids + one CSR matrix)."""
         ids = self.ids()
         matrix = self.gather_raw(ids) if ids.size else sparse.csr_matrix((0, self.dimension))
-        return {"dimension": self.dimension, "ids": ids.tolist(), "matrix": matrix}  # reprolint: disable=R013 - scipy CSR rows; becomes raw numpy buffer frames in the wire-format migration (ROADMAP)
+        return ROW_STORE_STATE.dump(dimension=self.dimension, ids=ids.tolist(), matrix=matrix)
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "RowStore":
+        ROW_STORE_STATE.check(state)
         store = cls(int(state["dimension"]))
         ids = cast(List[int], state["ids"])
         if ids:

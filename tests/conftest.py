@@ -45,41 +45,9 @@ if os.environ.get("REPRO_LOCKDEP") == "1":
 
     _LOCKDEP_STATE = _lockdep.install()
 
-# ----------------------------------------------------------------------
-# runtime schema witness (REPRO_SCHEMA=1): wrap every to_state/from_state
-# on the snapshot-bearing classes, record the key-sets the suite actually
-# touches, and dump them at session end for `repro schema-report` to
-# check against the static model (observed ⊆ static, else the extractor
-# lost a flow path).  Installed at import time, before any fixture can
-# bind a method reference.
-# ----------------------------------------------------------------------
-_SCHEMA_WITNESS = None
-if os.environ.get("REPRO_SCHEMA") == "1":
-    from repro.analysis import schema as _schema
-
-    _SCHEMA_WITNESS = _schema.install_witness()
-
 
 def pytest_sessionfinish(session, exitstatus):
     import json
-
-    if _SCHEMA_WITNESS is not None:
-        observed = _SCHEMA_WITNESS.to_dict()
-        observed_path = os.environ.get(
-            "REPRO_SCHEMA_OBSERVED", "schema_observed.json"
-        )
-        with open(observed_path, "w", encoding="utf-8") as handle:
-            json.dump(observed, handle, indent=2, sort_keys=True)
-        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-        keys = sum(len(names) for names in observed["observed"].values())
-        line = (
-            f"schema: {len(observed['observed'])} witnessed entr(ies), "
-            f"{keys} key(s) -> {observed_path}"
-        )
-        if reporter is not None:
-            reporter.write_line(line)
-        else:
-            print(line)
 
     if _LOCKDEP_STATE is None:
         return

@@ -480,6 +480,48 @@ class TestShardWorkerOps:
         with pytest.raises(ClusterError):
             worker2.handle("configure", {"shard_id": 0})  # double configure
 
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize(
+        "garbage",
+        ["not-a-mapping", "no-state", "unknown-key", "short-tables"],
+    )
+    def test_garbage_restore_replies_error_and_keeps_serving(self, garbage):
+        import socket as socket_module
+
+        from repro.cluster.transport import Connection
+
+        worker = self._configured_worker()
+        self._insert(worker, np.eye(6) + 0.2)
+        state = worker.handle("snapshot", {})["state"]
+        payload = {
+            "not-a-mapping": {"state": [("format", 1)]},
+            "no-state": {},
+            "unknown-key": {"state": {**state, "kind": "sharded"}},
+            "short-tables": {"state": {**state, "tables": state["tables"][:1]}},
+        }[garbage]
+        coordinator_side, worker_side = socket_module.socketpair()
+        conn = Connection(coordinator_side, timeout=30.0)
+        served = threading.Thread(
+            target=worker_module.serve_connection,
+            args=(Connection(worker_side, timeout=None), worker),
+        )
+        served.start()
+        try:
+            conn.send("restore", {**payload, "shard_estimators": True})
+            status, body, _meta = conn.recv()
+            assert status == "error" and body["type"] == "ValidationError"
+            # the worker keeps serving the shard it held before the refusal
+            conn.send("ping", {})
+            status, body, _meta = conn.recv()
+            assert status == "ok" and body["size"] == 6 and body["has_estimator"]
+            conn.send("shutdown", {})
+            assert conn.recv()[0] == "ok"
+        finally:
+            served.join(timeout=10)
+            conn.close()
+            worker_side.close()
+        assert not served.is_alive()
+
 
 class TestTransportFraming:
     def test_round_trip_and_error_descriptions(self):

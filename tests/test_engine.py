@@ -601,6 +601,189 @@ class TestSnapshotRestore:
 
 
 # ----------------------------------------------------------------------
+# Malformed snapshot states: every declared reader × every mutation
+# ----------------------------------------------------------------------
+_DIMENSION_CONFIG = {"num_hashes": 4, "num_tables": 2, "seed": 4}
+
+
+@pytest.fixture(scope="module")
+def valid_states(tmp_path_factory):
+    """One well-formed state per reader, built by the real writers."""
+    from repro.datasets import make_dblp_like
+    from repro.shard.rebalance import split_index_state
+
+    collection = make_dblp_like(num_vectors=60, random_state=1).collection
+    dimension = collection.dimension
+    index = MutableLSHIndex(dimension, num_hashes=4, num_tables=2, random_state=1)
+    index.insert_many(collection.matrix)
+    StreamingEstimator(index, reservoir_size=16, random_state=2)
+    sharded = ShardedMutableIndex(
+        dimension, num_shards=3, num_hashes=4, num_tables=2, random_state=1
+    )
+    sharded.insert_many(collection.matrix)
+    states = {"index": index.to_state(), "sharded": sharded.to_state()}
+    states["rows"] = states["index"]["rows"]
+    states["estimator"] = states["index"]["estimators"][0]
+    states["reservoir"] = states["estimator"]["reservoir_h"]
+    states["partitioner"] = states["sharded"]["partitioner"]
+    states["cluster"] = states["sharded"]
+    first_key = states["index"]["tables"][0][0][0]
+    states["splice-target"], states["migration"] = split_index_state(
+        states["index"], [first_key]
+    )
+    configs = {}
+    for kind, options in (("static", {}), ("streaming", {}), ("sharded", {"num_shards": 3})):
+        configs[kind] = EngineConfig(
+            backend=kind, dimension=dimension, options=options, **_DIMENSION_CONFIG
+        )
+        path = tmp_path_factory.mktemp("bundles") / f"{kind}.pkl"
+        with JoinEstimationEngine(configs[kind]) as engine:
+            engine.ingest(collection)
+            engine.snapshot(path)
+        with open(path, "rb") as handle:
+            bundle = pickle.load(handle)
+        states[f"{kind}-backend"] = bundle["backend"]
+        if kind == "streaming":
+            states["engine"] = bundle
+    configs["process"] = configs["sharded"].replace(backend="process")
+    states["process-backend"] = {**states["sharded-backend"], "kind": "process-backend"}
+    states["configs"] = configs
+    return states
+
+
+def _restore_backend(kind):
+    def read(state, states, tmp_path):
+        config = states["configs"][kind]
+        resolve_backend(kind).from_state(config, state).close()
+
+    return read
+
+
+def _restore_engine(state, states, tmp_path):
+    path = tmp_path / "bundle.pkl"
+    with open(path, "wb") as handle:
+        pickle.dump(state, handle)
+    JoinEstimationEngine.restore(path).close()
+
+
+def _restore_cluster(state, states, tmp_path):
+    from repro.cluster import ClusterCoordinator
+
+    ClusterCoordinator.from_state(state, request_timeout=30).close()
+
+
+def _read_reservoir(state, states, tmp_path):
+    from repro.streaming.estimator import _PairReservoir
+
+    _PairReservoir.from_state(state)
+
+
+def _read_rows(state, states, tmp_path):
+    from repro.streaming.rowstore import RowStore
+
+    RowStore.from_state(state)
+
+
+def _read_partitioner(state, states, tmp_path):
+    from repro.shard.partition import partitioner_from_state
+
+    partitioner_from_state(state)
+
+
+def _splice_and_revive(state, states, tmp_path):
+    from repro.shard.rebalance import splice_index_state
+
+    MutableLSHIndex.from_state(splice_index_state(states["splice-target"], state))
+
+
+_UNTAGGED = ("not-a-mapping", "missing-key", "unknown-key", "wrong-type")
+_TAGGED = _UNTAGGED + ("wrong-format", "wrong-kind")
+
+#: reader → (restore call, a field to drop / retype, applicable mutations)
+_READERS = {
+    "index": (
+        lambda state, states, tmp_path: MutableLSHIndex.from_state(state),
+        "dimension",
+        _UNTAGGED + ("wrong-format", "short-tables"),
+    ),
+    "rows": (_read_rows, "dimension", _UNTAGGED),
+    "reservoir": (_read_reservoir, "left", _UNTAGGED),
+    "estimator": (
+        lambda state, states, tmp_path: StreamingEstimator.from_state(
+            MutableLSHIndex(8, num_hashes=4), state
+        ),
+        "reservoir_size",
+        _TAGGED + ("staleness-budget-above-one",),
+    ),
+    "sharded": (
+        lambda state, states, tmp_path: ShardedMutableIndex.from_state(state),
+        "num_shards",
+        _TAGGED + ("short-shards", "short-shard-of"),
+    ),
+    "cluster": (_restore_cluster, "num_shards", _TAGGED + ("short-shards", "short-shard-of")),
+    "partitioner": (_read_partitioner, "num_shards", _UNTAGGED),
+    "migration": (_splice_and_revive, "collision_pairs", _TAGGED + ("short-tables",)),
+    "engine": (_restore_engine, "config", _TAGGED),
+    "static-backend": (_restore_backend("static"), "matrix", _TAGGED),
+    "streaming-backend": (_restore_backend("streaming"), "index", _TAGGED + ("no-estimator",)),
+    "sharded-backend": (_restore_backend("sharded"), "index", _TAGGED),
+    "process-backend": (_restore_backend("process"), "index", _TAGGED),
+}
+
+
+def _mutate(state, mutation, field_name):
+    state = dict(state)
+    if mutation == "not-a-mapping":
+        return list(state.items())
+    if mutation == "missing-key":
+        del state[field_name]
+    elif mutation == "unknown-key":
+        state["surplus"] = 1
+    elif mutation == "wrong-type":
+        state[field_name] = "x"
+    elif mutation == "wrong-format":
+        state["format"] = 2
+    elif mutation == "wrong-kind":
+        state["kind"] = "bogus"
+    elif mutation == "short-tables":
+        state["tables"] = state["tables"][:-1]
+    elif mutation == "short-shards":
+        state["shards"] = state["shards"][:-1]
+    elif mutation == "short-shard-of":
+        state["shard_of"] = state["shard_of"][:-5]
+    elif mutation == "staleness-budget-above-one":
+        state["staleness_budget"] = 5.0
+    elif mutation == "no-estimator":
+        state["index"] = {
+            key: value for key, value in state["index"].items() if key != "estimators"
+        }
+    return state
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize(
+    "reader, mutation",
+    [(reader, mutation) for reader, (_, _, mutations) in _READERS.items() for mutation in mutations],
+)
+def test_malformed_state_rejected(valid_states, tmp_path, reader, mutation):
+    """A malformed snapshot ends in ValidationError, never a crash or a
+    silently wrong restore (KeyError/AttributeError/TypeError or truncation)."""
+    import copy
+
+    read, field_name, _ = _READERS[reader]
+    state = _mutate(copy.deepcopy(valid_states[reader]), mutation, field_name)
+    with pytest.raises(ValidationError):
+        read(state, valid_states, tmp_path)
+
+
+def test_valid_states_restore(valid_states, tmp_path):
+    """The table's inputs are well formed: unmutated, every reader accepts them."""
+    for reader, (read, _, _) in _READERS.items():
+        if reader not in ("cluster", "process-backend"):  # no workers spawned here
+            read(valid_states[reader], valid_states, tmp_path)
+
+
+# ----------------------------------------------------------------------
 # Rebalancing through the front door
 # ----------------------------------------------------------------------
 class TestRebalance:
