@@ -17,13 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
-from repro.core.lsh_ss import (
-    Dampening,
-    default_answer_threshold,
-    default_sample_size,
-    sample_stratum_h,
-    sample_stratum_l,
-)
+from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.lsh.families import LSHFamily
 from repro.lsh.signatures import signature_keys
@@ -168,6 +162,8 @@ class GeneralRandomPairSampling(SimilarityJoinSizeEstimator):
     ) -> None:
         if left.dimension != right.dimension:
             raise ValidationError("both collections must share a dimension")
+        if sample_size is not None and sample_size < 1:
+            raise ValidationError(f"sample_size must be >= 1, got {sample_size}")
         self.left = left
         self.right = right
         default = max(1, int(round(1.5 * max(left.size, right.size))))
@@ -213,10 +209,11 @@ class GeneralLSHSSEstimator(SimilarityJoinSizeEstimator):
         dampening: Dampening = None,
     ) -> None:
         self.paired_table = paired_table
-        n = max(paired_table.left.size, paired_table.right.size)
-        self.sample_size_h = sample_size_h or default_sample_size(n)
-        self.sample_size_l = sample_size_l or default_sample_size(n)
-        self.answer_threshold = answer_threshold or default_answer_threshold(n)
+        self._params = LSHSSParameters(sample_size_h, sample_size_l, answer_threshold, dampening)
+        self._num_vectors = max(paired_table.left.size, paired_table.right.size)
+        self.sample_size_h, self.sample_size_l, self.answer_threshold = self._params.resolve(
+            self._num_vectors
+        )
         self.dampening = dampening
         if dampening is not None:
             self.name = "LSH-SS(D)-general"
@@ -231,44 +228,23 @@ class GeneralLSHSSEstimator(SimilarityJoinSizeEstimator):
         )
 
     def _estimate(self, threshold: float, *, random_state: RandomState = None) -> Estimate:
-        rng = ensure_rng(random_state)
-        stratum_h = sample_stratum_h(
-            self.paired_table.num_collision_pairs,
-            lambda size, generator: self.paired_table.sample_collision_pairs(
+        value, details = estimate_strata(
+            self._params,
+            self._num_vectors,
+            threshold,
+            ensure_rng(random_state),
+            self._similarities,
+            num_h=self.paired_table.num_collision_pairs,
+            source_h=lambda size, generator: self.paired_table.sample_collision_pairs(
                 size, random_state=generator
             ),
-            self._similarities,
-            threshold,
-            self.sample_size_h,
-            rng,
-        )
-        stratum_l = sample_stratum_l(
-            self.paired_table.num_non_collision_pairs,
-            lambda size, generator: self.paired_table.sample_non_collision_pairs(
+            num_l=self.paired_table.num_non_collision_pairs,
+            source_l=lambda size, generator: self.paired_table.sample_non_collision_pairs(
                 size, random_state=generator
             ),
-            self._similarities,
-            threshold,
-            self.answer_threshold,
-            self.sample_size_l,
-            self.dampening,
-            rng,
         )
-        return Estimate(
-            value=stratum_h.estimate + stratum_l.estimate,
-            estimator=self.name,
-            threshold=threshold,
-            details={
-                "stratum_h": stratum_h.estimate,
-                "stratum_l": stratum_l.estimate,
-                "true_in_sample_h": stratum_h.true_in_sample,
-                "true_in_sample_l": stratum_l.true_in_sample,
-                "samples_taken_l": stratum_l.samples_taken,
-                "reached_answer_threshold": stratum_l.reached_answer_threshold,
-                "dampening_used": stratum_l.dampening_used,
-                "num_collision_pairs": self.paired_table.num_collision_pairs,
-            },
-        )
+        details["num_collision_pairs"] = self.paired_table.num_collision_pairs
+        return Estimate(value=value, estimator=self.name, threshold=threshold, details=details)
 
 
 __all__ = ["PairedLSHTable", "GeneralRandomPairSampling", "GeneralLSHSSEstimator"]

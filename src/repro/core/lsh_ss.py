@@ -21,16 +21,22 @@ LSH-SS estimates the two strata independently and adds the estimates
 The default parameters follow §5.1: ``m_H = m_L = n`` and ``δ = log2 n``;
 LSH-SS(D) uses ``c_s = n_L / δ`` (§6.1).
 
-The module also exposes :func:`sample_stratum_h` / :func:`sample_stratum_l`
-as reusable building blocks for the virtual-bucket and general-join
-estimators, which differ only in how pairs are drawn from each stratum.
+This module is the one home of Algorithm 1.  :class:`LSHSSParameters`
+validates ``m_H``, ``m_L``, ``δ`` and the dampening once and resolves the
+§5.1 defaults; :func:`estimate_strata` runs SampleH then SampleL and sums
+them.  Every LSH-SS estimator — this module's single-table one, the
+virtual-bucket (:mod:`repro.core.multi_table`), general-join
+(:mod:`repro.core.general_join`), streaming (:mod:`repro.streaming`) and
+sharded (:mod:`repro.shard.merge`) ones — supplies only its strata sizes,
+its pair sources, the ``n`` its defaults follow, and its extra details.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Tuple, Union
+from numbers import Integral, Real
+from typing import Any, Callable, Dict, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +63,48 @@ def default_sample_size(num_vectors: int) -> int:
 def default_answer_threshold(num_vectors: int) -> int:
     """The paper's ``δ = log2 n`` (at least 1)."""
     return max(1, int(round(math.log2(max(num_vectors, 2)))))
+
+
+@dataclass(frozen=True)
+class LSHSSParameters:
+    """``m_H``, ``m_L``, ``δ`` and the dampening, validated at construction.
+
+    ``None`` sizes follow the §5.1 defaults for the ``n`` handed to
+    :meth:`resolve`.  Sizes must be integers ``≥ 1``; the dampening must
+    be ``None``, ``"auto"`` or a real number in ``(0, 1]``.  Anything else
+    raises :class:`~repro.errors.ValidationError`.
+    """
+
+    sample_size_h: Optional[int] = None
+    sample_size_l: Optional[int] = None
+    answer_threshold: Optional[int] = None
+    dampening: Dampening = None
+
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("sample_size_h (m_H)", self.sample_size_h),
+            ("sample_size_l (m_L)", self.sample_size_l),
+            ("answer_threshold (δ)", self.answer_threshold),
+        ):
+            if value is not None and not (isinstance(value, Integral) and value >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        dampening = self.dampening
+        if not (
+            dampening is None
+            or dampening == "auto"
+            or (isinstance(dampening, Real) and 0.0 < dampening <= 1.0)
+        ):
+            raise ValidationError(f"dampening must be in (0, 1] or 'auto', got {dampening}")
+
+    def resolve(self, num_vectors: int) -> Tuple[int, int, int]:
+        """``(m_H, m_L, δ)`` with the §5.1 defaults for ``n = num_vectors``."""
+        return (
+            default_sample_size(num_vectors) if self.sample_size_h is None else self.sample_size_h,
+            default_sample_size(num_vectors) if self.sample_size_l is None else self.sample_size_l,
+            default_answer_threshold(num_vectors)
+            if self.answer_threshold is None
+            else self.answer_threshold,
+        )
 
 
 @dataclass(frozen=True)
@@ -168,6 +216,52 @@ def sample_stratum_l(
     )
 
 
+def estimate_strata(
+    params: LSHSSParameters,
+    num_vectors: int,
+    threshold: float,
+    rng: np.random.Generator,
+    similarity_evaluator: SimilarityEvaluator,
+    *,
+    num_h: int,
+    source_h: PairSource,
+    num_l: int,
+    source_l: PairSource,
+) -> Tuple[float, Dict[str, Any]]:
+    """Algorithm 1: SampleH over stratum H, then SampleL over stratum L.
+
+    ``params`` are resolved against ``num_vectors``; a pair source is
+    only called when its stratum is non-empty.  Returns the summed
+    estimate and the details every LSH-SS estimator reports:
+    ``stratum_h`` / ``stratum_l`` (their estimates), ``true_in_sample_h``
+    / ``true_in_sample_l``, ``samples_taken_l``,
+    ``reached_answer_threshold`` and ``dampening_used``.
+    """
+    sample_size_h, sample_size_l, answer_threshold = params.resolve(num_vectors)
+    stratum_h = sample_stratum_h(
+        num_h, source_h, similarity_evaluator, threshold, sample_size_h, rng
+    )
+    stratum_l = sample_stratum_l(
+        num_l,
+        source_l,
+        similarity_evaluator,
+        threshold,
+        answer_threshold,
+        sample_size_l,
+        params.dampening,
+        rng,
+    )
+    return stratum_h.estimate + stratum_l.estimate, {
+        "stratum_h": stratum_h.estimate,
+        "stratum_l": stratum_l.estimate,
+        "true_in_sample_h": stratum_h.true_in_sample,
+        "true_in_sample_l": stratum_l.true_in_sample,
+        "samples_taken_l": stratum_l.samples_taken,
+        "reached_answer_threshold": stratum_l.reached_answer_threshold,
+        "dampening_used": stratum_l.dampening_used,
+    }
+
+
 class LSHSSEstimator(SimilarityJoinSizeEstimator):
     """LSH-SS / LSH-SS(D): the paper's main estimator (Algorithm 1).
 
@@ -205,23 +299,11 @@ class LSHSSEstimator(SimilarityJoinSizeEstimator):
     ) -> None:
         self.table = table
         self.collection = table.collection
-        n = self.collection.size
-        for name, value in (
-            ("sample_size_h (m_H)", sample_size_h),
-            ("sample_size_l (m_L)", sample_size_l),
-            ("answer_threshold (δ)", answer_threshold),
-        ):
-            if value is not None and value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-        self.sample_size_h = sample_size_h if sample_size_h is not None else default_sample_size(n)
-        self.sample_size_l = sample_size_l if sample_size_l is not None else default_sample_size(n)
-        self.answer_threshold = (
-            answer_threshold if answer_threshold is not None else default_answer_threshold(n)
+        self._params = LSHSSParameters(sample_size_h, sample_size_l, answer_threshold, dampening)
+        self.sample_size_h, self.sample_size_l, self.answer_threshold = self._params.resolve(
+            self.collection.size
         )
         self.dampening: Dampening = dampening
-        if dampening is not None and dampening != "auto":
-            if not 0.0 < float(dampening) <= 1.0:
-                raise ValidationError(f"dampening must be in (0, 1] or 'auto', got {dampening}")
         if dampening is not None:
             self.name = "LSH-SS(D)"
 
@@ -234,51 +316,30 @@ class LSHSSEstimator(SimilarityJoinSizeEstimator):
         return cosine_pairs(self.collection, left, right)
 
     def _estimate(self, threshold: float, *, random_state: RandomState = None) -> Estimate:
-        rng = ensure_rng(random_state)
-
-        stratum_h = sample_stratum_h(
-            self.table.num_collision_pairs,
-            lambda size, generator: self.table.sample_collision_pairs(
+        value, details = estimate_strata(
+            self._params,
+            self.collection.size,
+            threshold,
+            ensure_rng(random_state),
+            self._similarities,
+            num_h=self.table.num_collision_pairs,
+            source_h=lambda size, generator: self.table.sample_collision_pairs(
                 size, random_state=generator
             ),
-            self._similarities,
-            threshold,
-            self.sample_size_h,
-            rng,
-        )
-        stratum_l = sample_stratum_l(
-            self.table.num_non_collision_pairs,
-            lambda size, generator: self.table.sample_non_collision_pairs(
+            num_l=self.table.num_non_collision_pairs,
+            source_l=lambda size, generator: self.table.sample_non_collision_pairs(
                 size, random_state=generator
             ),
-            self._similarities,
-            threshold,
-            self.answer_threshold,
-            self.sample_size_l,
-            self.dampening,
-            rng,
         )
-        value = stratum_h.estimate + stratum_l.estimate
-        return Estimate(
-            value=value,
-            estimator=self.name,
-            threshold=threshold,
-            details={
-                "stratum_h": stratum_h.estimate,
-                "stratum_l": stratum_l.estimate,
-                "true_in_sample_h": stratum_h.true_in_sample,
-                "true_in_sample_l": stratum_l.true_in_sample,
-                "samples_taken_l": stratum_l.samples_taken,
-                "reached_answer_threshold": stratum_l.reached_answer_threshold,
-                "dampening_used": stratum_l.dampening_used,
-                "num_collision_pairs": self.table.num_collision_pairs,
-                "num_non_collision_pairs": self.table.num_non_collision_pairs,
-            },
-        )
+        details["num_collision_pairs"] = self.table.num_collision_pairs
+        details["num_non_collision_pairs"] = self.table.num_non_collision_pairs
+        return Estimate(value=value, estimator=self.name, threshold=threshold, details=details)
 
 
 __all__ = [
     "LSHSSEstimator",
+    "LSHSSParameters",
+    "estimate_strata",
     "StratumHResult",
     "StratumLResult",
     "sample_stratum_h",

@@ -20,13 +20,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
-from repro.core.lsh_ss import (
-    Dampening,
-    default_answer_threshold,
-    default_sample_size,
-    sample_stratum_h,
-    sample_stratum_l,
-)
+from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import ValidationError
 from repro.lsh.index import LSHIndex
 from repro.lsh.table import LSHTable, sample_uniform_pairs
@@ -110,10 +104,10 @@ class VirtualBucketEstimator(SimilarityJoinSizeEstimator):
     ) -> None:
         self.index = index
         self.collection = index.collection
-        n = self.collection.size
-        self.sample_size_h = sample_size_h or default_sample_size(n)
-        self.sample_size_l = sample_size_l or default_sample_size(n)
-        self.answer_threshold = answer_threshold or default_answer_threshold(n)
+        self._params = LSHSSParameters(sample_size_h, sample_size_l, answer_threshold, dampening)
+        self.sample_size_h, self.sample_size_l, self.answer_threshold = self._params.resolve(
+            self.collection.size
+        )
         self.dampening = dampening
         left, right = index.virtual_collision_pairs(max_pairs=max_virtual_pairs)
         self._virtual_left = left
@@ -155,41 +149,20 @@ class VirtualBucketEstimator(SimilarityJoinSizeEstimator):
         return np.concatenate(lefts), np.concatenate(rights)
 
     def _estimate(self, threshold: float, *, random_state: RandomState = None) -> Estimate:
-        rng = ensure_rng(random_state)
         num_virtual = self.num_virtual_collision_pairs
-        stratum_h = sample_stratum_h(
-            num_virtual,
-            self._sample_virtual_h,
-            self._similarities,
+        value, details = estimate_strata(
+            self._params,
+            self.collection.size,
             threshold,
-            self.sample_size_h,
-            rng,
-        )
-        stratum_l = sample_stratum_l(
-            self.collection.total_pairs - num_virtual,
-            self._sample_virtual_l,
+            ensure_rng(random_state),
             self._similarities,
-            threshold,
-            self.answer_threshold,
-            self.sample_size_l,
-            self.dampening,
-            rng,
+            num_h=num_virtual,
+            source_h=self._sample_virtual_h,
+            num_l=self.collection.total_pairs - num_virtual,
+            source_l=self._sample_virtual_l,
         )
-        return Estimate(
-            value=stratum_h.estimate + stratum_l.estimate,
-            estimator=self.name,
-            threshold=threshold,
-            details={
-                "stratum_h": stratum_h.estimate,
-                "stratum_l": stratum_l.estimate,
-                "true_in_sample_h": stratum_h.true_in_sample,
-                "true_in_sample_l": stratum_l.true_in_sample,
-                "samples_taken_l": stratum_l.samples_taken,
-                "reached_answer_threshold": stratum_l.reached_answer_threshold,
-                "dampening_used": stratum_l.dampening_used,
-                "num_virtual_collision_pairs": num_virtual,
-            },
-        )
+        details["num_virtual_collision_pairs"] = num_virtual
+        return Estimate(value=value, estimator=self.name, threshold=threshold, details=details)
 
 
 __all__ = ["MedianEstimator", "VirtualBucketEstimator", "EstimatorFactory"]

@@ -9,8 +9,9 @@ additive over the bucket-key partition:
   ``Σ_s (C(n_s, 2) − N_H^{(s)})`` and the rest cross-shard.
 
 :func:`merge_strata` exposes those identities as numbers;
-:class:`ShardedStreamingEstimator` turns them into estimates through two
-paths:
+:class:`ShardedStreamingEstimator` hands the merged strata sizes, the
+global ``n`` and one of two pair-source pairs to the Algorithm-1 kernel
+:func:`repro.core.lsh_ss.estimate_strata`:
 
 * ``mode="exact"`` — the facade's merged SampleH / SampleL primitives.
   The merged bucket layout reproduces the unsharded one (see
@@ -25,8 +26,8 @@ paths:
   pair; stratum-L draws mix the per-shard intra-L reservoirs with
   directly sampled cross-shard pairs (shard pair ``(i, j)`` with
   probability ``n_i·n_j / N_L^{cross}``, members uniform).  Each draw is
-  i.i.d. uniform over its stratum, so the LSH-SS kernels apply
-  unchanged.
+  i.i.d. uniform over its stratum, which is all the kernel asks of a
+  pair source.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
-from repro.core.lsh_ss import (
-    Dampening,
-    default_answer_threshold,
-    default_sample_size,
-    sample_stratum_h,
-    sample_stratum_l,
-)
+from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
@@ -128,16 +123,7 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
         router: Optional["ShardRouter"] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        for name, value in (
-            ("sample_size_h (m_H)", sample_size_h),
-            ("sample_size_l (m_L)", sample_size_l),
-            ("answer_threshold (δ)", answer_threshold),
-        ):
-            if value is not None and value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-        if dampening is not None and dampening != "auto":
-            if not 0.0 < float(dampening) <= 1.0:
-                raise ValidationError(f"dampening must be in (0, 1] or 'auto', got {dampening}")
+        self._params = LSHSSParameters(sample_size_h, sample_size_l, answer_threshold, dampening)
         self.sharded = sharded
         self.router = router
         self.sample_size_h = sample_size_h
@@ -179,11 +165,10 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
 
     def _merged_source_h(self, strata: MergedStrata) -> PairSource:
         weights = np.asarray(strata.shard_collision_pairs, dtype=np.float64)
-        total = weights.sum()
-        probabilities = weights / total
 
+        # normalised per call: an empty stratum's source is never called
         def source(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-            picks = rng.choice(len(self.sharded.shards), size=size, p=probabilities)
+            picks = rng.choice(len(self.sharded.shards), size=size, p=weights / weights.sum())
             left = np.empty(size, dtype=np.int64)
             right = np.empty(size, dtype=np.int64)
             for shard_id in np.unique(picks):
@@ -205,11 +190,10 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
             dtype=np.float64,
         )
         weights = np.concatenate([intra, cross_weights])
-        probabilities = weights / weights.sum()
         shard_ids_arrays = [shard.index.ids for shard in self.sharded.shards]
 
         def source(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-            picks = rng.choice(weights.size, size=size, p=probabilities)
+            picks = rng.choice(weights.size, size=size, p=weights / weights.sum())
             left = np.empty(size, dtype=np.int64)
             right = np.empty(size, dtype=np.int64)
             for component in np.unique(picks):
@@ -253,91 +237,51 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
     def _estimate(
         self, threshold: float, *, random_state: RandomState = None, mode: str = "auto"
     ) -> Estimate:
-        return self._estimate_with_mode(threshold, mode, random_state=random_state)
-
-    def _estimate_with_mode(
-        self, threshold: float, mode: str, *, random_state: RandomState = None
-    ) -> Estimate:
         started = time.perf_counter()
         with trace("merge.estimate", mode=mode, threshold=threshold):
-            estimate = self._estimate_with_mode_inner(
-                threshold, mode, random_state=random_state
+            if self.router is not None:
+                self.router.flush()  # buffered inserts must be visible to estimates
+            rng = ensure_rng(random_state)
+            strata = merge_strata(self.sharded)
+            num_h = strata.num_collision_pairs
+            num_l = strata.num_non_collision_pairs
+            if mode == "exact":
+                source_h: PairSource = lambda size, generator: (  # noqa: E731
+                    self.sharded.sample_collision_pairs(size, random_state=generator)
+                )
+                source_l: PairSource = lambda size, generator: (  # noqa: E731
+                    self.sharded.sample_non_collision_pairs(size, random_state=generator)
+                )
+            else:
+                source_h = self._merged_source_h(strata)
+                source_l = self._merged_source_l(strata)
+            value, details = estimate_strata(
+                self._params,
+                strata.size,
+                threshold,
+                rng,
+                self.sharded.cosine_pairs,
+                num_h=num_h,
+                source_h=source_h,
+                num_l=num_l,
+                source_l=source_l,
+            )
+            details.update(
+                n=strata.size,
+                num_collision_pairs=num_h,
+                num_non_collision_pairs=num_l,
+                num_shards=self.sharded.num_shards,
+                shard_sizes=list(strata.shard_sizes),
+                shard_collision_pairs=list(strata.shard_collision_pairs),
+                cross_shard_pairs=strata.cross_shard_pairs,
+                mode=mode,
+            )
+            estimate = Estimate(
+                value=value, estimator=self.name, threshold=threshold, details=details
             )
         self._estimate_seconds.observe(time.perf_counter() - started)
         self._estimates_total.inc()
         return estimate
-
-    def _estimate_with_mode_inner(
-        self, threshold: float, mode: str, *, random_state: RandomState = None
-    ) -> Estimate:
-        if self.router is not None:
-            self.router.flush()  # buffered inserts must be visible to estimates
-        rng = ensure_rng(random_state)
-        strata = merge_strata(self.sharded)
-        n = strata.size
-        num_h = strata.num_collision_pairs
-        num_l = strata.num_non_collision_pairs
-        sample_size_h = (
-            self.sample_size_h if self.sample_size_h is not None else default_sample_size(n)
-        )
-        sample_size_l = (
-            self.sample_size_l if self.sample_size_l is not None else default_sample_size(n)
-        )
-        answer_threshold = (
-            self.answer_threshold
-            if self.answer_threshold is not None
-            else default_answer_threshold(n)
-        )
-        if mode == "exact":
-            source_h = lambda size, generator: self.sharded.sample_collision_pairs(  # noqa: E731
-                size, random_state=generator
-            )
-            source_l = lambda size, generator: self.sharded.sample_non_collision_pairs(  # noqa: E731
-                size, random_state=generator
-            )
-        else:
-            source_h = self._merged_source_h(strata) if num_h > 0 else None
-            source_l = self._merged_source_l(strata) if num_l > 0 else None
-        stratum_h = sample_stratum_h(
-            num_h,
-            source_h,
-            self.sharded.cosine_pairs,
-            threshold,
-            sample_size_h,
-            rng,
-        )
-        stratum_l = sample_stratum_l(
-            num_l,
-            source_l,
-            self.sharded.cosine_pairs,
-            threshold,
-            answer_threshold,
-            sample_size_l,
-            self.dampening,
-            rng,
-        )
-        return Estimate(
-            value=stratum_h.estimate + stratum_l.estimate,
-            estimator=self.name,
-            threshold=threshold,
-            details={
-                "stratum_h": stratum_h.estimate,
-                "stratum_l": stratum_l.estimate,
-                "true_in_sample_h": stratum_h.true_in_sample,
-                "true_in_sample_l": stratum_l.true_in_sample,
-                "samples_taken_l": stratum_l.samples_taken,
-                "reached_answer_threshold": stratum_l.reached_answer_threshold,
-                "dampening_used": stratum_l.dampening_used,
-                "n": n,
-                "num_collision_pairs": num_h,
-                "num_non_collision_pairs": num_l,
-                "num_shards": self.sharded.num_shards,
-                "shard_sizes": list(strata.shard_sizes),
-                "shard_collision_pairs": list(strata.shard_collision_pairs),
-                "cross_shard_pairs": strata.cross_shard_pairs,
-                "mode": mode,
-            },
-        )
 
 
 __all__ = ["MergedStrata", "merge_strata", "ShardedStreamingEstimator"]

@@ -27,9 +27,9 @@ the sampling bias of the amortised path: a budget of ``b`` bounds the
 unreachable probability mass by ``b`` at every query.  ``refresh()``
 redraws everything and is always exact.
 
-Both paths reuse :func:`repro.core.lsh_ss.sample_stratum_h` /
-:func:`~repro.core.lsh_ss.sample_stratum_l` as the estimation kernels;
-they differ only in the pair source handed to the kernels:
+Every mode runs the one Algorithm-1 kernel,
+:func:`repro.core.lsh_ss.estimate_strata`, with the index's live strata
+sizes and ``n``; the modes differ only in the pair sources handed to it:
 
 * ``mode="exact"`` — sample fresh pairs through the index's SampleH /
   SampleL primitives (distribution identical to a freshly built
@@ -52,13 +52,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
-from repro.core.lsh_ss import (
-    Dampening,
-    default_answer_threshold,
-    default_sample_size,
-    sample_stratum_h,
-    sample_stratum_l,
-)
+from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.rng import RandomState, ensure_rng, generator_from_state, generator_state
 from repro.state import StateSpec
@@ -98,36 +92,6 @@ _ESTIMATOR_STATE = StateSpec(
     },
     kind="streaming-estimator",
 )
-
-
-def _validate_settings(
-    sample_size_h: Optional[int],
-    sample_size_l: Optional[int],
-    answer_threshold: Optional[int],
-    dampening: Dampening,
-    reservoir_size: int,
-    staleness_budget: float,
-) -> None:
-    """The estimator parameter checks, shared by construction and restore."""
-    for name, value in (
-        ("sample_size_h (m_H)", sample_size_h),
-        ("sample_size_l (m_L)", sample_size_l),
-        ("answer_threshold (δ)", answer_threshold),
-    ):
-        if value is not None and value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
-    if reservoir_size < 1:
-        raise ValidationError(f"reservoir_size must be >= 1, got {reservoir_size}")
-    if not 0.0 < staleness_budget <= 1.0:
-        # staleness is a fraction of the stratum, capped at 1.0 — a
-        # budget above 1 could never be exceeded, silently disabling
-        # repair while claiming a bound
-        raise ValidationError(
-            f"staleness_budget must lie in (0, 1], got {staleness_budget}"
-        )
-    if dampening is not None and dampening != "auto":
-        if isinstance(dampening, str) or not 0.0 < float(dampening) <= 1.0:
-            raise ValidationError(f"dampening must be in (0, 1] or 'auto', got {dampening}")
 
 
 class _PairReservoir:
@@ -281,22 +245,38 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         staleness_budget: float = 0.25,
         random_state: RandomState = None,
     ) -> None:
-        _validate_settings(
-            sample_size_h, sample_size_l, answer_threshold, dampening,
-            reservoir_size, staleness_budget,
+        self._configure(
+            LSHSSParameters(sample_size_h, sample_size_l, answer_threshold, dampening),
+            reservoir_size,
+            staleness_budget,
         )
         self.index = index
-        self.sample_size_h = sample_size_h
-        self.sample_size_l = sample_size_l
-        self.answer_threshold = answer_threshold
-        self.dampening: Dampening = dampening
-        self.reservoir_size = int(reservoir_size)
-        self.staleness_budget = float(staleness_budget)
         self._rng = ensure_rng(random_state)
         self._reservoir_h = _PairReservoir(self.reservoir_size)
         self._reservoir_l = _PairReservoir(self.reservoir_size)
         index.register_observer(self)
         self.refresh()
+
+    def _configure(
+        self, params: LSHSSParameters, reservoir_size: int, staleness_budget: float
+    ) -> None:
+        """Validate and set the parameters; shared by construction and restore."""
+        if reservoir_size < 1:
+            raise ValidationError(f"reservoir_size must be >= 1, got {reservoir_size}")
+        if not 0.0 < staleness_budget <= 1.0:
+            # staleness is a fraction of the stratum, capped at 1.0 — a
+            # budget above 1 could never be exceeded, silently disabling
+            # repair while claiming a bound
+            raise ValidationError(
+                f"staleness_budget must lie in (0, 1], got {staleness_budget}"
+            )
+        self._params = params
+        self.sample_size_h = params.sample_size_h
+        self.sample_size_l = params.sample_size_l
+        self.answer_threshold = params.answer_threshold
+        self.dampening: Dampening = params.dampening
+        self.reservoir_size = int(reservoir_size)
+        self.staleness_budget = float(staleness_budget)
 
     def close(self) -> None:
         """Detach from the index: no further mutations repair this estimator."""
@@ -341,18 +321,17 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         """
         _ESTIMATOR_STATE.check(state)
         estimator = cls.__new__(cls)
-        estimator.index = index
-        estimator.sample_size_h = state["sample_size_h"]
-        estimator.sample_size_l = state["sample_size_l"]
-        estimator.answer_threshold = state["answer_threshold"]
-        estimator.dampening = state["dampening"]
-        estimator.reservoir_size = int(state["reservoir_size"])
-        estimator.staleness_budget = float(state["staleness_budget"])
-        _validate_settings(
-            estimator.sample_size_h, estimator.sample_size_l,
-            estimator.answer_threshold, estimator.dampening,
-            estimator.reservoir_size, estimator.staleness_budget,
+        estimator._configure(
+            LSHSSParameters(
+                state["sample_size_h"],
+                state["sample_size_l"],
+                state["answer_threshold"],
+                state["dampening"],
+            ),
+            state["reservoir_size"],
+            state["staleness_budget"],
         )
+        estimator.index = index
         estimator._rng = generator_from_state(dict(state["rng"]))
         estimator._reservoir_h = _PairReservoir.from_state(state["reservoir_h"])
         estimator._reservoir_l = _PairReservoir.from_state(state["reservoir_l"])
@@ -557,7 +536,38 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
     def _estimate(
         self, threshold: float, *, random_state: RandomState = None, mode: str = "auto"
     ) -> Estimate:
-        return self._estimate_with_mode(threshold, mode, random_state=random_state)
+        if mode == "auto":
+            self._repair_if_stale()
+        rng = ensure_rng(random_state)
+        n = self.index.size
+        num_h = self.index.num_collision_pairs
+        num_l = self.index.num_non_collision_pairs
+        source_h, used_h = self._pair_source(self._reservoir_h, mode, is_h=True, stratum_size=num_h)
+        source_l, used_l = self._pair_source(self._reservoir_l, mode, is_h=False, stratum_size=num_l)
+        value, details = estimate_strata(
+            self._params,
+            n,
+            threshold,
+            rng,
+            self.index.cosine_pairs,
+            num_h=num_h,
+            source_h=source_h,
+            num_l=num_l,
+            source_l=source_l,
+        )
+        details.update(
+            n=n,
+            num_collision_pairs=num_h,
+            num_non_collision_pairs=num_l,
+            mode=mode,
+            source_h=used_h,
+            source_l=used_l,
+            staleness_h=self.staleness_h,
+            staleness_l=self.staleness_l,
+            reservoir_h=len(self._reservoir_h),
+            reservoir_l=len(self._reservoir_l),
+        )
+        return Estimate(value=value, estimator=self.name, threshold=threshold, details=details)
 
     def _pair_source(
         self, reservoir: _PairReservoir, mode: str, is_h: bool, stratum_size: int
@@ -593,71 +603,6 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         return (
             lambda size, rng: self.index.sample_non_collision_pairs(size, random_state=rng),
             "exact",
-        )
-
-    def _estimate_with_mode(
-        self, threshold: float, mode: str, *, random_state: RandomState = None
-    ) -> Estimate:
-        if mode == "auto":
-            self._repair_if_stale()
-        rng = ensure_rng(random_state)
-        n = self.index.size
-        num_h = self.index.num_collision_pairs
-        num_l = self.index.num_non_collision_pairs
-        sample_size_h = (
-            self.sample_size_h if self.sample_size_h is not None else default_sample_size(n)
-        )
-        sample_size_l = (
-            self.sample_size_l if self.sample_size_l is not None else default_sample_size(n)
-        )
-        answer_threshold = (
-            self.answer_threshold
-            if self.answer_threshold is not None
-            else default_answer_threshold(n)
-        )
-        source_h, used_h = self._pair_source(self._reservoir_h, mode, is_h=True, stratum_size=num_h)
-        source_l, used_l = self._pair_source(self._reservoir_l, mode, is_h=False, stratum_size=num_l)
-        stratum_h = sample_stratum_h(
-            num_h,
-            source_h,
-            self.index.cosine_pairs,
-            threshold,
-            sample_size_h,
-            rng,
-        )
-        stratum_l = sample_stratum_l(
-            num_l,
-            source_l,
-            self.index.cosine_pairs,
-            threshold,
-            answer_threshold,
-            sample_size_l,
-            self.dampening,
-            rng,
-        )
-        return Estimate(
-            value=stratum_h.estimate + stratum_l.estimate,
-            estimator=self.name,
-            threshold=threshold,
-            details={
-                "stratum_h": stratum_h.estimate,
-                "stratum_l": stratum_l.estimate,
-                "true_in_sample_h": stratum_h.true_in_sample,
-                "true_in_sample_l": stratum_l.true_in_sample,
-                "samples_taken_l": stratum_l.samples_taken,
-                "reached_answer_threshold": stratum_l.reached_answer_threshold,
-                "dampening_used": stratum_l.dampening_used,
-                "n": n,
-                "num_collision_pairs": num_h,
-                "num_non_collision_pairs": num_l,
-                "mode": mode,
-                "source_h": used_h,
-                "source_l": used_l,
-                "staleness_h": self.staleness_h,
-                "staleness_l": self.staleness_l,
-                "reservoir_h": len(self._reservoir_h),
-                "reservoir_l": len(self._reservoir_l),
-            },
         )
 
 

@@ -18,7 +18,7 @@ the streaming estimators:
   ids, the substrate of the sharded deployment in :mod:`repro.shard`),
   pooled row storage (:class:`~repro.streaming.rowstore.RowStore`) for
   fast per-pair cosine evaluation, and the SampleH / SampleL primitives
-  the LSH-SS kernels need
+  the LSH-SS kernel needs
   (:class:`repro.streaming.estimator.StreamingEstimator` builds on these).
 
 Because signatures are deterministic given the family seed, replaying a

@@ -364,6 +364,21 @@ class TestEngineConfigCLI:
         assert exit_code == 2
         assert "not valid JSON" in captured.err
 
+    @pytest.mark.parametrize("backend, options", [
+        ("sharded", {"dampening": "bogus"}),
+        ("static", {"estimator_kwargs": {"dampening": "bogus"}}),
+        ("streaming", {"dampening": "bogus"}),
+    ], ids=["sharded", "static-estimator_kwargs", "streaming"])
+    def test_bad_estimator_option_is_cli_error(self, capsys, tmp_path, backend, options):
+        config = self._config_file(tmp_path, {"backend": backend, "options": options})
+        exit_code = main(
+            ["estimate", "--config", str(config), "--threshold", "0.8",
+             "--num-vectors", "100", "--no-exact"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.strip() == "error: dampening must be in (0, 1] or 'auto', got bogus"
+
     def test_stream_rejects_static_config(self, capsys, tmp_path):
         log = self._write_log(tmp_path / "events.jsonl", num_vectors=10)
         config = self._config_file(tmp_path, {"backend": "static"})

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import LSHSSEstimator
+from repro.core import (
+    GeneralLSHSSEstimator,
+    GeneralRandomPairSampling,
+    LSHSSEstimator,
+    PairedLSHTable,
+    VirtualBucketEstimator,
+)
 from repro.core.lsh_ss import (
+    LSHSSParameters,
     default_answer_threshold,
     default_sample_size,
     sample_stratum_h,
@@ -14,8 +21,11 @@ from repro.core.lsh_ss import (
 )
 from repro.errors import ValidationError
 from repro.join import exact_join_size
-from repro.lsh import LSHTable, SignRandomProjectionFamily
+from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily
 from repro.rng import ensure_rng
+from repro.shard import ShardedMutableIndex
+from repro.shard.merge import ShardedStreamingEstimator
+from repro.streaming import MutableLSHIndex, StreamingEstimator
 from repro.vectors import VectorCollection
 
 
@@ -27,6 +37,62 @@ class TestDefaults:
         assert default_answer_threshold(1024) == 10
         assert default_answer_threshold(400) == round(math.log2(400))
         assert default_answer_threshold(2) >= 1
+
+    def test_parameters_resolve_only_the_unset_defaults(self):
+        assert LSHSSParameters().resolve(1024) == (1024, 1024, 10)
+        assert LSHSSParameters(7, None, 3, "auto").resolve(1024) == (7, 1024, 3)
+
+
+def _family():
+    return SignRandomProjectionFamily(4, random_state=0)
+
+
+#: constructor name → builder(collection, **parameters)
+_CONSTRUCTORS = {
+    "LSHSSEstimator": lambda c, **kw: LSHSSEstimator(LSHTable(_family(), c), **kw),
+    "VirtualBucketEstimator": lambda c, **kw: VirtualBucketEstimator(
+        LSHIndex(c, num_hashes=4, num_tables=2, random_state=0), **kw
+    ),
+    "GeneralLSHSSEstimator": lambda c, **kw: GeneralLSHSSEstimator(
+        PairedLSHTable(_family(), c, c), **kw
+    ),
+    "StreamingEstimator": lambda c, **kw: StreamingEstimator(
+        MutableLSHIndex.from_collection(c, num_hashes=4, random_state=0), **kw
+    ),
+    "ShardedStreamingEstimator": lambda c, **kw: ShardedStreamingEstimator(
+        ShardedMutableIndex(c.dimension, num_shards=2, num_hashes=4, random_state=0), **kw
+    ),
+    "GeneralRandomPairSampling": lambda c, **kw: GeneralRandomPairSampling(c, c, **kw),
+}
+
+_BAD_LSH_SS_PARAMETERS = [
+    ("sample_size_h", 0),
+    ("sample_size_h", -5),
+    ("sample_size_l", 0),
+    ("answer_threshold", 0),
+    ("dampening", 1.5),
+    ("dampening", 2.0),
+    ("dampening", 0.0),
+    ("dampening", -1),
+    ("dampening", "bogus"),
+]
+
+_REJECTIONS = [
+    pytest.param(name, {key: value}, id=f"{name}-{key}={value}")
+    for name in _CONSTRUCTORS
+    if name != "GeneralRandomPairSampling"
+    for key, value in _BAD_LSH_SS_PARAMETERS
+] + [
+    pytest.param("GeneralRandomPairSampling", {"sample_size": value},
+                 id=f"GeneralRandomPairSampling-sample_size={value}")
+    for value in (0, -3)
+]
+
+
+@pytest.mark.parametrize("name, parameters", _REJECTIONS)
+def test_bad_parameters_rejected_at_construction(tiny_collection, name, parameters):
+    with pytest.raises(ValidationError):
+        _CONSTRUCTORS[name](tiny_collection, **parameters)
 
 
 class TestStratumHelpers:
@@ -145,14 +211,6 @@ class TestLSHSSEstimator:
     def test_dampened_variant_renamed(self, small_table):
         assert LSHSSEstimator(small_table, dampening="auto").name == "LSH-SS(D)"
         assert LSHSSEstimator(small_table, dampening=0.5).name == "LSH-SS(D)"
-
-    def test_invalid_parameters(self, small_table):
-        with pytest.raises(ValidationError):
-            LSHSSEstimator(small_table, sample_size_h=0)
-        with pytest.raises(ValidationError):
-            LSHSSEstimator(small_table, answer_threshold=0)
-        with pytest.raises(ValidationError):
-            LSHSSEstimator(small_table, dampening=1.5)
 
     def test_estimate_in_feasible_range(self, small_table):
         estimator = LSHSSEstimator(small_table)

@@ -377,11 +377,8 @@ class TestMergeLayer:
         assert merged == pytest.approx(exact, rel=0.5)
 
     def test_parameter_validation(self, churned_pair):
+        # the LSH-SS parameters are in test_core_lsh_ss's rejection table
         _, sharded = churned_pair
-        with pytest.raises(ValidationError):
-            ShardedStreamingEstimator(sharded, sample_size_h=0)
-        with pytest.raises(ValidationError):
-            ShardedStreamingEstimator(sharded, dampening=2.0)
         estimator = ShardedStreamingEstimator(sharded)
         with pytest.raises(ValidationError):
             estimator.estimate(0.7, mode="telepathy")

@@ -295,14 +295,11 @@ class TestChangeLogEvents:
 
 class TestStreamingEstimator:
     def test_parameter_validation(self, mutable_index):
-        with pytest.raises(ValidationError):
-            StreamingEstimator(mutable_index, sample_size_h=0)
+        # the LSH-SS parameters are in test_core_lsh_ss's rejection table
         with pytest.raises(ValidationError):
             StreamingEstimator(mutable_index, reservoir_size=0)
         with pytest.raises(ValidationError):
             StreamingEstimator(mutable_index, staleness_budget=0.0)
-        with pytest.raises(ValidationError):
-            StreamingEstimator(mutable_index, dampening=1.5)
 
     def test_invalid_mode_rejected(self, mutable_index):
         estimator = StreamingEstimator(mutable_index, random_state=0)
