@@ -12,9 +12,9 @@ Acceptance gates for :mod:`repro.serve` (the ``repro serve`` daemon):
    ``REPRO_BENCH_SERVE_MIN_RPS``.
 2. **Bit-identity across the serve boundary** — after the load phase the
    server must answer exact-mode estimates **bit-identically** to a
-   direct in-process engine fed the same event sequence: the epoch
-   handoff, the wire round trip, and request concurrency must never
-   touch the estimator's arithmetic.  (The same per-seed reproducibility
+   direct in-process engine fed the same event sequence: the
+   readers–writer gate, the wire round trip, and request concurrency
+   must never touch the estimator's arithmetic.  (The same per-seed reproducibility
    the CI ``serve-smoke`` job checks end-to-end through the CLI daemon.)
 
 Load shape is fixed counts, not wall-clock, so the request mix is

@@ -3,8 +3,8 @@ and protocol contracts.
 
 The estimators in this library are trustworthy because every layer
 preserves seeded, bit-identical sampling — and the serving stack piles
-threads, worker processes, and a copy-on-write epoch handoff on top of
-that contract.  This package checks those invariants at *parse* time,
+threads, worker processes, and a readers–writer gate on top of that
+contract.  This package checks those invariants at *parse* time,
 before an integration test has to catch them at runtime::
 
     repro lint src/                       # via the main CLI

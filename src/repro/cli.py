@@ -57,7 +57,8 @@ Sub-commands
 ``serve``
     Run the estimation daemon (:mod:`repro.serve`): listen on
     ``--listen host:port``, serve concurrent estimate requests while a
-    single writer ingests, with copy-on-write epoch handoff, bounded
+    single writer ingests, with one engine behind a readers–writer gate
+    (a commit holds reads off only while it applies its batch), bounded
     queues, and graceful drain on SIGTERM/SIGINT.  Talk to it with
     :class:`repro.serve.ServeClient` (see
     ``examples/query_optimizer.py``).
@@ -284,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--epoch-events", type=int, default=512,
                        help="soft cap on events batched into one epoch commit "
                             "(default: 512)")
-    serve.add_argument("--grace-timeout", type=float, default=30.0,
-                       help="writer-starvation bound: the longest the writer "
-                            "waits for a reader to release a retired "
-                            "generation (default: 30s)")
 
     worker = subparsers.add_parser(
         "worker",
@@ -764,7 +761,6 @@ def _command_serve(args: argparse.Namespace) -> str:
         queue_depth=args.queue_depth,
         max_estimates=args.max_estimates,
         epoch_events=args.epoch_events,
-        grace_timeout=args.grace_timeout,
     ).start()
     stop = threading.Event()
 

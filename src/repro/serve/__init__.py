@@ -4,10 +4,11 @@ The query-optimizer loop asks "how big is this similarity join?" many
 times per second while the data keeps changing.  This package turns a
 :class:`~repro.engine.JoinEstimationEngine` into that service:
 
-* :mod:`~repro.serve.generations` — :class:`GenerationManager`, the
-  copy-on-write epoch handoff giving snapshot-isolated, lock-free reads
-  under a single batching writer (two same-seed engines, RCU-style
-  publication, replay-based catch-up).
+* :mod:`~repro.serve.generations` — :class:`GenerationManager`, one
+  engine behind a writer-preferring readers–writer gate: any number of
+  concurrent reads, and a single batching writer whose commit holds
+  them off only while it applies, flushes and quiesces its batch, so
+  no read sees a half-applied batch.
 * :mod:`~repro.serve.server` — :class:`EstimationServer`, the daemon:
   framed-socket transport, a thread per connection, bounded write queue
   and estimate pool with explicit ``busy``/retry-after backpressure,

@@ -1,46 +1,43 @@
-"""Copy-on-write epoch handoff: snapshot-isolated reads under one writer.
+"""One engine behind a writer-preferring readers–writer gate.
 
 The serving problem is read-mostly: many concurrent estimate requests,
 one writer ingesting.  Estimates must never observe a half-applied
 batch, and the streaming estimator's lazy reservoir repair must never
-run concurrently with readers.  Locking the engine per request would
-serialise the read path; instead the :class:`GenerationManager` keeps
-**two** engines built from the *same* config (hence the same seeds —
-identical event sequences produce bit-identical state) and hands them
-off in epochs, RCU-style:
+run concurrently with readers.  The :class:`GenerationManager` keeps one
+engine and puts a gate in front of it:
 
-* Readers enter through :meth:`GenerationManager.read`, which pins the
-  current **stable** generation with a refcount.  Every estimate inside
-  the ``with`` block is served by an engine no writer will touch.
+* Readers enter through :meth:`GenerationManager.read`; any number of
+  them share the engine at once.  Each sees a :class:`Generation`: the
+  engine plus the epoch it entered at, which cannot change until it
+  leaves.
 * The single writer calls :meth:`GenerationManager.commit` with the
-  queued batches.  The batches are applied to the **pending** engine
-  (invisible to readers), flushed, quiesced
-  (:meth:`~repro.engine.JoinEstimationEngine.quiesce` runs deferred
-  reservoir maintenance so reads stay read-only), and then *published*:
-  the stable pointer swings to the pending engine under a short lock.
-  Publication never waits for readers.
-* The previous stable engine is now **retiring**: it still serves the
-  readers that pinned it.  At the *start of the next commit* the writer
-  waits for its refcount to drain (the RCU grace period — bounded by
-  the longest in-flight request, which is the writer-starvation bound),
-  then replays the just-committed batches into it so it becomes the
-  next pending engine.  Every event is applied exactly twice, once per
-  engine, in the same order — no state copying, ever.
+  queued batches.  The commit stops new readers at the gate, waits for
+  the readers inside to leave, applies the batches, flushes and
+  quiesces (:meth:`~repro.engine.JoinEstimationEngine.quiesce` runs
+  deferred reservoir maintenance so reads stay read-only), bumps the
+  epoch and lets the readers back in.  A waiting commit goes ahead of
+  readers that arrive after it, so a steady stream of estimates cannot
+  starve ingest: a commit waits only for the reads already in flight.
+
+Every event is applied once.  The daemon is one GIL-bound process, so a
+second engine catching up in the background would not keep that work
+off the read path; it would run beside the estimates.
 
 A failed commit (e.g. a cluster transport failure mid-batch) marks the
-manager **broken**: reads continue against the last published
-generation, further commits are refused, and :meth:`close` drains the
-buffered-but-unapplied rows from every engine *before* closing them so
-the failure surfaces as :class:`~repro.errors.StrandedWritesError` with
-the recoverable rows instead of losing them behind daemon exit.
+manager **broken**.  The engine may then hold part of a batch whose
+clients were told it failed, so the server refuses estimates while
+``describe`` and ``stats`` keep answering, further commits are refused,
+and :meth:`close` drains the buffered-but-unapplied rows *before*
+closing the engine so the failure surfaces as
+:class:`~repro.errors.StrandedWritesError` with the recoverable rows
+instead of losing them behind daemon exit.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence
 
 from repro.engine.engine import JoinEstimationEngine
@@ -49,15 +46,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class Generation:
-    """One published engine epoch, pinned by readers via a refcount."""
+    """The engine and epoch one reader sees for its whole ``read()`` block."""
 
     engine: JoinEstimationEngine
     epoch: int
-    #: number of readers currently inside ``read()`` (guarded by the
-    #: manager's condition lock)
-    refs: int = 0
 
 
 @dataclass
@@ -74,41 +68,23 @@ class BatchResult:
     error: Optional[BaseException] = None
 
 
-@dataclass
-class _Retired:
-    """The previous stable generation plus the backlog it must replay."""
-
-    generation: Generation
-    backlog: List[Any] = field(default_factory=list)
-
-
 class GenerationManager:
-    """Double-buffered engine pair with RCU-style epoch publication.
+    """One engine behind a writer-preferring readers–writer gate.
 
     Thread contract: any number of threads may call :meth:`read`;
     exactly **one** thread calls :meth:`commit` and :meth:`close`.
     """
 
-    def __init__(
-        self,
-        config: Any,
-        *,
-        metrics: Optional[MetricsRegistry] = None,
-        grace_timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, config: Any, *, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if grace_timeout <= 0:
-            raise ServeError(f"grace_timeout must be positive, got {grace_timeout}")
-        self.grace_timeout = float(grace_timeout)
-        # both engines share one config object → identical seeds →
-        # identical event sequences produce bit-identical estimator state
-        stable_engine = JoinEstimationEngine(config, metrics=self.metrics).open()
-        self.config = stable_engine.config
-        pending_engine = JoinEstimationEngine(self.config, metrics=self.metrics).open()
+        self._engine = JoinEstimationEngine(config, metrics=self.metrics).open()
+        self.config = self._engine.config
         self._cond = threading.Condition()
-        self._stable = Generation(stable_engine, epoch=0)
-        self._pending: Optional[JoinEstimationEngine] = pending_engine
-        self._retired: Optional[_Retired] = None
+        self._epoch = 0
+        self._readers = 0
+        #: set from the moment a commit asks for the gate until it has
+        #: published its epoch; readers arriving meanwhile wait
+        self._writing = False
         self._broken: Optional[BaseException] = None
         self._closed = False
         self._epoch_gauge = self.metrics.gauge("serve_epoch")
@@ -118,38 +94,37 @@ class GenerationManager:
     # ------------------------------------------------------------------
     @contextmanager
     def read(self) -> Iterator[Generation]:
-        """Pin the stable generation for the duration of the block."""
+        """Hold the gate for the block: no commit runs until it exits."""
         with self._cond:
+            while self._writing:
+                self._cond.wait()
             if self._closed:
                 raise ServeError("generation manager is closed")
-            generation = self._stable
-            generation.refs += 1
+            self._readers += 1
+            generation = Generation(self._engine, self._epoch)
         try:
             yield generation
         finally:
             with self._cond:
-                generation.refs -= 1
-                if generation.refs == 0:
+                self._readers -= 1
+                if self._readers == 0:
                     self._cond.notify_all()
 
     @property
     def epoch(self) -> int:
         with self._cond:
-            return self._stable.epoch
+            return self._epoch
 
     @property
     def capabilities(self) -> frozenset:
-        """The backend's ``CAPABILITIES`` (both engines share a kind)."""
-        return self._stable.engine.backend.CAPABILITIES
+        """The backend's ``CAPABILITIES``."""
+        return self._engine.backend.CAPABILITIES
 
     @property
     def reader_count(self) -> int:
-        """Readers currently pinning any generation (stable + retiring)."""
+        """Readers currently inside :meth:`read`."""
         with self._cond:
-            count = self._stable.refs
-            if self._retired is not None:
-                count += self._retired.generation.refs
-            return count
+            return self._readers
 
     @property
     def broken(self) -> Optional[BaseException]:
@@ -160,143 +135,100 @@ class GenerationManager:
     # writer side
     # ------------------------------------------------------------------
     def commit(self, batches: Sequence[Sequence[Any]]) -> List[BatchResult]:
-        """Apply queued batches to the pending engine and publish an epoch.
+        """Apply queued batches with the readers held off; publish an epoch.
 
         Each batch is one client request's sources (events or
         collections), applied in order; a source rejected by the engine
         fails its *batch* (recorded in that batch's
         :class:`BatchResult`) without poisoning the others — event
-        validation happens before mutation, so the engines stay in
-        lockstep.  Infrastructure failures (flush/commit errors) mark
-        the manager broken and propagate.
+        validation happens before mutation, so a rejected source leaves
+        the engine untouched.  Infrastructure failures (flush/commit
+        errors) mark the manager broken and propagate.
 
         Returns one :class:`BatchResult` per batch.  The new epoch is
         visible to readers before this method returns.
         """
-        if self._closed:
-            raise ServeError("generation manager is closed")
-        if self._broken is not None:
-            raise ServeError(
-                "a previous commit failed; the server is read-only"
-            ) from self._broken
+        with self._cond:
+            if self._closed:
+                raise ServeError("generation manager is closed")
+            if self._broken is not None:
+                raise ServeError(
+                    "a previous commit failed; the server refuses writes"
+                ) from self._broken
+            self._writing = True
+            while self._readers:
+                self._cond.wait()
         try:
             with trace("serve.commit", batches=len(batches)):
-                return self._commit(batches)
-        except ServeError:
-            raise
-        except BaseException as error:  # reprolint: disable=R007 - any escape (even KeyboardInterrupt) leaves the engines out of lockstep; poison the manager before propagating
+                results = self._apply(batches)
+        except BaseException as error:  # reprolint: disable=R007 - any escape (even KeyboardInterrupt) may leave a partial batch in the engine; poison the manager before propagating
+            # recorded before the gate reopens, so no reader gets in
+            # without seeing that the engine holds a failed batch
             self._broken = error
             raise
+        finally:
+            with self._cond:
+                if self._broken is None:
+                    self._epoch += 1
+                self._writing = False
+                self._cond.notify_all()
+        self._epoch_gauge.set(float(self.epoch))
+        return results
 
-    def _commit(self, batches: Sequence[Sequence[Any]]) -> List[BatchResult]:
-        self._recycle_retired()
-        pending = self._pending
-        assert pending is not None  # single-writer invariant
+    def _apply(self, batches: Sequence[Sequence[Any]]) -> List[BatchResult]:
+        engine = self._engine
         results: List[BatchResult] = []
-        applied_sources: List[Any] = []
         for batch in batches:
             result = BatchResult()
             for source in batch:
                 try:
-                    result.applied += pending.ingest(source)
+                    result.applied += engine.ingest(source)
                 except ReproError as error:
                     # validation precedes mutation on the event paths, so
-                    # a rejected source left the pending engine untouched
+                    # a rejected source left the engine untouched
                     result.error = error
                     break
-                applied_sources.append(source)
             results.append(result)
-        pending.flush()
-        pending.quiesce()
-        with self._cond:
-            retiring = self._stable
-            self._stable = Generation(pending, epoch=retiring.epoch + 1)
-            self._pending = None
-            self._retired = _Retired(retiring, applied_sources)
-        self._epoch_gauge.set(float(self._stable.epoch))
-        return results
-
-    def _recycle_retired(self) -> None:
-        """Grace period + catch-up replay: retired engine → next pending.
-
-        Runs at the start of a commit rather than the end so that
-        publishing an epoch (and replying to the clients whose writes it
-        carries) never waits on a slow reader; the grace period overlaps
-        with the next batch accumulating in the server's queue.
-        """
-        retired = self._retired
-        if retired is None:
-            return
-        deadline = time.monotonic() + self.grace_timeout
-        with self._cond:
-            while retired.generation.refs > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServeError(
-                        f"a reader pinned epoch {retired.generation.epoch} for "
-                        f"longer than grace_timeout={self.grace_timeout}s; "
-                        "cannot recycle the retired generation"
-                    )
-                self._cond.wait(remaining)
-        engine = retired.generation.engine
-        for source in retired.backlog:
-            engine.ingest(source)
         engine.flush()
         engine.quiesce()
-        # reader_count() and close() read _pending/_retired from other
-        # threads; publish the recycled engine under the same lock that
-        # _commit uses, or a stats probe can observe a torn handoff
-        with self._cond:
-            self._pending = engine
-            self._retired = None
+        return results
 
     # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close both engines; surface unapplied writes after a failure.
+        """Close the engine; surface unapplied writes after a failure.
 
-        The caller (the server's shutdown path) guarantees no reader is
-        in flight.  After a failed commit the engines are drained via
-        :meth:`~repro.engine.JoinEstimationEngine.drain_pending` *before*
-        closing, and the recovered rows are raised in one
+        The caller (the server's shutdown path) guarantees no reader or
+        commit is in flight.  After a failed commit the engine is drained
+        via :meth:`~repro.engine.JoinEstimationEngine.drain_pending`
+        *before* closing, and the recovered rows are raised in one
         :class:`~repro.errors.StrandedWritesError`.
         """
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-            engines = [self._stable.engine]
-            if self._pending is not None:
-                engines.append(self._pending)
-            if self._retired is not None:
-                engines.append(self._retired.generation.engine)
-        stranded: List[Any] = []
-        errors: List[BaseException] = []
-        for engine in engines:
-            if self._broken is not None:
-                # recover buffered rows before close() can discard them
-                # (or raise from inside backend teardown)
-                try:
-                    stranded.extend(engine.drain_pending())
-                except Exception as error:  # noqa: BLE001  # reprolint: disable=R007 - best-effort recovery sweep; collected and re-raised below
-                    errors.append(error)
-            try:
-                engine.close()
-            except StrandedWritesError as error:
-                # close-path detection: a router noticed its own failed
-                # commit; fold its recovered rows into ours
-                stranded.extend(error.pending_rows)
-            except Exception as error:  # noqa: BLE001  # reprolint: disable=R007 - keep closing the remaining engines; collected and re-raised below
-                errors.append(error)
+        # recover buffered rows before close() can discard them (or
+        # raise from inside backend teardown)
+        stranded = list(self._engine.drain_pending()) if self._broken is not None else []
+        teardown_error: Optional[Exception] = None
+        try:
+            self._engine.close()
+        except StrandedWritesError as error:
+            # close-path detection: a router noticed its own failed
+            # commit; fold its recovered rows into ours
+            stranded.extend(error.pending_rows)
+        except Exception as error:  # noqa: BLE001  # reprolint: disable=R007 - the recovered rows outrank a teardown error, which is chained onto them below
+            if not stranded:
+                raise
+            teardown_error = error
         if stranded:
             raise StrandedWritesError(
                 f"serve shutdown recovered {len(stranded)} unapplied row(s) "
                 "after a failed commit; re-route them to a fresh deployment",
                 pending_rows=stranded,
-            )
-        if errors:
-            raise errors[0]
+            ) from teardown_error
 
 
 __all__ = ["BatchResult", "Generation", "GenerationManager"]

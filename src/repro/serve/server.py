@@ -1,13 +1,14 @@
 """The estimation server: concurrent reads, one writer, bounded queues.
 
-:class:`EstimationServer` wraps a :class:`GenerationManager` pair of
-engines behind the cluster's framed-socket transport: one acceptor
-thread, one handler thread per connection, and a single writer thread
-that batches queued ingests into copy-on-write epoch commits.  The
-protocol is the existing length-prefixed pickle protocol of
-:mod:`repro.cluster.transport` (trusted links only; same ``hello``
-handshake with optional token), with one addition: a ``busy`` reply
-status.
+:class:`EstimationServer` puts a :class:`GenerationManager` engine
+behind the cluster's framed-socket transport: one acceptor thread, one
+handler thread per connection, and a single writer thread that batches
+queued ingests into epoch commits.  Reads share the engine through the
+manager's readers–writer gate; a commit holds them off only while it
+applies its batch.  The protocol is the existing length-prefixed pickle
+protocol of :mod:`repro.cluster.transport` (trusted links only; same
+``hello`` handshake with optional token), with one addition: a ``busy``
+reply status.
 
 Backpressure is explicit everywhere a request could otherwise buffer
 without bound:
@@ -22,8 +23,10 @@ without bound:
 
 Every write is acknowledged only after its epoch is *published* —
 clients never get an ``ok`` for a row that could still be lost by a
-clean shutdown.  Ops: ``estimate``, ``ingest``, ``flush``,
-``describe``, ``stats``, ``ping``.
+clean shutdown.  After a failed commit estimates are refused with a
+:class:`~repro.errors.ServeError`, while ``describe`` and ``stats``
+keep answering (with ``broken: true``).  Ops: ``estimate``,
+``ingest``, ``flush``, ``describe``, ``stats``, ``ping``.
 
 Observability: per-op latency histograms
 (``serve_request_seconds{op=…}``), request counters
@@ -40,7 +43,8 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
@@ -49,7 +53,7 @@ from repro.cluster.transport import (
     describe_error,
     parse_address,
 )
-from repro.engine.engine import EstimateRequest
+from repro.engine.engine import EstimateRequest, JoinEstimationEngine
 from repro.errors import ClusterError, ServeError, StrandedWritesError, ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import activate_trace_context, get_tracer, trace
@@ -58,6 +62,10 @@ from repro.streaming.events import Checkpoint, Delete, Insert, event_from_dict
 from repro.vectors import VectorCollection
 
 _STOP = object()  # writer-queue sentinel
+
+#: how long a client's write, and shutdown's writer join, wait for a
+#: commit before giving up on it
+_COMMIT_WAIT_SECONDS = 60.0
 
 
 class _WriteTicket:
@@ -80,7 +88,7 @@ class EstimationServer:
     ----------
     config:
         Engine configuration (``EngineConfig`` / dict / JSON path); the
-        server builds the double-buffered engine pair from it.
+        server builds its one engine from it.
     listen:
         ``(host, port)`` or ``"host:port"``; port 0 picks a free port
         (read the bound one from :attr:`address`).
@@ -95,9 +103,6 @@ class EstimationServer:
         Soft cap on sources batched into one epoch commit.
     retry_after:
         The hint (seconds) shipped with ``busy`` replies.
-    grace_timeout:
-        Upper bound on how long the writer waits for a reader to
-        release a retired generation (the writer-starvation bound).
     metrics:
         Optional shared registry; fresh per server by default.
     """
@@ -112,7 +117,6 @@ class EstimationServer:
         max_estimates: int = 16,
         epoch_events: int = 512,
         retry_after: float = 0.05,
-        grace_timeout: float = 30.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if queue_depth < 1:
@@ -133,10 +137,7 @@ class EstimationServer:
         self._estimate_slots = threading.BoundedSemaphore(max_estimates)
         self._epoch_events = epoch_events
         self._retry_after = float(retry_after)
-        self._grace_timeout = float(grace_timeout)
-        self._generations = GenerationManager(
-            config, metrics=self.metrics, grace_timeout=grace_timeout
-        )
+        self._generations = GenerationManager(config, metrics=self.metrics)
         self.config = self._generations.config
         # reads against a backend without the "concurrent-read"
         # capability (the process cluster: one outstanding request per
@@ -230,7 +231,7 @@ class EstimationServer:
             # refuses stragglers; blocking put is safe — the consumer is
             # alive by the is_alive() check and never stops before _STOP
             self._queue.put(_STOP)
-            self._writer.join(timeout=max(60.0, 2 * self._grace_timeout))
+            self._writer.join(timeout=_COMMIT_WAIT_SECONDS)
         self._refuse_leftover_tickets()
         with self._inflight_cond:
             deadline = time.monotonic() + 10.0
@@ -468,6 +469,22 @@ class EstimationServer:
             }
         raise ClusterError(f"unknown op {op!r}")
 
+    @contextmanager
+    def _reading(self) -> Iterator[Tuple[JoinEstimationEngine, int]]:
+        """Yield ``(engine, epoch)`` for one read; no commit runs meanwhile.
+
+        On a backend without ``"concurrent-read"`` the block also holds
+        ``_read_serialiser``: running the engine calls one at a time is
+        that lock's entire job.  Take no other lock inside the block;
+        the serve lock-order graph keeps ``_read_serialiser`` a leaf.
+        """
+        with self._generations.read() as generation:
+            if self._read_serialiser is None:
+                yield generation.engine, generation.epoch
+            else:
+                with self._read_serialiser:
+                    yield generation.engine, generation.epoch
+
     def _handle_estimate(self, payload: Any) -> Tuple[str, Any]:
         if self._stopping.is_set():
             return self._busy("draining")
@@ -476,17 +493,18 @@ class EstimationServer:
         try:
             self._inflight_gauge.inc()
             request = EstimateRequest.from_dict(payload or {})
-            with self._generations.read() as generation:
-                if self._read_serialiser is not None:
-                    with self._read_serialiser:
-                        # serialising estimates is this lock's entire job:
-                        # the serial read-mode trades throughput for strict
-                        # per-engine determinism, so the engine call *is*
-                        # the critical section
-                        result = generation.engine.estimate(request)  # reprolint: disable=R009 - serial read-mode deliberately runs the estimate inside the serialiser lock
-                else:
-                    result = generation.engine.estimate(request)
-                return "ok", {"result": result.to_dict(), "epoch": generation.epoch}
+            with self._reading() as (engine, epoch):
+                broken = self._generations.broken
+                if broken is not None:
+                    # the engine may hold rows whose clients were told
+                    # the write failed; the sharded estimator would even
+                    # flush them before estimating
+                    raise ServeError(
+                        "a previous commit failed; estimates are refused until "
+                        "the server is restarted"
+                    ) from broken
+                result = engine.estimate(request)
+            return "ok", {"result": result.to_dict(), "epoch": epoch}
         finally:
             self._inflight_gauge.inc(-1.0)
             self._estimate_slots.release()
@@ -525,8 +543,10 @@ class EstimationServer:
         except queue.Full:
             return self._busy("queue-full")
         self._queue_gauge.set(float(self._queue.qsize()))
-        if not ticket.done.wait(timeout=max(60.0, 2 * self._grace_timeout)):
-            raise ServeError("the writer did not commit within the grace window")
+        if not ticket.done.wait(timeout=_COMMIT_WAIT_SECONDS):
+            raise ServeError(
+                f"the writer did not commit within {_COMMIT_WAIT_SECONDS:.0f}s"
+            )
         if ticket.error is not None:
             if isinstance(ticket.error, Exception):
                 raise ticket.error
@@ -545,35 +565,27 @@ class EstimationServer:
         return self._enqueue_and_wait([])
 
     def _handle_describe(self) -> Tuple[str, Any]:
-        with self._generations.read() as generation:
-            if self._read_serialiser is not None:
-                with self._read_serialiser:
-                    described = generation.engine.backend.describe()
-            else:
-                described = generation.engine.backend.describe()
-            return "ok", {"describe": described, "epoch": generation.epoch,
-                          "config": self.config.to_dict()}
+        with self._reading() as (engine, epoch):
+            described = engine.backend.describe()
+        return "ok", {"describe": described, "epoch": epoch,
+                      "config": self.config.to_dict()}
 
     def _handle_stats(self) -> Tuple[str, Any]:
-        """Serve-aware stats: the server surface + the stable engine's."""
-        with self._generations.read() as generation:
-            if self._read_serialiser is not None:
-                with self._read_serialiser:
-                    engine_stats = generation.engine.stats()
-            else:
-                engine_stats = generation.engine.stats()
-            with self._conn_lock:
-                connections = len(self._connections)
-            server_stats = {
-                "epoch": generation.epoch,
-                "queue_depth": self._queue.qsize(),
-                "queue_capacity": self._queue_depth,
-                "connections": connections,
-                "readers": self._generations.reader_count,
-                "broken": self._generations.broken is not None,
-                "pid": os.getpid(),
-            }
-            return "ok", {"server": server_stats, "engine": engine_stats}
+        """Serve-aware stats: the server surface + the engine's."""
+        with self._reading() as (engine, epoch):
+            engine_stats = engine.stats()
+        with self._conn_lock:
+            connections = len(self._connections)
+        server_stats = {
+            "epoch": epoch,
+            "queue_depth": self._queue.qsize(),
+            "queue_capacity": self._queue_depth,
+            "connections": connections,
+            "readers": self._generations.reader_count,
+            "broken": self._generations.broken is not None,
+            "pid": os.getpid(),
+        }
+        return "ok", {"server": server_stats, "engine": engine_stats}
 
 
 __all__ = ["EstimationServer"]

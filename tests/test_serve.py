@@ -58,11 +58,12 @@ def _direct_engine(events, config=None) -> JoinEstimationEngine:
 
 
 # ----------------------------------------------------------------------
-# GenerationManager: the copy-on-write epoch handoff
+# GenerationManager: one engine behind a readers–writer gate
 # ----------------------------------------------------------------------
 class TestGenerationManager:
-    def test_commit_publishes_and_double_applies(self):
+    def test_commit_publishes_and_applies_once(self):
         manager = GenerationManager(_config())
+        applied = manager.metrics.counter("engine_ingested_events_total")
         try:
             events = _events(40)
             results = manager.commit([events[:25], events[25:]])
@@ -70,129 +71,54 @@ class TestGenerationManager:
             assert all(r.error is None for r in results)
             assert manager.epoch == 1
             with manager.read() as generation:
+                assert generation.epoch == 1
                 assert generation.engine.backend.size == 40
-            # the retired engine catches up at the next commit and the
-            # epochs keep alternating between the two engines
+            assert applied.value == 40
             more = _events(10, seed=1)
             manager.commit([more])
             assert manager.epoch == 2
             with manager.read() as generation:
                 assert generation.engine.backend.size == 50
+            # every event reaches the one engine exactly once
+            assert applied.value == 50
         finally:
             manager.close()
 
-    def test_generation_pointers_only_move_under_the_lock(self):
-        """Regression: the recycle path published ``_pending``/``_retired``
-        without ``_cond``, racing concurrent ``reader_count``/``close``
-        callers (reprolint R002).  Audit every write to the generation
-        pointers after construction and run the full two-engine cycle.
-        """
-
-        class _HeldCondition:
-            """threading.Condition facade that tracks ownership depth."""
-
-            def __init__(self):
-                self._inner = threading.Condition()
-                self.held = 0
-
-            def __enter__(self):
-                self._inner.__enter__()
-                self.held += 1
-                return self
-
-            def __exit__(self, *exc):
-                self.held -= 1
-                return self._inner.__exit__(*exc)
-
-            def wait(self, timeout=None):
-                return self._inner.wait(timeout)
-
-            def notify_all(self):
-                return self._inner.notify_all()
-
-        unlocked_writes = []
-
-        class _AuditedManager(GenerationManager):
-            def __setattr__(self, name, value):
-                if name in ("_pending", "_retired") and getattr(
-                    self, "_audit", False
-                ):
-                    if self._cond.held == 0:
-                        unlocked_writes.append(name)
-                super().__setattr__(name, value)
-
-        manager = _AuditedManager(_config())
-        manager._cond = _HeldCondition()
-        manager._audit = True
-        try:
-            manager.commit([_events(10)])           # retires engine A
-            manager.commit([_events(5, seed=2)])    # recycles A → pending
-            manager.commit([_events(5, seed=3)])    # and back again
-            assert manager.epoch == 3
-            assert unlocked_writes == []
-        finally:
-            manager._audit = False
-            manager.close()
-
-    def test_publication_never_waits_for_readers(self):
-        """The writer-starvation bound: publish while a reader is pinned."""
-        manager = GenerationManager(_config(), grace_timeout=5.0)
+    @pytest.mark.timeout(60)
+    def test_commit_waits_for_readers_inside(self):
+        """A commit asked for while a reader is inside ``read()`` applies
+        nothing and keeps the epoch until that reader leaves."""
+        manager = GenerationManager(_config())
         try:
             manager.commit([_events(10)])
+            inside = threading.Event()
             release = threading.Event()
-            pinned = threading.Event()
+            seen: list = []
 
-            def slow_reader():
+            def reader():
                 with manager.read() as generation:
-                    assert generation.epoch == 1
-                    pinned.set()
-                    release.wait(timeout=10.0)
+                    inside.set()
+                    release.wait(timeout=30.0)
+                    seen.append((generation.epoch, generation.engine.backend.size))
 
-            reader = threading.Thread(target=slow_reader)
-            reader.start()
-            assert pinned.wait(timeout=5.0)
-            started = time.monotonic()
-            manager.commit([_events(5, seed=2)])  # must not wait for the reader
-            publish_seconds = time.monotonic() - started
-            assert manager.epoch == 2
-            with manager.read() as generation:
-                assert generation.engine.backend.size == 15
-            assert publish_seconds < 2.0, (
-                f"publication blocked on a pinned reader for {publish_seconds:.2f}s"
+            reader_thread = threading.Thread(target=reader)
+            reader_thread.start()
+            assert inside.wait(timeout=10.0)
+            writer_thread = threading.Thread(
+                target=manager.commit, args=([_events(5, seed=2)],)
             )
+            writer_thread.start()
+            time.sleep(0.3)
+            assert writer_thread.is_alive(), "the commit ran past a reader inside read()"
+            assert manager.epoch == 1
             release.set()
-            reader.join(timeout=5.0)
-        finally:
-            manager.close()
-
-    def test_grace_timeout_bounds_writer_starvation(self):
-        manager = GenerationManager(_config(), grace_timeout=0.2)
-        try:
-            manager.commit([_events(5)])
-            release = threading.Event()
-            pinned = threading.Event()
-
-            def hog():
-                with manager.read():
-                    pinned.set()
-                    release.wait(timeout=10.0)
-
-            reader = threading.Thread(target=hog)
-            reader.start()
-            assert pinned.wait(timeout=5.0)
-            manager.commit([_events(3, seed=1)])  # publishes; epoch 1 retires
-            # the next commit needs the epoch-1 generation back and the
-            # hog still pins it: the grace timeout must fire, bounding
-            # how long one slow reader can starve the writer
-            with pytest.raises(ServeError, match="grace_timeout"):
-                manager.commit([_events(2, seed=2)])
-            release.set()
-            reader.join(timeout=5.0)
-            # the timeout is not fatal: once the reader lets go, the
-            # writer recycles and commits normally
-            manager.commit([_events(2, seed=2)])
-            with manager.read() as generation:
-                assert generation.engine.backend.size == 10
+            reader_thread.join(timeout=10.0)
+            writer_thread.join(timeout=10.0)
+            assert not reader_thread.is_alive() and not writer_thread.is_alive()
+            # the reader's view never moved under it
+            assert seen == [(1, 10)]
+            assert manager.epoch == 2
+            assert manager.reader_count == 0
         finally:
             manager.close()
 
@@ -227,19 +153,19 @@ class TestGenerationManager:
         def explode(*_args, **_kwargs):
             raise RuntimeError("transport failure mid-commit")
 
-        # the *pending* engine receives the batch first: blow up its
-        # shard-level commit so flush fails after the rows were buffered
-        pending = manager._pending
-        for shard in pending.backend._index.shards:
+        # blow up the shard-level commit so flush fails after the rows
+        # were buffered in the router
+        for shard in manager._engine.backend._index.shards:
             shard.index.insert_many_prepared = explode
         with pytest.raises(RuntimeError, match="mid-commit"):
             manager.commit([_events(6)])
         assert manager.broken is not None
-        # reads keep serving the last published (empty) generation
+        assert manager.epoch == 0
+        # the gate reopened: reads get in, and no failed row was applied
         with manager.read() as generation:
-            assert generation.engine.backend.size == 0
-        # further commits are refused rather than diverging the engines
-        with pytest.raises(ServeError, match="read-only"):
+            assert generation.engine.backend.describe()["size"] == 0
+        # further commits are refused rather than piling onto the engine
+        with pytest.raises(ServeError, match="previous commit failed"):
             manager.commit([_events(1, seed=3)])
         with pytest.raises(StrandedWritesError) as excinfo:
             manager.close()
@@ -397,6 +323,61 @@ class TestConcurrentReaders:
             )
 
     @pytest.mark.timeout(120)
+    def test_reads_never_see_a_partial_batch(self):
+        """One writer ingests 20 batches of 7 events while 3 readers
+        describe and estimate: every size a reader sees is a batch
+        boundary.  A router batch of 3 makes the sharded engine apply
+        each 7-event batch in several flushes, so a read let in
+        mid-commit would see a size that is not a multiple of 7."""
+        config = _config(backend="sharded", options={"num_shards": 2, "batch_size": 3})
+        server = EstimationServer(config, max_estimates=8).start()
+        batches = [_events(7, seed=seed) for seed in range(20)]
+        sizes: list = []
+        errors: list = []
+        writing = threading.Event()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ServeClient(server.address) as client:
+                client.ingest(batches[0])  # exact estimates need a non-empty index
+
+            def writer() -> None:
+                try:
+                    with ServeClient(server.address) as client:
+                        for batch in batches[1:]:
+                            client.ingest(batch)
+                except Exception as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+                finally:
+                    writing.set()
+
+            def reader(seed: int) -> None:
+                try:
+                    with ServeClient(server.address) as client:
+                        while not writing.is_set():
+                            sizes.append(client.describe()["describe"]["size"])
+                            result = client.estimate(THRESHOLD, seed=seed, mode="exact")
+                            sizes.append(result.details["n"])
+                except Exception as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=writer)]
+            threads += [threading.Thread(target=reader, args=(seed,)) for seed in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert sizes
+            assert all(size % 7 == 0 for size in sizes), sorted(set(sizes))
+            with ServeClient(server.address) as client:
+                assert client.describe()["describe"]["size"] == 7 * 20
+        finally:
+            sys.setswitchinterval(switch_interval)
+            server.shutdown()
+
+    @pytest.mark.timeout(120)
     def test_auto_mode_is_stable_under_concurrency(self, server):
         with ServeClient(server.address) as client:
             client.ingest(_events(150))
@@ -552,13 +533,16 @@ class TestServerDrain:
         def explode(*_args, **_kwargs):
             raise RuntimeError("transport failure mid-commit")
 
-        for shard in server._generations._pending.backend._index.shards:
+        for shard in server._generations._engine.backend._index.shards:
             shard.index.insert_many_prepared = explode
         with ServeClient(server.address) as client:
             with pytest.raises(ClusterError, match="mid-commit"):
                 client.ingest(_events(5))
-            # the server survives in read-only mode on the stable epoch
+            # the server stays up: estimates are refused, stats answer
+            with pytest.raises(ServeError, match="estimates are refused"):
+                client.estimate(THRESHOLD, seed=1, mode="exact")
             assert client.stats()["server"]["broken"] is True
+            assert client.describe()["describe"]["size"] == 0
             with pytest.raises(ServeError):
                 client.ingest(_events(2, seed=4))
         with pytest.raises(StrandedWritesError) as excinfo:
