@@ -1,28 +1,32 @@
-"""Runtime lockdep: instrumented locks that learn the acquisition graph.
+"""Runtime lockdep: instrumented locks checked against a declared order.
 
-The static half of the concurrency sanitizer
-(:mod:`repro.analysis.concurrency`) predicts the lock-order graph from
-the AST; this module *observes* it.  :func:`install` replaces the
-``threading`` attribute of the serving-path modules with a facade whose
-``Lock``/``RLock``/``Condition``/``BoundedSemaphore`` factories return
-tracked wrappers.  Every wrapper records, at acquire time, an edge from
-each lock the calling thread already holds to the one being acquired —
-so a potential deadlock (two threads taking the same pair of locks in
-opposite orders) is reported even on runs that never actually
-deadlocked.  Held durations feed ``lockdep_held_seconds`` histograms in
-the :mod:`repro.obs.metrics` registry.
+:data:`LOCK_ORDER` ranks every threading primitive in ``src/``,
+outermost first.  :func:`install` replaces the ``threading`` attribute
+of the modules that construct them with a facade whose
+``Lock``/``RLock``/``Condition``/``Semaphore`` factories return tracked
+wrappers.  Every wrapper checks each acquire *attempt*, before
+the real acquire can block:
 
-The two halves cross-check each other: ``repro lockdep-report`` asserts
-that every *observed* edge is present in the *static* model.  An
-observed edge the static pass cannot derive means the model lost track
-of an acquisition path — itself a finding.  Lock identities are
-class-qualified (``ClassName.attr``, derived by inspecting the
-constructing frame) so both halves speak the same names.
+* acquiring a lock whose name is not in the order is a violation (this
+  covers the ``file.py:lineno`` fallback names);
+* a blocking acquire made while the thread holds a lock of equal or
+  higher rank is a violation.  Reentrant acquires are not.  Try-acquires
+  cannot wedge (the failed path backs off), so they are exempt from the
+  rank check, though their edges are still recorded.
+
+A violation is recorded on the state and raised as
+:class:`LockOrderError` in the acquiring thread, so an inversion fails
+the first time it is attempted, not once both orders have been seen.
+Under a total order every potential-deadlock cycle contains an edge
+that goes against rank, so no cycle detection is needed.  The state
+also records the observed (held → acquired) edges, and held durations
+feed ``lockdep_held_seconds`` histograms in the
+:mod:`repro.obs.metrics` registry.  Lock identities are class-qualified
+(``ClassName.attr``), derived by inspecting the constructing frame.
 
 Usage (the whole test suite)::
 
-    REPRO_LOCKDEP=1 pytest tests/test_serve.py    # conftest installs
-    repro lockdep-report --graph lockdep_graph.json --src src
+    REPRO_LOCKDEP=1 pytest tests/    # conftest installs, fails on violations
 
 or programmatic::
 
@@ -31,7 +35,7 @@ or programmatic::
         ... exercise the serving stack ...
     finally:
         lockdep.uninstall()
-    assert not state.cycles()
+    assert not state.violations()
 
 Non-goals: this is a development/CI harness, not production
 instrumentation — wrappers cost a dict update per acquire and are never
@@ -40,9 +44,7 @@ installed unless asked for.
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import json
 import linecache
 import os
 import re
@@ -50,19 +52,29 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.concurrency import find_cycles
+#: every threading primitive in ``src/``, outermost first: a thread may
+#: block on a lock only while every lock it holds ranks before it.  The
+#: estimate slot is held across a whole estimate, which reads through
+#: the generation gate and, on serialised backends, the read serialiser;
+#: the registry lock guards instrument creation only and takes nothing
+#: else, so it is the leaf.
+LOCK_ORDER: Tuple[str, ...] = (
+    "EstimationServer._estimate_slots",
+    "GenerationManager._cond",
+    "EstimationServer._read_serialiser",
+    "EstimationServer._conn_lock",
+    "EstimationServer._inflight_cond",
+    "MetricsRegistry._lock",
+)
 
-#: modules whose ``threading`` attribute :func:`install` replaces —
-#: the concurrent serving path.  ``repro.obs.metrics`` is deliberately
-#: absent: its registry lock guards engine-internal metric factories the
-#: static model cannot see through, so tracking it would manufacture
-#: observed edges with no static counterpart.
+#: modules whose ``threading`` attribute :func:`install` replaces: the
+#: ones constructing a primitive named in :data:`LOCK_ORDER`
 DEFAULT_MODULES: Tuple[str, ...] = (
     "repro.serve.server",
     "repro.serve.generations",
-    "repro.cluster.coordinator",
+    "repro.obs.metrics",
 )
 
 #: histogram buckets for held durations: locks here are held for
@@ -72,6 +84,10 @@ HELD_SECONDS_BUCKETS: Tuple[float, ...] = (
 )
 
 _ASSIGN_RE = re.compile(r"self\.(\w+)\s*(?::[^=]+?)?=")
+
+
+class LockOrderError(RuntimeError):
+    """An acquire broke the declared lock order (raised before it ran)."""
 
 
 # ----------------------------------------------------------------------
@@ -107,15 +123,17 @@ class _Held:
 
 
 class LockdepState:
-    """The global order graph plus per-thread held-lock stacks.
+    """The declared order, the observed graph and per-thread held stacks.
 
-    Edge recording happens at acquire-*attempt* time, before the real
-    acquire can block — a genuine deadlock still leaves the inversion in
-    the graph.  Reentrant acquires (RLock depth > 1) record no edge: a
-    lock cannot order against itself.
+    Checks and edge recording happen at acquire-*attempt* time, before
+    the real acquire can block — an out-of-order acquire raises instead
+    of wedging.  Reentrant acquires (RLock depth > 1) record no edge and
+    are never a violation: a lock cannot order against itself.
     """
 
-    def __init__(self, metrics: Optional[Any] = None) -> None:
+    def __init__(self, order: Sequence[str], metrics: Optional[Any] = None) -> None:
+        self.order = tuple(order)
+        self._rank = {name: rank for rank, name in enumerate(self.order)}
         self._mutex = threading.Lock()
         #: thread ident → that thread's held stack.  A shared dict (not
         #: ``threading.local``) because semaphore slots are legitimately
@@ -124,6 +142,7 @@ class LockdepState:
         #: forever and hang phantom edges off it.
         self._stacks: Dict[int, List[_Held]] = {}
         self._edges: Dict[Tuple[str, str], EdgeStats] = {}
+        self._violations: List[Dict[str, Any]] = []
         self._locks_seen: Set[str] = set()
         self._acquires = 0
         self._metrics = metrics
@@ -140,6 +159,7 @@ class LockdepState:
 
     # -- recording ------------------------------------------------------
     def note_attempt(self, name: str, *, blocking: bool) -> None:
+        """Record an acquire attempt; raise if it breaks the order."""
         with self._mutex:
             stack = self._my_stack()
             self._locks_seen.add(name)
@@ -155,6 +175,26 @@ class LockdepState:
                     stats.trylock += 1
                 if not stats.example_thread:
                     stats.example_thread = thread_name
+            rank = self._rank.get(name)
+            held = [entry.name for entry in stack]
+            if rank is None:
+                problem = "is not declared in the lock order"
+            else:
+                later = [other for other in held if self._rank[other] >= rank]
+                if not blocking or not later:
+                    return
+                problem = f"is ranked before held {', '.join(later)}"
+            violation = {
+                "lock": name,
+                "held": held,
+                "thread": thread_name,
+                "problem": problem,
+            }
+            self._violations.append(violation)
+        raise LockOrderError(
+            f"lockdep: thread {thread_name!r} acquiring {name} while holding "
+            f"{', '.join(held) or 'nothing'}: {name} {problem}"
+        )
 
     def note_acquired(self, name: str) -> None:
         with self._mutex:
@@ -203,6 +243,10 @@ class LockdepState:
                 self._my_stack().append(_Held(name, time.monotonic()))
 
     def _observe_held(self, name: str, seconds: float) -> None:
+        # the registry's own lock may be tracked: creating a histogram
+        # takes it, and its release observes again.  That recursion ends
+        # once the registry lock's own histogram exists (one more
+        # creation at most), because a lookup that hits takes no lock.
         registry = self._metrics
         if registry is None:
             from repro.obs.metrics import get_global_registry
@@ -213,24 +257,14 @@ class LockdepState:
         ).observe(seconds)
 
     # -- queries --------------------------------------------------------
-    def edges(self, *, include_trylock: bool = True) -> Dict[Tuple[str, str], EdgeStats]:
+    def edges(self) -> Dict[Tuple[str, str], EdgeStats]:
         with self._mutex:
-            if include_trylock:
-                return dict(self._edges)
-            return {
-                key: stats
-                for key, stats in self._edges.items()
-                if stats.blocking > 0
-            }
+            return dict(self._edges)
 
-    def cycles(self) -> List[List[str]]:
-        """Potential-deadlock cycles among *blocking* edges.
-
-        An edge recorded only by try-acquires cannot wedge (the failed
-        path backs off), so trylock-only edges are excluded here — but
-        they still count for the static-subgraph comparison.
-        """
-        return find_cycles(self.edges(include_trylock=False).keys())
+    def violations(self) -> List[Dict[str, Any]]:
+        """Every acquire refused so far, in the order they were attempted."""
+        with self._mutex:
+            return [dict(violation) for violation in self._violations]
 
     def graph(self) -> Dict[str, Any]:
         """JSON-able dump of everything observed so far."""
@@ -239,13 +273,14 @@ class LockdepState:
             locks = sorted(self._locks_seen)
             acquires = self._acquires
         return {
+            "order": list(self.order),
             "locks": locks,
             "acquires": acquires,
             "edges": [
                 {"source": source, "target": target, **stats.to_dict()}
                 for (source, target), stats in edges
             ],
-            "cycles": self.cycles(),
+            "violations": self.violations(),
         }
 
 
@@ -355,8 +390,8 @@ def _derive_name(kind: str) -> str:
     target (upward because a multi-line initialiser, e.g. a conditional
     ``None if … else threading.Lock()``, reports the *last* line of the
     expression).  Falls back to ``file.py:lineno`` when the site is not
-    an attribute assignment; those names still participate in the graph
-    but cannot match the static model.
+    an attribute assignment; such a name is never in the lock order, so
+    acquiring that primitive is a violation.
     """
     frame = sys._getframe(1)
     while frame is not None and frame.f_globals.get("__file__") == __file__:
@@ -377,7 +412,7 @@ def _derive_name(kind: str) -> str:
 class ThreadingFacade:
     """Drop-in for a module's ``threading`` attribute.
 
-    The four lock factories return tracked wrappers; everything else
+    The lock factories return tracked wrappers; everything else
     (``Thread``, ``Event``, ``local``, …) delegates to the real module,
     so patched modules behave identically apart from the bookkeeping.
     """
@@ -415,31 +450,26 @@ class ThreadingFacade:
 # ----------------------------------------------------------------------
 # install / uninstall
 # ----------------------------------------------------------------------
-_MISSING = object()  # module had no `threading` attribute before install
 _installed: Dict[str, Any] = {}
 _active_state: Optional[LockdepState] = None
 
 
-def install(
-    modules: Sequence[str] = DEFAULT_MODULES,
-    *,
-    state: Optional[LockdepState] = None,
-    metrics: Optional[Any] = None,
-) -> LockdepState:
+def install(modules: Sequence[str] = DEFAULT_MODULES) -> LockdepState:
     """Patch ``modules`` to construct tracked primitives; idempotent.
 
-    Only primitives constructed *after* install are tracked — install
-    before building servers/managers (the conftest hook runs at import
-    time, ahead of every fixture, for exactly this reason).
+    The state checks against :data:`LOCK_ORDER`.  Only primitives
+    constructed *after* install are tracked — install before building
+    servers/managers (the conftest hook runs at import time, ahead of
+    every fixture, for exactly this reason).
     """
     global _active_state
     if _active_state is not None:
         return _active_state
-    _active_state = state if state is not None else LockdepState(metrics=metrics)
+    _active_state = LockdepState(LOCK_ORDER)
     facade = ThreadingFacade(_active_state)
     for name in modules:
         module = importlib.import_module(name)
-        _installed[name] = getattr(module, "threading", _MISSING)
+        _installed[name] = module.threading
         module.threading = facade  # type: ignore[attr-defined]
     return _active_state
 
@@ -449,11 +479,7 @@ def uninstall() -> None:
     global _active_state
     for name, original in _installed.items():
         module = sys.modules.get(name)
-        if module is None:
-            continue
-        if original is _MISSING:
-            delattr(module, "threading")
-        else:
+        if module is not None:
             module.threading = original  # type: ignore[attr-defined]
     _installed.clear()
     _active_state = None
@@ -464,101 +490,12 @@ def active_state() -> Optional[LockdepState]:
     return _active_state
 
 
-# ----------------------------------------------------------------------
-# report: observed graph vs static model
-# ----------------------------------------------------------------------
-def unexplained_edges(
-    observed: Iterable[Tuple[str, str]], src_paths: Sequence[str]
-) -> List[Tuple[str, str]]:
-    """Observed edges the static model cannot derive.
-
-    The static graph must over-approximate the runtime one — any
-    observed edge without a static counterpart means the AST pass lost
-    an acquisition path (an unresolved call, a lock constructed outside
-    ``__init__``, …).  Edges whose endpoints never matched a
-    ``Class.attr`` name (``file.py:lineno`` fallbacks) are reported too:
-    a lock the static model cannot even *name* is equally a blind spot.
-    """
-    from repro.analysis.concurrency import build_lock_model
-    from repro.analysis.engine import load_project
-
-    project, _errors = load_project(list(src_paths))
-    static_keys = build_lock_model(project).edge_keys
-    return [edge for edge in observed if edge not in static_keys]
-
-
-def build_lockdep_report_parser(
-    parser: Optional[argparse.ArgumentParser] = None,
-) -> argparse.ArgumentParser:
-    """Arguments of ``repro lockdep-report``."""
-    if parser is None:
-        parser = argparse.ArgumentParser(
-            prog="repro lockdep-report",
-            description="check an observed lock-order graph against the static model",
-        )
-    parser.add_argument(
-        "--graph",
-        default="lockdep_graph.json",
-        help="observed-graph JSON written by the REPRO_LOCKDEP=1 test run",
-    )
-    parser.add_argument(
-        "--src", nargs="+", default=["src"], metavar="PATH",
-        help="source paths for the static lock model (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    return parser
-
-
-def run_lockdep_report_from_args(args: argparse.Namespace) -> int:
-    """``repro lockdep-report``: 0 = acyclic and fully explained."""
-    try:
-        with open(args.graph, "r", encoding="utf-8") as handle:
-            graph = json.load(handle)
-    except OSError as error:
-        print(f"error: cannot read graph {args.graph!r}: {error}")  # noqa: T201 - CLI output
-        return 2
-    observed = [(edge["source"], edge["target"]) for edge in graph.get("edges", [])]
-    blocking = [
-        (edge["source"], edge["target"])
-        for edge in graph.get("edges", [])
-        if edge.get("blocking", 0) > 0
-    ]
-    cycles = find_cycles(blocking)
-    unexplained = unexplained_edges(observed, args.src)
-    verdict = {
-        "locks": graph.get("locks", []),
-        "acquires": graph.get("acquires", 0),
-        "observed_edges": [list(edge) for edge in observed],
-        "cycles": cycles,
-        "unexplained_edges": [list(edge) for edge in unexplained],
-        "ok": not cycles and not unexplained,
-    }
-    if args.format == "json":
-        print(json.dumps(verdict, indent=2, sort_keys=True))  # noqa: T201 - CLI output
-    else:
-        print(  # noqa: T201 - CLI output
-            f"lockdep: {len(verdict['locks'])} lock(s), "
-            f"{verdict['acquires']} acquire(s), {len(observed)} ordered edge(s)"
-        )
-        for source, target in observed:
-            marker = "" if (source, target) not in unexplained else "   [NOT IN STATIC MODEL]"
-            print(f"  {source} -> {target}{marker}")  # noqa: T201 - CLI output
-        for cycle in cycles:
-            print(f"  CYCLE: {' -> '.join(cycle)}")  # noqa: T201 - CLI output
-        if verdict["ok"]:
-            print("lockdep: observed graph is acyclic and a subgraph of the static model")  # noqa: T201 - CLI output
-        else:
-            print("lockdep: FAIL")  # noqa: T201 - CLI output
-    return 0 if verdict["ok"] else 1
-
-
 __all__ = [
     "DEFAULT_MODULES",
     "EdgeStats",
     "HELD_SECONDS_BUCKETS",
+    "LOCK_ORDER",
+    "LockOrderError",
     "LockdepState",
     "ThreadingFacade",
     "TrackedCondition",
@@ -566,9 +503,6 @@ __all__ = [
     "TrackedRLock",
     "TrackedSemaphore",
     "active_state",
-    "build_lockdep_report_parser",
     "install",
-    "run_lockdep_report_from_args",
     "uninstall",
-    "unexplained_edges",
 ]

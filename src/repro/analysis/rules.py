@@ -17,19 +17,15 @@ R005 pickle-boundary         ``pickle.load(s)`` only in the transport
 R006 all-parity              ``__all__`` matches the public defs
 R007 broad-except            ``except Exception`` must be deliberate
                              (pragma with a reason) or narrowed
-R008 lock-order-inversion    the lock acquisition graph (incl.
-                             cross-class edges) has no cycles
-R009 blocking-under-lock     no blocking call (socket/queue/sleep/
-                             join/result/subprocess/engine) under a lock
 R010 lock-leak               bare ``.acquire()`` needs a ``finally``-
                              guaranteed ``.release()``
 ==== ======================= ==========================================
 
-R008–R010 live in :mod:`repro.analysis.concurrency` (they share the
-static lock model with the runtime lockdep harness) and are imported
-lazily by :func:`default_rules` to avoid a circular import.  Snapshot
-state contracts need no rule: they are declared in :mod:`repro.state`
-and checked on every restore.
+Two contracts need no rule because they are declared and checked at
+runtime instead: the lock order in
+:data:`repro.analysis.lockdep.LOCK_ORDER` (checked at every acquire
+under ``REPRO_LOCKDEP=1``), and snapshot state in :mod:`repro.state`
+(checked on every restore).
 """
 
 from __future__ import annotations
@@ -663,16 +659,77 @@ class BroadExceptRule(Rule):
 
 
 # ----------------------------------------------------------------------
-def default_rules() -> List[Rule]:
-    """Fresh instances of every shipped rule, in id order."""
-    # imported here, not at module top: concurrency.py reuses this
-    # module's AST helpers, so a top-level import would be circular
-    from repro.analysis.concurrency import (
-        BlockingUnderLockRule,
-        LockLeakRule,
-        LockOrderRule,
+# R010 — lock leak
+# ----------------------------------------------------------------------
+class LockLeakRule(Rule):
+    """Every bare ``.acquire()`` needs a ``finally``-guaranteed release.
+
+    ``with lock:`` releases on every exit path; a bare ``acquire()``
+    followed by an exception before ``release()`` holds the lock
+    forever.  The rule flags ``X.acquire()`` on a lock-like receiver in
+    any function whose own body (nested functions are checked on their
+    own) has neither an ``X.release()`` inside a ``finally`` block nor a
+    ``with X:``.  Hand-off patterns that release in another function
+    need a pragma explaining the protocol.
+    """
+
+    id = "R010"
+    name = "lock-leak"
+    description = (
+        "a lock acquired via .acquire() must be released in a finally "
+        "block of the same function"
     )
 
+    def check_module(self, module: SourceModule, project: Project) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                findings.extend(self._check_function(module, node))
+        return findings
+
+    def _check_function(
+        self, module: SourceModule, func: "ast.FunctionDef | ast.AsyncFunctionDef"
+    ) -> List[Finding]:
+        acquires: List[Tuple[str, ast.Call]] = []
+        released: Set[Optional[str]] = set()
+
+        def walk(node: ast.AST) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, _FUNCTION_NODES):
+                    continue
+                if isinstance(child, ast.Try):
+                    for stmt in child.finalbody:
+                        for call in iter_calls(stmt):
+                            func_node = call.func
+                            if isinstance(func_node, ast.Attribute) and func_node.attr == "release":
+                                released.add(dotted_name(func_node.value))
+                elif isinstance(child, (ast.With, ast.AsyncWith)):
+                    released.update(dotted_name(item.context_expr) for item in child.items)
+                elif (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "acquire"
+                ):
+                    receiver = dotted_name(child.func.value)
+                    if receiver is not None and _LOCK_ATTR_RE.search(receiver):
+                        acquires.append((receiver, child))
+                walk(child)
+
+        walk(func)
+        return [
+            self.finding(
+                module, call,
+                f"`{receiver}.acquire()` in {func.name} has no finally-guaranteed "
+                f"`{receiver}.release()` — an exception in between leaks the lock",
+            )
+            for receiver, call in acquires
+            if receiver not in released
+        ]
+
+
+# ----------------------------------------------------------------------
+def default_rules() -> List[Rule]:
+    """Fresh instances of every shipped rule, in id order."""
     return [
         SeedDisciplineRule(),
         LockGuardRule(),
@@ -681,8 +738,6 @@ def default_rules() -> List[Rule]:
         PickleBoundaryRule(),
         AllParityRule(),
         BroadExceptRule(),
-        LockOrderRule(),
-        BlockingUnderLockRule(),
         LockLeakRule(),
     ]
 
@@ -692,6 +747,7 @@ __all__ = [
     "BroadExceptRule",
     "ExceptionChainingRule",
     "LockGuardRule",
+    "LockLeakRule",
     "PickleBoundaryRule",
     "ProtocolParityRule",
     "SeedDisciplineRule",

@@ -309,17 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "protocol contracts at parse time",
     )
     build_lint_parser(lint)
-
-    from repro.analysis.lockdep import build_lockdep_report_parser
-
-    lockdep_report = subparsers.add_parser(
-        "lockdep-report",
-        help="check an observed lock-order graph against the static model",
-        description="lockdep: verify the graph observed by a "
-                    "REPRO_LOCKDEP=1 test run is acyclic and a subgraph "
-                    "of the static acquisition model",
-    )
-    build_lockdep_report_parser(lockdep_report)
     return parser
 
 
@@ -802,11 +791,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis import run_lint_from_args
 
         return run_lint_from_args(args)
-    if args.command == "lockdep-report":
-        # same contract: 1 = cycle/unexplained edge, 2 = unreadable graph
-        from repro.analysis.lockdep import run_lockdep_report_from_args
-
-        return run_lockdep_report_from_args(args)
     try:
         if args.command == "estimate":
             output = _command_estimate(args)

@@ -475,8 +475,9 @@ class EstimationServer:
 
         On a backend without ``"concurrent-read"`` the block also holds
         ``_read_serialiser``: running the engine calls one at a time is
-        that lock's entire job.  Take no other lock inside the block;
-        the serve lock-order graph keeps ``_read_serialiser`` a leaf.
+        that lock's entire job.  Inside the block take only locks that
+        ``repro.analysis.lockdep.LOCK_ORDER`` ranks after it (today only
+        the metrics registry's).
         """
         with self._generations.read() as generation:
             if self._read_serialiser is None:

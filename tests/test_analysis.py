@@ -540,253 +540,8 @@ class TestBroadExcept:
 
 
 # ----------------------------------------------------------------------
-# R008/R009/R010 — concurrency sanitizer (static half)
+# R010 — lock leak
 # ----------------------------------------------------------------------
-# the seeded inversion fixture: two locks, two methods, opposite nesting
-# orders — the canonical deadlock the sanitizer exists to catch
-INVERTED_CLASS = """\
-import threading
-
-
-class Inverted:
-    def __init__(self):
-        self._a = threading.Lock()
-        self._b = threading.Lock()
-
-    def forward(self):
-        with self._a:
-            with self._b:
-                return 1
-
-    def backward(self):
-        with self._b:
-            with self._a:
-                return 2
-"""
-
-
-class TestLockOrder:
-    def test_seeded_inversion_flagged_both_sites(self, tmp_path):
-        report = lint_source(tmp_path, INVERTED_CLASS, select=["R008"])
-        assert rule_ids(report) == ["R008", "R008"]
-        # each finding names the full cycle
-        for finding in report.findings:
-            assert "Inverted._a" in finding.message
-            assert "Inverted._b" in finding.message
-
-    def test_consistent_order_clean(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "class Ordered:\n"
-            "    def __init__(self):\n"
-            "        self._a = threading.Lock()\n"
-            "        self._b = threading.Lock()\n"
-            "    def one(self):\n"
-            "        with self._a:\n"
-            "            with self._b:\n"
-            "                return 1\n"
-            "    def two(self):\n"
-            "        with self._a:\n"
-            "            with self._b:\n"
-            "                return 2\n",
-            select=["R008"],
-        )
-        assert report.findings == []
-
-    def test_inversion_through_helper_call_flagged(self, tmp_path):
-        """The nesting hides behind an intra-class call: still caught."""
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "class Transitive:\n"
-            "    def __init__(self):\n"
-            "        self._a = threading.Lock()\n"
-            "        self._b = threading.Lock()\n"
-            "    def _grab_b(self):\n"
-            "        with self._b:\n"
-            "            return 1\n"
-            "    def forward(self):\n"
-            "        with self._a:\n"
-            "            return self._grab_b()\n"
-            "    def backward(self):\n"
-            "        with self._b:\n"
-            "            with self._a:\n"
-            "                return 2\n",
-            select=["R008"],
-        )
-        assert "R008" in rule_ids(report)
-
-    def test_cross_class_edge_in_model(self, tmp_path):
-        """``self.worker.run()`` pulls the other class's lock into the
-        held set via the ctor-assigned attribute type."""
-        from repro.analysis.concurrency import build_lock_model
-
-        path = tmp_path / "cross.py"
-        path.write_text(
-            "import threading\n"
-            "class Worker:\n"
-            "    def __init__(self):\n"
-            "        self._w = threading.Lock()\n"
-            "    def run(self):\n"
-            "        with self._w:\n"
-            "            return 1\n"
-            "class Owner:\n"
-            "    def __init__(self):\n"
-            "        self._o = threading.Lock()\n"
-            "        self.worker = Worker()\n"
-            "    def go(self):\n"
-            "        with self._o:\n"
-            "            return self.worker.run()\n",
-            encoding="utf-8",
-        )
-        project, errors = load_project([str(path)])
-        assert errors == []
-        model = build_lock_model(project)
-        assert ("Owner._o", "Worker._w") in model.edge_keys
-
-    def test_pragma_suppresses(self, tmp_path):
-        source = INVERTED_CLASS.replace(
-            "        with self._b:\n            with self._a:",
-            "        with self._b:\n"
-            "            with self._a:"
-            "  # reprolint: disable=R008 - toy fixture",
-        )
-        report = lint_source(tmp_path, source, select=["R008"])
-        # suppressing one site of the cycle leaves the other finding
-        assert len(report.findings) <= 1
-        assert report.suppressed >= 1
-
-
-class TestBlockingUnderLock:
-    def test_sleep_under_lock_flagged(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "import time\n"
-            "class Sleepy:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def nap(self):\n"
-            "        with self._lock:\n"
-            "            time.sleep(1.0)\n",
-            select=["R009"],
-        )
-        assert rule_ids(report) == ["R009"]
-
-    def test_socket_recv_under_lock_flagged(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "class Proxy:\n"
-            "    def __init__(self, sock):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._sock = sock\n"
-            "    def fetch(self):\n"
-            "        with self._lock:\n"
-            "            return self._sock.recv(4096)\n",
-            select=["R009"],
-        )
-        assert rule_ids(report) == ["R009"]
-
-    def test_queue_get_under_lock_flagged(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import queue\n"
-            "import threading\n"
-            "class Pump:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._queue = queue.Queue()\n"
-            "    def drain(self):\n"
-            "        with self._lock:\n"
-            "            return self._queue.get()\n",
-            select=["R009"],
-        )
-        assert rule_ids(report) == ["R009"]
-
-    def test_nonblocking_queue_get_clean(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import queue\n"
-            "import threading\n"
-            "class Pump:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._queue = queue.Queue()\n"
-            "    def poll(self):\n"
-            "        with self._lock:\n"
-            "            return self._queue.get_nowait()\n",
-            select=["R009"],
-        )
-        assert report.findings == []
-
-    def test_wait_on_held_condition_exempt(self, tmp_path):
-        """``cond.wait()`` releases the lock it holds — the one blocking
-        call that is *correct* under its own lock."""
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "class Waiter:\n"
-            "    def __init__(self):\n"
-            "        self._cond = threading.Condition()\n"
-            "    def park(self):\n"
-            "        with self._cond:\n"
-            "            self._cond.wait()\n",
-            select=["R009"],
-        )
-        assert report.findings == []
-
-    def test_thread_join_under_lock_flagged(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "class Stopper:\n"
-            "    def __init__(self, worker):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._worker = worker\n"
-            "    def stop(self):\n"
-            "        with self._lock:\n"
-            "            self._worker.join()\n",
-            select=["R009"],
-        )
-        assert rule_ids(report) == ["R009"]
-
-    def test_semaphore_held_set_exempt(self, tmp_path):
-        """Semaphores are admission throttles, not mutexes — blocking
-        while only a slot is held stalls nobody's critical section."""
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "import time\n"
-            "class Throttle:\n"
-            "    def __init__(self):\n"
-            "        self._slots = threading.BoundedSemaphore(4)\n"
-            "    def work(self):\n"
-            "        with self._slots:\n"
-            "            time.sleep(0.1)\n",
-            select=["R009"],
-        )
-        assert report.findings == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import threading\n"
-            "import time\n"
-            "class Sleepy:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def nap(self):\n"
-            "        with self._lock:\n"
-            "            time.sleep(1.0)"
-            "  # reprolint: disable=R009 - deliberate backoff fixture\n",
-            select=["R009"],
-        )
-        assert report.findings == []
-        assert report.suppressed == 1
-
-
 class TestLockLeak:
     def test_bare_acquire_without_finally_flagged(self, tmp_path):
         report = lint_source(
@@ -849,34 +604,23 @@ class TestLockLeak:
         assert report.findings == []
         assert report.suppressed == 1
 
-
-class TestServeStaticLockModel:
-    """Regression: pin the serving path's static lock-order graph."""
-
-    @pytest.fixture(scope="class")
-    def serve_model(self):
-        from repro.analysis.concurrency import build_lock_model
-
-        project, errors = load_project([str(REPO_ROOT / "src" / "repro" / "serve")])
-        assert errors == []
-        return build_lock_model(project)
-
-    def test_conn_lock_inflight_cond_never_nested(self, serve_model):
-        """Shutdown takes ``_inflight_cond`` then ``_conn_lock``
-        *sequentially* — nesting them in either order would be a new
-        ordering constraint the rest of the server never agreed to."""
-        edges = serve_model.edge_keys
-        assert ("EstimationServer._inflight_cond", "EstimationServer._conn_lock") not in edges
-        assert ("EstimationServer._conn_lock", "EstimationServer._inflight_cond") not in edges
-
-    def test_static_model_covers_observed_runtime_edges(self, serve_model):
-        """The two edges the REPRO_LOCKDEP=1 suite actually observes."""
-        edges = serve_model.edge_keys
-        assert ("EstimationServer._estimate_slots", "EstimationServer._read_serialiser") in edges
-        assert ("EstimationServer._estimate_slots", "GenerationManager._cond") in edges
-
-    def test_serve_graph_is_acyclic(self, serve_model):
-        assert serve_model.find_cycles() == []
+    def test_every_function_checked_on_its_own(self, tmp_path):
+        """Module-level functions count too, and a nested function's
+        ``finally`` does not cover its enclosing function's acquire."""
+        report = lint_source(
+            tmp_path,
+            "def grab(lock):\n"
+            "    lock.acquire()\n"
+            "    def cleanup():\n"
+            "        try:\n"
+            "            pass\n"
+            "        finally:\n"
+            "            lock.release()\n"
+            "    return cleanup\n",
+            select=["R010"],
+        )
+        assert rule_ids(report) == ["R010"]
+        assert "in grab" in report.findings[0].message
 
 
 # ----------------------------------------------------------------------

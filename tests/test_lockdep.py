@@ -1,9 +1,9 @@
-"""Runtime lockdep harness: tracked primitives, order graph, report CLI.
+"""Runtime lockdep harness: declared order, tracked primitives, order graph.
 
 These tests drive :mod:`repro.analysis.lockdep` directly with a private
-``LockdepState`` — they never touch the global installed state, so they
-compose with a ``REPRO_LOCKDEP=1`` run of the whole suite (where the
-conftest hook owns the global graph).
+``LockdepState`` ranking toy locks — they never touch the global
+installed state, so they compose with a ``REPRO_LOCKDEP=1`` run of the
+whole suite (where the conftest hook owns the global state).
 """
 
 from __future__ import annotations
@@ -11,134 +11,154 @@ from __future__ import annotations
 import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lockdep
-from repro.analysis.concurrency import find_cycles
 from repro.analysis.lockdep import (
+    LOCK_ORDER,
     LockdepState,
+    LockOrderError,
     ThreadingFacade,
     TrackedCondition,
     TrackedLock,
     TrackedRLock,
     TrackedSemaphore,
-    build_lockdep_report_parser,
-    run_lockdep_report_from_args,
-    unexplained_edges,
 )
 from repro.obs.metrics import MetricsRegistry
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+
+def new_state(*order: str) -> LockdepState:
+    return LockdepState(order, metrics=MetricsRegistry())
 
 
 def make_lock(state: LockdepState, name: str) -> TrackedLock:
     return TrackedLock(state, threading.Lock(), name)
 
 
+def held_seconds(registry: MetricsRegistry, lock: str):
+    return registry.histogram(
+        "lockdep_held_seconds", buckets=lockdep.HELD_SECONDS_BUCKETS, lock=lock
+    )
+
+
 # ----------------------------------------------------------------------
-# order-graph recording
+# order checking and graph recording
 # ----------------------------------------------------------------------
 class TestOrderGraph:
     def test_nested_acquire_records_edge(self):
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("A", "B")
         a, b = make_lock(state, "A"), make_lock(state, "B")
         with a:
             with b:
                 pass
         assert ("A", "B") in state.edges()
         assert ("B", "A") not in state.edges()
-        assert state.cycles() == []
+        assert state.violations() == []
 
-    def test_inversion_creates_cycle(self):
-        state = LockdepState(metrics=MetricsRegistry())
+    def test_seeded_wrong_order_raises_at_inner_acquire(self):
+        """Order (A, B), nested B then A: the inner acquire raises before
+        A is taken, and B stays held until its own block exits."""
+        state = new_state("A", "B")
         a, b = make_lock(state, "A"), make_lock(state, "B")
-        with a:
-            with b:
-                pass
         with b:
-            with a:
-                pass
-        cycles = state.cycles()
-        assert cycles, "A->B followed by B->A must form a cycle"
-        assert set(cycles[0]) >= {"A", "B"}
+            with pytest.raises(LockOrderError, match="A is ranked before held B"):
+                a.acquire()
+            assert state.held_names() == ["B"]
+            assert not a._inner.locked()
+            assert b._inner.locked()
+        assert state.held_names() == []
+        [violation] = state.violations()
+        assert violation["lock"] == "A"
+        assert violation["held"] == ["B"]
+
+    def test_undeclared_lock_raises(self):
+        """A name missing from the order (e.g. a ``file.py:lineno``
+        fallback) is refused even with nothing held."""
+        state = new_state("A")
+        stray = make_lock(state, "mod.py:12")
+        with pytest.raises(LockOrderError, match="not declared"):
+            stray.acquire()
+        assert not stray._inner.locked()
+        assert [v["lock"] for v in state.violations()] == ["mod.py:12"]
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        orders=st.lists(st.booleans(), min_size=2, max_size=12).filter(
-            lambda seq: True in seq and False in seq
-        )
-    )
+    @given(orders=st.lists(st.booleans(), min_size=1, max_size=12))
     def test_two_lock_inversion_always_detected(self, orders):
-        """However the nestings are interleaved, one inversion = a cycle.
+        """Whatever came before it, every B->A nesting raises at once and
+        no A->B nesting does.
 
         Each draw is a sequence of nested two-lock critical sections:
-        ``True`` nests A->B, ``False`` nests B->A.  Any sequence with
-        both orders present must be reported as a potential deadlock —
-        even though no single sequential run ever deadlocks.
+        ``True`` nests A->B, ``False`` nests B->A, under the order (A, B).
         """
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("A", "B")
         a, b = make_lock(state, "A"), make_lock(state, "B")
         for a_first in orders:
             outer, inner = (a, b) if a_first else (b, a)
             with outer:
-                with inner:
-                    pass
-        assert state.cycles(), f"inversion missed for order sequence {orders}"
+                try:
+                    with inner:
+                        pass
+                except LockOrderError:
+                    assert not a_first, f"A->B refused in {orders}"
+                else:
+                    assert a_first, f"B->A allowed in {orders}"
+        assert len(state.violations()) == orders.count(False)
+        assert state.held_names() == []
 
     def test_cross_thread_ordering_also_detected(self):
-        """Inverted nestings on two different threads still form a cycle."""
-        state = LockdepState(metrics=MetricsRegistry())
+        """An out-of-order nesting raises in the thread that attempts it."""
+        state = new_state("A", "B")
         a, b = make_lock(state, "A"), make_lock(state, "B")
+        errors = []
 
         def invert():
             with b:
-                with a:
-                    pass
+                try:
+                    with a:
+                        pass
+                except LockOrderError as error:
+                    errors.append(error)
 
         with a:
             with b:
                 pass
         worker = threading.Thread(target=invert, name="lockdep-invert")
         worker.start()
-        worker.join()
-        assert state.cycles()
-        stats = state.edges()[("B", "A")]
-        assert stats.example_thread == "lockdep-invert"
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert len(errors) == 1
+        [violation] = state.violations()
+        assert violation["thread"] == "lockdep-invert"
+        assert state.edges()[("B", "A")].example_thread == "lockdep-invert"
 
     def test_reentrant_rlock_records_no_self_edge(self):
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("R")
         r = TrackedRLock(state, threading.RLock(), "R")
         with r:
             with r:
                 pass
         assert ("R", "R") not in state.edges()
-        assert state.cycles() == []
+        assert state.violations() == []
 
-    def test_trylock_edges_excluded_from_cycles(self):
-        """A failed-backoff path cannot wedge: no cycle, but the edge
-        still shows for the static-subgraph comparison."""
-        state = LockdepState(metrics=MetricsRegistry())
+    def test_trylock_against_rank_records_edge_without_raising(self):
+        """A failed try-acquire backs off and cannot wedge: it is exempt
+        from the rank check, but its edge is still recorded."""
+        state = new_state("A", "B")
         a, b = make_lock(state, "A"), make_lock(state, "B")
-        with a:
-            with b:
-                pass
         with b:
             assert a.acquire(blocking=False)
             a.release()
-        assert state.cycles() == []
+        assert state.violations() == []
         assert state.edges()[("B", "A")].trylock == 1
         assert state.edges()[("B", "A")].blocking == 0
-        assert ("B", "A") in state.edges(include_trylock=True)
-        assert ("B", "A") not in state.edges(include_trylock=False)
 
     def test_condition_wait_releases_held_set(self):
         """While parked in ``wait()`` the lock is NOT held: acquisitions
         made by the woken path must not order against it."""
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("L", "C")
         cond = TrackedCondition(state, threading.Condition(), "C")
         other = make_lock(state, "L")
         ready = threading.Event()
@@ -162,12 +182,13 @@ class TestOrderGraph:
         # this interleaving, only the deliberate L->C nesting above
         assert ("C", "L") not in state.edges()
         assert ("L", "C") in state.edges()
+        assert state.violations() == []
 
     def test_cross_thread_semaphore_release_pops_acquirer_entry(self):
         """A slot released by another thread (Timer-style hand-off) must
         retire the acquirer's stack entry — otherwise every later
         acquisition on the acquiring thread hangs phantom edges off it."""
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("S", "L")
         sem = TrackedSemaphore(state, threading.BoundedSemaphore(1), "S")
         lock = make_lock(state, "L")
         assert sem.acquire()
@@ -181,28 +202,40 @@ class TestOrderGraph:
 
     def test_held_duration_histogram_observed(self):
         registry = MetricsRegistry()
-        state = LockdepState(metrics=registry)
+        state = LockdepState(("Timed.L",), metrics=registry)
         lock = make_lock(state, "Timed.L")
         with lock:
             time.sleep(0.002)
-        histogram = registry.histogram(
-            "lockdep_held_seconds",
-            buckets=lockdep.HELD_SECONDS_BUCKETS,
-            lock="Timed.L",
-        )
+        histogram = held_seconds(registry, "Timed.L")
         assert histogram.count == 1
         assert histogram.sum > 0.0
 
+    def test_held_time_through_tracked_registry_terminates(self):
+        """With ``repro.obs.metrics`` tracked, recording a held time may
+        create its histogram under the registry's own tracked lock, whose
+        release records a held time again; that observation must find
+        its histogram and stop."""
+        registry = MetricsRegistry()
+        state = LockdepState(("A", "MetricsRegistry._lock"), metrics=registry)
+        registry._lock = TrackedLock(state, threading.Lock(), "MetricsRegistry._lock")
+        with make_lock(state, "A"):
+            pass
+        assert held_seconds(registry, "A").count == 1
+        # one held segment per histogram the registry lock created
+        assert held_seconds(registry, "MetricsRegistry._lock").count == 2
+        assert state.violations() == []
+
     def test_graph_dump_is_json_able(self):
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("A", "B")
         a, b = make_lock(state, "A"), make_lock(state, "B")
         with a:
             with b:
                 pass
         graph = json.loads(json.dumps(state.graph()))
+        assert graph["order"] == ["A", "B"]
         assert graph["locks"] == ["A", "B"]
         assert graph["acquires"] == 2
-        assert graph["cycles"] == []
+        assert graph["violations"] == []
         assert graph["edges"][0]["source"] == "A"
         assert graph["edges"][0]["target"] == "B"
 
@@ -212,8 +245,7 @@ class TestOrderGraph:
 # ----------------------------------------------------------------------
 class TestFacade:
     def test_facade_constructs_tracked_primitives(self):
-        state = LockdepState(metrics=MetricsRegistry())
-        facade = ThreadingFacade(state)
+        facade = ThreadingFacade(new_state())
         assert isinstance(facade.Lock(), TrackedLock)
         assert isinstance(facade.RLock(), TrackedRLock)
         assert isinstance(facade.Condition(), TrackedCondition)
@@ -226,19 +258,23 @@ class TestFacade:
     def test_condition_unwraps_tracked_lock_argument(self):
         """Condition(tracked_lock) shares the *inner* primitive — one
         acquisition, one held entry, no double tracking."""
-        state = LockdepState(metrics=MetricsRegistry())
+        state = new_state("Owner._cond")
         facade = ThreadingFacade(state)
-        lock = facade.Lock()
-        cond = facade.Condition(lock)
-        assert cond._inner._lock is lock._inner
-        with cond:
-            assert state.held_names() == [cond.lockdep_name]
+
+        class Owner:
+            def __init__(self):
+                self._lock = facade.Lock()
+                self._cond = facade.Condition(self._lock)
+
+        owner = Owner()
+        assert owner._cond._inner._lock is owner._lock._inner
+        with owner._cond:
+            assert state.held_names() == ["Owner._cond"]
             # the shared primitive really is taken
-            assert not lock._inner.acquire(blocking=False)
+            assert not owner._lock._inner.acquire(blocking=False)
 
     def test_derived_names_use_class_and_attribute(self):
-        state = LockdepState(metrics=MetricsRegistry())
-        facade = ThreadingFacade(state)
+        facade = ThreadingFacade(new_state())
 
         class Owner:
             def __init__(self):
@@ -256,6 +292,7 @@ class TestFacade:
         state = lockdep.install(["repro.serve.server"])
         try:
             assert lockdep.active_state() is state
+            assert state.order == LOCK_ORDER
             assert isinstance(server_module.threading, ThreadingFacade)
             # idempotent: second install returns the same state
             assert lockdep.install(["repro.serve.server"]) is state
@@ -263,106 +300,3 @@ class TestFacade:
             lockdep.uninstall()
         assert server_module.threading is original
         assert lockdep.active_state() is None
-
-
-# ----------------------------------------------------------------------
-# report CLI: observed graph vs static model
-# ----------------------------------------------------------------------
-def write_graph(tmp_path: Path, edges, locks=None) -> Path:
-    path = tmp_path / "graph.json"
-    path.write_text(
-        json.dumps(
-            {
-                "locks": locks or sorted({n for e in edges for n in e[:2]}),
-                "acquires": len(edges),
-                "edges": [
-                    {
-                        "source": source,
-                        "target": target,
-                        "blocking": blocking,
-                        "trylock": 0,
-                        "example_thread": "t",
-                    }
-                    for source, target, blocking in edges
-                ],
-                "cycles": [],
-            }
-        ),
-        encoding="utf-8",
-    )
-    return path
-
-
-class TestReport:
-    def run_report(self, graph_path: Path, *, fmt: str = "text"):
-        parser = build_lockdep_report_parser()
-        args = parser.parse_args(
-            ["--graph", str(graph_path), "--src", str(REPO_ROOT / "src"), "--format", fmt]
-        )
-        return run_lockdep_report_from_args(args)
-
-    def test_observed_graph_is_static_subgraph(self, tmp_path, capsys):
-        """The two real runtime edges are both derivable statically."""
-        path = write_graph(
-            tmp_path,
-            [
-                ("EstimationServer._estimate_slots", "EstimationServer._read_serialiser", 1),
-                ("EstimationServer._estimate_slots", "GenerationManager._cond", 1),
-            ],
-        )
-        assert self.run_report(path) == 0
-        assert "subgraph of the static model" in capsys.readouterr().out
-
-    def test_unexplained_edge_fails(self, tmp_path, capsys):
-        path = write_graph(
-            tmp_path,
-            [("EstimationServer._conn_lock", "GenerationManager._cond", 1)],
-        )
-        assert self.run_report(path) == 1
-        assert "NOT IN STATIC MODEL" in capsys.readouterr().out
-
-    def test_cycle_fails_json(self, tmp_path, capsys):
-        path = write_graph(tmp_path, [("A.x", "B.y", 1), ("B.y", "A.x", 1)])
-        assert self.run_report(path, fmt="json") == 1
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["ok"] is False
-        assert verdict["cycles"]
-
-    def test_trylock_only_inversion_is_not_a_cycle(self, tmp_path):
-        path = write_graph(tmp_path, [("A.x", "B.y", 1), ("B.y", "A.x", 0)])
-        # blocking=0 on the inverted edge: backoff path, no cycle — but
-        # both edges must still be explained by the static model
-        assert self.run_report(path) == 1  # A.x/B.y aren't in src's model
-
-    def test_unreadable_graph_exits_two(self, tmp_path):
-        assert self.run_report(tmp_path / "missing.json") == 2
-
-    def test_unexplained_edges_helper(self):
-        observed = [
-            ("EstimationServer._estimate_slots", "GenerationManager._cond"),
-            ("Nope.l1", "Nope.l2"),
-        ]
-        extra = unexplained_edges(observed, [str(REPO_ROOT / "src")])
-        assert extra == [("Nope.l1", "Nope.l2")]
-
-
-# ----------------------------------------------------------------------
-# cycle detection helper
-# ----------------------------------------------------------------------
-class TestFindCycles:
-    def test_acyclic(self):
-        assert find_cycles([("A", "B"), ("B", "C"), ("A", "C")]) == []
-
-    def test_two_cycle_canonical_rotation(self):
-        cycles = find_cycles([("B", "A"), ("A", "B")])
-        assert cycles == [["A", "B", "A"]]
-
-    def test_three_cycle(self):
-        cycles = find_cycles([("A", "B"), ("B", "C"), ("C", "A")])
-        assert cycles == [["A", "B", "C", "A"]]
-
-    def test_disjoint_cycles_both_reported(self):
-        cycles = find_cycles(
-            [("A", "B"), ("B", "A"), ("X", "Y"), ("Y", "X"), ("A", "X")]
-        )
-        assert len(cycles) == 2

@@ -757,4 +757,4 @@ class TestLockOrderRegression:
         edges = state.edges()
         assert ("EstimationServer._inflight_cond", "EstimationServer._conn_lock") not in edges
         assert ("EstimationServer._conn_lock", "EstimationServer._inflight_cond") not in edges
-        assert state.cycles() == []
+        assert state.violations() == []
