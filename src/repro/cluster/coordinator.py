@@ -15,14 +15,18 @@ unsharded estimator for the same seed:
 * hashing and partitioning stay on the coordinator (it owns the hash
   families; workers receive already-hashed batch slices), so ids, bucket
   keys, and shard targets are assigned exactly as in process;
-* the merge layer's three remote touch points —
+* the merge layer's remote touch points —
   :meth:`_bucket_members_on_shard`, :meth:`_gather_rows_on_shard`, and
-  the per-shard SampleH/SampleL fallbacks — return the same values a
-  local shard would, and sampling draws executed worker-side ship the
-  coordinator's generator state in and out, consuming its stream exactly
-  like a local draw;
-* per-shard ``size`` / ``N_H`` live in coordinator-side mirrors updated
-  from every mutating reply, so strata sizes never need a round trip.
+  the per-shard SampleH/SampleL draws of the merged mode — return the
+  same values a local shard would, and sampling draws executed
+  worker-side ship the coordinator's generator state in and out,
+  consuming its stream exactly like a local draw;
+* collision tests and bucket sizes (SampleL rejection, estimator
+  repairs) answer from the facade's own id → bucket-key map, the same
+  code path as in process, so they never cost a round trip;
+* per-shard live ids / ``size`` / ``N_H`` live in coordinator-side
+  mirrors updated from every mutating reply, so strata sizes never need
+  a round trip.
 
 Ingest is where the processes pay off: :meth:`commit_batch` *pipelines*
 a routed batch — every worker receives its slice before any reply is
@@ -67,7 +71,7 @@ from repro.shard.sharded_index import (
     PreparedBatch,
     ShardedMutableIndex,
 )
-from repro.streaming.mutable_index import INDEX_STATE, restore_estimator_states
+from repro.streaming.mutable_index import INDEX_STATE, LiveIds, restore_estimator_states
 
 DEFAULT_REQUEST_TIMEOUT = 120.0
 DEFAULT_SPAWN_TIMEOUT = 120.0
@@ -214,68 +218,24 @@ class WorkerHandle:
                 self.process.join(timeout=1.0)
 
 
-class _RemoteTableProxy:
-    """The ``primary_table`` stand-in of one remote shard.
-
-    Signature keys and bucket sizes answer from the coordinator's own
-    bookkeeping (it routed every insert, so it knows each live id's
-    primary bucket key); only bucket *contents* go to the worker.
-    """
-
-    def __init__(self, index: "RemoteIndexProxy") -> None:
-        self._index = index
-
-    @property
-    def num_vectors(self) -> int:
-        return self._index.size
-
-    @property
-    def num_hashes(self) -> int:
-        return self._index.num_hashes
-
-    @property
-    def num_collision_pairs(self) -> int:
-        return self._index.num_collision_pairs
-
-    @property
-    def num_buckets(self) -> int:
-        return int(self._index._handle.request("stats")["num_buckets"])
-
-    def signature_key(self, vector_id: int) -> bytes:
-        try:
-            return self._index._owner._key_of_id[int(vector_id)]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the table") from None
-
-    def bucket_size_of(self, vector_id: int) -> int:
-        return int(self._index._owner._bucket_refs[self.signature_key(vector_id)][0])
-
-    def same_bucket(self, u: int, v: int) -> bool:
-        return self.signature_key(u) == self.signature_key(v)
-
-    def bucket_members_by_key(self, key: bytes) -> List[int]:
-        return self._index._handle.request("bucket_members", {"keys": [key]})["members"][0]
-
-
 class RemoteIndexProxy:
     """The ``MutableLSHIndex`` surface of one shard, served by a worker.
 
-    Keeps coordinator-side mirrors of the shard's live-id order (same
-    append / swap-pop discipline the worker applies, so ``ids`` matches
-    the worker's order element for element) and of ``N_H`` (updated from
-    every mutating reply), so the statistics the merge layer reads per
-    estimate cost no round trips.
+    Keeps coordinator-side mirrors of the shard's live ids (a
+    :class:`~repro.streaming.mutable_index.LiveIds` fed the same inserts
+    and deletes as the worker's, so ``ids`` matches the worker's order
+    element for element) and of ``N_H`` (updated from every mutating
+    reply), so the statistics the merge layer reads per estimate cost no
+    round trips.
     """
 
     def __init__(self, owner: "ClusterCoordinator", handle: WorkerHandle) -> None:
         self._owner = owner
         self._handle = handle
-        self._live_ids: List[int] = []
-        self._live_position: Dict[int, int] = {}
+        self._live = LiveIds()
         self._num_collision_pairs = 0
         #: cumulative worker-side ingest compute (from insert replies)
         self.worker_ingest_seconds = 0.0
-        self.primary_table = _RemoteTableProxy(self)
 
     # -- statistics (coordinator-local) --------------------------------
     @property
@@ -292,11 +252,11 @@ class RemoteIndexProxy:
 
     @property
     def size(self) -> int:
-        return len(self._live_ids)
+        return len(self._live)
 
     @property
     def ids(self) -> np.ndarray:
-        return np.asarray(self._live_ids, dtype=np.int64)
+        return self._live.array()
 
     @property
     def total_pairs(self) -> int:
@@ -316,7 +276,7 @@ class RemoteIndexProxy:
         return ()
 
     def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._live_position
+        return vector_id in self._live
 
     def __len__(self) -> int:
         return self.size
@@ -330,24 +290,8 @@ class RemoteIndexProxy:
                 f"{reply['size']} vectors, coordinator mirror {self.size}"
             )
 
-    def _mirror_insert_many(self, ids: Sequence[int]) -> None:
-        for vector_id in ids:
-            self._live_position[int(vector_id)] = len(self._live_ids)
-            self._live_ids.append(int(vector_id))
-
-    def _mirror_delete(self, vector_id: int) -> None:
-        # same swap-pop the worker's index performs, keeping orders equal
-        position = self._live_position.pop(vector_id)
-        last = self._live_ids.pop()
-        if last != vector_id:
-            self._live_ids[position] = last
-            self._live_position[last] = position
-
     def _load_state_mirror(self, state: Mapping[str, Any], reply: Mapping[str, Any]) -> None:
-        self._live_ids = [int(i) for i in state["live_ids"]]
-        self._live_position = {
-            vector_id: position for position, vector_id in enumerate(self._live_ids)
-        }
+        self._live = LiveIds(state["live_ids"])
         self._apply_stats(reply)
 
     # -- mutation -------------------------------------------------------
@@ -360,7 +304,7 @@ class RemoteIndexProxy:
                 "signatures": [np.asarray(signature)[None, :] for signature in signatures],
             },
         )
-        self._mirror_insert_many([int(vector_id)])
+        self._live.add(int(vector_id))
         self._apply_stats(reply)
         # ingest accounting draws on the reply meta's handler wall time;
         # only insert ops count (delete/check report seconds too now)
@@ -371,14 +315,14 @@ class RemoteIndexProxy:
         reply = self._handle.request(
             "insert_prepared", {"ids": ids, "csr": csr, "signatures": list(signatures)}
         )
-        self._mirror_insert_many(ids)
+        self._live.add_many(ids)
         self._apply_stats(reply)
         self.worker_ingest_seconds += self._handle.last_op_seconds
         return ids
 
     def delete(self, vector_id: int) -> None:
         reply = self._handle.request("delete", {"vector_id": int(vector_id)})
-        self._mirror_delete(int(vector_id))
+        self._live.remove(int(vector_id))
         self._apply_stats(reply)
 
     # -- sampling (generator-state shipping) ---------------------------
@@ -555,9 +499,6 @@ class ClusterCoordinator(ShardedMutableIndex):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._metrics = metrics  # resolved lazily by the `metrics` property
-        #: live id → primary bucket key; answers signature_key / SampleL
-        #: rejection tests without any worker round trip
-        self._key_of_id: Dict[int, bytes] = {}
         self._handles: List[WorkerHandle] = []
         self._broken: Optional[str] = None
         self._closed = False
@@ -827,16 +768,11 @@ class ClusterCoordinator(ShardedMutableIndex):
         )["matrix"]
 
     # ------------------------------------------------------------------
-    # mutation (pipelined ingest + key bookkeeping)
+    # mutation (pipelined ingest)
     # ------------------------------------------------------------------
-    def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
-        super()._track_insert(vector_id, key, shard_id)
-        self._key_of_id[vector_id] = key
-
     def delete(self, vector_id: int) -> None:
         self._check_usable()
-        super().delete(vector_id)  # reads the key via the table proxy first
-        self._key_of_id.pop(vector_id, None)
+        super().delete(vector_id)
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
         """Apply a prepared batch with every worker ingesting in parallel.
@@ -874,7 +810,7 @@ class ClusterCoordinator(ShardedMutableIndex):
                 )
             for shard, payload in jobs:
                 reply = shard.index._handle.recv_reply("insert_prepared")
-                shard.index._mirror_insert_many(payload["ids"])
+                shard.index._live.add_many(payload["ids"])
                 shard.index._apply_stats(reply)
                 shard.index.worker_ingest_seconds += shard.index._handle.last_op_seconds
             for position in range(len(batch)):
@@ -971,13 +907,6 @@ class ClusterCoordinator(ShardedMutableIndex):
                 estimator = RemoteEstimatorProxy(handle) if reply["has_estimator"] else None
                 cluster.shards.append(IndexShard(shard_id, proxy, estimator))
             cluster._restore_facade_bookkeeping(state)
-            # rebuild id → primary bucket key from the shard layouts
-            cluster._key_of_id = {
-                int(member): bytes(key)
-                for shard_state in shard_states
-                for key, members in shard_state["tables"][0]
-                for member in members
-            }
             cluster._refresh_owner_alignment()
             restore_estimator_states(cluster, state.get("estimators", ()))
         except BaseException:  # reprolint: disable=R007 - unwind the half-restored cluster before re-raising
@@ -991,39 +920,15 @@ class ClusterCoordinator(ShardedMutableIndex):
     def check_invariants(self) -> None:
         """Verify coordinator mirrors against every worker's bookkeeping."""
         self._check_usable()
-        if self.partitioner.num_shards != len(self.shards):
-            raise AssertionError(
-                f"partitioner covers {self.partitioner.num_shards} shards, "
-                f"cluster has {len(self.shards)}"
-            )
-        total_buckets = 0
-        for shard in self.shards:
-            reply = shard.index._handle.request("check")  # worker-side invariants
-            if int(reply["size"]) != shard.index.size:
-                raise AssertionError(
-                    f"shard {shard.shard_id} live-id mirror drifted from the worker"
-                )
-            if int(reply["num_collision_pairs"]) != shard.index.num_collision_pairs:
-                raise AssertionError(
-                    f"shard {shard.shard_id} N_H mirror drifted from the worker"
-                )
-            total_buckets += int(reply["num_buckets"])
-        if sum(shard.size for shard in self.shards) != self.size:
-            raise AssertionError("facade live-id count drifted from the shard mirrors")
-        if total_buckets != len(self._bucket_refs):
-            raise AssertionError("bucket key registry drifted from the workers")
-        if len(self._key_of_id) != self.size:
-            raise AssertionError("id → bucket-key map drifted from the live set")
-        wanted: Dict[int, List[bytes]] = {}
-        expected: Dict[int, List[int]] = {}
-        for key, (count, shard_id) in self._bucket_refs.items():
-            wanted.setdefault(shard_id, []).append(key)
-            expected.setdefault(shard_id, []).append(int(count))
-        for shard_id, keys in wanted.items():
-            members = self._bucket_members_on_shard(shard_id, keys)
-            for bucket, count in zip(members, expected[shard_id]):
-                if len(bucket) != count:
-                    raise AssertionError("bucket reference counts drifted from the workers")
+        super().check_invariants()
+
+    def _check_shard(self, shard: IndexShard) -> int:
+        reply = shard.index._handle.request("check")  # worker-side invariants
+        if int(reply["size"]) != shard.index.size:
+            raise AssertionError(f"shard {shard.shard_id} live-id mirror drifted from the worker")
+        if int(reply["num_collision_pairs"]) != shard.index.num_collision_pairs:
+            raise AssertionError(f"shard {shard.shard_id} N_H mirror drifted from the worker")
+        return int(reply["num_buckets"])
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         status = "closed" if self._closed else ("broken" if self._broken else "live")

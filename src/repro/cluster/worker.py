@@ -14,7 +14,7 @@ existing serialisations:
 ``restore``            revive the index from a ``to_state`` snapshot
 ``snapshot``           return the index ``to_state`` (estimators embedded)
 ``insert_prepared``    apply a routed batch slice (ids, CSR rows, signatures)
-``delete``             delete one id; reply carries its bucket key
+``delete``             delete one id
 ``bucket_members``     member lists for a batch of owned bucket keys
 ``gather_rows``        (normalized) CSR rows for a batch of ids
 ``sample_pairs``       SampleH / SampleL draw with generator-state shipping
@@ -167,11 +167,8 @@ class ShardWorker:
         return self._stats()
 
     def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        index = self._require_index()
-        vector_id = int(payload["vector_id"])
-        key = index.primary_table.signature_key(vector_id)
-        index.delete(vector_id)
-        return {"key": key, **self._stats()}
+        self._require_index().delete(int(payload["vector_id"]))
+        return self._stats()
 
     def op_bucket_members(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         table = self._require_index().primary_table

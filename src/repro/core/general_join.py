@@ -6,8 +6,10 @@ A pair ``(u, v)`` belongs to stratum H when the two buckets share the same
 ``g`` value; the number of such pairs is ``N_H = Σ_j b_j · c_j`` over
 matching buckets.  SampleH draws a matching bucket pair weighted by
 ``b_j · c_j`` and one vector from each side; SampleL draws uniform cross
-pairs and rejects colliding ones.  Everything else — adaptive sampling,
-the safe lower bound, dampening — is shared with the self-join estimator.
+pairs and rejects colliding ones through the shared
+:func:`repro.lsh.table.sample_rejected_pairs`.  Everything else —
+adaptive sampling, the safe lower bound, dampening — is shared with the
+self-join estimator.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
 from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
-from repro.errors import InsufficientSampleError, ValidationError
+from repro.errors import ValidationError
 from repro.lsh.families import LSHFamily
 from repro.lsh.signatures import signature_keys
+from repro.lsh.table import draw_stratum_pairs, sample_rejected_pairs
 from repro.rng import RandomState, ensure_rng
 from repro.vectors.collection import VectorCollection
 from repro.vectors.similarity import cosine_pairs
@@ -108,44 +111,33 @@ class PairedLSHTable:
         self, sample_size: int, *, random_state: RandomState = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from stratum H (matching-bucket cross products)."""
-        if self._num_collision_pairs == 0:
-            raise InsufficientSampleError("no bucket key is shared by both collections")
-        rng = ensure_rng(random_state)
-        probabilities = self._matched_weights / self._matched_weights.sum()
-        chosen = rng.choice(len(self._matched_keys), size=sample_size, p=probabilities)
-        left_ids = np.empty(sample_size, dtype=np.int64)
-        right_ids = np.empty(sample_size, dtype=np.int64)
-        for position, bucket in enumerate(chosen):
-            left_members = self._matched_left[bucket]
-            right_members = self._matched_right[bucket]
-            left_ids[position] = left_members[rng.integers(0, left_members.size)]
-            right_ids[position] = right_members[rng.integers(0, right_members.size)]
-        return left_ids, right_ids
+
+        def draw(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+            probabilities = self._matched_weights / self._matched_weights.sum()
+            chosen = rng.choice(len(self._matched_keys), size=size, p=probabilities)
+            left_ids = np.empty(size, dtype=np.int64)
+            right_ids = np.empty(size, dtype=np.int64)
+            for position, bucket in enumerate(chosen):
+                left_members = self._matched_left[bucket]
+                right_members = self._matched_right[bucket]
+                left_ids[position] = left_members[rng.integers(0, left_members.size)]
+                right_ids[position] = right_members[rng.integers(0, right_members.size)]
+            return left_ids, right_ids
+
+        return draw_stratum_pairs(sample_size, self._num_collision_pairs, "H", draw, random_state)
 
     def sample_non_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from stratum L (cross pairs not sharing a bucket key)."""
-        if self.num_non_collision_pairs == 0:
-            raise InsufficientSampleError("every cross pair shares a bucket key")
-        rng = ensure_rng(random_state)
-        lefts = []
-        rights = []
-        remaining = sample_size
-        for _attempt in range(max_attempts):
-            batch = max(remaining, 16)
-            left_ids = rng.integers(0, self.left.size, size=batch)
-            right_ids = rng.integers(0, self.right.size, size=batch)
-            keep = ~self.same_bucket_many(left_ids, right_ids)
-            lefts.append(left_ids[keep][:remaining])
-            rights.append(right_ids[keep][:remaining])
-            remaining -= lefts[-1].size
-            if remaining <= 0:
-                return (
-                    np.concatenate(lefts).astype(np.int64),
-                    np.concatenate(rights).astype(np.int64),
-                )
-        raise InsufficientSampleError("could not sample enough stratum-L cross pairs")
+        return sample_rejected_pairs(
+            sample_size, self.num_non_collision_pairs,
+            lambda batch, rng: (
+                rng.integers(0, self.left.size, size=batch),
+                rng.integers(0, self.right.size, size=batch),
+            ),
+            self.same_bucket_many, random_state, max_attempts=max_attempts,
+        )
 
 
 class GeneralRandomPairSampling(SimilarityJoinSizeEstimator):

@@ -42,12 +42,11 @@ import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
 from repro.errors import ValidationError
-from repro.lsh.table import LSHTable
+from repro.lsh.table import LSHTable, PairSource
 from repro.rng import RandomState, ensure_rng
 from repro.sampling.adaptive import AdaptiveSampleResult, adaptive_sample
 from repro.vectors.similarity import cosine_pairs
 
-PairSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 SimilarityEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 Dampening = Union[None, float, Literal["auto"]]

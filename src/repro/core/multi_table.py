@@ -23,7 +23,9 @@ from repro.core.base import Estimate, SimilarityJoinSizeEstimator
 from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import ValidationError
 from repro.lsh.index import LSHIndex
-from repro.lsh.table import LSHTable, sample_uniform_pairs
+from repro.lsh.table import (
+    LSHTable, draw_stratum_pairs, sample_rejected_pairs, sample_uniform_pairs,
+)
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.vectors.similarity import cosine_pairs
 
@@ -129,24 +131,22 @@ class VirtualBucketEstimator(SimilarityJoinSizeEstimator):
     def _sample_virtual_h(
         self, size: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        positions = rng.integers(0, self._virtual_left.size, size=size)
-        return self._virtual_left[positions], self._virtual_right[positions]
+        def draw(count: int, generator: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+            positions = generator.integers(0, self._virtual_left.size, size=count)
+            return self._virtual_left[positions], self._virtual_right[positions]
+
+        return draw_stratum_pairs(size, self.num_virtual_collision_pairs, "H", draw, rng)
 
     def _sample_virtual_l(
         self, size: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        lefts = []
-        rights = []
-        remaining = size
-        # Rejection sampling; the virtual stratum H is a vanishing fraction
-        # of all pairs so acceptance is near 1.
-        while remaining > 0:
-            left, right = sample_uniform_pairs(self.collection.size, max(remaining, 16), rng)
-            keep = ~self.index.same_bucket_any_many(left, right)
-            lefts.append(left[keep][:remaining])
-            rights.append(right[keep][:remaining])
-            remaining -= lefts[-1].size
-        return np.concatenate(lefts), np.concatenate(rights)
+        # the virtual stratum H is a vanishing fraction of all pairs, so
+        # the rejection rate is near 0
+        return sample_rejected_pairs(
+            size, self.collection.total_pairs - self.num_virtual_collision_pairs,
+            lambda batch, generator: sample_uniform_pairs(self.collection.size, batch, generator),
+            self.index.same_bucket_any_many, rng,
+        )
 
     def _estimate(self, threshold: float, *, random_state: RandomState = None) -> Estimate:
         num_virtual = self.num_virtual_collision_pairs

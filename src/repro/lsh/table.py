@@ -14,11 +14,17 @@ that the paper adds to the index, from which it derives:
 
 Buckets are stored in a CSR-like layout (flat member array plus offsets)
 so that pair sampling is fully vectorised.
+
+Both primitives are defined once, here, for every index shape —
+:func:`sample_weighted_bucket_pairs` and :func:`sample_rejected_pairs`,
+with the size and empty-stratum checks in :func:`draw_stratum_pairs`.
+Each shape supplies only its bucket layout or population and its
+collision test.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -174,23 +180,9 @@ class LSHTable:
         InsufficientSampleError
             If no bucket contains two or more vectors (``N_H = 0``).
         """
-        if sample_size < 0:
-            raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
-        if sample_size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        if self._num_collision_pairs == 0:
-            raise InsufficientSampleError(
-                "stratum H is empty: every LSH bucket contains a single vector"
-            )
-        rng = ensure_rng(random_state)
         return sample_weighted_bucket_pairs(
-            self._bucket_counts,
-            self._member_offsets,
-            self._members_flat,
-            self._bucket_pair_counts,
-            sample_size,
-            rng,
+            self._bucket_counts, self._member_offsets, self._members_flat,
+            self._bucket_pair_counts, sample_size, random_state,
         )
 
     def sample_non_collision_pairs(
@@ -199,40 +191,12 @@ class LSHTable:
         """Sample ``sample_size`` uniform pairs from stratum L (SampleL line 3).
 
         Pairs are drawn uniformly from all distinct pairs and rejected
-        when the two vectors share a bucket.  Because stratum H is a tiny
-        fraction of all pairs for any selective ``g``, the rejection rate
-        is negligible; a safety valve raises after ``max_attempts``
-        batches in the degenerate case where nearly all pairs collide.
+        when the two vectors share a bucket (:func:`sample_rejected_pairs`).
         """
-        if sample_size < 0:
-            raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
-        if sample_size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        if self.num_non_collision_pairs == 0:
-            raise InsufficientSampleError(
-                "stratum L is empty: every pair of vectors shares a bucket"
-            )
-        rng = ensure_rng(random_state)
-        lefts = []
-        rights = []
-        remaining = sample_size
-        for _attempt in range(max_attempts):
-            batch = max(remaining, 16)
-            left, right = sample_uniform_pairs(self.num_vectors, batch, rng)
-            keep = ~self.same_bucket_many(left, right)
-            if keep.any():
-                lefts.append(left[keep][:remaining])
-                rights.append(right[keep][:remaining])
-                remaining -= lefts[-1].size
-            if remaining <= 0:
-                return (
-                    np.concatenate(lefts).astype(np.int64),
-                    np.concatenate(rights).astype(np.int64),
-                )
-        raise InsufficientSampleError(
-            "could not sample enough stratum-L pairs; the LSH table groups "
-            "almost every pair into a single bucket (k is far too small)"
+        return sample_rejected_pairs(
+            sample_size, self.num_non_collision_pairs,
+            lambda batch, rng: sample_uniform_pairs(self.num_vectors, batch, rng),
+            self.same_bucket_many, random_state, max_attempts=max_attempts,
         )
 
     # ------------------------------------------------------------------
@@ -303,35 +267,114 @@ class LSHTable:
         )
 
 
+#: draws ``size`` pairs with ``rng``: (left ids, right ids)
+PairSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
+
+_EMPTY_STRATUM = {"H": "no two vectors share a bucket", "L": "every pair shares a bucket"}
+
+
+def draw_stratum_pairs(
+    sample_size: int,
+    stratum_size: int,
+    stratum: str,
+    draw: PairSource,
+    random_state: RandomState = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``draw(sample_size, rng)`` as int64 ids, behind the checks every draw shares.
+
+    A negative size raises :class:`~repro.errors.ValidationError`, size 0
+    returns empty arrays without touching the generator, and an empty
+    stratum (``"H"`` / ``"L"``) raises
+    :class:`~repro.errors.InsufficientSampleError`.
+    """
+    if sample_size < 0:
+        raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
+    if sample_size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    if stratum_size <= 0:
+        raise InsufficientSampleError(f"stratum {stratum} is empty: {_EMPTY_STRATUM[stratum]}")
+    left, right = draw(sample_size, ensure_rng(random_state))
+    return left.astype(np.int64, copy=False), right.astype(np.int64, copy=False)
+
+
 def sample_weighted_bucket_pairs(
     counts: np.ndarray,
     offsets: np.ndarray,
     members_flat: np.ndarray,
     pair_counts: np.ndarray,
     sample_size: int,
-    rng: np.random.Generator,
+    random_state: RandomState = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Uniform pairs from stratum H given a CSR-style bucket layout.
+    """SampleH: uniform pairs from stratum H given a CSR-style bucket layout.
 
-    The SampleH core shared by the static :class:`LSHTable` and the
-    streaming :class:`repro.streaming.MutableLSHTable`: a bucket is
-    chosen with probability proportional to ``C(b_j, 2)`` and two
-    distinct members are drawn uniformly, which yields a uniform sample
-    (with replacement) of all co-bucket pairs.  The caller guarantees
-    ``pair_counts.sum() > 0``.
+    A bucket is chosen with probability proportional to ``C(b_j, 2)`` and
+    two distinct members are drawn uniformly, which yields a uniform
+    sample (with replacement) of all co-bucket pairs.  Shared by every
+    self-join shape: static, streaming and sharded.
     """
-    eligible = np.flatnonzero(pair_counts > 0)
-    weights = pair_counts[eligible].astype(np.float64)
-    weights /= weights.sum()
-    chosen = rng.choice(eligible, size=sample_size, p=weights)
-    sizes = counts[chosen]
-    first_position = (rng.random(sample_size) * sizes).astype(np.int64)
-    second_position = (rng.random(sample_size) * (sizes - 1)).astype(np.int64)
-    second_position = second_position + (second_position >= first_position)
-    starts = offsets[chosen]
-    left = members_flat[starts + first_position]
-    right = members_flat[starts + second_position]
-    return left.astype(np.int64), right.astype(np.int64)
+
+    def draw(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        eligible = np.flatnonzero(pair_counts > 0)
+        weights = pair_counts[eligible].astype(np.float64)
+        weights /= weights.sum()
+        chosen = rng.choice(eligible, size=size, p=weights)
+        sizes = counts[chosen]
+        first_position = (rng.random(size) * sizes).astype(np.int64)
+        second_position = (rng.random(size) * (sizes - 1)).astype(np.int64)
+        second_position = second_position + (second_position >= first_position)
+        starts = offsets[chosen]
+        return members_flat[starts + first_position], members_flat[starts + second_position]
+
+    return draw_stratum_pairs(sample_size, int(pair_counts.sum()), "H", draw, random_state)
+
+
+def sample_rejected_pairs(
+    sample_size: int,
+    stratum_size: int,
+    draw: PairSource,
+    collides: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    random_state: RandomState = None,
+    *,
+    max_attempts: int = 64,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """SampleL: uniform pairs from stratum L (``stratum_size`` = ``N_L``) by rejection.
+
+    ``draw`` proposes uniform pairs of the whole population in batches
+    of ``max(remaining, 16)``; those ``collides`` marks are rejected.
+    Stratum H is a tiny fraction of all pairs for any selective ``g``, so
+    rejections are rare; after ``max_attempts`` batches in the degenerate
+    case :class:`~repro.errors.InsufficientSampleError` is raised.
+    """
+
+    def rejection(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        lefts: List[np.ndarray] = []
+        rights: List[np.ndarray] = []
+        remaining = size
+        for _attempt in range(max_attempts):
+            left, right = draw(max(remaining, 16), rng)
+            keep = ~collides(left, right)
+            lefts.append(left[keep][:remaining])
+            rights.append(right[keep][:remaining])
+            remaining -= lefts[-1].size
+            if remaining <= 0:
+                return np.concatenate(lefts), np.concatenate(rights)
+        raise InsufficientSampleError(
+            "could not sample enough stratum-L pairs; the LSH table groups "
+            "almost every pair into a single bucket (k is far too small)"
+        )
+
+    return draw_stratum_pairs(sample_size, stratum_size, "L", rejection, random_state)
+
+
+def uniform_pairs_of(ids: np.ndarray) -> PairSource:
+    """A pair source of uniform distinct pairs of ``ids`` (a live-id population)."""
+
+    def draw(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        left, right = sample_uniform_pairs(ids.size, size, rng)
+        return ids[left], ids[right]
+
+    return draw
 
 
 def sample_uniform_pairs(
@@ -353,4 +396,7 @@ def sample_uniform_pairs(
     return left.astype(np.int64), right.astype(np.int64)
 
 
-__all__ = ["LSHTable", "sample_uniform_pairs", "sample_weighted_bucket_pairs"]
+__all__ = [
+    "LSHTable", "PairSource", "draw_stratum_pairs", "sample_rejected_pairs",
+    "sample_uniform_pairs", "sample_weighted_bucket_pairs", "uniform_pairs_of",
+]

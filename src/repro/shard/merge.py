@@ -35,13 +35,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
 from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import ValidationError
+from repro.lsh.table import PairSource
 from repro.obs.metrics import MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
 from repro.rng import RandomState, ensure_rng
@@ -51,9 +52,6 @@ if TYPE_CHECKING:  # the router imports this package's index; stay acyclic
     from repro.shard.router import ShardRouter
 
 _MODES = ("auto", "exact", "merged")
-
-#: draws ``size`` pair ids: (left ids, right ids)
-PairSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -141,26 +139,17 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
     # ------------------------------------------------------------------
     # merged-reservoir pair sources
     # ------------------------------------------------------------------
-    def _shard_h_draw(
-        self, shard: IndexShard, count: int, rng: np.random.Generator
+    def _shard_draw(
+        self, shard: IndexShard, stratum: str, count: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``count`` stratum-H pairs from one shard: reservoir, else fresh."""
+        """``count`` intra-shard pairs of stratum ``"h"`` / ``"l"``: reservoir, else fresh."""
         estimator = shard.estimator
-        if estimator is not None and estimator.reservoir_usable("h"):
-            left, right = estimator.reservoir_pairs("h")
+        if estimator is not None and estimator.reservoir_usable(stratum):
+            left, right = estimator.reservoir_pairs(stratum)
             positions = rng.integers(0, left.size, size=count)
             return left[positions], right[positions]
-        return shard.index.sample_collision_pairs(count, random_state=rng)
-
-    def _shard_l_draw(
-        self, shard: IndexShard, count: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``count`` intra-shard stratum-L pairs: reservoir, else fresh."""
-        estimator = shard.estimator
-        if estimator is not None and estimator.reservoir_usable("l"):
-            left, right = estimator.reservoir_pairs("l")
-            positions = rng.integers(0, left.size, size=count)
-            return left[positions], right[positions]
+        if stratum == "h":
+            return shard.index.sample_collision_pairs(count, random_state=rng)
         return shard.index.sample_non_collision_pairs(count, random_state=rng)
 
     def _merged_source_h(self, strata: MergedStrata) -> PairSource:
@@ -173,8 +162,8 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
             right = np.empty(size, dtype=np.int64)
             for shard_id in np.unique(picks):
                 mask = picks == shard_id
-                left[mask], right[mask] = self._shard_h_draw(
-                    self.sharded.shards[int(shard_id)], int(mask.sum()), rng
+                left[mask], right[mask] = self._shard_draw(
+                    self.sharded.shards[int(shard_id)], "h", int(mask.sum()), rng
                 )
             return left, right
 
@@ -200,8 +189,8 @@ class ShardedStreamingEstimator(SimilarityJoinSizeEstimator):
                 mask = picks == component
                 count = int(mask.sum())
                 if component < num_shards:
-                    left[mask], right[mask] = self._shard_l_draw(
-                        self.sharded.shards[int(component)], count, rng
+                    left[mask], right[mask] = self._shard_draw(
+                        self.sharded.shards[int(component)], "l", count, rng
                     )
                 else:
                     i, j = cross_blocks[int(component) - num_shards]

@@ -20,7 +20,12 @@ cosine — with the *merge layer* built in:
   for the same seed**;
 * member lists inside a bucket evolve only through operations on that
   bucket, all routed to one shard in arrival order, so they too match the
-  unsharded index element for element.
+  unsharded index element for element;
+* collision tests and bucket sizes (SampleL rejection, estimator
+  repairs) answer from the facade's own id → bucket-key map, so this
+  class and the process-backed :class:`~repro.cluster.ClusterCoordinator`
+  share one code path that never asks a shard.  SampleH / SampleL
+  themselves are the shared primitives of :mod:`repro.lsh.table`.
 
 Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
 constructed over the facade behaves bit-identically to one constructed
@@ -32,22 +37,20 @@ any bucket at query time.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from numbers import Integral
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import InsufficientSampleError, ValidationError
+from repro.errors import ValidationError
 from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
 from repro.lsh.index import resolve_family
-from repro.lsh.table import sample_uniform_pairs, sample_weighted_bucket_pairs
+from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.shard.partition import (
     Partitioner,
@@ -59,8 +62,8 @@ from repro.shard.partition import (
 from repro.state import StateSpec
 from repro.streaming.estimator import StreamingEstimator
 from repro.streaming.mutable_index import (
+    LiveIds,
     MutableLSHIndex,
-    MutableLSHTable,
     VectorInput,
     claim_vector_id,
     coerce_matrix,
@@ -139,64 +142,30 @@ class PreparedBatch:
 class _MergedPrimaryView:
     """The facade's stand-in for ``index.primary_table``.
 
-    Implements the subset of the :class:`MutableLSHTable` surface the
-    estimators and samplers touch, answering from the owning shards.
+    The part of the :class:`~repro.streaming.mutable_index.MutableLSHTable`
+    surface the estimators and samplers touch: collision tests and bucket
+    sizes, answered from the facade's own id → bucket-key map and bucket
+    references, so no shard is asked — in process or over the wire.
     """
 
     def __init__(self, owner: "ShardedMutableIndex") -> None:
         self._owner = owner
 
-    @property
-    def num_vectors(self) -> int:
-        return self._owner.size
-
-    @property
-    def num_hashes(self) -> int:
-        return self._owner.num_hashes
-
-    @property
-    def num_collision_pairs(self) -> int:
-        return self._owner.num_collision_pairs
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self._owner._bucket_refs)
-
-    @property
-    def bucket_sizes(self) -> np.ndarray:
-        return np.asarray(
-            [count for count, _ in self._owner._bucket_refs.values()], dtype=np.int64
-        )
-
-    def _shard_table(self, vector_id: int) -> MutableLSHTable:
-        return self._owner.shard_of(vector_id).index.primary_table
-
     def signature_key(self, vector_id: int) -> bytes:
-        return self._shard_table(int(vector_id)).signature_key(int(vector_id))
+        try:
+            return self._owner._key_of_id[int(vector_id)]
+        except KeyError:
+            raise ValidationError(f"vector id {vector_id} is not in the table") from None
 
     def bucket_size_of(self, vector_id: int) -> int:
-        return self._shard_table(int(vector_id)).bucket_size_of(int(vector_id))
-
-    def same_bucket(self, u: int, v: int) -> bool:
-        return self.signature_key(u) == self.signature_key(v)
+        return self._owner._bucket_refs[self.signature_key(vector_id)][0]
 
     def same_bucket_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        key = self.signature_key
+        key_of = self._owner._key_of_id
         return np.fromiter(
-            (key(int(u)) == key(int(v)) for u, v in zip(left, right)),
+            (key_of[int(u)] == key_of[int(v)] for u, v in zip(left, right)),
             dtype=bool,
             count=len(left),
-        )
-
-    def sample_collision_pairs(
-        self, sample_size: int, *, random_state: RandomState = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._owner.sample_collision_pairs(sample_size, random_state=random_state)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"MergedPrimaryView(n={self.num_vectors}, "
-            f"buckets={self.num_buckets}, NH={self.num_collision_pairs})"
         )
 
 
@@ -263,11 +232,13 @@ class ShardedMutableIndex:
         for shard_id in range(num_shards):
             self.shards.append(self._new_shard(shard_id, estimator_rngs[shard_id]))
         self._shard_of_id: Dict[int, int] = {}
+        #: live id → primary bucket key; answers the collision tests of
+        #: SampleL and the estimators without asking any shard
+        self._key_of_id: Dict[int, bytes] = {}
         #: primary-table bucket key → [live member count, owning shard];
         #: dict order mirrors the unsharded table's bucket insertion order
         self._bucket_refs: Dict[bytes, List[int]] = {}
-        self._live_ids: List[int] = []
-        self._live_position: Dict[int, int] = {}
+        self._live = LiveIds()
         self._next_id = 0
         self._observers: List[object] = []
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
@@ -388,18 +359,18 @@ class ShardedMutableIndex:
     @property
     def size(self) -> int:
         """Number of live vectors ``n`` across all shards."""
-        return len(self._live_ids)
+        return len(self._live)
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._live_position
+        return vector_id in self._live
 
     @property
     def ids(self) -> np.ndarray:
         """Live vector ids (arbitrary but stable order, as unsharded)."""
-        return np.asarray(self._live_ids, dtype=np.int64)
+        return self._live.array()
 
     @property
     def total_pairs(self) -> int:
@@ -451,14 +422,14 @@ class ShardedMutableIndex:
     # ------------------------------------------------------------------
     def _claim_id(self, vector_id: Optional[int]) -> int:
         vector_id, self._next_id = claim_vector_id(
-            vector_id, self._next_id, self._live_position
+            vector_id, self._next_id, self._live
         )
         return vector_id
 
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
         self._shard_of_id[vector_id] = shard_id
-        self._live_position[vector_id] = len(self._live_ids)
-        self._live_ids.append(vector_id)
+        self._key_of_id[vector_id] = key
+        self._live.add(vector_id)
         ref = self._bucket_refs.get(key)
         if ref is None:
             self._bucket_refs[key] = [1, shard_id]
@@ -603,17 +574,12 @@ class ShardedMutableIndex:
 
     def delete(self, vector_id: int) -> None:
         """Remove a live vector from its owning shard."""
-        if vector_id not in self._live_position:
+        if vector_id not in self._live:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         shard_id = self._shard_of_id.pop(vector_id)
-        shard = self.shards[shard_id]
-        key = shard.index.primary_table.signature_key(vector_id)
-        shard.index.delete(vector_id)
-        position = self._live_position.pop(vector_id)
-        last = self._live_ids.pop()
-        if last != vector_id:
-            self._live_ids[position] = last
-            self._live_position[last] = position
+        key = self._key_of_id.pop(vector_id)
+        self.shards[shard_id].index.delete(vector_id)
+        self._live.remove(vector_id)
         ref = self._bucket_refs[key]
         ref[0] -= 1
         if ref[0] == 0:
@@ -669,57 +635,15 @@ class ShardedMutableIndex:
         self, sample_size: int, *, random_state: RandomState = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from the merged stratum H (SampleH)."""
-        if sample_size < 0:
-            raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
-        if sample_size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        if self.num_collision_pairs == 0:
-            raise InsufficientSampleError(
-                "stratum H is empty: every LSH bucket contains a single vector"
-            )
-        rng = ensure_rng(random_state)
-        counts, offsets, members_flat, pair_counts = self._frozen_layout()
-        return sample_weighted_bucket_pairs(
-            counts, offsets, members_flat, pair_counts, sample_size, rng
-        )
+        return sample_weighted_bucket_pairs(*self._frozen_layout(), sample_size, random_state)
 
     def sample_non_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from the merged stratum L via rejection (SampleL)."""
-        if sample_size < 0:
-            raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
-        if sample_size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        if self.num_non_collision_pairs == 0:
-            raise InsufficientSampleError(
-                "stratum L is empty: every pair of vectors shares a bucket"
-            )
-        rng = ensure_rng(random_state)
-        live = self.ids
-        view = self.primary_table
-        lefts: List[np.ndarray] = []
-        rights: List[np.ndarray] = []
-        remaining = sample_size
-        for _attempt in range(max_attempts):
-            batch = max(remaining, 16)
-            left_pos, right_pos = sample_uniform_pairs(live.size, batch, rng)
-            left, right = live[left_pos], live[right_pos]
-            keep = ~view.same_bucket_many(left, right)
-            if keep.any():
-                lefts.append(left[keep][:remaining])
-                rights.append(right[keep][:remaining])
-                remaining -= lefts[-1].size
-            if remaining <= 0:
-                return (
-                    np.concatenate(lefts).astype(np.int64),
-                    np.concatenate(rights).astype(np.int64),
-                )
-        raise InsufficientSampleError(
-            "could not sample enough stratum-L pairs; the LSH table groups "
-            "almost every pair into a single bucket (k is far too small)"
+        return sample_rejected_pairs(
+            sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
+            self.primary_table.same_bucket_many, random_state, max_attempts=max_attempts,
         )
 
     def _gather_rows_on_shard(
@@ -778,10 +702,15 @@ class ShardedMutableIndex:
     # ------------------------------------------------------------------
     def to_collection(self) -> Tuple[VectorCollection, np.ndarray]:
         """Materialise all live vectors as one collection (facade id order)."""
-        if not self._live_ids:
+        if not self._live:
             raise ValidationError("cannot materialise an empty index as a collection")
         ids = self.ids
         return VectorCollection(self._gather(ids, normalized=False), copy=False), ids
+
+    def _check_shard(self, shard: IndexShard) -> int:
+        """Verify one shard's own bookkeeping; returns its bucket count."""
+        shard.index.check_invariants()
+        return shard.index.primary_table.num_buckets
 
     def check_invariants(self) -> None:
         """Verify the merge bookkeeping against the shards (tests aid)."""
@@ -790,17 +719,22 @@ class ShardedMutableIndex:
                 f"partitioner covers {self.partitioner.num_shards} shards, "
                 f"cluster has {len(self.shards)}"
             )
-        for shard in self.shards:
-            shard.index.check_invariants()
+        total_buckets = sum(self._check_shard(shard) for shard in self.shards)
         if sum(shard.size for shard in self.shards) != self.size:
             raise AssertionError("facade live-id count drifted from the shards")
-        for key, (count, shard_id) in self._bucket_refs.items():
-            members = self.shards[shard_id].index.primary_table.bucket_members_by_key(key)
-            if len(members) != count:
-                raise AssertionError("bucket reference counts drifted from the shards")
-        total_buckets = sum(shard.index.primary_table.num_buckets for shard in self.shards)
         if total_buckets != len(self._bucket_refs):
             raise AssertionError("bucket key registry drifted from the shards")
+        if len(self._key_of_id) != self.size:
+            raise AssertionError("id → bucket-key map drifted from the live set")
+        keys: Dict[int, List[bytes]] = {}
+        counts: Dict[int, List[int]] = {}
+        for key, (count, shard_id) in self._bucket_refs.items():
+            keys.setdefault(shard_id, []).append(key)
+            counts.setdefault(shard_id, []).append(count)
+        for shard_id, shard_keys in keys.items():
+            members = self._bucket_members_on_shard(shard_id, shard_keys)
+            if [len(bucket) for bucket in members] != counts[shard_id]:
+                raise AssertionError("bucket reference counts drifted from the shards")
 
     # ------------------------------------------------------------------
     # snapshot / restore (checkpointing + rebalancing substrate)
@@ -837,8 +771,8 @@ class ShardedMutableIndex:
             num_shards=self.num_shards,
             partitioner=partitioner_state(self.partitioner),
             next_id=self._next_id,
-            live_ids=list(self._live_ids),
-            shard_of=[self._shard_of_id[i] for i in self._live_ids],
+            live_ids=list(self._live),
+            shard_of=[self._shard_of_id[i] for i in self._live],
             bucket_refs=[
                 (key, count, shard_id)
                 for key, (count, shard_id) in self._bucket_refs.items()
@@ -914,13 +848,17 @@ class ShardedMutableIndex:
 
     def _restore_facade_bookkeeping(self, state: Mapping[str, object]) -> None:
         """Restore the merge-layer bookkeeping (shared with the cluster restore)."""
-        self._live_ids = [int(i) for i in state["live_ids"]]
-        self._live_position = {
-            vector_id: position for position, vector_id in enumerate(self._live_ids)
-        }
+        self._live = LiveIds(state["live_ids"])
         self._shard_of_id = {
             int(vector_id): int(shard_id)
             for vector_id, shard_id in zip(state["live_ids"], state["shard_of"])
+        }
+        # id → primary bucket key, read off the shards' primary layouts
+        self._key_of_id = {
+            int(member): bytes(key)
+            for shard_state in state["shards"]
+            for key, members in shard_state["tables"][0]
+            for member in members
         }
         self._bucket_refs = {
             bytes(key): [int(count), int(shard_id)]
@@ -929,20 +867,6 @@ class ShardedMutableIndex:
         self._next_id = int(state["next_id"])
         self._observers = []
         self._frozen = None
-
-    def snapshot(self, path: Union[str, Path]) -> None:
-        """Serialise the whole cluster state to one file."""
-        with open(path, "wb") as handle:
-            pickle.dump(self.to_state(), handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def restore(
-        cls, path: Union[str, Path], *, estimator_seed: RandomState = None
-    ) -> "ShardedMutableIndex":
-        """Revive a cluster from a :meth:`snapshot` file."""
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        return cls.from_state(state, estimator_seed=estimator_seed)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

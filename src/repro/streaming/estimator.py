@@ -47,21 +47,19 @@ from __future__ import annotations
 import math
 from collections import Counter
 from numbers import Integral, Real
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import Estimate, SimilarityJoinSizeEstimator
 from repro.core.lsh_ss import Dampening, LSHSSParameters, estimate_strata
 from repro.errors import InsufficientSampleError, ValidationError
+from repro.lsh.table import PairSource
 from repro.rng import RandomState, ensure_rng, generator_from_state, generator_state
 from repro.state import StateSpec
 from repro.streaming.mutable_index import MutableLSHIndex
 
 _MODES = ("auto", "exact", "reservoir")
-
-#: draws ``size`` pair ids: (left ids, right ids)
-PairSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 
 _OPTIONAL_INT = (type(None), Integral)
 

@@ -17,8 +17,9 @@ the streaming estimators:
   shrinking set of vectors, with stable sequential ids (or caller-assigned
   ids, the substrate of the sharded deployment in :mod:`repro.shard`),
   pooled row storage (:class:`~repro.streaming.rowstore.RowStore`) for
-  fast per-pair cosine evaluation, and the SampleH / SampleL primitives
-  the LSH-SS kernel needs
+  fast per-pair cosine evaluation, and SampleH / SampleL through the
+  shared primitives of :mod:`repro.lsh.table` — it supplies its bucket
+  layout, its :class:`LiveIds` population and its collision test
   (:class:`repro.streaming.estimator.StreamingEstimator` builds on these).
 
 Because signatures are deterministic given the family seed, replaying a
@@ -26,26 +27,28 @@ Because signatures are deterministic given the family seed, replaying a
 exactly the strata sizes (``N_H`` / ``N_L``) a fresh batch build over the
 final collection would produce.
 
-Indexes can be checkpointed with :meth:`MutableLSHIndex.snapshot` and
-revived with :meth:`MutableLSHIndex.restore`: the snapshot serialises the
+Indexes are checkpointed with :meth:`MutableLSHIndex.to_state` and
+revived with :meth:`MutableLSHIndex.from_state`: the state holds the
 rows, the bucket layout (including dict iteration order, so sampling
-draws replay identically), and the hash families themselves.
+draws replay identically), and the hash families themselves.  The one
+snapshot *file* format is the engine bundle
+(:meth:`repro.engine.JoinEstimationEngine.snapshot`).
 """
 
 from __future__ import annotations
 
-import pickle
 from numbers import Integral
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast,
+)
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import InsufficientSampleError, ValidationError
+from repro.errors import ValidationError
 from repro.lsh.families import LSHFamily
 from repro.lsh.index import resolve_family
-from repro.lsh.table import sample_uniform_pairs, sample_weighted_bucket_pairs
+from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.state import StateSpec
 from repro.streaming.rowstore import _MAX_ID, RowStore, pairwise_cosine
@@ -139,8 +142,52 @@ def coerce_matrix(
     return csr
 
 
+class LiveIds:
+    """The live vector ids in swap-pop order: the population SampleL draws from.
+
+    Holders fed the same inserts (appends) and deletes (the last id moves
+    into the freed slot) in the same order hold the same sequence, element
+    for element — a remote shard's coordinator-side copy and its worker's.
+    """
+
+    def __init__(self, ids: Iterable[int] = ()) -> None:
+        self._live_ids: List[int] = [int(i) for i in ids]
+        self._live_position: Dict[int, int] = {
+            vector_id: position for position, vector_id in enumerate(self._live_ids)
+        }
+
+    def add(self, vector_id: int) -> None:
+        self._live_position[vector_id] = len(self._live_ids)
+        self._live_ids.append(vector_id)
+
+    def add_many(self, ids: Iterable[int]) -> None:
+        for vector_id in ids:
+            self.add(int(vector_id))
+
+    def remove(self, vector_id: int) -> None:
+        """Swap-pop ``vector_id`` out (``KeyError`` if it is not live)."""
+        position = self._live_position.pop(vector_id)
+        last = self._live_ids.pop()
+        if last != vector_id:
+            self._live_ids[position] = last
+            self._live_position[last] = position
+
+    def __contains__(self, vector_id: object) -> bool:
+        return vector_id in self._live_position
+
+    def __len__(self) -> int:
+        return len(self._live_ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._live_ids)
+
+    def array(self) -> np.ndarray:
+        """The ids in order as an int64 array."""
+        return np.asarray(self._live_ids, dtype=np.int64)
+
+
 def claim_vector_id(
-    vector_id: Optional[int], next_id: int, live_position: Mapping[int, int]
+    vector_id: Optional[int], next_id: int, live: LiveIds
 ) -> Tuple[int, int]:
     """Validate / assign one vector id; returns ``(vector_id, new_next_id)``.
 
@@ -156,7 +203,7 @@ def claim_vector_id(
             raise ValidationError(
                 f"vector ids must lie in [0, {_MAX_ID}), got {vector_id}"
             )
-        if vector_id in live_position:
+        if vector_id in live:
             raise ValidationError(f"vector id {vector_id} is already in the index")
     return vector_id, max(next_id, vector_id + 1)
 
@@ -320,20 +367,7 @@ class MutableLSHTable:
         self, sample_size: int, *, random_state: RandomState = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample uniform pairs from stratum H (same scheme as the static table)."""
-        if sample_size < 0:
-            raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
-        if sample_size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        if self._num_collision_pairs == 0:
-            raise InsufficientSampleError(
-                "stratum H is empty: every LSH bucket contains a single vector"
-            )
-        rng = ensure_rng(random_state)
-        counts, offsets, members_flat, pair_counts = self._frozen_layout()
-        return sample_weighted_bucket_pairs(
-            counts, offsets, members_flat, pair_counts, sample_size, rng
-        )
+        return sample_weighted_bucket_pairs(*self._frozen_layout(), sample_size, random_state)
 
     # ------------------------------------------------------------------
     # serialisation
@@ -509,8 +543,7 @@ class MutableLSHIndex:
                 family_instance.ensure_initialised(self.dimension)
                 self.tables.append(MutableLSHTable(family_instance))
         self._rows = RowStore(self.dimension)
-        self._live_ids: List[int] = []
-        self._live_position: Dict[int, int] = {}
+        self._live = LiveIds()
         self._next_id = 0
         self._observers: List[object] = []
 
@@ -547,18 +580,18 @@ class MutableLSHIndex:
     @property
     def size(self) -> int:
         """Number of live vectors ``n``."""
-        return len(self._live_ids)
+        return len(self._live)
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._live_position
+        return vector_id in self._live
 
     @property
     def ids(self) -> np.ndarray:
         """Live vector ids (arbitrary but stable order)."""
-        return np.asarray(self._live_ids, dtype=np.int64)
+        return self._live.array()
 
     @property
     def primary_table(self) -> MutableLSHTable:
@@ -612,7 +645,7 @@ class MutableLSHIndex:
 
     def _claim_id(self, vector_id: Optional[int]) -> int:
         vector_id, self._next_id = claim_vector_id(
-            vector_id, self._next_id, self._live_position
+            vector_id, self._next_id, self._live
         )
         return vector_id
 
@@ -637,8 +670,7 @@ class MutableLSHIndex:
         """Insert one already-coerced, already-hashed row (router fast path)."""
         vector_id = self._claim_id(vector_id)
         self._rows.add(vector_id, row)
-        self._live_position[vector_id] = len(self._live_ids)
-        self._live_ids.append(vector_id)
+        self._live.add(vector_id)
         for table, signature in zip(self.tables, signatures):
             table.insert(vector_id, signature)
         for observer in self._observers:
@@ -688,7 +720,7 @@ class MutableLSHIndex:
             if np.unique(ids).size != ids.size:
                 raise ValidationError("vector ids must be unique within a batch")
             for vector_id in ids:
-                claim_vector_id(int(vector_id), self._next_id, self._live_position)
+                claim_vector_id(int(vector_id), self._next_id, self._live)
         # add_many validates the whole batch (range, duplicates) before
         # mutating, so a bad batch leaves the index untouched; only then
         # is _next_id advanced
@@ -697,8 +729,7 @@ class MutableLSHIndex:
             self._next_id = max(self._next_id, int(ids.max()) + 1)
         for position in range(num_rows):
             vector_id = int(ids[position])
-            self._live_position[vector_id] = len(self._live_ids)
-            self._live_ids.append(vector_id)
+            self._live.add(vector_id)
             for table, table_signatures in zip(self.tables, signatures):
                 table.insert(vector_id, table_signatures[position])
             for observer in self._observers:
@@ -707,15 +738,11 @@ class MutableLSHIndex:
 
     def delete(self, vector_id: int) -> None:
         """Remove a live vector by id."""
-        if vector_id not in self._live_position:
+        if vector_id not in self._live:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         for table in self.tables:
             table.delete(vector_id)
-        position = self._live_position.pop(vector_id)
-        last = self._live_ids.pop()
-        if last != vector_id:
-            self._live_ids[position] = last
-            self._live_position[last] = position
+        self._live.remove(vector_id)
         self._rows.remove(vector_id)
         for observer in self._observers:
             observer.on_delete(vector_id)
@@ -750,38 +777,9 @@ class MutableLSHIndex:
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from the primary table's stratum L via rejection (SampleL)."""
-        if sample_size < 0:
-            raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
-        if sample_size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        if self.num_non_collision_pairs == 0:
-            raise InsufficientSampleError(
-                "stratum L is empty: every pair of vectors shares a bucket"
-            )
-        rng = ensure_rng(random_state)
-        live = self.ids
-        table = self.primary_table
-        lefts: List[np.ndarray] = []
-        rights: List[np.ndarray] = []
-        remaining = sample_size
-        for _attempt in range(max_attempts):
-            batch = max(remaining, 16)
-            left_pos, right_pos = sample_uniform_pairs(live.size, batch, rng)
-            left, right = live[left_pos], live[right_pos]
-            keep = ~table.same_bucket_many(left, right)
-            if keep.any():
-                lefts.append(left[keep][:remaining])
-                rights.append(right[keep][:remaining])
-                remaining -= lefts[-1].size
-            if remaining <= 0:
-                return (
-                    np.concatenate(lefts).astype(np.int64),
-                    np.concatenate(rights).astype(np.int64),
-                )
-        raise InsufficientSampleError(
-            "could not sample enough stratum-L pairs; the LSH table groups "
-            "almost every pair into a single bucket (k is far too small)"
+        return sample_rejected_pairs(
+            sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
+            self.primary_table.same_bucket_many, random_state, max_attempts=max_attempts,
         )
 
     # ------------------------------------------------------------------
@@ -794,7 +792,7 @@ class MutableLSHIndex:
         vector whose streaming id is ``ids[i]``.  Used by tests and
         benchmarks to compare against a fresh static build.
         """
-        if not self._live_ids:
+        if not self._live:
             raise ValidationError("cannot materialise an empty index as a collection")
         ids = self.ids
         stacked = self._rows.gather_raw(ids)
@@ -823,7 +821,7 @@ class MutableLSHIndex:
             num_hashes=self.num_hashes,
             num_tables=self.num_tables,
             next_id=self._next_id,
-            live_ids=list(self._live_ids),
+            live_ids=list(self._live),
             rows=self._rows.state(),
             families=self.families,
             tables=[table.bucket_state() for table in self.tables],
@@ -851,10 +849,7 @@ class MutableLSHIndex:
             families=state["families"],
         )
         index._rows = RowStore.from_state(state["rows"])
-        index._live_ids = [int(i) for i in state["live_ids"]]
-        index._live_position = {
-            vector_id: position for position, vector_id in enumerate(index._live_ids)
-        }
+        index._live = LiveIds(state["live_ids"])
         index._next_id = int(state["next_id"])
         for table, buckets in zip(index.tables, tables):
             table.load_bucket_state(buckets)
@@ -870,18 +865,6 @@ class MutableLSHIndex:
             if callable(getattr(observer, "to_state", None))
         )
 
-    def snapshot(self, path: Union[str, Path]) -> None:
-        """Serialise the index to ``path`` (buckets + rows + families)."""
-        with open(path, "wb") as handle:
-            pickle.dump(self.to_state(), handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def restore(cls, path: Union[str, Path]) -> "MutableLSHIndex":
-        """Revive an index from a :meth:`snapshot` file."""
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        return cls.from_state(state)
-
     def check_invariants(self) -> None:
         """Verify bookkeeping across all tables (tests / debugging aid)."""
         for table in self.tables:
@@ -892,7 +875,7 @@ class MutableLSHIndex:
                 )
         if len(self._rows) != self.size:
             raise AssertionError("row storage drifted from live-id bookkeeping")
-        if set(self._rows) != set(self._live_position):
+        if set(self._rows) != set(self._live):
             raise AssertionError("row storage holds a different id set than the index")
         self._rows.check_invariants()
 
@@ -904,6 +887,7 @@ class MutableLSHIndex:
 
 
 __all__ = [
+    "LiveIds",
     "MutableLSHTable",
     "MutableLSHIndex",
     "claim_vector_id",

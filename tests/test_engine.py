@@ -576,12 +576,14 @@ class TestSnapshotRestore:
             small_collection.dimension, num_shards=2, num_hashes=8, random_state=5
         )
         raw_sharded.insert_many(small_collection.matrix)
-        raw_sharded.snapshot(tmp_path / "raw_sharded.pkl")
+        with open(tmp_path / "raw_sharded.pkl", "wb") as handle:
+            pickle.dump(raw_sharded.to_state(), handle)
         raw_streaming = MutableLSHIndex(
             small_collection.dimension, num_hashes=8, random_state=5
         )
         raw_streaming.insert_many(small_collection.matrix)
-        raw_streaming.snapshot(tmp_path / "raw_streaming.pkl")
+        with open(tmp_path / "raw_streaming.pkl", "wb") as handle:
+            pickle.dump(raw_streaming.to_state(), handle)
         for name in ("junk.pkl", "raw_sharded.pkl", "raw_streaming.pkl"):
             with pytest.raises(ValidationError, match="not an engine"):
                 JoinEstimationEngine.restore(tmp_path / name)
@@ -595,9 +597,11 @@ class TestSnapshotRestore:
             with JoinEstimationEngine(config) as engine:
                 engine.ingest(small_collection)
                 engine.snapshot(bundle)
+            with open(bundle, "rb") as handle:
+                state = pickle.load(handle)
             for index_class in (ShardedMutableIndex, MutableLSHIndex):
                 with pytest.raises(ValidationError):
-                    index_class.restore(bundle)
+                    index_class.from_state(state)
 
 
 # ----------------------------------------------------------------------

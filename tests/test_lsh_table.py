@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import PairedLSHTable, VirtualBucketEstimator
 from repro.errors import InsufficientSampleError, ValidationError
-from repro.lsh import LSHTable, SignRandomProjectionFamily
+from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily
 from repro.lsh.table import sample_uniform_pairs
+from repro.shard import ShardedMutableIndex
+from repro.streaming import MutableLSHIndex
 from repro.vectors import VectorCollection
 
 
@@ -101,14 +104,6 @@ class TestCollisionPairSampling:
         assert np.all(duplicate_table.same_bucket_many(left, right))
         assert np.all(left != right)
 
-    def test_sample_size_zero(self, duplicate_table):
-        left, right = duplicate_table.sample_collision_pairs(0)
-        assert left.size == right.size == 0
-
-    def test_negative_sample_size(self, duplicate_table):
-        with pytest.raises(ValidationError):
-            duplicate_table.sample_collision_pairs(-1)
-
     def test_empty_stratum_h_raises(self):
         # orthogonal vectors with many hashes: every bucket is a singleton
         collection = VectorCollection.from_dense(np.eye(6))
@@ -140,14 +135,6 @@ class TestNonCollisionPairSampling:
         assert left.size == 200
         assert not np.any(duplicate_table.same_bucket_many(left, right))
         assert np.all(left != right)
-
-    def test_sample_size_zero(self, duplicate_table):
-        left, right = duplicate_table.sample_non_collision_pairs(0)
-        assert left.size == 0
-
-    def test_negative_sample_size(self, duplicate_table):
-        with pytest.raises(ValidationError):
-            duplicate_table.sample_non_collision_pairs(-3)
 
     def test_degenerate_single_bucket_raises(self):
         collection = VectorCollection.from_dense([[1.0, 0.0]] * 5)
@@ -182,3 +169,68 @@ class TestSampleUniformPairs:
         left, right = sample_uniform_pairs(5, 20000, rng)
         counts = np.bincount(np.concatenate([left, right]), minlength=5)
         assert counts.min() > 0.8 * counts.mean()
+
+
+# ----------------------------------------------------------------------
+# The SampleH / SampleL contract, once for every holder
+# ----------------------------------------------------------------------
+HOLDERS = ("LSHTable", "MutableLSHIndex", "ShardedMutableIndex", "PairedLSHTable", "virtual")
+
+
+def _holder(kind, collection):
+    """``(sample_h, sample_l, owner, attr)``: samplers taking ``(size, rng)``
+    and the attribute SampleL's collision test is looked up on."""
+    family = SignRandomProjectionFamily(6, random_state=3)
+    if kind == "virtual":
+        index = LSHIndex(collection, num_hashes=6, num_tables=2, random_state=3)
+        virtual = VirtualBucketEstimator(index)
+        return virtual._sample_virtual_h, virtual._sample_virtual_l, index, "same_bucket_any_many"
+    if kind == "LSHTable":
+        holder = owner = LSHTable(family, collection)
+    elif kind == "MutableLSHIndex":
+        holder = MutableLSHIndex.from_collection(collection, num_hashes=6, random_state=3)
+        owner = holder.primary_table
+    elif kind == "ShardedMutableIndex":
+        holder = ShardedMutableIndex.from_collection(
+            collection, num_shards=3, num_hashes=6, random_state=3, shard_estimators=False
+        )
+        owner = type(holder.primary_table)  # a fresh view per access
+    else:
+        half = collection.size // 2
+        holder = owner = PairedLSHTable(
+            family,
+            collection.subset(list(range(half))),
+            collection.subset(list(range(half, collection.size))),
+        )
+    return (
+        lambda size, rng: holder.sample_collision_pairs(size, random_state=rng),
+        lambda size, rng: holder.sample_non_collision_pairs(size, random_state=rng),
+        owner,
+        "same_bucket_many",
+    )
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("kind", HOLDERS)
+def test_sampler_contract(kind, small_collection, monkeypatch):
+    """Negative size → ValidationError, size 0 → empty int64 arrays, and a
+    SampleL whose every proposal collides gives up after max_attempts."""
+    sample_h, sample_l, owner, attr = _holder(kind, small_collection)
+    for sample in (sample_h, sample_l):
+        with pytest.raises(ValidationError):
+            sample(-1, np.random.default_rng(0))
+        left, right = sample(0, np.random.default_rng(0))
+        assert left.size == right.size == 0
+        assert left.dtype == right.dtype == np.int64
+    batches = []
+
+    def always_collides(left, right):
+        batches.append(len(left))
+        return np.ones(len(left), dtype=bool)
+
+    monkeypatch.setattr(
+        owner, attr, staticmethod(always_collides) if isinstance(owner, type) else always_collides
+    )
+    with pytest.raises(InsufficientSampleError):
+        sample_l(5, np.random.default_rng(0))
+    assert len(batches) == 64  # the default max_attempts

@@ -239,11 +239,9 @@ class TestRebalance:
         assert plan.moved_keys > 0  # a kind switch reshuffles
         _assert_matches_reference(sharded, reference)
 
-    def test_snapshot_partitioner_kind_round_trips(self, small_collection, churn_log_factory, tmp_path):
+    def test_snapshot_partitioner_kind_round_trips(self, small_collection, churn_log_factory):
         _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
-        path = tmp_path / "cluster.pkl"
-        sharded.snapshot(path)
-        revived = ShardedMutableIndex.restore(path)
+        revived = ShardedMutableIndex.from_state(sharded.to_state())
         assert revived.partitioner == sharded.partitioner
         assert revived.partitioner.kind == "rendezvous"
 
@@ -365,16 +363,14 @@ class TestEstimatorMigration:
         )
         assert merged == pytest.approx(before, rel=0.5)
 
-    def test_sharded_restore_preserves_merged_estimates(self, small_collection, churn_log_factory, tmp_path):
+    def test_sharded_restore_preserves_merged_estimates(self, small_collection, churn_log_factory):
         """The PR-2 bug: restores used to redraw every reservoir.  Now the
         merged (reservoir-pooling) estimate replays bit-identically."""
         _, sharded = _build_pair(
             small_collection, churn_log_factory(small_collection, 400),
             num_shards=3, estimator_kwargs={"reservoir_size": 64}
         )
-        path = tmp_path / "cluster.pkl"
-        sharded.snapshot(path)
-        revived = ShardedMutableIndex.restore(path)
+        revived = ShardedMutableIndex.from_state(sharded.to_state())
         original = ShardedStreamingEstimator(sharded)
         restored = ShardedStreamingEstimator(revived)
         for seed in (1, 42):
@@ -508,8 +504,7 @@ class TestOwnerOverrideFastPath:
         # a full plan realigns every owner with the new partitioner
         assert not sharded._owner_overrides
 
-    def test_flag_set_by_manual_plan_and_restored(self, small_collection,
-                                                  churn_log_factory, tmp_path):
+    def test_flag_set_by_manual_plan_and_restored(self, small_collection, churn_log_factory):
         _, sharded = _build_pair(
             small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
@@ -523,9 +518,7 @@ class TestOwnerOverrideFastPath:
                           total_keys=len(sharded._bucket_refs)),
         )
         assert sharded._owner_overrides  # owners now deviate from the partitioner
-        path = tmp_path / "cluster.pkl"
-        sharded.snapshot(path)
-        revived = ShardedMutableIndex.restore(path)
+        revived = ShardedMutableIndex.from_state(sharded.to_state())
         assert revived._owner_overrides  # restore re-detects the divergence
         # routing still honours the manual owners on both write paths
         for row in range(10):

@@ -390,15 +390,13 @@ class TestMergeLayer:
 
 
 class TestSnapshotRestore:
-    def test_mutable_index_round_trip(self, small_collection, tmp_path):
+    def test_mutable_index_round_trip(self, small_collection):
         index = MutableLSHIndex.from_collection(
             small_collection, num_hashes=NUM_HASHES, num_tables=2, random_state=SEED
         )
         index.delete(3)
         index.insert(small_collection.row(1))
-        path = tmp_path / "index.pkl"
-        index.snapshot(path)
-        revived = MutableLSHIndex.restore(path)
+        revived = MutableLSHIndex.from_state(index.to_state())
         revived.check_invariants()
         assert revived.size == index.size
         assert revived.num_collision_pairs == index.num_collision_pairs
@@ -414,11 +412,9 @@ class TestSnapshotRestore:
         new_id = revived.insert(small_collection.row(0))
         assert new_id == index._next_id
 
-    def test_sharded_round_trip(self, churned_pair, tmp_path):
+    def test_sharded_round_trip(self, churned_pair):
         _, sharded = churned_pair
-        path = tmp_path / "cluster.pkl"
-        sharded.snapshot(path)
-        revived = ShardedMutableIndex.restore(path)
+        revived = ShardedMutableIndex.from_state(sharded.to_state())
         revived.check_invariants()
         assert revived.num_shards == sharded.num_shards
         assert revived.num_collision_pairs == sharded.num_collision_pairs

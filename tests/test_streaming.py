@@ -630,7 +630,7 @@ class TestExternalIdsAndSnapshot:
         assert index.size == 1
         assert index.insert(tiny_collection.row(1)) == 1  # next id not poisoned
 
-    def test_snapshot_preserves_estimates(self, small_collection, tmp_path):
+    def test_snapshot_preserves_estimates(self, small_collection):
         index = MutableLSHIndex.from_collection(
             small_collection, num_hashes=12, random_state=19
         )
@@ -641,9 +641,7 @@ class TestExternalIdsAndSnapshot:
                 index.delete(live.pop(int(rng.integers(0, len(live)))))
             else:
                 live.append(index.insert(small_collection.row(int(rng.integers(0, 100)))))
-        path = tmp_path / "index.pkl"
-        index.snapshot(path)
-        revived = MutableLSHIndex.restore(path)
+        revived = MutableLSHIndex.from_state(index.to_state())
         revived.check_invariants()
         original = StreamingEstimator(index, random_state=0).estimate(
             0.7, random_state=9, mode="exact"
