@@ -104,6 +104,14 @@ class TestCollisionPairSampling:
         assert np.all(duplicate_table.same_bucket_many(left, right))
         assert np.all(left != right)
 
+    def test_sample_size_zero(self, duplicate_table):
+        left, right = duplicate_table.sample_collision_pairs(0)
+        assert left.size == right.size == 0
+
+    def test_negative_sample_size(self, duplicate_table):
+        with pytest.raises(ValidationError):
+            duplicate_table.sample_collision_pairs(-1)
+
     def test_empty_stratum_h_raises(self):
         # orthogonal vectors with many hashes: every bucket is a singleton
         collection = VectorCollection.from_dense(np.eye(6))
@@ -135,6 +143,14 @@ class TestNonCollisionPairSampling:
         assert left.size == 200
         assert not np.any(duplicate_table.same_bucket_many(left, right))
         assert np.all(left != right)
+
+    def test_sample_size_zero(self, duplicate_table):
+        left, right = duplicate_table.sample_non_collision_pairs(0)
+        assert left.size == 0
+
+    def test_negative_sample_size(self, duplicate_table):
+        with pytest.raises(ValidationError):
+            duplicate_table.sample_non_collision_pairs(-3)
 
     def test_degenerate_single_bucket_raises(self):
         collection = VectorCollection.from_dense([[1.0, 0.0]] * 5)
