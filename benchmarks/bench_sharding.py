@@ -84,7 +84,7 @@ def _sharded_ingest_times(matrix, num_shards: int) -> Tuple[float, float]:
             continue
         sub_ids = batch.ids[rows]
         sub_csr = batch.csr[rows]
-        sub_signatures = [signatures[rows] for signatures in batch.signatures]
+        sub_signatures = batch.signatures[rows]
         start = time.perf_counter()
         shard.index.insert_many_prepared(sub_ids, sub_csr, sub_signatures)
         shard_seconds.append(time.perf_counter() - start)

@@ -112,7 +112,6 @@ class ProcessBackend(ShardedBackend):
             self.config.dimension,
             num_shards=int(options.get("num_shards", 4)),
             num_hashes=self.config.num_hashes,
-            num_tables=self.config.num_tables,
             family=self.config.family,
             random_state=self.config.seed + 1,
             partitioner=options.get("partitioner", "modulo"),

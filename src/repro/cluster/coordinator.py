@@ -13,7 +13,7 @@ keeps the exact-mode estimates of a process cluster bit-identical to an
 unsharded estimator for the same seed:
 
 * hashing and partitioning stay on the coordinator (it owns the hash
-  families; workers receive already-hashed batch slices), so ids, bucket
+  family; workers receive already-hashed batch slices), so ids, bucket
   keys, and shard targets are assigned exactly as in process;
 * the merge layer's remote touch points —
   :meth:`_bucket_members_on_shard`, :meth:`_gather_rows_on_shard`, and
@@ -71,7 +71,7 @@ from repro.shard.sharded_index import (
     PreparedBatch,
     ShardedMutableIndex,
 )
-from repro.streaming.mutable_index import INDEX_STATE, LiveIds, restore_estimator_states
+from repro.streaming.mutable_index import LiveIds, restore_estimator_states
 
 DEFAULT_REQUEST_TIMEOUT = 120.0
 DEFAULT_SPAWN_TIMEOUT = 120.0
@@ -239,18 +239,6 @@ class RemoteIndexProxy:
 
     # -- statistics (coordinator-local) --------------------------------
     @property
-    def dimension(self) -> int:
-        return self._owner.dimension
-
-    @property
-    def num_hashes(self) -> int:
-        return self._owner.num_hashes
-
-    @property
-    def num_tables(self) -> int:
-        return self._owner.num_tables
-
-    @property
     def size(self) -> int:
         return len(self._live)
 
@@ -295,28 +283,19 @@ class RemoteIndexProxy:
         self._apply_stats(reply)
 
     # -- mutation -------------------------------------------------------
-    def _insert_prepared(self, vector_id: int, row: Any, signatures: Any) -> int:
-        reply = self._handle.request(
-            "insert_prepared",
-            {
-                "ids": np.asarray([int(vector_id)], dtype=np.int64),
-                "csr": row,
-                "signatures": [np.asarray(signature)[None, :] for signature in signatures],
-            },
-        )
-        self._live.add(int(vector_id))
-        self._apply_stats(reply)
-        # ingest accounting draws on the reply meta's handler wall time;
-        # only insert ops count (delete/check report seconds too now)
-        self.worker_ingest_seconds += self._handle.last_op_seconds
+    def _insert_prepared(self, vector_id: int, row: Any, signature: Any) -> int:
+        ids = np.asarray([int(vector_id)], dtype=np.int64)
+        self.insert_many_prepared(ids, row, np.asarray(signature)[None, :])
         return int(vector_id)
 
     def insert_many_prepared(self, ids: Any, csr: Any, signatures: Any) -> np.ndarray:
         reply = self._handle.request(
-            "insert_prepared", {"ids": ids, "csr": csr, "signatures": list(signatures)}
+            "insert_prepared", {"ids": ids, "csr": csr, "signatures": signatures}
         )
         self._live.add_many(ids)
         self._apply_stats(reply)
+        # ingest accounting draws on the reply meta's handler wall time;
+        # only insert ops count (delete/check report seconds too now)
         self.worker_ingest_seconds += self._handle.last_op_seconds
         return ids
 
@@ -444,7 +423,6 @@ class ClusterCoordinator(ShardedMutableIndex):
         *,
         num_shards: int = 4,
         num_hashes: int = 20,
-        num_tables: int = 1,
         family: Any = "cosine",
         random_state: RandomState = None,
         partitioner: Any = "modulo",
@@ -476,7 +454,6 @@ class ClusterCoordinator(ShardedMutableIndex):
                 dimension,
                 num_shards=num_shards,
                 num_hashes=num_hashes,
-                num_tables=num_tables,
                 family=family,
                 random_state=random_state,
                 partitioner=partitioner,
@@ -728,8 +705,7 @@ class ClusterCoordinator(ShardedMutableIndex):
                     "shard_id": shard_id,
                     "dimension": self.dimension,
                     "num_hashes": self.num_hashes,
-                    "num_tables": self.num_tables,
-                    "families": self.families,
+                    "family": self.family,
                     "shard_estimators": self._shard_estimators,
                     "estimator_kwargs": self._estimator_kwargs,
                     "estimator_rng": estimator_rng,
@@ -796,9 +772,7 @@ class ClusterCoordinator(ShardedMutableIndex):
                 payload = {
                     "ids": batch.ids[rows],
                     "csr": batch.csr[rows],
-                    "signatures": [
-                        table_signatures[rows] for table_signatures in batch.signatures
-                    ],
+                    "signatures": batch.signatures[rows],
                 }
                 jobs.append((shard, payload))
             for shard, payload in jobs:
@@ -864,9 +838,6 @@ class ClusterCoordinator(ShardedMutableIndex):
         shipped to a fresh worker), and vice versa.
         """
         SHARDED_STATE.check(state)
-        for shard_state in state["shards"]:
-            # read here (families, primary layout) before the workers see them
-            INDEX_STATE.check(shard_state)
         cluster = cls.__new__(cls)
         cluster._init_cluster_plumbing(
             addresses=addresses,
@@ -883,9 +854,9 @@ class ClusterCoordinator(ShardedMutableIndex):
                     f"got {len(cluster._addresses)} worker addresses for a "
                     f"{num_shards}-shard snapshot"
                 )
+            # checks every shard state (family, one table) before any worker
             cluster._restore_facade_fields(state)
             shard_states = state["shards"]
-            cluster.families = shard_states[0]["families"] if shard_states else []
             estimator_rngs = spawn(ensure_rng(estimator_seed), num_shards)
             cluster.shards = []
             for shard_id, shard_state in enumerate(shard_states):

@@ -39,7 +39,9 @@ from repro.errors import ClusterError, ReproError, ValidationError, WorkerCrashE
 #: 2: messages gained an optional third ``meta`` element (trace context
 #: on requests; op timing and spans on replies).
 #: 3: ``meta`` is mandatory; the 2-tuple frame is refused.
-PROTOCOL_VERSION = 3
+#: 4: one LSH table per shard — ``configure`` ships one ``family`` and
+#: ``insert_prepared`` one ``(rows, k)`` signature array.
+PROTOCOL_VERSION = 4
 
 #: refuse frames beyond this size (corrupt length prefix / runaway state)
 MAX_FRAME_BYTES = 4 << 30

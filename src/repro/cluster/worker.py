@@ -2,7 +2,7 @@
 
 A worker owns exactly one shard of a multi-process cluster: a
 :class:`~repro.streaming.mutable_index.MutableLSHIndex` (sharing the
-coordinator's hash families, shipped at configure time, so every worker
+coordinator's hash family, shipped at configure time, so every worker
 hashes identically) plus an optional locally repaired
 :class:`~repro.streaming.estimator.StreamingEstimator`.  It speaks the
 length-prefixed pickle protocol of :mod:`repro.cluster.transport` and
@@ -10,10 +10,10 @@ understands a small op set, all of whose payloads are the library's
 existing serialisations:
 
 =====================  ====================================================
-``configure``          build an empty index from families + estimator spec
+``configure``          build an empty index from the family + estimator spec
 ``restore``            revive the index from a ``to_state`` snapshot
 ``snapshot``           return the index ``to_state`` (estimators embedded)
-``insert_prepared``    apply a routed batch slice (ids, CSR rows, signatures)
+``insert_prepared``    apply a routed batch slice (ids, CSR rows, one ``(rows, k)`` array)
 ``delete``             delete one id
 ``bucket_members``     member lists for a batch of owned bucket keys
 ``gather_rows``        (normalized) CSR rows for a batch of ids
@@ -130,8 +130,7 @@ class ShardWorker:
         self.index = MutableLSHIndex(
             int(payload["dimension"]),
             num_hashes=int(payload["num_hashes"]),
-            num_tables=int(payload["num_tables"]),
-            families=payload["families"],
+            family=payload["family"],
         )
         if payload.get("shard_estimators"):
             self.estimator = StreamingEstimator(

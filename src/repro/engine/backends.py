@@ -129,16 +129,17 @@ class EstimatorBackend(abc.ABC):
 
     Subclasses declare ``OPTIONS`` (the ``EngineConfig.options`` keys
     they understand — validated at config time) and ``CAPABILITIES``
-    (informational tags such as ``"mutable"`` / ``"rebalance"``), and are
-    constructed *closed*: the engine calls :meth:`open` exactly once
-    before any other method.
+    (tags such as ``"mutable"`` / ``"rebalance"``; ``"multi-table"`` is
+    the one :class:`EngineConfig` checks: without it ``num_tables``
+    must be 1), and are constructed *closed*: the engine calls
+    :meth:`open` exactly once before any other method.
     """
 
     #: registered kind string (set by :func:`register_backend`)
     kind: ClassVar[str] = "abstract"
     #: option keys this backend accepts in ``EngineConfig.options``
     OPTIONS: ClassVar[FrozenSet[str]] = frozenset()
-    #: informational capability tags ("mutable", "rebalance", …)
+    #: capability tags ("mutable", "rebalance", "multi-table", …)
     CAPABILITIES: ClassVar[FrozenSet[str]] = frozenset()
 
     def __init__(self, config: EngineConfig) -> None:
@@ -286,7 +287,7 @@ class StaticBackend(EstimatorBackend):
     """
 
     OPTIONS = frozenset({"estimator", "estimator_kwargs"})
-    CAPABILITIES = frozenset({"multi-estimator", "concurrent-read"})
+    CAPABILITIES = frozenset({"multi-estimator", "multi-table", "concurrent-read"})
     STATE = StateSpec(
         "a 'static' backend snapshot",
         {"matrix": (sparse.spmatrix, type(None))},
@@ -485,7 +486,6 @@ class StreamingBackend(EstimatorBackend):
         self._index = MutableLSHIndex(
             self.config.dimension,
             num_hashes=self.config.num_hashes,
-            num_tables=self.config.num_tables,
             family=self.config.family,
             random_state=self.config.seed + 1,
         )
@@ -631,7 +631,6 @@ class ShardedBackend(EstimatorBackend):
             self.config.dimension,
             num_shards=options.get("num_shards", 4),
             num_hashes=self.config.num_hashes,
-            num_tables=self.config.num_tables,
             family=self.config.family,
             random_state=self.config.seed + 1,
             partitioner=options.get("partitioner", "modulo"),

@@ -2,9 +2,10 @@
 
 An :class:`EngineConfig` is the single construction ritual for every
 deployment shape: it names the LSH parameters shared by all backends
-(``family``, ``num_hashes``, ``num_tables``, ``seed``), the backend
-``kind`` (``"static"``, ``"streaming"``, ``"sharded"``, or anything
-registered via :func:`repro.engine.backends.register_backend`), and the
+(``family``, ``num_hashes``, ``seed``, and ``num_tables``, which only the
+static backend lets exceed 1), the backend ``kind`` (``"static"``,
+``"streaming"``, ``"sharded"``, or anything registered via
+:func:`repro.engine.backends.register_backend`), and the
 backend-specific ``options``.  Every field is a JSON-compatible scalar or
 mapping, so configs round-trip losslessly through
 :meth:`~EngineConfig.to_dict` / :meth:`~EngineConfig.from_dict` and
@@ -50,8 +51,10 @@ class EngineConfig:
         LSH family *name* (``"cosine"`` / ``"jaccard"``; classes are not
         allowed here so configs stay JSON round-trippable).
     num_hashes / num_tables:
-        ``k`` hash functions per table and ``ℓ`` tables, as everywhere
-        else in the library.
+        ``k`` hash functions per table and ``ℓ`` tables.  ``ℓ > 1`` is
+        static-only (the ``"multi-table"`` capability): the mutable
+        backends hold one table, so validation refuses a config, config
+        file or engine bundle asking them for more.
     seed:
         Root seed of the determinism contract (see module docstring).
     dimension:
@@ -100,6 +103,11 @@ class EngineConfig:
             raise ValidationError(f"num_hashes (k) must be >= 1, got {self.num_hashes}")
         if self.num_tables < 1:
             raise ValidationError(f"num_tables (ℓ) must be >= 1, got {self.num_tables}")
+        if self.num_tables != 1 and "multi-table" not in backend_class.CAPABILITIES:
+            raise ValidationError(
+                f"backend {self.backend!r} holds one LSH table; num_tables (ℓ) must "
+                f"be 1, got {self.num_tables} (ℓ > 1 needs the 'static' backend)"
+            )
         if self.dimension is not None:
             if not isinstance(self.dimension, int) or isinstance(self.dimension, bool):
                 raise ValidationError(f"dimension must be an int, got {self.dimension!r}")

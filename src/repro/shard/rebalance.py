@@ -10,10 +10,13 @@ with their member lists and rows — between shards.  This module does that
   :meth:`~repro.streaming.mutable_index.MutableLSHIndex.to_state`
   snapshots: the first filters a shard's state by a bucket-key
   predicate into a *remaining* state and a picklable *migration
-  payload* (rows, per-table bucket fragments, moved-pair counts); the
-  second splices a payload into another shard's state.  Payloads are
+  payload* (rows, whole buckets, moved-pair counts); the second splices
+  a payload into another shard's state.  A shard holds one table, so
+  moving a key moves its whole bucket and nothing else.  Payloads are
   plain picklable dicts, so a key range can be shipped to a shard on
-  another node exactly like a checkpoint can.
+  another node exactly like a checkpoint can.  They keep the snapshot's
+  list-valued ``tables`` key (one element, with ``num_tables: 1``); a
+  state or payload with more tables is refused.
 * :func:`plan_rebalance` diffs the facade's live bucket owners against
   a target partitioner in one vectorised pass and returns a
   :class:`RebalancePlan` of :class:`KeyMove` entries.
@@ -51,6 +54,7 @@ from repro.shard.partition import (
 )
 from repro.shard.sharded_index import ShardedMutableIndex
 from repro.state import StateSpec
+from repro.streaming.mutable_index import check_index_state
 from repro.streaming.rowstore import ROW_STORE_STATE
 
 _MIGRATION_STATE = StateSpec(
@@ -80,12 +84,13 @@ def _split_index_state_groups(
     :func:`apply_plan`: a source shard shipping keys to many targets is
     scanned and copied once, not once per target.
     """
+    check_index_state(state)
     key_group: Dict[bytes, object] = {}
     for group, keys in groups.items():
         for key in keys:
             key_group[bytes(key)] = group
-    primary = state["tables"][0]
-    present = {key for key, _ in primary}
+    (buckets,) = state["tables"]
+    present = {key for key, _ in buckets}
     missing = set(key_group) - present
     if missing:
         raise ValidationError(
@@ -94,43 +99,17 @@ def _split_index_state_groups(
     moved_buckets: Dict[object, List[Tuple[bytes, List[int]]]] = {g: [] for g in groups}
     collision_pairs: Dict[object, int] = {g: 0 for g in groups}
     id_group: Dict[int, object] = {}
-    for key, members in primary:
+    remaining_buckets: List[Tuple[bytes, List[int]]] = []
+    for key, members in buckets:
         group = key_group.get(key)
         if group is None:
+            remaining_buckets.append((key, members))
             continue
         bucket = [int(member) for member in members]
         moved_buckets[group].append((key, bucket))
         collision_pairs[group] += len(bucket) * (len(bucket) - 1) // 2
         for member in bucket:
             id_group[member] = group
-    remaining_tables: List[List[Tuple[bytes, List[int]]]] = []
-    fragments: Dict[object, List[List[Tuple[bytes, List[int]]]]] = {g: [] for g in groups}
-    for position, buckets in enumerate(state["tables"]):
-        if position == 0:
-            remaining_tables.append([(k, m) for k, m in buckets if k not in key_group])
-            for group in groups:
-                fragments[group].append(moved_buckets[group])
-            continue
-        # non-primary tables key on their own signatures: buckets there
-        # may split — keep member order on all sides
-        remaining: List[Tuple[bytes, List[int]]] = []
-        table_fragments: Dict[object, List[Tuple[bytes, List[int]]]] = {g: [] for g in groups}
-        for key, members in buckets:
-            kept: List[int] = []
-            split: Dict[object, List[int]] = {}
-            for member in members:
-                group = id_group.get(int(member))
-                if group is None:
-                    kept.append(member)
-                else:
-                    split.setdefault(group, []).append(member)
-            if kept:
-                remaining.append((key, kept))
-            for group, moved in split.items():
-                table_fragments[group].append((key, moved))
-        remaining_tables.append(remaining)
-        for group in groups:
-            fragments[group].append(table_fragments[group])
     kept_live: List[int] = []
     moved_live: Dict[object, List[int]] = {g: [] for g in groups}
     for vector_id in state["live_ids"]:
@@ -160,15 +139,15 @@ def _split_index_state_groups(
     remaining_state = dict(state)
     remaining_state["live_ids"] = kept_live
     remaining_state["rows"] = select_rows(kept_live)
-    remaining_state["tables"] = remaining_tables
+    remaining_state["tables"] = [remaining_buckets]
     payloads = {
         group: _MIGRATION_STATE.dump(
             dimension=state["dimension"],
             num_hashes=state["num_hashes"],
-            num_tables=state["num_tables"],
+            num_tables=1,
             ids=moved_live[group],
             rows=select_rows(moved_live[group]),
-            tables=fragments[group],
+            tables=[moved_buckets[group]],
             collision_pairs=collision_pairs[group],
         )
         for group in groups
@@ -179,12 +158,12 @@ def _split_index_state_groups(
 def split_index_state(
     state: Mapping[str, object], keys: Iterable[bytes]
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """Split a shard snapshot by primary bucket key.
+    """Split a shard snapshot by bucket key.
 
     Returns ``(remaining_state, payload)``: the snapshot with the
     selected buckets (and every vector they contain) removed, and a
     picklable migration payload for :func:`splice_index_state`.  The
-    selected keys must all be live primary buckets.  Bucket member
+    selected keys must all be live buckets.  Bucket member
     lists and live-id order are preserved on both sides, which is what
     keeps the facade's merged SampleH layout — and therefore exact-mode
     estimates — bit-identical across a migration.
@@ -198,12 +177,17 @@ def splice_index_state(
 ) -> Dict[str, object]:
     """Merge a :func:`split_index_state` payload into a shard snapshot.
 
-    Migrated primary buckets are appended whole (their keys cannot
-    already live here — a bucket has exactly one owner); non-primary
-    fragments extend existing buckets or open new ones.
+    Migrated buckets are appended whole, in payload order (their keys
+    cannot already live here — a bucket has exactly one owner).
     """
+    check_index_state(state)
     _MIGRATION_STATE.check(payload)
-    for field_name in ("dimension", "num_hashes", "num_tables"):
+    if payload["num_tables"] != 1 or len(payload["tables"]) != 1:
+        _MIGRATION_STATE.refuse(
+            f"{len(payload['tables'])} table fragments for "
+            f"num_tables={payload['num_tables']}; a shard holds exactly one table"
+        )
+    for field_name in ("dimension", "num_hashes"):
         if int(payload[field_name]) != int(state[field_name]):
             raise ValidationError(
                 f"payload {field_name}={payload[field_name]} does not match "
@@ -216,27 +200,17 @@ def splice_index_state(
         raise ValidationError(
             f"{len(duplicate)} migrating vector id(s) already live in the target"
         )
-    merged_tables: List[List[Tuple[bytes, List[int]]]] = []
-    for position, (buckets, fragment) in enumerate(zip(state["tables"], payload["tables"])):
-        merged = [(key, list(members)) for key, members in buckets]
-        if position == 0:
-            taken = {key for key, _ in merged}
-            straddle = [key for key, _ in fragment if key in taken]
-            if straddle:
-                raise ValidationError(
-                    f"{len(straddle)} migrating bucket key(s) already live in the "
-                    "target shard; a bucket must have exactly one owner"
-                )
-            merged.extend((key, list(members)) for key, members in fragment)
-        else:
-            index_of = {key: position_ for position_, (key, _) in enumerate(merged)}
-            for key, members in fragment:
-                slot = index_of.get(key)
-                if slot is None:
-                    merged.append((key, list(members)))
-                else:
-                    merged[slot][1].extend(members)
-        merged_tables.append(merged)
+    (buckets,), (arriving_buckets,) = state["tables"], payload["tables"]
+    taken = {key for key, _ in buckets}
+    straddle = [key for key, _ in arriving_buckets if key in taken]
+    if straddle:
+        raise ValidationError(
+            f"{len(straddle)} migrating bucket key(s) already live in the "
+            "target shard; a bucket must have exactly one owner"
+        )
+    merged_buckets = [
+        (key, list(members)) for key, members in (*buckets, *arriving_buckets)
+    ]
     target_rows = state["rows"]
     payload_rows = payload["rows"]
     merged_rows = ROW_STORE_STATE.dump(
@@ -251,7 +225,7 @@ def splice_index_state(
     merged_state = dict(state)
     merged_state["live_ids"] = [int(i) for i in state["live_ids"]] + arriving
     merged_state["rows"] = merged_rows
-    merged_state["tables"] = merged_tables
+    merged_state["tables"] = [merged_buckets]
     if arriving:
         merged_state["next_id"] = max(int(state["next_id"]), max(arriving) + 1)
     return merged_state

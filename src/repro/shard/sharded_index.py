@@ -3,7 +3,7 @@
 :class:`ShardedMutableIndex` partitions the bucket-key space of a
 :class:`~repro.streaming.mutable_index.MutableLSHIndex` across ``S``
 shards.  Every shard wraps its own ``MutableLSHIndex`` (sharing the *same*
-hash-family instances, so all shards hash identically) plus an optional
+hash-family instance, so all shards hash identically) plus an optional
 per-shard :class:`~repro.streaming.estimator.StreamingEstimator` whose
 reservoirs are repaired locally as mutations arrive.
 
@@ -49,7 +49,6 @@ from repro.errors import ValidationError
 from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
-from repro.lsh.index import resolve_family
 from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.shard.partition import (
@@ -65,6 +64,8 @@ from repro.streaming.mutable_index import (
     LiveIds,
     MutableLSHIndex,
     VectorInput,
+    bind_family,
+    check_index_state,
     claim_vector_id,
     coerce_matrix,
     coerce_row,
@@ -127,11 +128,11 @@ class IndexShard:
 
 @dataclass
 class PreparedBatch:
-    """A routed insert batch: coerced rows, signatures, and shard targets."""
+    """A routed insert batch: coerced rows, ``(rows, k)`` signatures, shard targets."""
 
     ids: np.ndarray
     csr: sparse.csr_matrix
-    signatures: List[np.ndarray]
+    signatures: np.ndarray
     keys: List[bytes]
     shard_ids: np.ndarray
 
@@ -174,10 +175,10 @@ class ShardedMutableIndex:
 
     Parameters
     ----------
-    dimension, num_hashes, num_tables, family, random_state:
+    dimension, num_hashes, family, random_state:
         As in :class:`~repro.streaming.mutable_index.MutableLSHIndex`;
-        the hash families are drawn once with exactly the same generator
-        sequence, so an unsharded index with the same seed hashes (and
+        the one hash family, shared by every shard, is drawn exactly as
+        there, so an unsharded index with the same seed hashes (and
         therefore buckets) every vector identically.
     num_shards:
         ``S`` — number of shards.
@@ -202,7 +203,6 @@ class ShardedMutableIndex:
         *,
         num_shards: int = 4,
         num_hashes: int = 20,
-        num_tables: int = 1,
         family: Union[str, Type[LSHFamily]] = "cosine",
         random_state: RandomState = None,
         partitioner: Union[str, Partitioner, type] = "modulo",
@@ -211,20 +211,13 @@ class ShardedMutableIndex:
     ) -> None:
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
-        if num_tables < 1:
-            raise ValidationError(f"num_tables (ℓ) must be >= 1, got {num_tables}")
         self.dimension = int(dimension)
         self.num_hashes = int(num_hashes)
-        self.num_tables = int(num_tables)
         self.partitioner = resolve_partitioner(partitioner, num_shards)
-        # identical family-draw sequence to an unsharded MutableLSHIndex
-        family_class = resolve_family(family)
+        # identical family draw to an unsharded MutableLSHIndex; the
+        # per-shard estimator generators come next from the same stream
         rng = ensure_rng(random_state)
-        self.families: List[LSHFamily] = []
-        for child in spawn(rng, num_tables):
-            family_instance = family_class(self.num_hashes, random_state=child)
-            family_instance.ensure_initialised(self.dimension)
-            self.families.append(family_instance)
+        self.family = bind_family(family, self.num_hashes, self.dimension, rng)
         self._shard_estimators = bool(shard_estimators)
         self._estimator_kwargs = dict(estimator_kwargs or {})
         self.shards: List[IndexShard] = []
@@ -232,10 +225,10 @@ class ShardedMutableIndex:
         for shard_id in range(num_shards):
             self.shards.append(self._new_shard(shard_id, estimator_rngs[shard_id]))
         self._shard_of_id: Dict[int, int] = {}
-        #: live id → primary bucket key; answers the collision tests of
+        #: live id → bucket key; answers the collision tests of
         #: SampleL and the estimators without asking any shard
         self._key_of_id: Dict[int, bytes] = {}
-        #: primary-table bucket key → [live member count, owning shard];
+        #: bucket key → [live member count, owning shard];
         #: dict order mirrors the unsharded table's bucket insertion order
         self._bucket_refs: Dict[bytes, List[int]] = {}
         self._live = LiveIds()
@@ -282,7 +275,6 @@ class ShardedMutableIndex:
         *,
         num_shards: int = 4,
         num_hashes: int = 20,
-        num_tables: int = 1,
         family: Union[str, Type[LSHFamily]] = "cosine",
         random_state: RandomState = None,
         **kwargs: Any,
@@ -292,7 +284,6 @@ class ShardedMutableIndex:
             collection.dimension,
             num_shards=num_shards,
             num_hashes=num_hashes,
-            num_tables=num_tables,
             family=family,
             random_state=random_state,
             **kwargs,
@@ -304,13 +295,8 @@ class ShardedMutableIndex:
     # shard management (construction + rebalance substrate)
     # ------------------------------------------------------------------
     def _new_shard(self, shard_id: int, estimator_rng: RandomState = None) -> IndexShard:
-        """An empty shard sharing the cluster's families (hashing identically)."""
-        index = MutableLSHIndex(
-            self.dimension,
-            num_hashes=self.num_hashes,
-            num_tables=self.num_tables,
-            families=self.families,
-        )
+        """An empty shard sharing the cluster's family (hashing identically)."""
+        index = MutableLSHIndex(self.dimension, num_hashes=self.num_hashes, family=self.family)
         estimator = None
         if self._shard_estimators:
             estimator = StreamingEstimator(
@@ -390,7 +376,7 @@ class ShardedMutableIndex:
 
     @property
     def primary_table(self) -> _MergedPrimaryView:
-        """Merged view of the ``S`` primary tables (estimator compatibility)."""
+        """Merged view of the ``S`` shard tables (estimator compatibility)."""
         return _MergedPrimaryView(self)
 
     def shard_of(self, vector_id: int) -> IndexShard:
@@ -477,11 +463,11 @@ class ShardedMutableIndex:
     def insert(self, vector: VectorInput, *, vector_id: Optional[int] = None) -> int:
         """Route one vector to its owning shard; returns the global id."""
         row = coerce_row(vector, self.dimension)
-        signatures = [family.hash_matrix(row)[0] for family in self.families]
+        signature = self.family.hash_matrix(row)[0]
         vector_id = self._claim_id(vector_id)
-        key = signature_bucket_key(signatures[0], self.num_hashes)
+        key = signature_bucket_key(signature, self.num_hashes)
         shard_id = self._owning_shard(key)
-        self.shards[shard_id].index._insert_prepared(vector_id, row, signatures)
+        self.shards[shard_id].index._insert_prepared(vector_id, row, signature)
         self._track_insert(vector_id, key, shard_id)
         for observer in self._observers:
             observer.on_insert(vector_id)
@@ -494,7 +480,7 @@ class ShardedMutableIndex:
         vector_ids: Optional[Sequence[int]] = None,
         coerced: bool = False,
     ) -> PreparedBatch:
-        """Coerce, hash (one batch product per table), and route a batch.
+        """Coerce, hash (one batch product), and route a batch.
 
         Ids are claimed here; apply the batch with :meth:`commit_batch`.
         ``coerced=True`` skips re-canonicalisation for input that is
@@ -504,7 +490,7 @@ class ShardedMutableIndex:
         """
         csr = matrix if coerced else coerce_matrix(matrix, self.dimension)
         num_rows = csr.shape[0]
-        signatures = [family.hash_matrix(csr) for family in self.families]
+        signatures = np.ascontiguousarray(self.family.hash_matrix(csr))
         if vector_ids is None:
             ids = np.arange(self._next_id, self._next_id + num_rows, dtype=np.int64)
             self._next_id += num_rows
@@ -515,9 +501,8 @@ class ShardedMutableIndex:
             if np.unique(ids).size != ids.size:
                 raise ValidationError("vector ids must be unique within a batch")
             ids = np.array([self._claim_id(int(i)) for i in ids], dtype=np.int64)
-        primary = np.ascontiguousarray(signatures[0])
-        keys = [primary[position].tobytes() for position in range(num_rows)]
-        shard_ids = self.partitioner.shard_of_signatures(primary)
+        keys = [signatures[position].tobytes() for position in range(num_rows)]
+        shard_ids = self.partitioner.shard_of_signatures(signatures)
         if self._owner_overrides:
             # live buckets own their key even when a migration has moved
             # them off the partitioner's current pick (see _owning_shard)
@@ -547,9 +532,7 @@ class ShardedMutableIndex:
                 if rows.size == 0:
                     continue
                 shard.index.insert_many_prepared(
-                    batch.ids[rows],
-                    batch.csr[rows],
-                    [table_signatures[rows] for table_signatures in batch.signatures],
+                    batch.ids[rows], batch.csr[rows], batch.signatures[rows]
                 )
             for position in range(len(batch)):
                 self._track_insert(
@@ -767,7 +750,7 @@ class ShardedMutableIndex:
         return SHARDED_STATE.dump(
             dimension=self.dimension,
             num_hashes=self.num_hashes,
-            num_tables=self.num_tables,
+            num_tables=1,
             num_shards=self.num_shards,
             partitioner=partitioner_state(self.partitioner),
             next_id=self._next_id,
@@ -816,7 +799,6 @@ class ShardedMutableIndex:
                     index, random_state=estimator_rngs[shard_id], **sharded._estimator_kwargs
                 )
             sharded.shards.append(IndexShard(shard_id, index, estimator))
-        sharded.families = sharded.shards[0].index.families if sharded.shards else []
         sharded._restore_facade_bookkeeping(state)
         sharded._refresh_owner_alignment()
         restore_estimator_states(sharded, state.get("estimators", ()))
@@ -825,8 +807,9 @@ class ShardedMutableIndex:
     def _restore_facade_fields(self, state: Mapping[str, object]) -> None:
         """Restore the scalar facade fields (shared with the cluster restore).
 
-        Runs before any shard is revived, so the length checks refuse a
-        truncated snapshot before a restore spends work (or workers) on it.
+        Runs before any shard is revived, so the length and table checks
+        refuse a truncated (or multi-table) snapshot before a restore
+        spends work (or workers) on it.
         """
         shards, shard_of, live_ids = (
             cast(Sequence[object], state[name]) for name in ("shards", "shard_of", "live_ids")
@@ -839,10 +822,14 @@ class ShardedMutableIndex:
             SHARDED_STATE.refuse(
                 f"{len(shard_of)} shard assignments for {len(live_ids)} live ids"
             )
+        if state["num_tables"] != 1:
+            SHARDED_STATE.refuse(f"num_tables={state['num_tables']}; its shards hold one table")
+        for shard_state in state["shards"]:
+            check_index_state(shard_state)
         self.dimension = int(state["dimension"])
         self.num_hashes = int(state["num_hashes"])
-        self.num_tables = int(state["num_tables"])
         self.partitioner = partitioner_from_state(state["partitioner"])
+        self.family = state["shards"][0]["families"][0]  # shared by every shard
         self._shard_estimators = bool(state["shard_estimators"])
         self._estimator_kwargs = dict(state["estimator_kwargs"])
 
@@ -853,7 +840,7 @@ class ShardedMutableIndex:
             int(vector_id): int(shard_id)
             for vector_id, shard_id in zip(state["live_ids"], state["shard_of"])
         }
-        # id → primary bucket key, read off the shards' primary layouts
+        # id → bucket key, read off the shards' bucket layouts
         self._key_of_id = {
             int(member): bytes(key)
             for shard_state in state["shards"]

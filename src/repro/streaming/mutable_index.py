@@ -13,13 +13,14 @@ the streaming estimators:
   :meth:`~repro.lsh.families.LSHFamily.hash_matrix` code path as the
   batch build — never changes, so a surviving pair never migrates between
   stratum H and stratum L; mutations only add or remove pairs.
-* :class:`MutableLSHIndex` — ``ℓ`` mutable tables over one growing /
-  shrinking set of vectors, with stable sequential ids (or caller-assigned
-  ids, the substrate of the sharded deployment in :mod:`repro.shard`),
-  pooled row storage (:class:`~repro.streaming.rowstore.RowStore`) for
-  fast per-pair cosine evaluation, and SampleH / SampleL through the
-  shared primitives of :mod:`repro.lsh.table` — it supplies its bucket
-  layout, its :class:`LiveIds` population and its collision test
+* :class:`MutableLSHIndex` — one mutable table (multi-table LSH-SS is
+  static-only) over one growing / shrinking set of vectors, with stable
+  sequential ids (or caller-assigned ids, the substrate of the sharded
+  deployment in :mod:`repro.shard`), pooled row storage
+  (:class:`~repro.streaming.rowstore.RowStore`) for fast per-pair cosine
+  evaluation, and SampleH / SampleL through the shared primitives of
+  :mod:`repro.lsh.table` — it supplies its bucket layout, its
+  :class:`LiveIds` population and its collision test
   (:class:`repro.streaming.estimator.StreamingEstimator` builds on these).
 
 Because signatures are deterministic given the family seed, replaying a
@@ -30,8 +31,9 @@ final collection would produce.
 Indexes are checkpointed with :meth:`MutableLSHIndex.to_state` and
 revived with :meth:`MutableLSHIndex.from_state`: the state holds the
 rows, the bucket layout (including dict iteration order, so sampling
-draws replay identically), and the hash families themselves.  The one
-snapshot *file* format is the engine bundle
+draws replay identically), and the hash family itself, under one-element
+``tables`` / ``families`` lists (``num_tables: 1``; more is refused).  The
+one snapshot *file* format is the engine bundle
 (:meth:`repro.engine.JoinEstimationEngine.snapshot`).
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from numbers import Integral
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast,
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union,
 )
 
 import numpy as np
@@ -75,6 +77,37 @@ INDEX_STATE = StateSpec(
     },
     optional=("estimators",),
 )
+
+
+def check_index_state(state: Mapping[str, Any]) -> None:
+    """Refuse a malformed index state, or one that is not exactly one table."""
+    INDEX_STATE.check(state)
+    tables, families = state["tables"], state["families"]
+    if state["num_tables"] != 1 or len(tables) != 1 or len(families) != 1:
+        INDEX_STATE.refuse(
+            f"{len(tables)} table layouts and {len(families)} families for "
+            f"num_tables={state['num_tables']}; a mutable index holds exactly one table"
+        )
+    if not isinstance(families[0], LSHFamily):
+        INDEX_STATE.refuse(f"its family is a {type(families[0]).__name__}, not an LSHFamily")
+
+
+def bind_family(
+    family: Union[str, Type[LSHFamily], LSHFamily], num_hashes: int, dimension: int,
+    random_state: RandomState,
+) -> LSHFamily:
+    """A mutable index's hash family, bound to ``dimension``: an instance is
+    checked against ``k``, a name or class is drawn from ``spawn(rng, 1)``
+    exactly as the static :class:`~repro.lsh.index.LSHIndex` draws its
+    first table's, so the same seed hashes identically."""
+    if isinstance(family, LSHFamily):
+        if family.num_hashes != num_hashes:
+            raise ValidationError(f"family has k={family.num_hashes}, index expects k={num_hashes}")
+    else:
+        (child,) = spawn(ensure_rng(random_state), 1)
+        family = resolve_family(family)(num_hashes, random_state=child)
+    family.ensure_initialised(dimension)
+    return family
 
 
 def coerce_row(vector: VectorInput, dimension: int) -> sparse.csr_matrix:
@@ -470,29 +503,23 @@ def restore_estimator_states(
 
 
 class MutableLSHIndex:
-    """``ℓ`` mutable LSH tables over a growing / shrinking vector set.
+    """One mutable LSH table over a growing / shrinking vector set.
 
     Parameters
     ----------
     dimension:
-        Dimensionality ``d`` of the vector space; the hash families are
+        Dimensionality ``d`` of the vector space; the hash family is
         bound to it eagerly so inserts can be hashed one at a time.
     num_hashes:
-        ``k`` — hash functions per table.
-    num_tables:
-        ``ℓ`` — number of tables.
+        ``k`` — hash functions in ``g``.
     family:
-        Family name (``"cosine"`` / ``"jaccard"``) or an
-        :class:`~repro.lsh.families.LSHFamily` subclass.
+        Family name (``"cosine"`` / ``"jaccard"``), an
+        :class:`~repro.lsh.families.LSHFamily` subclass, or an instance
+        (the shard layer shares one across shards; ignores ``random_state``).
     random_state:
-        Seed / generator; the ``ℓ`` tables receive independent child
-        generators exactly as in the static :class:`~repro.lsh.index.LSHIndex`,
-        so the same seed produces the same hash functions.
-    families:
-        Pre-built family instances, one per table (advanced).  The shard
-        layer passes the *same* instances to every shard so all shards
-        hash identically; ``family`` / ``random_state`` are ignored when
-        given.
+        Seed / generator; the family is drawn exactly as the first table
+        of the static :class:`~repro.lsh.index.LSHIndex`, so the same seed
+        produces the same hash functions.
 
     Ids are assigned sequentially from 0 in insertion order and are never
     reused, so a :class:`~repro.streaming.events.ChangeLog` recorded
@@ -506,42 +533,16 @@ class MutableLSHIndex:
         dimension: int,
         *,
         num_hashes: int = 20,
-        num_tables: int = 1,
-        family: Union[str, Type[LSHFamily]] = "cosine",
+        family: Union[str, Type[LSHFamily], LSHFamily] = "cosine",
         random_state: RandomState = None,
-        families: Optional[Sequence[LSHFamily]] = None,
     ) -> None:
-        if num_tables < 1:
-            raise ValidationError(f"num_tables (ℓ) must be >= 1, got {num_tables}")
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.num_hashes = int(num_hashes)
-        self.num_tables = int(num_tables)
-        if families is not None:
-            families = list(families)
-            if len(families) != self.num_tables:
-                raise ValidationError(
-                    f"got {len(families)} families for {self.num_tables} tables"
-                )
-            for family_instance in families:
-                if family_instance.num_hashes != self.num_hashes:
-                    raise ValidationError(
-                        "family has k="
-                        f"{family_instance.num_hashes}, index expects k={self.num_hashes}"
-                    )
-                family_instance.ensure_initialised(self.dimension)
-            self.tables: List[MutableLSHTable] = [
-                MutableLSHTable(family_instance) for family_instance in families
-            ]
-        else:
-            family_class = resolve_family(family)
-            rng = ensure_rng(random_state)
-            self.tables = []
-            for child in spawn(rng, num_tables):
-                family_instance = family_class(self.num_hashes, random_state=child)
-                family_instance.ensure_initialised(self.dimension)
-                self.tables.append(MutableLSHTable(family_instance))
+        self._table = MutableLSHTable(
+            bind_family(family, self.num_hashes, self.dimension, random_state)
+        )
         self._rows = RowStore(self.dimension)
         self._live = LiveIds()
         self._next_id = 0
@@ -554,15 +555,13 @@ class MutableLSHIndex:
         collection: VectorCollection,
         *,
         num_hashes: int = 20,
-        num_tables: int = 1,
-        family: Union[str, Type[LSHFamily]] = "cosine",
+        family: Union[str, Type[LSHFamily], LSHFamily] = "cosine",
         random_state: RandomState = None,
     ) -> "MutableLSHIndex":
         """Bulk-load a collection (ids ``0 … n−1`` in row order)."""
         index = cls(
             collection.dimension,
             num_hashes=num_hashes,
-            num_tables=num_tables,
             family=family,
             random_state=random_state,
         )
@@ -573,9 +572,9 @@ class MutableLSHIndex:
     # basic accessors
     # ------------------------------------------------------------------
     @property
-    def families(self) -> List[LSHFamily]:
-        """The ``ℓ`` family instances, one per table."""
-        return [table.family for table in self.tables]
+    def family(self) -> LSHFamily:
+        """The hash family ``g`` of the table."""
+        return self._table.family
 
     @property
     def size(self) -> int:
@@ -595,8 +594,8 @@ class MutableLSHIndex:
 
     @property
     def primary_table(self) -> MutableLSHTable:
-        """The first table — used by the single-table estimators."""
-        return self.tables[0]
+        """The table (the name the static index and the estimators share)."""
+        return self._table
 
     @property
     def total_pairs(self) -> int:
@@ -606,12 +605,12 @@ class MutableLSHIndex:
 
     @property
     def num_collision_pairs(self) -> int:
-        """``N_H`` of the primary table."""
+        """``N_H`` of the table."""
         return self.primary_table.num_collision_pairs
 
     @property
     def num_non_collision_pairs(self) -> int:
-        """``N_L = M − N_H`` of the primary table."""
+        """``N_L = M − N_H`` of the table."""
         return self.total_pairs - self.num_collision_pairs
 
     def row(self, vector_id: int) -> sparse.csr_matrix:
@@ -640,9 +639,6 @@ class MutableLSHIndex:
         except ValueError:
             pass
 
-    def _coerce_row(self, vector: VectorInput) -> sparse.csr_matrix:
-        return coerce_row(vector, self.dimension)
-
     def _claim_id(self, vector_id: Optional[int]) -> int:
         vector_id, self._next_id = claim_vector_id(
             vector_id, self._next_id, self._live
@@ -657,22 +653,33 @@ class MutableLSHIndex:
         is what the shard router relies on with its sequential global
         ids.
         """
-        row = self._coerce_row(vector)
-        signatures = [table.family.hash_matrix(row)[0] for table in self.tables]
-        return self._insert_prepared(vector_id, row, signatures)
+        row = coerce_row(vector, self.dimension)
+        return self._insert_prepared(vector_id, row, self.family.hash_matrix(row)[0])
+
+    def _check_signatures(self, signatures: object, shape: Tuple[int, ...]) -> None:
+        """Refuse anything but an integer ``shape`` array, before any mutation
+        (wire payloads land here; a bad row found mid-batch left rows stored
+        and ids live without buckets)."""
+        if isinstance(signatures, np.ndarray):
+            if signatures.dtype.kind in "iu" and signatures.shape == shape:
+                return
+            got = f"{signatures.dtype} array of shape {signatures.shape}"
+        else:
+            got = type(signatures).__name__
+        raise ValidationError(f"expected an integer signature array of shape {shape}, got {got}")
 
     def _insert_prepared(
         self,
         vector_id: Optional[int],
         row: sparse.csr_matrix,
-        signatures: Sequence[np.ndarray],
+        signature: np.ndarray,
     ) -> int:
-        """Insert one already-coerced, already-hashed row (router fast path)."""
+        """Insert one already-coerced row with its ``(k,)`` signature (router fast path)."""
+        self._check_signatures(signature, (self.num_hashes,))
         vector_id = self._claim_id(vector_id)
         self._rows.add(vector_id, row)
         self._live.add(vector_id)
-        for table, signature in zip(self.tables, signatures):
-            table.insert(vector_id, signature)
+        self._table.insert(vector_id, signature)
         for observer in self._observers:
             observer.on_insert(vector_id)
         return vector_id
@@ -685,21 +692,20 @@ class MutableLSHIndex:
     ) -> np.ndarray:
         """Insert every row of a matrix / collection; returns the assigned ids.
 
-        Signatures are computed in one batch matrix product per table —
-        the same cost profile as a static build — while the bucket
-        insertions remain incremental.
+        Signatures are computed in one batch matrix product — the same
+        cost profile as a static build — while the bucket insertions
+        remain incremental.
         """
         csr = coerce_matrix(matrix, self.dimension)
-        signatures = [table.family.hash_matrix(csr) for table in self.tables]
-        return self.insert_many_prepared(vector_ids, csr, signatures)
+        return self.insert_many_prepared(vector_ids, csr, self.family.hash_matrix(csr))
 
     def insert_many_prepared(
         self,
         vector_ids: Optional[Sequence[int]],
         csr: sparse.csr_matrix,
-        signatures: Sequence[np.ndarray],
+        signatures: np.ndarray,
     ) -> np.ndarray:
-        """Bulk-insert already-coerced rows with precomputed signatures.
+        """Bulk-insert already-coerced rows with their ``(rows, k)`` signatures.
 
         This is the shard ingestion fast path: the router hashes a whole
         batch once, partitions rows by bucket key, and each shard applies
@@ -709,6 +715,7 @@ class MutableLSHIndex:
         calls would produce).
         """
         num_rows = csr.shape[0]
+        self._check_signatures(signatures, (num_rows, self.num_hashes))
         if vector_ids is None:
             ids = np.arange(self._next_id, self._next_id + num_rows, dtype=np.int64)
         else:
@@ -730,8 +737,7 @@ class MutableLSHIndex:
         for position in range(num_rows):
             vector_id = int(ids[position])
             self._live.add(vector_id)
-            for table, table_signatures in zip(self.tables, signatures):
-                table.insert(vector_id, table_signatures[position])
+            self._table.insert(vector_id, signatures[position])
             for observer in self._observers:
                 observer.on_insert(vector_id)
         return ids
@@ -740,8 +746,7 @@ class MutableLSHIndex:
         """Remove a live vector by id."""
         if vector_id not in self._live:
             raise ValidationError(f"vector id {vector_id} is not in the index")
-        for table in self.tables:
-            table.delete(vector_id)
+        self._table.delete(vector_id)
         self._live.remove(vector_id)
         self._rows.remove(vector_id)
         for observer in self._observers:
@@ -770,13 +775,13 @@ class MutableLSHIndex:
     def sample_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Uniform pairs from the primary table's stratum H (SampleH)."""
+        """Uniform pairs from stratum H (SampleH)."""
         return self.primary_table.sample_collision_pairs(sample_size, random_state=random_state)
 
     def sample_non_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Uniform pairs from the primary table's stratum L via rejection (SampleL)."""
+        """Uniform pairs from stratum L via rejection (SampleL)."""
         return sample_rejected_pairs(
             sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
             self.primary_table.same_bucket_many, random_state, max_attempts=max_attempts,
@@ -802,7 +807,7 @@ class MutableLSHIndex:
     # snapshot / restore
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
-        """A picklable checkpoint: rows, bucket layouts, families, estimators.
+        """A picklable checkpoint: rows, bucket layout, family, estimators.
 
         Bucket dict iteration order and the live-id order are both
         preserved, so a restored index produces the same sampling draws
@@ -819,40 +824,33 @@ class MutableLSHIndex:
         return INDEX_STATE.dump(
             dimension=self.dimension,
             num_hashes=self.num_hashes,
-            num_tables=self.num_tables,
+            num_tables=1,
             next_id=self._next_id,
             live_ids=list(self._live),
             rows=self._rows.state(),
-            families=self.families,
-            tables=[table.bucket_state() for table in self.tables],
+            families=[self.family],
+            tables=[self._table.bucket_state()],
             estimators=collect_estimator_states(self._observers),
         )
 
     @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "MutableLSHIndex":
+    def from_state(cls, state: Mapping[str, Any]) -> "MutableLSHIndex":
         """Rebuild an index from :meth:`to_state` output (no re-hashing).
 
         Estimator states embedded by :meth:`to_state` are restored and
         re-registered as observers; retrieve them via
         ``index.estimators`` (they resume bit-identically).
         """
-        INDEX_STATE.check(state)
-        tables = cast(List[BucketState], state["tables"])
-        if len(tables) != state["num_tables"]:
-            INDEX_STATE.refuse(
-                f"{len(tables)} table layouts for num_tables={state['num_tables']}"
-            )
+        check_index_state(state)
         index = cls(
             int(state["dimension"]),
             num_hashes=int(state["num_hashes"]),
-            num_tables=int(state["num_tables"]),
-            families=state["families"],
+            family=state["families"][0],
         )
         index._rows = RowStore.from_state(state["rows"])
         index._live = LiveIds(state["live_ids"])
         index._next_id = int(state["next_id"])
-        for table, buckets in zip(index.tables, tables):
-            table.load_bucket_state(buckets)
+        index._table.load_bucket_state(state["tables"][0])
         restore_estimator_states(index, state.get("estimators", ()))
         return index
 
@@ -866,13 +864,12 @@ class MutableLSHIndex:
         )
 
     def check_invariants(self) -> None:
-        """Verify bookkeeping across all tables (tests / debugging aid)."""
-        for table in self.tables:
-            table.check_invariants()
-            if table.num_vectors != self.size:
-                raise AssertionError(
-                    f"table holds {table.num_vectors} vectors, index holds {self.size}"
-                )
+        """Verify the table, live-id and row bookkeeping (tests / debugging aid)."""
+        self._table.check_invariants()
+        if self._table.num_vectors != self.size:
+            raise AssertionError(
+                f"table holds {self._table.num_vectors} vectors, index holds {self.size}"
+            )
         if len(self._rows) != self.size:
             raise AssertionError("row storage drifted from live-id bookkeeping")
         if set(self._rows) != set(self._live):
@@ -882,7 +879,7 @@ class MutableLSHIndex:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"MutableLSHIndex(n={self.size}, d={self.dimension}, "
-            f"k={self.num_hashes}, tables={self.num_tables})"
+            f"k={self.num_hashes}, NH={self.num_collision_pairs})"
         )
 
 
@@ -890,6 +887,8 @@ __all__ = [
     "LiveIds",
     "MutableLSHTable",
     "MutableLSHIndex",
+    "bind_family",
+    "check_index_state",
     "claim_vector_id",
     "coerce_row",
     "coerce_matrix",

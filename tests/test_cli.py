@@ -364,6 +364,14 @@ class TestEngineConfigCLI:
         assert exit_code == 2
         assert "not valid JSON" in captured.err
 
+    def test_multi_table_mutable_config_is_cli_error(self, capsys, tmp_path):
+        """ℓ is static-only: a streaming config asking for two tables is refused."""
+        config = self._config_file(tmp_path, {"backend": "streaming", "num_tables": 2})
+        exit_code = main(["estimate", "--config", str(config), "--threshold", "0.8"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error:") and "'streaming'" in captured.err
+
     @pytest.mark.parametrize("backend, options", [
         ("sharded", {"dampening": "bogus"}),
         ("static", {"estimator_kwargs": {"dampening": "bogus"}}),

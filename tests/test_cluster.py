@@ -366,7 +366,7 @@ class TestShardWorkerOps:
 
     @staticmethod
     def _configured_worker(shard_estimators=True):
-        template = MutableLSHIndex(6, num_hashes=4, num_tables=2, random_state=3)
+        template = MutableLSHIndex(6, num_hashes=4, random_state=3)
         worker = worker_module.ShardWorker()
         stats = worker.handle(
             "configure",
@@ -374,8 +374,7 @@ class TestShardWorkerOps:
                 "shard_id": 0,
                 "dimension": 6,
                 "num_hashes": 4,
-                "num_tables": 2,
-                "families": template.families,
+                "family": template.family,
                 "shard_estimators": shard_estimators,
                 "estimator_kwargs": {"reservoir_size": 32},
                 "estimator_rng": np.random.default_rng(5),
@@ -389,9 +388,7 @@ class TestShardWorkerOps:
         from scipy import sparse
 
         csr = sparse.csr_matrix(np.asarray(rows, dtype=float))
-        signatures = [
-            family.hash_matrix(csr) for family in worker.index.families
-        ]
+        signatures = worker.index.family.hash_matrix(csr)
         ids = np.arange(first_id, first_id + csr.shape[0], dtype=np.int64)
         return worker.handle(
             "insert_prepared", {"ids": ids, "csr": csr, "signatures": signatures}
@@ -414,6 +411,22 @@ class TestShardWorkerOps:
         assert "key" not in deleted
         ping = worker.handle("ping", {})
         assert ping["shard_id"] == 0 and ping["size"] == 3
+
+    def test_short_signature_array_refused_before_mutation(self):
+        """A wire payload whose signature array is short for its rows is
+        refused whole: nothing is stored, and the shard stays consistent."""
+        from scipy import sparse
+
+        worker = self._configured_worker()
+        self._insert(worker, np.eye(6)[:2] + 0.1)
+        csr = sparse.csr_matrix(np.eye(6)[2:] + 0.1)
+        short = worker.index.family.hash_matrix(csr)[:2]
+        with pytest.raises(ValidationError, match="signature"):
+            worker.handle(
+                "insert_prepared",
+                {"ids": np.arange(2, 6, dtype=np.int64), "csr": csr, "signatures": short},
+            )
+        assert worker.handle("check", {})["size"] == 2
 
     def test_bucket_members_gather_and_sample(self):
         worker = self._configured_worker()
@@ -498,7 +511,7 @@ class TestShardWorkerOps:
             "not-a-mapping": {"state": [("format", 1)]},
             "no-state": {},
             "unknown-key": {"state": {**state, "kind": "sharded"}},
-            "short-tables": {"state": {**state, "tables": state["tables"][:1]}},
+            "short-tables": {"state": {**state, "tables": state["tables"][:-1]}},
         }[garbage]
         coordinator_side, worker_side = socket_module.socketpair()
         conn = Connection(coordinator_side, timeout=30.0)

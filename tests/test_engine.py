@@ -63,16 +63,26 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match="name string"):
             EngineConfig(family=SignRandomProjectionFamily)
 
-    @pytest.mark.parametrize("field,value", [
-        ("num_hashes", 0),
-        ("num_tables", 0),
-        ("dimension", 0),
-        ("num_hashes", "20"),
-        ("seed", 1.5),
-    ])
-    def test_bad_scalar_rejected(self, field, value):
-        with pytest.raises(ValidationError):
-            EngineConfig(**{field: value})
+    _BAD_SCALARS = [
+        ("num_hashes", 0, "static"),
+        ("num_tables", 0, "static"),
+        ("dimension", 0, "static"),
+        ("num_hashes", "20", "static"),
+        ("seed", 1.5, "static"),
+        # ℓ is static-only: the mutable backends hold one table
+        ("num_tables", 2, "streaming"),
+        ("num_tables", 2, "sharded"),
+        ("num_tables", 2, "process"),
+    ]
+
+    @pytest.mark.parametrize(
+        "field,value,backend",
+        _BAD_SCALARS,
+        ids=[f"{f}-{v}" + ("" if b == "static" else f"-{b}") for f, v, b in _BAD_SCALARS],
+    )
+    def test_bad_scalar_rejected(self, field, value, backend):
+        with pytest.raises(ValidationError, match=None if backend == "static" else backend):
+            EngineConfig(backend=backend, **{field: value})
 
     def test_dict_round_trip(self):
         config = EngineConfig(backend="sharded", dimension=30,
@@ -131,6 +141,8 @@ class TestEngineConfig:
     def test_config_round_trip_property(
         self, backend, family, num_hashes, num_tables, seed, dimension
     ):
+        if backend != "static":
+            num_tables = 1  # the mutable backends hold one table
         options = {}
         if backend == "streaming":
             options = {"staleness_budget": 0.25, "reservoir_size": 64}
@@ -607,7 +619,7 @@ class TestSnapshotRestore:
 # ----------------------------------------------------------------------
 # Malformed snapshot states: every declared reader × every mutation
 # ----------------------------------------------------------------------
-_DIMENSION_CONFIG = {"num_hashes": 4, "num_tables": 2, "seed": 4}
+_DIMENSION_CONFIG = {"num_hashes": 4, "num_tables": 1, "seed": 4}
 
 
 @pytest.fixture(scope="module")
@@ -618,12 +630,10 @@ def valid_states(tmp_path_factory):
 
     collection = make_dblp_like(num_vectors=60, random_state=1).collection
     dimension = collection.dimension
-    index = MutableLSHIndex(dimension, num_hashes=4, num_tables=2, random_state=1)
+    index = MutableLSHIndex(dimension, num_hashes=4, random_state=1)
     index.insert_many(collection.matrix)
     StreamingEstimator(index, reservoir_size=16, random_state=2)
-    sharded = ShardedMutableIndex(
-        dimension, num_shards=3, num_hashes=4, num_tables=2, random_state=1
-    )
+    sharded = ShardedMutableIndex(dimension, num_shards=3, num_hashes=4, random_state=1)
     sharded.insert_many(collection.matrix)
     states = {"index": index.to_state(), "sharded": sharded.to_state()}
     states["rows"] = states["index"]["rows"]
@@ -708,7 +718,7 @@ _READERS = {
     "index": (
         lambda state, states, tmp_path: MutableLSHIndex.from_state(state),
         "dimension",
-        _UNTAGGED + ("wrong-format", "short-tables"),
+        _UNTAGGED + ("wrong-format", "short-tables", "two-tables"),
     ),
     "rows": (_read_rows, "dimension", _UNTAGGED),
     "reservoir": (_read_reservoir, "left", _UNTAGGED),
@@ -722,11 +732,15 @@ _READERS = {
     "sharded": (
         lambda state, states, tmp_path: ShardedMutableIndex.from_state(state),
         "num_shards",
-        _TAGGED + ("short-shards", "short-shard-of"),
+        _TAGGED + ("short-shards", "short-shard-of", "two-tables"),
     ),
-    "cluster": (_restore_cluster, "num_shards", _TAGGED + ("short-shards", "short-shard-of")),
+    "cluster": (
+        _restore_cluster, "num_shards", _TAGGED + ("short-shards", "short-shard-of", "two-tables")
+    ),
     "partitioner": (_read_partitioner, "num_shards", _UNTAGGED),
-    "migration": (_splice_and_revive, "collision_pairs", _TAGGED + ("short-tables",)),
+    "migration": (
+        _splice_and_revive, "collision_pairs", _TAGGED + ("short-tables", "two-tables")
+    ),
     "engine": (_restore_engine, "config", _TAGGED),
     "static-backend": (_restore_backend("static"), "matrix", _TAGGED),
     "streaming-backend": (_restore_backend("streaming"), "index", _TAGGED + ("no-estimator",)),
@@ -751,6 +765,15 @@ def _mutate(state, mutation, field_name):
         state["kind"] = "bogus"
     elif mutation == "short-tables":
         state["tables"] = state["tables"][:-1]
+    elif mutation == "two-tables":
+        # a well-formed ℓ = 2 state; mutable indexes hold exactly one table
+        state["num_tables"] = 2
+        if "shards" in state:
+            state["shards"] = [_mutate(shard, mutation, None) for shard in state["shards"]]
+        else:
+            state["tables"] = state["tables"] * 2
+            if "families" in state:
+                state["families"] = state["families"] * 2
     elif mutation == "short-shards":
         state["shards"] = state["shards"][:-1]
     elif mutation == "short-shard-of":

@@ -145,7 +145,7 @@ class TestSplitSplice:
 
     def _index(self, small_collection):
         index = MutableLSHIndex.from_collection(
-            small_collection, num_hashes=NUM_HASHES, num_tables=2, random_state=SEED
+            small_collection, num_hashes=NUM_HASHES, random_state=SEED
         )
         for row in range(10):  # duplicates: multi-member buckets exist
             index.insert(small_collection.row(row))
@@ -167,10 +167,7 @@ class TestSplitSplice:
         assert payload["collision_pairs"] == sum(s * (s - 1) // 2 for s in sizes)
         # splicing into an empty shard of the same cluster shape works
         empty = MutableLSHIndex(
-            small_collection.dimension,
-            num_hashes=NUM_HASHES,
-            num_tables=2,
-            families=index.families,
+            small_collection.dimension, num_hashes=NUM_HASHES, family=index.family
         ).to_state()
         target = MutableLSHIndex.from_state(splice_index_state(empty, payload))
         source = MutableLSHIndex.from_state(remaining)

@@ -392,7 +392,7 @@ class TestMergeLayer:
 class TestSnapshotRestore:
     def test_mutable_index_round_trip(self, small_collection):
         index = MutableLSHIndex.from_collection(
-            small_collection, num_hashes=NUM_HASHES, num_tables=2, random_state=SEED
+            small_collection, num_hashes=NUM_HASHES, random_state=SEED
         )
         index.delete(3)
         index.insert(small_collection.row(1))

@@ -33,9 +33,7 @@ def _bucket_stats(table: MutableLSHTable):
 
 @pytest.fixture
 def mutable_index(small_collection) -> MutableLSHIndex:
-    return MutableLSHIndex.from_collection(
-        small_collection, num_hashes=12, num_tables=2, random_state=19
-    )
+    return MutableLSHIndex.from_collection(small_collection, num_hashes=12, random_state=19)
 
 
 class TestMutableLSHTable:
@@ -85,15 +83,15 @@ class TestMutableLSHTable:
 class TestMutableLSHIndex:
     def test_bulk_load_matches_static_build(self, small_collection):
         mutable = MutableLSHIndex.from_collection(
-            small_collection, num_hashes=12, num_tables=3, random_state=19
+            small_collection, num_hashes=12, random_state=19
+        ).primary_table
+        static = LSHIndex(small_collection, num_hashes=12, num_tables=1, random_state=19)
+        static_table = static.primary_table
+        assert mutable.num_collision_pairs == static_table.num_collision_pairs
+        assert mutable.num_buckets == static_table.num_buckets
+        assert sorted(mutable.bucket_sizes.tolist()) == sorted(
+            static_table.bucket_counts.tolist()
         )
-        static = LSHIndex(small_collection, num_hashes=12, num_tables=3, random_state=19)
-        for mutable_table, static_table in zip(mutable.tables, static.tables):
-            assert mutable_table.num_collision_pairs == static_table.num_collision_pairs
-            assert mutable_table.num_buckets == static_table.num_buckets
-            assert sorted(mutable_table.bucket_sizes.tolist()) == sorted(
-                static_table.bucket_counts.tolist()
-            )
 
     def test_incremental_inserts_match_bulk_load(self, small_collection):
         bulk = MutableLSHIndex.from_collection(small_collection, num_hashes=10, random_state=3)
@@ -133,18 +131,35 @@ class TestMutableLSHIndex:
     def test_constructor_validation(self):
         with pytest.raises(ValidationError):
             MutableLSHIndex(0, num_hashes=4)
-        with pytest.raises(ValidationError):
-            MutableLSHIndex(4, num_tables=0)
+        with pytest.raises(ValidationError, match="k=3"):
+            MutableLSHIndex(4, num_hashes=4, family=SignRandomProjectionFamily(3))
+
+    @pytest.mark.parametrize("shape", ["short", "narrow"])
+    def test_malformed_prepared_signatures_refused_before_mutation(self, small_collection, shape):
+        """Rows for 4 ids with 2 signature rows, or 3 hashes for k=4, are
+        refused whole: no row stored, no id live, invariants intact."""
+        index = MutableLSHIndex(small_collection.dimension, num_hashes=4, random_state=0)
+        index.insert_many(small_collection.matrix[:3])
+        csr = small_collection.matrix[3:7].tocsr()
+        signatures = index.family.hash_matrix(csr)
+        bad = signatures[:2] if shape == "short" else signatures[:, :3]
+        with pytest.raises(ValidationError, match="signature"):
+            index.insert_many_prepared(np.arange(3, 7), csr, bad)
+        with pytest.raises(ValidationError, match="signature"):
+            index._insert_prepared(None, csr[0], bad[0] if shape == "narrow" else signatures)
+        index.check_invariants()
+        assert index.size == 3 and 3 not in index
+        assert index.insert(csr[0]) == 3  # no id was consumed either
 
     def test_insert_delete_round_trip_restores_bucket_stats(self, mutable_index, small_collection):
-        before = [_bucket_stats(table) for table in mutable_index.tables]
+        before = _bucket_stats(mutable_index.primary_table)
         pairs_before = mutable_index.num_collision_pairs
         extra_ids = [mutable_index.insert(small_collection.row(r)) for r in range(12)]
         assert mutable_index.num_collision_pairs > pairs_before  # duplicates collide
         for vector_id in extra_ids:
             mutable_index.delete(vector_id)
         mutable_index.check_invariants()
-        assert [_bucket_stats(table) for table in mutable_index.tables] == before
+        assert _bucket_stats(mutable_index.primary_table) == before
         assert mutable_index.num_collision_pairs == pairs_before
 
     def test_strata_partition_all_pairs(self, mutable_index):
