@@ -103,8 +103,8 @@ def test_cluster_exact_estimates_bit_identical(benchmark, dblp_collection, resul
                 f"process-cluster exact estimate {ours.value!r} != unsharded "
                 f"{theirs.value!r} at seed {trial_seed}"
             )
-        merged = engine.estimate(THRESHOLD, seed=5, mode="merged")
-        assert merged.value >= 0.0
+        served = engine.estimate(THRESHOLD, seed=5, mode="auto")
+        assert served.value >= 0.0
 
     body = format_table(
         ["seed", "unsharded exact J", "process-cluster exact J", "bit-identical"],
@@ -135,7 +135,6 @@ def _inprocess_wall_throughput(rows, dimension: float) -> float:
         num_shards=NUM_SHARDS,
         num_hashes=NUM_HASHES,
         random_state=SEED,
-        shard_estimators=True,
     )
     router = ShardRouter(index, batch_size=BATCH_SIZE)
     started = time.perf_counter()
@@ -152,7 +151,6 @@ def _cluster_throughputs(rows, dimension: float):
         num_shards=NUM_SHARDS,
         num_hashes=NUM_HASHES,
         random_state=SEED,
-        shard_estimators=True,
         request_timeout=REQUEST_TIMEOUT,
     )
     try:
@@ -210,8 +208,7 @@ def test_cluster_ingest_throughput(benchmark, dblp_collection, results_dir):
         ],
         float_format="{:.2f}",
         title=(
-            f"{num_rows} rows, batch={BATCH_SIZE}, k={NUM_HASHES}, "
-            f"per-shard estimators on"
+            f"{num_rows} rows, batch={BATCH_SIZE}, k={NUM_HASHES}"
         ),
     )
     emit(

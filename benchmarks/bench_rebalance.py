@@ -78,7 +78,6 @@ def test_resize_moves_minimal_key_fraction(benchmark, dblp_collection, results_d
                 num_hashes=NUM_HASHES,
                 random_state=SEED,
                 partitioner="rendezvous",
-                shard_estimators=False,
             )
             cluster.insert_many(matrix)
             total_keys = len(cluster._bucket_refs)
@@ -199,7 +198,6 @@ def test_plan_only_is_cheap(benchmark, dblp_collection, results_dir):
         num_hashes=NUM_HASHES,
         random_state=SEED,
         partitioner="rendezvous",
-        shard_estimators=False,
     )
     cluster.insert_many(matrix)
     cluster.add_shards(5)

@@ -72,7 +72,6 @@ def _sharded_ingest_times(matrix, num_shards: int) -> Tuple[float, float]:
         num_shards=num_shards,
         num_hashes=NUM_HASHES,
         random_state=SEED,
-        shard_estimators=False,
     )
     start = time.perf_counter()
     batch = sharded.prepare_batch(matrix)
@@ -216,7 +215,6 @@ def test_sharded_estimates_bit_identical(dblp_collection, results_dir):
             num_shards=num_shards,
             num_hashes=NUM_HASHES,
             random_state=SEED,
-            shard_estimators=False,
         )
         with ShardRouter(sharded, batch_size=64) as router:
             router.replay(log)

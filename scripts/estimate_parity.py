@@ -120,7 +120,6 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
 
     sharded = ShardedMutableIndex(
         collection.dimension, num_shards=3, num_hashes=NUM_HASHES, random_state=8,
-        estimator_kwargs={"reservoir_size": 128},
     )
     facade_estimator = StreamingEstimator(sharded, reservoir_size=128, random_state=9)
     _churn(sharded, collection, seed=5)
@@ -138,9 +137,8 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
         variants.append((f"streaming-{mode}", lambda t, s, m=mode: stream_estimator.estimate(
             t, random_state=s, mode=m)))
     merged = ShardedStreamingEstimator(sharded)
-    for mode in ("exact", "merged", "auto"):
-        variants.append((f"sharded3-{mode}", lambda t, s, m=mode: merged.estimate(
-            t, random_state=s, mode=m)))
+    variants.append(("sharded3-exact", lambda t, s: merged.estimate(
+        t, random_state=s, mode="exact")))
     variants.append(("sharded3-facade-auto", lambda t, s: facade_estimator.estimate(
         t, random_state=s, mode="auto")))
 
@@ -154,15 +152,14 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
 
     cluster = ClusterCoordinator(
         collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=8,
-        estimator_kwargs={"reservoir_size": 128}, request_timeout=60.0,
+        request_timeout=60.0,
     )
     try:
         cluster_facade = StreamingEstimator(cluster, reservoir_size=128, random_state=9)
         _churn(cluster, collection, seed=5)
         remote = ShardedStreamingEstimator(cluster)
-        for mode in ("exact", "merged"):
-            variants.append((f"process2-{mode}", lambda t, s, m=mode: remote.estimate(
-                t, random_state=s, mode=m)))
+        variants.append(("process2-exact", lambda t, s: remote.estimate(
+            t, random_state=s, mode="exact")))
         variants.append(("process2-facade-auto", lambda t, s: cluster_facade.estimate(
             t, random_state=s, mode="auto")))
         holders.append(("ClusterCoordinator", _index_samplers(cluster)))

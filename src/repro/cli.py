@@ -34,7 +34,7 @@ Sub-commands
     estimate after every batch of updates and at every checkpoint.
 ``shard``
     Replay the same JSONL format through a sharded engine backend
-    (router → shards → merge), printing merged LSH-SS estimates and the
+    (router → shards → merge), printing LSH-SS estimates and the
     per-shard sizes; the final engine state can be checkpointed with
     ``--snapshot``.
 ``rebalance``
@@ -192,10 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--batch-size", type=int, default=100,
                        help="router ingest batch size; an estimate is emitted per "
                             "flushed batch (default: 100)")
-    shard.add_argument("--mode", choices=("auto", "exact", "merged"), default="merged",
-                       help="merge path: pooled per-shard reservoirs (auto/merged) "
-                            "or merged-layout stratified sampling (exact, "
-                            "bit-identical to the unsharded estimator)")
+    shard.add_argument("--mode", choices=("auto", "exact", "reservoir"), default="auto",
+                       help="estimation mode, as for 'repro stream': the facade's "
+                            "repaired reservoirs (auto/reservoir) or fresh merged "
+                            "SampleH/SampleL draws (exact, bit-identical to the "
+                            "unsharded estimator) (default: auto)")
     shard.add_argument("--partitioner", choices=("modulo", "rendezvous"), default="modulo",
                        help="bucket-key → shard assignment; rendezvous enables "
                             "minimal-movement resizes via 'repro rebalance' "
@@ -535,8 +536,6 @@ def _command_shard(args: argparse.Namespace) -> str:
             "num_shards": args.shards,
             "partitioner": args.partitioner,
             "batch_size": args.batch_size,
-            # the exact path never reads reservoirs: skip per-shard repair work
-            "shard_estimators": args.mode != "exact",
         },
     )
     if config.backend not in ("sharded", "process"):

@@ -3,10 +3,9 @@
 The in-process :mod:`repro.shard` layer *models* one node per shard; this
 package realises it: each shard lives in its own **worker process**
 (:mod:`~repro.cluster.worker` — one
-:class:`~repro.streaming.mutable_index.MutableLSHIndex` plus an optional
-locally repaired :class:`~repro.streaming.estimator.StreamingEstimator`),
-and a **coordinator** (:mod:`~repro.cluster.coordinator`) drives parallel
-ingest, merged/exact estimates, snapshot/restore, and remote rebalancing
+:class:`~repro.streaming.mutable_index.MutableLSHIndex`), and a
+**coordinator** (:mod:`~repro.cluster.coordinator`) drives parallel
+ingest, estimates, snapshot/restore, and remote rebalancing
 over a length-prefixed pickle protocol
 (:mod:`~repro.cluster.transport`) whose payloads are exactly the
 library's existing serialisations — prepared batch slices, ``to_state``
@@ -15,9 +14,9 @@ migration payloads.
 
 Because :class:`ClusterCoordinator` subclasses
 :class:`~repro.shard.sharded_index.ShardedMutableIndex`, the whole merge
-and rebalance layer is shared, and exact-mode estimates of a process
-cluster stay **bit-identical** to an unsharded estimator for the same
-seed.  :class:`ProcessBackend` (:mod:`~repro.cluster.backend`) registers
+and rebalance layer is shared: estimates of a process cluster are
+**bit-identical** to an in-process one for the same seed, and exact-mode
+ones to an unsharded estimator.  :class:`ProcessBackend` (:mod:`~repro.cluster.backend`) registers
 the deployment shape as ``"process"`` with the engine, so every
 :class:`~repro.engine.JoinEstimationEngine` caller and CLI command
 reaches it through a one-line config change; ``repro worker`` runs a
@@ -27,7 +26,6 @@ standalone shard worker for multi-machine setups.
 from repro.cluster.backend import ProcessBackend
 from repro.cluster.coordinator import (
     ClusterCoordinator,
-    RemoteEstimatorProxy,
     RemoteIndexProxy,
     WorkerHandle,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "ClusterCoordinator",
     "ProcessBackend",
     "RemoteIndexProxy",
-    "RemoteEstimatorProxy",
     "WorkerHandle",
     "ShardWorker",
     "serve",

@@ -4,7 +4,7 @@
 :class:`~repro.engine.backends.ShardedBackend` and swaps its
 :class:`~repro.shard.sharded_index.ShardedMutableIndex` for a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — everything else
-(buffered router, merged estimator, rebalance driver, event semantics)
+(buffered router, facade estimator, rebalance driver, event semantics)
 is inherited, so the two deployment shapes cannot drift apart.  It
 registers as ``register_backend("process")``: any
 :class:`~repro.engine.JoinEstimationEngine` caller (and every CLI
@@ -13,9 +13,10 @@ command) reaches multi-process serving with a one-line config change::
     {"backend": "process", "dimension": 128,
      "options": {"shards": 4}}
 
-Exact-mode estimates are bit-identical to the ``sharded`` backend — and
-therefore to an unsharded ``streaming`` estimator — for the same seed
-(gated in ``benchmarks/bench_cluster.py`` along with the ≥ in-process
+Estimates in every mode are bit-identical to the ``sharded`` backend's
+for the same seed, events and batch size, whatever either shard count;
+exact-mode ones also to an unsharded ``streaming`` estimator (gated in
+``benchmarks/bench_cluster.py`` along with the ≥ in-process
 ingest-throughput gate).
 """
 
@@ -40,8 +41,7 @@ class ProcessBackend(ShardedBackend):
     Options
     -------
     ``shards`` (alias ``num_shards``, default 4), ``partitioner``,
-    ``shard_estimators``, ``estimator_kwargs``, ``batch_size``,
-    ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` /
+    ``batch_size``, ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` /
     ``dampening``
         As in the ``sharded`` backend.
     ``addresses``
@@ -115,8 +115,6 @@ class ProcessBackend(ShardedBackend):
             family=self.config.family,
             random_state=self.config.seed + 1,
             partitioner=options.get("partitioner", "modulo"),
-            shard_estimators=options.get("shard_estimators", True),
-            estimator_kwargs=options.get("estimator_kwargs"),
             **self._cluster_kwargs(),
         )
         try:
@@ -161,15 +159,11 @@ class ProcessBackend(ShardedBackend):
     # ------------------------------------------------------------------
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ProcessBackend":
-        cls.STATE.check(state)
+        index_state, estimator_state = cls._split_state(state)
         backend = cls(config)
-        backend._index = ClusterCoordinator.from_state(
-            state["index"],
-            estimator_seed=config.seed + 2,
-            **backend._cluster_kwargs(),
-        )
+        backend._index = ClusterCoordinator.from_state(index_state, **backend._cluster_kwargs())
         try:
-            backend._attach_serving_stack()
+            backend._attach_serving_stack(estimator_state)
         except BaseException:  # reprolint: disable=R007 - unwind the half-restored cluster (reap workers) before re-raising
             backend._index.close()
             raise

@@ -4,23 +4,22 @@
 :class:`~repro.shard.sharded_index.ShardedMutableIndex` and swaps the
 in-process shards for **worker processes**: each
 :class:`~repro.shard.sharded_index.IndexShard` holds a
-:class:`RemoteIndexProxy` / :class:`RemoteEstimatorProxy` pair speaking
-the length-prefixed pickle protocol of :mod:`repro.cluster.transport` to
-one :mod:`repro.cluster.worker` process.  Everything above the shard
-boundary — bucket-key routing, the global SampleH stitch, rebalance
-planning, the merged estimator — is inherited *unchanged*, which is what
-keeps the exact-mode estimates of a process cluster bit-identical to an
-unsharded estimator for the same seed:
+:class:`RemoteIndexProxy` speaking the length-prefixed pickle protocol of
+:mod:`repro.cluster.transport` to one :mod:`repro.cluster.worker`
+process.  Everything above the shard boundary — bucket-key routing, the
+global SampleH stitch, rebalance planning, the facade estimator and its
+reservoirs — is inherited *unchanged*, which is what keeps every
+estimate of a process cluster bit-identical to an in-process one (and
+exact-mode estimates to an unsharded estimator) for the same seed:
 
 * hashing and partitioning stay on the coordinator (it owns the hash
   family; workers receive already-hashed batch slices), so ids, bucket
   keys, and shard targets are assigned exactly as in process;
 * the merge layer's remote touch points —
-  :meth:`_bucket_members_on_shard`, :meth:`_gather_rows_on_shard`, and
-  the per-shard SampleH/SampleL draws of the merged mode — return the
-  same values a local shard would, and sampling draws executed
-  worker-side ship the coordinator's generator state in and out,
-  consuming its stream exactly like a local draw;
+  :meth:`_bucket_members_on_shard` and :meth:`_gather_rows_on_shard` —
+  return the same values a local shard would, and every sampling draw
+  runs on the coordinator, consuming its generator exactly as in
+  process;
 * collision tests and bucket sizes (SampleL rejection, estimator
   repairs) answer from the facade's own id → bucket-key map, the same
   code path as in process, so they never cost a round trip;
@@ -64,7 +63,7 @@ from repro.cluster.worker import run_spawned_worker
 from repro.errors import ClusterError, ValidationError, WorkerCrashError
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import current_trace_context, get_tracer, trace
-from repro.rng import RandomState, ensure_rng, generator_state, spawn
+from repro.rng import RandomState
 from repro.shard.sharded_index import (
     SHARDED_STATE,
     IndexShard,
@@ -259,10 +258,6 @@ class RemoteIndexProxy:
     def num_non_collision_pairs(self) -> int:
         return self.total_pairs - self._num_collision_pairs
 
-    @property
-    def estimators(self) -> Tuple[object, ...]:
-        return ()
-
     def __contains__(self, vector_id: int) -> bool:
         return vector_id in self._live
 
@@ -304,30 +299,6 @@ class RemoteIndexProxy:
         self._live.remove(int(vector_id))
         self._apply_stats(reply)
 
-    # -- sampling (generator-state shipping) ---------------------------
-    def _sample_remote(
-        self, stratum: str, sample_size: int, random_state: RandomState
-    ) -> Tuple[Any, Any]:
-        rng = ensure_rng(random_state)
-        reply = self._handle.request(
-            "sample_pairs",
-            {"stratum": stratum, "count": int(sample_size), "rng": generator_state(rng)},
-        )
-        # adopt the advanced stream position: the remote draw consumed
-        # the caller's generator exactly as a local draw would have
-        rng.bit_generator.state = reply["rng"]
-        return reply["left"], reply["right"]
-
-    def sample_collision_pairs(
-        self, sample_size: int, *, random_state: RandomState = None
-    ) -> Tuple[Any, Any]:
-        return self._sample_remote("h", sample_size, random_state)
-
-    def sample_non_collision_pairs(
-        self, sample_size: int, *, random_state: RandomState = None
-    ) -> Tuple[Any, Any]:
-        return self._sample_remote("l", sample_size, random_state)
-
     # -- state / verification ------------------------------------------
     def to_state(self) -> Dict[str, Any]:
         return self._handle.request("snapshot")["state"]
@@ -347,51 +318,6 @@ class RemoteIndexProxy:
             f"RemoteIndexProxy(shard={self._handle.shard_id}, n={self.size}, "
             f"NH={self._num_collision_pairs}, worker={self._handle.describe()})"
         )
-
-
-class RemoteEstimatorProxy:
-    """The worker-hosted :class:`StreamingEstimator`, as seen by the merge layer."""
-
-    def __init__(self, handle: WorkerHandle) -> None:
-        self._handle = handle
-        self._cached: Dict[str, Dict[str, Any]] = {}
-
-    def _fetch(self, stratum: str) -> Dict[str, Any]:
-        reply = self._handle.request("reservoir", {"stratum": stratum})
-        self._cached[stratum] = reply
-        return reply
-
-    def reservoir_usable(self, stratum: str) -> bool:
-        # one fetch answers both the usability probe and the immediately
-        # following reservoir_pairs call of the merge layer
-        return bool(self._fetch(stratum)["usable"])
-
-    def reservoir_pairs(self, stratum: str) -> Tuple[Any, Any]:
-        reply = self._cached.pop(stratum, None)
-        if reply is None:
-            reply = self._fetch(stratum)
-            self._cached.pop(stratum, None)
-        return reply["left"], reply["right"]
-
-    def account_for_migration(
-        self,
-        *,
-        departed_ids: Sequence[int] = (),
-        unseen_collision_pairs: int = 0,
-        unseen_non_collision_pairs: int = 0,
-    ) -> None:
-        self._handle.request(
-            "account_migration",
-            {
-                "departed_ids": [int(i) for i in departed_ids],
-                "unseen_collision_pairs": int(unseen_collision_pairs),
-                "unseen_non_collision_pairs": int(unseen_non_collision_pairs),
-            },
-        )
-
-    def close(self) -> None:
-        if not self._handle.broken and not self._handle.conn.closed:
-            self._handle.request("close_estimator")
 
 
 class ClusterCoordinator(ShardedMutableIndex):
@@ -426,8 +352,6 @@ class ClusterCoordinator(ShardedMutableIndex):
         family: Any = "cosine",
         random_state: RandomState = None,
         partitioner: Any = "modulo",
-        shard_estimators: bool = True,
-        estimator_kwargs: Optional[Dict[str, object]] = None,
         addresses: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         token: Optional[str] = None,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
@@ -457,8 +381,6 @@ class ClusterCoordinator(ShardedMutableIndex):
                 family=family,
                 random_state=random_state,
                 partitioner=partitioner,
-                shard_estimators=shard_estimators,
-                estimator_kwargs=estimator_kwargs,
             )
         except BaseException:  # reprolint: disable=R007 - cleanup-and-reraise
             # never leak worker processes from a half-built coordinator
@@ -560,7 +482,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         Sends ``stats`` (with the metrics opt-in) to every worker before
         awaiting any reply — the fan-out costs one round-trip latency,
         not one per shard.  Returns per-worker rows (size, buckets,
-        staleness, :attr:`WorkerHandle.blocked_seconds`,
+        :attr:`WorkerHandle.blocked_seconds`,
         :attr:`RemoteIndexProxy.worker_ingest_seconds`) plus a single
         merged metrics snapshot: the coordinator's own registry folded
         together with every worker's process-global registry.
@@ -587,7 +509,7 @@ class ClusterCoordinator(ShardedMutableIndex):
                     "blocked_seconds": handle.blocked_seconds,
                     "worker_ingest_seconds": shard.index.worker_ingest_seconds,
                 }
-                for key in ("size", "num_buckets", "staleness_h", "staleness_l"):
+                for key in ("size", "num_buckets"):
                     if key in reply:
                         row[key] = reply[key]
                 workers.append(row)
@@ -695,7 +617,7 @@ class ClusterCoordinator(ShardedMutableIndex):
             return self._connect_external(shard_id)
         return self._spawn_worker(shard_id)
 
-    def _new_shard(self, shard_id: int, estimator_rng: RandomState = None) -> IndexShard:
+    def _new_shard(self, shard_id: int) -> IndexShard:
         """Bring up (or dial) one worker and configure its empty shard."""
         handle = self._connect_worker(shard_id)
         try:
@@ -706,9 +628,6 @@ class ClusterCoordinator(ShardedMutableIndex):
                     "dimension": self.dimension,
                     "num_hashes": self.num_hashes,
                     "family": self.family,
-                    "shard_estimators": self._shard_estimators,
-                    "estimator_kwargs": self._estimator_kwargs,
-                    "estimator_rng": estimator_rng,
                 },
             )
         except BaseException:  # reprolint: disable=R007 - reap the worker whose bootstrap failed before re-raising
@@ -717,8 +636,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         self._handles.append(handle)
         proxy = RemoteIndexProxy(self, handle)
         proxy._apply_stats(reply)
-        estimator = RemoteEstimatorProxy(handle) if self._shard_estimators else None
-        return IndexShard(shard_id, proxy, estimator)
+        return IndexShard(shard_id, proxy)
 
     def drop_trailing_shards(self, new_total: int) -> None:
         dropped = self._handles[new_total:]
@@ -801,29 +719,14 @@ class ClusterCoordinator(ShardedMutableIndex):
     def _adopt_shard_state(self, shard_id: int, state: Mapping[str, Any]) -> None:
         """Ship a split/spliced shard state to its worker (remote rebalance)."""
         self._check_usable()
-        handle = self._handles[shard_id]
-        reply = handle.request(
-            "restore",
-            {
-                "state": state,
-                "shard_id": shard_id,
-                "shard_estimators": self._shard_estimators,
-                "estimator_kwargs": self._estimator_kwargs,
-                "build_missing": False,
-            },
-        )
-        proxy = self.shards[shard_id].index
-        proxy._load_state_mirror(state, reply)
-        self.shards[shard_id].estimator = (
-            RemoteEstimatorProxy(handle) if reply["has_estimator"] else None
-        )
+        reply = self._handles[shard_id].request("restore", {"state": state, "shard_id": shard_id})
+        self.shards[shard_id].index._load_state_mirror(state, reply)
 
     @classmethod
     def from_state(
         cls,
         state: Mapping[str, Any],
         *,
-        estimator_seed: RandomState = None,
         addresses: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         token: Optional[str] = None,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
@@ -856,27 +759,14 @@ class ClusterCoordinator(ShardedMutableIndex):
                 )
             # checks every shard state (family, one table) before any worker
             cluster._restore_facade_fields(state)
-            shard_states = state["shards"]
-            estimator_rngs = spawn(ensure_rng(estimator_seed), num_shards)
             cluster.shards = []
-            for shard_id, shard_state in enumerate(shard_states):
+            for shard_id, shard_state in enumerate(state["shards"]):
                 handle = cluster._connect_worker(shard_id)
                 cluster._handles.append(handle)
-                reply = handle.request(
-                    "restore",
-                    {
-                        "state": shard_state,
-                        "shard_id": shard_id,
-                        "shard_estimators": cluster._shard_estimators,
-                        "estimator_kwargs": cluster._estimator_kwargs,
-                        "estimator_rng": estimator_rngs[shard_id],
-                        "build_missing": True,
-                    },
-                )
+                reply = handle.request("restore", {"state": shard_state, "shard_id": shard_id})
                 proxy = RemoteIndexProxy(cluster, handle)
                 proxy._load_state_mirror(shard_state, reply)
-                estimator = RemoteEstimatorProxy(handle) if reply["has_estimator"] else None
-                cluster.shards.append(IndexShard(shard_id, proxy, estimator))
+                cluster.shards.append(IndexShard(shard_id, proxy))
             cluster._restore_facade_bookkeeping(state)
             cluster._refresh_owner_alignment()
             restore_estimator_states(cluster, state.get("estimators", ()))
@@ -912,7 +802,6 @@ class ClusterCoordinator(ShardedMutableIndex):
 __all__ = [
     "ClusterCoordinator",
     "RemoteIndexProxy",
-    "RemoteEstimatorProxy",
     "WorkerHandle",
     "DEFAULT_REQUEST_TIMEOUT",
 ]

@@ -41,7 +41,10 @@ from repro.errors import ClusterError, ReproError, ValidationError, WorkerCrashE
 #: 3: ``meta`` is mandatory; the 2-tuple frame is refused.
 #: 4: one LSH table per shard — ``configure`` ships one ``family`` and
 #: ``insert_prepared`` one ``(rows, k)`` signature array.
-PROTOCOL_VERSION = 4
+#: 5: workers host no estimator and draw no samples; the estimator ops,
+#: ``sample_pairs`` and the estimator fields of ``configure`` /
+#: ``restore`` / ``stats`` are gone.
+PROTOCOL_VERSION = 5
 
 #: refuse frames beyond this size (corrupt length prefix / runaway state)
 MAX_FRAME_BYTES = 4 << 30

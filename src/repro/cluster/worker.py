@@ -1,35 +1,30 @@
-"""The shard worker: one process hosting one mutable index + estimator.
+"""The shard worker: one process hosting one mutable index.
 
 A worker owns exactly one shard of a multi-process cluster: a
-:class:`~repro.streaming.mutable_index.MutableLSHIndex` (sharing the
+:class:`~repro.streaming.mutable_index.MutableLSHIndex` sharing the
 coordinator's hash family, shipped at configure time, so every worker
-hashes identically) plus an optional locally repaired
-:class:`~repro.streaming.estimator.StreamingEstimator`.  It speaks the
-length-prefixed pickle protocol of :mod:`repro.cluster.transport` and
-understands a small op set, all of whose payloads are the library's
-existing serialisations:
+hashes identically.  Estimators observe the coordinator's facade, never
+a worker.  It speaks the length-prefixed pickle protocol of
+:mod:`repro.cluster.transport` and understands a small op set, all of
+whose payloads are the library's existing serialisations:
 
 =====================  ====================================================
-``configure``          build an empty index from the family + estimator spec
+``configure``          build an empty index from the dimension + family
 ``restore``            revive the index from a ``to_state`` snapshot
-``snapshot``           return the index ``to_state`` (estimators embedded)
+``snapshot``           return the index ``to_state``
 ``insert_prepared``    apply a routed batch slice (ids, CSR rows, one ``(rows, k)`` array)
 ``delete``             delete one id
 ``bucket_members``     member lists for a batch of owned bucket keys
 ``gather_rows``        (normalized) CSR rows for a batch of ids
-``sample_pairs``       SampleH / SampleL draw with generator-state shipping
-``reservoir``          the estimator's current reservoir pairs for a stratum
-``account_migration``  repair reservoirs after a key-range migration
-``close_estimator``    detach the estimator (pre-shutdown of a drained shard)
 ``check`` / ``stats``  invariants / size + ``N_H`` bookkeeping
 ``ping`` / ``shutdown``  liveness / end of session
 =====================  ====================================================
 
 Mutating ops reply with the post-op ``(size, N_H)`` so the coordinator's
-local mirrors never need a second round trip.  ``sample_pairs`` ships the
-coordinator's generator *state* in and the advanced state back out, so a
-draw executed in the worker consumes the coordinator's stream exactly as
-an in-process draw would — the keystone of the bit-identical exact mode.
+local mirrors never need a second round trip.  No op draws samples: the
+coordinator samples from its own bucket-key map and the members fetched
+by ``bucket_members``, which keeps every estimate bit-identical to an
+in-process one.
 
 Run modes: :func:`run_spawned_worker` (connect back to the coordinator
 that spawned this process) and :func:`serve` (standalone ``repro
@@ -50,11 +45,10 @@ from repro.cluster.transport import (
     ConnectionClosed,
     describe_error,
 )
-from repro.errors import ClusterError, ValidationError
+from repro.errors import ClusterError
 from repro.obs.metrics import get_global_registry
 from repro.obs.tracing import activate_trace_context, get_tracer, trace
-from repro.rng import generator_from_state, generator_state
-from repro.streaming.estimator import StreamingEstimator
+from repro.shard.sharded_index import check_shard_state
 from repro.streaming.mutable_index import MutableLSHIndex
 
 
@@ -64,7 +58,6 @@ class ShardWorker:
     def __init__(self, shard_id: Optional[int] = None) -> None:
         self.shard_id = shard_id
         self.index: Optional[MutableLSHIndex] = None
-        self.estimator: Optional[StreamingEstimator] = None
 
     # ------------------------------------------------------------------
     def _require_index(self) -> MutableLSHIndex:
@@ -72,50 +65,13 @@ class ShardWorker:
             raise ClusterError("worker holds no index yet (send 'configure' or 'restore')")
         return self.index
 
-    def _require_estimator(self) -> StreamingEstimator:
-        if self.estimator is None:
-            raise ClusterError("this shard carries no streaming estimator")
-        return self.estimator
-
     def _stats(self) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {
-            "size": 0,
-            "num_collision_pairs": 0,
-            "num_buckets": 0,
-            "has_estimator": self.estimator is not None,
-        }
+        stats: Dict[str, Any] = {"size": 0, "num_collision_pairs": 0, "num_buckets": 0}
         if self.index is not None:
             stats["size"] = self.index.size
             stats["num_collision_pairs"] = self.index.num_collision_pairs
             stats["num_buckets"] = self.index.primary_table.num_buckets
-        if self.estimator is not None:
-            stats["staleness_h"] = self.estimator.staleness_h
-            stats["staleness_l"] = self.estimator.staleness_l
         return stats
-
-    def _attach_estimator(
-        self,
-        *,
-        shard_estimators: bool,
-        estimator_kwargs: Dict[str, Any],
-        estimator_rng: Any,
-        build_missing: bool,
-    ) -> None:
-        """Adopt a restored estimator, build a fresh one, or detach."""
-        index = self._require_index()
-        restored = index.estimators
-        if not shard_estimators:
-            for estimator in restored:
-                estimator.close()
-            self.estimator = None
-        elif restored:
-            self.estimator = restored[0]
-        elif build_missing:
-            self.estimator = StreamingEstimator(
-                index, random_state=estimator_rng, **dict(estimator_kwargs or {})
-            )
-        else:
-            self.estimator = None
 
     # ------------------------------------------------------------------
     # ops
@@ -132,29 +88,16 @@ class ShardWorker:
             num_hashes=int(payload["num_hashes"]),
             family=payload["family"],
         )
-        if payload.get("shard_estimators"):
-            self.estimator = StreamingEstimator(
-                self.index,
-                random_state=payload.get("estimator_rng"),
-                **dict(payload.get("estimator_kwargs") or {}),
-            )
         return self._stats()
 
     def op_restore(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         # revive first: a refused state leaves the served shard untouched
-        index = MutableLSHIndex.from_state(payload.get("state"))
+        state = payload.get("state")
+        check_shard_state(state)
+        index = MutableLSHIndex.from_state(state)
         if "shard_id" in payload and payload["shard_id"] is not None:
             self.shard_id = int(payload["shard_id"])
-        if self.estimator is not None:
-            self.estimator.close()
-            self.estimator = None
         self.index = index
-        self._attach_estimator(
-            shard_estimators=bool(payload.get("shard_estimators")),
-            estimator_kwargs=payload.get("estimator_kwargs") or {},
-            estimator_rng=payload.get("estimator_rng"),
-            build_missing=bool(payload.get("build_missing")),
-        )
         return self._stats()
 
     def op_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -184,40 +127,6 @@ class ShardWorker:
             else store.gather_raw(ids)
         )
         return {"matrix": matrix}
-
-    def op_sample_pairs(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        index = self._require_index()
-        stratum = payload["stratum"]
-        rng = generator_from_state(dict(payload["rng"]))
-        count = int(payload["count"])
-        if stratum == "h":
-            left, right = index.sample_collision_pairs(count, random_state=rng)
-        elif stratum == "l":
-            left, right = index.sample_non_collision_pairs(count, random_state=rng)
-        else:
-            raise ValidationError(f"stratum must be 'h' or 'l', got {stratum!r}")
-        return {"left": left, "right": right, "rng": generator_state(rng)}
-
-    def op_reservoir(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        estimator = self._require_estimator()
-        stratum = payload["stratum"]
-        usable = estimator.reservoir_usable(stratum)
-        left, right = estimator.reservoir_pairs(stratum)
-        return {"usable": usable, "left": left, "right": right}
-
-    def op_account_migration(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_estimator().account_for_migration(
-            departed_ids=payload.get("departed_ids", ()),
-            unseen_collision_pairs=int(payload.get("unseen_collision_pairs", 0)),
-            unseen_non_collision_pairs=int(payload.get("unseen_non_collision_pairs", 0)),
-        )
-        return self._stats()
-
-    def op_close_estimator(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if self.estimator is not None:
-            self.estimator.close()
-            self.estimator = None
-        return self._stats()
 
     def op_check(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         self._require_index().check_invariants()

@@ -585,24 +585,27 @@ class StreamingBackend(EstimatorBackend):
 class ShardedBackend(EstimatorBackend):
     """Bucket-key-partitioned cluster behind a buffered router.
 
+    Every mode is served by one :class:`ShardedStreamingEstimator` — the
+    streaming estimator over the facade, its maintenance generator
+    seeded ``seed + 2`` as on the ``streaming`` backend — so the shard
+    count and rebalances never change an answer.
+
     Options
     -------
     ``num_shards`` (default 4), ``partitioner`` (``"modulo"`` /
-    ``"rendezvous"``), ``shard_estimators``, ``estimator_kwargs``
+    ``"rendezvous"``)
         Passed to :class:`ShardedMutableIndex`.
     ``batch_size`` (default 256)
         Passed to :class:`ShardRouter`.
     ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` /
     ``dampening``
-        Passed to the merged :class:`ShardedStreamingEstimator`.
+        Passed to the :class:`ShardedStreamingEstimator`.
     """
 
     OPTIONS = frozenset(
         {
             "num_shards",
             "partitioner",
-            "shard_estimators",
-            "estimator_kwargs",
             "batch_size",
             "sample_size_h",
             "sample_size_l",
@@ -634,12 +637,12 @@ class ShardedBackend(EstimatorBackend):
             family=self.config.family,
             random_state=self.config.seed + 1,
             partitioner=options.get("partitioner", "modulo"),
-            shard_estimators=options.get("shard_estimators", True),
-            estimator_kwargs=options.get("estimator_kwargs"),
         )
         self._attach_serving_stack()
 
-    def _attach_serving_stack(self) -> None:
+    def _attach_serving_stack(self, estimator_state: Optional[Mapping[str, Any]] = None) -> None:
+        """Wire the router and the facade estimator: a fresh one, or the
+        checkpointed ``estimator_state`` adopted without redrawing."""
         options = self.config.options
         self._index.metrics = self.metrics
         self._router = ShardRouter(
@@ -647,9 +650,18 @@ class ShardedBackend(EstimatorBackend):
             batch_size=options.get("batch_size", 256),
             metrics=self.metrics,
         )
+        if estimator_state is not None:
+            self._estimator = ShardedStreamingEstimator.from_state(
+                self._index, estimator_state, router=self._router, metrics=self.metrics
+            )
+            return
         merge_kwargs = {key: options[key] for key in self._MERGE_KEYS if key in options}
         self._estimator = ShardedStreamingEstimator(
-            self._index, router=self._router, metrics=self.metrics, **merge_kwargs
+            self._index,
+            router=self._router,
+            metrics=self.metrics,
+            random_state=self.config.seed + 2,
+            **merge_kwargs,
         )
 
     def close(self) -> None:
@@ -657,6 +669,11 @@ class ShardedBackend(EstimatorBackend):
 
     def flush(self) -> None:
         self._router.flush()
+
+    def quiesce(self) -> None:
+        # as on the streaming backend: repair now, so auto-mode estimates
+        # against a published generation stay read-only
+        self._estimator.repair()
 
     def drain_pending(self) -> list:
         return self._router.drain_pending()
@@ -705,6 +722,10 @@ class ShardedBackend(EstimatorBackend):
             "shard_sizes": [shard.size for shard in self._index.shards],
             "partitioner": self._index.partitioner.kind,
             "pending_writes": self._router.pending,
+            "staleness": {
+                "h": self._estimator.staleness_h,
+                "l": self._estimator.staleness_l,
+            },
         }
 
     # ------------------------------------------------------------------
@@ -731,7 +752,7 @@ class ShardedBackend(EstimatorBackend):
             # plan_rebalance needs the target shard count to exist; the
             # appended shards are empty, so dropping them restores state
             if target_shards > current:
-                self._index.add_shards(target_shards, estimator_seed=self.config.seed + 3)
+                self._index.add_shards(target_shards)
             try:
                 return plan_rebalance(
                     self._index, resolve_partitioner(target_kind, target_shards)
@@ -739,12 +760,7 @@ class ShardedBackend(EstimatorBackend):
             finally:
                 if target_shards > current:
                     self._index.drop_trailing_shards(current)
-        plan = rebalance_cluster(
-            self._index,
-            num_shards=target_shards,
-            partitioner=target_kind,
-            estimator_seed=self.config.seed + 3,
-        )
+        plan = rebalance_cluster(self._index, num_shards=target_shards, partitioner=target_kind)
         self.config = self.config.replace(
             options={
                 **self.config.options,
@@ -760,13 +776,23 @@ class ShardedBackend(EstimatorBackend):
         return self.STATE.dump(index=self._index.to_state())
 
     @classmethod
-    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ShardedBackend":
+    def _split_state(cls, state: Mapping[str, Any]) -> Tuple[Dict[str, Any], Mapping[str, Any]]:
+        """The index state, and apart from it the served facade estimator's."""
         cls.STATE.check(state)
+        index_state = dict(state["index"])
+        estimator_states = list(index_state.pop("estimators", ()))
+        if not estimator_states:
+            # open() always registers one, so every sharded bundle carries it
+            cls.STATE.refuse("its index state carries no estimator")
+        index_state["estimators"] = estimator_states[1:]
+        return index_state, estimator_states[0]
+
+    @classmethod
+    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ShardedBackend":
+        index_state, estimator_state = cls._split_state(state)
         backend = cls(config)
-        backend._index = ShardedMutableIndex.from_state(
-            state["index"], estimator_seed=config.seed + 2
-        )
-        backend._attach_serving_stack()
+        backend._index = ShardedMutableIndex.from_state(index_state)
+        backend._attach_serving_stack(estimator_state)
         return backend
 
     # ------------------------------------------------------------------

@@ -59,9 +59,9 @@ class EstimateRequest:
     threshold:
         Similarity threshold ``τ`` in ``(0, 1]``.
     mode:
-        Backend-specific serving path (``"auto"`` everywhere; also
-        ``"exact"``, ``"reservoir"`` for streaming, ``"merged"`` for
-        sharded).  Backends reject modes they do not serve.
+        Serving path: ``"auto"`` and ``"exact"`` everywhere, and
+        ``"reservoir"`` on the mutable backends (streaming, sharded,
+        process).  Backends reject modes they do not serve.
     seed:
         Per-call rng seed; ``None`` falls back to the engine config's
         root seed.

@@ -10,24 +10,22 @@ approximation:
   :class:`KeyPartitioner` (modulo) and :class:`RendezvousPartitioner`
   (highest-random-weight, minimal key movement under resizes).
 * :mod:`~repro.shard.sharded_index` — :class:`ShardedMutableIndex`, ``S``
-  shards (each a :class:`~repro.streaming.mutable_index.MutableLSHIndex`
-  plus an optional locally repaired
-  :class:`~repro.streaming.estimator.StreamingEstimator`) behind a
-  drop-in single-index surface with the query-side merge layer built in.
+  shards (each a :class:`~repro.streaming.mutable_index.MutableLSHIndex`)
+  behind a drop-in single-index surface with the query-side merge layer
+  built in.
 * :mod:`~repro.shard.router` — :class:`ShardRouter`, the buffered write
   path: batch hashing, bucket-key partitioning, and per-shard
   ingestion on top of ``insert_many``; replays
   :class:`~repro.streaming.events.ChangeLog` streams.
-* :mod:`~repro.shard.merge` — :func:`merge_strata` /
-  :class:`ShardedStreamingEstimator`, combining per-shard ``N_H`` /
-  ``N_L`` counts and reservoirs into one LSH-SS estimate; the exact mode
-  is bit-identical (same seed) to an unsharded estimator over the same
-  event sequence.
+* :mod:`~repro.shard.merge` — :func:`merge_strata` (per-shard ``N_H`` /
+  ``N_L`` counts combined) and :class:`ShardedStreamingEstimator`, the
+  streaming estimator run over the facade; the exact mode is
+  bit-identical (same seed) to an unsharded estimator over the same
+  event sequence, and no mode depends on the shard count.
 * :mod:`~repro.shard.rebalance` — online key-range migration over the
   snapshot/restore substrate: :func:`plan_rebalance` /
   :func:`apply_plan` / :func:`rebalance_cluster` resize or re-partition a
-  cluster while exact-mode estimates stay bit-identical and per-shard
-  estimator reservoirs are repaired rather than redrawn.
+  cluster while every estimate stays bit-identical.
 """
 
 from repro.shard.merge import MergedStrata, ShardedStreamingEstimator, merge_strata

@@ -10,7 +10,7 @@ with their member lists and rows — between shards.  This module does that
   :meth:`~repro.streaming.mutable_index.MutableLSHIndex.to_state`
   snapshots: the first filters a shard's state by a bucket-key
   predicate into a *remaining* state and a picklable *migration
-  payload* (rows, whole buckets, moved-pair counts); the second splices
+  payload* (rows and whole buckets); the second splices
   a payload into another shard's state.  A shard holds one table, so
   moving a key moves its whole bucket and nothing else.  Payloads are
   plain picklable dicts, so a key range can be shipped to a shard on
@@ -24,12 +24,10 @@ with their member lists and rows — between shards.  This module does that
   spliced at the state level and revived via ``from_state`` — member
   lists move verbatim and the facade's global bucket-order map only
   changes *owners*, so the merged SampleH layout (and with it every
-  exact-mode estimate) stays bit-identical to an unsharded build.
-  Per-shard estimator reservoirs travel inside the shard states
-  (reservoir persistence) and are then *repaired*, not redrawn:
-  departed vectors are evicted like deletes, arriving pair mass is
-  booked as staleness, and the usual budget decides how much to
-  resample.
+  exact-mode estimate) stays bit-identical to an unsharded build.  The
+  estimators observe the facade, whose ids, strata and reservoirs a
+  migration does not touch, so nothing needs repairing afterwards and
+  ``auto`` estimates stay bit-identical too.
 * :func:`rebalance_cluster` is the driver: grow/shrink the shard list, swap the
   partitioner (a :class:`~repro.shard.partition.RendezvousPartitioner`
   moves only ``~1/(S+1)`` of the keys on a resize to ``S+1``), plan,
@@ -46,7 +44,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ValidationError
-from repro.rng import RandomState
 from repro.shard.partition import (
     Partitioner,
     key_signature_matrix,
@@ -66,7 +63,6 @@ _MIGRATION_STATE = StateSpec(
         "ids": (list, tuple),
         "rows": Mapping,
         "tables": (list, tuple),
-        "collision_pairs": Integral,
     },
     kind="bucket-migration",
 )
@@ -97,7 +93,6 @@ def _split_index_state_groups(
             f"{len(missing)} bucket key(s) are not live in this shard state"
         )
     moved_buckets: Dict[object, List[Tuple[bytes, List[int]]]] = {g: [] for g in groups}
-    collision_pairs: Dict[object, int] = {g: 0 for g in groups}
     id_group: Dict[int, object] = {}
     remaining_buckets: List[Tuple[bytes, List[int]]] = []
     for key, members in buckets:
@@ -107,7 +102,6 @@ def _split_index_state_groups(
             continue
         bucket = [int(member) for member in members]
         moved_buckets[group].append((key, bucket))
-        collision_pairs[group] += len(bucket) * (len(bucket) - 1) // 2
         for member in bucket:
             id_group[member] = group
     kept_live: List[int] = []
@@ -148,7 +142,6 @@ def _split_index_state_groups(
             ids=moved_live[group],
             rows=select_rows(moved_live[group]),
             tables=[moved_buckets[group]],
-            collision_pairs=collision_pairs[group],
         )
         for group in groups
     }
@@ -302,16 +295,14 @@ def plan_rebalance(sharded: ShardedMutableIndex, partitioner: Partitioner) -> Re
 # execution
 # ----------------------------------------------------------------------
 def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePlan:
-    """Execute a rebalance plan: migrate keys, repair estimators, remap owners.
+    """Execute a rebalance plan: migrate keys, remap owners.
 
     Affected shards are round-tripped through the snapshot substrate
     (``to_state`` → split/splice → ``from_state``), so the operation is
-    exactly as lossless as checkpoint/restore — including each shard
-    estimator's reservoirs, which are restored and then repaired for
-    the migrated pair mass instead of being redrawn.  Facade-level
-    state (live-id order, bucket-key order, merged SampleH layout) is
-    untouched apart from the owner column, which keeps exact-mode
-    estimates bit-identical across the migration.
+    exactly as lossless as checkpoint/restore.  Facade-level state
+    (live-id order, bucket-key order, merged SampleH layout, the facade
+    estimators' reservoirs) is untouched apart from the owner column,
+    which keeps every estimate bit-identical across the migration.
     """
     refs = sharded._bucket_refs
     num_shards = sharded.num_shards
@@ -342,32 +333,16 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
     for by_target in outgoing.values():
         affected.update(by_target)
     states = {shard_id: sharded.shards[shard_id].index.to_state() for shard_id in affected}
-    departed: Dict[int, List[int]] = {}
     arrivals: Dict[int, List[Dict[str, object]]] = {}
     for source, by_target in outgoing.items():
         states[source], payloads = _split_index_state_groups(states[source], by_target)
         for target, payload in payloads.items():
-            departed.setdefault(source, []).extend(payload["ids"])
             arrivals.setdefault(target, []).append(payload)
-
-    # book arriving pair mass as reservoir staleness: moved buckets bring
-    # their C(b, 2) collision pairs; every (arriving, resident) and
-    # (arriving, arriving) non-colliding combination is a new intra-shard
-    # stratum-L pair for the target
-    unseen_h: Dict[int, int] = {}
-    unseen_l: Dict[int, int] = {}
     moved_vectors = 0
     for target, payloads in arrivals.items():
         for payload in payloads:
-            resident = len(states[target]["live_ids"])
-            arriving = len(payload["ids"])
-            collision_pairs = int(payload["collision_pairs"])
-            unseen_h[target] = unseen_h.get(target, 0) + collision_pairs
-            unseen_l[target] = unseen_l.get(target, 0) + (
-                arriving * resident + arriving * (arriving - 1) // 2 - collision_pairs
-            )
             states[target] = splice_index_state(states[target], payload)
-            moved_vectors += arriving
+            moved_vectors += len(payload["ids"])
 
     for shard_id in sorted(affected):
         # in process this revives the state locally; the multi-process
@@ -381,15 +356,6 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
             for vector_id in payload["ids"]:
                 sharded._shard_of_id[int(vector_id)] = target
     sharded._frozen = None
-
-    for shard_id in sorted(affected):
-        estimator = sharded.shards[shard_id].estimator
-        if estimator is not None:
-            estimator.account_for_migration(
-                departed_ids=departed.get(shard_id, ()),
-                unseen_collision_pairs=unseen_h.get(shard_id, 0),
-                unseen_non_collision_pairs=unseen_l.get(shard_id, 0),
-            )
     if plan.partitioner is not None and plan.partitioner.num_shards == num_shards:
         sharded.partitioner = plan.partitioner
     sharded._refresh_owner_alignment()
@@ -402,7 +368,6 @@ def rebalance_cluster(
     *,
     num_shards: Optional[int] = None,
     partitioner: Optional[object] = None,
-    estimator_seed: RandomState = None,
 ) -> RebalancePlan:
     """Resize and/or re-partition a live cluster with minimal key movement.
 
@@ -421,9 +386,6 @@ def rebalance_cluster(
         ``S → S+1`` relocates an expected ``1/(S+1)`` of the bucket
         keys; a modulo :class:`~repro.shard.partition.KeyPartitioner`
         reshuffles almost everything.
-    estimator_seed:
-        Seed for the estimators of newly added shards (existing shard
-        estimators keep their state).
 
     Returns the executed :class:`RebalancePlan` (moved keys/vectors and
     the adopted partitioner).
@@ -441,7 +403,7 @@ def rebalance_cluster(
     else:
         new_partitioner = resolve_partitioner(partitioner, target)
     if target > current:
-        sharded.add_shards(target, estimator_seed=estimator_seed)
+        sharded.add_shards(target)
     plan = plan_rebalance(sharded, new_partitioner)
     apply_plan(sharded, plan)
     if target < current:

@@ -20,7 +20,7 @@ deletes, checkpoints — usually replayed from a
 
 The batch grouping preserves arrival order within every bucket, so the
 replayed cluster reaches exactly the bucket layout — and therefore the
-same merged estimates — as an unsharded index fed the same log.
+same exact-mode estimates — as an unsharded index fed the same log.
 """
 
 from __future__ import annotations

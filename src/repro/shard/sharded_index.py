@@ -2,10 +2,8 @@
 
 :class:`ShardedMutableIndex` partitions the bucket-key space of a
 :class:`~repro.streaming.mutable_index.MutableLSHIndex` across ``S``
-shards.  Every shard wraps its own ``MutableLSHIndex`` (sharing the *same*
-hash-family instance, so all shards hash identically) plus an optional
-per-shard :class:`~repro.streaming.estimator.StreamingEstimator` whose
-reservoirs are repaired locally as mutations arrive.
+shards.  Every shard wraps its own ``MutableLSHIndex``, sharing the *same*
+hash-family instance, so all shards hash identically.
 
 The facade exposes the full single-index surface — ``insert`` /
 ``insert_many`` / ``delete``, observers, SampleH / SampleL, per-pair
@@ -28,11 +26,12 @@ cosine — with the *merge layer* built in:
   themselves are the shared primitives of :mod:`repro.lsh.table`.
 
 Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
-constructed over the facade behaves bit-identically to one constructed
-over an unsharded index fed the same event sequence, and the dedicated
-:class:`~repro.shard.merge.ShardedStreamingEstimator` adds a
-reservoir-pooling mode that merges per-shard samples without touching
-any bucket at query time.
+constructed over the facade — which is what
+:class:`~repro.shard.merge.ShardedStreamingEstimator` is — behaves
+bit-identically to one constructed over an unsharded index fed the same
+event sequence.  Shards carry no estimators of their own: the facade's
+observers are the only reservoirs, so shard states and worker payloads
+hold index data only.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
 from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
-from repro.rng import RandomState, ensure_rng, spawn
+from repro.rng import RandomState
 from repro.shard.partition import (
     Partitioner,
     key_signature_matrix,
@@ -59,7 +58,6 @@ from repro.shard.partition import (
     resolve_partitioner,
 )
 from repro.state import StateSpec
-from repro.streaming.estimator import StreamingEstimator
 from repro.streaming.mutable_index import (
     LiveIds,
     MutableLSHIndex,
@@ -77,7 +75,8 @@ from repro.streaming.mutable_index import (
 from repro.streaming.rowstore import pairwise_cosine
 from repro.vectors.collection import VectorCollection
 
-#: also the state of a :class:`~repro.cluster.ClusterCoordinator`
+#: also the state of a :class:`~repro.cluster.ClusterCoordinator`; format 2
+#: dropped the per-shard estimators (format 1 embedded one per shard state)
 SHARDED_STATE = StateSpec(
     "a sharded-index snapshot",
     {
@@ -90,23 +89,35 @@ SHARDED_STATE = StateSpec(
         "live_ids": (list, tuple),
         "shard_of": (list, tuple),
         "bucket_refs": (list, tuple),
-        "shard_estimators": bool,
-        "estimator_kwargs": Mapping,
         "shards": (list, tuple),
         "estimators": (list, tuple),
     },
+    format=2,
     kind="sharded",
     optional=("estimators",),
 )
 
 
+def check_shard_state(state: Mapping[str, object]) -> None:
+    """Refuse a malformed shard index state, or one carrying estimators.
+
+    Estimators observe the facade, never a shard; a shard state with
+    embedded reservoirs predates that and is refused, not half-adopted.
+    """
+    check_index_state(state)
+    if state.get("estimators"):
+        raise ValidationError(
+            "shard state carries per-shard estimators (a format-1 sharded "
+            "snapshot); estimators observe the facade and shards hold none"
+        )
+
+
 @dataclass
 class IndexShard:
-    """One shard: a mutable index plus its locally repaired estimator."""
+    """One shard: a mutable index holding whole buckets."""
 
     shard_id: int
     index: MutableLSHIndex
-    estimator: Optional[StreamingEstimator] = None
 
     @property
     def size(self) -> int:
@@ -187,14 +198,6 @@ class ShardedMutableIndex:
         default, or ``"rendezvous"`` for minimal-movement resizes via
         :mod:`repro.shard.rebalance`), a partitioner class, or a
         pre-built instance covering ``num_shards`` shards.
-    shard_estimators:
-        When true (default), every shard carries a
-        :class:`~repro.streaming.estimator.StreamingEstimator` that
-        repairs its reservoirs as mutations are routed in; the merge
-        layer pools them for bucket-free query serving.
-    estimator_kwargs:
-        Extra keyword arguments for the per-shard estimators
-        (``reservoir_size``, ``staleness_budget``, …).
     """
 
     def __init__(
@@ -206,24 +209,17 @@ class ShardedMutableIndex:
         family: Union[str, Type[LSHFamily]] = "cosine",
         random_state: RandomState = None,
         partitioner: Union[str, Partitioner, type] = "modulo",
-        shard_estimators: bool = True,
-        estimator_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.num_hashes = int(num_hashes)
         self.partitioner = resolve_partitioner(partitioner, num_shards)
-        # identical family draw to an unsharded MutableLSHIndex; the
-        # per-shard estimator generators come next from the same stream
-        rng = ensure_rng(random_state)
-        self.family = bind_family(family, self.num_hashes, self.dimension, rng)
-        self._shard_estimators = bool(shard_estimators)
-        self._estimator_kwargs = dict(estimator_kwargs or {})
+        # identical family draw to an unsharded MutableLSHIndex
+        self.family = bind_family(family, self.num_hashes, self.dimension, random_state)
         self.shards: List[IndexShard] = []
-        estimator_rngs = spawn(rng, num_shards) if self._shard_estimators else [None] * num_shards
         for shard_id in range(num_shards):
-            self.shards.append(self._new_shard(shard_id, estimator_rngs[shard_id]))
+            self.shards.append(self._new_shard(shard_id))
         self._shard_of_id: Dict[int, int] = {}
         #: live id → bucket key; answers the collision tests of
         #: SampleL and the estimators without asking any shard
@@ -294,17 +290,12 @@ class ShardedMutableIndex:
     # ------------------------------------------------------------------
     # shard management (construction + rebalance substrate)
     # ------------------------------------------------------------------
-    def _new_shard(self, shard_id: int, estimator_rng: RandomState = None) -> IndexShard:
+    def _new_shard(self, shard_id: int) -> IndexShard:
         """An empty shard sharing the cluster's family (hashing identically)."""
         index = MutableLSHIndex(self.dimension, num_hashes=self.num_hashes, family=self.family)
-        estimator = None
-        if self._shard_estimators:
-            estimator = StreamingEstimator(
-                index, random_state=estimator_rng, **self._estimator_kwargs
-            )
-        return IndexShard(shard_id, index, estimator)
+        return IndexShard(shard_id, index)
 
-    def add_shards(self, new_total: int, *, estimator_seed: RandomState = None) -> None:
+    def add_shards(self, new_total: int) -> None:
         """Grow the cluster to ``new_total`` (empty) shards.
 
         Existing shards and the partitioner are untouched — callers
@@ -316,10 +307,8 @@ class ShardedMutableIndex:
                 f"add_shards cannot shrink the cluster "
                 f"({len(self.shards)} → {new_total}); use a rebalance"
             )
-        extra = new_total - len(self.shards)
-        rngs = spawn(ensure_rng(estimator_seed), extra) if self._shard_estimators else [None] * extra
-        for offset in range(extra):
-            self.shards.append(self._new_shard(len(self.shards), rngs[offset]))
+        while len(self.shards) < new_total:
+            self.shards.append(self._new_shard(len(self.shards)))
 
     def drop_trailing_shards(self, new_total: int) -> None:
         """Shrink the cluster to ``new_total`` shards; the rest must be empty."""
@@ -331,8 +320,6 @@ class ShardedMutableIndex:
                     f"shard {shard.shard_id} still holds {shard.size} vectors; "
                     "rebalance them away before shrinking"
                 )
-            if shard.estimator is not None:
-                shard.estimator.close()
         del self.shards[new_total:]
 
     # ------------------------------------------------------------------
@@ -723,29 +710,22 @@ class ShardedMutableIndex:
     # snapshot / restore (checkpointing + rebalancing substrate)
     # ------------------------------------------------------------------
     def _adopt_shard_state(self, shard_id: int, state: Mapping[str, object]) -> None:
-        """Replace one shard's index (and estimator) with a rebuilt state.
+        """Replace one shard's index with a rebuilt state.
 
         The rebalance layer calls this after splitting/splicing shard
         snapshots: here the state is revived in process; the
         multi-process coordinator overrides it to ship the state to the
-        shard's worker instead.  Estimators embedded in the state are
-        adopted; a shard whose state carries none ends up with none (the
-        caller decides whether to redraw).
+        shard's worker instead.
         """
-        shard = self.shards[shard_id]
-        new_index = MutableLSHIndex.from_state(state)
-        restored = new_index.estimators
-        shard.index = new_index
-        shard.estimator = restored[0] if restored else None
+        self.shards[shard_id].index = MutableLSHIndex.from_state(state)
 
     def to_state(self) -> Dict[str, object]:
         """A picklable checkpoint of the facade and every shard.
 
-        Per-shard estimator reservoirs travel inside each shard's state
-        (:meth:`MutableLSHIndex.to_state` embeds its registered
-        estimators); estimators observing the facade itself are captured
-        under ``"estimators"``.  Restores therefore replay estimates
-        bit-identically instead of redrawing sampled state.
+        Estimators observing the facade are captured under
+        ``"estimators"`` with their reservoirs and generator positions,
+        so restores replay estimates bit-identically instead of
+        redrawing sampled state.
         """
         return SHARDED_STATE.dump(
             dimension=self.dimension,
@@ -760,45 +740,24 @@ class ShardedMutableIndex:
                 (key, count, shard_id)
                 for key, (count, shard_id) in self._bucket_refs.items()
             ],
-            shard_estimators=self._shard_estimators,
-            estimator_kwargs=self._estimator_kwargs,
             shards=[shard.index.to_state() for shard in self.shards],
             estimators=collect_estimator_states(self._observers),
         )
 
     @classmethod
-    def from_state(
-        cls, state: Mapping[str, object], *, estimator_seed: RandomState = None
-    ) -> "ShardedMutableIndex":
+    def from_state(cls, state: Mapping[str, object]) -> "ShardedMutableIndex":
         """Rebuild a sharded index from :meth:`to_state` output.
 
-        Per-shard estimators embedded in the shard states are reattached
-        with their reservoirs, staleness counters, and generator
-        positions intact, so restored clusters serve the *same* sampled
-        state the original would — the substrate key-range migration
-        relies on.  Only when a shard state carries no estimator
-        (``shard_estimators`` toggled on after the snapshot) is a fresh
-        estimator drawn, seeded from ``estimator_seed``.
+        Facade estimators come back with their reservoirs, staleness
+        counters and generator positions intact (see :meth:`to_state`).
         """
         SHARDED_STATE.check(state)
         sharded = cls.__new__(cls)
         sharded._restore_facade_fields(state)
-        estimator_rngs = spawn(ensure_rng(estimator_seed), int(state["num_shards"]))
-        sharded.shards = []
-        for shard_id, shard_state in enumerate(state["shards"]):
-            index = MutableLSHIndex.from_state(shard_state)
-            restored = index.estimators
-            if not sharded._shard_estimators:
-                for estimator in restored:  # flag toggled off: detach
-                    estimator.close()
-                estimator = None
-            elif restored:
-                estimator = restored[0]
-            else:
-                estimator = StreamingEstimator(
-                    index, random_state=estimator_rngs[shard_id], **sharded._estimator_kwargs
-                )
-            sharded.shards.append(IndexShard(shard_id, index, estimator))
+        sharded.shards = [
+            IndexShard(shard_id, MutableLSHIndex.from_state(shard_state))
+            for shard_id, shard_state in enumerate(state["shards"])
+        ]
         sharded._restore_facade_bookkeeping(state)
         sharded._refresh_owner_alignment()
         restore_estimator_states(sharded, state.get("estimators", ()))
@@ -825,13 +784,11 @@ class ShardedMutableIndex:
         if state["num_tables"] != 1:
             SHARDED_STATE.refuse(f"num_tables={state['num_tables']}; its shards hold one table")
         for shard_state in state["shards"]:
-            check_index_state(shard_state)
+            check_shard_state(shard_state)
         self.dimension = int(state["dimension"])
         self.num_hashes = int(state["num_hashes"])
         self.partitioner = partitioner_from_state(state["partitioner"])
         self.family = state["shards"][0]["families"][0]  # shared by every shard
-        self._shard_estimators = bool(state["shard_estimators"])
-        self._estimator_kwargs = dict(state["estimator_kwargs"])
 
     def _restore_facade_bookkeeping(self, state: Mapping[str, object]) -> None:
         """Restore the merge-layer bookkeeping (shared with the cluster restore)."""
@@ -862,4 +819,4 @@ class ShardedMutableIndex:
         )
 
 
-__all__ = ["IndexShard", "PreparedBatch", "ShardedMutableIndex"]
+__all__ = ["IndexShard", "PreparedBatch", "ShardedMutableIndex", "check_shard_state"]

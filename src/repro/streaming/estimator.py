@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from numbers import Integral, Real
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,13 @@ from repro.lsh.table import PairSource
 from repro.rng import RandomState, ensure_rng, generator_from_state, generator_state
 from repro.state import StateSpec
 from repro.streaming.mutable_index import MutableLSHIndex
+
+if TYPE_CHECKING:  # the sharded facade imports this module; stay acyclic
+    from repro.shard.sharded_index import ShardedMutableIndex
+
+#: the indexes an estimator observes: one table, or the sharded facade
+#: over ``S`` of them (the same strata, sampling and observer surface)
+ObservedIndex = Union[MutableLSHIndex, "ShardedMutableIndex"]
 
 _MODES = ("auto", "exact", "reservoir")
 
@@ -184,16 +191,33 @@ class _PairReservoir:
         )
 
     @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "_PairReservoir":
+    def from_state(cls, state: Mapping[str, object], target_size: int) -> "_PairReservoir":
+        """Revive a reservoir of the estimator's ``target_size``.
+
+        Refuses states a later mutation or estimate would trip over: a
+        different target size, more pairs than the target, mismatched
+        pair arrays, or a negative staleness counter.
+        """
         _RESERVOIR_STATE.check(state)
-        reservoir = cls(int(state["target_size"]))
+        if state["target_size"] != target_size:
+            _RESERVOIR_STATE.refuse(
+                f"target_size {state['target_size']}, expected the estimator's "
+                f"reservoir_size {target_size}"
+            )
+        reservoir = cls(target_size)
         reservoir.left = [int(u) for u in state["left"]]
         reservoir.right = [int(v) for v in state["right"]]
         if len(reservoir.left) != len(reservoir.right):
-            raise ValidationError("reservoir state has mismatched pair arrays")
+            _RESERVOIR_STATE.refuse("mismatched pair arrays")
+        if len(reservoir.left) > target_size:
+            _RESERVOIR_STATE.refuse(
+                f"{len(reservoir.left)} pairs for target_size {target_size}"
+            )
+        reservoir.unseen_pairs = int(state["unseen_pairs"])
+        if reservoir.unseen_pairs < 0:
+            _RESERVOIR_STATE.refuse(f"unseen_pairs {reservoir.unseen_pairs} is negative")
         reservoir._id_counts = Counter(reservoir.left)
         reservoir._id_counts.update(reservoir.right)
-        reservoir.unseen_pairs = int(state["unseen_pairs"])
         reservoir.degraded = bool(state["degraded"])
         return reservoir
 
@@ -204,7 +228,10 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
     Parameters
     ----------
     index:
-        The mutable index to estimate over.  The estimator registers
+        The mutable index to estimate over: a :class:`MutableLSHIndex`
+        or the sharded facade
+        (:class:`~repro.shard.sharded_index.ShardedMutableIndex`, which
+        samples and observes bit-identically).  The estimator registers
         itself as an observer, so plain ``index.insert`` / ``index.delete``
         calls keep the reservoirs repaired.
     sample_size_h / sample_size_l / answer_threshold / dampening:
@@ -233,7 +260,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
 
     def __init__(
         self,
-        index: MutableLSHIndex,
+        index: ObservedIndex,
         *,
         sample_size_h: Optional[int] = None,
         sample_size_l: Optional[int] = None,
@@ -308,7 +335,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
 
     @classmethod
     def from_state(
-        cls, index: MutableLSHIndex, state: Mapping[str, object]
+        cls, index: ObservedIndex, state: Mapping[str, object]
     ) -> "StreamingEstimator":
         """Reattach a checkpointed estimator to ``index`` without redrawing.
 
@@ -331,51 +358,14 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         )
         estimator.index = index
         estimator._rng = generator_from_state(dict(state["rng"]))
-        estimator._reservoir_h = _PairReservoir.from_state(state["reservoir_h"])
-        estimator._reservoir_l = _PairReservoir.from_state(state["reservoir_l"])
+        estimator._reservoir_h = _PairReservoir.from_state(
+            state["reservoir_h"], estimator.reservoir_size
+        )
+        estimator._reservoir_l = _PairReservoir.from_state(
+            state["reservoir_l"], estimator.reservoir_size
+        )
         index.register_observer(estimator)
         return estimator
-
-    def account_for_migration(
-        self,
-        *,
-        departed_ids: Iterable[int] = (),
-        unseen_collision_pairs: int = 0,
-        unseen_non_collision_pairs: int = 0,
-    ) -> None:
-        """Repair the reservoirs after a shard migration (rebalance layer).
-
-        Vectors migrated *out* behave like deletes for this shard's
-        strata: every reservoir pair touching them is evicted.  Pair mass
-        migrated *in* behaves like inserts the reservoirs never had a
-        chance to sample, so it is added to the staleness counters; a
-        partial resample then triggers exactly when the budget demands.
-        """
-        for vector_id in departed_ids:
-            self._reservoir_h.drop_vector(int(vector_id))
-            self._reservoir_l.drop_vector(int(vector_id))
-        self._reservoir_h.unseen_pairs += int(unseen_collision_pairs)
-        self._reservoir_l.unseen_pairs += int(unseen_non_collision_pairs)
-        self._repair_if_stale()
-
-    def _reservoir(self, stratum: str) -> _PairReservoir:
-        if stratum not in ("h", "l"):
-            raise ValidationError(f"stratum must be 'h' or 'l', got {stratum!r}")
-        return self._reservoir_h if stratum == "h" else self._reservoir_l
-
-    def reservoir_pairs(self, stratum: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Current reservoir contents for stratum ``"h"`` / ``"l"``.
-
-        The sharded merge layer (:mod:`repro.shard.merge`) pools these
-        per-shard samples — weighted by the per-shard strata sizes — into
-        one global estimate without touching any bucket at query time.
-        """
-        return self._reservoir(stratum).arrays()
-
-    def reservoir_usable(self, stratum: str) -> bool:
-        """Whether the stratum's reservoir holds pairs and is not degraded."""
-        reservoir = self._reservoir(stratum)
-        return len(reservoir) > 0 and not reservoir.degraded
 
     # ------------------------------------------------------------------
     # estimator interface

@@ -93,15 +93,30 @@ class TestProcessBackendFidelity:
         backend.index.check_invariants()
 
     @pytest.mark.timeout(180)
-    def test_merged_mode_serves_from_worker_reservoirs(self, churned_cluster):
+    def test_merged_mode_refused(self, churned_cluster):
         reference, engine = churned_cluster
-        exact = engine.estimate(THRESHOLD, seed=2, mode="exact")
-        merged = engine.estimate(THRESHOLD, seed=2, mode="merged")
-        assert merged.value >= 0.0
-        # merged pools per-worker reservoirs; it must stay in the same
-        # ballpark as the exact stratified answer on this corpus
-        scale = max(exact.value, 1.0)
-        assert abs(merged.value - exact.value) / scale < 1.5
+        with pytest.raises(ValidationError, match="'auto', 'exact', 'reservoir'"):
+            engine.estimate(THRESHOLD, seed=2, mode="merged")
+
+    @pytest.mark.timeout(180)
+    def test_auto_estimates_independent_of_shape_and_shard_count(
+        self, small_collection, churn_log_factory
+    ):
+        """One facade reservoir: in process with S = 3 and across two
+        worker processes, the same seed and events give the same answers."""
+        log = churn_log_factory(small_collection, 150)
+        sharded = EngineConfig(
+            backend="sharded", num_hashes=NUM_HASHES, seed=SEED,
+            dimension=small_collection.dimension, options={"num_shards": 3},
+        )
+        answers = []
+        for config in (sharded, process_config(small_collection.dimension, shards=2)):
+            with JoinEstimationEngine(config) as engine:
+                engine.ingest(log)
+                results = [engine.estimate(0.5, seed=seed) for seed in (1, 5, 9)]
+            answers.append([(r.value, r.details["samples_taken_l"]) for r in results])
+        assert answers[0] == answers[1]
+        assert all(r.details["source_h"] == "reservoir" for r in results)
 
     @pytest.mark.timeout(180)
     def test_snapshot_restores_bit_identically_across_shapes(
@@ -111,11 +126,16 @@ class TestProcessBackendFidelity:
         want = engine.estimate(THRESHOLD, seed=13, mode="exact").value
         path = tmp_path / "cluster.pkl"
         engine.snapshot(path)
+        want_auto = [engine.estimate(THRESHOLD, seed=seed).value for seed in (13, 14)]
         # same shape: a fresh process cluster
         revived = JoinEstimationEngine.restore(path)
         try:
             assert revived.config.backend == "process"
             assert revived.estimate(THRESHOLD, seed=13, mode="exact").value == want
+            # the facade reservoirs travel in the bundle: no redraw
+            assert [revived.estimate(THRESHOLD, seed=seed).value for seed in (13, 14)] == (
+                want_auto
+            )
             revived.backend.index.check_invariants()
         finally:
             revived.close()
@@ -124,9 +144,7 @@ class TestProcessBackendFidelity:
 
         with open(path, "rb") as handle:
             state = pickle.load(handle)
-        in_process = ShardedMutableIndex.from_state(
-            state["backend"]["index"], estimator_seed=SEED + 2
-        )
+        in_process = ShardedMutableIndex.from_state(state["backend"]["index"])
         in_process.check_invariants()
         merged = ShardedStreamingEstimator(in_process)
         assert merged.estimate(THRESHOLD, random_state=13, mode="exact").value == want
@@ -142,6 +160,7 @@ class TestRemoteRebalance:
         with JoinEstimationEngine(config) as engine:
             engine.ingest(log)
             engine.flush()
+            want_auto = engine.estimate(THRESHOLD, seed=9).value
             plan = engine.rebalance(num_shards=4)
             assert plan.moved_keys >= 0
             cluster = engine.backend.index
@@ -156,8 +175,8 @@ class TestRemoteRebalance:
             assert len(cluster.worker_infos) == 3
             cluster.check_invariants()
             assert engine.estimate(THRESHOLD, seed=9, mode="exact").value == want
-            # merged mode still serves after migration-repaired reservoirs
-            assert engine.estimate(THRESHOLD, seed=9, mode="merged").value >= 0.0
+            # migration leaves the facade reservoirs alone
+            assert engine.estimate(THRESHOLD, seed=9).value == want_auto
             # the rebalance-synced config carries no stale 'shards' alias
             # next to the adopted 'num_shards' — it must re-open cleanly
             assert "shards" not in engine.config.options
@@ -243,18 +262,18 @@ class TestClusterFailurePaths:
             )
 
     @pytest.mark.timeout(120)
-    def test_worker_side_config_error_propagates_as_library_type(self):
-        # the worker's StreamingEstimator rejects reservoir_size < 1; the
-        # error must come back as the same library type, and the half-built
-        # cluster must tear its already-spawned workers down on the way out
-        with pytest.raises(ValidationError):
-            ClusterCoordinator(
-                8,
-                num_shards=2,
-                num_hashes=4,
-                estimator_kwargs={"reservoir_size": -1},
-                **FAST,
-            )
+    def test_worker_side_error_propagates_as_library_type(self):
+        # a worker-side refusal comes back as the same library type, and
+        # the worker keeps serving its shard
+        with ClusterCoordinator(8, num_shards=2, num_hashes=4, **FAST) as cluster:
+            handle = cluster._handles[1]
+            with pytest.raises(ValidationError, match="not in"):
+                handle.request("delete", {"vector_id": 12345})
+            # per-shard estimator ops and worker-side sampling are gone
+            for op in ("reservoir", "account_migration", "close_estimator", "sample_pairs"):
+                with pytest.raises(ClusterError, match="unknown worker op"):
+                    handle.request(op, {"stratum": "l"})
+            assert handle.request("ping")["shard_id"] == 1
 
     def test_option_validation(self):
         # conflicting shard-count aliases are rejected when the backend opens
@@ -365,23 +384,22 @@ class TestShardWorkerOps:
     """
 
     @staticmethod
-    def _configured_worker(shard_estimators=True):
+    def _configured_worker():
         template = MutableLSHIndex(6, num_hashes=4, random_state=3)
         worker = worker_module.ShardWorker()
         stats = worker.handle(
             "configure",
-            {
-                "shard_id": 0,
-                "dimension": 6,
-                "num_hashes": 4,
-                "family": template.family,
-                "shard_estimators": shard_estimators,
-                "estimator_kwargs": {"reservoir_size": 32},
-                "estimator_rng": np.random.default_rng(5),
-            },
+            {"shard_id": 0, "dimension": 6, "num_hashes": 4, "family": template.family},
         )
-        assert stats["size"] == 0 and stats["has_estimator"] is shard_estimators
+        assert stats["size"] == 0 and "has_estimator" not in stats
         return worker
+
+    @staticmethod
+    def _with_estimator(state):
+        """``state`` with a shard estimator embedded, as format-1 shards had."""
+        index = MutableLSHIndex.from_state(state)
+        StreamingEstimator(index, reservoir_size=8, random_state=5)
+        return index.to_state()
 
     @staticmethod
     def _insert(worker, rows, first_id=0):
@@ -428,7 +446,7 @@ class TestShardWorkerOps:
             )
         assert worker.handle("check", {})["size"] == 2
 
-    def test_bucket_members_gather_and_sample(self):
+    def test_bucket_members_and_gather_rows(self):
         worker = self._configured_worker()
         rows = [[1.0, 0, 0, 0, 0, 0]] * 3 + [[0, 1.0, 0, 0, 0, 0]]
         self._insert(worker, rows)
@@ -439,49 +457,23 @@ class TestShardWorkerOps:
             "gather_rows", {"ids": np.asarray([3, 0]), "normalized": True}
         )["matrix"]
         assert gathered.shape == (2, 6)
-        from repro.rng import generator_state
 
-        rng = np.random.default_rng(9)
-        reference = np.random.default_rng(9)
-        reply = worker.handle(
-            "sample_pairs", {"stratum": "h", "count": 8, "rng": generator_state(rng)}
-        )
-        left, right = worker.index.sample_collision_pairs(8, random_state=reference)
-        np.testing.assert_array_equal(reply["left"], left)
-        np.testing.assert_array_equal(reply["right"], right)
-        # the advanced generator state is shipped back (stream continuity)
-        assert reply["rng"] == generator_state(reference)
-        with pytest.raises(ValidationError):
-            worker.handle("sample_pairs", {"stratum": "x", "count": 1, "rng": generator_state(rng)})
-
-    def test_snapshot_restore_and_estimator_lifecycle(self):
+    def test_snapshot_restore_and_removed_estimator_ops(self):
         worker = self._configured_worker()
         self._insert(worker, np.eye(6) + 0.2)
-        reservoir = worker.handle("reservoir", {"stratum": "l"})
-        assert reservoir["usable"] and len(reservoir["left"]) > 0
         state = worker.handle("snapshot", {})["state"]
+        assert "estimators" not in state
         revived = worker_module.ShardWorker()
-        stats = revived.handle(
-            "restore",
-            {
-                "state": state,
-                "shard_id": 1,
-                "shard_estimators": True,
-                "estimator_kwargs": {},
-                "build_missing": False,
-            },
-        )
-        assert stats["size"] == 6 and stats["has_estimator"]  # adopted from state
-        revived.handle(
-            "account_migration",
-            {"departed_ids": [0], "unseen_collision_pairs": 1,
-             "unseen_non_collision_pairs": 2},
-        )
+        stats = revived.handle("restore", {"state": state, "shard_id": 1})
+        assert stats["size"] == 6 and revived.shard_id == 1
         revived.handle("check", {})
-        closed = revived.handle("close_estimator", {})
-        assert not closed["has_estimator"]
-        with pytest.raises(ClusterError):
-            revived.handle("reservoir", {"stratum": "l"})
+        # a shard state carrying an estimator predates the facade reservoirs
+        with pytest.raises(ValidationError, match="estimators"):
+            revived.handle("restore", {"state": self._with_estimator(state)})
+        for op in ("reservoir", "account_migration", "close_estimator", "sample_pairs"):
+            with pytest.raises(ClusterError, match="unknown worker op"):
+                revived.handle(op, {"stratum": "l"})
+        assert revived.handle("check", {})["size"] == 6
 
     def test_unconfigured_and_unknown_ops_fail_cleanly(self):
         worker = worker_module.ShardWorker()
@@ -497,7 +489,7 @@ class TestShardWorkerOps:
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize(
         "garbage",
-        ["not-a-mapping", "no-state", "unknown-key", "short-tables"],
+        ["not-a-mapping", "no-state", "unknown-key", "short-tables", "shard-estimator"],
     )
     def test_garbage_restore_replies_error_and_keeps_serving(self, garbage):
         import socket as socket_module
@@ -512,6 +504,7 @@ class TestShardWorkerOps:
             "no-state": {},
             "unknown-key": {"state": {**state, "kind": "sharded"}},
             "short-tables": {"state": {**state, "tables": state["tables"][:-1]}},
+            "shard-estimator": {"state": self._with_estimator(state)},
         }[garbage]
         coordinator_side, worker_side = socket_module.socketpair()
         conn = Connection(coordinator_side, timeout=30.0)
@@ -521,13 +514,13 @@ class TestShardWorkerOps:
         )
         served.start()
         try:
-            conn.send("restore", {**payload, "shard_estimators": True})
+            conn.send("restore", payload)
             status, body, _meta = conn.recv()
             assert status == "error" and body["type"] == "ValidationError"
             # the worker keeps serving the shard it held before the refusal
             conn.send("ping", {})
             status, body, _meta = conn.recv()
-            assert status == "ok" and body["size"] == 6 and body["has_estimator"]
+            assert status == "ok" and body["size"] == 6
             conn.send("shutdown", {})
             assert conn.recv()[0] == "ok"
         finally:

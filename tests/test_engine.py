@@ -57,6 +57,13 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match="unknown option"):
             EngineConfig(backend="static", options={"num_shards": 4})
 
+    @pytest.mark.parametrize("backend", ["sharded", "process"])
+    @pytest.mark.parametrize("option", ["shard_estimators", "estimator_kwargs"])
+    def test_per_shard_estimator_options_rejected(self, backend, option):
+        # one facade estimator serves every mode: shards carry none
+        with pytest.raises(ValidationError, match=f"unknown option.*{option}"):
+            EngineConfig(backend=backend, dimension=8, options={option: True})
+
     def test_family_must_be_string(self):
         from repro.lsh import SignRandomProjectionFamily
 
@@ -358,7 +365,7 @@ class TestBitIdentity:
         direct = estimator.estimate(0.8, random_state=3, mode="auto")
         assert via_engine.value == direct.value
 
-    @pytest.mark.parametrize("mode", ["exact", "merged"])
+    @pytest.mark.parametrize("mode", ["exact", "auto"])
     def test_sharded_matches_direct(self, small_collection, mode):
         dimension = small_collection.dimension
         config = EngineConfig(
@@ -373,7 +380,7 @@ class TestBitIdentity:
             partitioner="rendezvous",
         )
         router = ShardRouter(index, batch_size=64)
-        estimator = ShardedStreamingEstimator(index, router=router)
+        estimator = ShardedStreamingEstimator(index, router=router, random_state=7)
         index.insert_many(small_collection.matrix)
         direct = estimator.estimate(0.8, random_state=3, mode=mode)
         router.close()
@@ -563,11 +570,16 @@ class TestSnapshotRestore:
             engine.ingest(small_collection)
             before = engine.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
             engine.snapshot(path)
+            # the facade reservoirs travel in the bundle and are adopted,
+            # not redrawn: auto answers match the never-snapshotted engine
+            before_auto = [engine.estimate(EstimateRequest(0.7, seed=s)).value for s in (1, 2)]
         revived = JoinEstimationEngine.restore(path)
         after = revived.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
+        after_auto = [revived.estimate(EstimateRequest(0.7, seed=s)).value for s in (1, 2)]
         assert revived.config == config
         revived.close()
         assert after.value == before.value
+        assert after_auto == before_auto
 
     def test_restore_config_override_must_match_kind(self, small_collection, tmp_path):
         config = EngineConfig(backend="streaming", num_hashes=8,
@@ -689,7 +701,7 @@ def _restore_cluster(state, states, tmp_path):
 def _read_reservoir(state, states, tmp_path):
     from repro.streaming.estimator import _PairReservoir
 
-    _PairReservoir.from_state(state)
+    _PairReservoir.from_state(state, 16)
 
 
 def _read_rows(state, states, tmp_path):
@@ -727,25 +739,29 @@ _READERS = {
             MutableLSHIndex(8, num_hashes=4), state
         ),
         "reservoir_size",
-        _TAGGED + ("staleness-budget-above-one",),
+        _TAGGED + (
+            "staleness-budget-above-one", "reservoir-target-size", "reservoir-overfull",
+            "reservoir-negative-unseen",
+        ),
     ),
     "sharded": (
         lambda state, states, tmp_path: ShardedMutableIndex.from_state(state),
         "num_shards",
-        _TAGGED + ("short-shards", "short-shard-of", "two-tables"),
+        _TAGGED + ("short-shards", "short-shard-of", "two-tables", "format-1", "shard-estimator"),
     ),
     "cluster": (
-        _restore_cluster, "num_shards", _TAGGED + ("short-shards", "short-shard-of", "two-tables")
+        _restore_cluster, "num_shards",
+        _TAGGED + ("short-shards", "short-shard-of", "two-tables", "format-1", "shard-estimator"),
     ),
     "partitioner": (_read_partitioner, "num_shards", _UNTAGGED),
     "migration": (
-        _splice_and_revive, "collision_pairs", _TAGGED + ("short-tables", "two-tables")
+        _splice_and_revive, "ids", _TAGGED + ("short-tables", "two-tables")
     ),
     "engine": (_restore_engine, "config", _TAGGED),
     "static-backend": (_restore_backend("static"), "matrix", _TAGGED),
     "streaming-backend": (_restore_backend("streaming"), "index", _TAGGED + ("no-estimator",)),
-    "sharded-backend": (_restore_backend("sharded"), "index", _TAGGED),
-    "process-backend": (_restore_backend("process"), "index", _TAGGED),
+    "sharded-backend": (_restore_backend("sharded"), "index", _TAGGED + ("no-estimator",)),
+    "process-backend": (_restore_backend("process"), "index", _TAGGED + ("no-estimator",)),
 }
 
 
@@ -760,7 +776,10 @@ def _mutate(state, mutation, field_name):
     elif mutation == "wrong-type":
         state[field_name] = "x"
     elif mutation == "wrong-format":
-        state["format"] = 2
+        state["format"] = 99
+    elif mutation == "format-1":
+        # the sharded state before the facade estimator served every mode
+        state.update(format=1, shard_estimators=True, estimator_kwargs={})
     elif mutation == "wrong-kind":
         state["kind"] = "bogus"
     elif mutation == "short-tables":
@@ -774,12 +793,26 @@ def _mutate(state, mutation, field_name):
             state["tables"] = state["tables"] * 2
             if "families" in state:
                 state["families"] = state["families"] * 2
+    elif mutation == "shard-estimator":
+        # a shard state with embedded reservoirs, as format-1 shards carried
+        shard = MutableLSHIndex.from_state(state["shards"][0])
+        StreamingEstimator(shard, reservoir_size=16, random_state=2)
+        state["shards"] = [shard.to_state(), *state["shards"][1:]]
     elif mutation == "short-shards":
         state["shards"] = state["shards"][:-1]
     elif mutation == "short-shard-of":
         state["shard_of"] = state["shard_of"][:-5]
     elif mutation == "staleness-budget-above-one":
         state["staleness_budget"] = 5.0
+    elif mutation == "reservoir-target-size":
+        state["reservoir_h"] = {**state["reservoir_h"], "target_size": 0}
+    elif mutation == "reservoir-overfull":
+        reservoir = state["reservoir_h"]
+        state["reservoir_h"] = {
+            **reservoir, "left": reservoir["left"] * 2, "right": reservoir["right"] * 2
+        }
+    elif mutation == "reservoir-negative-unseen":
+        state["reservoir_l"] = {**state["reservoir_l"], "unseen_pairs": -1}
     elif mutation == "no-estimator":
         state["index"] = {
             key: value for key, value in state["index"].items() if key != "estimators"
@@ -827,6 +860,24 @@ class TestRebalance:
             engine.backend.index.check_invariants()
             after = engine.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
         assert after.value == before.value
+
+    def test_rebalance_keeps_auto_estimates(self, small_collection):
+        """A rebalance moves buckets verbatim and never touches the facade
+        reservoirs, so auto answers stay bit-identical."""
+        config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
+                              dimension=small_collection.dimension,
+                              options={"num_shards": 2, "partitioner": "rendezvous"})
+
+        def auto(engine):
+            return [engine.estimate(EstimateRequest(0.7, seed=s)).value for s in (1, 2, 3)]
+
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            before = auto(engine)
+            assert engine.rebalance(num_shards=4).moved_keys > 0
+            assert auto(engine) == before
+            engine.rebalance(num_shards=3, partitioner="modulo")
+            assert auto(engine) == before
 
     def test_dry_run_leaves_data_placement_unchanged(self, small_collection):
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
@@ -968,9 +1019,11 @@ class TestProvenance:
                               options={"num_shards": 3, "partitioner": "rendezvous"})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
-            result = engine.estimate(EstimateRequest(0.8, seed=1, mode="merged"))
+            result = engine.estimate(EstimateRequest(0.8, seed=1))
         details = result.provenance.backend_details
         assert details["num_shards"] == 3
+        assert 0.0 <= details["staleness"]["h"] <= 1.0
+        assert 0.0 <= details["staleness"]["l"] <= 1.0
         assert sum(details["shard_sizes"]) == small_collection.size
         assert details["partitioner"] == "rendezvous"
         assert details["pending_writes"] == 0

@@ -208,7 +208,7 @@ def _holder(kind, collection):
         owner = holder.primary_table
     elif kind == "ShardedMutableIndex":
         holder = ShardedMutableIndex.from_collection(
-            collection, num_shards=3, num_hashes=6, random_state=3, shard_estimators=False
+            collection, num_shards=3, num_hashes=6, random_state=3
         )
         owner = type(holder.primary_table)  # a fresh view per access
     else:

@@ -38,8 +38,7 @@ SEED = 19
 NUM_HASHES = 10
 
 
-def _build_pair(collection, churn_log, *, num_shards, partitioner="rendezvous",
-                shard_estimators=True, estimator_kwargs=None):
+def _build_pair(collection, churn_log, *, num_shards, partitioner="rendezvous"):
     """(unsharded reference estimator, sharded cluster) over the same log."""
     log = churn_log
     unsharded = MutableLSHIndex(
@@ -53,8 +52,6 @@ def _build_pair(collection, churn_log, *, num_shards, partitioner="rendezvous",
         num_hashes=NUM_HASHES,
         random_state=SEED,
         partitioner=partitioner,
-        shard_estimators=shard_estimators,
-        estimator_kwargs=estimator_kwargs,
     )
     with ShardRouter(sharded, batch_size=64) as router:
         router.replay(log)
@@ -162,9 +159,9 @@ class TestSplitSplice:
         assert sorted(remaining["live_ids"] + payload["ids"]) == sorted(
             state["live_ids"]
         )
-        # moved collision pairs counted exactly
-        sizes = [len(m) for k, m in state["tables"][0] if k in moved_keys]
-        assert payload["collision_pairs"] == sum(s * (s - 1) // 2 for s in sizes)
+        # the payload carries exactly the moved buckets, whole
+        assert {key for key, _ in payload["tables"][0]} == moved_keys
+        assert sum(len(m) for _, m in payload["tables"][0]) == len(payload["ids"])
         # splicing into an empty shard of the same cluster shape works
         empty = MutableLSHIndex(
             small_collection.dimension, num_hashes=NUM_HASHES, family=index.family
@@ -316,62 +313,35 @@ class TestRebalance:
 
 
 class TestEstimatorMigration:
-    """Per-shard reservoirs survive a migration repaired, not redrawn."""
+    """The facade estimator's reservoirs survive a migration and a
+    restore untouched, so ``auto`` estimates replay bit-identically."""
 
-    def test_reservoirs_stay_valid_after_rebalance(self, small_collection, churn_log_factory):
+    def test_auto_estimates_unchanged_by_rebalance(self, small_collection, churn_log_factory):
         _, sharded = _build_pair(
-            small_collection,
-            churn_log_factory(small_collection, 400),
-            num_shards=2,
-            estimator_kwargs={"reservoir_size": 128},
+            small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
+        estimator = ShardedStreamingEstimator(sharded, reservoir_size=128, random_state=3)
+        before = [estimator.estimate(0.5, random_state=s).value for s in range(5)]
+        reservoirs = estimator.to_state()
         rebalance_cluster(sharded, num_shards=3)
-        for shard in sharded.shards:
-            estimator = shard.estimator
-            assert estimator is not None
-            assert estimator.index is shard.index  # rebound to the new index
-            table = shard.index.primary_table
-            for stratum, colliding in (("h", True), ("l", False)):
-                left, right = estimator.reservoir_pairs(stratum)
-                for u, v in zip(left, right):
-                    # every surviving pair lives wholly inside this shard
-                    # and still belongs to its stratum
-                    assert int(u) in shard.index and int(v) in shard.index
-                    assert table.same_bucket(int(u), int(v)) == colliding
+        assert estimator.to_state() == reservoirs
+        assert [estimator.estimate(0.5, random_state=s).value for s in range(5)] == before
+        rebalance_cluster(sharded, num_shards=2)
+        assert [estimator.estimate(0.5, random_state=s).value for s in range(5)] == before
 
-    def test_merged_mode_still_serves_after_rebalance(self, small_collection, churn_log_factory):
+    def test_sharded_restore_preserves_auto_estimates(self, small_collection, churn_log_factory):
+        """Restores reattach the facade reservoirs instead of redrawing."""
         _, sharded = _build_pair(
-            small_collection,
-            churn_log_factory(small_collection, 400),
-            num_shards=2,
-            estimator_kwargs={"reservoir_size": 256},
+            small_collection, churn_log_factory(small_collection, 400), num_shards=3
         )
-        estimator = ShardedStreamingEstimator(sharded)
-        before = np.median(
-            [estimator.estimate(0.5, random_state=s, mode="exact").value
-             for s in range(9)]
+        original = ShardedStreamingEstimator(sharded, reservoir_size=64, random_state=3)
+        state = sharded.to_state()
+        (estimator_state,) = state.pop("estimators")
+        restored = ShardedStreamingEstimator.from_state(
+            ShardedMutableIndex.from_state(state), estimator_state
         )
-        rebalance_cluster(sharded, num_shards=3)
-        for shard in sharded.shards:
-            shard.estimator.refresh()
-        merged = np.median(
-            [estimator.estimate(0.5, random_state=s, mode="merged").value
-             for s in range(9)]
-        )
-        assert merged == pytest.approx(before, rel=0.5)
-
-    def test_sharded_restore_preserves_merged_estimates(self, small_collection, churn_log_factory):
-        """The PR-2 bug: restores used to redraw every reservoir.  Now the
-        merged (reservoir-pooling) estimate replays bit-identically."""
-        _, sharded = _build_pair(
-            small_collection, churn_log_factory(small_collection, 400),
-            num_shards=3, estimator_kwargs={"reservoir_size": 64}
-        )
-        revived = ShardedMutableIndex.from_state(sharded.to_state())
-        original = ShardedStreamingEstimator(sharded)
-        restored = ShardedStreamingEstimator(revived)
         for seed in (1, 42):
-            for mode in ("merged", "exact"):
+            for mode in ("auto", "exact"):
                 ours = restored.estimate(0.7, random_state=seed, mode=mode)
                 theirs = original.estimate(0.7, random_state=seed, mode=mode)
                 assert ours.value == theirs.value, (seed, mode)

@@ -130,7 +130,6 @@ class TestShardedMutableIndex:
             num_shards=3,
             num_hashes=NUM_HASHES,
             random_state=SEED,
-            shard_estimators=False,
         )
         facade_estimator = StreamingEstimator(sharded, random_state=7)
         log.replay(sharded)  # the facade is a drop-in index for replay
@@ -330,51 +329,24 @@ class TestMergeLayer:
             assert ours.value == theirs.value
             assert ours.details["num_collision_pairs"] == theirs.details["num_collision_pairs"]
 
-    def test_merged_mode_samples_valid_strata(self, churned_pair):
+    def test_facade_reservoirs_sample_valid_strata(self, churned_pair):
         _, sharded = churned_pair
-        estimator = ShardedStreamingEstimator(sharded)
+        estimator = ShardedStreamingEstimator(sharded, random_state=0)
         view = sharded.primary_table
-        strata = merge_strata(sharded)
-        source_h = estimator._merged_source_h(strata)
-        source_l = estimator._merged_source_l(strata)
-        rng = np.random.default_rng(0)
-        left, right = source_h(200, rng)
-        assert np.all(view.same_bucket_many(left, right))
+        left, right = estimator._reservoir_h.arrays()
+        assert left.size and np.all(view.same_bucket_many(left, right))
         assert np.all(left != right)
-        left, right = source_l(200, rng)
-        assert not np.any(view.same_bucket_many(left, right))
+        left, right = estimator._reservoir_l.arrays()
+        assert left.size and not np.any(view.same_bucket_many(left, right))
+        result = estimator.estimate(0.7, random_state=1)
+        assert result.details["source_h"] == result.details["source_l"] == "reservoir"
+        assert result.details["num_shards"] == sharded.num_shards
 
-    def test_merged_mode_estimates_reasonable(self, small_collection, churn_log_factory):
-        """Pooled-reservoir estimates agree with the exact path's scale.
-
-        Per-shard reservoirs are enlarged and refreshed so the comparison
-        measures the merge arithmetic, not one stale reservoir draw."""
-        log = churn_log_factory(small_collection, 400)
-        sharded = ShardedMutableIndex(
-            small_collection.dimension,
-            num_shards=4,
-            num_hashes=NUM_HASHES,
-            random_state=SEED,
-            estimator_kwargs={"reservoir_size": 2048},
-        )
-        with ShardRouter(sharded, batch_size=32) as router:
-            router.replay(log)
-        for shard in sharded.shards:
-            shard.estimator.refresh()
-        estimator = ShardedStreamingEstimator(sharded)
-        threshold = 0.5
-        # medians: SampleL's adaptive scale-up is heavy-tailed under
-        # with-replacement reservoir draws, exactly as in unsharded
-        # reservoir mode — the merge layer must not shift the location
-        merged = np.median(
-            [estimator.estimate(threshold, random_state=s, mode="merged").value
-             for s in range(15)]
-        )
-        exact = np.median(
-            [estimator.estimate(threshold, random_state=s, mode="exact").value
-             for s in range(15)]
-        )
-        assert merged == pytest.approx(exact, rel=0.5)
+    def test_merged_mode_refused(self, churned_pair):
+        _, sharded = churned_pair
+        estimator = ShardedStreamingEstimator(sharded, random_state=0)
+        with pytest.raises(ValidationError, match="'auto', 'exact', 'reservoir'"):
+            estimator.estimate(0.7, mode="merged")
 
     def test_parameter_validation(self, churned_pair):
         # the LSH-SS parameters are in test_core_lsh_ss's rejection table
@@ -425,14 +397,14 @@ class TestSnapshotRestore:
             0.7, random_state=42, mode="exact"
         )
         assert restored.value == original.value
-        # shard states without an estimator (shard_estimators toggled on
-        # after the snapshot) get a freshly drawn one
+        # estimators observe the facade: a shard state carrying its own
+        # (as format-1 snapshots did) is refused, not half-adopted
         state = sharded.to_state()
-        for shard_state in state["shards"]:
-            shard_state.pop("estimators", None)
-        redrawn = ShardedMutableIndex.from_state(state, estimator_seed=7)
-        redrawn.check_invariants()
-        assert all(shard.estimator is not None for shard in redrawn.shards)
+        shard = MutableLSHIndex.from_state(state["shards"][0])
+        StreamingEstimator(shard, random_state=7)
+        state["shards"][0] = shard.to_state()
+        with pytest.raises(ValidationError, match="estimators"):
+            ShardedMutableIndex.from_state(state)
 
     def test_bad_snapshot_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

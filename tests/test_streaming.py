@@ -691,11 +691,8 @@ class TestEstimatorPersistence:
         revived = MutableLSHIndex.from_state(state)
         (restored,) = revived.estimators
         assert isinstance(restored, StreamingEstimator)
-        for stratum in ("h", "l"):
-            left, right = estimator.reservoir_pairs(stratum)
-            r_left, r_right = restored.reservoir_pairs(stratum)
-            np.testing.assert_array_equal(r_left, left)
-            np.testing.assert_array_equal(r_right, right)
+        for stratum in ("reservoir_h", "reservoir_l"):
+            assert restored.to_state()[stratum] == estimator.to_state()[stratum]
         assert restored.staleness_h == estimator.staleness_h
         assert restored.staleness_l == estimator.staleness_l
         for mode in ("reservoir", "exact", "auto"):
@@ -723,11 +720,8 @@ class TestEstimatorPersistence:
         ours = restored.estimate(0.7, random_state=1, mode="auto")
         theirs = estimator.estimate(0.7, random_state=1, mode="auto")
         assert ours.value == theirs.value
-        for stratum in ("h", "l"):
-            left, right = estimator.reservoir_pairs(stratum)
-            r_left, r_right = restored.reservoir_pairs(stratum)
-            np.testing.assert_array_equal(r_left, left)
-            np.testing.assert_array_equal(r_right, right)
+        for stratum in ("reservoir_h", "reservoir_l"):
+            assert restored.to_state()[stratum] == estimator.to_state()[stratum]
 
     def test_bad_estimator_state_rejected(self, mutable_index):
         with pytest.raises(ValidationError):
