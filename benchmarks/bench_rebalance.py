@@ -80,9 +80,9 @@ def test_resize_moves_minimal_key_fraction(benchmark, dblp_collection, results_d
                 partitioner="rendezvous",
             )
             cluster.insert_many(matrix)
-            total_keys = len(cluster._bucket_refs)
+            total_keys = len(cluster._owner_of_key)
             # modulo contrast: how many keys WOULD move under hash-mod
-            keys = list(cluster._bucket_refs.keys())
+            keys = list(cluster._owner_of_key.keys())
             signatures = key_signature_matrix(keys, NUM_HASHES)
             modulo_before = KeyPartitioner(num_shards).shard_of_signatures(signatures)
             modulo_after = KeyPartitioner(num_shards + 1).shard_of_signatures(signatures)
@@ -204,7 +204,7 @@ def test_plan_only_is_cheap(benchmark, dblp_collection, results_dir):
     partitioner = RendezvousPartitioner(5)
 
     plan = benchmark(lambda: plan_rebalance(cluster, partitioner))
-    total_keys = len(cluster._bucket_refs)
+    total_keys = len(cluster._owner_of_key)
     emit(
         "E16_rebalance_plan_cost",
         f"Rebalance — plan cost over {total_keys} bucket keys",

@@ -159,11 +159,11 @@ class ProcessBackend(ShardedBackend):
     # ------------------------------------------------------------------
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ProcessBackend":
-        index_state, estimator_state = cls._split_state(state)
+        index_state, estimator_states = cls._split_state(state)
         backend = cls(config)
         backend._index = ClusterCoordinator.from_state(index_state, **backend._cluster_kwargs())
         try:
-            backend._attach_serving_stack(estimator_state)
+            backend._attach_serving_stack(estimator_states)
         except BaseException:  # reprolint: disable=R007 - unwind the half-restored cluster (reap workers) before re-raising
             backend._index.close()
             raise

@@ -7,22 +7,21 @@ in-process shards for **worker processes**: each
 :class:`RemoteIndexProxy` speaking the length-prefixed pickle protocol of
 :mod:`repro.cluster.transport` to one :mod:`repro.cluster.worker`
 process.  Everything above the shard boundary — bucket-key routing, the
-global SampleH stitch, rebalance planning, the facade estimator and its
-reservoirs — is inherited *unchanged*, which is what keeps every
-estimate of a process cluster bit-identical to an in-process one (and
-exact-mode estimates to an unsharded estimator) for the same seed:
+global bucket table and SampleH / SampleL, rebalance planning, the
+facade estimator and its reservoirs — is inherited *unchanged*, which
+is what keeps every estimate of a process cluster bit-identical to an
+in-process one (and exact-mode estimates to an unsharded estimator) for
+the same seed:
 
 * hashing and partitioning stay on the coordinator (it owns the hash
   family; workers receive already-hashed batch slices), so ids, bucket
   keys, and shard targets are assigned exactly as in process;
-* the merge layer's remote touch points —
-  :meth:`_bucket_members_on_shard` and :meth:`_gather_rows_on_shard` —
-  return the same values a local shard would, and every sampling draw
-  runs on the coordinator, consuming its generator exactly as in
-  process;
-* collision tests and bucket sizes (SampleL rejection, estimator
-  repairs) answer from the facade's own id → bucket-key map, the same
-  code path as in process, so they never cost a round trip;
+* every sampling draw runs on the coordinator's global bucket table,
+  consuming its generator exactly as in process, so SampleH, SampleL's
+  collision tests and the estimator repairs never cost a round trip;
+* the merge layer's remote touch points — :meth:`_gather_rows_on_shard`
+  for the per-pair cosines, and :meth:`_bucket_members_on_shard` for
+  :meth:`check_invariants` — return the same values a local shard would;
 * per-shard live ids / ``size`` / ``N_H`` live in coordinator-side
   mirrors updated from every mutating reply, so strata sizes never need
   a round trip.

@@ -14,7 +14,7 @@ whose payloads are the library's existing serialisations:
 ``snapshot``           return the index ``to_state``
 ``insert_prepared``    apply a routed batch slice (ids, CSR rows, one ``(rows, k)`` array)
 ``delete``             delete one id
-``bucket_members``     member lists for a batch of owned bucket keys
+``bucket_members``     member lists for a batch of owned bucket keys (invariant checks)
 ``gather_rows``        (normalized) CSR rows for a batch of ids
 ``check`` / ``stats``  invariants / size + ``N_H`` bookkeeping
 ``ping`` / ``shutdown``  liveness / end of session
@@ -22,9 +22,8 @@ whose payloads are the library's existing serialisations:
 
 Mutating ops reply with the post-op ``(size, N_H)`` so the coordinator's
 local mirrors never need a second round trip.  No op draws samples: the
-coordinator samples from its own bucket-key map and the members fetched
-by ``bucket_members``, which keeps every estimate bit-identical to an
-in-process one.
+coordinator samples from its own global bucket table, which keeps every
+estimate bit-identical to an in-process one.
 
 Run modes: :func:`run_spawned_worker` (connect back to the coordinator
 that spawned this process) and :func:`serve` (standalone ``repro

@@ -34,7 +34,20 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from scipy import sparse
 
@@ -57,7 +70,7 @@ from repro.shard.partition import resolve_partitioner
 from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_cluster
 from repro.state import StateSpec
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
-from repro.streaming.mutable_index import coerce_row
+from repro.streaming.mutable_index import coerce_row, restore_estimator_states
 from repro.vectors import VectorCollection
 
 _REGISTRY: Dict[str, Type["EstimatorBackend"]] = {}
@@ -640,9 +653,13 @@ class ShardedBackend(EstimatorBackend):
         )
         self._attach_serving_stack()
 
-    def _attach_serving_stack(self, estimator_state: Optional[Mapping[str, Any]] = None) -> None:
+    def _attach_serving_stack(
+        self, estimator_states: Sequence[Mapping[str, Any]] = ()
+    ) -> None:
         """Wire the router and the facade estimator: a fresh one, or the
-        checkpointed ``estimator_state`` adopted without redrawing."""
+        first of the checkpointed ``estimator_states`` adopted without
+        redrawing.  Any further estimators are reattached after it, so
+        the served one stays first in the next snapshot."""
         options = self.config.options
         self._index.metrics = self.metrics
         self._router = ShardRouter(
@@ -650,10 +667,11 @@ class ShardedBackend(EstimatorBackend):
             batch_size=options.get("batch_size", 256),
             metrics=self.metrics,
         )
-        if estimator_state is not None:
+        if estimator_states:
             self._estimator = ShardedStreamingEstimator.from_state(
-                self._index, estimator_state, router=self._router, metrics=self.metrics
+                self._index, estimator_states[0], router=self._router, metrics=self.metrics
             )
+            restore_estimator_states(self._index, estimator_states[1:])
             return
         merge_kwargs = {key: options[key] for key in self._MERGE_KEYS if key in options}
         self._estimator = ShardedStreamingEstimator(
@@ -776,23 +794,26 @@ class ShardedBackend(EstimatorBackend):
         return self.STATE.dump(index=self._index.to_state())
 
     @classmethod
-    def _split_state(cls, state: Mapping[str, Any]) -> Tuple[Dict[str, Any], Mapping[str, Any]]:
-        """The index state, and apart from it the served facade estimator's."""
+    def _split_state(
+        cls, state: Mapping[str, Any]
+    ) -> Tuple[Dict[str, Any], List[Mapping[str, Any]]]:
+        """The index state without its estimators, and apart from it their
+        states (the served facade estimator's first)."""
         cls.STATE.check(state)
         index_state = dict(state["index"])
         estimator_states = list(index_state.pop("estimators", ()))
         if not estimator_states:
             # open() always registers one, so every sharded bundle carries it
             cls.STATE.refuse("its index state carries no estimator")
-        index_state["estimators"] = estimator_states[1:]
-        return index_state, estimator_states[0]
+        index_state["estimators"] = []
+        return index_state, estimator_states
 
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ShardedBackend":
-        index_state, estimator_state = cls._split_state(state)
+        index_state, estimator_states = cls._split_state(state)
         backend = cls(config)
         backend._index = ShardedMutableIndex.from_state(index_state)
-        backend._attach_serving_stack(estimator_state)
+        backend._attach_serving_stack(estimator_states)
         return backend
 
     # ------------------------------------------------------------------

@@ -275,15 +275,13 @@ def plan_rebalance(sharded: ShardedMutableIndex, partitioner: Partitioner) -> Re
             f"target partitioner covers {partitioner.num_shards} shards but the "
             f"cluster has {sharded.num_shards}; grow it first (add_shards)"
         )
-    refs = sharded._bucket_refs
-    keys = list(refs.keys())
+    owner_of_key = sharded._owner_of_key
+    keys = list(owner_of_key.keys())
     plan_moves: List[KeyMove] = []
     if keys:
         signatures = key_signature_matrix(keys, sharded.num_hashes)
         targets = partitioner.shard_of_signatures(signatures)
-        owners = np.fromiter(
-            (ref[1] for ref in refs.values()), dtype=np.int64, count=len(keys)
-        )
+        owners = np.fromiter(owner_of_key.values(), dtype=np.int64, count=len(keys))
         for position in np.flatnonzero(owners != targets):
             plan_moves.append(
                 KeyMove(keys[position], int(owners[position]), int(targets[position]))
@@ -300,21 +298,22 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
     Affected shards are round-tripped through the snapshot substrate
     (``to_state`` → split/splice → ``from_state``), so the operation is
     exactly as lossless as checkpoint/restore.  Facade-level state
-    (live-id order, bucket-key order, merged SampleH layout, the facade
-    estimators' reservoirs) is untouched apart from the owner column,
-    which keeps every estimate bit-identical across the migration.
+    (live-id order, the global bucket table behind SampleH / SampleL, the
+    facade estimators' reservoirs) is untouched apart from the bucket
+    owners, which keeps every estimate bit-identical across the
+    migration.
     """
-    refs = sharded._bucket_refs
+    owner_of_key = sharded._owner_of_key
     num_shards = sharded.num_shards
     outgoing: Dict[int, Dict[int, List[bytes]]] = {}
     for move in plan.moves:
-        ref = refs.get(move.key)
-        if ref is None:
+        owner = owner_of_key.get(move.key)
+        if owner is None:
             raise ValidationError("plan moves a bucket key that is not live")
-        if ref[1] != move.source:
+        if owner != move.source:
             raise ValidationError(
                 f"plan expects a bucket on shard {move.source} but it lives on "
-                f"shard {ref[1]}"
+                f"shard {owner}"
             )
         if not 0 <= move.target < num_shards:
             raise ValidationError(
@@ -350,12 +349,11 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
         sharded._adopt_shard_state(shard_id, states[shard_id])
 
     for move in plan.moves:
-        refs[move.key][1] = move.target
+        owner_of_key[move.key] = move.target
     for target, payloads in arrivals.items():
         for payload in payloads:
             for vector_id in payload["ids"]:
                 sharded._shard_of_id[int(vector_id)] = target
-    sharded._frozen = None
     if plan.partitioner is not None and plan.partitioner.num_shards == num_shards:
         sharded.partitioner = plan.partitioner
     sharded._refresh_owner_alignment()

@@ -9,21 +9,21 @@ The facade exposes the full single-index surface — ``insert`` /
 ``insert_many`` / ``delete``, observers, SampleH / SampleL, per-pair
 cosine — with the *merge layer* built in:
 
-* ``N_H`` is the sum of per-shard ``N_H`` (buckets never straddle
-  shards), ``N_L = C(n, 2) − N_H`` (cross-shard pairs are all stratum L);
-* the SampleH layout stitches per-shard buckets together in the *global*
-  first-appearance order of their keys, which the facade tracks as events
-  flow through it — so the stitched layout is exactly the layout one
-  unsharded index would have built, and sampling draws are **bit-identical
-  for the same seed**;
-* member lists inside a bucket evolve only through operations on that
-  bucket, all routed to one shard in arrival order, so they too match the
-  unsharded index element for element;
-* collision tests and bucket sizes (SampleL rejection, estimator
-  repairs) answer from the facade's own id → bucket-key map, so this
-  class and the process-backed :class:`~repro.cluster.ClusterCoordinator`
-  share one code path that never asks a shard.  SampleH / SampleL
-  themselves are the shared primitives of :mod:`repro.lsh.table`.
+* the facade keeps the *global* bucket layout in one id-only
+  :class:`~repro.streaming.mutable_index.MutableLSHTable` fed every insert
+  and delete in arrival order — the table one unsharded index would have
+  built, bucket order and member order included, so SampleH draws are
+  **bit-identical for the same seed**.  The shards hold the same member
+  lists (a bucket never straddles shards, and every operation on it is
+  routed to its one owner in arrival order) plus the rows;
+* ``N_H`` is that table's count (the sum of per-shard ``N_H``) and
+  ``N_L = C(n, 2) − N_H`` (cross-shard pairs are all stratum L);
+* SampleH, SampleL's collision tests and the estimators' bucket sizes
+  and repairs answer from that table, so this class and the
+  process-backed :class:`~repro.cluster.ClusterCoordinator` share one
+  code path that never asks a shard; only the rows for the per-pair
+  cosines are gathered from the shards.  SampleH / SampleL themselves are
+  the shared primitives of :mod:`repro.lsh.table`.
 
 Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
 constructed over the facade — which is what
@@ -48,7 +48,7 @@ from repro.errors import ValidationError
 from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
-from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
+from repro.lsh.table import sample_rejected_pairs, uniform_pairs_of
 from repro.rng import RandomState
 from repro.shard.partition import (
     Partitioner,
@@ -61,6 +61,7 @@ from repro.state import StateSpec
 from repro.streaming.mutable_index import (
     LiveIds,
     MutableLSHIndex,
+    MutableLSHTable,
     VectorInput,
     bind_family,
     check_index_state,
@@ -68,7 +69,6 @@ from repro.streaming.mutable_index import (
     coerce_matrix,
     coerce_row,
     collect_estimator_states,
-    freeze_bucket_layout,
     restore_estimator_states,
     signature_bucket_key,
 )
@@ -151,36 +151,6 @@ class PreparedBatch:
         return int(self.ids.size)
 
 
-class _MergedPrimaryView:
-    """The facade's stand-in for ``index.primary_table``.
-
-    The part of the :class:`~repro.streaming.mutable_index.MutableLSHTable`
-    surface the estimators and samplers touch: collision tests and bucket
-    sizes, answered from the facade's own id → bucket-key map and bucket
-    references, so no shard is asked — in process or over the wire.
-    """
-
-    def __init__(self, owner: "ShardedMutableIndex") -> None:
-        self._owner = owner
-
-    def signature_key(self, vector_id: int) -> bytes:
-        try:
-            return self._owner._key_of_id[int(vector_id)]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the table") from None
-
-    def bucket_size_of(self, vector_id: int) -> int:
-        return self._owner._bucket_refs[self.signature_key(vector_id)][0]
-
-    def same_bucket_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        key_of = self._owner._key_of_id
-        return np.fromiter(
-            (key_of[int(u)] == key_of[int(v)] for u, v in zip(left, right)),
-            dtype=bool,
-            count=len(left),
-        )
-
-
 class ShardedMutableIndex:
     """``S`` bucket-key-partitioned shards behind one mutable-index surface.
 
@@ -221,16 +191,15 @@ class ShardedMutableIndex:
         for shard_id in range(num_shards):
             self.shards.append(self._new_shard(shard_id))
         self._shard_of_id: Dict[int, int] = {}
-        #: live id → bucket key; answers the collision tests of
-        #: SampleL and the estimators without asking any shard
-        self._key_of_id: Dict[int, bytes] = {}
-        #: bucket key → [live member count, owning shard];
-        #: dict order mirrors the unsharded table's bucket insertion order
-        self._bucket_refs: Dict[bytes, List[int]] = {}
+        #: the global bucket layout (ids only): answers SampleH, the
+        #: collision tests of SampleL and the estimators without asking
+        #: any shard
+        self._table = MutableLSHTable(self.family)
+        #: live bucket key → owning shard, in the table's bucket order
+        self._owner_of_key: Dict[bytes, int] = {}
         self._live = LiveIds()
         self._next_id = 0
         self._observers: List[object] = []
-        self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         #: True while some live bucket's owner differs from the current
         #: partitioner's pick (manual migrations, mid-rebalance snapshots);
         #: keeps owner re-checks off the hot ingest path otherwise
@@ -353,8 +322,8 @@ class ShardedMutableIndex:
 
     @property
     def num_collision_pairs(self) -> int:
-        """Global ``N_H``: the sum of per-shard counts (buckets are disjoint)."""
-        return sum(shard.num_collision_pairs for shard in self.shards)
+        """Global ``N_H`` (the sum of per-shard counts: buckets are disjoint)."""
+        return self._table.num_collision_pairs
 
     @property
     def num_non_collision_pairs(self) -> int:
@@ -362,9 +331,9 @@ class ShardedMutableIndex:
         return self.total_pairs - self.num_collision_pairs
 
     @property
-    def primary_table(self) -> _MergedPrimaryView:
-        """Merged view of the ``S`` shard tables (estimator compatibility)."""
-        return _MergedPrimaryView(self)
+    def primary_table(self) -> MutableLSHTable:
+        """The global bucket table (ids only; the rows live on the shards)."""
+        return self._table
 
     def shard_of(self, vector_id: int) -> IndexShard:
         """The shard holding a live vector."""
@@ -401,14 +370,9 @@ class ShardedMutableIndex:
 
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
         self._shard_of_id[vector_id] = shard_id
-        self._key_of_id[vector_id] = key
+        self._table.insert_key(vector_id, key)
         self._live.add(vector_id)
-        ref = self._bucket_refs.get(key)
-        if ref is None:
-            self._bucket_refs[key] = [1, shard_id]
-        else:
-            ref[0] += 1
-        self._frozen = None
+        self._owner_of_key.setdefault(key, shard_id)
 
     def _owning_shard(self, key: bytes) -> int:
         """Destination shard for a bucket key: the live bucket's owner, else
@@ -422,9 +386,9 @@ class ShardedMutableIndex:
         the partitioner's pick *is* the owner and the lookup is skipped.
         """
         if self._owner_overrides:
-            ref = self._bucket_refs.get(key)
-            if ref is not None:
-                return ref[1]
+            owner = self._owner_of_key.get(key)
+            if owner is not None:
+                return owner
         return self.partitioner(key)
 
     def _refresh_owner_alignment(self) -> None:
@@ -434,17 +398,15 @@ class ShardedMutableIndex:
         only ever stays aligned (new buckets are placed by the
         partitioner, deletions cannot introduce divergence).
         """
-        refs = self._bucket_refs
-        if not refs:
+        owner_of_key = self._owner_of_key
+        if not owner_of_key:
             self._owner_overrides = False
             return
-        keys = list(refs.keys())
+        keys = list(owner_of_key.keys())
         picks = self.partitioner.shard_of_signatures(
             key_signature_matrix(keys, self.num_hashes)
         )
-        owners = np.fromiter(
-            (ref[1] for ref in refs.values()), dtype=np.int64, count=len(keys)
-        )
+        owners = np.fromiter(owner_of_key.values(), dtype=np.int64, count=len(keys))
         self._owner_overrides = bool(np.any(picks != owners))
 
     def insert(self, vector: VectorInput, *, vector_id: Optional[int] = None) -> int:
@@ -493,11 +455,11 @@ class ShardedMutableIndex:
         if self._owner_overrides:
             # live buckets own their key even when a migration has moved
             # them off the partitioner's current pick (see _owning_shard)
-            refs = self._bucket_refs
+            owner_of_key = self._owner_of_key
             for position, key in enumerate(keys):
-                ref = refs.get(key)
-                if ref is not None and ref[1] != shard_ids[position]:
-                    shard_ids[position] = ref[1]
+                owner = owner_of_key.get(key)
+                if owner is not None and owner != shard_ids[position]:
+                    shard_ids[position] = owner
         return PreparedBatch(ids=ids, csr=csr, signatures=signatures, keys=keys, shard_ids=shard_ids)
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
@@ -547,73 +509,30 @@ class ShardedMutableIndex:
         if vector_id not in self._live:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         shard_id = self._shard_of_id.pop(vector_id)
-        key = self._key_of_id.pop(vector_id)
+        key = self._table.signature_key(vector_id)
         self.shards[shard_id].index.delete(vector_id)
+        if self._table.delete(vector_id) == 0:  # it was its bucket's last member
+            del self._owner_of_key[key]
         self._live.remove(vector_id)
-        ref = self._bucket_refs[key]
-        ref[0] -= 1
-        if ref[0] == 0:
-            del self._bucket_refs[key]
-        self._frozen = None
         for observer in self._observers:
             observer.on_delete(vector_id)
 
     # ------------------------------------------------------------------
     # merged sampling + similarity (the query-side merge layer)
     # ------------------------------------------------------------------
-    def _bucket_members_on_shard(
-        self, shard_id: int, keys: Sequence[bytes]
-    ) -> List[List[int]]:
-        """Member lists for ``keys`` (all owned by ``shard_id``), in order.
-
-        The one bucket-content accessor of the merge layer — the
-        multi-process coordinator overrides it with a single batched
-        worker round trip per shard.
-        """
-        table = self.shards[shard_id].index.primary_table
-        return [table.bucket_members_by_key(key) for key in keys]
-
-    def _frozen_layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Global SampleH layout stitched from per-shard buckets.
-
-        Buckets appear in the facade's global key order and carry the
-        owning shard's member lists verbatim, which reproduces the layout
-        of one unsharded table over the same event sequence — the basis
-        of the bit-identical merged estimates.  Members are fetched
-        through :meth:`_bucket_members_on_shard` in one batch per shard,
-        then reassembled in the global order.
-        """
-        if self._frozen is None:
-            wanted: Dict[int, List[bytes]] = {}
-            order: List[Tuple[int, int]] = []  # (shard_id, position in its batch)
-            for key, (count, shard_id) in self._bucket_refs.items():
-                if count < 2:
-                    continue
-                batch = wanted.setdefault(shard_id, [])
-                order.append((shard_id, len(batch)))
-                batch.append(key)
-            members = {
-                shard_id: self._bucket_members_on_shard(shard_id, keys)
-                for shard_id, keys in wanted.items()
-            }
-            self._frozen = freeze_bucket_layout(
-                members[shard_id][position] for shard_id, position in order
-            )
-        return self._frozen
-
     def sample_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Uniform pairs from the merged stratum H (SampleH)."""
-        return sample_weighted_bucket_pairs(*self._frozen_layout(), sample_size, random_state)
+        """Uniform pairs from the global stratum H (SampleH)."""
+        return self._table.sample_collision_pairs(sample_size, random_state=random_state)
 
     def sample_non_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Uniform pairs from the merged stratum L via rejection (SampleL)."""
+        """Uniform pairs from the global stratum L via rejection (SampleL)."""
         return sample_rejected_pairs(
             sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
-            self.primary_table.same_bucket_many, random_state, max_attempts=max_attempts,
+            self._table.same_bucket_many, random_state, max_attempts=max_attempts,
         )
 
     def _gather_rows_on_shard(
@@ -682,6 +601,15 @@ class ShardedMutableIndex:
         shard.index.check_invariants()
         return shard.index.primary_table.num_buckets
 
+    def _bucket_members_on_shard(
+        self, shard_id: int, keys: Sequence[bytes]
+    ) -> List[List[int]]:
+        """Member lists for ``keys`` (all owned by ``shard_id``) as the
+        shard holds them — the multi-process coordinator overrides it with
+        one batched worker round trip."""
+        table = self.shards[shard_id].index.primary_table
+        return [table.bucket_members_by_key(key) for key in keys]
+
     def check_invariants(self) -> None:
         """Verify the merge bookkeeping against the shards (tests aid)."""
         if self.partitioner.num_shards != len(self.shards):
@@ -692,19 +620,19 @@ class ShardedMutableIndex:
         total_buckets = sum(self._check_shard(shard) for shard in self.shards)
         if sum(shard.size for shard in self.shards) != self.size:
             raise AssertionError("facade live-id count drifted from the shards")
-        if total_buckets != len(self._bucket_refs):
+        self._table.check_invariants()
+        if self._table.num_vectors != self.size:
+            raise AssertionError("facade bucket table drifted from the live set")
+        if not total_buckets == self._table.num_buckets == len(self._owner_of_key):
             raise AssertionError("bucket key registry drifted from the shards")
-        if len(self._key_of_id) != self.size:
-            raise AssertionError("id → bucket-key map drifted from the live set")
         keys: Dict[int, List[bytes]] = {}
-        counts: Dict[int, List[int]] = {}
-        for key, (count, shard_id) in self._bucket_refs.items():
+        for key, shard_id in self._owner_of_key.items():
             keys.setdefault(shard_id, []).append(key)
-            counts.setdefault(shard_id, []).append(count)
         for shard_id, shard_keys in keys.items():
             members = self._bucket_members_on_shard(shard_id, shard_keys)
-            if [len(bucket) for bucket in members] != counts[shard_id]:
-                raise AssertionError("bucket reference counts drifted from the shards")
+            expected = [self._table.bucket_members_by_key(key) for key in shard_keys]
+            if [list(bucket) for bucket in members] != expected:
+                raise AssertionError("facade bucket members drifted from the shards")
 
     # ------------------------------------------------------------------
     # snapshot / restore (checkpointing + rebalancing substrate)
@@ -737,8 +665,8 @@ class ShardedMutableIndex:
             live_ids=list(self._live),
             shard_of=[self._shard_of_id[i] for i in self._live],
             bucket_refs=[
-                (key, count, shard_id)
-                for key, (count, shard_id) in self._bucket_refs.items()
+                (key, len(self._table.bucket_members_by_key(key)), shard_id)
+                for key, shard_id in self._owner_of_key.items()
             ],
             shards=[shard.index.to_state() for shard in self.shards],
             estimators=collect_estimator_states(self._observers),
@@ -797,20 +725,21 @@ class ShardedMutableIndex:
             int(vector_id): int(shard_id)
             for vector_id, shard_id in zip(state["live_ids"], state["shard_of"])
         }
-        # id → bucket key, read off the shards' bucket layouts
-        self._key_of_id = {
-            int(member): bytes(key)
+        self._owner_of_key = {
+            bytes(key): int(shard_id) for key, _count, shard_id in state["bucket_refs"]
+        }
+        # the global table: the shards' member lists in the global key order
+        members = {
+            bytes(key): bucket
             for shard_state in state["shards"]
-            for key, members in shard_state["tables"][0]
-            for member in members
+            for key, bucket in shard_state["tables"][0]
         }
-        self._bucket_refs = {
-            bytes(key): [int(count), int(shard_id)]
-            for key, count, shard_id in state["bucket_refs"]
-        }
+        if members.keys() != self._owner_of_key.keys():
+            SHARDED_STATE.refuse("its bucket references do not match the shards' buckets")
+        self._table = MutableLSHTable(self.family)
+        self._table.load_bucket_state([(key, members[key]) for key in self._owner_of_key])
         self._next_id = int(state["next_id"])
         self._observers = []
-        self._frozen = None
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -116,7 +116,8 @@ class _PairReservoir:
         self.unseen_pairs = 0
         #: set when the last refill could not sample the stratum (degenerate
         #: configuration); repairs are then retried at query time only, so a
-        #: mutation never surfaces a sampling error
+        #: mutation never surfaces a sampling error, and not after a
+        #: :meth:`StreamingEstimator.repair`, so quiesced reads stay read-only
         self.degraded = False
 
     def __len__(self) -> int:
@@ -279,6 +280,8 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         self._rng = ensure_rng(random_state)
         self._reservoir_h = _PairReservoir(self.reservoir_size)
         self._reservoir_l = _PairReservoir(self.reservoir_size)
+        #: set by :meth:`repair`, cleared by the next mutation
+        self._quiesced = False
         index.register_observer(self)
         self.refresh()
 
@@ -364,6 +367,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         estimator._reservoir_l = _PairReservoir.from_state(
             state["reservoir_l"], estimator.reservoir_size
         )
+        estimator._quiesced = False
         index.register_observer(estimator)
         return estimator
 
@@ -395,13 +399,15 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         new_h = self.index.primary_table.bucket_size_of(vector_id) - 1
         self._reservoir_h.unseen_pairs += new_h
         self._reservoir_l.unseen_pairs += (n - 1) - new_h
-        self._repair_if_stale(during_mutation=True)
+        self._quiesced = False
+        self._repair_if_stale(retry_degraded=False)
 
     def on_delete(self, vector_id: int) -> None:
         """Evict reservoir pairs touching the deleted vector."""
         self._reservoir_h.drop_vector(vector_id)
         self._reservoir_l.drop_vector(vector_id)
-        self._repair_if_stale(during_mutation=True)
+        self._quiesced = False
+        self._repair_if_stale(retry_degraded=False)
 
     # ------------------------------------------------------------------
     # reservoir maintenance
@@ -419,9 +425,13 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         updates, before handing the estimator to concurrent readers)
         makes subsequent ``auto`` estimates read-only: the reservoirs
         are already within budget, so the estimate path neither mutates
-        them nor consumes the maintenance rng.
+        them nor consumes the maintenance rng.  That holds for a
+        reservoir this repair could not refill (degraded) too: until the
+        next mutation, estimates leave it to the exact pair source
+        instead of retrying the failing sampler.
         """
         self._repair_if_stale()
+        self._quiesced = True
 
     @staticmethod
     def _staleness(reservoir: _PairReservoir, stratum_size: int) -> float:
@@ -432,7 +442,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
     def _occupancy_deficit(self, reservoir: _PairReservoir) -> float:
         return 1.0 - len(reservoir) / reservoir.target_size
 
-    def _repair_if_stale(self, *, during_mutation: bool = False) -> None:
+    def _repair_if_stale(self, *, retry_degraded: bool = True) -> None:
         for reservoir, stratum_size in (
             (self._reservoir_h, self.index.num_collision_pairs),
             (self._reservoir_l, self.index.num_non_collision_pairs),
@@ -440,7 +450,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
             if stratum_size <= 0:
                 reservoir.clear()
                 continue
-            if during_mutation and reservoir.degraded:
+            if reservoir.degraded and not retry_degraded:
                 continue  # don't re-attempt a failing sampler on every update
             if (
                 self._staleness(reservoir, stratum_size) > self.staleness_budget
@@ -525,7 +535,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
         self, threshold: float, *, random_state: RandomState = None, mode: str = "auto"
     ) -> Estimate:
         if mode == "auto":
-            self._repair_if_stale()
+            self._repair_if_stale(retry_degraded=not self._quiesced)
         rng = ensure_rng(random_state)
         n = self.index.size
         num_h = self.index.num_collision_pairs

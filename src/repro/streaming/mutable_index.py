@@ -337,8 +337,8 @@ class MutableLSHTable:
     def bucket_members_by_key(self, key: bytes) -> List[int]:
         """The member list of the bucket keyed by ``key`` (do not mutate).
 
-        Used by the sharded merge layer to stitch per-shard buckets into
-        one global SampleH layout without copying through an accessor.
+        Used by the sharded facade to check its global table against
+        the shards' without copying through an accessor.
         """
         try:
             return self._members[key]
@@ -354,9 +354,12 @@ class MutableLSHTable:
         Returns the number of co-bucket pairs the insertion created (the
         size of the target bucket before insertion).
         """
+        return self.insert_key(vector_id, signature_bucket_key(signature, self.num_hashes))
+
+    def insert_key(self, vector_id: int, key: bytes) -> int:
+        """:meth:`insert` for a vector whose bucket key is already known."""
         if vector_id in self._key_of:
             raise ValidationError(f"vector id {vector_id} is already in the table")
-        key = signature_bucket_key(signature, self.num_hashes)
         bucket = self._members.setdefault(key, [])
         new_pairs = len(bucket)
         self._position[vector_id] = len(bucket)

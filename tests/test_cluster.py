@@ -338,6 +338,29 @@ class TestStandaloneWorkers:
             assert not thread.is_alive()
 
     @pytest.mark.timeout(120)
+    def test_worker_side_config_error_tears_the_cluster_down(self, monkeypatch):
+        # shard 1's worker refuses its configure: the refusal surfaces as
+        # the same library type, the failed worker is reaped, and the
+        # half-built coordinator releases shard 0's configured worker too
+        configure = worker_module.ShardWorker.op_configure
+
+        def refuse_shard_1(worker, payload):
+            if payload["shard_id"] == 1:
+                raise ValidationError("shard 1 refuses its configuration")
+            return configure(worker, payload)
+
+        monkeypatch.setattr(worker_module.ShardWorker, "op_configure", refuse_shard_1)
+        threads_addresses = [self._start_worker(once=True) for _ in range(2)]
+        addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
+        with pytest.raises(ValidationError, match="refuses its configuration"):
+            ClusterCoordinator(
+                8, num_shards=2, num_hashes=4, addresses=addresses, request_timeout=10.0
+            )
+        for thread, _address in threads_addresses:
+            thread.join(timeout=30)  # --once: the closed session stops the worker
+            assert not thread.is_alive()
+
+    @pytest.mark.timeout(120)
     def test_wrong_token_rejected(self):
         thread, (host, port) = self._start_worker(token="right", once=True)
         with pytest.raises(ClusterError):

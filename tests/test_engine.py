@@ -581,6 +581,27 @@ class TestSnapshotRestore:
         assert after.value == before.value
         assert after_auto == before_auto
 
+    def test_sharded_restore_keeps_serving_the_same_estimator(self, small_collection, tmp_path):
+        # a second estimator observing the facade must not take over the
+        # served slot on a restore, nor on the restore after that
+        config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
+                              dimension=small_collection.dimension,
+                              options={"num_shards": 3})
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            StreamingEstimator(engine.backend.index, reservoir_size=16, random_state=99)
+            engine.snapshot(tmp_path / "first.pkl")
+            expected = [engine.estimate(EstimateRequest(0.7, seed=s)) for s in (1, 2)]
+        with JoinEstimationEngine.restore(tmp_path / "first.pkl") as revived:
+            revived.snapshot(tmp_path / "second.pkl")
+        with JoinEstimationEngine.restore(tmp_path / "second.pkl") as twice:
+            assert len(twice.backend.index.to_state()["estimators"]) == 2
+            after = [twice.estimate(EstimateRequest(0.7, seed=s)) for s in (1, 2)]
+        assert [e.value for e in after] == [e.value for e in expected]
+        assert [e.details["reservoir_h"] for e in after] == [
+            e.details["reservoir_h"] for e in expected
+        ]
+
     def test_restore_config_override_must_match_kind(self, small_collection, tmp_path):
         config = EngineConfig(backend="streaming", num_hashes=8,
                               dimension=small_collection.dimension)
@@ -747,11 +768,17 @@ _READERS = {
     "sharded": (
         lambda state, states, tmp_path: ShardedMutableIndex.from_state(state),
         "num_shards",
-        _TAGGED + ("short-shards", "short-shard-of", "two-tables", "format-1", "shard-estimator"),
+        _TAGGED + (
+            "short-shards", "short-shard-of", "short-bucket-refs", "two-tables", "format-1",
+            "shard-estimator",
+        ),
     ),
     "cluster": (
         _restore_cluster, "num_shards",
-        _TAGGED + ("short-shards", "short-shard-of", "two-tables", "format-1", "shard-estimator"),
+        _TAGGED + (
+            "short-shards", "short-shard-of", "short-bucket-refs", "two-tables", "format-1",
+            "shard-estimator",
+        ),
     ),
     "partitioner": (_read_partitioner, "num_shards", _UNTAGGED),
     "migration": (
@@ -802,6 +829,9 @@ def _mutate(state, mutation, field_name):
         state["shards"] = state["shards"][:-1]
     elif mutation == "short-shard-of":
         state["shard_of"] = state["shard_of"][:-5]
+    elif mutation == "short-bucket-refs":
+        # the facade's bucket list misses a bucket the shards hold
+        state["bucket_refs"] = state["bucket_refs"][:-1]
     elif mutation == "staleness-budget-above-one":
         state["staleness_budget"] = 5.0
     elif mutation == "reservoir-target-size":

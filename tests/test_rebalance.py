@@ -271,22 +271,22 @@ class TestRebalance:
         migration; the facade keeps routing to the new owners."""
         reference, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
         keys = [
-            key for key, (count, shard_id) in sharded._bucket_refs.items()
+            key for key, shard_id in sharded._owner_of_key.items()
             if shard_id == 0
         ][:5]
         plan = RebalancePlan(
             moves=[KeyMove(key, 0, 1) for key in keys],
-            total_keys=len(sharded._bucket_refs),
+            total_keys=len(sharded._owner_of_key),
         )
         apply_plan(sharded, plan)
         for key in keys:
-            assert sharded._bucket_refs[key][1] == 1
+            assert sharded._owner_of_key[key] == 1
         _assert_matches_reference(sharded, reference)
 
     def test_stale_plan_rejected(self, small_collection, churn_log_factory):
         _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
-        key = next(iter(sharded._bucket_refs))
-        owner = sharded._bucket_refs[key][1]
+        key = next(iter(sharded._owner_of_key))
+        owner = sharded._owner_of_key[key]
         bad_source = RebalancePlan(
             moves=[KeyMove(key, 1 - owner, owner)], total_keys=1
         )
@@ -476,13 +476,13 @@ class TestOwnerOverrideFastPath:
             small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
         keys = [
-            key for key, (count, shard_id) in sharded._bucket_refs.items()
+            key for key, shard_id in sharded._owner_of_key.items()
             if shard_id == 0
         ][:3]
         apply_plan(
             sharded,
             RebalancePlan(moves=[KeyMove(key, 0, 1) for key in keys],
-                          total_keys=len(sharded._bucket_refs)),
+                          total_keys=len(sharded._owner_of_key)),
         )
         assert sharded._owner_overrides  # owners now deviate from the partitioner
         revived = ShardedMutableIndex.from_state(sharded.to_state())

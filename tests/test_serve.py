@@ -211,6 +211,31 @@ class TestEngineServeHooks:
             again = engine.estimate(THRESHOLD, seed=5, mode="auto")
             assert first.value == again.value
 
+    @pytest.mark.parametrize(
+        "backend, options", [("streaming", {}), ("sharded", {"num_shards": 2})]
+    )
+    def test_quiesced_reads_leave_a_degraded_reservoir_alone(self, backend, options):
+        # near-duplicate corpus: one pair in twenty is in stratum L, so
+        # SampleL's rejection loop cannot fill the L reservoir (it degrades)
+        # while an estimate's smaller exact SampleL draws still succeed
+        rows = np.zeros((41, DIMENSION))
+        rows[:40, 0] = 1.0
+        rows[40, 1] = 1.0
+        with JoinEstimationEngine(_config(backend=backend, options=options)) as engine:
+            engine.ingest([Insert(row) for row in rows])
+            engine.flush()
+            engine.quiesce()
+            estimator = engine.backend._estimator
+            assert estimator._reservoir_l.degraded
+            rng_state_before = estimator._rng.bit_generator.state
+            first = engine.estimate(THRESHOLD, seed=5, mode="auto")
+            again = engine.estimate(THRESHOLD, seed=5, mode="auto")
+            assert estimator._rng.bit_generator.state == rng_state_before, (
+                "auto estimate retried the degraded reservoir after quiesce"
+            )
+            assert first.details["source_l"] == "exact"
+            assert first.value == again.value
+
 
 # ----------------------------------------------------------------------
 # the server and client, end to end
