@@ -15,7 +15,9 @@ Three acceptance gates for the sharded subsystem (``repro.shard``):
 2. **Query cost** — mutable-path ``cosine_pairs`` (pooled row store)
    must stay within 2× of the static path
    (:func:`repro.vectors.similarity.cosine_pairs` over the pre-normalised
-   collection matrix), closing the E13 query-path gap.
+   collection matrix), closing the E13 query-path gap; and the S = 4
+   :class:`~repro.shard.ShardedMutableIndex` facade must return the same
+   values within 2× of the mutable path on the same pairs.
 3. **Merge fidelity** — after replaying a churn log, the sharded
    exact-mode estimate must be *bit-identical* to the unsharded
    streaming estimator's for the same seed, with identical strata.
@@ -152,7 +154,8 @@ def test_sharded_ingest_scaling(benchmark, dblp_collection, results_dir):
 
 
 def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
-    """Gate 2: pooled-row-store cosine queries within 2× of the static path."""
+    """Gate 2: pooled-row-store cosine queries within 2× of the static path,
+    and the S = 4 facade's within 2× of the pooled row store's."""
     index = MutableLSHIndex.from_collection(
         dblp_collection, num_hashes=NUM_HASHES, random_state=SEED
     )
@@ -176,7 +179,24 @@ def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
         return mutable_seconds, static_seconds
 
     mutable_seconds, static_seconds = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    sharded = ShardedMutableIndex.from_collection(
+        dblp_collection, num_shards=4, num_hashes=NUM_HASHES, random_state=SEED
+    )
+    np.testing.assert_array_equal(sharded.cosine_pairs(left, right), mutable_values)
+
+    def timed(cosine_pairs) -> float:
+        start = time.perf_counter()
+        for _ in range(QUERY_ROUNDS):
+            cosine_pairs(left, right)
+        return time.perf_counter() - start
+
+    # the facade against the row store: best of alternating blocks, so one
+    # burst of host noise cannot decide the gate
+    blocks = [(timed(index.cosine_pairs), timed(sharded.cosine_pairs)) for _ in range(3)]
+    best_mutable, sharded_seconds = (min(side) for side in zip(*blocks))
     ratio = mutable_seconds / max(static_seconds, 1e-9)
+    sharded_ratio = sharded_seconds / max(best_mutable, 1e-9)
     body = format_table(
         ["path", "total (ms)", "per call (ms)"],
         [
@@ -184,10 +204,13 @@ def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
              mutable_seconds / QUERY_ROUNDS * 1000.0],
             ["static (normalized_matrix)", static_seconds * 1000.0,
              static_seconds / QUERY_ROUNDS * 1000.0],
+            ["sharded S = 4 (facade gather, best of 3)", sharded_seconds * 1000.0,
+             sharded_seconds / QUERY_ROUNDS * 1000.0],
         ],
         float_format="{:.3f}",
     )
     body += f"\nmutable / static ratio: {ratio:.2f}x (gate: ≤ 2×); values bit-identical"
+    body += f"\nsharded / mutable ratio: {sharded_ratio:.2f}x (gate: ≤ 2×); values bit-identical"
     emit(
         "E15_mutable_query_cost",
         f"Sharding — mutable-path cosine_pairs vs static path "
@@ -195,9 +218,10 @@ def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
         body,
         results_dir,
         benchmark=benchmark,
-        extra_info={"query_ratio": ratio},
+        extra_info={"query_ratio": ratio, "sharded_query_ratio": sharded_ratio},
     )
     assert ratio <= 2.0, f"mutable-path queries {ratio:.2f}x the static path"
+    assert sharded_ratio <= 2.0, f"S = 4 facade queries {sharded_ratio:.2f}x the mutable path"
 
 
 def test_sharded_estimates_bit_identical(dblp_collection, results_dir):

@@ -43,7 +43,11 @@ from repro.core import (  # noqa: E402
 )
 from repro.datasets import make_dblp_like  # noqa: E402
 from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily  # noqa: E402
-from repro.shard import ShardedMutableIndex, ShardedStreamingEstimator  # noqa: E402
+from repro.shard import (  # noqa: E402
+    ShardedMutableIndex,
+    ShardedStreamingEstimator,
+    rebalance_cluster,
+)
 from repro.streaming import MutableLSHIndex, StreamingEstimator  # noqa: E402
 
 THRESHOLDS = (0.2, 0.5, 0.9)
@@ -124,6 +128,13 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
     facade_estimator = StreamingEstimator(sharded, reservoir_size=128, random_state=9)
     _churn(sharded, collection, seed=5)
 
+    # the same churn, then a migration onto 4 shards: rows move, answers must not
+    rebalanced = ShardedMutableIndex(
+        collection.dimension, num_shards=3, num_hashes=NUM_HASHES, random_state=8,
+    )
+    _churn(rebalanced, collection, seed=5)
+    rebalance_cluster(rebalanced, num_shards=4)
+
     # (name, estimate(τ, seed)) in a fixed order: stateful modes repair
     # reservoirs as they go, so the order is part of the contract
     variants: List[Tuple[str, Callable[[float, int], Any]]] = [
@@ -141,6 +152,9 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
         t, random_state=s, mode="exact")))
     variants.append(("sharded3-facade-auto", lambda t, s: facade_estimator.estimate(
         t, random_state=s, mode="auto")))
+    migrated = ShardedStreamingEstimator(rebalanced)
+    variants.append(("sharded3-rebalanced-exact", lambda t, s: migrated.estimate(
+        t, random_state=s, mode="exact")))
 
     holders: List[Tuple[str, Tuple[Callable[..., Any], Callable[..., Any]]]] = [
         ("LSHTable", _index_samplers(table)),

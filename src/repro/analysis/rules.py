@@ -305,15 +305,16 @@ class LockGuardRule(Rule):
 #: reply statuses travel on the same frames but are not request ops
 _REPLY_STATUSES = {"ok", "error", "busy"}
 #: methods whose first string-literal argument is a protocol op
-_SENDER_METHODS = {"request", "send_request", "_request"}
+_SENDER_METHODS = {"request", "send_request", "_request", "_fan_out"}
 
 
 class ProtocolParityRule(Rule):
     """Every op sent over the transport must be handled, and vice versa.
 
     Senders: ``conn.request("op", …)`` / ``handle.send_request("op", …)``
-    / ``client._request("op", …)`` — plus ``conn.send("op", …)`` when
-    the literal is not a reply status (``ok``/``error``/``busy``).
+    / ``client._request("op", …)`` / ``coordinator._fan_out("op", …)`` —
+    plus ``conn.send("op", …)`` when the literal is not a reply status
+    (``ok``/``error``/``busy``).
 
     Handlers: ``op_<name>`` methods on a dispatch class (the
     ``ShardWorker`` convention: ``handle`` resolves ``op`` strings with

@@ -19,9 +19,11 @@ the same seed:
 * every sampling draw runs on the coordinator's global bucket table,
   consuming its generator exactly as in process, so SampleH, SampleL's
   collision tests and the estimator repairs never cost a round trip;
-* the merge layer's remote touch points — :meth:`_gather_rows_on_shard`
-  for the per-pair cosines, and :meth:`_bucket_members_on_shard` for
-  :meth:`check_invariants` — return the same values a local shard would;
+* the merge layer's remote touch points — :meth:`_fetch_rows` for the
+  per-pair cosines and :meth:`to_collection` (one ``gather_rows`` per
+  owning shard, all sent before any reply is awaited), and
+  :meth:`_bucket_members_on_shard` for :meth:`check_invariants` — return
+  the same values a local shard would;
 * per-shard live ids / ``size`` / ``N_H`` live in coordinator-side
   mirrors updated from every mutating reply, so strata sizes never need
   a round trip.
@@ -36,7 +38,8 @@ Failure model: every request carries a timeout; a worker that crashed or
 hung raises :class:`~repro.errors.WorkerCrashError` naming the shard
 instead of hanging the coordinator.  Because a transport failure can
 leave a pipelined commit half-applied, it marks the whole cluster
-*broken*: further operations raise, and :meth:`close` falls back from
+*broken*, as does a worker op error in a commit whose other slices were
+applied: further operations raise, and :meth:`close` falls back from
 the graceful shutdown handshake to terminating the worker processes.
 ``close`` is idempotent and always reaps every spawned process.
 """
@@ -48,10 +51,9 @@ import multiprocessing
 import secrets
 import socket
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
@@ -65,6 +67,7 @@ from repro.obs.tracing import current_trace_context, get_tracer, trace
 from repro.rng import RandomState
 from repro.shard.sharded_index import (
     SHARDED_STATE,
+    CSRParts,
     IndexShard,
     PreparedBatch,
     ShardedMutableIndex,
@@ -302,12 +305,6 @@ class RemoteIndexProxy:
     def to_state(self) -> Dict[str, Any]:
         return self._handle.request("snapshot")["state"]
 
-    def row(self, vector_id: int) -> sparse.csr_matrix:
-        return self._handle.request(
-            "gather_rows",
-            {"ids": np.asarray([int(vector_id)], dtype=np.int64), "normalized": False},
-        )["matrix"]
-
     def check_invariants(self) -> None:
         reply = self._handle.request("check")
         self._apply_stats(reply)
@@ -488,13 +485,14 @@ class ClusterCoordinator(ShardedMutableIndex):
         """
         self._check_usable()
         with trace("cluster.stats", shards=len(self.shards)):
-            for shard in self.shards:
-                shard.index._handle.send_request("stats", {"metrics": True})
+            replies = self._fan_out(
+                "stats", [(shard.index._handle, {"metrics": True}) for shard in self.shards]
+            )
             merged = self.metrics.snapshot()
             workers: List[Dict[str, Any]] = []
-            for shard in self.shards:
+            for shard, reply in zip(self.shards, replies):
                 handle = shard.index._handle
-                reply = dict(handle.recv_reply("stats"))
+                reply = dict(reply)
                 worker_metrics = reply.pop("metrics", None)
                 if worker_metrics:
                     merged = merged.merge(MetricsSnapshot.from_dict(worker_metrics))
@@ -647,18 +645,51 @@ class ClusterCoordinator(ShardedMutableIndex):
     # ------------------------------------------------------------------
     # merge-layer touch points (one batched round trip per shard)
     # ------------------------------------------------------------------
+    def _fan_out(
+        self,
+        op: str,
+        requests: Sequence[Tuple[WorkerHandle, Any]],
+        *,
+        meanwhile: Optional[Callable[[], None]] = None,
+    ) -> List[Any]:
+        """Send ``op`` with every ``(handle, payload)``, then await every reply.
+
+        ``meanwhile`` runs between the sends and the first await.  A
+        worker op error re-raises only once every reply sent has been
+        read, so no connection is left holding a stale reply.
+        """
+        for handle, payload in requests:
+            handle.send_request(op, payload)
+        if meanwhile is not None:
+            meanwhile()
+        replies: List[Any] = []
+        first_error: Optional[Exception] = None
+        for handle, _payload in requests:
+            try:
+                replies.append(handle.recv_reply(op))
+            except Exception as error:  # reprolint: disable=R007 - read the rest, then re-raise
+                replies.append(None)
+                first_error = first_error or error
+        if first_error is not None:
+            raise first_error
+        return replies
+
     def _bucket_members_on_shard(self, shard_id: int, keys: Sequence[bytes]) -> List[List[int]]:
         return self._handles[shard_id].request("bucket_members", {"keys": list(keys)})[
             "members"
         ]
 
-    def _gather_rows_on_shard(
-        self, shard_id: int, ids: np.ndarray, *, normalized: bool
-    ) -> sparse.csr_matrix:
-        return self._handles[shard_id].request(
-            "gather_rows",
-            {"ids": np.asarray(ids, dtype=np.int64), "normalized": normalized},
-        )["matrix"]
+    def _fetch_rows(
+        self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
+    ) -> List[CSRParts]:
+        replies = self._fan_out("gather_rows", [
+            (self._handles[shard_id], {"ids": ids, "normalized": normalized})
+            for shard_id, ids in requests
+        ])
+        return [
+            (reply["matrix"].data, reply["matrix"].indices, reply["matrix"].indptr)
+            for reply in replies
+        ]
 
     # ------------------------------------------------------------------
     # mutation (pipelined ingest)
@@ -672,10 +703,10 @@ class ClusterCoordinator(ShardedMutableIndex):
 
         All shard slices are *sent* before any reply is awaited, and the
         coordinator interleaves its own merge bookkeeping with the
-        workers' ingest.  A transport failure mid-commit leaves shard
-        slices partially applied, so it marks the cluster broken — the
-        router layer above then refuses further flushes, exactly like an
-        in-process partial commit.
+        workers' ingest.  A failure mid-commit (a transport failure or a
+        worker op error) leaves shard slices partially applied, so it
+        marks the cluster broken — the router layer above then refuses
+        further flushes, exactly like an in-process partial commit.
         """
         self._check_usable()
         histogram, rows_total = self._commit_instruments()
@@ -692,15 +723,26 @@ class ClusterCoordinator(ShardedMutableIndex):
                     "signatures": batch.signatures[rows],
                 }
                 jobs.append((shard, payload))
-            for shard, payload in jobs:
-                shard.index._handle.send_request("insert_prepared", payload)
-            # merge bookkeeping overlaps with the workers' bucket inserts
-            for position in range(len(batch)):
-                self._track_insert(
-                    int(batch.ids[position]), batch.keys[position], int(batch.shard_ids[position])
+
+            def track() -> None:
+                # merge bookkeeping overlaps with the workers' bucket inserts
+                self._place(batch.ids, batch.shard_ids)
+                for position in range(len(batch)):
+                    self._track_insert(
+                        int(batch.ids[position]), batch.keys[position],
+                        int(batch.shard_ids[position]),
+                    )
+
+            try:
+                replies = self._fan_out(
+                    "insert_prepared",
+                    [(shard.index._handle, payload) for shard, payload in jobs],
+                    meanwhile=track,
                 )
-            for shard, payload in jobs:
-                reply = shard.index._handle.recv_reply("insert_prepared")
+            except Exception as error:  # reprolint: disable=R007 - mark broken and re-raise
+                self._mark_broken(f"commit_batch failed: {error}")
+                raise
+            for (shard, payload), reply in zip(jobs, replies):
                 shard.index._live.add_many(payload["ids"])
                 shard.index._apply_stats(reply)
                 shard.index.worker_ingest_seconds += shard.index._handle.last_op_seconds

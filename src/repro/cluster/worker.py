@@ -15,7 +15,7 @@ whose payloads are the library's existing serialisations:
 ``insert_prepared``    apply a routed batch slice (ids, CSR rows, one ``(rows, k)`` array)
 ``delete``             delete one id
 ``bucket_members``     member lists for a batch of owned bucket keys (invariant checks)
-``gather_rows``        (normalized) CSR rows for a batch of ids
+``gather_rows``        (normalized) CSR rows of the shard's unique ids, one request per pair batch
 ``check`` / ``stats``  invariants / size + ``N_H`` bookkeeping
 ``ping`` / ``shutdown``  liveness / end of session
 =====================  ====================================================

@@ -352,8 +352,7 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
         owner_of_key[move.key] = move.target
     for target, payloads in arrivals.items():
         for payload in payloads:
-            for vector_id in payload["ids"]:
-                sharded._shard_of_id[int(vector_id)] = target
+            sharded._place(np.asarray(payload["ids"], dtype=np.int64), target)
     if plan.partitioner is not None and plan.partitioner.num_shards == num_shards:
         sharded.partitioner = plan.partitioner
     sharded._refresh_owner_alignment()

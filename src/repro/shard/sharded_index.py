@@ -21,9 +21,13 @@ cosine — with the *merge layer* built in:
 * SampleH, SampleL's collision tests and the estimators' bucket sizes
   and repairs answer from that table, so this class and the
   process-backed :class:`~repro.cluster.ClusterCoordinator` share one
-  code path that never asks a shard; only the rows for the per-pair
-  cosines are gathered from the shards.  SampleH / SampleL themselves are
-  the shared primitives of :mod:`repro.lsh.table`.
+  code path that never asks a shard.  SampleH / SampleL themselves are
+  the shared primitives of :mod:`repro.lsh.table`;
+* only rows come from the shards: a ``cosine_pairs`` call deduplicates
+  the ids of both sides, maps them to shards through an id-indexed
+  array, asks each owning shard once for its unique rows
+  (:meth:`ShardedMutableIndex._fetch_rows`, the one row seam) and lays
+  them out in pair order with segment positions.
 
 Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
 constructed over the facade — which is what
@@ -72,8 +76,11 @@ from repro.streaming.mutable_index import (
     restore_estimator_states,
     signature_bucket_key,
 )
-from repro.streaming.rowstore import pairwise_cosine
+from repro.streaming.rowstore import _MAX_ID, pairwise_cosine, segment_positions
 from repro.vectors.collection import VectorCollection
+
+#: ``(data, indices, indptr)`` of a stack of CSR rows
+CSRParts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: also the state of a :class:`~repro.cluster.ClusterCoordinator`; format 2
 #: dropped the per-shard estimators (format 1 embedded one per shard state)
@@ -190,7 +197,9 @@ class ShardedMutableIndex:
         self.shards: List[IndexShard] = []
         for shard_id in range(num_shards):
             self.shards.append(self._new_shard(shard_id))
-        self._shard_of_id: Dict[int, int] = {}
+        #: id-indexed owning shard (-1 = not live); written on every write
+        #: path (insert, delete, restore, rebalance), only read by queries
+        self._shard_of_id = np.full(0, -1, dtype=np.int64)
         #: the global bucket layout (ids only): answers SampleH, the
         #: collision tests of SampleL and the estimators without asking
         #: any shard
@@ -335,16 +344,34 @@ class ShardedMutableIndex:
         """The global bucket table (ids only; the rows live on the shards)."""
         return self._table
 
+    def _owners(self, ids: np.ndarray) -> np.ndarray:
+        """The owning shard of every id; refuses the first one not live."""
+        valid = (ids >= 0) & (ids < self._shard_of_id.size)
+        owners = np.full(ids.size, -1, dtype=np.int64)
+        owners[valid] = self._shard_of_id[ids[valid]]
+        if owners.size and owners.min() < 0:
+            missing = int(ids[int(np.argmin(owners >= 0))])
+            raise ValidationError(f"vector id {missing} is not in the index")
+        return owners
+
+    def _place(self, ids: np.ndarray, shard_ids: Union[int, np.ndarray]) -> None:
+        """Record the owning shard of ``ids`` in the id-indexed map."""
+        if ids.size == 0:
+            return
+        needed = int(ids.max()) + 1
+        if needed > self._shard_of_id.size:
+            grown = np.full(max(needed, 2 * self._shard_of_id.size), -1, dtype=np.int64)
+            grown[: self._shard_of_id.size] = self._shard_of_id
+            self._shard_of_id = grown
+        self._shard_of_id[ids] = shard_ids
+
     def shard_of(self, vector_id: int) -> IndexShard:
         """The shard holding a live vector."""
-        try:
-            return self.shards[self._shard_of_id[vector_id]]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the index") from None
+        return self.shards[int(self._owners(np.asarray([vector_id], dtype=np.int64))[0])]
 
     def row(self, vector_id: int) -> sparse.csr_matrix:
         """The stored (raw) vector as a fresh 1×d CSR row."""
-        return self.shard_of(int(vector_id)).index.row(int(vector_id))
+        return self._stack_raw(np.asarray([vector_id], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # observers
@@ -369,7 +396,6 @@ class ShardedMutableIndex:
         return vector_id
 
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
-        self._shard_of_id[vector_id] = shard_id
         self._table.insert_key(vector_id, key)
         self._live.add(vector_id)
         self._owner_of_key.setdefault(key, shard_id)
@@ -417,6 +443,7 @@ class ShardedMutableIndex:
         key = signature_bucket_key(signature, self.num_hashes)
         shard_id = self._owning_shard(key)
         self.shards[shard_id].index._insert_prepared(vector_id, row, signature)
+        self._place(np.asarray([vector_id], dtype=np.int64), shard_id)
         self._track_insert(vector_id, key, shard_id)
         for observer in self._observers:
             observer.on_insert(vector_id)
@@ -483,6 +510,7 @@ class ShardedMutableIndex:
                 shard.index.insert_many_prepared(
                     batch.ids[rows], batch.csr[rows], batch.signatures[rows]
                 )
+            self._place(batch.ids, batch.shard_ids)
             for position in range(len(batch)):
                 self._track_insert(
                     int(batch.ids[position]), batch.keys[position], int(batch.shard_ids[position])
@@ -508,11 +536,12 @@ class ShardedMutableIndex:
         """Remove a live vector from its owning shard."""
         if vector_id not in self._live:
             raise ValidationError(f"vector id {vector_id} is not in the index")
-        shard_id = self._shard_of_id.pop(vector_id)
+        shard_id = int(self._shard_of_id[vector_id])
         key = self._table.signature_key(vector_id)
         self.shards[shard_id].index.delete(vector_id)
         if self._table.delete(vector_id) == 0:  # it was its bucket's last member
             del self._owner_of_key[key]
+        self._shard_of_id[vector_id] = -1
         self._live.remove(vector_id)
         for observer in self._observers:
             observer.on_delete(vector_id)
@@ -535,56 +564,74 @@ class ShardedMutableIndex:
             self._table.same_bucket_many, random_state, max_attempts=max_attempts,
         )
 
-    def _gather_rows_on_shard(
-        self, shard_id: int, ids: np.ndarray, *, normalized: bool
-    ) -> sparse.csr_matrix:
-        """Stack the rows of ``ids`` (all living on ``shard_id``) in order.
+    def _fetch_rows(
+        self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
+    ) -> List[CSRParts]:
+        """CSR parts of the rows of each ``(shard_id, ids)`` request.
 
-        The one row accessor of the query-side merge layer — the
-        multi-process coordinator overrides it with a worker round trip.
+        The one row seam of the query-side merge layer — the
+        multi-process coordinator overrides it with a fan-out that sends
+        every request before awaiting any reply.
         """
-        store = self.shards[shard_id].index._rows
-        return store.gather_normalized(ids) if normalized else store.gather_raw(ids)
+        return [
+            self.shards[shard_id].index._rows.csr_parts(ids, normalized=normalized)
+            for shard_id, ids in requests
+        ]
 
-    def _gather(self, ids: np.ndarray, *, normalized: bool) -> sparse.csr_matrix:
-        """Stack rows living on many shards back into the order of ``ids``."""
-        shard_ids = np.fromiter(
-            (self._shard_of_id.get(int(i), -1) for i in ids), dtype=np.int64, count=ids.size
-        )
-        if shard_ids.size and shard_ids.min() < 0:
-            missing = int(ids[int(np.argmin(shard_ids >= 0))])
-            raise ValidationError(f"vector id {missing} is not in the index")
+    def _gather(self, ids: np.ndarray, *, normalized: bool) -> CSRParts:
+        """CSR parts of the rows of ``ids`` (repeats allowed), in order.
 
-        def gather_on(shard_id: int, subset: np.ndarray) -> sparse.csr_matrix:
-            return self._gather_rows_on_shard(shard_id, subset, normalized=normalized)
-
-        present = np.unique(shard_ids)
-        if present.size == 1:
-            return gather_on(int(present[0]), ids)
-        parts: List[sparse.csr_matrix] = []
-        order: List[np.ndarray] = []
-        for shard_id in present:
-            rows = np.flatnonzero(shard_ids == shard_id)
-            parts.append(gather_on(int(shard_id), ids[rows]))
-            order.append(rows)
-        stacked = sparse.vstack(parts, format="csr")
-        permutation = np.concatenate(order)
-        inverse = np.empty_like(permutation)
-        inverse[permutation] = np.arange(permutation.size)
-        return stacked[inverse]
-
-    def _gather_normalized(self, ids: np.ndarray) -> sparse.csr_matrix:
-        return self._gather(ids, normalized=True)
+        Each owning shard is asked once, for its unique ids; the fetched
+        rows are then laid out in ``ids`` order by segment positions.
+        """
+        unique, inverse = np.unique(ids, return_inverse=True)
+        owners = self._owners(unique)
+        order = np.argsort(owners, kind="stable")
+        bounds = np.searchsorted(owners[order], np.arange(self.num_shards + 1))
+        requests = [
+            (shard_id, unique[order[start:stop]])
+            for shard_id, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if stop > start
+        ]
+        parts = self._fetch_rows(requests, normalized=normalized)
+        # the fetched rows in `order`, as one pool with an extent per unique id
+        data = np.concatenate([part[0] for part in parts])
+        indices = np.concatenate([part[1] for part in parts])
+        lengths = np.concatenate([np.diff(part[2]) for part in parts]).astype(np.int64)
+        starts = np.zeros(lengths.size, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        rows = slot[inverse.ravel()]
+        row_lengths = lengths[rows]
+        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(row_lengths, out=indptr[1:])
+        positions = segment_positions(starts[rows], row_lengths, indptr)
+        return data[positions], indices[positions], indptr
 
     def cosine_pairs(self, left_ids: Sequence[int], right_ids: Sequence[int]) -> np.ndarray:
-        """Cosine similarities for live ``(left, right)`` id pairs across shards."""
+        """Cosine similarities for live ``(left, right)`` id pairs across shards.
+
+        Both sides share one gather, so every shard is asked once per call.
+        """
         left = np.asarray(left_ids, dtype=np.int64)
         right = np.asarray(right_ids, dtype=np.int64)
         if left.shape != right.shape:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        return pairwise_cosine(self._gather_normalized(left), self._gather_normalized(right))
+        data, indices, indptr = self._gather(
+            np.concatenate([left.ravel(), right.ravel()]), normalized=True
+        )
+        count, split = left.size, int(indptr[left.size])
+        shape = (count, self.dimension)
+        rows_left = sparse.csr_matrix(
+            (data[:split], indices[:split], indptr[: count + 1]), shape=shape
+        )
+        rows_right = sparse.csr_matrix(
+            (data[split:], indices[split:], indptr[count:] - split), shape=shape
+        )
+        return pairwise_cosine(rows_left, rows_right)
 
     # ------------------------------------------------------------------
     # export / verification
@@ -594,7 +641,12 @@ class ShardedMutableIndex:
         if not self._live:
             raise ValidationError("cannot materialise an empty index as a collection")
         ids = self.ids
-        return VectorCollection(self._gather(ids, normalized=False), copy=False), ids
+        return VectorCollection(self._stack_raw(ids), copy=False), ids
+
+    def _stack_raw(self, ids: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix(
+            self._gather(ids, normalized=False), shape=(ids.size, self.dimension)
+        )
 
     def _check_shard(self, shard: IndexShard) -> int:
         """Verify one shard's own bookkeeping; returns its bucket count."""
@@ -623,6 +675,13 @@ class ShardedMutableIndex:
         self._table.check_invariants()
         if self._table.num_vectors != self.size:
             raise AssertionError("facade bucket table drifted from the live set")
+        if np.count_nonzero(self._shard_of_id >= 0) != self.size or any(
+            not np.array_equal(
+                np.flatnonzero(self._shard_of_id == shard.shard_id), np.sort(shard.index.ids)
+            )
+            for shard in self.shards
+        ):
+            raise AssertionError("id → shard map drifted from the shards")
         if not total_buckets == self._table.num_buckets == len(self._owner_of_key):
             raise AssertionError("bucket key registry drifted from the shards")
         keys: Dict[int, List[bytes]] = {}
@@ -663,7 +722,7 @@ class ShardedMutableIndex:
             partitioner=partitioner_state(self.partitioner),
             next_id=self._next_id,
             live_ids=list(self._live),
-            shard_of=[self._shard_of_id[i] for i in self._live],
+            shard_of=self._shard_of_id[self.ids].tolist(),
             bucket_refs=[
                 (key, len(self._table.bucket_members_by_key(key)), shard_id)
                 for key, shard_id in self._owner_of_key.items()
@@ -721,10 +780,11 @@ class ShardedMutableIndex:
     def _restore_facade_bookkeeping(self, state: Mapping[str, object]) -> None:
         """Restore the merge-layer bookkeeping (shared with the cluster restore)."""
         self._live = LiveIds(state["live_ids"])
-        self._shard_of_id = {
-            int(vector_id): int(shard_id)
-            for vector_id, shard_id in zip(state["live_ids"], state["shard_of"])
-        }
+        live_ids = self._live.array()
+        if live_ids.size and not 0 <= int(live_ids.min()) <= int(live_ids.max()) < _MAX_ID:
+            SHARDED_STATE.refuse(f"its live ids leave [0, {_MAX_ID})")
+        self._shard_of_id = np.full(0, -1, dtype=np.int64)
+        self._place(live_ids, np.asarray(state["shard_of"], dtype=np.int64))
         self._owner_of_key = {
             bytes(key): int(shard_id) for key, _count, shard_id in state["bucket_refs"]
         }

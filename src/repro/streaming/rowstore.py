@@ -31,7 +31,7 @@ static query path.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Dict, Iterator, List, Mapping, Sequence, cast
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, cast
 
 import numpy as np
 from scipy import sparse
@@ -229,7 +229,7 @@ class RowStore:
         new_starts = np.zeros(live.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=new_starts[1:])
         total = int(new_starts[-1])
-        positions = _segment_positions(self._starts[live], lengths, new_starts)
+        positions = segment_positions(self._starts[live], lengths, new_starts)
         self._data = np.concatenate(
             [self._data[positions], np.empty(max(total, _MIN_CAPACITY) - total, dtype=np.float64)]
         )
@@ -259,7 +259,7 @@ class RowStore:
         lengths = self._lengths[missing]
         indptr = np.zeros(missing.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        positions = _segment_positions(self._starts[missing], lengths, indptr)
+        positions = segment_positions(self._starts[missing], lengths, indptr)
         values = self._data[positions]
         squared = values * values
         sums = np.zeros(missing.size, dtype=np.float64)
@@ -269,21 +269,25 @@ class RowStore:
         norms = np.sqrt(sums)
         self._inv_norms[missing] = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 1.0)
 
-    def _gather(self, vector_ids: Sequence[int], normalized: bool) -> sparse.csr_matrix:
+    def csr_parts(
+        self, vector_ids: Sequence[int], *, normalized: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` of the requested rows, in request order."""
         ids = np.asarray(vector_ids, dtype=np.int64).ravel()
         slots = self._resolve_slots(ids)
         lengths = self._lengths[slots]
         indptr = np.zeros(ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        positions = _segment_positions(self._starts[slots], lengths, indptr)
-        out_data = self._data[positions]
+        positions = segment_positions(self._starts[slots], lengths, indptr)
+        data = self._data[positions]
         if normalized:
             self._fill_missing_norms(slots)
-            out_data = out_data * np.repeat(self._inv_norms[slots], lengths)
-        return sparse.csr_matrix(
-            (out_data, self._indices[positions], indptr),
-            shape=(ids.size, self.dimension),
-        )
+            data = data * np.repeat(self._inv_norms[slots], lengths)
+        return data, self._indices[positions], indptr
+
+    def _gather(self, vector_ids: Sequence[int], normalized: bool) -> sparse.csr_matrix:
+        data, indices, indptr = self.csr_parts(vector_ids, normalized=normalized)
+        return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, self.dimension))
 
     def inv_norm(self, vector_id: int) -> float:
         """Cached ``1 / ‖row‖₂`` (1.0 for zero rows, as the old path had it)."""
@@ -338,7 +342,7 @@ class RowStore:
         )
 
 
-def _segment_positions(
+def segment_positions(
     starts: np.ndarray, lengths: np.ndarray, indptr: np.ndarray
 ) -> np.ndarray:
     """Pool positions for concatenated segments, fully vectorised.
@@ -355,4 +359,4 @@ def _segment_positions(
     )
 
 
-__all__ = ["RowStore", "pairwise_cosine"]
+__all__ = ["RowStore", "pairwise_cosine", "segment_positions"]

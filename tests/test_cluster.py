@@ -5,6 +5,7 @@ Every test that spawns worker processes carries a hard
 coordinator must fail the test quickly, never hang the suite.
 """
 
+import itertools
 import threading
 
 import numpy as np
@@ -21,7 +22,13 @@ from repro.errors import (
     ValidationError,
     WorkerCrashError,
 )
-from repro.shard import ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter
+from repro.obs import MetricsRegistry
+from repro.shard import (
+    ShardedMutableIndex,
+    ShardedStreamingEstimator,
+    ShardRouter,
+    rebalance_cluster,
+)
 from repro.streaming import ChangeLog, Delete, Insert, MutableLSHIndex, StreamingEstimator
 from repro.vectors import VectorCollection
 
@@ -388,6 +395,47 @@ class TestStandaloneWorkers:
             cluster.close()
         thread.join(timeout=30)
 
+    @pytest.mark.timeout(120)
+    def test_worker_op_error_mid_commit_drains_replies_and_breaks(
+        self, monkeypatch, small_collection
+    ):
+        # shard 0's first insert fails on the worker while shard 1's slice
+        # is applied: the commit must read shard 1's reply too (no stale
+        # reply left on its connection) and mark the half-applied cluster
+        # broken, so the next query says so instead of misreading a reply
+        insert = worker_module.ShardWorker.op_insert_prepared
+        shard0_calls = itertools.count()
+
+        def fail_shard0_once(worker, payload):
+            if worker.shard_id == 0 and next(shard0_calls) == 0:
+                raise ValidationError("injected insert failure")
+            return insert(worker, payload)
+
+        monkeypatch.setattr(worker_module.ShardWorker, "op_insert_prepared", fail_shard0_once)
+        threads_addresses = [self._start_worker(once=True) for _ in range(2)]
+        addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
+        cluster = ClusterCoordinator(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES,
+            random_state=SEED, addresses=addresses, **FAST,
+        )
+        try:
+            batch = cluster.prepare_batch(small_collection.matrix[:40])
+            assert set(batch.shard_ids.tolist()) == {0, 1}
+            with pytest.raises(ValidationError, match="injected insert failure"):
+                cluster.commit_batch(batch)
+            assert cluster.broken is not None
+            with pytest.raises(ClusterError, match="broken"):
+                cluster.cosine_pairs([0, 1], [2, 3])
+            # every connection is aligned: a fresh request reads its own reply
+            for handle in cluster._handles:
+                handle.conn.send("ping")
+                assert handle.conn.recv_reply(context="ping")["shard_id"] == handle.shard_id
+        finally:
+            cluster.close()
+        for thread, _address in threads_addresses:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
     def test_cli_parser_accepts_worker(self):
         from repro.cli import build_parser
 
@@ -397,6 +445,96 @@ class TestStandaloneWorkers:
         assert args.command == "worker"
         assert args.listen == "127.0.0.1:7070"
         assert args.once
+
+
+def _row_path_pair(shape, collection, **options):
+    """(facade of ``shape``, unsharded index) fed the same rows and deletes."""
+    kwargs = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED,
+                  partitioner="rendezvous", **options)
+    if shape == "process":
+        facade = ClusterCoordinator(collection.dimension, **kwargs, **FAST)
+    else:
+        facade = ShardedMutableIndex(collection.dimension, **kwargs)
+    reference = MutableLSHIndex(collection.dimension, num_hashes=NUM_HASHES, random_state=SEED)
+    for index in (facade, reference):
+        index.insert_many(collection.matrix[:120])
+        for vector_id in range(0, 120, 7):
+            index.delete(vector_id)
+    return facade, reference
+
+
+def _close(facade):
+    if isinstance(facade, ClusterCoordinator):
+        facade.close()
+
+
+class TestFacadeRowPath:
+    """``cosine_pairs`` on both sharded shapes: each owning shard is asked
+    once per call, and the cosines equal the unsharded index's bit for bit."""
+
+    @pytest.mark.timeout(120)
+    def test_one_gather_rows_per_owning_shard_per_call(self, small_collection):
+        registry = MetricsRegistry()
+        cluster, _reference = _row_path_pair("process", small_collection, metrics=registry)
+        try:
+            gathers = registry.counter("cluster_requests_total", op="gather_rows")
+            ids = cluster.ids
+            owners = np.array([cluster.shard_of(int(i)).shard_id for i in ids])
+            both = ids[:40]
+            assert set(owners[:40].tolist()) == {0, 1}
+            before = gathers.value
+            cluster.cosine_pairs(both[:20], both[20:])
+            assert gathers.value - before == 2
+            only_0 = ids[owners == 0][:10]
+            before = gathers.value
+            cluster.cosine_pairs(only_0, only_0[::-1])
+            assert gathers.value - before == 1
+        finally:
+            cluster.close()
+
+    @pytest.mark.timeout(240)
+    @pytest.mark.parametrize("shape", ["sharded", "process"])
+    def test_cosines_match_unsharded_bit_for_bit(self, shape, small_collection):
+        facade, reference = _row_path_pair(shape, small_collection)
+        try:
+            rng = np.random.default_rng(3)
+
+            def check():
+                ids = facade.ids
+                left, right = rng.choice(ids, 300), rng.choice(ids, 300)
+                repeated = np.repeat(ids[:5], 4)
+                for pair in ((left, right), (left, left), (repeated, repeated[::-1])):
+                    np.testing.assert_array_equal(
+                        facade.cosine_pairs(*pair), reference.cosine_pairs(*pair)
+                    )
+                np.testing.assert_array_equal(
+                    facade.to_collection()[0].matrix.toarray(),
+                    reference.to_collection()[0].matrix.toarray(),
+                )
+
+            check()  # after the deletes
+            for num_shards in (4, 3):
+                rebalance_cluster(facade, num_shards=num_shards)
+                facade.check_invariants()
+                check()
+        finally:
+            _close(facade)
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("shape", ["sharded", "process"])
+    def test_bad_ids_refused_and_empty_input_empty(self, shape, small_collection):
+        facade, _reference = _row_path_pair(shape, small_collection)
+        try:
+            for bad in (7, -4, 10**6):  # deleted, negative, never inserted
+                with pytest.raises(ValidationError, match=f"vector id {bad} is not"):
+                    facade.cosine_pairs([1, 2], [3, bad])
+            with pytest.raises(ValidationError, match="same length"):
+                facade.cosine_pairs([1, 2], [3])
+            empty = facade.cosine_pairs([], [])
+            assert empty.shape == (0,) and empty.dtype == np.float64
+            assert facade.cosine_pairs([1], [1])[0] == pytest.approx(1.0)
+        finally:
+            _close(facade)
 
 
 class TestShardWorkerOps:

@@ -770,7 +770,7 @@ _READERS = {
         "num_shards",
         _TAGGED + (
             "short-shards", "short-shard-of", "short-bucket-refs", "two-tables", "format-1",
-            "shard-estimator",
+            "shard-estimator", "negative-live-id",
         ),
     ),
     "cluster": (
@@ -829,6 +829,9 @@ def _mutate(state, mutation, field_name):
         state["shards"] = state["shards"][:-1]
     elif mutation == "short-shard-of":
         state["shard_of"] = state["shard_of"][:-5]
+    elif mutation == "negative-live-id":
+        # the id → shard map is an id-indexed array: -1 would wrap around
+        state["live_ids"] = [-1, *state["live_ids"][1:]]
     elif mutation == "short-bucket-refs":
         # the facade's bucket list misses a bucket the shards hold
         state["bucket_refs"] = state["bucket_refs"][:-1]
