@@ -1,7 +1,8 @@
 """Estimator parity grid: every LSH-SS variant, fingerprinted for diffing.
 
 Runs each estimator/mode variant over τ ∈ {0.2, 0.5, 0.9} and seeds
-0–9 and records the estimate value, its details, and fingerprints of raw
+0–9 (one variant passes one generator per seed through all three τ in
+turn; every other one seeds each estimate) and records the estimate value, its details, and fingerprints of raw
 SampleH / SampleL draws (64 pairs each) from every pair-sampling holder.
 Two runs of this script — one per source tree — must agree exactly when
 a change is meant to be behaviour-preserving:
@@ -55,6 +56,7 @@ SEEDS = tuple(range(10))
 NUM_VECTORS = 300
 NUM_HASHES = 10
 DRAW_SIZE = 64
+SHARED_BUDGET_L = 10 * NUM_VECTORS
 
 
 def _plain(value: Any) -> Any:
@@ -105,6 +107,28 @@ def _index_samplers(holder: Any) -> Tuple[Callable[..., Any], Callable[..., Any]
     )
 
 
+def _shared_generator_estimates(table: Any) -> Callable[[float, int], Any]:
+    """Static LSH-SS estimates that share one generator per seed across every τ.
+
+    The grid calls it with τ = 0.2, 0.5, 0.9 in turn for each seed, so a
+    draw one estimate leaves behind shifts every later one; the
+    generator's state after each estimate is recorded too, so that an
+    over-draw by the last estimate also shows.  SampleL's budget is
+    ``SHARED_BUDGET_L`` pairs, many draws of its batch size, so that a
+    run can stop anywhere in a long pair stream.
+    """
+    generators: Dict[int, np.random.Generator] = {}
+    estimator = LSHSSEstimator(table, sample_size_l=SHARED_BUDGET_L)
+
+    def estimate(threshold: float, seed: int) -> Any:
+        rng = generators.setdefault(seed, np.random.default_rng(seed))
+        result = estimator.estimate(threshold, random_state=rng)
+        result.details["generator_state"] = repr(rng.bit_generator.state)
+        return result
+
+    return estimate
+
+
 def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
     """The whole grid as one JSON-ready dict: ``{"estimates": …, "draws": …}``."""
     collection = make_dblp_like(num_vectors=NUM_VECTORS, random_state=3).collection
@@ -141,6 +165,7 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
         ("static-lsh-ss", lambda t, s: LSHSSEstimator(table).estimate(t, random_state=s)),
         ("static-lsh-ss-d", lambda t, s: LSHSSEstimator(table, dampening="auto").estimate(
             t, random_state=s)),
+        ("static-lsh-ss-shared-generator", _shared_generator_estimates(table)),
         ("virtual-l3", lambda t, s: virtual.estimate(t, random_state=s)),
         ("general-join", lambda t, s: GeneralLSHSSEstimator(paired).estimate(t, random_state=s)),
     ]

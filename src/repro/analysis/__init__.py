@@ -56,7 +56,7 @@ def build_lint_parser(
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
     parser.add_argument("--select", nargs="+", default=None, metavar="RULE",
-                        help="run only these rule ids (e.g. R001 R004)")
+                        help="run only these rule ids (e.g. R001 R007)")
     parser.add_argument("--disable", nargs="+", default=None, metavar="RULE",
                         help="skip these rule ids")
     parser.add_argument("--output", default=None,

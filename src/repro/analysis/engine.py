@@ -15,7 +15,7 @@ Suppression is explicit and auditable.  A finding on line *L* is
 suppressed when line *L* carries::
 
     # reprolint: disable=R001            (one rule)
-    # reprolint: disable=R001,R004       (several)
+    # reprolint: disable=R001,R007       (several)
     # reprolint: disable=R005 - trusted local snapshot file
 
 (anything after the rule list is a free-text reason, encouraged), and a

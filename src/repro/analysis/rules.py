@@ -12,7 +12,6 @@ R002 lock-guard-discipline   attributes written under ``self._lock``
                              are never mutated outside it
 R003 protocol-op-parity      every op sent over the transport has a
                              handler, every handler has a sender
-R004 exception-chaining      ``raise`` inside ``except`` uses ``from``
 R005 pickle-boundary         ``pickle.load(s)`` only in the transport
 R006 all-parity              ``__all__`` matches the public defs
 R007 broad-except            ``except Exception`` must be deliberate
@@ -407,52 +406,6 @@ class ProtocolParityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R004 — exception chaining
-# ----------------------------------------------------------------------
-class ExceptionChainingRule(Rule):
-    """``raise`` inside ``except`` must chain (``from err`` / ``from None``).
-
-    An unchained ``raise NewError(...)`` inside a handler attaches the
-    original exception as implicit ``__context__`` with the misleading
-    "during handling … another exception occurred" banner; chaining
-    makes the causal relationship explicit (or suppresses it on
-    purpose).  Bare ``raise`` (re-raise) is always fine.
-    """
-
-    id = "R004"
-    name = "exception-chaining"
-    description = "raise inside except must use `from err` or `from None`"
-
-    def check_module(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        findings: List[Finding] = []
-
-        def walk(node: ast.AST, in_handler: bool) -> None:
-            if isinstance(node, _FUNCTION_NODES):
-                # a nested function's raise does not run in this handler
-                in_handler = False
-            if isinstance(node, ast.ExceptHandler):
-                in_handler = True
-            if (
-                isinstance(node, ast.Raise)
-                and in_handler
-                and node.exc is not None
-                and node.cause is None
-            ):
-                findings.append(
-                    self.finding(
-                        module, node,
-                        "unchained raise inside an except block — add "
-                        "`from err` (or `from None` to suppress the context)",
-                    )
-                )
-            for child in ast.iter_child_nodes(node):
-                walk(child, in_handler)
-
-        walk(module.tree, False)
-        return findings
-
-
-# ----------------------------------------------------------------------
 # R005 — pickle boundary
 # ----------------------------------------------------------------------
 class PickleBoundaryRule(Rule):
@@ -735,7 +688,6 @@ def default_rules() -> List[Rule]:
         SeedDisciplineRule(),
         LockGuardRule(),
         ProtocolParityRule(),
-        ExceptionChainingRule(),
         PickleBoundaryRule(),
         AllParityRule(),
         BroadExceptRule(),
@@ -746,7 +698,6 @@ def default_rules() -> List[Rule]:
 __all__ = [
     "AllParityRule",
     "BroadExceptRule",
-    "ExceptionChainingRule",
     "LockGuardRule",
     "LockLeakRule",
     "PickleBoundaryRule",

@@ -65,9 +65,8 @@ Sub-commands
 ``lint``
     Run reprolint (:mod:`repro.analysis`): the repo-specific static
     analysis enforcing the determinism, locking, and protocol contracts
-    (seed discipline, lock-guard discipline, protocol op parity,
-    exception chaining, the pickle boundary, ``__all__`` parity, broad
-    excepts).  Exit code 0 means no un-pragma'd findings.
+    (seed discipline, lock-guard discipline, protocol op parity, the
+    pickle boundary, ``__all__`` parity, broad excepts, lock leaks).  Exit code 0 means no un-pragma'd findings.
 """
 
 from __future__ import annotations

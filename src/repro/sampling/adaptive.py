@@ -8,22 +8,36 @@ procedure in stratum L: if ``δ`` true pairs are found within the budget
 back to a safe lower bound (optionally dampened).
 
 The implementation is generic over a *pair source* so that the same code
-serves the single-table estimator, the virtual-bucket estimator and the
-general (non-self) join estimator.
+serves every LSH-SS estimator: static, virtual-bucket, general-join,
+streaming, sharded and process-cluster.
+
+Pairs are drawn in batches of a fixed size but evaluated in chunks of
+1, 2, 4, … batches, one similarity call per chunk, so a run to the
+budget of ``B`` batches makes ``⌈log₂(B + 1)⌉`` calls instead of ``B``.
+The answer is that of one batch per call: the ``δ``-th true pair is
+located within its chunk, and the generator is put back to where it
+stood after the batch holding that pair.  Batches drawn past it cost
+work, never a different answer or stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import InsufficientSampleError, ValidationError
 from repro.rng import RandomState, ensure_rng
 
 PairBatchSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
-"""Callable returning ``(left, right)`` index arrays of a requested size."""
+"""Callable ``(size, rng) -> (left, right)``: ``size`` pairs as two index arrays.
+
+A pure function of ``(size, rng)``: the pairs depend only on the size
+and the generator's position, and the only state a call changes is that
+position.  :func:`adaptive_sample` relies on this to undo draws past its
+stopping point by restoring the generator."""
 
 SimilarityEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 """Callable mapping ``(left, right)`` index arrays to similarity values."""
@@ -88,10 +102,11 @@ def adaptive_sample(
     Parameters
     ----------
     pair_source:
-        Callable ``(batch_size, rng) -> (left, right)`` producing uniform
-        pairs from the target stratum.
+        A :data:`PairBatchSource` of uniform pairs from the target stratum
+        (a pure function of ``(size, rng)``).
     similarity_evaluator:
-        Callable mapping index arrays to similarity values.
+        Callable mapping index arrays to similarity values, one per pair;
+        each value depends only on its own pair.
     threshold:
         The similarity threshold ``τ``.
     answer_threshold:
@@ -99,42 +114,74 @@ def adaptive_sample(
     max_samples:
         ``m_L`` — the maximum number of pairs to examine.
     batch_size:
-        Internal batching granularity; the semantics match drawing pairs
-        one at a time because the exact sample index at which the
-        ``δ``-th true pair appeared is recovered within the batch.
+        The size of each ``pair_source`` draw (at least 1; default
+        ``min(m_L, max(256, 8δ))``).  Draws are evaluated in chunks of
+        1, 2, 4, … batches, one ``similarity_evaluator`` call per chunk,
+        and the answer is the one of drawing pairs one at a time: the
+        sample index of the ``δ``-th true pair is recovered within its
+        chunk.
     random_state:
-        Seed or generator.
+        Seed or generator.  A chunk may draw batches past the stopping
+        point; the generator is then put back where it stood after the
+        batch holding the ``δ``-th true pair, so a shared generator
+        continues exactly as if no batch past it had been drawn.
     """
     if answer_threshold < 1:
         raise ValidationError(f"answer_threshold (δ) must be >= 1, got {answer_threshold}")
     if max_samples < 1:
         raise ValidationError(f"max_samples (m_L) must be >= 1, got {max_samples}")
+    if batch_size is not None and batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     rng = ensure_rng(random_state)
     if batch_size is None:
         batch_size = int(min(max_samples, max(256, 8 * answer_threshold)))
     samples_taken = 0
     true_count = 0
-    while samples_taken < max_samples and true_count < answer_threshold:
-        request = int(min(batch_size, max_samples - samples_taken))
-        left, right = pair_source(request, rng)
-        similarities = similarity_evaluator(left, right)
+    chunk_batches = 1
+    while samples_taken < max_samples:
+        lefts: List[np.ndarray] = []
+        rights: List[np.ndarray] = []
+        batch_ends: List[int] = []
+        states: List[Dict[str, Any]] = []
+        drawn = samples_taken
+        failure: InsufficientSampleError | None = None
+        while len(lefts) < chunk_batches and drawn < max_samples:
+            try:
+                left, right = pair_source(int(min(batch_size, max_samples - drawn)), rng)
+            except InsufficientSampleError as error:
+                # one batch per call would not reach a draw past the
+                # stopping point, so raise only if δ is not met before it
+                if not lefts:
+                    raise
+                failure = error
+                break
+            lefts.append(left)
+            rights.append(right)
+            drawn += len(left)
+            batch_ends.append(drawn - samples_taken)
+            states.append(rng.bit_generator.state)
+        similarities = similarity_evaluator(np.concatenate(lefts), np.concatenate(rights))
         is_true = np.asarray(similarities) >= threshold
         cumulative = np.cumsum(is_true.astype(np.int64)) + true_count
         hit = np.flatnonzero(cumulative >= answer_threshold)
         if hit.size > 0:
-            # The δ-th true pair appeared at position hit[0] within this
-            # batch; only the samples up to and including it count toward i.
-            samples_taken += int(hit[0]) + 1
-            true_count = int(cumulative[hit[0]])
+            # The δ-th true pair appeared at position hit[0] of this chunk;
+            # only the samples up to and including it count toward i, and
+            # the generator goes back to just after the batch holding it.
+            position = int(hit[0])
+            rng.bit_generator.state = states[bisect_right(batch_ends, position)]
             return AdaptiveSampleResult(
-                true_count=true_count,
-                samples_taken=samples_taken,
+                true_count=int(cumulative[position]),
+                samples_taken=samples_taken + position + 1,
                 reached_answer_threshold=True,
                 answer_threshold=answer_threshold,
                 max_samples=max_samples,
             )
+        if failure is not None:
+            raise failure
         samples_taken += int(is_true.size)
         true_count = int(cumulative[-1]) if is_true.size else true_count
+        chunk_batches *= 2
     return AdaptiveSampleResult(
         true_count=true_count,
         samples_taken=samples_taken,
