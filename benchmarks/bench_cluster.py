@@ -178,7 +178,7 @@ def _cluster_throughputs(rows, dimension: float):
         )
         coordinator_stage = max(wall - blocked, 1e-9)
         worker_stage = max(
-            shard.index.worker_ingest_seconds for shard in cluster.shards
+            shard.store.worker_ingest_seconds for shard in cluster.shards
         )
         bound = max(coordinator_stage, worker_stage)
         return (

@@ -11,14 +11,14 @@ Two acceptance gates for the rebalancing subsystem
    ``≈ (S)/(S+1)`` of the keys, which is exactly why it cannot resize
    online.
 2. **Lossless migration** — after growing and then shrinking a live
-   cluster (two full key migrations over the snapshot/restore
-   substrate), the merged exact-mode LSH-SS estimate must be
+   cluster (two full key migrations, moving the members' rows by id),
+   the merged exact-mode LSH-SS estimate must be
    **bit-identical** to an unsharded streaming estimator fed the same
    event sequence, with identical strata counts.
 
 The migration throughput (vectors moved per second, plan + apply) is
-reported for context but not gated — it is dominated by the snapshot
-round-trip of the affected shards.
+reported for context but not gated — it is dominated by the row gather,
+add and remove on the affected shards.
 
 Sizes scale down via ``REPRO_BENCH_REBALANCE_N`` for the CI smoke run.
 """

@@ -66,7 +66,7 @@ def _sharded_ingest_times(matrix, num_shards: int) -> Tuple[float, float]:
 
     Router side: coerce + batch hash + partition (``prepare_batch``) plus
     the facade's merge bookkeeping (``_track_insert``); shard side: each
-    shard's ``insert_many_prepared`` over its slice, timed separately to
+    shard's row-store ``add_many`` over its slice, timed separately to
     model one node per shard.
     """
     sharded = ShardedMutableIndex(
@@ -85,9 +85,8 @@ def _sharded_ingest_times(matrix, num_shards: int) -> Tuple[float, float]:
             continue
         sub_ids = batch.ids[rows]
         sub_csr = batch.csr[rows]
-        sub_signatures = batch.signatures[rows]
         start = time.perf_counter()
-        shard.index.insert_many_prepared(sub_ids, sub_csr, sub_signatures)
+        shard.store.add_many(sub_ids, sub_csr)
         shard_seconds.append(time.perf_counter() - start)
     start = time.perf_counter()
     for position in range(len(batch)):

@@ -613,7 +613,7 @@ def _command_rebalance(args: argparse.Namespace) -> str:
     current_kind = cluster.partitioner.kind
     target_shards = current_shards if args.shards is None else args.shards
     target_kind = current_kind if args.partitioner is None else args.partitioner
-    sizes_before = [shard.size for shard in cluster.shards]
+    sizes_before = list(cluster.shard_sizes)
     estimate_before = estimate_after = None
     if args.threshold is not None:
         estimate_before = engine.estimate(args.threshold, seed=args.seed, mode="exact")
@@ -628,7 +628,7 @@ def _command_rebalance(args: argparse.Namespace) -> str:
         plan = engine.rebalance(num_shards=target_shards, partitioner=target_kind)
         cluster = engine.backend.index
         cluster.check_invariants()
-        sizes_after = [shard.size for shard in cluster.shards]
+        sizes_after = list(cluster.shard_sizes)
         if args.threshold is not None:
             estimate_after = engine.estimate(args.threshold, seed=args.seed, mode="exact")
         engine.snapshot(args.output)

@@ -1,16 +1,15 @@
 """Multi-process shard serving: worker processes + a coordinator protocol.
 
 The in-process :mod:`repro.shard` layer *models* one node per shard; this
-package realises it: each shard lives in its own **worker process**
-(:mod:`~repro.cluster.worker` — one
-:class:`~repro.streaming.mutable_index.MutableLSHIndex`), and a
-**coordinator** (:mod:`~repro.cluster.coordinator`) drives parallel
-ingest, estimates, snapshot/restore, and remote rebalancing
-over a length-prefixed pickle protocol
+package realises it: each shard's rows live in their own **worker
+process** (:mod:`~repro.cluster.worker` — one
+:class:`~repro.streaming.rowstore.RowStore`), and a **coordinator**
+(:mod:`~repro.cluster.coordinator`), which keeps the hash family and the
+one bucket table, drives parallel ingest, estimates, snapshot/restore,
+and remote rebalancing over a length-prefixed pickle protocol
 (:mod:`~repro.cluster.transport`) whose payloads are exactly the
-library's existing serialisations — prepared batch slices, ``to_state``
-snapshots, and :func:`~repro.shard.rebalance.split_index_state`
-migration payloads.
+library's existing serialisations — ids with CSR rows, and row-store
+states.
 
 Because :class:`ClusterCoordinator` subclasses
 :class:`~repro.shard.sharded_index.ShardedMutableIndex`, the whole merge
@@ -26,7 +25,7 @@ standalone shard worker for multi-machine setups.
 from repro.cluster.backend import ProcessBackend
 from repro.cluster.coordinator import (
     ClusterCoordinator,
-    RemoteIndexProxy,
+    RemoteRowStore,
     WorkerHandle,
 )
 from repro.cluster.transport import PROTOCOL_VERSION, Connection, parse_address
@@ -35,7 +34,7 @@ from repro.cluster.worker import ShardWorker, serve
 __all__ = [
     "ClusterCoordinator",
     "ProcessBackend",
-    "RemoteIndexProxy",
+    "RemoteRowStore",
     "WorkerHandle",
     "ShardWorker",
     "serve",

@@ -2,46 +2,45 @@
 
 :class:`ClusterCoordinator` subclasses
 :class:`~repro.shard.sharded_index.ShardedMutableIndex` and swaps the
-in-process shards for **worker processes**: each
+in-process row stores for **worker processes**: each
 :class:`~repro.shard.sharded_index.IndexShard` holds a
-:class:`RemoteIndexProxy` speaking the length-prefixed pickle protocol of
-:mod:`repro.cluster.transport` to one :mod:`repro.cluster.worker`
-process.  Everything above the shard boundary — bucket-key routing, the
-global bucket table and SampleH / SampleL, rebalance planning, the
-facade estimator and its reservoirs — is inherited *unchanged*, which
-is what keeps every estimate of a process cluster bit-identical to an
-in-process one (and exact-mode estimates to an unsharded estimator) for
-the same seed:
+:class:`RemoteRowStore` over one :mod:`repro.cluster.worker` process,
+which keeps the shard's rows and speaks the length-prefixed pickle
+protocol of :mod:`repro.cluster.transport`.  Everything above the shard
+boundary — hashing, bucket-key routing, the global bucket table and its
+owners, SampleH / SampleL, the per-shard counters, rebalance planning,
+the facade estimator and its reservoirs — is inherited *unchanged*,
+which is what keeps every estimate of a process cluster bit-identical
+to an in-process one (and exact-mode estimates to an unsharded
+estimator) for the same seed:
 
-* hashing and partitioning stay on the coordinator (it owns the hash
-  family; workers receive already-hashed batch slices), so ids, bucket
-  keys, and shard targets are assigned exactly as in process;
+* the coordinator owns the hash family; a worker holds ids and rows
+  only, so no family or signature crosses the wire;
 * every sampling draw runs on the coordinator's global bucket table,
   consuming its generator exactly as in process, so SampleH, SampleL's
   collision tests and the estimator repairs never cost a round trip;
-* the merge layer's remote touch points — :meth:`_fetch_rows` for the
-  per-pair cosines and :meth:`to_collection` (one ``gather_rows`` per
-  owning shard, all sent before any reply is awaited), and
-  :meth:`_bucket_members_on_shard` for :meth:`check_invariants` — return
-  the same values a local shard would;
-* per-shard live ids / ``size`` / ``N_H`` live in coordinator-side
-  mirrors updated from every mutating reply, so strata sizes never need
-  a round trip.
+* the three row seams go over the wire as fan-outs that send every
+  request before awaiting any reply: :meth:`_store_rows`
+  (``insert_prepared``), :meth:`_drop_rows` (``delete``) and
+  :meth:`_fetch_rows` (``gather_rows``).  Every mutating reply carries
+  the worker's row count, which the facade checks against its own count
+  for that shard.
 
 Ingest is where the processes pay off: :meth:`commit_batch` *pipelines*
 a routed batch — every worker receives its slice before any reply is
 awaited, and the coordinator performs its own merge bookkeeping while
-the workers ingest in parallel (real parallelism: separate processes,
-no GIL).
+the workers store their rows in parallel (real parallelism: separate
+processes, no GIL).
 
 Failure model: every request carries a timeout; a worker that crashed or
 hung raises :class:`~repro.errors.WorkerCrashError` naming the shard
-instead of hanging the coordinator.  Because a transport failure can
-leave a pipelined commit half-applied, it marks the whole cluster
-*broken*, as does a worker op error in a commit whose other slices were
-applied: further operations raise, and :meth:`close` falls back from
-the graceful shutdown handshake to terminating the worker processes.
-``close`` is idempotent and always reaps every spawned process.
+instead of hanging the coordinator.  A transport failure, or a worker op
+error in a row insert or delete (a commit, a delete or a rebalance
+migration whose other requests may have applied), marks the whole
+cluster *broken*: further operations raise, and :meth:`close` falls back
+from the graceful shutdown handshake to terminating the worker
+processes.  ``close`` is idempotent and always reaps every spawned
+process.
 """
 
 from __future__ import annotations
@@ -51,9 +50,10 @@ import multiprocessing
 import secrets
 import socket
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
@@ -66,13 +66,12 @@ from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import current_trace_context, get_tracer, trace
 from repro.rng import RandomState
 from repro.shard.sharded_index import (
-    SHARDED_STATE,
     CSRParts,
     IndexShard,
     PreparedBatch,
     ShardedMutableIndex,
 )
-from repro.streaming.mutable_index import LiveIds, restore_estimator_states
+from repro.streaming.mutable_index import restore_estimator_states
 
 DEFAULT_REQUEST_TIMEOUT = 120.0
 DEFAULT_SPAWN_TIMEOUT = 120.0
@@ -219,100 +218,31 @@ class WorkerHandle:
                 self.process.join(timeout=1.0)
 
 
-class RemoteIndexProxy:
-    """The ``MutableLSHIndex`` surface of one shard, served by a worker.
+class RemoteRowStore:
+    """The row-store methods the facade calls directly, served by a worker.
 
-    Keeps coordinator-side mirrors of the shard's live ids (a
-    :class:`~repro.streaming.mutable_index.LiveIds` fed the same inserts
-    and deletes as the worker's, so ``ids`` matches the worker's order
-    element for element) and of ``N_H`` (updated from every mutating
-    reply), so the statistics the merge layer reads per estimate cost no
-    round trips.
+    Row inserts, deletes and gathers never come through here: the
+    coordinator's row seams fan those out to every worker at once.
     """
 
-    def __init__(self, owner: "ClusterCoordinator", handle: WorkerHandle) -> None:
-        self._owner = owner
+    def __init__(self, handle: WorkerHandle) -> None:
         self._handle = handle
-        self._live = LiveIds()
-        self._num_collision_pairs = 0
         #: cumulative worker-side ingest compute (from insert replies)
         self.worker_ingest_seconds = 0.0
 
-    # -- statistics (coordinator-local) --------------------------------
-    @property
-    def size(self) -> int:
-        return len(self._live)
-
-    @property
     def ids(self) -> np.ndarray:
-        return self._live.array()
+        return np.asarray(self._handle.request("ids")["ids"], dtype=np.int64)
 
-    @property
-    def total_pairs(self) -> int:
-        n = self.size
-        return n * (n - 1) // 2
-
-    @property
-    def num_collision_pairs(self) -> int:
-        return self._num_collision_pairs
-
-    @property
-    def num_non_collision_pairs(self) -> int:
-        return self.total_pairs - self._num_collision_pairs
-
-    def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._live
-
-    def __len__(self) -> int:
-        return self.size
-
-    # -- mirror maintenance --------------------------------------------
-    def _apply_stats(self, reply: Mapping[str, Any]) -> None:
-        self._num_collision_pairs = int(reply["num_collision_pairs"])
-        if int(reply["size"]) != self.size:
-            raise ClusterError(
-                f"shard {self._handle.shard_id} drifted: worker holds "
-                f"{reply['size']} vectors, coordinator mirror {self.size}"
-            )
-
-    def _load_state_mirror(self, state: Mapping[str, Any], reply: Mapping[str, Any]) -> None:
-        self._live = LiveIds(state["live_ids"])
-        self._apply_stats(reply)
-
-    # -- mutation -------------------------------------------------------
-    def _insert_prepared(self, vector_id: int, row: Any, signature: Any) -> int:
-        ids = np.asarray([int(vector_id)], dtype=np.int64)
-        self.insert_many_prepared(ids, row, np.asarray(signature)[None, :])
-        return int(vector_id)
-
-    def insert_many_prepared(self, ids: Any, csr: Any, signatures: Any) -> np.ndarray:
-        reply = self._handle.request(
-            "insert_prepared", {"ids": ids, "csr": csr, "signatures": signatures}
-        )
-        self._live.add_many(ids)
-        self._apply_stats(reply)
-        # ingest accounting draws on the reply meta's handler wall time;
-        # only insert ops count (delete/check report seconds too now)
-        self.worker_ingest_seconds += self._handle.last_op_seconds
-        return ids
-
-    def delete(self, vector_id: int) -> None:
-        reply = self._handle.request("delete", {"vector_id": int(vector_id)})
-        self._live.remove(int(vector_id))
-        self._apply_stats(reply)
-
-    # -- state / verification ------------------------------------------
-    def to_state(self) -> Dict[str, Any]:
+    def state(self) -> Dict[str, Any]:
         return self._handle.request("snapshot")["state"]
 
     def check_invariants(self) -> None:
-        reply = self._handle.request("check")
-        self._apply_stats(reply)
+        self._handle.request("check")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"RemoteIndexProxy(shard={self._handle.shard_id}, n={self.size}, "
-            f"NH={self._num_collision_pairs}, worker={self._handle.describe()})"
+            f"RemoteRowStore(shard={self._handle.shard_id}, "
+            f"worker={self._handle.describe()})"
         )
 
 
@@ -477,21 +407,20 @@ class ClusterCoordinator(ShardedMutableIndex):
 
         Sends ``stats`` (with the metrics opt-in) to every worker before
         awaiting any reply — the fan-out costs one round-trip latency,
-        not one per shard.  Returns per-worker rows (size, buckets,
+        not one per shard.  Returns per-worker rows (size,
         :attr:`WorkerHandle.blocked_seconds`,
-        :attr:`RemoteIndexProxy.worker_ingest_seconds`) plus a single
+        :attr:`RemoteRowStore.worker_ingest_seconds`) plus a single
         merged metrics snapshot: the coordinator's own registry folded
         together with every worker's process-global registry.
         """
         self._check_usable()
         with trace("cluster.stats", shards=len(self.shards)):
             replies = self._fan_out(
-                "stats", [(shard.index._handle, {"metrics": True}) for shard in self.shards]
+                "stats", [(handle, {"metrics": True}) for handle in self._handles]
             )
             merged = self.metrics.snapshot()
             workers: List[Dict[str, Any]] = []
-            for shard, reply in zip(self.shards, replies):
-                handle = shard.index._handle
+            for shard, handle, reply in zip(self.shards, self._handles, replies):
                 reply = dict(reply)
                 worker_metrics = reply.pop("metrics", None)
                 if worker_metrics:
@@ -504,11 +433,9 @@ class ClusterCoordinator(ShardedMutableIndex):
                     else f"{handle.address[0]}:{handle.address[1]}",
                     "alive": handle.alive,
                     "blocked_seconds": handle.blocked_seconds,
-                    "worker_ingest_seconds": shard.index.worker_ingest_seconds,
+                    "worker_ingest_seconds": shard.store.worker_ingest_seconds,
+                    "size": reply["size"],
                 }
-                for key in ("size", "num_buckets"):
-                    if key in reply:
-                        row[key] = reply[key]
                 workers.append(row)
             return {"workers": workers, "metrics": merged.to_dict()}
 
@@ -615,25 +542,15 @@ class ClusterCoordinator(ShardedMutableIndex):
         return self._spawn_worker(shard_id)
 
     def _new_shard(self, shard_id: int) -> IndexShard:
-        """Bring up (or dial) one worker and configure its empty shard."""
+        """Bring up (or dial) one worker and configure its empty row store."""
         handle = self._connect_worker(shard_id)
         try:
-            reply = handle.request(
-                "configure",
-                {
-                    "shard_id": shard_id,
-                    "dimension": self.dimension,
-                    "num_hashes": self.num_hashes,
-                    "family": self.family,
-                },
-            )
+            handle.request("configure", {"shard_id": shard_id, "dimension": self.dimension})
         except BaseException:  # reprolint: disable=R007 - reap the worker whose bootstrap failed before re-raising
             handle.stop(graceful=False)
             raise
         self._handles.append(handle)
-        proxy = RemoteIndexProxy(self, handle)
-        proxy._apply_stats(reply)
-        return IndexShard(shard_id, proxy)
+        return IndexShard(shard_id, RemoteRowStore(handle))
 
     def drop_trailing_shards(self, new_total: int) -> None:
         dropped = self._handles[new_total:]
@@ -643,7 +560,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         del self._handles[new_total:]
 
     # ------------------------------------------------------------------
-    # merge-layer touch points (one batched round trip per shard)
+    # the row seams (one batched round trip per shard)
     # ------------------------------------------------------------------
     def _fan_out(
         self,
@@ -674,10 +591,39 @@ class ClusterCoordinator(ShardedMutableIndex):
             raise first_error
         return replies
 
-    def _bucket_members_on_shard(self, shard_id: int, keys: Sequence[bytes]) -> List[List[int]]:
-        return self._handles[shard_id].request("bucket_members", {"keys": list(keys)})[
-            "members"
-        ]
+    @contextlib.contextmanager
+    def _breaks_on_failure(self, op: str) -> Iterator[None]:
+        """Mark the cluster broken when a row insert or delete fails: the
+        other requests of the fan-out (or the call) may have applied."""
+        try:
+            yield
+        except Exception as error:  # reprolint: disable=R007 - mark broken and re-raise
+            self._mark_broken(f"{op} failed: {error}")
+            raise
+
+    def _store_rows(
+        self,
+        requests: Sequence[Tuple[int, np.ndarray, sparse.csr_matrix]],
+        *,
+        meanwhile: Optional[Callable[[], None]] = None,
+    ) -> List[int]:
+        with self._breaks_on_failure("insert_prepared"):
+            replies = self._fan_out("insert_prepared", [
+                (self._handles[shard_id], {"ids": ids, "csr": rows})
+                for shard_id, ids, rows in requests
+            ], meanwhile=meanwhile)
+        for shard_id, _ids, _rows in requests:
+            store = self.shards[shard_id].store
+            store.worker_ingest_seconds += self._handles[shard_id].last_op_seconds
+        return [int(reply["size"]) for reply in replies]
+
+    def _drop_rows(self, requests: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
+        with self._breaks_on_failure("delete"):
+            # a list pickles in a tenth of the time of a one-element array
+            replies = self._fan_out("delete", [
+                (self._handles[shard_id], {"ids": ids.tolist()}) for shard_id, ids in requests
+            ])
+        return [int(reply["size"]) for reply in replies]
 
     def _fetch_rows(
         self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
@@ -692,77 +638,28 @@ class ClusterCoordinator(ShardedMutableIndex):
         ]
 
     # ------------------------------------------------------------------
-    # mutation (pipelined ingest)
+    # mutation (pipelined through the row seams)
     # ------------------------------------------------------------------
     def delete(self, vector_id: int) -> None:
         self._check_usable()
         super().delete(vector_id)
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
-        """Apply a prepared batch with every worker ingesting in parallel.
+        """Apply a prepared batch with every worker storing its rows in parallel.
 
         All shard slices are *sent* before any reply is awaited, and the
-        coordinator interleaves its own merge bookkeeping with the
-        workers' ingest.  A failure mid-commit (a transport failure or a
+        coordinator does its own merge bookkeeping while the workers
+        store their rows.  A failure mid-commit (a transport failure or a
         worker op error) leaves shard slices partially applied, so it
         marks the cluster broken — the router layer above then refuses
         further flushes, exactly like an in-process partial commit.
         """
         self._check_usable()
-        histogram, rows_total = self._commit_instruments()
-        commit_started = time.perf_counter()
-        with trace("cluster.commit_batch", rows=len(batch)):
-            jobs = []
-            for shard in self.shards:
-                rows = np.flatnonzero(batch.shard_ids == shard.shard_id)
-                if rows.size == 0:
-                    continue
-                payload = {
-                    "ids": batch.ids[rows],
-                    "csr": batch.csr[rows],
-                    "signatures": batch.signatures[rows],
-                }
-                jobs.append((shard, payload))
-
-            def track() -> None:
-                # merge bookkeeping overlaps with the workers' bucket inserts
-                self._place(batch.ids, batch.shard_ids)
-                for position in range(len(batch)):
-                    self._track_insert(
-                        int(batch.ids[position]), batch.keys[position],
-                        int(batch.shard_ids[position]),
-                    )
-
-            try:
-                replies = self._fan_out(
-                    "insert_prepared",
-                    [(shard.index._handle, payload) for shard, payload in jobs],
-                    meanwhile=track,
-                )
-            except Exception as error:  # reprolint: disable=R007 - mark broken and re-raise
-                self._mark_broken(f"commit_batch failed: {error}")
-                raise
-            for (shard, payload), reply in zip(jobs, replies):
-                shard.index._live.add_many(payload["ids"])
-                shard.index._apply_stats(reply)
-                shard.index.worker_ingest_seconds += shard.index._handle.last_op_seconds
-            for position in range(len(batch)):
-                vector_id = int(batch.ids[position])
-                for observer in self._observers:
-                    observer.on_insert(vector_id)
-        histogram.observe(time.perf_counter() - commit_started)
-        rows_total.inc(len(batch))
-        return batch.ids
+        return super().commit_batch(batch)
 
     # ------------------------------------------------------------------
-    # snapshot / restore / rebalance substrate
+    # snapshot / restore
     # ------------------------------------------------------------------
-    def _adopt_shard_state(self, shard_id: int, state: Mapping[str, Any]) -> None:
-        """Ship a split/spliced shard state to its worker (remote rebalance)."""
-        self._check_usable()
-        reply = self._handles[shard_id].request("restore", {"state": state, "shard_id": shard_id})
-        self.shards[shard_id].index._load_state_mirror(state, reply)
-
     @classmethod
     def from_state(
         cls,
@@ -778,11 +675,12 @@ class ClusterCoordinator(ShardedMutableIndex):
         """Revive a cluster from a :meth:`ShardedMutableIndex.to_state` snapshot.
 
         Snapshots are portable across deployment shapes: the same state
-        an in-process cluster writes restores here (each shard state is
-        shipped to a fresh worker), and vice versa.
+        an in-process cluster writes restores here (each shard's row
+        state is shipped to a fresh worker), and vice versa.  The whole
+        snapshot is checked before any worker is spawned.
         """
-        SHARDED_STATE.check(state)
         cluster = cls.__new__(cls)
+        cluster._restore_facade(state)
         cluster._init_cluster_plumbing(
             addresses=addresses,
             token=token,
@@ -798,18 +696,13 @@ class ClusterCoordinator(ShardedMutableIndex):
                     f"got {len(cluster._addresses)} worker addresses for a "
                     f"{num_shards}-shard snapshot"
                 )
-            # checks every shard state (family, one table) before any worker
-            cluster._restore_facade_fields(state)
             cluster.shards = []
             for shard_id, shard_state in enumerate(state["shards"]):
                 handle = cluster._connect_worker(shard_id)
                 cluster._handles.append(handle)
                 reply = handle.request("restore", {"state": shard_state, "shard_id": shard_id})
-                proxy = RemoteIndexProxy(cluster, handle)
-                proxy._load_state_mirror(shard_state, reply)
-                cluster.shards.append(IndexShard(shard_id, proxy))
-            cluster._restore_facade_bookkeeping(state)
-            cluster._refresh_owner_alignment()
+                cluster._check_sizes([shard_id], [reply["size"]])
+                cluster.shards.append(IndexShard(shard_id, RemoteRowStore(handle)))
             restore_estimator_states(cluster, state.get("estimators", ()))
         except BaseException:  # reprolint: disable=R007 - unwind the half-restored cluster before re-raising
             cluster.close()
@@ -820,17 +713,9 @@ class ClusterCoordinator(ShardedMutableIndex):
     # verification
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify coordinator mirrors against every worker's bookkeeping."""
+        """Verify the facade's bookkeeping against every worker's rows."""
         self._check_usable()
         super().check_invariants()
-
-    def _check_shard(self, shard: IndexShard) -> int:
-        reply = shard.index._handle.request("check")  # worker-side invariants
-        if int(reply["size"]) != shard.index.size:
-            raise AssertionError(f"shard {shard.shard_id} live-id mirror drifted from the worker")
-        if int(reply["num_collision_pairs"]) != shard.index.num_collision_pairs:
-            raise AssertionError(f"shard {shard.shard_id} N_H mirror drifted from the worker")
-        return int(reply["num_buckets"])
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         status = "closed" if self._closed else ("broken" if self._broken else "live")
@@ -842,7 +727,7 @@ class ClusterCoordinator(ShardedMutableIndex):
 
 __all__ = [
     "ClusterCoordinator",
-    "RemoteIndexProxy",
+    "RemoteRowStore",
     "WorkerHandle",
     "DEFAULT_REQUEST_TIMEOUT",
 ]

@@ -3,10 +3,9 @@
 One frame is an 8-byte big-endian length followed by that many bytes of
 pickle.  A message is the tuple ``(op, payload, meta)`` where ``op`` is
 a short string, ``payload`` a dict whose values are exactly the objects
-the library already serialises elsewhere — prepared-batch slices (ids /
-CSR rows / signatures), :meth:`MutableLSHIndex.to_state` snapshots, and
-:func:`split_index_state` migration payloads — so the wire format is the
-snapshot substrate, not a second serialisation scheme.  ``meta`` is an
+the library already serialises elsewhere — id arrays, CSR rows and
+:meth:`~repro.streaming.rowstore.RowStore.state` snapshots — so the wire
+format is the snapshot substrate, not a second serialisation scheme.  ``meta`` is an
 out-of-band envelope dict (``{}`` when absent) that never carries data
 the op handler needs: requests use it to propagate the trace context
 (``{"trace": {"trace_id", "span_id"}}``), replies to carry op timing
@@ -44,7 +43,11 @@ from repro.errors import ClusterError, ReproError, ValidationError, WorkerCrashE
 #: 5: workers host no estimator and draw no samples; the estimator ops,
 #: ``sample_pairs`` and the estimator fields of ``configure`` /
 #: ``restore`` / ``stats`` are gone.
-PROTOCOL_VERSION = 5
+#: 6: workers hold rows only — ``configure`` carries no family,
+#: ``insert_prepared`` ids and rows only, ``delete`` an id array and
+#: ``restore`` / ``snapshot`` a row-store state; ``bucket_members`` is gone
+#: and ``ids`` is new.
+PROTOCOL_VERSION = 6
 
 #: refuse frames beyond this size (corrupt length prefix / runaway state)
 MAX_FRAME_BYTES = 4 << 30

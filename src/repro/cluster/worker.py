@@ -1,27 +1,27 @@
-"""The shard worker: one process hosting one mutable index.
+"""The shard worker: one process hosting one shard's rows.
 
 A worker owns exactly one shard of a multi-process cluster: a
-:class:`~repro.streaming.mutable_index.MutableLSHIndex` sharing the
-coordinator's hash family, shipped at configure time, so every worker
-hashes identically.  Estimators observe the coordinator's facade, never
-a worker.  It speaks the length-prefixed pickle protocol of
-:mod:`repro.cluster.transport` and understands a small op set, all of
-whose payloads are the library's existing serialisations:
+:class:`~repro.streaming.rowstore.RowStore` with the ids and rows of the
+vectors whose buckets the shard owns.  It holds no hash family, bucket
+table or estimator — the coordinator's facade keeps those.  It speaks
+the length-prefixed pickle protocol of :mod:`repro.cluster.transport`
+and understands a small op set, all of whose payloads are the library's
+existing serialisations:
 
 =====================  ====================================================
-``configure``          build an empty index from the dimension + family
-``restore``            revive the index from a ``to_state`` snapshot
-``snapshot``           return the index ``to_state``
-``insert_prepared``    apply a routed batch slice (ids, CSR rows, one ``(rows, k)`` array)
-``delete``             delete one id
-``bucket_members``     member lists for a batch of owned bucket keys (invariant checks)
+``configure``          build an empty row store of the given dimension
+``restore``            revive the row store from a row-store state
+``snapshot``           return the row-store state
+``insert_prepared``    add a routed batch slice (ids, CSR rows)
+``delete``             remove an array of ids
 ``gather_rows``        (normalized) CSR rows of the shard's unique ids, one request per pair batch
-``check`` / ``stats``  invariants / size + ``N_H`` bookkeeping
+``ids``                the stored ids, ascending (invariant checks)
+``check`` / ``stats``  invariants / row count
 ``ping`` / ``shutdown``  liveness / end of session
 =====================  ====================================================
 
-Mutating ops reply with the post-op ``(size, N_H)`` so the coordinator's
-local mirrors never need a second round trip.  No op draws samples: the
+Mutating ops reply with the post-op row count, which the coordinator
+checks against its own count for the shard.  No op draws samples: the
 coordinator samples from its own global bucket table, which keeps every
 estimate bit-identical to an in-process one.
 
@@ -47,8 +47,7 @@ from repro.cluster.transport import (
 from repro.errors import ClusterError
 from repro.obs.metrics import get_global_registry
 from repro.obs.tracing import activate_trace_context, get_tracer, trace
-from repro.shard.sharded_index import check_shard_state
-from repro.streaming.mutable_index import MutableLSHIndex
+from repro.streaming.rowstore import RowStore
 
 
 class ShardWorker:
@@ -56,21 +55,16 @@ class ShardWorker:
 
     def __init__(self, shard_id: Optional[int] = None) -> None:
         self.shard_id = shard_id
-        self.index: Optional[MutableLSHIndex] = None
+        self.store: Optional[RowStore] = None
 
     # ------------------------------------------------------------------
-    def _require_index(self) -> MutableLSHIndex:
-        if self.index is None:
-            raise ClusterError("worker holds no index yet (send 'configure' or 'restore')")
-        return self.index
+    def _require_store(self) -> RowStore:
+        if self.store is None:
+            raise ClusterError("worker holds no rows yet (send 'configure' or 'restore')")
+        return self.store
 
     def _stats(self) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {"size": 0, "num_collision_pairs": 0, "num_buckets": 0}
-        if self.index is not None:
-            stats["size"] = self.index.size
-            stats["num_collision_pairs"] = self.index.num_collision_pairs
-            stats["num_buckets"] = self.index.primary_table.num_buckets
-        return stats
+        return {"size": 0 if self.store is None else len(self.store)}
 
     # ------------------------------------------------------------------
     # ops
@@ -79,46 +73,33 @@ class ShardWorker:
         return {"pid": os.getpid(), "shard_id": self.shard_id, **self._stats()}
 
     def op_configure(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if self.index is not None:
+        if self.store is not None:
             raise ClusterError("worker is already configured")
         self.shard_id = int(payload["shard_id"])
-        self.index = MutableLSHIndex(
-            int(payload["dimension"]),
-            num_hashes=int(payload["num_hashes"]),
-            family=payload["family"],
-        )
+        self.store = RowStore(int(payload["dimension"]))
         return self._stats()
 
     def op_restore(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         # revive first: a refused state leaves the served shard untouched
-        state = payload.get("state")
-        check_shard_state(state)
-        index = MutableLSHIndex.from_state(state)
+        store = RowStore.from_state(payload.get("state"))
         if "shard_id" in payload and payload["shard_id"] is not None:
             self.shard_id = int(payload["shard_id"])
-        self.index = index
+        self.store = store
         return self._stats()
 
     def op_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"state": self._require_index().to_state()}
+        return {"state": self._require_store().state()}
 
     def op_insert_prepared(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        index = self._require_index()
-        index.insert_many_prepared(payload["ids"], payload["csr"], payload["signatures"])
+        self._require_store().add_many(payload["ids"], payload["csr"])
         return self._stats()
 
     def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_index().delete(int(payload["vector_id"]))
+        self._require_store().remove_many(payload["ids"])
         return self._stats()
 
-    def op_bucket_members(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        table = self._require_index().primary_table
-        return {
-            "members": [list(table.bucket_members_by_key(key)) for key in payload["keys"]]
-        }
-
     def op_gather_rows(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        store = self._require_index()._rows
+        store = self._require_store()
         ids = payload["ids"]
         matrix = (
             store.gather_normalized(ids)
@@ -127,8 +108,11 @@ class ShardWorker:
         )
         return {"matrix": matrix}
 
+    def op_ids(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return {"ids": self._require_store().ids()}
+
     def op_check(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_index().check_invariants()
+        self._require_store().check_invariants()
         return self._stats()
 
     def op_stats(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -157,7 +141,7 @@ def serve_connection(conn: Connection, worker: ShardWorker) -> bool:
 
     Telemetry lives in the reply *meta* envelope, never the payload: every
     reply carries ``{"seconds": <handler wall time>}`` (this feeds
-    ``RemoteIndexProxy.worker_ingest_seconds`` and the bench_cluster
+    ``RemoteRowStore.worker_ingest_seconds`` and the bench_cluster
     pipeline model), and when the request meta shipped a trace context the
     worker's finished spans ride back as ``{"spans": [...]}`` so the
     coordinator stitches them into the caller's trace tree.  Per-op wall

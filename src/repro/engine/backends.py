@@ -737,7 +737,7 @@ class ShardedBackend(EstimatorBackend):
             "num_collision_pairs": self._index.num_collision_pairs,
             "num_non_collision_pairs": self._index.num_non_collision_pairs,
             "num_shards": self._index.num_shards,
-            "shard_sizes": [shard.size for shard in self._index.shards],
+            "shard_sizes": list(self._index.shard_sizes),
             "partitioner": self._index.partitioner.kind,
             "pending_writes": self._router.pending,
             "staleness": {

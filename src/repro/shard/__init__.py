@@ -9,21 +9,21 @@ approximation:
   signature values; identical from key bytes or signature matrices):
   :class:`KeyPartitioner` (modulo) and :class:`RendezvousPartitioner`
   (highest-random-weight, minimal key movement under resizes).
-* :mod:`~repro.shard.sharded_index` — :class:`ShardedMutableIndex`, ``S``
-  shards (each a :class:`~repro.streaming.mutable_index.MutableLSHIndex`)
-  behind a drop-in single-index surface with the query-side merge layer
-  built in.
+* :mod:`~repro.shard.sharded_index` — :class:`ShardedMutableIndex`, one
+  bucket table on the facade and ``S`` shards that hold rows only (each a
+  :class:`~repro.streaming.rowstore.RowStore`) behind a drop-in
+  single-index surface with the query-side merge layer built in.
 * :mod:`~repro.shard.router` — :class:`ShardRouter`, the buffered write
-  path: batch hashing, bucket-key partitioning, and per-shard
-  ingestion on top of ``insert_many``; replays
+  path: batch hashing, bucket-key partitioning, and one row slice per
+  shard on top of ``insert_many``; replays
   :class:`~repro.streaming.events.ChangeLog` streams.
-* :mod:`~repro.shard.merge` — :func:`merge_strata` (per-shard ``N_H`` /
-  ``N_L`` counts combined) and :class:`ShardedStreamingEstimator`, the
+* :mod:`~repro.shard.merge` — :func:`merge_strata` (the facade's per-shard
+  ``N_H`` / ``N_L`` counts combined) and :class:`ShardedStreamingEstimator`, the
   streaming estimator run over the facade; the exact mode is
   bit-identical (same seed) to an unsharded estimator over the same
   event sequence, and no mode depends on the shard count.
-* :mod:`~repro.shard.rebalance` — online key-range migration over the
-  snapshot/restore substrate: :func:`plan_rebalance` /
+* :mod:`~repro.shard.rebalance` — online bucket-key migration, moving
+  the members' rows by id: :func:`plan_rebalance` /
   :func:`apply_plan` / :func:`rebalance_cluster` resize or re-partition a
   cluster while every estimate stays bit-identical.
 """

@@ -3,7 +3,8 @@
 The LSH-SS decomposition survives sharding because the strata are
 additive over the bucket-key partition:
 
-* ``N_H = Σ_s N_H^{(s)}`` — a bucket lives wholly inside one shard;
+* ``N_H = Σ_s N_H^{(s)}`` — a bucket lives wholly inside one shard, and
+  the facade counts each shard's share as its table changes;
 * every cross-shard pair has differing signatures, hence lies in
   stratum L: ``N_L = C(n, 2) − N_H``, with the intra-shard share
   ``Σ_s (C(n_s, 2) − N_H^{(s)})`` and the rest cross-shard.
@@ -46,7 +47,7 @@ if TYPE_CHECKING:  # the router imports this package's index; stay acyclic
 
 @dataclass(frozen=True)
 class MergedStrata:
-    """Global strata sizes reassembled from per-shard statistics."""
+    """Global strata sizes with their per-shard shares."""
 
     size: int
     num_collision_pairs: int
@@ -75,12 +76,13 @@ class MergedStrata:
 
 
 def merge_strata(sharded: ShardedMutableIndex) -> MergedStrata:
-    """Assemble the additive strata identities from the live shards."""
+    """Assemble the additive strata identities from the facade's counters
+    (``O(S)``; no shard is asked and no bucket is visited)."""
     return MergedStrata(
         size=sharded.size,
         num_collision_pairs=sharded.num_collision_pairs,
-        shard_sizes=tuple(shard.size for shard in sharded.shards),
-        shard_collision_pairs=tuple(shard.num_collision_pairs for shard in sharded.shards),
+        shard_sizes=sharded.shard_sizes,
+        shard_collision_pairs=sharded.shard_collision_pairs,
     )
 
 

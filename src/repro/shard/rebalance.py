@@ -1,33 +1,24 @@
-"""Online shard rebalancing: key-range migration on the snapshot substrate.
+"""Online shard rebalancing: bucket-key migration between row stores.
 
 A :class:`~repro.shard.sharded_index.ShardedMutableIndex` assigns every
 *bucket key* to one shard.  Growing, shrinking, or re-partitioning the
-cluster therefore reduces to moving sets of bucket keys — whole buckets,
-with their member lists and rows — between shards.  This module does that
-**online**, without rebuilding the cluster from the raw vectors:
+cluster therefore reduces to moving sets of bucket keys — the rows of
+their members — between shards.  This module does that **online**,
+without rebuilding the cluster from the raw vectors:
 
-* :func:`split_index_state` / :func:`splice_index_state` operate on
-  :meth:`~repro.streaming.mutable_index.MutableLSHIndex.to_state`
-  snapshots: the first filters a shard's state by a bucket-key
-  predicate into a *remaining* state and a picklable *migration
-  payload* (rows and whole buckets); the second splices
-  a payload into another shard's state.  A shard holds one table, so
-  moving a key moves its whole bucket and nothing else.  Payloads are
-  plain picklable dicts, so a key range can be shipped to a shard on
-  another node exactly like a checkpoint can.  They keep the snapshot's
-  list-valued ``tables`` key (one element, with ``num_tables: 1``); a
-  state or payload with more tables is refused.
 * :func:`plan_rebalance` diffs the facade's live bucket owners against
   a target partitioner in one vectorised pass and returns a
   :class:`RebalancePlan` of :class:`KeyMove` entries.
-* :func:`apply_plan` executes a plan: each affected shard is split /
-  spliced at the state level and revived via ``from_state`` — member
-  lists move verbatim and the facade's global bucket-order map only
-  changes *owners*, so the merged SampleH layout (and with it every
-  exact-mode estimate) stays bit-identical to an unsharded build.  The
-  estimators observe the facade, whose ids, strata and reservoirs a
-  migration does not touch, so nothing needs repairing afterwards and
-  ``auto`` estimates stay bit-identical too.
+* :func:`apply_plan` executes a plan.  The facade's bucket table names
+  the members of every moved key; their raw rows are gathered from the
+  source shards, added to the target shards and removed from the
+  sources — one request per affected shard and step, fanned out to the
+  workers on the process shape.  The facade then changes only the
+  bucket *owners*, the id → shard map and the per-shard counters: its
+  bucket order, live-id order and reservoirs stay as they were, so the
+  merged SampleH layout (and with it every exact-mode and ``auto``
+  estimate) is bit-identical across the migration, and nothing needs
+  repairing afterwards.
 * :func:`rebalance_cluster` is the driver: grow/shrink the shard list, swap the
   partitioner (a :class:`~repro.shard.partition.RendezvousPartitioner`
   moves only ``~1/(S+1)`` of the keys on a resize to ``S+1``), plan,
@@ -37,11 +28,9 @@ with their member lists and rows — between shards.  This module does that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import ValidationError
 from repro.shard.partition import (
@@ -50,178 +39,6 @@ from repro.shard.partition import (
     resolve_partitioner,
 )
 from repro.shard.sharded_index import ShardedMutableIndex
-from repro.state import StateSpec
-from repro.streaming.mutable_index import check_index_state
-from repro.streaming.rowstore import ROW_STORE_STATE
-
-_MIGRATION_STATE = StateSpec(
-    "a bucket-migration payload",
-    {
-        "dimension": Integral,
-        "num_hashes": Integral,
-        "num_tables": Integral,
-        "ids": (list, tuple),
-        "rows": Mapping,
-        "tables": (list, tuple),
-    },
-    kind="bucket-migration",
-)
-
-
-# ----------------------------------------------------------------------
-# state-level key-range extraction / splicing
-# ----------------------------------------------------------------------
-def _split_index_state_groups(
-    state: Mapping[str, object], groups: Mapping[object, Iterable[bytes]]
-) -> Tuple[Dict[str, object], Dict[object, Dict[str, object]]]:
-    """Split a shard snapshot into one payload per key group, in one pass.
-
-    The workhorse behind :func:`split_index_state` and
-    :func:`apply_plan`: a source shard shipping keys to many targets is
-    scanned and copied once, not once per target.
-    """
-    check_index_state(state)
-    key_group: Dict[bytes, object] = {}
-    for group, keys in groups.items():
-        for key in keys:
-            key_group[bytes(key)] = group
-    (buckets,) = state["tables"]
-    present = {key for key, _ in buckets}
-    missing = set(key_group) - present
-    if missing:
-        raise ValidationError(
-            f"{len(missing)} bucket key(s) are not live in this shard state"
-        )
-    moved_buckets: Dict[object, List[Tuple[bytes, List[int]]]] = {g: [] for g in groups}
-    id_group: Dict[int, object] = {}
-    remaining_buckets: List[Tuple[bytes, List[int]]] = []
-    for key, members in buckets:
-        group = key_group.get(key)
-        if group is None:
-            remaining_buckets.append((key, members))
-            continue
-        bucket = [int(member) for member in members]
-        moved_buckets[group].append((key, bucket))
-        for member in bucket:
-            id_group[member] = group
-    kept_live: List[int] = []
-    moved_live: Dict[object, List[int]] = {g: [] for g in groups}
-    for vector_id in state["live_ids"]:
-        group = id_group.get(int(vector_id))
-        if group is None:
-            kept_live.append(int(vector_id))
-        else:
-            moved_live[group].append(int(vector_id))
-    rows_state = state["rows"]
-    row_position = {
-        int(vector_id): position
-        for position, vector_id in enumerate(rows_state["ids"])
-    }
-    matrix = rows_state["matrix"].tocsr()
-
-    def select_rows(subset: List[int]) -> Dict[str, object]:
-        if subset:
-            selected = matrix[
-                np.asarray([row_position[v] for v in subset], dtype=np.int64)
-            ]
-        else:
-            selected = sparse.csr_matrix((0, int(rows_state["dimension"])))
-        return ROW_STORE_STATE.dump(
-            dimension=rows_state["dimension"], ids=list(subset), matrix=selected
-        )
-
-    remaining_state = dict(state)
-    remaining_state["live_ids"] = kept_live
-    remaining_state["rows"] = select_rows(kept_live)
-    remaining_state["tables"] = [remaining_buckets]
-    payloads = {
-        group: _MIGRATION_STATE.dump(
-            dimension=state["dimension"],
-            num_hashes=state["num_hashes"],
-            num_tables=1,
-            ids=moved_live[group],
-            rows=select_rows(moved_live[group]),
-            tables=[moved_buckets[group]],
-        )
-        for group in groups
-    }
-    return remaining_state, payloads
-
-
-def split_index_state(
-    state: Mapping[str, object], keys: Iterable[bytes]
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """Split a shard snapshot by bucket key.
-
-    Returns ``(remaining_state, payload)``: the snapshot with the
-    selected buckets (and every vector they contain) removed, and a
-    picklable migration payload for :func:`splice_index_state`.  The
-    selected keys must all be live buckets.  Bucket member
-    lists and live-id order are preserved on both sides, which is what
-    keeps the facade's merged SampleH layout — and therefore exact-mode
-    estimates — bit-identical across a migration.
-    """
-    remaining_state, payloads = _split_index_state_groups(state, {0: keys})
-    return remaining_state, payloads[0]
-
-
-def splice_index_state(
-    state: Mapping[str, object], payload: Mapping[str, object]
-) -> Dict[str, object]:
-    """Merge a :func:`split_index_state` payload into a shard snapshot.
-
-    Migrated buckets are appended whole, in payload order (their keys
-    cannot already live here — a bucket has exactly one owner).
-    """
-    check_index_state(state)
-    _MIGRATION_STATE.check(payload)
-    if payload["num_tables"] != 1 or len(payload["tables"]) != 1:
-        _MIGRATION_STATE.refuse(
-            f"{len(payload['tables'])} table fragments for "
-            f"num_tables={payload['num_tables']}; a shard holds exactly one table"
-        )
-    for field_name in ("dimension", "num_hashes"):
-        if int(payload[field_name]) != int(state[field_name]):
-            raise ValidationError(
-                f"payload {field_name}={payload[field_name]} does not match "
-                f"target state {field_name}={state[field_name]}"
-            )
-    arriving = [int(i) for i in payload["ids"]]
-    existing = {int(i) for i in state["live_ids"]}
-    duplicate = existing.intersection(arriving)
-    if duplicate:
-        raise ValidationError(
-            f"{len(duplicate)} migrating vector id(s) already live in the target"
-        )
-    (buckets,), (arriving_buckets,) = state["tables"], payload["tables"]
-    taken = {key for key, _ in buckets}
-    straddle = [key for key, _ in arriving_buckets if key in taken]
-    if straddle:
-        raise ValidationError(
-            f"{len(straddle)} migrating bucket key(s) already live in the "
-            "target shard; a bucket must have exactly one owner"
-        )
-    merged_buckets = [
-        (key, list(members)) for key, members in (*buckets, *arriving_buckets)
-    ]
-    target_rows = state["rows"]
-    payload_rows = payload["rows"]
-    merged_rows = ROW_STORE_STATE.dump(
-        dimension=target_rows["dimension"],
-        ids=list(target_rows["ids"]) + list(payload_rows["ids"]),
-        matrix=sparse.vstack(
-            [target_rows["matrix"].tocsr(), payload_rows["matrix"].tocsr()], format="csr"
-        )
-        if arriving
-        else target_rows["matrix"],
-    )
-    merged_state = dict(state)
-    merged_state["live_ids"] = [int(i) for i in state["live_ids"]] + arriving
-    merged_state["rows"] = merged_rows
-    merged_state["tables"] = [merged_buckets]
-    if arriving:
-        merged_state["next_id"] = max(int(state["next_id"]), max(arriving) + 1)
-    return merged_state
 
 
 # ----------------------------------------------------------------------
@@ -293,19 +110,17 @@ def plan_rebalance(sharded: ShardedMutableIndex, partitioner: Partitioner) -> Re
 # execution
 # ----------------------------------------------------------------------
 def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePlan:
-    """Execute a rebalance plan: migrate keys, remap owners.
+    """Execute a rebalance plan: migrate the moved buckets' rows, remap owners.
 
-    Affected shards are round-tripped through the snapshot substrate
-    (``to_state`` → split/splice → ``from_state``), so the operation is
-    exactly as lossless as checkpoint/restore.  Facade-level state
-    (live-id order, the global bucket table behind SampleH / SampleL, the
-    facade estimators' reservoirs) is untouched apart from the bucket
-    owners, which keeps every estimate bit-identical across the
-    migration.
+    Rows are looked up by id on both sides, so the migration is exactly
+    as lossless as a gather.  Facade-level state (live-id order, the
+    global bucket table behind SampleH / SampleL, the facade estimators'
+    reservoirs) is untouched apart from the bucket owners, which keeps
+    every estimate bit-identical across the migration.  On the process
+    shape a failure after the first row insert marks the cluster broken.
     """
     owner_of_key = sharded._owner_of_key
     num_shards = sharded.num_shards
-    outgoing: Dict[int, Dict[int, List[bytes]]] = {}
     for move in plan.moves:
         owner = owner_of_key.get(move.key)
         if owner is None:
@@ -321,42 +136,39 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
             )
         if move.target == move.source:
             raise ValidationError("plan moves a bucket key onto its current shard")
-        outgoing.setdefault(move.source, {}).setdefault(move.target, []).append(move.key)
-    if not plan.moves:
-        if plan.partitioner is not None and plan.partitioner.num_shards == num_shards:
-            sharded.partitioner = plan.partitioner
-            sharded._refresh_owner_alignment()
-        return plan
-
-    affected = set(outgoing)
-    for by_target in outgoing.values():
-        affected.update(by_target)
-    states = {shard_id: sharded.shards[shard_id].index.to_state() for shard_id in affected}
-    arrivals: Dict[int, List[Dict[str, object]]] = {}
-    for source, by_target in outgoing.items():
-        states[source], payloads = _split_index_state_groups(states[source], by_target)
-        for target, payload in payloads.items():
-            arrivals.setdefault(target, []).append(payload)
-    moved_vectors = 0
-    for target, payloads in arrivals.items():
-        for payload in payloads:
-            states[target] = splice_index_state(states[target], payload)
-            moved_vectors += len(payload["ids"])
-
-    for shard_id in sorted(affected):
-        # in process this revives the state locally; the multi-process
-        # coordinator overrides the hook to ship it to the shard's worker
-        sharded._adopt_shard_state(shard_id, states[shard_id])
-
-    for move in plan.moves:
-        owner_of_key[move.key] = move.target
-    for target, payloads in arrivals.items():
-        for payload in payloads:
-            sharded._place(np.asarray(payload["ids"], dtype=np.int64), target)
+    if len({move.key for move in plan.moves}) != len(plan.moves):
+        raise ValidationError("plan moves a bucket key twice")
+    if plan.moves:
+        buckets = [sharded._table.bucket_members_by_key(move.key) for move in plan.moves]
+        counts = [len(members) for members in buckets]
+        ids = np.concatenate([np.asarray(members, dtype=np.int64) for members in buckets])
+        sources = np.repeat([move.source for move in plan.moves], counts)
+        targets = np.repeat([move.target for move in plan.moves], counts)
+        rows = sharded._stack_raw(ids)  # one gather per source shard
+        arrivals = [
+            (target, np.flatnonzero(targets == target)) for target in np.unique(targets)
+        ]
+        departures = [(source, ids[sources == source]) for source in np.unique(sources)]
+        added = sharded._store_rows(
+            [(int(target), ids[rows_of], rows[rows_of]) for target, rows_of in arrivals]
+        )
+        removed = sharded._drop_rows([(int(source), leaving) for source, leaving in departures])
+        for move, count in zip(plan.moves, counts):
+            owner_of_key[move.key] = move.target
+            pairs = count * (count - 1) // 2
+            sharded._shard_sizes[move.source] -= count
+            sharded._shard_sizes[move.target] += count
+            sharded._shard_collision_pairs[move.source] -= pairs
+            sharded._shard_collision_pairs[move.target] += pairs
+        sharded._place(ids, targets)
+        # a shard that both receives and sends reports its final size last
+        reported = dict(zip([int(target) for target, _ in arrivals], added))
+        reported.update(zip([int(source) for source, _ in departures], removed))
+        sharded._check_sizes(list(reported), list(reported.values()))
+        plan.moved_vectors = int(ids.size)
     if plan.partitioner is not None and plan.partitioner.num_shards == num_shards:
         sharded.partitioner = plan.partitioner
     sharded._refresh_owner_alignment()
-    plan.moved_vectors = moved_vectors
     return plan
 
 
@@ -418,8 +230,6 @@ def rebalance_cluster(
 __all__ = [
     "KeyMove",
     "RebalancePlan",
-    "split_index_state",
-    "splice_index_state",
     "plan_rebalance",
     "apply_plan",
     "rebalance_cluster",

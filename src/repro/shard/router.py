@@ -8,11 +8,10 @@ deletes, checkpoints — usually replayed from a
 :class:`~repro.shard.sharded_index.ShardedMutableIndex`:
 
 * **inserts buffer** up to ``batch_size`` rows; a flush coerces the
-  buffered vectors, hashes them in one batch matrix product per table,
-  partitions the rows by bucket key, and feeds every shard its slice
-  through :meth:`MutableLSHIndex.insert_many_prepared`, one shard after
-  another (the bucket work is GIL-bound, so threads would not overlap
-  it; the ``process`` backend is the parallel path);
+  buffered vectors, hashes them in one batch matrix product, partitions
+  the rows by bucket key, and hands every shard its slice of rows in one
+  request (:meth:`ShardedMutableIndex.commit_batch`; in process one shard
+  after another, the ``process`` backend is the parallel path);
 * **deletes flush first** — a delete may target a still-buffered row, so
   buffered inserts are materialised before the delete is routed;
 * **checkpoints flush** and, when an estimator is attached to the

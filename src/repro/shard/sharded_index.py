@@ -1,9 +1,10 @@
 """A sharded mutable LSH index: scale-out with a drop-in single-index surface.
 
-:class:`ShardedMutableIndex` partitions the bucket-key space of a
-:class:`~repro.streaming.mutable_index.MutableLSHIndex` across ``S``
-shards.  Every shard wraps its own ``MutableLSHIndex``, sharing the *same*
-hash-family instance, so all shards hash identically.
+:class:`ShardedMutableIndex` partitions the bucket-key space of one
+mutable LSH table across ``S`` shards.  The facade owns the table and
+the hash family; a shard is an :class:`IndexShard` holding a
+:class:`~repro.streaming.rowstore.RowStore` — the ids and rows of the
+vectors whose buckets it owns, and nothing else.
 
 The facade exposes the full single-index surface — ``insert`` /
 ``insert_many`` / ``delete``, observers, SampleH / SampleL, per-pair
@@ -13,29 +14,33 @@ cosine — with the *merge layer* built in:
   :class:`~repro.streaming.mutable_index.MutableLSHTable` fed every insert
   and delete in arrival order — the table one unsharded index would have
   built, bucket order and member order included, so SampleH draws are
-  **bit-identical for the same seed**.  The shards hold the same member
-  lists (a bucket never straddles shards, and every operation on it is
-  routed to its one owner in arrival order) plus the rows;
-* ``N_H`` is that table's count (the sum of per-shard ``N_H``) and
-  ``N_L = C(n, 2) − N_H`` (cross-shard pairs are all stratum L);
+  **bit-identical for the same seed**.  ``_owner_of_key`` names the
+  shard owning each bucket (a bucket never straddles shards), and the
+  two are the only record of bucket membership;
+* ``N_H`` is that table's count and ``N_L = C(n, 2) − N_H``
+  (cross-shard pairs are all stratum L).  The per-shard sizes and
+  ``N_H`` are facade counters, updated from the values every table
+  insert and delete returns and moved by a rebalance;
 * SampleH, SampleL's collision tests and the estimators' bucket sizes
   and repairs answer from that table, so this class and the
   process-backed :class:`~repro.cluster.ClusterCoordinator` share one
   code path that never asks a shard.  SampleH / SampleL themselves are
   the shared primitives of :mod:`repro.lsh.table`;
-* only rows come from the shards: a ``cosine_pairs`` call deduplicates
-  the ids of both sides, maps them to shards through an id-indexed
-  array, asks each owning shard once for its unique rows
-  (:meth:`ShardedMutableIndex._fetch_rows`, the one row seam) and lays
-  them out in pair order with segment positions.
+* only rows live on the shards, reached through three row seams —
+  :meth:`ShardedMutableIndex._store_rows`, :meth:`~ShardedMutableIndex._drop_rows`
+  and :meth:`~ShardedMutableIndex._fetch_rows` — which the coordinator
+  overrides with fan-outs to its worker processes.  A ``cosine_pairs``
+  call deduplicates the ids of both sides, maps them to shards through
+  an id-indexed array, asks each owning shard once for its unique rows
+  and lays them out in pair order with segment positions.
 
 Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
 constructed over the facade — which is what
 :class:`~repro.shard.merge.ShardedStreamingEstimator` is — behaves
 bit-identically to one constructed over an unsharded index fed the same
-event sequence.  Shards carry no estimators of their own: the facade's
-observers are the only reservoirs, so shard states and worker payloads
-hold index data only.
+event sequence.  A snapshot (``SHARDED_STATE``, format 3) holds the
+family, the buckets with their owners, the id → shard assignments and
+one row-store state per shard.
 """
 
 from __future__ import annotations
@@ -43,12 +48,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast,
+)
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ValidationError
+from repro.errors import ClusterError, ValidationError
 from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
@@ -64,11 +71,9 @@ from repro.shard.partition import (
 from repro.state import StateSpec
 from repro.streaming.mutable_index import (
     LiveIds,
-    MutableLSHIndex,
     MutableLSHTable,
     VectorInput,
     bind_family,
-    check_index_state,
     claim_vector_id,
     coerce_matrix,
     coerce_row,
@@ -76,81 +81,61 @@ from repro.streaming.mutable_index import (
     restore_estimator_states,
     signature_bucket_key,
 )
-from repro.streaming.rowstore import _MAX_ID, pairwise_cosine, segment_positions
+from repro.streaming.rowstore import (
+    _MAX_ID,
+    ROW_STORE_STATE,
+    RowStore,
+    pairwise_cosine,
+    segment_positions,
+)
 from repro.vectors.collection import VectorCollection
 
 #: ``(data, indices, indptr)`` of a stack of CSR rows
 CSRParts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-#: also the state of a :class:`~repro.cluster.ClusterCoordinator`; format 2
-#: dropped the per-shard estimators (format 1 embedded one per shard state)
+#: also the state of a :class:`~repro.cluster.ClusterCoordinator`.  Format 3:
+#: the facade's family and ``(key, members, owner)`` buckets, and one
+#: row-store state per shard (format 2 shards were whole index states
+#: with their own tables; format 1 also embedded per-shard estimators)
 SHARDED_STATE = StateSpec(
     "a sharded-index snapshot",
     {
         "dimension": Integral,
         "num_hashes": Integral,
-        "num_tables": Integral,
         "num_shards": Integral,
         "partitioner": Mapping,
+        "family": LSHFamily,
         "next_id": Integral,
         "live_ids": (list, tuple),
         "shard_of": (list, tuple),
-        "bucket_refs": (list, tuple),
+        "buckets": (list, tuple),
         "shards": (list, tuple),
         "estimators": (list, tuple),
     },
-    format=2,
+    format=3,
     kind="sharded",
     optional=("estimators",),
 )
 
 
-def check_shard_state(state: Mapping[str, object]) -> None:
-    """Refuse a malformed shard index state, or one carrying estimators.
-
-    Estimators observe the facade, never a shard; a shard state with
-    embedded reservoirs predates that and is refused, not half-adopted.
-    """
-    check_index_state(state)
-    if state.get("estimators"):
-        raise ValidationError(
-            "shard state carries per-shard estimators (a format-1 sharded "
-            "snapshot); estimators observe the facade and shards hold none"
-        )
-
-
 @dataclass
 class IndexShard:
-    """One shard: a mutable index holding whole buckets."""
+    """One shard: the rows of the vectors whose buckets it owns.
+
+    ``store`` is a :class:`~repro.streaming.rowstore.RowStore` in process;
+    the multi-process coordinator's shards hold a proxy to a worker's.
+    """
 
     shard_id: int
-    index: MutableLSHIndex
-
-    @property
-    def size(self) -> int:
-        return self.index.size
-
-    @property
-    def num_collision_pairs(self) -> int:
-        """Shard-local ``N_H`` (additive across shards)."""
-        return self.index.num_collision_pairs
-
-    @property
-    def intra_non_collision_pairs(self) -> int:
-        """Shard-local ``N_L`` over *intra-shard* pairs only."""
-        return self.index.num_non_collision_pairs
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"IndexShard(id={self.shard_id}, n={self.size}, NH={self.num_collision_pairs})"
+    store: Any
 
 
 @dataclass
 class PreparedBatch:
-    """A routed insert batch: coerced rows, ``(rows, k)`` signatures, shard targets."""
+    """A routed insert batch: coerced rows, bucket keys, shard targets."""
 
     ids: np.ndarray
     csr: sparse.csr_matrix
-    signatures: np.ndarray
     keys: List[bytes]
     shard_ids: np.ndarray
 
@@ -165,9 +150,9 @@ class ShardedMutableIndex:
     ----------
     dimension, num_hashes, family, random_state:
         As in :class:`~repro.streaming.mutable_index.MutableLSHIndex`;
-        the one hash family, shared by every shard, is drawn exactly as
-        there, so an unsharded index with the same seed hashes (and
-        therefore buckets) every vector identically.
+        the facade's hash family is drawn exactly as there, so an
+        unsharded index with the same seed hashes (and therefore
+        buckets) every vector identically.
     num_shards:
         ``S`` — number of shards.
     partitioner:
@@ -194,9 +179,12 @@ class ShardedMutableIndex:
         self.partitioner = resolve_partitioner(partitioner, num_shards)
         # identical family draw to an unsharded MutableLSHIndex
         self.family = bind_family(family, self.num_hashes, self.dimension, random_state)
+        #: per-shard live-vector counts and ``N_H`` (the co-bucket pairs of
+        #: the buckets each shard owns); written wherever the table is
+        self._shard_sizes: List[int] = []
+        self._shard_collision_pairs: List[int] = []
         self.shards: List[IndexShard] = []
-        for shard_id in range(num_shards):
-            self.shards.append(self._new_shard(shard_id))
+        self.add_shards(num_shards)
         #: id-indexed owning shard (-1 = not live); written on every write
         #: path (insert, delete, restore, rebalance), only read by queries
         self._shard_of_id = np.full(0, -1, dtype=np.int64)
@@ -269,9 +257,8 @@ class ShardedMutableIndex:
     # shard management (construction + rebalance substrate)
     # ------------------------------------------------------------------
     def _new_shard(self, shard_id: int) -> IndexShard:
-        """An empty shard sharing the cluster's family (hashing identically)."""
-        index = MutableLSHIndex(self.dimension, num_hashes=self.num_hashes, family=self.family)
-        return IndexShard(shard_id, index)
+        """An empty shard: a row store of the cluster's dimension."""
+        return IndexShard(shard_id, RowStore(self.dimension))
 
     def add_shards(self, new_total: int) -> None:
         """Grow the cluster to ``new_total`` (empty) shards.
@@ -287,18 +274,22 @@ class ShardedMutableIndex:
             )
         while len(self.shards) < new_total:
             self.shards.append(self._new_shard(len(self.shards)))
+            self._shard_sizes.append(0)
+            self._shard_collision_pairs.append(0)
 
     def drop_trailing_shards(self, new_total: int) -> None:
         """Shrink the cluster to ``new_total`` shards; the rest must be empty."""
         if new_total < 1:
             raise ValidationError(f"a cluster needs >= 1 shard, got {new_total}")
-        for shard in self.shards[new_total:]:
-            if shard.size:
+        for shard_id in range(new_total, len(self.shards)):
+            if self._shard_sizes[shard_id]:
                 raise ValidationError(
-                    f"shard {shard.shard_id} still holds {shard.size} vectors; "
-                    "rebalance them away before shrinking"
+                    f"shard {shard_id} still holds {self._shard_sizes[shard_id]} "
+                    "vectors; rebalance them away before shrinking"
                 )
         del self.shards[new_total:]
+        del self._shard_sizes[new_total:]
+        del self._shard_collision_pairs[new_total:]
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -338,6 +329,16 @@ class ShardedMutableIndex:
     def num_non_collision_pairs(self) -> int:
         """Global ``N_L = M − N_H`` (includes every cross-shard pair)."""
         return self.total_pairs - self.num_collision_pairs
+
+    @property
+    def shard_sizes(self) -> Tuple[int, ...]:
+        """Live vectors per shard (facade counters; no shard is asked)."""
+        return tuple(self._shard_sizes)
+
+    @property
+    def shard_collision_pairs(self) -> Tuple[int, ...]:
+        """Per-shard ``N_H``: the co-bucket pairs of the buckets each shard owns."""
+        return tuple(self._shard_collision_pairs)
 
     @property
     def primary_table(self) -> MutableLSHTable:
@@ -387,6 +388,58 @@ class ShardedMutableIndex:
             pass
 
     # ------------------------------------------------------------------
+    # the row seams (the multi-process coordinator overrides all three)
+    # ------------------------------------------------------------------
+    def _store_rows(
+        self,
+        requests: Sequence[Tuple[int, np.ndarray, sparse.csr_matrix]],
+        *,
+        meanwhile: Optional[Callable[[], None]] = None,
+    ) -> List[int]:
+        """Add the rows of each ``(shard_id, ids, rows)`` request to its shard.
+
+        ``meanwhile`` runs once the rows are handed over (the coordinator
+        overlaps it with the workers' inserts).  Returns each shard's row
+        count after its request, for :meth:`_check_sizes`.
+        """
+        sizes = []
+        for shard_id, ids, rows in requests:
+            store = self.shards[shard_id].store
+            store.add_many(ids, rows)
+            sizes.append(len(store))
+        if meanwhile is not None:
+            meanwhile()
+        return sizes
+
+    def _drop_rows(self, requests: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
+        """Remove the rows of each ``(shard_id, ids)`` request; returns the
+        shards' row counts after their requests."""
+        sizes = []
+        for shard_id, ids in requests:
+            store = self.shards[shard_id].store
+            store.remove_many(ids)
+            sizes.append(len(store))
+        return sizes
+
+    def _fetch_rows(
+        self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
+    ) -> List[CSRParts]:
+        """CSR parts of the rows of each ``(shard_id, ids)`` request."""
+        return [
+            self.shards[shard_id].store.csr_parts(ids, normalized=normalized)
+            for shard_id, ids in requests
+        ]
+
+    def _check_sizes(self, shard_ids: Sequence[int], sizes: Sequence[int]) -> None:
+        """Refuse a shard whose reported row count differs from the facade's."""
+        for shard_id, size in zip(shard_ids, sizes):
+            if int(size) != self._shard_sizes[shard_id]:
+                raise ClusterError(
+                    f"shard {shard_id} drifted: it holds {size} rows, the facade "
+                    f"counts {self._shard_sizes[shard_id]}"
+                )
+
+    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def _claim_id(self, vector_id: Optional[int]) -> int:
@@ -396,7 +449,8 @@ class ShardedMutableIndex:
         return vector_id
 
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
-        self._table.insert_key(vector_id, key)
+        self._shard_collision_pairs[shard_id] += self._table.insert_key(vector_id, key)
+        self._shard_sizes[shard_id] += 1
         self._live.add(vector_id)
         self._owner_of_key.setdefault(key, shard_id)
 
@@ -442,9 +496,11 @@ class ShardedMutableIndex:
         vector_id = self._claim_id(vector_id)
         key = signature_bucket_key(signature, self.num_hashes)
         shard_id = self._owning_shard(key)
-        self.shards[shard_id].index._insert_prepared(vector_id, row, signature)
-        self._place(np.asarray([vector_id], dtype=np.int64), shard_id)
+        ids = np.asarray([vector_id], dtype=np.int64)
+        sizes = self._store_rows([(shard_id, ids, row)])
+        self._place(ids, shard_id)
         self._track_insert(vector_id, key, shard_id)
+        self._check_sizes([shard_id], sizes)
         for observer in self._observers:
             observer.on_insert(vector_id)
         return vector_id
@@ -487,34 +543,36 @@ class ShardedMutableIndex:
                 owner = owner_of_key.get(key)
                 if owner is not None and owner != shard_ids[position]:
                     shard_ids[position] = owner
-        return PreparedBatch(ids=ids, csr=csr, signatures=signatures, keys=keys, shard_ids=shard_ids)
+        return PreparedBatch(ids=ids, csr=csr, keys=keys, shard_ids=shard_ids)
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
-        """Apply a prepared batch: shard-grouped ingestion + merge bookkeeping.
+        """Apply a prepared batch: one row slice per shard + merge bookkeeping.
 
-        Rows are grouped per shard (arrival order preserved within each
-        group, so bucket member lists match an unsharded build) and fed
-        through :meth:`MutableLSHIndex.insert_many_prepared` shard by
-        shard.  Facade bucket bookkeeping follows the original row
-        order, so the merged SampleH layout is unaffected by the
-        grouping; facade observers are notified once the whole batch is
-        live (per-event granularity needs the unbatched :meth:`insert`).
+        Each shard gets its rows in one :meth:`_store_rows` request.
+        Facade bucket bookkeeping follows the original row order, so the
+        merged SampleH layout is unaffected by the grouping; facade
+        observers are notified once the whole batch is live (per-event
+        granularity needs the unbatched :meth:`insert`).
         """
         histogram, rows_total = self._commit_instruments()
         started = time.perf_counter()
         with trace("shard.commit_batch", rows=len(batch)):
-            for shard in self.shards:
-                rows = np.flatnonzero(batch.shard_ids == shard.shard_id)
-                if rows.size == 0:
-                    continue
-                shard.index.insert_many_prepared(
-                    batch.ids[rows], batch.csr[rows], batch.signatures[rows]
-                )
-            self._place(batch.ids, batch.shard_ids)
-            for position in range(len(batch)):
-                self._track_insert(
-                    int(batch.ids[position]), batch.keys[position], int(batch.shard_ids[position])
-                )
+            requests = []
+            for shard_id in range(self.num_shards):
+                rows = np.flatnonzero(batch.shard_ids == shard_id)
+                if rows.size:
+                    requests.append((shard_id, batch.ids[rows], batch.csr[rows]))
+
+            def track() -> None:
+                self._place(batch.ids, batch.shard_ids)
+                for position in range(len(batch)):
+                    self._track_insert(
+                        int(batch.ids[position]), batch.keys[position],
+                        int(batch.shard_ids[position]),
+                    )
+
+            sizes = self._store_rows(requests, meanwhile=track)
+            self._check_sizes([shard_id for shard_id, _ids, _rows in requests], sizes)
             for position in range(len(batch)):
                 vector_id = int(batch.ids[position])
                 for observer in self._observers:
@@ -538,11 +596,15 @@ class ShardedMutableIndex:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         shard_id = int(self._shard_of_id[vector_id])
         key = self._table.signature_key(vector_id)
-        self.shards[shard_id].index.delete(vector_id)
-        if self._table.delete(vector_id) == 0:  # it was its bucket's last member
+        sizes = self._drop_rows([(shard_id, np.asarray([vector_id], dtype=np.int64))])
+        remaining = self._table.delete(vector_id)  # = the co-bucket pairs removed
+        self._shard_collision_pairs[shard_id] -= remaining
+        self._shard_sizes[shard_id] -= 1
+        if remaining == 0:  # it was its bucket's last member
             del self._owner_of_key[key]
         self._shard_of_id[vector_id] = -1
         self._live.remove(vector_id)
+        self._check_sizes([shard_id], sizes)
         for observer in self._observers:
             observer.on_delete(vector_id)
 
@@ -563,20 +625,6 @@ class ShardedMutableIndex:
             sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
             self._table.same_bucket_many, random_state, max_attempts=max_attempts,
         )
-
-    def _fetch_rows(
-        self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
-    ) -> List[CSRParts]:
-        """CSR parts of the rows of each ``(shard_id, ids)`` request.
-
-        The one row seam of the query-side merge layer — the
-        multi-process coordinator overrides it with a fan-out that sends
-        every request before awaiting any reply.
-        """
-        return [
-            self.shards[shard_id].index._rows.csr_parts(ids, normalized=normalized)
-            for shard_id, ids in requests
-        ]
 
     def _gather(self, ids: np.ndarray, *, normalized: bool) -> CSRParts:
         """CSR parts of the rows of ``ids`` (repeats allowed), in order.
@@ -648,66 +696,50 @@ class ShardedMutableIndex:
             self._gather(ids, normalized=False), shape=(ids.size, self.dimension)
         )
 
-    def _check_shard(self, shard: IndexShard) -> int:
-        """Verify one shard's own bookkeeping; returns its bucket count."""
-        shard.index.check_invariants()
-        return shard.index.primary_table.num_buckets
-
-    def _bucket_members_on_shard(
-        self, shard_id: int, keys: Sequence[bytes]
-    ) -> List[List[int]]:
-        """Member lists for ``keys`` (all owned by ``shard_id``) as the
-        shard holds them — the multi-process coordinator overrides it with
-        one batched worker round trip."""
-        table = self.shards[shard_id].index.primary_table
-        return [table.bucket_members_by_key(key) for key in keys]
+    def _recount_shards(self, num_shards: int) -> Tuple[List[int], List[int]]:
+        """Per-shard sizes and ``N_H`` recounted from the table and owners;
+        refuses a bucket whose members are assigned to another shard."""
+        sizes = [0] * num_shards
+        pairs = [0] * num_shards
+        for key, members in self._table.bucket_state():
+            owner = self._owner_of_key[key]
+            if np.any(self._shard_of_id[members] != owner):
+                raise ValidationError(
+                    f"a bucket owned by shard {owner} has members assigned elsewhere"
+                )
+            sizes[owner] += len(members)
+            pairs[owner] += len(members) * (len(members) - 1) // 2
+        return sizes, pairs
 
     def check_invariants(self) -> None:
-        """Verify the merge bookkeeping against the shards (tests aid)."""
+        """Verify the merge bookkeeping and every shard's rows (tests aid)."""
         if self.partitioner.num_shards != len(self.shards):
             raise AssertionError(
                 f"partitioner covers {self.partitioner.num_shards} shards, "
                 f"cluster has {len(self.shards)}"
             )
-        total_buckets = sum(self._check_shard(shard) for shard in self.shards)
-        if sum(shard.size for shard in self.shards) != self.size:
-            raise AssertionError("facade live-id count drifted from the shards")
         self._table.check_invariants()
         if self._table.num_vectors != self.size:
             raise AssertionError("facade bucket table drifted from the live set")
-        if np.count_nonzero(self._shard_of_id >= 0) != self.size or any(
-            not np.array_equal(
-                np.flatnonzero(self._shard_of_id == shard.shard_id), np.sort(shard.index.ids)
-            )
-            for shard in self.shards
-        ):
-            raise AssertionError("id → shard map drifted from the shards")
-        if not total_buckets == self._table.num_buckets == len(self._owner_of_key):
-            raise AssertionError("bucket key registry drifted from the shards")
-        keys: Dict[int, List[bytes]] = {}
-        for key, shard_id in self._owner_of_key.items():
-            keys.setdefault(shard_id, []).append(key)
-        for shard_id, shard_keys in keys.items():
-            members = self._bucket_members_on_shard(shard_id, shard_keys)
-            expected = [self._table.bucket_members_by_key(key) for key in shard_keys]
-            if [list(bucket) for bucket in members] != expected:
-                raise AssertionError("facade bucket members drifted from the shards")
+        if self._table.num_buckets != len(self._owner_of_key):
+            raise AssertionError("bucket owner registry drifted from the table")
+        if np.count_nonzero(self._shard_of_id >= 0) != self.size:
+            raise AssertionError("id → shard map drifted from the live set")
+        counters = (self._shard_sizes, self._shard_collision_pairs)
+        if self._recount_shards(self.num_shards) != counters:
+            raise AssertionError("per-shard size / N_H counters drifted")
+        for shard in self.shards:
+            shard.store.check_invariants()
+            if not np.array_equal(
+                shard.store.ids(), np.flatnonzero(self._shard_of_id == shard.shard_id)
+            ):
+                raise AssertionError(f"shard {shard.shard_id} holds other rows than its ids")
 
     # ------------------------------------------------------------------
-    # snapshot / restore (checkpointing + rebalancing substrate)
+    # snapshot / restore (checkpointing substrate)
     # ------------------------------------------------------------------
-    def _adopt_shard_state(self, shard_id: int, state: Mapping[str, object]) -> None:
-        """Replace one shard's index with a rebuilt state.
-
-        The rebalance layer calls this after splitting/splicing shard
-        snapshots: here the state is revived in process; the
-        multi-process coordinator overrides it to ship the state to the
-        shard's worker instead.
-        """
-        self.shards[shard_id].index = MutableLSHIndex.from_state(state)
-
     def to_state(self) -> Dict[str, object]:
-        """A picklable checkpoint of the facade and every shard.
+        """A picklable checkpoint of the facade and every shard's rows.
 
         Estimators observing the facade are captured under
         ``"estimators"`` with their reservoirs and generator positions,
@@ -717,17 +749,17 @@ class ShardedMutableIndex:
         return SHARDED_STATE.dump(
             dimension=self.dimension,
             num_hashes=self.num_hashes,
-            num_tables=1,
             num_shards=self.num_shards,
             partitioner=partitioner_state(self.partitioner),
+            family=self.family,
             next_id=self._next_id,
             live_ids=list(self._live),
             shard_of=self._shard_of_id[self.ids].tolist(),
-            bucket_refs=[
-                (key, len(self._table.bucket_members_by_key(key)), shard_id)
-                for key, shard_id in self._owner_of_key.items()
+            buckets=[
+                (key, members, self._owner_of_key[key])
+                for key, members in self._table.bucket_state()
             ],
-            shards=[shard.index.to_state() for shard in self.shards],
+            shards=[shard.store.state() for shard in self.shards],
             estimators=collect_estimator_states(self._observers),
         )
 
@@ -738,68 +770,70 @@ class ShardedMutableIndex:
         Facade estimators come back with their reservoirs, staleness
         counters and generator positions intact (see :meth:`to_state`).
         """
-        SHARDED_STATE.check(state)
         sharded = cls.__new__(cls)
-        sharded._restore_facade_fields(state)
+        sharded._restore_facade(state)
         sharded.shards = [
-            IndexShard(shard_id, MutableLSHIndex.from_state(shard_state))
-            for shard_id, shard_state in enumerate(state["shards"])
+            IndexShard(shard_id, RowStore.from_state(shard_state))
+            for shard_id, shard_state in enumerate(cast(Sequence[Any], state["shards"]))
         ]
-        sharded._restore_facade_bookkeeping(state)
-        sharded._refresh_owner_alignment()
         restore_estimator_states(sharded, state.get("estimators", ()))
         return sharded
 
-    def _restore_facade_fields(self, state: Mapping[str, object]) -> None:
-        """Restore the scalar facade fields (shared with the cluster restore).
+    def _restore_facade(self, state: Mapping[str, object]) -> None:
+        """Check a snapshot whole and restore everything but the shards.
 
-        Runs before any shard is revived, so the length and table checks
-        refuse a truncated (or multi-table) snapshot before a restore
-        spends work (or workers) on it.
+        Shared with the cluster restore, which runs it before any worker
+        is spawned: a snapshot whose shard assignments, shard rows or
+        bucket owners disagree is refused here, not half-adopted.
         """
-        shards, shard_of, live_ids = (
-            cast(Sequence[object], state[name]) for name in ("shards", "shard_of", "live_ids")
+        SHARDED_STATE.check(state)
+        num_shards = int(cast(int, state["num_shards"]))
+        shards, shard_of, buckets = (
+            cast(Sequence[Any], state[name]) for name in ("shards", "shard_of", "buckets")
         )
-        if len(shards) != state["num_shards"]:
-            SHARDED_STATE.refuse(
-                f"{len(shards)} shard states for num_shards={state['num_shards']}"
-            )
-        if len(shard_of) != len(live_ids):
-            SHARDED_STATE.refuse(
-                f"{len(shard_of)} shard assignments for {len(live_ids)} live ids"
-            )
-        if state["num_tables"] != 1:
-            SHARDED_STATE.refuse(f"num_tables={state['num_tables']}; its shards hold one table")
-        for shard_state in state["shards"]:
-            check_shard_state(shard_state)
-        self.dimension = int(state["dimension"])
-        self.num_hashes = int(state["num_hashes"])
-        self.partitioner = partitioner_from_state(state["partitioner"])
-        self.family = state["shards"][0]["families"][0]  # shared by every shard
-
-    def _restore_facade_bookkeeping(self, state: Mapping[str, object]) -> None:
-        """Restore the merge-layer bookkeeping (shared with the cluster restore)."""
-        self._live = LiveIds(state["live_ids"])
+        if len(shards) != num_shards:
+            SHARDED_STATE.refuse(f"{len(shards)} shard states for num_shards={num_shards}")
+        self.dimension = int(cast(int, state["dimension"]))
+        self.num_hashes = int(cast(int, state["num_hashes"]))
+        self.partitioner = partitioner_from_state(cast(Mapping[str, Any], state["partitioner"]))
+        if self.partitioner.num_shards != num_shards:
+            SHARDED_STATE.refuse(f"its partitioner covers {self.partitioner.num_shards} shards")
+        self.family = bind_family(
+            cast(LSHFamily, state["family"]), self.num_hashes, self.dimension, None
+        )
+        self._live = LiveIds(cast(Sequence[int], state["live_ids"]))
         live_ids = self._live.array()
+        if len(shard_of) != live_ids.size:
+            SHARDED_STATE.refuse(f"{len(shard_of)} shard assignments for {live_ids.size} live ids")
         if live_ids.size and not 0 <= int(live_ids.min()) <= int(live_ids.max()) < _MAX_ID:
             SHARDED_STATE.refuse(f"its live ids leave [0, {_MAX_ID})")
+        assigned = np.asarray(shard_of, dtype=np.int64)
+        if assigned.size and not 0 <= int(assigned.min()) <= int(assigned.max()) < num_shards:
+            SHARDED_STATE.refuse(f"its shard assignments leave [0, {num_shards})")
+        for shard_id, shard_state in enumerate(shards):
+            ROW_STORE_STATE.check(shard_state)
+            if shard_state["dimension"] != self.dimension:
+                SHARDED_STATE.refuse(f"shard {shard_id} has dimension {shard_state['dimension']}")
+            if sorted(shard_state["ids"]) != sorted(live_ids[assigned == shard_id].tolist()):
+                SHARDED_STATE.refuse(f"shard {shard_id} holds other rows than its assigned ids")
         self._shard_of_id = np.full(0, -1, dtype=np.int64)
-        self._place(live_ids, np.asarray(state["shard_of"], dtype=np.int64))
-        self._owner_of_key = {
-            bytes(key): int(shard_id) for key, _count, shard_id in state["bucket_refs"]
-        }
-        # the global table: the shards' member lists in the global key order
-        members = {
-            bytes(key): bucket
-            for shard_state in state["shards"]
-            for key, bucket in shard_state["tables"][0]
-        }
-        if members.keys() != self._owner_of_key.keys():
-            SHARDED_STATE.refuse("its bucket references do not match the shards' buckets")
+        self._place(live_ids, assigned)
+        self._owner_of_key = {bytes(key): int(owner) for key, _members, owner in buckets}
+        if len(self._owner_of_key) != len(buckets):
+            SHARDED_STATE.refuse("its buckets repeat a key")
+        if any(not 0 <= owner < num_shards for owner in self._owner_of_key.values()):
+            SHARDED_STATE.refuse(f"a bucket owner leaves [0, {num_shards})")
         self._table = MutableLSHTable(self.family)
-        self._table.load_bucket_state([(key, members[key]) for key in self._owner_of_key])
-        self._next_id = int(state["next_id"])
+        self._table.load_bucket_state([(key, members) for key, members, _owner in buckets])
+        if self._table.num_vectors != live_ids.size or not all(
+            vector_id in self._table for vector_id in self._live
+        ):
+            SHARDED_STATE.refuse("its bucket members are not exactly the live ids")
+        # refuses a bucket whose members are assigned to another shard
+        self._shard_sizes, self._shard_collision_pairs = self._recount_shards(num_shards)
+        self._next_id = int(cast(int, state["next_id"]))
         self._observers = []
+        self._refresh_owner_alignment()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -808,4 +842,4 @@ class ShardedMutableIndex:
         )
 
 
-__all__ = ["IndexShard", "PreparedBatch", "ShardedMutableIndex", "check_shard_state"]
+__all__ = ["IndexShard", "PreparedBatch", "ShardedMutableIndex"]

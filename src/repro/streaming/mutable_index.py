@@ -15,8 +15,7 @@ the streaming estimators:
   stratum H and stratum L; mutations only add or remove pairs.
 * :class:`MutableLSHIndex` — one mutable table (multi-table LSH-SS is
   static-only) over one growing / shrinking set of vectors, with stable
-  sequential ids (or caller-assigned ids, the substrate of the sharded
-  deployment in :mod:`repro.shard`), pooled row storage
+  sequential ids (or caller-assigned ids), pooled row storage
   (:class:`~repro.streaming.rowstore.RowStore`) for fast per-pair cosine
   evaluation, and SampleH / SampleL through the shared primitives of
   :mod:`repro.lsh.table` — it supplies its bucket layout, its
@@ -180,7 +179,8 @@ class LiveIds:
 
     Holders fed the same inserts (appends) and deletes (the last id moves
     into the freed slot) in the same order hold the same sequence, element
-    for element — a remote shard's coordinator-side copy and its worker's.
+    for element — an unsharded index and the sharded facade fed the same
+    events, so their SampleL draws agree.
     """
 
     def __init__(self, ids: Iterable[int] = ()) -> None:
@@ -337,8 +337,8 @@ class MutableLSHTable:
     def bucket_members_by_key(self, key: bytes) -> List[int]:
         """The member list of the bucket keyed by ``key`` (do not mutate).
 
-        Used by the sharded facade to check its global table against
-        the shards' without copying through an accessor.
+        Used by the sharded facade to find the members of a bucket it
+        migrates to another shard.
         """
         try:
             return self._members[key]
@@ -710,12 +710,10 @@ class MutableLSHIndex:
     ) -> np.ndarray:
         """Bulk-insert already-coerced rows with their ``(rows, k)`` signatures.
 
-        This is the shard ingestion fast path: the router hashes a whole
-        batch once, partitions rows by bucket key, and each shard applies
-        its slice here — rows are pooled in one append, bucket insertions
-        and observer notifications stay per-row (so estimator staleness
-        accounting sees the same intermediate sizes a loop of ``insert``
-        calls would produce).
+        The batch is hashed once; rows are pooled in one append, bucket
+        insertions and observer notifications stay per-row (so estimator
+        staleness accounting sees the same intermediate sizes a loop of
+        ``insert`` calls would produce).
         """
         num_rows = csr.shape[0]
         self._check_signatures(signatures, (num_rows, self.num_hashes))

@@ -222,6 +222,17 @@ class RowStore:
         if dead > max(self._live_nnz, _COMPACTION_FLOOR):
             self._compact()
 
+    def remove_many(self, vector_ids: Sequence[int]) -> None:
+        """Drop many rows; a bad id refuses the whole call before any removal."""
+        ids = [int(vector_id) for vector_id in vector_ids]
+        for vector_id in ids:
+            if vector_id not in self:
+                raise ValidationError(f"vector id {vector_id} is not in the store")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("vector ids to remove must be unique")
+        for vector_id in ids:
+            self.remove(vector_id)
+
     def _compact(self) -> None:
         """Rewrite the pools keeping only live rows (slot order)."""
         live = np.flatnonzero(self._id_of_slot[: self._slot_count] >= 0)

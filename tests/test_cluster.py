@@ -191,6 +191,47 @@ class TestRemoteRebalance:
             ProcessBackend(EngineConfig.from_dict(engine.config.to_dict()))
 
 
+    @pytest.mark.timeout(240)
+    def test_rebalance_migrates_rows_not_snapshots(self, small_collection, churn_log_factory):
+        """Rows move by id through insert/delete fan-outs: no shard state is
+        snapshotted or restored, and the answers match an in-process
+        cluster rebalanced the same way, bit for bit."""
+        log = churn_log_factory(small_collection, 150)
+        registry = MetricsRegistry()
+        shape = dict(num_shards=3, num_hashes=NUM_HASHES, random_state=SEED,
+                     partitioner="rendezvous")
+        in_process = ShardedMutableIndex(small_collection.dimension, **shape)
+        cluster = ClusterCoordinator(
+            small_collection.dimension, metrics=registry, **shape, **FAST
+        )
+        try:
+            for index in (in_process, cluster):
+                with ShardRouter(index, batch_size=32) as router:
+                    router.replay(log)
+            snapshots = [
+                registry.counter("cluster_requests_total", op=op) for op in ("snapshot", "restore")
+            ]
+            plan = rebalance_cluster(cluster, num_shards=4)
+            assert rebalance_cluster(in_process, num_shards=4) == plan
+            assert plan.moved_vectors > 0
+            assert [counter.value for counter in snapshots] == [0, 0]
+            cluster.check_invariants()
+            assert cluster.shard_sizes == in_process.shard_sizes
+            assert cluster.shard_collision_pairs == in_process.shard_collision_pairs
+            for seed in (3, 17):
+                ours = ShardedStreamingEstimator(cluster).estimate(
+                    THRESHOLD, random_state=seed, mode="exact"
+                )
+                theirs = ShardedStreamingEstimator(in_process).estimate(
+                    THRESHOLD, random_state=seed, mode="exact"
+                )
+                assert ours.value == theirs.value
+                for key in ("shard_sizes", "shard_collision_pairs", "cross_shard_pairs"):
+                    assert ours.details[key] == theirs.details[key]
+        finally:
+            cluster.close()
+
+
 class TestClusterFailurePaths:
     @pytest.mark.timeout(120)
     def test_worker_crash_mid_ingest_surfaces_not_hangs(self, small_collection):
@@ -275,9 +316,13 @@ class TestClusterFailurePaths:
         with ClusterCoordinator(8, num_shards=2, num_hashes=4, **FAST) as cluster:
             handle = cluster._handles[1]
             with pytest.raises(ValidationError, match="not in"):
-                handle.request("delete", {"vector_id": 12345})
-            # per-shard estimator ops and worker-side sampling are gone
-            for op in ("reservoir", "account_migration", "close_estimator", "sample_pairs"):
+                handle.request("delete", {"ids": [12345]})
+            # per-shard estimator ops, worker-side sampling and the shard
+            # bucket table are gone
+            for op in (
+                "reservoir", "account_migration", "close_estimator", "sample_pairs",
+                "bucket_members",
+            ):
                 with pytest.raises(ClusterError, match="unknown worker op"):
                     handle.request(op, {"stratum": "l"})
             assert handle.request("ping")["shard_id"] == 1
@@ -436,6 +481,43 @@ class TestStandaloneWorkers:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
+    @pytest.mark.timeout(120)
+    def test_worker_op_error_mid_migration_breaks_the_cluster(
+        self, monkeypatch, small_collection
+    ):
+        # the migration's row inserts fail on the workers after the
+        # gathers: rows may now sit on two shards, so the cluster is
+        # marked broken and the next estimate says so
+        insert = worker_module.ShardWorker.op_insert_prepared
+        migrating = threading.Event()
+
+        def fail_while_migrating(worker, payload):
+            if migrating.is_set():
+                raise ValidationError("injected migration failure")
+            return insert(worker, payload)
+
+        monkeypatch.setattr(worker_module.ShardWorker, "op_insert_prepared", fail_while_migrating)
+        threads_addresses = [self._start_worker(once=True) for _ in range(2)]
+        addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
+        cluster = ClusterCoordinator(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES,
+            random_state=SEED, addresses=addresses, **FAST,
+        )
+        try:
+            cluster.insert_many(small_collection.matrix[:80])
+            estimator = ShardedStreamingEstimator(cluster)
+            migrating.set()
+            with pytest.raises(ValidationError, match="injected migration failure"):
+                rebalance_cluster(cluster, partitioner="rendezvous")
+            assert cluster.broken is not None
+            with pytest.raises(ClusterError, match="broken"):
+                estimator.estimate(THRESHOLD, random_state=1, mode="exact")
+        finally:
+            cluster.close()
+        for thread, _address in threads_addresses:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
     def test_cli_parser_accepts_worker(self):
         from repro.cli import build_parser
 
@@ -546,20 +628,16 @@ class TestShardWorkerOps:
 
     @staticmethod
     def _configured_worker():
-        template = MutableLSHIndex(6, num_hashes=4, random_state=3)
         worker = worker_module.ShardWorker()
-        stats = worker.handle(
-            "configure",
-            {"shard_id": 0, "dimension": 6, "num_hashes": 4, "family": template.family},
-        )
-        assert stats["size"] == 0 and "has_estimator" not in stats
+        stats = worker.handle("configure", {"shard_id": 0, "dimension": 6})
+        assert stats == {"size": 0}
         return worker
 
     @staticmethod
-    def _with_estimator(state):
-        """``state`` with a shard estimator embedded, as format-1 shards had."""
-        index = MutableLSHIndex.from_state(state)
-        StreamingEstimator(index, reservoir_size=8, random_state=5)
+    def _index_state(state):
+        """A whole index state holding ``state``'s rows, as format-2 shards had."""
+        index = MutableLSHIndex(6, num_hashes=4, random_state=3)
+        index.insert_many(state["matrix"], vector_ids=state["ids"])
         return index.to_state()
 
     @staticmethod
@@ -567,71 +645,58 @@ class TestShardWorkerOps:
         from scipy import sparse
 
         csr = sparse.csr_matrix(np.asarray(rows, dtype=float))
-        signatures = worker.index.family.hash_matrix(csr)
         ids = np.arange(first_id, first_id + csr.shape[0], dtype=np.int64)
-        return worker.handle(
-            "insert_prepared", {"ids": ids, "csr": csr, "signatures": signatures}
-        )
+        return worker.handle("insert_prepared", {"ids": ids, "csr": csr})
 
-    def test_mutation_replies_carry_mirror_stats(self):
+    def test_mutation_replies_carry_the_row_count(self):
         worker = self._configured_worker()
-        rows = np.eye(6)[:4] + 0.1
-        reply = self._insert(worker, rows)
-        assert reply["size"] == 4
-        # timing moved out of op payloads into the reply meta envelope
-        # (serve_connection stamps meta["seconds"]); payloads stay data-only
-        assert "seconds" not in reply
-        assert reply["num_collision_pairs"] == worker.index.num_collision_pairs
-        deleted = worker.handle("delete", {"vector_id": 2})
-        # the coordinator keeps its own id → bucket-key map, so the reply
-        # carries only the post-op stats its mirrors need
-        assert deleted["size"] == 3
-        assert deleted["num_collision_pairs"] == worker.index.num_collision_pairs
-        assert "key" not in deleted
+        reply = self._insert(worker, np.eye(6)[:4] + 0.1)
+        # timing lives in the reply meta envelope (serve_connection stamps
+        # meta["seconds"]); payloads stay data-only
+        assert reply == {"size": 4}
+        deleted = worker.handle("delete", {"ids": np.asarray([2, 0])})
+        assert deleted == {"size": 2}
         ping = worker.handle("ping", {})
-        assert ping["shard_id"] == 0 and ping["size"] == 3
+        assert ping["shard_id"] == 0 and ping["size"] == 2
 
-    def test_short_signature_array_refused_before_mutation(self):
-        """A wire payload whose signature array is short for its rows is
-        refused whole: nothing is stored, and the shard stays consistent."""
-        from scipy import sparse
-
+    def test_bad_delete_refused_before_mutation(self):
+        """A delete naming one id the shard does not hold (or one id twice)
+        is refused whole: no row is removed."""
         worker = self._configured_worker()
-        self._insert(worker, np.eye(6)[:2] + 0.1)
-        csr = sparse.csr_matrix(np.eye(6)[2:] + 0.1)
-        short = worker.index.family.hash_matrix(csr)[:2]
-        with pytest.raises(ValidationError, match="signature"):
-            worker.handle(
-                "insert_prepared",
-                {"ids": np.arange(2, 6, dtype=np.int64), "csr": csr, "signatures": short},
-            )
-        assert worker.handle("check", {})["size"] == 2
+        self._insert(worker, np.eye(6)[:3] + 0.1)
+        for ids in ([0, 99], [1, 1]):
+            with pytest.raises(ValidationError):
+                worker.handle("delete", {"ids": ids})
+        assert worker.handle("check", {})["size"] == 3
+        assert worker.handle("ids", {})["ids"].tolist() == [0, 1, 2]
 
-    def test_bucket_members_and_gather_rows(self):
+    def test_ids_and_gather_rows(self):
         worker = self._configured_worker()
         rows = [[1.0, 0, 0, 0, 0, 0]] * 3 + [[0, 1.0, 0, 0, 0, 0]]
-        self._insert(worker, rows)
-        key = worker.index.primary_table.signature_key(0)
-        members = worker.handle("bucket_members", {"keys": [key]})["members"]
-        assert members == [[0, 1, 2]]
+        self._insert(worker, rows, first_id=5)
+        assert worker.handle("ids", {})["ids"].tolist() == [5, 6, 7, 8]
         gathered = worker.handle(
-            "gather_rows", {"ids": np.asarray([3, 0]), "normalized": True}
+            "gather_rows", {"ids": np.asarray([8, 5]), "normalized": True}
         )["matrix"]
         assert gathered.shape == (2, 6)
+        assert gathered.toarray()[0].tolist() == [0, 1.0, 0, 0, 0, 0]
 
     def test_snapshot_restore_and_removed_estimator_ops(self):
         worker = self._configured_worker()
         self._insert(worker, np.eye(6) + 0.2)
         state = worker.handle("snapshot", {})["state"]
-        assert "estimators" not in state
+        assert set(state) == {"dimension", "ids", "matrix"}
         revived = worker_module.ShardWorker()
         stats = revived.handle("restore", {"state": state, "shard_id": 1})
         assert stats["size"] == 6 and revived.shard_id == 1
         revived.handle("check", {})
-        # a shard state carrying an estimator predates the facade reservoirs
-        with pytest.raises(ValidationError, match="estimators"):
-            revived.handle("restore", {"state": self._with_estimator(state)})
-        for op in ("reservoir", "account_migration", "close_estimator", "sample_pairs"):
+        # a whole index state (tables, family) predates row-only shards
+        with pytest.raises(ValidationError, match="row-store state"):
+            revived.handle("restore", {"state": self._index_state(state)})
+        for op in (
+            "reservoir", "account_migration", "close_estimator", "sample_pairs",
+            "bucket_members",
+        ):
             with pytest.raises(ClusterError, match="unknown worker op"):
                 revived.handle(op, {"stratum": "l"})
         assert revived.handle("check", {})["size"] == 6
@@ -650,7 +715,7 @@ class TestShardWorkerOps:
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize(
         "garbage",
-        ["not-a-mapping", "no-state", "unknown-key", "short-tables", "shard-estimator"],
+        ["not-a-mapping", "no-state", "unknown-key", "short-ids", "index-state"],
     )
     def test_garbage_restore_replies_error_and_keeps_serving(self, garbage):
         import socket as socket_module
@@ -664,8 +729,8 @@ class TestShardWorkerOps:
             "not-a-mapping": {"state": [("format", 1)]},
             "no-state": {},
             "unknown-key": {"state": {**state, "kind": "sharded"}},
-            "short-tables": {"state": {**state, "tables": state["tables"][:-1]}},
-            "shard-estimator": {"state": self._with_estimator(state)},
+            "short-ids": {"state": {**state, "ids": state["ids"][:-1]}},
+            "index-state": {"state": self._index_state(state)},
         }[garbage]
         coordinator_side, worker_side = socket_module.socketpair()
         conn = Connection(coordinator_side, timeout=30.0)

@@ -659,7 +659,6 @@ _DIMENSION_CONFIG = {"num_hashes": 4, "num_tables": 1, "seed": 4}
 def valid_states(tmp_path_factory):
     """One well-formed state per reader, built by the real writers."""
     from repro.datasets import make_dblp_like
-    from repro.shard.rebalance import split_index_state
 
     collection = make_dblp_like(num_vectors=60, random_state=1).collection
     dimension = collection.dimension
@@ -674,10 +673,6 @@ def valid_states(tmp_path_factory):
     states["reservoir"] = states["estimator"]["reservoir_h"]
     states["partitioner"] = states["sharded"]["partitioner"]
     states["cluster"] = states["sharded"]
-    first_key = states["index"]["tables"][0][0][0]
-    states["splice-target"], states["migration"] = split_index_state(
-        states["index"], [first_key]
-    )
     configs = {}
     for kind, options in (("static", {}), ("streaming", {}), ("sharded", {"num_shards": 3})):
         configs[kind] = EngineConfig(
@@ -737,14 +732,15 @@ def _read_partitioner(state, states, tmp_path):
     partitioner_from_state(state)
 
 
-def _splice_and_revive(state, states, tmp_path):
-    from repro.shard.rebalance import splice_index_state
-
-    MutableLSHIndex.from_state(splice_index_state(states["splice-target"], state))
-
-
 _UNTAGGED = ("not-a-mapping", "missing-key", "unknown-key", "wrong-type")
 _TAGGED = _UNTAGGED + ("wrong-format", "wrong-kind")
+#: sharded snapshots whose parts disagree: refused before any shard (or
+#: worker) is built
+_SHARD_LAYOUT = (
+    "short-shards", "short-shard-of", "short-buckets", "format-1", "index-shard",
+    "shard-of-out-of-range", "shard-of-negative", "shard-of-wrong-shard",
+    "bucket-owner-out-of-range", "bucket-owner-mismatch", "bucket-members-not-live",
+)
 
 #: reader → (restore call, a field to drop / retype, applicable mutations)
 _READERS = {
@@ -768,22 +764,10 @@ _READERS = {
     "sharded": (
         lambda state, states, tmp_path: ShardedMutableIndex.from_state(state),
         "num_shards",
-        _TAGGED + (
-            "short-shards", "short-shard-of", "short-bucket-refs", "two-tables", "format-1",
-            "shard-estimator", "negative-live-id",
-        ),
+        _TAGGED + _SHARD_LAYOUT + ("negative-live-id",),
     ),
-    "cluster": (
-        _restore_cluster, "num_shards",
-        _TAGGED + (
-            "short-shards", "short-shard-of", "short-bucket-refs", "two-tables", "format-1",
-            "shard-estimator",
-        ),
-    ),
+    "cluster": (_restore_cluster, "num_shards", _TAGGED + _SHARD_LAYOUT),
     "partitioner": (_read_partitioner, "num_shards", _UNTAGGED),
-    "migration": (
-        _splice_and_revive, "ids", _TAGGED + ("short-tables", "two-tables")
-    ),
     "engine": (_restore_engine, "config", _TAGGED),
     "static-backend": (_restore_backend("static"), "matrix", _TAGGED),
     "streaming-backend": (_restore_backend("streaming"), "index", _TAGGED + ("no-estimator",)),
@@ -814,16 +798,14 @@ def _mutate(state, mutation, field_name):
     elif mutation == "two-tables":
         # a well-formed ℓ = 2 state; mutable indexes hold exactly one table
         state["num_tables"] = 2
-        if "shards" in state:
-            state["shards"] = [_mutate(shard, mutation, None) for shard in state["shards"]]
-        else:
-            state["tables"] = state["tables"] * 2
-            if "families" in state:
-                state["families"] = state["families"] * 2
-    elif mutation == "shard-estimator":
-        # a shard state with embedded reservoirs, as format-1 shards carried
-        shard = MutableLSHIndex.from_state(state["shards"][0])
-        StreamingEstimator(shard, reservoir_size=16, random_state=2)
+        state["tables"] = state["tables"] * 2
+        state["families"] = state["families"] * 2
+    elif mutation == "index-shard":
+        # a whole index state (table, family) in place of a shard's rows,
+        # as format-2 shards carried
+        rows = state["shards"][0]
+        shard = MutableLSHIndex(rows["dimension"], num_hashes=4, family=state["family"])
+        shard.insert_many(rows["matrix"], vector_ids=rows["ids"])
         state["shards"] = [shard.to_state(), *state["shards"][1:]]
     elif mutation == "short-shards":
         state["shards"] = state["shards"][:-1]
@@ -832,9 +814,27 @@ def _mutate(state, mutation, field_name):
     elif mutation == "negative-live-id":
         # the id → shard map is an id-indexed array: -1 would wrap around
         state["live_ids"] = [-1, *state["live_ids"][1:]]
-    elif mutation == "short-bucket-refs":
-        # the facade's bucket list misses a bucket the shards hold
-        state["bucket_refs"] = state["bucket_refs"][:-1]
+    elif mutation == "short-buckets":
+        # the facade's bucket list misses a bucket of live ids
+        state["buckets"] = state["buckets"][:-1]
+    elif mutation in ("shard-of-out-of-range", "shard-of-negative", "shard-of-wrong-shard"):
+        # live id 0's row stays where it is; its assignment points elsewhere
+        first = state["shard_of"][0]
+        state["shard_of"] = [
+            {
+                "shard-of-out-of-range": state["num_shards"] + 4,
+                "shard-of-negative": -1,
+                "shard-of-wrong-shard": (first + 1) % state["num_shards"],
+            }[mutation],
+            *state["shard_of"][1:],
+        ]
+    elif mutation in ("bucket-owner-out-of-range", "bucket-owner-mismatch"):
+        key, members, owner = state["buckets"][0]
+        owner = 9 if mutation == "bucket-owner-out-of-range" else (owner + 1) % 3
+        state["buckets"] = [(key, members, owner), *state["buckets"][1:]]
+    elif mutation == "bucket-members-not-live":
+        key, members, owner = state["buckets"][0]
+        state["buckets"] = [(key, [*members, 10**5], owner), *state["buckets"][1:]]
     elif mutation == "staleness-budget-above-one":
         state["staleness_budget"] = 5.0
     elif mutation == "reservoir-target-size":
@@ -918,10 +918,11 @@ class TestRebalance:
                               options={"num_shards": 3, "partitioner": "modulo"})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
-            sizes_before = [shard.size for shard in engine.backend.index.shards]
+            index = engine.backend.index
+            placement = [shard.store.ids().tolist() for shard in index.shards]
             plan = engine.rebalance(partitioner="rendezvous", dry_run=True)
             assert plan.total_keys > 0
-            assert [shard.size for shard in engine.backend.index.shards] == sizes_before
+            assert [shard.store.ids().tolist() for shard in index.shards] == placement
 
     def test_growth_dry_run_is_side_effect_free(self, small_collection):
         """A growth dry run must not leave phantom shards behind."""

@@ -24,7 +24,6 @@ from repro.shard.partition import (
     partitioner_from_state,
     partitioner_state,
 )
-from repro.shard.rebalance import split_index_state, splice_index_state
 from repro.streaming import (
     ChangeLog,
     Delete,
@@ -137,74 +136,57 @@ class TestRendezvousPartitioner:
             key_signature_matrix(keys, 5)
 
 
-class TestSplitSplice:
-    """State-level key-range extraction on the snapshot substrate."""
+class TestRowMigration:
+    """A migration moves the member rows of whole buckets by id; the
+    facade's bucket table stays as it was and only owners change."""
 
-    def _index(self, small_collection):
-        index = MutableLSHIndex.from_collection(
-            small_collection, num_hashes=NUM_HASHES, random_state=SEED
+    def test_migration_moves_member_rows_and_counters(self, small_collection, churn_log_factory):
+        _, sharded = _build_pair(
+            small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
-        for row in range(10):  # duplicates: multi-member buckets exist
-            index.insert(small_collection.row(row))
-        return index
-
-    def test_split_then_splice_is_lossless(self, small_collection):
-        index = self._index(small_collection)
-        state = index.to_state()
-        primary_keys = [key for key, _ in state["tables"][0]]
-        moved_keys = set(primary_keys[::3])
-        remaining, payload = split_index_state(state, moved_keys)
-        # the two sides partition the vectors
-        assert set(remaining["live_ids"]).isdisjoint(payload["ids"])
-        assert sorted(remaining["live_ids"] + payload["ids"]) == sorted(
-            state["live_ids"]
+        buckets_before = sharded.primary_table.bucket_state()
+        sizes_before = sharded.shard_sizes
+        pairs_before = sharded.shard_collision_pairs
+        keys = [key for key, owner in sharded._owner_of_key.items() if owner == 0][::3]
+        moved = [
+            vector_id
+            for key in keys
+            for vector_id in sharded.primary_table.bucket_members_by_key(key)
+        ]
+        rows_before = sharded._stack_raw(np.asarray(moved)).toarray()
+        plan = apply_plan(
+            sharded,
+            RebalancePlan(moves=[KeyMove(key, 0, 1) for key in keys],
+                          total_keys=len(sharded._owner_of_key)),
         )
-        # the payload carries exactly the moved buckets, whole
-        assert {key for key, _ in payload["tables"][0]} == moved_keys
-        assert sum(len(m) for _, m in payload["tables"][0]) == len(payload["ids"])
-        # splicing into an empty shard of the same cluster shape works
-        empty = MutableLSHIndex(
-            small_collection.dimension, num_hashes=NUM_HASHES, family=index.family
-        ).to_state()
-        target = MutableLSHIndex.from_state(splice_index_state(empty, payload))
-        source = MutableLSHIndex.from_state(remaining)
-        target.check_invariants()
-        source.check_invariants()
-        assert source.size + target.size == index.size
-        assert (
-            source.num_collision_pairs + target.num_collision_pairs
-            == index.num_collision_pairs
-        )
-        # migrated rows are bit-identical
-        moved = np.asarray(payload["ids"], dtype=np.int64)
+        sharded.check_invariants()
+        assert plan.moved_vectors == len(moved)
+        assert sharded.primary_table.bucket_state() == buckets_before
+        assert set(moved) <= set(sharded.shards[1].store.ids().tolist())
+        assert set(moved).isdisjoint(sharded.shards[0].store.ids().tolist())
         np.testing.assert_array_equal(
-            target.cosine_pairs(moved, moved), index.cosine_pairs(moved, moved)
+            sharded._stack_raw(np.asarray(moved)).toarray(), rows_before
+        )
+        moved_pairs = sum(
+            len(members) * (len(members) - 1) // 2
+            for members in (sharded.primary_table.bucket_members_by_key(key) for key in keys)
+        )
+        assert sharded.shard_sizes == (sizes_before[0] - len(moved), sizes_before[1] + len(moved))
+        assert sharded.shard_collision_pairs == (
+            pairs_before[0] - moved_pairs, pairs_before[1] + moved_pairs
         )
 
-    def test_split_unknown_key_rejected(self, small_collection):
-        state = self._index(small_collection).to_state()
-        absent = np.full(NUM_HASHES, 12345, dtype=np.int64).tobytes()
-        with pytest.raises(ValidationError):
-            split_index_state(state, [absent])
-
-    def test_splice_duplicate_ids_rejected(self, small_collection):
-        index = self._index(small_collection)
-        state = index.to_state()
-        keys = [key for key, _ in state["tables"][0]][:2]
-        _, payload = split_index_state(state, keys)
-        with pytest.raises(ValidationError):
-            splice_index_state(state, payload)  # ids still live in the source
-
-    def test_splice_straddling_bucket_rejected(self, small_collection):
-        index = self._index(small_collection)
-        state = index.to_state()
-        keys = [key for key, _ in state["tables"][0]][:1]
-        remaining, payload = split_index_state(state, keys)
-        spliced = splice_index_state(remaining, payload)
-        with pytest.raises(ValidationError):
-            # same bucket key arriving twice must be refused
-            shifted = dict(payload, ids=[i + 10 ** 5 for i in payload["ids"]])
-            splice_index_state(spliced, shifted)
+    def test_plan_moving_a_key_twice_rejected(self, small_collection, churn_log_factory):
+        _, sharded = _build_pair(
+            small_collection, churn_log_factory(small_collection, 400), num_shards=3
+        )
+        key = next(key for key, owner in sharded._owner_of_key.items() if owner == 0)
+        twice = RebalancePlan(moves=[KeyMove(key, 0, 1), KeyMove(key, 0, 2)], total_keys=1)
+        sizes = sharded.shard_sizes
+        with pytest.raises(ValidationError, match="twice"):
+            apply_plan(sharded, twice)
+        assert sharded.shard_sizes == sizes
+        sharded.check_invariants()
 
 
 class TestRebalance:
@@ -506,13 +488,13 @@ class TestCommitFailureSafety:
         def explode(*args, **kwargs):
             raise RuntimeError("disk full")
 
-        originals = [shard.index.insert_many_prepared for shard in index.shards]
+        originals = [shard.store.add_many for shard in index.shards]
         for shard in index.shards:
-            shard.index.insert_many_prepared = explode
+            shard.store.add_many = explode
         with pytest.raises(RuntimeError):
             router.flush()
         for shard, original in zip(index.shards, originals):
-            shard.index.insert_many_prepared = original
+            shard.store.add_many = original
         # the commit may have partially applied: retrying would re-claim
         # ids and ingest the rows twice, so the router refuses
         with pytest.raises(ValidationError):

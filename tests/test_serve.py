@@ -156,7 +156,7 @@ class TestGenerationManager:
         # blow up the shard-level commit so flush fails after the rows
         # were buffered in the router
         for shard in manager._engine.backend._index.shards:
-            shard.index.insert_many_prepared = explode
+            shard.store.add_many = explode
         with pytest.raises(RuntimeError, match="mid-commit"):
             manager.commit([_events(6)])
         assert manager.broken is not None
@@ -559,7 +559,7 @@ class TestServerDrain:
             raise RuntimeError("transport failure mid-commit")
 
         for shard in server._generations._engine.backend._index.shards:
-            shard.index.insert_many_prepared = explode
+            shard.store.add_many = explode
         with ServeClient(server.address) as client:
             with pytest.raises(ClusterError, match="mid-commit"):
                 client.ingest(_events(5))

@@ -1,10 +1,13 @@
 """Tests for the sharded scale-out subsystem (repro.shard)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterCoordinator
 from repro.errors import StrandedWritesError, ValidationError
 from repro.shard import (
     KeyPartitioner,
@@ -13,6 +16,7 @@ from repro.shard import (
     ShardedStreamingEstimator,
     ShardRouter,
     merge_strata,
+    rebalance_cluster,
 )
 from repro.shard.partition import signature_shard_hash
 from repro.streaming import (
@@ -218,7 +222,7 @@ class TestRouterFailurePaths:
             raise RuntimeError("disk full")
 
         for shard in index.shards:
-            shard.index.insert_many_prepared = explode
+            shard.store.add_many = explode
         with pytest.raises(RuntimeError):
             router.flush()
         return index, router
@@ -258,7 +262,7 @@ class TestRouterFailurePaths:
             with ShardRouter(index, batch_size=100) as router:
                 router.insert([1.0, 0.0, 0.0, 0.0])
                 for shard in index.shards:
-                    shard.index.insert_many_prepared = explode
+                    shard.store.add_many = explode
                 router.flush()
         # the with-body error stays primary; the close-time stranding is
         # chained context, not a mask
@@ -305,19 +309,61 @@ class TestRouterFailurePaths:
         index.check_invariants()
 
 
+def _assert_strata_identities(sharded):
+    """The merged strata add up, and each shard's size and N_H equal a
+    recount from the live ids, the facade table and the bucket owners."""
+    strata = merge_strata(sharded)
+    assert isinstance(strata, MergedStrata)
+    assert strata.num_collision_pairs == sum(strata.shard_collision_pairs)
+    assert (
+        strata.num_collision_pairs + strata.num_non_collision_pairs
+        == strata.total_pairs
+    )
+    intra_l = sum(strata.shard_intra_non_collision_pairs)
+    assert strata.num_non_collision_pairs == intra_l + strata.cross_shard_pairs
+    assert strata.cross_shard_pairs >= 0
+    _, ids = sharded.to_collection()
+    bucket_sizes = Counter(sharded.primary_table.signature_key(int(i)) for i in ids)
+    sizes = [0] * sharded.num_shards
+    pairs = [0] * sharded.num_shards
+    for key, count in bucket_sizes.items():
+        owner = sharded._owner_of_key[key]
+        sizes[owner] += count
+        pairs[owner] += count * (count - 1) // 2
+    assert strata.shard_sizes == tuple(sizes)
+    assert strata.shard_collision_pairs == tuple(pairs)
+    assert [shard.store.ids().size for shard in sharded.shards] == sizes
+    sharded.check_invariants()
+
+
 class TestMergeLayer:
-    def test_merged_strata_identities(self, churned_pair):
-        _, sharded = churned_pair
-        strata = merge_strata(sharded)
-        assert isinstance(strata, MergedStrata)
-        assert strata.num_collision_pairs == sum(strata.shard_collision_pairs)
-        assert (
-            strata.num_collision_pairs + strata.num_non_collision_pairs
-            == strata.total_pairs
-        )
-        intra_l = sum(strata.shard_intra_non_collision_pairs)
-        assert strata.num_non_collision_pairs == intra_l + strata.cross_shard_pairs
-        assert strata.cross_shard_pairs >= 0
+    @pytest.mark.timeout(240)
+    def test_merged_strata_identities(self, churned_pair, small_collection, churn_log_factory):
+        """After churn, a rebalance and a snapshot round trip, on the
+        sharded and process shapes."""
+        _, churned = churned_pair
+        rebalanced = ShardedMutableIndex.from_state(churned.to_state())
+        rebalance_cluster(rebalanced, num_shards=3)
+        clusters = [ClusterCoordinator(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES,
+            random_state=SEED, request_timeout=30.0,
+        )]
+        try:
+            with ShardRouter(clusters[0], batch_size=32) as router:
+                router.replay(churn_log_factory(small_collection, 200))
+            _assert_strata_identities(clusters[0])
+            rebalance_cluster(clusters[0], num_shards=3)
+            clusters.append(ClusterCoordinator.from_state(
+                clusters[0].to_state(), request_timeout=30.0
+            ))
+            for sharded in (
+                churned, rebalanced, ShardedMutableIndex.from_state(rebalanced.to_state()),
+                *clusters,
+            ):
+                _assert_strata_identities(sharded)
+        finally:
+            for cluster in clusters:
+                cluster.close()
 
     def test_exact_mode_bit_identical(self, churned_pair):
         unsharded, sharded = churned_pair
@@ -397,13 +443,13 @@ class TestSnapshotRestore:
             0.7, random_state=42, mode="exact"
         )
         assert restored.value == original.value
-        # estimators observe the facade: a shard state carrying its own
-        # (as format-1 snapshots did) is refused, not half-adopted
+        # a shard holds rows only: a whole index state in its place (as
+        # format-2 shards carried, tables and all) is refused, not adopted
         state = sharded.to_state()
-        shard = MutableLSHIndex.from_state(state["shards"][0])
-        StreamingEstimator(shard, random_state=7)
+        assert set(state["shards"][0]) == {"dimension", "ids", "matrix"}
+        shard = MutableLSHIndex(sharded.dimension, num_hashes=NUM_HASHES, family=sharded.family)
         state["shards"][0] = shard.to_state()
-        with pytest.raises(ValidationError, match="estimators"):
+        with pytest.raises(ValidationError, match="row-store state"):
             ShardedMutableIndex.from_state(state)
 
     def test_bad_snapshot_rejected(self, tmp_path):
