@@ -177,9 +177,7 @@ def _cluster_throughputs(rows, dimension: float):
             sum(handle.blocked_seconds for handle in cluster._handles) - blocked_before
         )
         coordinator_stage = max(wall - blocked, 1e-9)
-        worker_stage = max(
-            shard.store.worker_ingest_seconds for shard in cluster.shards
-        )
+        worker_stage = max(handle.worker_ingest_seconds for handle in cluster._handles)
         bound = max(coordinator_stage, worker_stage)
         return (
             len(rows) / bound,

@@ -10,7 +10,7 @@ before an integration test has to catch them at runtime::
     repro lint src/                       # via the main CLI
     python -m repro.analysis src/          # standalone
     repro lint src/ --format json          # machine-readable (CI artifact)
-    repro lint src/ --select R003          # one rule
+    repro lint src/ --select R005          # one rule
     repro lint src/ --list-rules           # the rule table
 
 Suppress a finding where the code is deliberately outside a contract::
@@ -19,8 +19,7 @@ Suppress a finding where the code is deliberately outside a contract::
 
 Adding a rule: subclass :class:`~repro.analysis.engine.Rule`, give it an
 ``id``/``name``/``description``, implement ``check_module`` (one file at
-a time) or ``check_project`` (cross-file), and append it to
-:func:`~repro.analysis.rules.default_rules`.
+a time), and append it to :func:`~repro.analysis.rules.default_rules`.
 """
 
 from __future__ import annotations

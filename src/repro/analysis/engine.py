@@ -3,13 +3,9 @@
 The engine is deliberately small and dependency-free: it parses every
 ``.py`` file under the given paths with :mod:`ast`, attaches the raw
 source lines (for pragma detection), and hands the result to each
-enabled :class:`Rule`.  Rules come in two shapes:
-
-* **per-module** rules override :meth:`Rule.check_module` and see one
-  :class:`SourceModule` at a time (most rules);
-* **project** rules override :meth:`Rule.check_project` and see the
-  whole :class:`Project` at once — this is how the protocol-parity rule
-  matches op senders in one file against op handlers in another.
+enabled :class:`Rule`, which overrides :meth:`Rule.check_module` and
+sees one :class:`SourceModule` at a time (with the whole
+:class:`Project` for context).
 
 Suppression is explicit and auditable.  A finding on line *L* is
 suppressed when line *L* carries::
@@ -133,9 +129,6 @@ class Rule:
     description: str = ""
 
     def check_module(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
         return ()
 
     # ------------------------------------------------------------------
@@ -267,7 +260,6 @@ def run_rules(project: Project, rules: Sequence[Rule]) -> Tuple[List[Finding], i
         raw: List[Finding] = []
         for module in project:
             raw.extend(rule.check_module(module, project))
-        raw.extend(rule.check_project(project))
         for finding in raw:
             module = project.module(finding.path)
             if module is not None and module.suppressed(finding):

@@ -10,8 +10,6 @@ R001 seed-discipline         no unseeded/derived-from-wall-clock RNGs
                              in library code outside ``rng.py``
 R002 lock-guard-discipline   attributes written under ``self._lock``
                              are never mutated outside it
-R003 protocol-op-parity      every op sent over the transport has a
-                             handler, every handler has a sender
 R005 pickle-boundary         ``pickle.load(s)`` only in the transport
 R006 all-parity              ``__all__`` matches the public defs
 R007 broad-except            ``except Exception`` must be deliberate
@@ -20,11 +18,14 @@ R010 lock-leak               bare ``.acquire()`` needs a ``finally``-
                              guaranteed ``.release()``
 ==== ======================= ==========================================
 
-Two contracts need no rule because they are declared and checked at
+Three contracts need no rule because they are declared and checked at
 runtime instead: the lock order in
 :data:`repro.analysis.lockdep.LOCK_ORDER` (checked at every acquire
-under ``REPRO_LOCKDEP=1``), and snapshot state in :mod:`repro.state`
-(checked on every restore).
+under ``REPRO_LOCKDEP=1``), snapshot state in :mod:`repro.state`
+(checked on every restore), and the two protocol op tables — the
+``op_*`` methods of :class:`~repro.shard.ops.ShardWorker` and
+``EstimationServer._HANDLERS`` — which tier-1 tests compare with the
+ops their callers send.
 """
 
 from __future__ import annotations
@@ -295,113 +296,6 @@ class LockGuardRule(Rule):
                         f"class {cls.name} but mutated here without one",
                     )
                 )
-        return findings
-
-
-# ----------------------------------------------------------------------
-# R003 — protocol op parity
-# ----------------------------------------------------------------------
-#: reply statuses travel on the same frames but are not request ops
-_REPLY_STATUSES = {"ok", "error", "busy"}
-#: methods whose first string-literal argument is a protocol op
-_SENDER_METHODS = {"request", "send_request", "_request", "_fan_out"}
-
-
-class ProtocolParityRule(Rule):
-    """Every op sent over the transport must be handled, and vice versa.
-
-    Senders: ``conn.request("op", …)`` / ``handle.send_request("op", …)``
-    / ``client._request("op", …)`` / ``coordinator._fan_out("op", …)`` —
-    plus ``conn.send("op", …)`` when the literal is not a reply status
-    (``ok``/``error``/``busy``).
-
-    Handlers: ``op_<name>`` methods on a dispatch class (the
-    ``ShardWorker`` convention: ``handle`` resolves ``op`` strings with
-    ``getattr(self, f"op_{op}")``) and explicit ``op == "name"`` /
-    ``op != "name"`` comparisons (the server/worker loop convention) —
-    the latter only in modules that actually *receive* frames (a
-    ``.recv()``/``recv_message`` call site), so e.g. the change-log
-    parser's ``op == "insert"`` comparisons do not register as protocol
-    handlers.
-
-    A sent op nobody handles is a request that can only produce
-    ``unknown op`` errors at runtime; a handled op nobody sends is dead
-    protocol surface that silently drifts.  The rule is skipped when the
-    linted file set contains no handlers at all (partial scans cannot be
-    assessed).
-    """
-
-    id = "R003"
-    name = "protocol-op-parity"
-    description = (
-        "op literals sent via the transport must match a handler branch, "
-        "and every handled op must have a sender"
-    )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        sent: Dict[str, Tuple[SourceModule, ast.AST]] = {}
-        handled: Dict[str, Tuple[SourceModule, ast.AST]] = {}
-        for module in project:
-            receives_frames = False
-            for call in iter_calls(module.tree):
-                func = call.func
-                if isinstance(func, ast.Attribute) and func.attr in (
-                    "recv", "recv_message"
-                ):
-                    receives_frames = True
-                if isinstance(func, ast.Name) and func.id == "recv_message":
-                    receives_frames = True
-                if not isinstance(func, ast.Attribute) or not call.args:
-                    continue
-                first = call.args[0]
-                if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-                    continue
-                op = first.value
-                if func.attr in _SENDER_METHODS:
-                    sent.setdefault(op, (module, call))
-                elif func.attr == "send" and op not in _REPLY_STATUSES:
-                    sent.setdefault(op, (module, call))
-            for node in ast.walk(module.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node.name.startswith("op_") and node.args.args:
-                        # dispatch-method convention: op_<name>(self, payload)
-                        if node.args.args[0].arg == "self":
-                            handled.setdefault(node.name[3:], (module, node))
-                elif isinstance(node, ast.Compare):
-                    if (
-                        receives_frames
-                        and isinstance(node.left, ast.Name)
-                        and node.left.id == "op"
-                        and len(node.ops) == 1
-                        and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
-                        and isinstance(node.comparators[0], ast.Constant)
-                        and isinstance(node.comparators[0].value, str)
-                    ):
-                        handled.setdefault(
-                            node.comparators[0].value, (module, node)
-                        )
-        if not handled:
-            return []
-        findings: List[Finding] = []
-        for op, (module, node) in sorted(sent.items()):
-            if op not in handled:
-                findings.append(
-                    self.finding(
-                        module, node,
-                        f"protocol op {op!r} is sent but no handler "
-                        "(op_* method or `op == …` branch) exists for it",
-                    )
-                )
-        if sent:
-            for op, (module, node) in sorted(handled.items()):
-                if op not in sent:
-                    findings.append(
-                        self.finding(
-                            module, node,
-                            f"protocol op {op!r} is handled but never sent — "
-                            "dead protocol surface (or the sender drifted)",
-                        )
-                    )
         return findings
 
 
@@ -687,7 +581,6 @@ def default_rules() -> List[Rule]:
     return [
         SeedDisciplineRule(),
         LockGuardRule(),
-        ProtocolParityRule(),
         PickleBoundaryRule(),
         AllParityRule(),
         BroadExceptRule(),
@@ -701,7 +594,6 @@ __all__ = [
     "LockGuardRule",
     "LockLeakRule",
     "PickleBoundaryRule",
-    "ProtocolParityRule",
     "SeedDisciplineRule",
     "default_rules",
     "dotted_name",

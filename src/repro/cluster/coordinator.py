@@ -1,46 +1,46 @@
 """The cluster coordinator: a ``ShardedMutableIndex`` whose shards are processes.
 
 :class:`ClusterCoordinator` subclasses
-:class:`~repro.shard.sharded_index.ShardedMutableIndex` and swaps the
-in-process row stores for **worker processes**: each
-:class:`~repro.shard.sharded_index.IndexShard` holds a
-:class:`RemoteRowStore` over one :mod:`repro.cluster.worker` process,
-which keeps the shard's rows and speaks the length-prefixed pickle
-protocol of :mod:`repro.cluster.transport`.  Everything above the shard
+:class:`~repro.shard.sharded_index.ShardedMutableIndex` and connects each
+shard to a **worker process** (:mod:`repro.cluster.worker`) that serves
+the shard's op table (:class:`~repro.shard.ops.ShardWorker`) over the
+length-prefixed pickle protocol of :mod:`repro.cluster.transport`.  The
+facade's shards are :class:`WorkerHandle` objects, which expose the same
+``send_request`` / ``recv_reply`` pair as an in-process
+:class:`~repro.shard.ops.ShardWorker`, so everything above the shard
 boundary — hashing, bucket-key routing, the global bucket table and its
-owners, SampleH / SampleL, the per-shard counters, rebalance planning,
-the facade estimator and its reservoirs — is inherited *unchanged*,
-which is what keeps every estimate of a process cluster bit-identical
-to an in-process one (and exact-mode estimates to an unsharded
-estimator) for the same seed:
+owners, SampleH / SampleL, the per-shard counters, the one dispatch path
+``_fan_out``, rebalance, snapshot and restore, the facade estimator and
+its reservoirs — is inherited *unchanged*.  That keeps every estimate of
+a process cluster bit-identical to an in-process one (and exact-mode
+estimates to an unsharded estimator) for the same seed:
 
 * the coordinator owns the hash family; a worker holds ids and rows
   only, so no family or signature crosses the wire;
 * every sampling draw runs on the coordinator's global bucket table,
   consuming its generator exactly as in process, so SampleH, SampleL's
   collision tests and the estimator repairs never cost a round trip;
-* the three row seams go over the wire as fan-outs that send every
-  request before awaiting any reply: :meth:`_store_rows`
-  (``insert_prepared``), :meth:`_drop_rows` (``delete``) and
-  :meth:`_fetch_rows` (``gather_rows``).  Every mutating reply carries
-  the worker's row count, which the facade checks against its own count
-  for that shard.
+* a fan-out sends every request before awaiting any reply, so a request
+  to ``S`` workers costs one round-trip latency.
 
-Ingest is where the processes pay off: :meth:`commit_batch` *pipelines*
-a routed batch — every worker receives its slice before any reply is
+What the coordinator adds is the plumbing: spawning or dialling one
+worker per shard (:meth:`ClusterCoordinator._connect`), ``close``,
+``stats`` and the wiring of :meth:`ClusterCoordinator.from_state`.
+
+Ingest is where the processes pay off: ``commit_batch`` *pipelines* a
+routed batch — every worker receives its slice before any reply is
 awaited, and the coordinator performs its own merge bookkeeping while
 the workers store their rows in parallel (real parallelism: separate
 processes, no GIL).
 
 Failure model: every request carries a timeout; a worker that crashed or
 hung raises :class:`~repro.errors.WorkerCrashError` naming the shard
-instead of hanging the coordinator.  A transport failure, or a worker op
-error in a row insert or delete (a commit, a delete or a rebalance
-migration whose other requests may have applied), marks the whole
-cluster *broken*: further operations raise, and :meth:`close` falls back
-from the graceful shutdown handshake to terminating the worker
-processes.  ``close`` is idempotent and always reaps every spawned
-process.
+instead of hanging the coordinator.  A transport failure, or a failed
+mutating fan-out (a commit, a delete or a rebalance migration whose
+other requests may have applied), marks the whole cluster *broken*:
+further operations raise, and :meth:`close` falls back from the graceful
+shutdown handshake to terminating the worker processes.  ``close`` is
+idempotent and always reaps every spawned process.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ import multiprocessing
 import secrets
 import socket
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
-from scipy import sparse
 
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
@@ -65,13 +64,7 @@ from repro.errors import ClusterError, ValidationError, WorkerCrashError
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import current_trace_context, get_tracer, trace
 from repro.rng import RandomState
-from repro.shard.sharded_index import (
-    CSRParts,
-    IndexShard,
-    PreparedBatch,
-    ShardedMutableIndex,
-)
-from repro.streaming.mutable_index import restore_estimator_states
+from repro.shard.sharded_index import PreparedBatch, ShardedMutableIndex
 
 DEFAULT_REQUEST_TIMEOUT = 120.0
 DEFAULT_SPAWN_TIMEOUT = 120.0
@@ -88,7 +81,8 @@ def _default_start_method() -> str:
 
 
 class WorkerHandle:
-    """One worker process/endpoint: connection, liveness, shutdown."""
+    """The shard endpoint of the process shape: one worker's connection,
+    liveness and shutdown."""
 
     def __init__(
         self,
@@ -113,6 +107,8 @@ class WorkerHandle:
         #: worker-reported handler wall time of the most recent reply
         #: (from the reply meta envelope; 0.0 before the first reply)
         self.last_op_seconds = 0.0
+        #: cumulative worker-side ingest compute (``insert_prepared`` replies)
+        self.worker_ingest_seconds = 0.0
         self._coordinator = coordinator
         self._metrics = coordinator.metrics
         self._op_counters: Dict[str, Any] = {}
@@ -137,7 +133,6 @@ class WorkerHandle:
                 f"shard {self.shard_id} worker {self.describe()} is gone "
                 "(earlier transport failure)"
             )
-        self._coordinator._check_usable()
 
     def _fail(self, error: BaseException, op: str) -> None:
         self.broken = True
@@ -178,7 +173,8 @@ class WorkerHandle:
         transport errors mark the worker, and the cluster, broken.
 
         The reply meta envelope is unpacked here: ``seconds`` lands in
-        :attr:`last_op_seconds` (even for error replies) and shipped-back
+        :attr:`last_op_seconds` (even for error replies), and in
+        :attr:`worker_ingest_seconds` for row inserts, and shipped-back
         worker spans are adopted into the coordinator's tracer.
         """
         started = time.perf_counter()
@@ -190,13 +186,11 @@ class WorkerHandle:
             self.blocked_seconds += time.perf_counter() - started
             meta = self.conn.last_meta
             self.last_op_seconds = float(meta.get("seconds", 0.0))
+            if op == "insert_prepared":
+                self.worker_ingest_seconds += self.last_op_seconds
             spans = meta.get("spans")
             if spans:
                 get_tracer().adopt(spans)
-
-    def request(self, op: str, payload: Any = None) -> Any:
-        self.send_request(op, payload)
-        return self.recv_reply(op)
 
     # ------------------------------------------------------------------
     def stop(self, *, graceful: bool = True) -> None:
@@ -216,34 +210,6 @@ class WorkerHandle:
             if self.process.is_alive():  # pragma: no cover - last resort
                 self.process.kill()
                 self.process.join(timeout=1.0)
-
-
-class RemoteRowStore:
-    """The row-store methods the facade calls directly, served by a worker.
-
-    Row inserts, deletes and gathers never come through here: the
-    coordinator's row seams fan those out to every worker at once.
-    """
-
-    def __init__(self, handle: WorkerHandle) -> None:
-        self._handle = handle
-        #: cumulative worker-side ingest compute (from insert replies)
-        self.worker_ingest_seconds = 0.0
-
-    def ids(self) -> np.ndarray:
-        return np.asarray(self._handle.request("ids")["ids"], dtype=np.int64)
-
-    def state(self) -> Dict[str, Any]:
-        return self._handle.request("snapshot")["state"]
-
-    def check_invariants(self) -> None:
-        self._handle.request("check")
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"RemoteRowStore(shard={self._handle.shard_id}, "
-            f"worker={self._handle.describe()})"
-        )
 
 
 class ClusterCoordinator(ShardedMutableIndex):
@@ -286,6 +252,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._init_cluster_plumbing(
+            int(num_shards),
             addresses=addresses,
             token=token,
             request_timeout=request_timeout,
@@ -293,12 +260,6 @@ class ClusterCoordinator(ShardedMutableIndex):
             start_method=start_method,
             metrics=metrics,
         )
-        if self._addresses is not None and len(self._addresses) != int(num_shards):
-            self.close()
-            raise ValidationError(
-                f"got {len(self._addresses)} worker addresses for "
-                f"{num_shards} shards (need exactly one each)"
-            )
         try:
             super().__init__(
                 dimension,
@@ -315,6 +276,7 @@ class ClusterCoordinator(ShardedMutableIndex):
 
     def _init_cluster_plumbing(
         self,
+        num_shards: int,
         *,
         addresses: Optional[Sequence[Union[str, Tuple[str, int]]]],
         token: Optional[str],
@@ -324,14 +286,18 @@ class ClusterCoordinator(ShardedMutableIndex):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._metrics = metrics  # resolved lazily by the `metrics` property
-        self._handles: List[WorkerHandle] = []
-        self._broken: Optional[str] = None
+        self.shards = []
         self._closed = False
         self._addresses = (
             [parse_address(a) if isinstance(a, str) else (str(a[0]), int(a[1])) for a in addresses]
             if addresses
             else None
         )
+        if self._addresses is not None and len(self._addresses) != num_shards:
+            raise ValidationError(
+                f"got {len(self._addresses)} worker addresses for "
+                f"{num_shards} shards (need exactly one each)"
+            )
         self._token = token if token is not None else secrets.token_hex(16)
         self._request_timeout = request_timeout
         self._spawn_timeout = float(spawn_timeout)
@@ -343,25 +309,17 @@ class ClusterCoordinator(ShardedMutableIndex):
             self._listener.settimeout(1.0)
 
     # ------------------------------------------------------------------
-    # lifecycle / failure bookkeeping
+    # lifecycle
     # ------------------------------------------------------------------
+    @property
+    def _handles(self) -> List[WorkerHandle]:
+        """The shards: one worker handle each."""
+        return cast(List[WorkerHandle], self.shards)
+
     def _check_usable(self) -> None:
         if self._closed:
             raise ClusterError("the cluster coordinator is closed")
-        if self._broken is not None:
-            raise ClusterError(
-                f"the cluster is broken ({self._broken}); its state may be "
-                "partially applied — restore a snapshot onto a fresh cluster"
-            )
-
-    def _mark_broken(self, reason: str) -> None:
-        if self._broken is None:
-            self._broken = reason
-
-    @property
-    def broken(self) -> Optional[str]:
-        """Why the cluster became unusable, or ``None`` while healthy."""
-        return self._broken
+        super()._check_usable()
 
     def close(self) -> None:
         """Shut down every worker; idempotent, never hangs.
@@ -409,19 +367,15 @@ class ClusterCoordinator(ShardedMutableIndex):
         awaiting any reply — the fan-out costs one round-trip latency,
         not one per shard.  Returns per-worker rows (size,
         :attr:`WorkerHandle.blocked_seconds`,
-        :attr:`RemoteRowStore.worker_ingest_seconds`) plus a single
+        :attr:`WorkerHandle.worker_ingest_seconds`) plus a single
         merged metrics snapshot: the coordinator's own registry folded
         together with every worker's process-global registry.
         """
-        self._check_usable()
         with trace("cluster.stats", shards=len(self.shards)):
-            replies = self._fan_out(
-                "stats", [(handle, {"metrics": True}) for handle in self._handles]
-            )
+            replies = self._fan_out("stats", self._to_every_shard({"metrics": True}))
             merged = self.metrics.snapshot()
             workers: List[Dict[str, Any]] = []
-            for shard, handle, reply in zip(self.shards, self._handles, replies):
-                reply = dict(reply)
+            for handle, reply in zip(self._handles, replies):
                 worker_metrics = reply.pop("metrics", None)
                 if worker_metrics:
                     merged = merged.merge(MetricsSnapshot.from_dict(worker_metrics))
@@ -433,7 +387,7 @@ class ClusterCoordinator(ShardedMutableIndex):
                     else f"{handle.address[0]}:{handle.address[1]}",
                     "alive": handle.alive,
                     "blocked_seconds": handle.blocked_seconds,
-                    "worker_ingest_seconds": shard.store.worker_ingest_seconds,
+                    "worker_ingest_seconds": handle.worker_ingest_seconds,
                     "size": reply["size"],
                 }
                 workers.append(row)
@@ -536,113 +490,18 @@ class ClusterCoordinator(ShardedMutableIndex):
             shard_id, conn, self, pid=(payload or {}).get("pid"), address=address
         )
 
-    def _connect_worker(self, shard_id: int) -> WorkerHandle:
+    def _connect(self, shard_id: int) -> WorkerHandle:
+        """Spawn (or dial) the worker of one shard; the facade then
+        configures or restores it."""
         if self._addresses is not None:
             return self._connect_external(shard_id)
         return self._spawn_worker(shard_id)
-
-    def _new_shard(self, shard_id: int) -> IndexShard:
-        """Bring up (or dial) one worker and configure its empty row store."""
-        handle = self._connect_worker(shard_id)
-        try:
-            handle.request("configure", {"shard_id": shard_id, "dimension": self.dimension})
-        except BaseException:  # reprolint: disable=R007 - reap the worker whose bootstrap failed before re-raising
-            handle.stop(graceful=False)
-            raise
-        self._handles.append(handle)
-        return IndexShard(shard_id, RemoteRowStore(handle))
 
     def drop_trailing_shards(self, new_total: int) -> None:
         dropped = self._handles[new_total:]
         super().drop_trailing_shards(new_total)  # validates emptiness first
         for handle in dropped:
             handle.stop(graceful=True)
-        del self._handles[new_total:]
-
-    # ------------------------------------------------------------------
-    # the row seams (one batched round trip per shard)
-    # ------------------------------------------------------------------
-    def _fan_out(
-        self,
-        op: str,
-        requests: Sequence[Tuple[WorkerHandle, Any]],
-        *,
-        meanwhile: Optional[Callable[[], None]] = None,
-    ) -> List[Any]:
-        """Send ``op`` with every ``(handle, payload)``, then await every reply.
-
-        ``meanwhile`` runs between the sends and the first await.  A
-        worker op error re-raises only once every reply sent has been
-        read, so no connection is left holding a stale reply.
-        """
-        for handle, payload in requests:
-            handle.send_request(op, payload)
-        if meanwhile is not None:
-            meanwhile()
-        replies: List[Any] = []
-        first_error: Optional[Exception] = None
-        for handle, _payload in requests:
-            try:
-                replies.append(handle.recv_reply(op))
-            except Exception as error:  # reprolint: disable=R007 - read the rest, then re-raise
-                replies.append(None)
-                first_error = first_error or error
-        if first_error is not None:
-            raise first_error
-        return replies
-
-    @contextlib.contextmanager
-    def _breaks_on_failure(self, op: str) -> Iterator[None]:
-        """Mark the cluster broken when a row insert or delete fails: the
-        other requests of the fan-out (or the call) may have applied."""
-        try:
-            yield
-        except Exception as error:  # reprolint: disable=R007 - mark broken and re-raise
-            self._mark_broken(f"{op} failed: {error}")
-            raise
-
-    def _store_rows(
-        self,
-        requests: Sequence[Tuple[int, np.ndarray, sparse.csr_matrix]],
-        *,
-        meanwhile: Optional[Callable[[], None]] = None,
-    ) -> List[int]:
-        with self._breaks_on_failure("insert_prepared"):
-            replies = self._fan_out("insert_prepared", [
-                (self._handles[shard_id], {"ids": ids, "csr": rows})
-                for shard_id, ids, rows in requests
-            ], meanwhile=meanwhile)
-        for shard_id, _ids, _rows in requests:
-            store = self.shards[shard_id].store
-            store.worker_ingest_seconds += self._handles[shard_id].last_op_seconds
-        return [int(reply["size"]) for reply in replies]
-
-    def _drop_rows(self, requests: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
-        with self._breaks_on_failure("delete"):
-            # a list pickles in a tenth of the time of a one-element array
-            replies = self._fan_out("delete", [
-                (self._handles[shard_id], {"ids": ids.tolist()}) for shard_id, ids in requests
-            ])
-        return [int(reply["size"]) for reply in replies]
-
-    def _fetch_rows(
-        self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
-    ) -> List[CSRParts]:
-        replies = self._fan_out("gather_rows", [
-            (self._handles[shard_id], {"ids": ids, "normalized": normalized})
-            for shard_id, ids in requests
-        ])
-        return [
-            (reply["matrix"].data, reply["matrix"].indices, reply["matrix"].indptr)
-            for reply in replies
-        ]
-
-    # ------------------------------------------------------------------
-    # mutation (pipelined through the row seams)
-    # ------------------------------------------------------------------
-    def delete(self, vector_id: int) -> None:
-        self._check_usable()
-        super().delete(vector_id)
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
         """Apply a prepared batch with every worker storing its rows in parallel.
@@ -653,8 +512,9 @@ class ClusterCoordinator(ShardedMutableIndex):
         worker op error) leaves shard slices partially applied, so it
         marks the cluster broken — the router layer above then refuses
         further flushes, exactly like an in-process partial commit.
+        Defined here so the commit of this shape has a name of its own
+        for tracing.
         """
-        self._check_usable()
         return super().commit_batch(batch)
 
     # ------------------------------------------------------------------
@@ -682,6 +542,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         cluster = cls.__new__(cls)
         cluster._restore_facade(state)
         cluster._init_cluster_plumbing(
+            int(state["num_shards"]),
             addresses=addresses,
             token=token,
             request_timeout=request_timeout,
@@ -690,32 +551,11 @@ class ClusterCoordinator(ShardedMutableIndex):
             metrics=metrics,
         )
         try:
-            num_shards = int(state["num_shards"])
-            if cluster._addresses is not None and len(cluster._addresses) != num_shards:
-                raise ValidationError(
-                    f"got {len(cluster._addresses)} worker addresses for a "
-                    f"{num_shards}-shard snapshot"
-                )
-            cluster.shards = []
-            for shard_id, shard_state in enumerate(state["shards"]):
-                handle = cluster._connect_worker(shard_id)
-                cluster._handles.append(handle)
-                reply = handle.request("restore", {"state": shard_state, "shard_id": shard_id})
-                cluster._check_sizes([shard_id], [reply["size"]])
-                cluster.shards.append(IndexShard(shard_id, RemoteRowStore(handle)))
-            restore_estimator_states(cluster, state.get("estimators", ()))
+            cluster._restore_shards(state)
         except BaseException:  # reprolint: disable=R007 - unwind the half-restored cluster before re-raising
             cluster.close()
             raise
         return cluster
-
-    # ------------------------------------------------------------------
-    # verification
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Verify the facade's bookkeeping against every worker's rows."""
-        self._check_usable()
-        super().check_invariants()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         status = "closed" if self._closed else ("broken" if self._broken else "live")
@@ -727,7 +567,6 @@ class ClusterCoordinator(ShardedMutableIndex):
 
 __all__ = [
     "ClusterCoordinator",
-    "RemoteRowStore",
     "WorkerHandle",
     "DEFAULT_REQUEST_TIMEOUT",
 ]

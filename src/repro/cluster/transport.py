@@ -47,7 +47,10 @@ from repro.errors import ClusterError, ReproError, ValidationError, WorkerCrashE
 #: ``insert_prepared`` ids and rows only, ``delete`` an id array and
 #: ``restore`` / ``snapshot`` a row-store state; ``bucket_members`` is gone
 #: and ``ids`` is new.
-PROTOCOL_VERSION = 6
+#: 7: the op table moved to :class:`~repro.shard.ops.ShardWorker`, which
+#: also serves in process; ``gather_rows`` replies with CSR parts
+#: (``data, indices, indptr``) instead of a CSR matrix.
+PROTOCOL_VERSION = 7
 
 #: refuse frames beyond this size (corrupt length prefix / runaway state)
 MAX_FRAME_BYTES = 4 << 30

@@ -1,34 +1,16 @@
-"""The shard worker: one process hosting one shard's rows.
+"""The shard worker process: one process serving one shard's op table.
 
-A worker owns exactly one shard of a multi-process cluster: a
-:class:`~repro.streaming.rowstore.RowStore` with the ids and rows of the
-vectors whose buckets the shard owns.  It holds no hash family, bucket
-table or estimator — the coordinator's facade keeps those.  It speaks
-the length-prefixed pickle protocol of :mod:`repro.cluster.transport`
-and understands a small op set, all of whose payloads are the library's
-existing serialisations:
-
-=====================  ====================================================
-``configure``          build an empty row store of the given dimension
-``restore``            revive the row store from a row-store state
-``snapshot``           return the row-store state
-``insert_prepared``    add a routed batch slice (ids, CSR rows)
-``delete``             remove an array of ids
-``gather_rows``        (normalized) CSR rows of the shard's unique ids, one request per pair batch
-``ids``                the stored ids, ascending (invariant checks)
-``check`` / ``stats``  invariants / row count
-``ping`` / ``shutdown``  liveness / end of session
-=====================  ====================================================
-
-Mutating ops reply with the post-op row count, which the coordinator
-checks against its own count for the shard.  No op draws samples: the
-coordinator samples from its own global bucket table, which keeps every
-estimate bit-identical to an in-process one.
-
-Run modes: :func:`run_spawned_worker` (connect back to the coordinator
-that spawned this process) and :func:`serve` (standalone ``repro
-worker`` — listen on an address, serve one coordinator session at a
-time).
+A worker hosts exactly one shard of a multi-process cluster: a
+:class:`~repro.shard.ops.ShardWorker`, whose ``op_*`` methods are the op
+table of every sharded shape (documented in :mod:`repro.shard.ops`).  It
+holds no hash family, bucket table or estimator — the coordinator's
+facade keeps those.  This module adds what a process needs around that
+table: the serve loop over the length-prefixed pickle protocol of
+:mod:`repro.cluster.transport` (plus ``shutdown``, which ends a
+session), and the run modes: :func:`run_spawned_worker` (connect back to
+the coordinator that spawned this process) and :func:`serve` (standalone
+``repro worker`` — listen on an address, serve one coordinator session
+at a time).
 """
 
 from __future__ import annotations
@@ -47,88 +29,7 @@ from repro.cluster.transport import (
 from repro.errors import ClusterError
 from repro.obs.metrics import get_global_registry
 from repro.obs.tracing import activate_trace_context, get_tracer, trace
-from repro.streaming.rowstore import RowStore
-
-
-class ShardWorker:
-    """Dispatch table + state for one shard-hosting worker process."""
-
-    def __init__(self, shard_id: Optional[int] = None) -> None:
-        self.shard_id = shard_id
-        self.store: Optional[RowStore] = None
-
-    # ------------------------------------------------------------------
-    def _require_store(self) -> RowStore:
-        if self.store is None:
-            raise ClusterError("worker holds no rows yet (send 'configure' or 'restore')")
-        return self.store
-
-    def _stats(self) -> Dict[str, Any]:
-        return {"size": 0 if self.store is None else len(self.store)}
-
-    # ------------------------------------------------------------------
-    # ops
-    # ------------------------------------------------------------------
-    def op_ping(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"pid": os.getpid(), "shard_id": self.shard_id, **self._stats()}
-
-    def op_configure(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if self.store is not None:
-            raise ClusterError("worker is already configured")
-        self.shard_id = int(payload["shard_id"])
-        self.store = RowStore(int(payload["dimension"]))
-        return self._stats()
-
-    def op_restore(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        # revive first: a refused state leaves the served shard untouched
-        store = RowStore.from_state(payload.get("state"))
-        if "shard_id" in payload and payload["shard_id"] is not None:
-            self.shard_id = int(payload["shard_id"])
-        self.store = store
-        return self._stats()
-
-    def op_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"state": self._require_store().state()}
-
-    def op_insert_prepared(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_store().add_many(payload["ids"], payload["csr"])
-        return self._stats()
-
-    def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_store().remove_many(payload["ids"])
-        return self._stats()
-
-    def op_gather_rows(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        store = self._require_store()
-        ids = payload["ids"]
-        matrix = (
-            store.gather_normalized(ids)
-            if payload.get("normalized")
-            else store.gather_raw(ids)
-        )
-        return {"matrix": matrix}
-
-    def op_ids(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"ids": self._require_store().ids()}
-
-    def op_check(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_store().check_invariants()
-        return self._stats()
-
-    def op_stats(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        stats = self._stats()
-        if payload.get("metrics"):
-            # opt-in: the worker's process-global registry (per-op latency
-            # histograms etc.), merged coordinator-side by stats fan-outs
-            stats["metrics"] = get_global_registry().snapshot().to_dict()
-        return stats
-
-    # ------------------------------------------------------------------
-    def handle(self, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        handler = getattr(self, f"op_{op}", None)
-        if handler is None:
-            raise ClusterError(f"unknown worker op {op!r}")
-        return handler(payload or {})
+from repro.shard.ops import ShardWorker
 
 
 def serve_connection(conn: Connection, worker: ShardWorker) -> bool:
@@ -141,7 +42,7 @@ def serve_connection(conn: Connection, worker: ShardWorker) -> bool:
 
     Telemetry lives in the reply *meta* envelope, never the payload: every
     reply carries ``{"seconds": <handler wall time>}`` (this feeds
-    ``RemoteRowStore.worker_ingest_seconds`` and the bench_cluster
+    ``WorkerHandle.worker_ingest_seconds`` and the bench_cluster
     pipeline model), and when the request meta shipped a trace context the
     worker's finished spans ride back as ``{"spans": [...]}`` so the
     coordinator stitches them into the caller's trace tree.  Per-op wall
@@ -301,4 +202,4 @@ def serve(
         listener.close()
 
 
-__all__ = ["ShardWorker", "serve", "serve_connection", "run_spawned_worker"]
+__all__ = ["serve", "serve_connection", "run_spawned_worker"]

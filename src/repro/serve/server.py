@@ -44,7 +44,7 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
@@ -451,23 +451,10 @@ class EstimationServer:
         return "busy", {"reason": reason, "retry_after": self._retry_after}
 
     def _handle(self, op: str, payload: Any) -> Tuple[str, Any]:
-        if op == "estimate":
-            return self._handle_estimate(payload)
-        if op == "ingest":
-            return self._handle_ingest(payload)
-        if op == "flush":
-            return self._handle_flush()
-        if op == "describe":
-            return self._handle_describe()
-        if op == "stats":
-            return self._handle_stats()
-        if op == "ping":
-            return "ok", {
-                "pid": os.getpid(),
-                "epoch": self._generations.epoch,
-                "queue_depth": self._queue.qsize(),
-            }
-        raise ClusterError(f"unknown op {op!r}")
+        handler = self._HANDLERS.get(op)
+        if handler is None:
+            raise ClusterError(f"unknown op {op!r}")
+        return handler(self, payload)
 
     @contextmanager
     def _reading(self) -> Iterator[Tuple[JoinEstimationEngine, int]]:
@@ -559,19 +546,19 @@ class EstimationServer:
             return self._busy("draining")
         return self._enqueue_and_wait(self._sources_from_payload(payload))
 
-    def _handle_flush(self) -> Tuple[str, Any]:
+    def _handle_flush(self, payload: Any) -> Tuple[str, Any]:
         """A write barrier: commits (and publishes) everything queued."""
         if self._stopping.is_set():
             return self._busy("draining")
         return self._enqueue_and_wait([])
 
-    def _handle_describe(self) -> Tuple[str, Any]:
+    def _handle_describe(self, payload: Any) -> Tuple[str, Any]:
         with self._reading() as (engine, epoch):
             described = engine.backend.describe()
         return "ok", {"describe": described, "epoch": epoch,
                       "config": self.config.to_dict()}
 
-    def _handle_stats(self) -> Tuple[str, Any]:
+    def _handle_stats(self, payload: Any) -> Tuple[str, Any]:
         """Serve-aware stats: the server surface + the engine's."""
         with self._reading() as (engine, epoch):
             engine_stats = engine.stats()
@@ -587,6 +574,23 @@ class EstimationServer:
             "pid": os.getpid(),
         }
         return "ok", {"server": server_stats, "engine": engine_stats}
+
+    def _handle_ping(self, payload: Any) -> Tuple[str, Any]:
+        return "ok", {
+            "pid": os.getpid(),
+            "epoch": self._generations.epoch,
+            "queue_depth": self._queue.qsize(),
+        }
+
+    #: the serve protocol: every op a client may send, and its handler
+    _HANDLERS: Dict[str, Callable[["EstimationServer", Any], Tuple[str, Any]]] = {
+        "estimate": _handle_estimate,
+        "ingest": _handle_ingest,
+        "flush": _handle_flush,
+        "describe": _handle_describe,
+        "stats": _handle_stats,
+        "ping": _handle_ping,
+    }
 
 
 __all__ = ["EstimationServer"]

@@ -10,9 +10,13 @@ approximation:
   :class:`KeyPartitioner` (modulo) and :class:`RendezvousPartitioner`
   (highest-random-weight, minimal key movement under resizes).
 * :mod:`~repro.shard.sharded_index` — :class:`ShardedMutableIndex`, one
-  bucket table on the facade and ``S`` shards that hold rows only (each a
-  :class:`~repro.streaming.rowstore.RowStore`) behind a drop-in
-  single-index surface with the query-side merge layer built in.
+  bucket table on the facade and ``S`` shards that hold rows only behind
+  a drop-in single-index surface with the query-side merge layer built
+  in.
+* :mod:`~repro.shard.ops` — :class:`ShardWorker`, the op table of one
+  shard (a :class:`~repro.streaming.rowstore.RowStore` and its ops): the
+  one interface the facade uses, called in process or served by a
+  worker process of :mod:`repro.cluster`.
 * :mod:`~repro.shard.router` — :class:`ShardRouter`, the buffered write
   path: batch hashing, bucket-key partitioning, and one row slice per
   shard on top of ``insert_many``; replays
@@ -29,6 +33,7 @@ approximation:
 """
 
 from repro.shard.merge import MergedStrata, ShardedStreamingEstimator, merge_strata
+from repro.shard.ops import ShardWorker
 from repro.shard.partition import (
     KeyPartitioner,
     RendezvousPartitioner,
@@ -42,15 +47,15 @@ from repro.shard.rebalance import (
     rebalance_cluster,
 )
 from repro.shard.router import ShardRouter
-from repro.shard.sharded_index import IndexShard, PreparedBatch, ShardedMutableIndex
+from repro.shard.sharded_index import PreparedBatch, ShardedMutableIndex
 
 __all__ = [
     "KeyPartitioner",
     "RendezvousPartitioner",
     "resolve_partitioner",
-    "IndexShard",
     "PreparedBatch",
     "ShardedMutableIndex",
+    "ShardWorker",
     "ShardRouter",
     "MergedStrata",
     "merge_strata",

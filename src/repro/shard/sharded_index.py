@@ -2,9 +2,9 @@
 
 :class:`ShardedMutableIndex` partitions the bucket-key space of one
 mutable LSH table across ``S`` shards.  The facade owns the table and
-the hash family; a shard is an :class:`IndexShard` holding a
-:class:`~repro.streaming.rowstore.RowStore` — the ids and rows of the
-vectors whose buckets it owns, and nothing else.
+the hash family; a shard holds only the ids and rows of the vectors
+whose buckets it owns, served through the op table of
+:class:`~repro.shard.ops.ShardWorker`.
 
 The facade exposes the full single-index surface — ``insert`` /
 ``insert_many`` / ``delete``, observers, SampleH / SampleL, per-pair
@@ -26,13 +26,16 @@ cosine — with the *merge layer* built in:
   process-backed :class:`~repro.cluster.ClusterCoordinator` share one
   code path that never asks a shard.  SampleH / SampleL themselves are
   the shared primitives of :mod:`repro.lsh.table`;
-* only rows live on the shards, reached through three row seams —
-  :meth:`ShardedMutableIndex._store_rows`, :meth:`~ShardedMutableIndex._drop_rows`
-  and :meth:`~ShardedMutableIndex._fetch_rows` — which the coordinator
-  overrides with fan-outs to its worker processes.  A ``cosine_pairs``
-  call deduplicates the ids of both sides, maps them to shards through
-  an id-indexed array, asks each owning shard once for its unique rows
-  and lays them out in pair order with segment positions.
+* every shard request — row inserts, deletes and gathers, snapshots,
+  restores, invariant checks and rebalance moves — goes through one
+  dispatch path, :meth:`ShardedMutableIndex._fan_out`, to endpoints that
+  all expose ``send_request`` / ``recv_reply``: a
+  :class:`~repro.shard.ops.ShardWorker` in process, a worker-process
+  handle in the process shape.  A ``cosine_pairs`` call deduplicates the
+  ids of both sides, maps them to shards through an id-indexed array,
+  asks each owning shard once for its unique rows and lays them out in
+  pair order with segment positions.  A failed mutating request marks
+  the index broken on both shapes.
 
 Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
 constructed over the facade — which is what
@@ -61,6 +64,7 @@ from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_re
 from repro.obs.tracing import trace
 from repro.lsh.table import sample_rejected_pairs, uniform_pairs_of
 from repro.rng import RandomState
+from repro.shard.ops import ShardEndpoint, ShardWorker
 from repro.shard.partition import (
     Partitioner,
     key_signature_matrix,
@@ -84,7 +88,6 @@ from repro.streaming.mutable_index import (
 from repro.streaming.rowstore import (
     _MAX_ID,
     ROW_STORE_STATE,
-    RowStore,
     pairwise_cosine,
     segment_positions,
 )
@@ -117,17 +120,8 @@ SHARDED_STATE = StateSpec(
     optional=("estimators",),
 )
 
-
-@dataclass
-class IndexShard:
-    """One shard: the rows of the vectors whose buckets it owns.
-
-    ``store`` is a :class:`~repro.streaming.rowstore.RowStore` in process;
-    the multi-process coordinator's shards hold a proxy to a worker's.
-    """
-
-    shard_id: int
-    store: Any
+#: ops whose failure may leave a fan-out's other requests applied
+_MUTATING_OPS = frozenset({"configure", "restore", "insert_prepared", "delete"})
 
 
 @dataclass
@@ -162,6 +156,9 @@ class ShardedMutableIndex:
         pre-built instance covering ``num_shards`` shards.
     """
 
+    #: why the index became unusable (set once, by :meth:`_mark_broken`)
+    _broken: Optional[str] = None
+
     def __init__(
         self,
         dimension: int,
@@ -183,7 +180,7 @@ class ShardedMutableIndex:
         #: the buckets each shard owns); written wherever the table is
         self._shard_sizes: List[int] = []
         self._shard_collision_pairs: List[int] = []
-        self.shards: List[IndexShard] = []
+        self.shards: List[ShardEndpoint] = []
         self.add_shards(num_shards)
         #: id-indexed owning shard (-1 = not live); written on every write
         #: path (insert, delete, restore, rebalance), only read by queries
@@ -256,9 +253,9 @@ class ShardedMutableIndex:
     # ------------------------------------------------------------------
     # shard management (construction + rebalance substrate)
     # ------------------------------------------------------------------
-    def _new_shard(self, shard_id: int) -> IndexShard:
-        """An empty shard: a row store of the cluster's dimension."""
-        return IndexShard(shard_id, RowStore(self.dimension))
+    def _connect(self, shard_id: int) -> ShardEndpoint:
+        """The endpoint of a new shard, before its ``configure`` or ``restore``."""
+        return ShardWorker(shard_id)
 
     def add_shards(self, new_total: int) -> None:
         """Grow the cluster to ``new_total`` (empty) shards.
@@ -273,9 +270,13 @@ class ShardedMutableIndex:
                 f"({len(self.shards)} → {new_total}); use a rebalance"
             )
         while len(self.shards) < new_total:
-            self.shards.append(self._new_shard(len(self.shards)))
+            shard_id = len(self.shards)
+            self.shards.append(self._connect(shard_id))
             self._shard_sizes.append(0)
             self._shard_collision_pairs.append(0)
+            self._fan_out(
+                "configure", [(shard_id, {"shard_id": shard_id, "dimension": self.dimension})]
+            )
 
     def drop_trailing_shards(self, new_total: int) -> None:
         """Shrink the cluster to ``new_total`` shards; the rest must be empty."""
@@ -366,7 +367,7 @@ class ShardedMutableIndex:
             self._shard_of_id = grown
         self._shard_of_id[ids] = shard_ids
 
-    def shard_of(self, vector_id: int) -> IndexShard:
+    def shard_of(self, vector_id: int) -> ShardEndpoint:
         """The shard holding a live vector."""
         return self.shards[int(self._owners(np.asarray([vector_id], dtype=np.int64))[0])]
 
@@ -388,8 +389,65 @@ class ShardedMutableIndex:
             pass
 
     # ------------------------------------------------------------------
-    # the row seams (the multi-process coordinator overrides all three)
+    # the one dispatch path to the shards
     # ------------------------------------------------------------------
+    @property
+    def broken(self) -> Optional[str]:
+        """Why the index became unusable, or ``None`` while healthy."""
+        return self._broken
+
+    def _mark_broken(self, reason: str) -> None:
+        if self._broken is None:
+            self._broken = reason
+
+    def _check_usable(self) -> None:
+        if self._broken is not None:
+            raise ClusterError(
+                f"the cluster is broken ({self._broken}); its state may be "
+                "partially applied — restore a snapshot onto a fresh cluster"
+            )
+
+    def _to_every_shard(self, payload: Any = None) -> List[Tuple[int, Any]]:
+        return [(shard_id, payload) for shard_id in range(self.num_shards)]
+
+    def _fan_out(
+        self,
+        op: str,
+        requests: Sequence[Tuple[int, Any]],
+        *,
+        meanwhile: Optional[Callable[[], None]] = None,
+    ) -> List[Any]:
+        """Send ``op`` with every ``(shard_id, payload)``, then await every reply.
+
+        ``meanwhile`` runs between the sends and the first await (worker
+        processes store their rows meanwhile).  A reply error re-raises
+        only once every reply sent has been read, so no connection is
+        left holding a stale reply.  A failed mutating op marks the index
+        broken: the fan-out's other requests (or the call) may have applied.
+        """
+        self._check_usable()
+        endpoints = [self.shards[shard_id] for shard_id, _payload in requests]
+        try:
+            for endpoint, (_shard_id, payload) in zip(endpoints, requests):
+                endpoint.send_request(op, payload)
+            if meanwhile is not None:
+                meanwhile()
+            replies: List[Any] = []
+            first_error: Optional[Exception] = None
+            for endpoint in endpoints:
+                try:
+                    replies.append(endpoint.recv_reply(op))
+                except Exception as error:  # reprolint: disable=R007 - read the rest, then re-raise
+                    replies.append(None)
+                    first_error = first_error or error
+            if first_error is not None:
+                raise first_error
+        except Exception as error:  # reprolint: disable=R007 - mark broken and re-raise
+            if op in _MUTATING_OPS:
+                self._mark_broken(f"{op} failed: {error}")
+            raise
+        return replies
+
     def _store_rows(
         self,
         requests: Sequence[Tuple[int, np.ndarray, sparse.csr_matrix]],
@@ -398,37 +456,22 @@ class ShardedMutableIndex:
     ) -> List[int]:
         """Add the rows of each ``(shard_id, ids, rows)`` request to its shard.
 
-        ``meanwhile`` runs once the rows are handed over (the coordinator
-        overlaps it with the workers' inserts).  Returns each shard's row
-        count after its request, for :meth:`_check_sizes`.
+        Returns each shard's row count after its request, for
+        :meth:`_check_sizes`.
         """
-        sizes = []
-        for shard_id, ids, rows in requests:
-            store = self.shards[shard_id].store
-            store.add_many(ids, rows)
-            sizes.append(len(store))
-        if meanwhile is not None:
-            meanwhile()
-        return sizes
+        replies = self._fan_out("insert_prepared", [
+            (shard_id, {"ids": ids, "csr": rows}) for shard_id, ids, rows in requests
+        ], meanwhile=meanwhile)
+        return [int(reply["size"]) for reply in replies]
 
     def _drop_rows(self, requests: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
         """Remove the rows of each ``(shard_id, ids)`` request; returns the
         shards' row counts after their requests."""
-        sizes = []
-        for shard_id, ids in requests:
-            store = self.shards[shard_id].store
-            store.remove_many(ids)
-            sizes.append(len(store))
-        return sizes
-
-    def _fetch_rows(
-        self, requests: Sequence[Tuple[int, np.ndarray]], *, normalized: bool
-    ) -> List[CSRParts]:
-        """CSR parts of the rows of each ``(shard_id, ids)`` request."""
-        return [
-            self.shards[shard_id].store.csr_parts(ids, normalized=normalized)
-            for shard_id, ids in requests
-        ]
+        # a list pickles in a tenth of the time of a one-element array
+        replies = self._fan_out(
+            "delete", [(shard_id, {"ids": ids.tolist()}) for shard_id, ids in requests]
+        )
+        return [int(reply["size"]) for reply in replies]
 
     def _check_sizes(self, shard_ids: Sequence[int], sizes: Sequence[int]) -> None:
         """Refuse a shard whose reported row count differs from the facade's."""
@@ -636,12 +679,12 @@ class ShardedMutableIndex:
         owners = self._owners(unique)
         order = np.argsort(owners, kind="stable")
         bounds = np.searchsorted(owners[order], np.arange(self.num_shards + 1))
-        requests = [
-            (shard_id, unique[order[start:stop]])
+        replies = self._fan_out("gather_rows", [
+            (shard_id, {"ids": unique[order[start:stop]], "normalized": normalized})
             for shard_id, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
             if stop > start
-        ]
-        parts = self._fetch_rows(requests, normalized=normalized)
+        ])
+        parts: List[CSRParts] = [reply["parts"] for reply in replies]
         # the fetched rows in `order`, as one pool with an extent per unique id
         data = np.concatenate([part[0] for part in parts])
         indices = np.concatenate([part[1] for part in parts])
@@ -728,12 +771,10 @@ class ShardedMutableIndex:
         counters = (self._shard_sizes, self._shard_collision_pairs)
         if self._recount_shards(self.num_shards) != counters:
             raise AssertionError("per-shard size / N_H counters drifted")
-        for shard in self.shards:
-            shard.store.check_invariants()
-            if not np.array_equal(
-                shard.store.ids(), np.flatnonzero(self._shard_of_id == shard.shard_id)
-            ):
-                raise AssertionError(f"shard {shard.shard_id} holds other rows than its ids")
+        self._fan_out("check", self._to_every_shard())
+        for shard_id, reply in enumerate(self._fan_out("ids", self._to_every_shard())):
+            if not np.array_equal(reply["ids"], np.flatnonzero(self._shard_of_id == shard_id)):
+                raise AssertionError(f"shard {shard_id} holds other rows than its ids")
 
     # ------------------------------------------------------------------
     # snapshot / restore (checkpointing substrate)
@@ -759,7 +800,7 @@ class ShardedMutableIndex:
                 (key, members, self._owner_of_key[key])
                 for key, members in self._table.bucket_state()
             ],
-            shards=[shard.store.state() for shard in self.shards],
+            shards=[reply["state"] for reply in self._fan_out("snapshot", self._to_every_shard())],
             estimators=collect_estimator_states(self._observers),
         )
 
@@ -772,19 +813,15 @@ class ShardedMutableIndex:
         """
         sharded = cls.__new__(cls)
         sharded._restore_facade(state)
-        sharded.shards = [
-            IndexShard(shard_id, RowStore.from_state(shard_state))
-            for shard_id, shard_state in enumerate(cast(Sequence[Any], state["shards"]))
-        ]
-        restore_estimator_states(sharded, state.get("estimators", ()))
+        sharded._restore_shards(state)
         return sharded
 
     def _restore_facade(self, state: Mapping[str, object]) -> None:
         """Check a snapshot whole and restore everything but the shards.
 
-        Shared with the cluster restore, which runs it before any worker
-        is spawned: a snapshot whose shard assignments, shard rows or
-        bucket owners disagree is refused here, not half-adopted.
+        The cluster restore runs it before any worker is spawned: a
+        snapshot whose shard assignments, shard rows or bucket owners
+        disagree is refused here, not half-adopted.
         """
         SHARDED_STATE.check(state)
         num_shards = int(cast(int, state["num_shards"]))
@@ -835,6 +872,20 @@ class ShardedMutableIndex:
         self._observers = []
         self._refresh_owner_alignment()
 
+    def _restore_shards(self, state: Mapping[str, object]) -> None:
+        """Connect one endpoint per shard, restore all their rows in one
+        fan-out, then the facade estimators (after :meth:`_restore_facade`)."""
+        shard_states = cast(Sequence[Any], state["shards"])
+        self.shards = []
+        for shard_id in range(len(shard_states)):
+            self.shards.append(self._connect(shard_id))
+        replies = self._fan_out("restore", [
+            (shard_id, {"state": shard_state, "shard_id": shard_id})
+            for shard_id, shard_state in enumerate(shard_states)
+        ])
+        self._check_sizes(range(len(shard_states)), [reply["size"] for reply in replies])
+        restore_estimator_states(self, state.get("estimators", ()))
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"ShardedMutableIndex(n={self.size}, shards={self.num_shards}, "
@@ -842,4 +893,4 @@ class ShardedMutableIndex:
         )
 
 
-__all__ = ["IndexShard", "PreparedBatch", "ShardedMutableIndex"]
+__all__ = ["PreparedBatch", "ShardedMutableIndex"]

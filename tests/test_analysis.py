@@ -195,112 +195,6 @@ class TestLockGuard:
 
 
 # ----------------------------------------------------------------------
-# R003 — protocol op parity
-# ----------------------------------------------------------------------
-SENDER_MODULE = """\
-class Client:
-    def ping(self):
-        return self.conn.request("ping")
-
-    def evict(self):
-        return self.conn.request("evict")
-"""
-
-HANDLER_MODULE = """\
-class Worker:
-    def op_ping(self, payload):
-        return {}
-"""
-
-
-class TestProtocolParity:
-    def test_sent_without_handler_flagged(self, tmp_path):
-        (tmp_path / "client.py").write_text(SENDER_MODULE, encoding="utf-8")
-        (tmp_path / "worker.py").write_text(HANDLER_MODULE, encoding="utf-8")
-        report = lint_paths([str(tmp_path)], select=["R003"])
-        assert rule_ids(report) == ["R003"]
-        assert "'evict'" in report.findings[0].message
-        assert report.findings[0].path.endswith("client.py")
-
-    def test_handled_without_sender_flagged(self, tmp_path):
-        (tmp_path / "client.py").write_text(
-            "class Client:\n"
-            "    def ping(self):\n"
-            "        return self.conn.request(\"ping\")\n",
-            encoding="utf-8",
-        )
-        (tmp_path / "worker.py").write_text(
-            HANDLER_MODULE + "\n    def op_orphan(self, payload):\n        return {}\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([str(tmp_path)], select=["R003"])
-        assert rule_ids(report) == ["R003"]
-        assert "'orphan'" in report.findings[0].message
-
-    def test_comparison_handlers_need_recv_evidence(self, tmp_path):
-        # `op == "insert"` in a module that never receives frames is a
-        # parser, not a protocol handler (the change-log event format)
-        (tmp_path / "events.py").write_text(
-            "def parse(op, payload):\n"
-            "    if op == \"insert\":\n"
-            "        return payload\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([str(tmp_path)], select=["R003"])
-        assert report.findings == []
-
-    def test_comparison_handler_with_recv_counts(self, tmp_path):
-        (tmp_path / "server.py").write_text(
-            "def serve(conn):\n"
-            "    op, payload = conn.recv()\n"
-            "    if op == \"ping\":\n"
-            "        conn.send(\"ok\", {})\n",
-            encoding="utf-8",
-        )
-        (tmp_path / "client.py").write_text(
-            "def ping(conn):\n"
-            "    return conn.request(\"ping\")\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([str(tmp_path)], select=["R003"])
-        assert report.findings == []
-
-    def test_reply_statuses_are_not_ops(self, tmp_path):
-        (tmp_path / "server.py").write_text(
-            "def serve(conn):\n"
-            "    op, payload = conn.recv()\n"
-            "    if op == \"ping\":\n"
-            "        conn.send(\"ok\", {})\n"
-            "        conn.send(\"error\", {})\n",
-            encoding="utf-8",
-        )
-        (tmp_path / "client.py").write_text(
-            "def ping(conn):\n"
-            "    return conn.request(\"ping\")\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([str(tmp_path)], select=["R003"])
-        assert report.findings == []
-
-    def test_skipped_when_no_handlers_in_scan(self, tmp_path):
-        report = lint_source(tmp_path, SENDER_MODULE, select=["R003"])
-        assert report.findings == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        (tmp_path / "client.py").write_text(
-            "class Client:\n"
-            "    def evict(self):\n"
-            "        return self.conn.request(\"evict\")  # reprolint: disable=R003 - next protocol rev\n",
-            encoding="utf-8",
-        )
-        (tmp_path / "worker.py").write_text(HANDLER_MODULE, encoding="utf-8")
-        report = lint_paths([str(tmp_path)], select=["R003"])
-        # the orphaned op_ping handler still reports; the sent-op is waived
-        assert all("'evict'" not in f.message for f in report.findings)
-        assert report.suppressed == 1
-
-
-# ----------------------------------------------------------------------
 # R005 — pickle boundary
 # ----------------------------------------------------------------------
 class TestPickleBoundary:

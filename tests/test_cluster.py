@@ -7,13 +7,15 @@ coordinator must fail the test quickly, never hang the suite.
 
 import itertools
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from repro.cluster import ClusterCoordinator, ProcessBackend, parse_address
+from repro.cluster import ClusterCoordinator, ProcessBackend, WorkerHandle, parse_address
 from repro.cluster import worker as worker_module
 from repro.engine import EngineConfig, JoinEstimationEngine, available_backends
 from repro.errors import (
@@ -27,6 +29,7 @@ from repro.shard import (
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
+    ShardWorker,
     rebalance_cluster,
 )
 from repro.streaming import ChangeLog, Delete, Insert, MutableLSHIndex, StreamingEstimator
@@ -315,8 +318,13 @@ class TestClusterFailurePaths:
         # the worker keeps serving its shard
         with ClusterCoordinator(8, num_shards=2, num_hashes=4, **FAST) as cluster:
             handle = cluster._handles[1]
+
+            def request(op, payload=None):
+                handle.send_request(op, payload)
+                return handle.recv_reply(op)
+
             with pytest.raises(ValidationError, match="not in"):
-                handle.request("delete", {"ids": [12345]})
+                request("delete", {"ids": [12345]})
             # per-shard estimator ops, worker-side sampling and the shard
             # bucket table are gone
             for op in (
@@ -324,8 +332,8 @@ class TestClusterFailurePaths:
                 "bucket_members",
             ):
                 with pytest.raises(ClusterError, match="unknown worker op"):
-                    handle.request(op, {"stratum": "l"})
-            assert handle.request("ping")["shard_id"] == 1
+                    request(op, {"stratum": "l"})
+            assert request("ping")["shard_id"] == 1
 
     def test_option_validation(self):
         # conflicting shard-count aliases are rejected when the backend opens
@@ -394,14 +402,14 @@ class TestStandaloneWorkers:
         # shard 1's worker refuses its configure: the refusal surfaces as
         # the same library type, the failed worker is reaped, and the
         # half-built coordinator releases shard 0's configured worker too
-        configure = worker_module.ShardWorker.op_configure
+        configure = ShardWorker.op_configure
 
         def refuse_shard_1(worker, payload):
             if payload["shard_id"] == 1:
                 raise ValidationError("shard 1 refuses its configuration")
             return configure(worker, payload)
 
-        monkeypatch.setattr(worker_module.ShardWorker, "op_configure", refuse_shard_1)
+        monkeypatch.setattr(ShardWorker, "op_configure", refuse_shard_1)
         threads_addresses = [self._start_worker(once=True) for _ in range(2)]
         addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
         with pytest.raises(ValidationError, match="refuses its configuration"):
@@ -448,7 +456,7 @@ class TestStandaloneWorkers:
         # is applied: the commit must read shard 1's reply too (no stale
         # reply left on its connection) and mark the half-applied cluster
         # broken, so the next query says so instead of misreading a reply
-        insert = worker_module.ShardWorker.op_insert_prepared
+        insert = ShardWorker.op_insert_prepared
         shard0_calls = itertools.count()
 
         def fail_shard0_once(worker, payload):
@@ -456,7 +464,7 @@ class TestStandaloneWorkers:
                 raise ValidationError("injected insert failure")
             return insert(worker, payload)
 
-        monkeypatch.setattr(worker_module.ShardWorker, "op_insert_prepared", fail_shard0_once)
+        monkeypatch.setattr(ShardWorker, "op_insert_prepared", fail_shard0_once)
         threads_addresses = [self._start_worker(once=True) for _ in range(2)]
         addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
         cluster = ClusterCoordinator(
@@ -488,7 +496,7 @@ class TestStandaloneWorkers:
         # the migration's row inserts fail on the workers after the
         # gathers: rows may now sit on two shards, so the cluster is
         # marked broken and the next estimate says so
-        insert = worker_module.ShardWorker.op_insert_prepared
+        insert = ShardWorker.op_insert_prepared
         migrating = threading.Event()
 
         def fail_while_migrating(worker, payload):
@@ -496,7 +504,7 @@ class TestStandaloneWorkers:
                 raise ValidationError("injected migration failure")
             return insert(worker, payload)
 
-        monkeypatch.setattr(worker_module.ShardWorker, "op_insert_prepared", fail_while_migrating)
+        monkeypatch.setattr(ShardWorker, "op_insert_prepared", fail_while_migrating)
         threads_addresses = [self._start_worker(once=True) for _ in range(2)]
         addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
         cluster = ClusterCoordinator(
@@ -619,6 +627,89 @@ class TestFacadeRowPath:
             _close(facade)
 
 
+class TestOneDispatchPath:
+    """Both sharded shapes reach their shards only through the facade's
+    fan-out, with the ops of one table: ``ShardWorker``'s ``op_*`` methods."""
+
+    @staticmethod
+    def _record(monkeypatch, endpoint_class):
+        """Count every request an endpoint class sends, per op and shard."""
+        sent = Counter()
+        send_request = endpoint_class.send_request
+
+        def recording(endpoint, op, payload=None):
+            sent[op, endpoint.shard_id] += 1
+            send_request(endpoint, op, payload)
+
+        monkeypatch.setattr(endpoint_class, "send_request", recording)
+        return sent
+
+    @staticmethod
+    def _drive(index, collection):
+        """Bulk load, churn batches, one rebalance and exact estimates."""
+        index.insert_many(collection.matrix[:120])
+        with ShardRouter(index, batch_size=16) as router:
+            for position in range(120, 180):
+                router.insert(collection.row(position))
+                if position % 3 == 0:
+                    router.delete(position - 110)
+        rebalance_cluster(index, num_shards=3)
+        estimator = ShardedStreamingEstimator(index)
+        return [
+            estimator.estimate(THRESHOLD, random_state=seed, mode="exact").value
+            for seed in (1, 2)
+        ]
+
+    @pytest.mark.timeout(180)
+    def test_both_shapes_send_the_same_requests(self, monkeypatch, small_collection):
+        in_process = self._record(monkeypatch, ShardWorker)
+        over_the_wire = self._record(monkeypatch, WorkerHandle)
+        registry = MetricsRegistry()
+        shape = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED,
+                     partitioner="rendezvous")
+        ours = self._drive(
+            ShardedMutableIndex(small_collection.dimension, **shape), small_collection
+        )
+        cluster = ClusterCoordinator(
+            small_collection.dimension, metrics=registry, **shape, **FAST
+        )
+        try:
+            theirs = self._drive(cluster, small_collection)
+        finally:
+            cluster.close()
+        assert ours == theirs
+        assert in_process == over_the_wire
+        per_op = Counter()
+        for (op, _shard_id), count in over_the_wire.items():
+            per_op[op] += count
+        assert set(per_op) == {"configure", "insert_prepared", "delete", "gather_rows"}
+        for op, count in per_op.items():
+            assert registry.counter("cluster_requests_total", op=op).value == count
+
+    @pytest.mark.timeout(120)
+    def test_every_op_sent_is_in_the_table_and_every_op_is_sent(
+        self, monkeypatch, small_collection
+    ):
+        in_process = self._record(monkeypatch, ShardWorker)
+        over_the_wire = self._record(monkeypatch, WorkerHandle)
+        index = ShardedMutableIndex(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=SEED
+        )
+        self._drive(index, small_collection)
+        index.insert(small_collection.row(200))
+        index.delete(0)
+        ShardedMutableIndex.from_state(index.to_state()).check_invariants()
+        with ClusterCoordinator(
+            small_collection.dimension, num_shards=1, num_hashes=NUM_HASHES, **FAST
+        ) as cluster:
+            cluster.stats()
+        sent = {op for op, _shard_id in in_process} | {op for op, _shard_id in over_the_wire}
+        table = {name[len("op_"):] for name in vars(ShardWorker) if name.startswith("op_")}
+        assert sent <= table
+        # `ping` is the liveness op tests send to a worker directly
+        assert table - sent == {"ping"}
+
+
 class TestShardWorkerOps:
     """Protocol-level tests of the worker dispatch, driven in process.
 
@@ -628,7 +719,7 @@ class TestShardWorkerOps:
 
     @staticmethod
     def _configured_worker():
-        worker = worker_module.ShardWorker()
+        worker = ShardWorker()
         stats = worker.handle("configure", {"shard_id": 0, "dimension": 6})
         assert stats == {"size": 0}
         return worker
@@ -642,8 +733,6 @@ class TestShardWorkerOps:
 
     @staticmethod
     def _insert(worker, rows, first_id=0):
-        from scipy import sparse
-
         csr = sparse.csr_matrix(np.asarray(rows, dtype=float))
         ids = np.arange(first_id, first_id + csr.shape[0], dtype=np.int64)
         return worker.handle("insert_prepared", {"ids": ids, "csr": csr})
@@ -675,18 +764,18 @@ class TestShardWorkerOps:
         rows = [[1.0, 0, 0, 0, 0, 0]] * 3 + [[0, 1.0, 0, 0, 0, 0]]
         self._insert(worker, rows, first_id=5)
         assert worker.handle("ids", {})["ids"].tolist() == [5, 6, 7, 8]
-        gathered = worker.handle(
+        data, indices, indptr = worker.handle(
             "gather_rows", {"ids": np.asarray([8, 5]), "normalized": True}
-        )["matrix"]
-        assert gathered.shape == (2, 6)
-        assert gathered.toarray()[0].tolist() == [0, 1.0, 0, 0, 0, 0]
+        )["parts"]
+        gathered = sparse.csr_matrix((data, indices, indptr), shape=(2, 6))
+        assert gathered.toarray().tolist() == [[0, 1.0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]]
 
     def test_snapshot_restore_and_removed_estimator_ops(self):
         worker = self._configured_worker()
         self._insert(worker, np.eye(6) + 0.2)
         state = worker.handle("snapshot", {})["state"]
         assert set(state) == {"dimension", "ids", "matrix"}
-        revived = worker_module.ShardWorker()
+        revived = ShardWorker()
         stats = revived.handle("restore", {"state": state, "shard_id": 1})
         assert stats["size"] == 6 and revived.shard_id == 1
         revived.handle("check", {})
@@ -702,7 +791,7 @@ class TestShardWorkerOps:
         assert revived.handle("check", {})["size"] == 6
 
     def test_unconfigured_and_unknown_ops_fail_cleanly(self):
-        worker = worker_module.ShardWorker()
+        worker = ShardWorker()
         with pytest.raises(ClusterError):
             worker.handle("stats_snapshot", {})  # unknown op
         with pytest.raises(ClusterError):

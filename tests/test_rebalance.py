@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StrandedWritesError, ValidationError
+from repro.errors import ClusterError, StrandedWritesError, ValidationError
 from repro.shard import (
     KeyMove,
     KeyPartitioner,
@@ -505,5 +505,7 @@ class TestCommitFailureSafety:
             router.close()
         assert len(excinfo.value.pending_rows) == 3
         router.close()  # rows were drained into the error: now idempotent
-        index.check_invariants()
+        # the failed commit marked the index broken: no check runs on it
+        with pytest.raises(ClusterError, match="broken"):
+            index.check_invariants()
         assert index.size == 0

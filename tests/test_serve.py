@@ -271,6 +271,36 @@ class TestServerRoundtrip:
             assert pong["pid"] == os.getpid()
 
     @pytest.mark.timeout(60)
+    def test_client_sends_exactly_the_server_op_table(self, server, monkeypatch):
+        """Every public client method sends an op of the server's declared
+        table, and every op in that table has a client method."""
+        sent = set()
+        request = ServeClient._request
+
+        def recording(client, op, *args, **kwargs):
+            sent.add(op)
+            return request(client, op, *args, **kwargs)
+
+        monkeypatch.setattr(ServeClient, "_request", recording)
+        calls = {
+            "ingest": lambda client: client.ingest(_events(5)),
+            "flush": lambda client: client.flush(),
+            "estimate": lambda client: client.estimate(THRESHOLD, seed=1, mode="exact"),
+            "describe": lambda client: client.describe(),
+            "stats": lambda client: client.stats(),
+            "ping": lambda client: client.ping(),
+        }
+        public = {
+            name for name, member in vars(ServeClient).items()
+            if callable(member) and not name.startswith("_")
+        }
+        assert public - {"close"} == set(calls)
+        with ServeClient(server.address) as client:
+            for call in calls.values():
+                call(client)
+        assert sent == set(EstimationServer._HANDLERS)
+
+    @pytest.mark.timeout(60)
     def test_acknowledged_writes_are_immediately_visible(self, server):
         with ServeClient(server.address) as writer, ServeClient(server.address) as reader:
             writer.ingest(_events(30))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterCoordinator
-from repro.errors import StrandedWritesError, ValidationError
+from repro.errors import ClusterError, StrandedWritesError, ValidationError
 from repro.shard import (
     KeyPartitioner,
     MergedStrata,
@@ -252,6 +252,37 @@ class TestRouterFailurePaths:
                 replacement.insert(row)
         assert fresh.size == 2
 
+    def test_half_applied_flush_breaks_the_index(self, small_collection):
+        """One shard stores its slice, the next refuses: the index is
+        broken, and later writes and reads raise without applying."""
+        index = ShardedMutableIndex(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=0
+        )
+        index.insert_many(small_collection.matrix[:20])
+        router = ShardRouter(index, batch_size=100)
+        for position in range(20, 30):
+            router.insert(small_collection.row(position))
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        index.shards[1].store.add_many = explode
+        with pytest.raises(RuntimeError):
+            router.flush()
+        assert index.broken is not None
+        assert index.size == 20
+        live = int(index.ids[0])
+        for write_or_read in (
+            lambda: index.insert(small_collection.row(30)),
+            lambda: index.delete(live),
+            lambda: index.cosine_pairs([live], [live]),
+        ):
+            with pytest.raises(ClusterError, match="broken"):
+                write_or_read()
+            assert index.size == 20
+        assert len(router.drain_pending()) == 10
+        router.close()
+
     def test_context_manager_chains_stranded_error_under_original(self):
         index = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
 
@@ -332,7 +363,9 @@ def _assert_strata_identities(sharded):
         pairs[owner] += count * (count - 1) // 2
     assert strata.shard_sizes == tuple(sizes)
     assert strata.shard_collision_pairs == tuple(pairs)
-    assert [shard.store.ids().size for shard in sharded.shards] == sizes
+    # through the `ids` op: on the process shape a shard is a WorkerHandle
+    replies = sharded._fan_out("ids", sharded._to_every_shard())
+    assert [reply["ids"].size for reply in replies] == sizes
     sharded.check_invariants()
 
 
