@@ -709,6 +709,25 @@ class TestOneDispatchPath:
         # `ping` is the liveness op tests send to a worker directly
         assert table - sent == {"ping"}
 
+    @pytest.mark.timeout(120)
+    def test_worker_ingest_seconds_counts_row_inserts_only(self, small_collection):
+        """Each ``WorkerHandle`` sums its worker's reported time for row
+        inserts; reads and checks leave it alone, and ``stats`` reports it."""
+        with ClusterCoordinator(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES,
+            random_state=SEED, **FAST
+        ) as cluster:
+            assert [handle.worker_ingest_seconds for handle in cluster._handles] == [0.0, 0.0]
+            cluster.insert_many(small_collection.matrix[:120])
+            ingested = [handle.worker_ingest_seconds for handle in cluster._handles]
+            assert all(seconds > 0.0 for seconds in ingested)
+            ids = cluster.ids
+            cluster.cosine_pairs(ids[:40], ids[40:80])
+            cluster.check_invariants()
+            assert [handle.worker_ingest_seconds for handle in cluster._handles] == ingested
+            rows = cluster.stats()["workers"]
+            assert [row["worker_ingest_seconds"] for row in rows] == ingested
+
 
 class TestShardWorkerOps:
     """Protocol-level tests of the worker dispatch, driven in process.
@@ -800,6 +819,41 @@ class TestShardWorkerOps:
         worker2 = self._configured_worker()
         with pytest.raises(ClusterError):
             worker2.handle("configure", {"shard_id": 0})  # double configure
+
+    def test_endpoint_raises_op_errors_from_send_request(self):
+        """In process an op runs when it is sent: its error raises there,
+        and the next request reads its own reply."""
+        worker = self._configured_worker()
+        self._insert(worker, np.eye(6)[:2] + 0.1)
+        with pytest.raises(ClusterError, match="unknown worker op"):
+            worker.send_request("bucket_members", {})
+        with pytest.raises(ValidationError):
+            worker.send_request("delete", {"ids": [99]})
+        worker.send_request("ids")
+        assert worker.recv_reply("ids")["ids"].tolist() == [0, 1]
+
+    @pytest.mark.timeout(30)
+    def test_each_thread_reads_its_own_reply(self):
+        """Concurrent readers share one in-process endpoint: both send
+        before either reads, and each reads the reply to its own request."""
+        worker = self._configured_worker()
+        self._insert(worker, np.eye(6)[:2])
+        both_sent = threading.Barrier(2, timeout=10)
+        rows = {}
+
+        def gather(vector_id):
+            worker.send_request("gather_rows", {"ids": np.asarray([vector_id])})
+            both_sent.wait()
+            data, indices, indptr = worker.recv_reply("gather_rows")["parts"]
+            row = sparse.csr_matrix((data, indices, indptr), shape=(1, 6))
+            rows[vector_id] = row.toarray()[0].tolist()
+
+        threads = [threading.Thread(target=gather, args=(vector_id,)) for vector_id in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert rows == {0: np.eye(6)[0].tolist(), 1: np.eye(6)[1].tolist()}
 
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize(

@@ -283,6 +283,56 @@ class TestRouterFailurePaths:
         assert len(router.drain_pending()) == 10
         router.close()
 
+    def test_failed_delete_breaks_the_index(self, small_collection):
+        """A shard that fails a row delete may have dropped the row: the
+        index is broken, and a later write raises without applying."""
+        index = ShardedMutableIndex(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=0
+        )
+        index.insert_many(small_collection.matrix[:20])
+        victim = int(index.ids[0])
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        index.shard_of(victim).store.remove_many = explode
+        with pytest.raises(RuntimeError):
+            index.delete(victim)
+        assert index.broken is not None
+        assert victim in index and index.size == 20
+        with pytest.raises(ClusterError, match="broken"):
+            index.insert(small_collection.row(20))
+        assert index.size == 20
+
+    def test_failed_read_leaves_the_index_usable(self, small_collection):
+        """A row gather changes no shard, so its failure does not break the
+        index: the same read then succeeds, and so do writes."""
+        index = ShardedMutableIndex(
+            small_collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=0
+        )
+        index.insert_many(small_collection.matrix[:20])
+        assert min(index.shard_sizes) > 0
+        ids = index.ids
+        expected = index.cosine_pairs(ids[:10], ids[10:])
+        store = index.shards[1].store
+        csr_parts = store.csr_parts
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("transient read failure")
+            return csr_parts(*args, **kwargs)
+
+        store.csr_parts = fail_once
+        with pytest.raises(RuntimeError):
+            index.cosine_pairs(ids[:10], ids[10:])
+        assert index.broken is None
+        np.testing.assert_array_equal(index.cosine_pairs(ids[:10], ids[10:]), expected)
+        index.insert(small_collection.row(20))
+        assert index.size == 21
+        index.check_invariants()
+
     def test_context_manager_chains_stranded_error_under_original(self):
         index = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
 
