@@ -174,7 +174,7 @@ def test_engine_cross_backend_fidelity(benchmark, dblp_collection, results_dir):
         with JoinEstimationEngine(
             EngineConfig(backend="sharded", num_hashes=NUM_HASHES, seed=SEED,
                          dimension=dimension,
-                         options={"num_shards": 4, "partitioner": "rendezvous"})
+                         options={"num_shards": 4})
         ) as engine:
             engine.ingest(dblp_collection)
             sharded_before = engine.estimate(request).value

@@ -3,13 +3,11 @@
 Two acceptance gates for the rebalancing subsystem
 (``repro.shard.rebalance``):
 
-1. **Minimal movement** — resizing a rendezvous-partitioned cluster from
-   ``S`` to ``S + 1`` shards must relocate at most ``1.5 / (S + 1)`` of
-   the live bucket keys (the HRW expectation is ``1/(S+1)``; the factor
-   covers sampling noise at laptop-scale key counts).  A modulo
-   partitioner is reported alongside for contrast — it reshuffles
-   ``≈ (S)/(S+1)`` of the keys, which is exactly why it cannot resize
-   online.
+1. **Minimal movement** — resizing a cluster from ``S`` to ``S + 1``
+   shards must relocate at most ``1.5 / (S + 1)`` of the live bucket keys
+   (the highest-random-weight expectation of
+   :class:`~repro.shard.partition.KeyPartitioner` is ``1/(S+1)``; the
+   factor covers sampling noise at laptop-scale key counts).
 2. **Lossless migration** — after growing and then shrinking a live
    cluster (two full key migrations, moving the members' rows by id),
    the merged exact-mode LSH-SS estimate must be
@@ -28,19 +26,14 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from benchmarks._helpers import churn_log, emit, format_table
 from repro.shard import (
-    KeyPartitioner,
-    RendezvousPartitioner,
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
     plan_rebalance,
     rebalance_cluster,
 )
-from repro.shard.partition import key_signature_matrix
 from repro.streaming import MutableLSHIndex, StreamingEstimator
 
 NUM_HASHES = 16
@@ -65,7 +58,7 @@ def _ingest_matrix(collection, rows: int):
 
 
 def test_resize_moves_minimal_key_fraction(benchmark, dblp_collection, results_dir):
-    """Gate 1: S → S+1 under rendezvous moves ≤ 1.5/(S+1) of bucket keys."""
+    """Gate 1: S → S+1 moves ≤ 1.5/(S+1) of bucket keys."""
     matrix = _ingest_matrix(dblp_collection, _ingest_n())
 
     def run():
@@ -77,16 +70,9 @@ def test_resize_moves_minimal_key_fraction(benchmark, dblp_collection, results_d
                 num_shards=num_shards,
                 num_hashes=NUM_HASHES,
                 random_state=SEED,
-                partitioner="rendezvous",
             )
             cluster.insert_many(matrix)
-            total_keys = len(cluster._owner_of_key)
-            # modulo contrast: how many keys WOULD move under hash-mod
-            keys = list(cluster._owner_of_key.keys())
-            signatures = key_signature_matrix(keys, NUM_HASHES)
-            modulo_before = KeyPartitioner(num_shards).shard_of_signatures(signatures)
-            modulo_after = KeyPartitioner(num_shards + 1).shard_of_signatures(signatures)
-            modulo_fraction = float(np.mean(modulo_before != modulo_after))
+            total_keys = cluster.primary_table.num_buckets
             start = time.perf_counter()
             plan = rebalance_cluster(cluster, num_shards=num_shards + 1)
             seconds = time.perf_counter() - start
@@ -99,7 +85,6 @@ def test_resize_moves_minimal_key_fraction(benchmark, dblp_collection, results_d
                     plan.moved_keys,
                     plan.moved_fraction,
                     1.5 / (num_shards + 1),
-                    modulo_fraction,
                     plan.moved_vectors,
                     plan.moved_vectors / max(seconds, 1e-9),
                 ]
@@ -109,13 +94,13 @@ def test_resize_moves_minimal_key_fraction(benchmark, dblp_collection, results_d
     rows, fractions = benchmark.pedantic(run, rounds=1, iterations=1)
     body = format_table(
         ["resize", "bucket keys", "keys moved", "fraction", "gate ≤",
-         "modulo would move", "vectors moved", "migrated rows/s"],
+         "vectors moved", "migrated rows/s"],
         rows,
         float_format="{:.3f}",
     )
     body += (
-        "\nrendezvous (HRW) expectation: 1/(S+1) of keys move, all onto the "
-        "new shard; hash-mod reshuffles ≈ S/(S+1)"
+        "\nhighest-random-weight expectation: 1/(S+1) of keys move, all onto "
+        "the new shard"
     )
     emit(
         "E16_rebalance_key_movement",
@@ -151,7 +136,6 @@ def test_post_migration_estimates_bit_identical(dblp_collection, results_dir):
             num_shards=num_shards,
             num_hashes=NUM_HASHES,
             random_state=SEED,
-            partitioner="rendezvous",
         )
         with ShardRouter(cluster, batch_size=64) as router:
             router.replay(log)
@@ -197,14 +181,11 @@ def test_plan_only_is_cheap(benchmark, dblp_collection, results_dir):
         num_shards=4,
         num_hashes=NUM_HASHES,
         random_state=SEED,
-        partitioner="rendezvous",
     )
     cluster.insert_many(matrix)
-    cluster.add_shards(5)
-    partitioner = RendezvousPartitioner(5)
 
-    plan = benchmark(lambda: plan_rebalance(cluster, partitioner))
-    total_keys = len(cluster._owner_of_key)
+    plan = benchmark(lambda: plan_rebalance(cluster, 5))
+    total_keys = cluster.primary_table.num_buckets
     emit(
         "E16_rebalance_plan_cost",
         f"Rebalance — plan cost over {total_keys} bucket keys",

@@ -95,7 +95,6 @@ from repro.evaluation import (
 from repro.shard import (
     KeyPartitioner,
     RebalancePlan,
-    RendezvousPartitioner,
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
@@ -215,7 +214,6 @@ __all__ = [
     "Checkpoint",
     # sharding
     "KeyPartitioner",
-    "RendezvousPartitioner",
     "ShardedMutableIndex",
     "ShardRouter",
     "ShardedStreamingEstimator",

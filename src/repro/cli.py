@@ -38,9 +38,9 @@ Sub-commands
     per-shard sizes; the final engine state can be checkpointed with
     ``--snapshot``.
 ``rebalance``
-    Resize and/or re-partition a checkpointed sharded engine with
-    minimal key movement; without ``--output`` it is a dry run that
-    only prints the migration plan.
+    Resize a checkpointed sharded engine, moving only the bucket keys
+    whose shard changes; without ``--output`` it is a dry run that only
+    prints the migration plan.
 ``worker``
     Run one standalone shard worker of the multi-process cluster
     backend: listen on ``--listen host:port`` and serve coordinator
@@ -64,9 +64,10 @@ Sub-commands
     ``examples/query_optimizer.py``).
 ``lint``
     Run reprolint (:mod:`repro.analysis`): the repo-specific static
-    analysis enforcing the determinism, locking, and protocol contracts
-    (seed discipline, lock-guard discipline, protocol op parity, the
-    pickle boundary, ``__all__`` parity, broad excepts, lock leaks).  Exit code 0 means no un-pragma'd findings.
+    analysis enforcing the determinism and locking contracts — R001 seed
+    discipline, R002 lock-guard discipline, R005 the pickle boundary,
+    R006 ``__all__`` parity, R007 broad excepts and R010 lock leaks.
+    Exit code 0 means no un-pragma'd findings.
 """
 
 from __future__ import annotations
@@ -196,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "repaired reservoirs (auto/reservoir) or fresh merged "
                             "SampleH/SampleL draws (exact, bit-identical to the "
                             "unsharded estimator) (default: auto)")
-    shard.add_argument("--partitioner", choices=("modulo", "rendezvous"), default="modulo",
-                       help="bucket-key → shard assignment; rendezvous enables "
-                            "minimal-movement resizes via 'repro rebalance' "
-                            "(default: modulo)")
     shard.add_argument("--backend", choices=("sharded", "process"), default="sharded",
                        help="in-process shards (default) or one worker process "
                             "per shard (the repro.cluster coordinator)")
@@ -211,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rebalance = subparsers.add_parser(
         "rebalance",
-        help="resize / re-partition a checkpointed sharded engine",
+        help="resize a checkpointed sharded engine",
     )
     rebalance.add_argument("--snapshot", required=True,
                            help="engine snapshot written by 'repro shard --snapshot'")
@@ -221,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "process cluster onto different worker addresses")
     rebalance.add_argument("--shards", type=int, default=None,
                            help="target shard count S' (default: keep the current S)")
-    rebalance.add_argument("--partitioner", choices=("modulo", "rendezvous"), default=None,
-                           help="target partitioner (default: keep the snapshot's; "
-                                "rendezvous moves only ~1/S' of the keys on a resize)")
     rebalance.add_argument("--output", default=None,
                            help="write the rebalanced engine snapshot here; omitted "
                                 "= dry run, print the migration plan only")
@@ -533,7 +527,6 @@ def _command_shard(args: argparse.Namespace) -> str:
         dimension=dimension,
         options={
             "num_shards": args.shards,
-            "partitioner": args.partitioner,
             "batch_size": args.batch_size,
         },
     )
@@ -567,7 +560,6 @@ def _command_shard(args: argparse.Namespace) -> str:
         if args.snapshot:
             engine.snapshot(args.snapshot)
         num_shards = engine.backend.index.num_shards
-        partitioner_kind = engine.backend.index.partitioner.kind
         worker_lines: List[str] = []
         if config.backend == "process":
             # one batched stats round trip: per-worker ingest seconds as
@@ -584,8 +576,7 @@ def _command_shard(args: argparse.Namespace) -> str:
                 )
     summary = (
         f"Sharded streaming estimates — {args.events}: {inserts} inserts, "
-        f"{deletes} deletes over {num_shards} shards "
-        f"({partitioner_kind} partitioner), τ={args.threshold}, "
+        f"{deletes} deletes over {num_shards} shards, τ={args.threshold}, "
         f"k={config.num_hashes}, mode={args.mode}"
         + (f"; snapshot → {args.snapshot}" if args.snapshot else "")
     )
@@ -602,41 +593,34 @@ def _command_shard(args: argparse.Namespace) -> str:
 
 
 def _command_rebalance(args: argparse.Namespace) -> str:
-    engine = JoinEstimationEngine.restore(args.snapshot, config=args.config)
-    if engine.config.backend not in ("sharded", "process"):
-        raise ValidationError(
-            f"'repro rebalance' needs a sharded or process engine, "
-            f"got {engine.config.backend!r}"
-        )
-    cluster = engine.backend.index
-    current_shards = cluster.num_shards
-    current_kind = cluster.partitioner.kind
-    target_shards = current_shards if args.shards is None else args.shards
-    target_kind = current_kind if args.partitioner is None else args.partitioner
-    sizes_before = list(cluster.shard_sizes)
-    estimate_before = estimate_after = None
-    if args.threshold is not None:
-        estimate_before = engine.estimate(args.threshold, seed=args.seed, mode="exact")
-    if args.output is None:
-        # dry run: plan against the target assignment without migrating
-        plan = engine.rebalance(
-            num_shards=target_shards, partitioner=target_kind, dry_run=True
-        )
-        applied = "dry run — no state was changed (pass --output to apply)"
-        sizes_after = None
-    else:
-        plan = engine.rebalance(num_shards=target_shards, partitioner=target_kind)
+    with JoinEstimationEngine.restore(args.snapshot, config=args.config) as engine:
+        if engine.config.backend not in ("sharded", "process"):
+            raise ValidationError(
+                f"'repro rebalance' needs a sharded or process engine, "
+                f"got {engine.config.backend!r}"
+            )
         cluster = engine.backend.index
-        cluster.check_invariants()
-        sizes_after = list(cluster.shard_sizes)
+        current_shards = cluster.num_shards
+        target_shards = current_shards if args.shards is None else args.shards
+        sizes_before = list(cluster.shard_sizes)
+        estimate_before = estimate_after = None
         if args.threshold is not None:
-            estimate_after = engine.estimate(args.threshold, seed=args.seed, mode="exact")
-        engine.snapshot(args.output)
-        applied = f"rebalanced engine written to {args.output}"
-    engine.close()
+            estimate_before = engine.estimate(args.threshold, seed=args.seed, mode="exact")
+        if args.output is None:
+            # dry run: plan from the facade's bucket table, touching no shard
+            plan = engine.rebalance(num_shards=target_shards, dry_run=True)
+            applied = "dry run — no state was changed (pass --output to apply)"
+            sizes_after = None
+        else:
+            plan = engine.rebalance(num_shards=target_shards)
+            cluster.check_invariants()
+            sizes_after = list(cluster.shard_sizes)
+            if args.threshold is not None:
+                estimate_after = engine.estimate(args.threshold, seed=args.seed, mode="exact")
+            engine.snapshot(args.output)
+            applied = f"rebalanced engine written to {args.output}"
     rows = [
         ["shards", current_shards, target_shards],
-        ["partitioner", current_kind, target_kind],
         ["bucket keys", plan.total_keys, plan.total_keys],
         ["keys moved", "", plan.moved_keys],
         ["moved fraction", "", f"{plan.moved_fraction:.4f}"],

@@ -40,9 +40,8 @@ class ProcessBackend(ShardedBackend):
 
     Options
     -------
-    ``shards`` (alias ``num_shards``, default 4), ``partitioner``,
-    ``batch_size``, ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` /
-    ``dampening``
+    ``shards`` (alias ``num_shards``, default 4), ``batch_size``,
+    ``sample_size_h`` / ``sample_size_l`` / ``answer_threshold`` / ``dampening``
         As in the ``sharded`` backend.
     ``addresses``
         ``["host:port", …]`` of pre-started ``repro worker`` endpoints,
@@ -114,7 +113,6 @@ class ProcessBackend(ShardedBackend):
             num_hashes=self.config.num_hashes,
             family=self.config.family,
             random_state=self.config.seed + 1,
-            partitioner=options.get("partitioner", "modulo"),
             **self._cluster_kwargs(),
         )
         try:

@@ -8,8 +8,8 @@ length-prefixed pickle protocol of :mod:`repro.cluster.transport`.  The
 facade's shards are :class:`WorkerHandle` objects, which expose the same
 ``send_request`` / ``recv_reply`` pair as an in-process
 :class:`~repro.shard.ops.ShardWorker`, so everything above the shard
-boundary — hashing, bucket-key routing, the global bucket table and its
-owners, SampleH / SampleL, the per-shard counters, the one dispatch path
+boundary — hashing, bucket-key routing, the global bucket table,
+SampleH / SampleL, the per-shard counters, the one dispatch path
 ``_fan_out``, rebalance, snapshot and restore, the facade estimator and
 its reservoirs — is inherited *unchanged*.  That keeps every estimate of
 a process cluster bit-identical to an in-process one (and exact-mode
@@ -243,7 +243,6 @@ class ClusterCoordinator(ShardedMutableIndex):
         num_hashes: int = 20,
         family: Any = "cosine",
         random_state: RandomState = None,
-        partitioner: Any = "modulo",
         addresses: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         token: Optional[str] = None,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
@@ -267,7 +266,6 @@ class ClusterCoordinator(ShardedMutableIndex):
                 num_hashes=num_hashes,
                 family=family,
                 random_state=random_state,
-                partitioner=partitioner,
             )
         except BaseException:  # reprolint: disable=R007 - cleanup-and-reraise
             # never leak worker processes from a half-built coordinator

@@ -66,7 +66,6 @@ from repro.lsh import LSHIndex
 from repro.obs.metrics import MetricsRegistry, get_global_registry
 from repro.rng import RandomState
 from repro.shard import ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter
-from repro.shard.partition import resolve_partitioner
 from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_cluster
 from repro.state import StateSpec
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
@@ -239,7 +238,6 @@ class EstimatorBackend(abc.ABC):
         self,
         *,
         num_shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
         dry_run: bool = False,
     ) -> RebalancePlan:
         raise UnsupportedOperationError(
@@ -605,8 +603,7 @@ class ShardedBackend(EstimatorBackend):
 
     Options
     -------
-    ``num_shards`` (default 4), ``partitioner`` (``"modulo"`` /
-    ``"rendezvous"``)
+    ``num_shards`` (default 4)
         Passed to :class:`ShardedMutableIndex`.
     ``batch_size`` (default 256)
         Passed to :class:`ShardRouter`.
@@ -618,7 +615,6 @@ class ShardedBackend(EstimatorBackend):
     OPTIONS = frozenset(
         {
             "num_shards",
-            "partitioner",
             "batch_size",
             "sample_size_h",
             "sample_size_l",
@@ -649,7 +645,6 @@ class ShardedBackend(EstimatorBackend):
             num_hashes=self.config.num_hashes,
             family=self.config.family,
             random_state=self.config.seed + 1,
-            partitioner=options.get("partitioner", "modulo"),
         )
         self._attach_serving_stack()
 
@@ -738,7 +733,6 @@ class ShardedBackend(EstimatorBackend):
             "num_non_collision_pairs": self._index.num_non_collision_pairs,
             "num_shards": self._index.num_shards,
             "shard_sizes": list(self._index.shard_sizes),
-            "partitioner": self._index.partitioner.kind,
             "pending_writes": self._router.pending,
             "staleness": {
                 "h": self._estimator.staleness_h,
@@ -751,40 +745,20 @@ class ShardedBackend(EstimatorBackend):
         self,
         *,
         num_shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
         dry_run: bool = False,
     ) -> RebalancePlan:
-        """Resize / re-partition the live cluster (or just plan it).
-
-        ``dry_run`` diffs live bucket owners against the target
-        assignment and leaves the cluster untouched (shards temporarily
-        appended for a growth plan are dropped again before returning).
-        An applied rebalance updates ``self.config`` so later snapshots
-        describe the adopted shape.
+        """Resize the live cluster to ``num_shards`` (default: unchanged),
+        or with ``dry_run`` only plan it — the plan reads the facade's
+        bucket table and touches no shard.  An applied rebalance updates
+        ``self.config`` so later snapshots describe the adopted shape.
         """
         self._router.flush()
-        current = self._index.num_shards
-        target_shards = current if num_shards is None else int(num_shards)
-        target_kind = self._index.partitioner.kind if partitioner is None else partitioner
+        target = self._index.num_shards if num_shards is None else int(num_shards)
         if dry_run:
-            # plan_rebalance needs the target shard count to exist; the
-            # appended shards are empty, so dropping them restores state
-            if target_shards > current:
-                self._index.add_shards(target_shards)
-            try:
-                return plan_rebalance(
-                    self._index, resolve_partitioner(target_kind, target_shards)
-                )
-            finally:
-                if target_shards > current:
-                    self._index.drop_trailing_shards(current)
-        plan = rebalance_cluster(self._index, num_shards=target_shards, partitioner=target_kind)
+            return plan_rebalance(self._index, target)
+        plan = rebalance_cluster(self._index, target)
         self.config = self.config.replace(
-            options={
-                **self.config.options,
-                "num_shards": self._index.num_shards,
-                "partitioner": self._index.partitioner.kind,
-            }
+            options={**self.config.options, "num_shards": self._index.num_shards}
         )
         return plan
 

@@ -100,7 +100,7 @@ class Provenance:
 
     ``backend``/``backend_details`` identify the deployment shape (the
     details dict carries backend-specific facts: strata sizes always;
-    shard count/sizes/partitioner and pending writes for clusters;
+    shard count/sizes and pending writes for clusters;
     reservoir staleness for mutable backends).  ``seed`` is the resolved
     per-call seed — replaying the same request against the same state
     with this seed reproduces the value bit-for-bit.
@@ -470,20 +470,17 @@ class JoinEstimationEngine:
         self,
         *,
         num_shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
         dry_run: bool = False,
     ) -> RebalancePlan:
-        """Resize / re-partition a sharded backend (others raise).
+        """Resize a sharded backend to ``num_shards`` (others raise).
 
         Returns the executed (or, with ``dry_run``, the proposed)
         :class:`~repro.shard.rebalance.RebalancePlan`.  An applied
-        rebalance updates :attr:`config` to the adopted shard count and
-        partitioner, so snapshots taken afterwards describe reality.
+        rebalance updates :attr:`config` to the adopted shard count, so
+        snapshots taken afterwards describe reality.
         """
         with trace("engine.rebalance", backend=self.config.backend, dry_run=dry_run):
-            plan = self.backend.rebalance(
-                num_shards=num_shards, partitioner=partitioner, dry_run=dry_run
-            )
+            plan = self.backend.rebalance(num_shards=num_shards, dry_run=dry_run)
         self.config = self.backend.config  # adopt any rebalance-driven update
         return plan
 

@@ -4,11 +4,11 @@ The LSH-SS strata statistics are additive across disjoint bucket-key
 partitions, which makes the PR-1 streaming subsystem shardable without
 approximation:
 
-* :mod:`~repro.shard.partition` — the stable bucket-key → shard
-  assignments (a vectorised splitmix64/FNV content hash of the
-  signature values; identical from key bytes or signature matrices):
-  :class:`KeyPartitioner` (modulo) and :class:`RendezvousPartitioner`
-  (highest-random-weight, minimal key movement under resizes).
+* :mod:`~repro.shard.partition` — :class:`KeyPartitioner`, the one
+  stable bucket-key → shard placement: highest-random-weight hashing
+  over a vectorised splitmix64/FNV content hash of the signature values
+  (identical from key bytes or signature matrices), so a resize moves
+  only the keys whose pick changes.
 * :mod:`~repro.shard.sharded_index` — :class:`ShardedMutableIndex`, one
   bucket table on the facade and ``S`` shards that hold rows only behind
   a drop-in single-index surface with the query-side merge layer built
@@ -26,33 +26,21 @@ approximation:
   streaming estimator run over the facade; the exact mode is
   bit-identical (same seed) to an unsharded estimator over the same
   event sequence, and no mode depends on the shard count.
-* :mod:`~repro.shard.rebalance` — online bucket-key migration, moving
-  the members' rows by id: :func:`plan_rebalance` /
-  :func:`apply_plan` / :func:`rebalance_cluster` resize or re-partition a
-  cluster while every estimate stays bit-identical.
+* :mod:`~repro.shard.rebalance` — online resizes, moving the members'
+  rows of the keys whose pick changes by id: :func:`plan_rebalance` /
+  :func:`rebalance_cluster` resize a cluster while every estimate stays
+  bit-identical.
 """
 
 from repro.shard.merge import MergedStrata, ShardedStreamingEstimator, merge_strata
 from repro.shard.ops import ShardWorker
-from repro.shard.partition import (
-    KeyPartitioner,
-    RendezvousPartitioner,
-    resolve_partitioner,
-)
-from repro.shard.rebalance import (
-    KeyMove,
-    RebalancePlan,
-    apply_plan,
-    plan_rebalance,
-    rebalance_cluster,
-)
+from repro.shard.partition import KeyPartitioner
+from repro.shard.rebalance import KeyMove, RebalancePlan, plan_rebalance, rebalance_cluster
 from repro.shard.router import ShardRouter
 from repro.shard.sharded_index import PreparedBatch, ShardedMutableIndex
 
 __all__ = [
     "KeyPartitioner",
-    "RendezvousPartitioner",
-    "resolve_partitioner",
     "PreparedBatch",
     "ShardedMutableIndex",
     "ShardWorker",
@@ -63,6 +51,5 @@ __all__ = [
     "KeyMove",
     "RebalancePlan",
     "plan_rebalance",
-    "apply_plan",
     "rebalance_cluster",
 ]

@@ -23,7 +23,7 @@ modes are the streaming estimator's:
   exact mode over the same event sequence;
 * ``mode="reservoir"`` / ``"auto"`` — the facade's reservoirs.  They
   depend on the events, the write batches and the maintenance seed, not
-  on the shard count or the bucket owners, so an ``auto`` answer is the
+  on the shard count or the bucket placement, so an ``auto`` answer is the
   same for any ``S``, in process or across worker processes, and
   survives a rebalance unchanged.
 """

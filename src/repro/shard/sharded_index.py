@@ -14,9 +14,9 @@ cosine — with the *merge layer* built in:
   :class:`~repro.streaming.mutable_index.MutableLSHTable` fed every insert
   and delete in arrival order — the table one unsharded index would have
   built, bucket order and member order included, so SampleH draws are
-  **bit-identical for the same seed**.  ``_owner_of_key`` names the
-  shard owning each bucket (a bucket never straddles shards), and the
-  two are the only record of bucket membership;
+  **bit-identical for the same seed**.  It is the only record of
+  bucket membership; a bucket never straddles shards, and a live bucket
+  always sits on its key's pick, ``partitioner.shard_of(key)``;
 * ``N_H`` is that table's count and ``N_L = C(n, 2) − N_H``
   (cross-shard pairs are all stratum L).  The per-shard sizes and
   ``N_H`` are facade counters, updated from the values every table
@@ -41,8 +41,8 @@ Consequently a :class:`~repro.streaming.estimator.StreamingEstimator`
 constructed over the facade — which is what
 :class:`~repro.shard.merge.ShardedStreamingEstimator` is — behaves
 bit-identically to one constructed over an unsharded index fed the same
-event sequence.  A snapshot (``SHARDED_STATE``, format 3) holds the
-family, the buckets with their owners, the id → shard assignments and
+event sequence.  A snapshot (``SHARDED_STATE``, format 4) holds the
+family, the ``(key, members)`` buckets, the id → shard assignments and
 one row-store state per shard.
 """
 
@@ -65,13 +65,7 @@ from repro.obs.tracing import trace
 from repro.lsh.table import sample_rejected_pairs, uniform_pairs_of
 from repro.rng import RandomState
 from repro.shard.ops import ShardEndpoint, ShardWorker
-from repro.shard.partition import (
-    Partitioner,
-    key_signature_matrix,
-    partitioner_from_state,
-    partitioner_state,
-    resolve_partitioner,
-)
+from repro.shard.partition import KeyPartitioner, key_signature_matrix
 from repro.state import StateSpec
 from repro.streaming.mutable_index import (
     LiveIds,
@@ -96,17 +90,17 @@ from repro.vectors.collection import VectorCollection
 #: ``(data, indices, indptr)`` of a stack of CSR rows
 CSRParts = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-#: also the state of a :class:`~repro.cluster.ClusterCoordinator`.  Format 3:
-#: the facade's family and ``(key, members, owner)`` buckets, and one
-#: row-store state per shard (format 2 shards were whole index states
-#: with their own tables; format 1 also embedded per-shard estimators)
+#: also the state of a :class:`~repro.cluster.ClusterCoordinator`.  Format 4:
+#: the facade's family and ``(key, members)`` buckets, and one row-store
+#: state per shard (format 3 also carried a partitioner and bucket owners;
+#: format 2 shards were whole index states with their own tables; format 1
+#: also embedded per-shard estimators)
 SHARDED_STATE = StateSpec(
     "a sharded-index snapshot",
     {
         "dimension": Integral,
         "num_hashes": Integral,
         "num_shards": Integral,
-        "partitioner": Mapping,
         "family": LSHFamily,
         "next_id": Integral,
         "live_ids": (list, tuple),
@@ -115,7 +109,7 @@ SHARDED_STATE = StateSpec(
         "shards": (list, tuple),
         "estimators": (list, tuple),
     },
-    format=3,
+    format=4,
     kind="sharded",
     optional=("estimators",),
 )
@@ -148,12 +142,8 @@ class ShardedMutableIndex:
         unsharded index with the same seed hashes (and therefore
         buckets) every vector identically.
     num_shards:
-        ``S`` — number of shards.
-    partitioner:
-        Bucket-key → shard assignment: a kind string (``"modulo"``, the
-        default, or ``"rendezvous"`` for minimal-movement resizes via
-        :mod:`repro.shard.rebalance`), a partitioner class, or a
-        pre-built instance covering ``num_shards`` shards.
+        ``S`` — number of shards; bucket keys are placed by a
+        :class:`~repro.shard.partition.KeyPartitioner` over them.
     """
 
     #: why the index became unusable (set once, by :meth:`_mark_broken`)
@@ -167,13 +157,12 @@ class ShardedMutableIndex:
         num_hashes: int = 20,
         family: Union[str, Type[LSHFamily]] = "cosine",
         random_state: RandomState = None,
-        partitioner: Union[str, Partitioner, type] = "modulo",
     ) -> None:
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.num_hashes = int(num_hashes)
-        self.partitioner = resolve_partitioner(partitioner, num_shards)
+        self.partitioner = KeyPartitioner(num_shards)
         # identical family draw to an unsharded MutableLSHIndex
         self.family = bind_family(family, self.num_hashes, self.dimension, random_state)
         #: per-shard live-vector counts and ``N_H`` (the co-bucket pairs of
@@ -189,15 +178,9 @@ class ShardedMutableIndex:
         #: collision tests of SampleL and the estimators without asking
         #: any shard
         self._table = MutableLSHTable(self.family)
-        #: live bucket key → owning shard, in the table's bucket order
-        self._owner_of_key: Dict[bytes, int] = {}
         self._live = LiveIds()
         self._next_id = 0
         self._observers: List[object] = []
-        #: True while some live bucket's owner differs from the current
-        #: partitioner's pick (manual migrations, mid-rebalance snapshots);
-        #: keeps owner re-checks off the hot ingest path otherwise
-        self._owner_overrides = False
 
     # ------------------------------------------------------------------
     # observability
@@ -260,9 +243,9 @@ class ShardedMutableIndex:
     def add_shards(self, new_total: int) -> None:
         """Grow the cluster to ``new_total`` (empty) shards.
 
-        Existing shards and the partitioner are untouched — callers
-        (:func:`repro.shard.rebalance.rebalance_cluster`) follow up by
-        a plan under a partitioner that covers the new shard count.
+        Existing shards and the partitioner are untouched — the caller,
+        :func:`repro.shard.rebalance.rebalance_cluster`, migrates the
+        keys whose pick changes and then adopts the new partitioner.
         """
         if new_total < len(self.shards):
             raise ValidationError(
@@ -495,42 +478,6 @@ class ShardedMutableIndex:
         self._shard_collision_pairs[shard_id] += self._table.insert_key(vector_id, key)
         self._shard_sizes[shard_id] += 1
         self._live.add(vector_id)
-        self._owner_of_key.setdefault(key, shard_id)
-
-    def _owning_shard(self, key: bytes) -> int:
-        """Destination shard for a bucket key: the live bucket's owner, else
-        the partitioner's pick.
-
-        After a manual key migration (or mid-rebalance) a live bucket may
-        sit on a different shard than the current partitioner would
-        choose; routing to the *owner* keeps the never-straddle
-        invariant under any owner assignment.  While owners and
-        partitioner agree (`_owner_overrides` false — the common case),
-        the partitioner's pick *is* the owner and the lookup is skipped.
-        """
-        if self._owner_overrides:
-            owner = self._owner_of_key.get(key)
-            if owner is not None:
-                return owner
-        return self.partitioner(key)
-
-    def _refresh_owner_alignment(self) -> None:
-        """Recompute `_owner_overrides` in one vectorised pass over the keys.
-
-        Called after rebalances and restores; everywhere else the flag
-        only ever stays aligned (new buckets are placed by the
-        partitioner, deletions cannot introduce divergence).
-        """
-        owner_of_key = self._owner_of_key
-        if not owner_of_key:
-            self._owner_overrides = False
-            return
-        keys = list(owner_of_key.keys())
-        picks = self.partitioner.shard_of_signatures(
-            key_signature_matrix(keys, self.num_hashes)
-        )
-        owners = np.fromiter(owner_of_key.values(), dtype=np.int64, count=len(keys))
-        self._owner_overrides = bool(np.any(picks != owners))
 
     def insert(self, vector: VectorInput, *, vector_id: Optional[int] = None) -> int:
         """Route one vector to its owning shard; returns the global id."""
@@ -538,7 +485,7 @@ class ShardedMutableIndex:
         signature = self.family.hash_matrix(row)[0]
         vector_id = self._claim_id(vector_id)
         key = signature_bucket_key(signature, self.num_hashes)
-        shard_id = self._owning_shard(key)
+        shard_id = self.partitioner.shard_of(key)
         ids = np.asarray([vector_id], dtype=np.int64)
         sizes = self._store_rows([(shard_id, ids, row)])
         self._place(ids, shard_id)
@@ -578,14 +525,6 @@ class ShardedMutableIndex:
             ids = np.array([self._claim_id(int(i)) for i in ids], dtype=np.int64)
         keys = [signatures[position].tobytes() for position in range(num_rows)]
         shard_ids = self.partitioner.shard_of_signatures(signatures)
-        if self._owner_overrides:
-            # live buckets own their key even when a migration has moved
-            # them off the partitioner's current pick (see _owning_shard)
-            owner_of_key = self._owner_of_key
-            for position, key in enumerate(keys):
-                owner = owner_of_key.get(key)
-                if owner is not None and owner != shard_ids[position]:
-                    shard_ids[position] = owner
         return PreparedBatch(ids=ids, csr=csr, keys=keys, shard_ids=shard_ids)
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
@@ -638,13 +577,10 @@ class ShardedMutableIndex:
         if vector_id not in self._live:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         shard_id = int(self._shard_of_id[vector_id])
-        key = self._table.signature_key(vector_id)
         sizes = self._drop_rows([(shard_id, np.asarray([vector_id], dtype=np.int64))])
         remaining = self._table.delete(vector_id)  # = the co-bucket pairs removed
         self._shard_collision_pairs[shard_id] -= remaining
         self._shard_sizes[shard_id] -= 1
-        if remaining == 0:  # it was its bucket's last member
-            del self._owner_of_key[key]
         self._shard_of_id[vector_id] = -1
         self._live.remove(vector_id)
         self._check_sizes([shard_id], sizes)
@@ -739,20 +675,24 @@ class ShardedMutableIndex:
             self._gather(ids, normalized=False), shape=(ids.size, self.dimension)
         )
 
-    def _recount_shards(self, num_shards: int) -> Tuple[List[int], List[int]]:
-        """Per-shard sizes and ``N_H`` recounted from the table and owners;
-        refuses a bucket whose members are assigned to another shard."""
-        sizes = [0] * num_shards
-        pairs = [0] * num_shards
-        for key, members in self._table.bucket_state():
-            owner = self._owner_of_key[key]
-            if np.any(self._shard_of_id[members] != owner):
-                raise ValidationError(
-                    f"a bucket owned by shard {owner} has members assigned elsewhere"
-                )
-            sizes[owner] += len(members)
-            pairs[owner] += len(members) * (len(members) - 1) // 2
-        return sizes, pairs
+    def _recount_shards(self) -> Tuple[List[int], List[int]]:
+        """Per-shard sizes and ``N_H`` recounted from the table in one
+        vectorised pass; refuses a bucket whose members are not all
+        assigned to its key's pick."""
+        buckets = self._table.bucket_state()
+        keys = [key for key, _members in buckets]
+        counts = np.fromiter((len(members) for _key, members in buckets), np.int64, len(buckets))
+        members = np.fromiter(
+            (member for _key, bucket in buckets for member in bucket), np.int64, int(counts.sum())
+        )
+        picks = self.partitioner.shard_of_signatures(key_signature_matrix(keys, self.num_hashes))
+        if np.any(self._shard_of_id[members] != np.repeat(picks, counts)):
+            raise ValidationError("a bucket has members assigned off its key's shard")
+        sizes = np.zeros(self.partitioner.num_shards, dtype=np.int64)
+        pairs = np.zeros(self.partitioner.num_shards, dtype=np.int64)
+        np.add.at(sizes, picks, counts)
+        np.add.at(pairs, picks, counts * (counts - 1) // 2)
+        return sizes.tolist(), pairs.tolist()
 
     def check_invariants(self) -> None:
         """Verify the merge bookkeeping and every shard's rows (tests aid)."""
@@ -764,12 +704,10 @@ class ShardedMutableIndex:
         self._table.check_invariants()
         if self._table.num_vectors != self.size:
             raise AssertionError("facade bucket table drifted from the live set")
-        if self._table.num_buckets != len(self._owner_of_key):
-            raise AssertionError("bucket owner registry drifted from the table")
         if np.count_nonzero(self._shard_of_id >= 0) != self.size:
             raise AssertionError("id → shard map drifted from the live set")
         counters = (self._shard_sizes, self._shard_collision_pairs)
-        if self._recount_shards(self.num_shards) != counters:
+        if self._recount_shards() != counters:
             raise AssertionError("per-shard size / N_H counters drifted")
         self._fan_out("check", self._to_every_shard())
         for shard_id, reply in enumerate(self._fan_out("ids", self._to_every_shard())):
@@ -791,15 +729,11 @@ class ShardedMutableIndex:
             dimension=self.dimension,
             num_hashes=self.num_hashes,
             num_shards=self.num_shards,
-            partitioner=partitioner_state(self.partitioner),
             family=self.family,
             next_id=self._next_id,
             live_ids=list(self._live),
             shard_of=self._shard_of_id[self.ids].tolist(),
-            buckets=[
-                (key, members, self._owner_of_key[key])
-                for key, members in self._table.bucket_state()
-            ],
+            buckets=self._table.bucket_state(),
             shards=[reply["state"] for reply in self._fan_out("snapshot", self._to_every_shard())],
             estimators=collect_estimator_states(self._observers),
         )
@@ -820,7 +754,7 @@ class ShardedMutableIndex:
         """Check a snapshot whole and restore everything but the shards.
 
         The cluster restore runs it before any worker is spawned: a
-        snapshot whose shard assignments, shard rows or bucket owners
+        snapshot whose shard assignments, shard rows or bucket placement
         disagree is refused here, not half-adopted.
         """
         SHARDED_STATE.check(state)
@@ -832,9 +766,7 @@ class ShardedMutableIndex:
             SHARDED_STATE.refuse(f"{len(shards)} shard states for num_shards={num_shards}")
         self.dimension = int(cast(int, state["dimension"]))
         self.num_hashes = int(cast(int, state["num_hashes"]))
-        self.partitioner = partitioner_from_state(cast(Mapping[str, Any], state["partitioner"]))
-        if self.partitioner.num_shards != num_shards:
-            SHARDED_STATE.refuse(f"its partitioner covers {self.partitioner.num_shards} shards")
+        self.partitioner = KeyPartitioner(num_shards)
         self.family = bind_family(
             cast(LSHFamily, state["family"]), self.num_hashes, self.dimension, None
         )
@@ -855,22 +787,18 @@ class ShardedMutableIndex:
                 SHARDED_STATE.refuse(f"shard {shard_id} holds other rows than its assigned ids")
         self._shard_of_id = np.full(0, -1, dtype=np.int64)
         self._place(live_ids, assigned)
-        self._owner_of_key = {bytes(key): int(owner) for key, _members, owner in buckets}
-        if len(self._owner_of_key) != len(buckets):
-            SHARDED_STATE.refuse("its buckets repeat a key")
-        if any(not 0 <= owner < num_shards for owner in self._owner_of_key.values()):
-            SHARDED_STATE.refuse(f"a bucket owner leaves [0, {num_shards})")
         self._table = MutableLSHTable(self.family)
-        self._table.load_bucket_state([(key, members) for key, members, _owner in buckets])
+        self._table.load_bucket_state(list(buckets))
+        if self._table.num_buckets != len(buckets):
+            SHARDED_STATE.refuse("its buckets repeat a key")
         if self._table.num_vectors != live_ids.size or not all(
             vector_id in self._table for vector_id in self._live
         ):
             SHARDED_STATE.refuse("its bucket members are not exactly the live ids")
-        # refuses a bucket whose members are assigned to another shard
-        self._shard_sizes, self._shard_collision_pairs = self._recount_shards(num_shards)
+        # refuses a bucket whose members are assigned off its key's pick
+        self._shard_sizes, self._shard_collision_pairs = self._recount_shards()
         self._next_id = int(cast(int, state["next_id"]))
         self._observers = []
-        self._refresh_owner_alignment()
 
     def _restore_shards(self, state: Mapping[str, object]) -> None:
         """Connect one endpoint per shard, restore all their rows in one

@@ -1,7 +1,7 @@
 """Declared snapshot state contracts.
 
 Every snapshot-bearing class (index, row store, reservoirs, estimators,
-sharded facade, partitioner, engine bundle, backend states) declares its state dict once as a :class:`StateSpec`: the tags
+sharded facade, engine bundle, backend states) declares its state dict once as a :class:`StateSpec`: the tags
 it carries, each field's accepted type(s), and the keys a writer may
 omit.  Writers build their dict with :meth:`StateSpec.dump`, readers call
 :meth:`StateSpec.check` before touching a key, so a malformed snapshot

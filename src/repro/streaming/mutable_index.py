@@ -334,6 +334,10 @@ class MutableLSHTable:
             count=len(left),
         )
 
+    def bucket_keys(self) -> List[bytes]:
+        """The live bucket keys, in bucket order."""
+        return list(self._members)
+
     def bucket_members_by_key(self, key: bytes) -> List[int]:
         """The member list of the bucket keyed by ``key`` (do not mutate).
 

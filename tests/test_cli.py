@@ -236,7 +236,7 @@ class TestRebalanceCommand:
         snapshot = tmp_path / "cluster.pkl"
         assert main(
             ["shard", "--events", str(log), "--num-hashes", "6", "--shards", "2",
-             "--partitioner", "rendezvous", "--snapshot", str(snapshot)]
+             "--snapshot", str(snapshot)]
         ) == 0
         return snapshot
 
@@ -267,7 +267,25 @@ class TestRebalanceCommand:
             cluster = revived.backend.index
             cluster.check_invariants()
             assert cluster.num_shards == 3
-            assert cluster.partitioner.kind == "rendezvous"
+            assert cluster.partitioner.num_shards == 3
+
+    def test_failed_step_closes_the_engine(self, capsys, tmp_path, monkeypatch):
+        """A rebalance step that raises still closes the restored engine once."""
+        snapshot = self._snapshot(tmp_path)
+        closes = []
+        close = JoinEstimationEngine.close
+
+        def counting_close(engine):
+            closes.append(engine)
+            close(engine)
+
+        monkeypatch.setattr(JoinEstimationEngine, "close", counting_close)
+        capsys.readouterr()
+        exit_code = main(["rebalance", "--snapshot", str(snapshot), "--shards", "0"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "num_shards must be >= 1" in captured.err
+        assert len(closes) == 1
 
     def test_missing_snapshot(self, capsys, tmp_path):
         exit_code = main(["rebalance", "--snapshot", str(tmp_path / "nope.pkl")])
@@ -292,7 +310,7 @@ class TestEngineConfigCLI:
     def test_estimate_with_sharded_config(self, capsys, tmp_path):
         config = self._config_file(tmp_path, {
             "backend": "sharded", "num_hashes": 6, "seed": 1,
-            "options": {"num_shards": 3, "partitioner": "rendezvous"},
+            "options": {"num_shards": 3},
         })
         exit_code = main(
             ["estimate", "--config", str(config), "--threshold", "0.8",
@@ -422,7 +440,7 @@ class TestEngineConfigCLI:
         log = self._write_log(tmp_path / "events.jsonl", num_vectors=30)
         config = self._config_file(tmp_path, {
             "backend": "sharded", "num_hashes": 6, "seed": 3,
-            "options": {"num_shards": 2, "partitioner": "rendezvous"},
+            "options": {"num_shards": 2},
         })
         snapshot = tmp_path / "engine.pkl"
         assert main(

@@ -166,7 +166,7 @@ class TestRemoteRebalance:
         log = churn_log_factory(small_collection, 150)
         reference = reference_estimator(small_collection, log)
         want = reference.estimate(THRESHOLD, random_state=9, mode="exact").value
-        config = process_config(small_collection.dimension, shards=2, partitioner="rendezvous")
+        config = process_config(small_collection.dimension, shards=2)
         with JoinEstimationEngine(config) as engine:
             engine.ingest(log)
             engine.flush()
@@ -201,8 +201,7 @@ class TestRemoteRebalance:
         cluster rebalanced the same way, bit for bit."""
         log = churn_log_factory(small_collection, 150)
         registry = MetricsRegistry()
-        shape = dict(num_shards=3, num_hashes=NUM_HASHES, random_state=SEED,
-                     partitioner="rendezvous")
+        shape = dict(num_shards=3, num_hashes=NUM_HASHES, random_state=SEED)
         in_process = ShardedMutableIndex(small_collection.dimension, **shape)
         cluster = ClusterCoordinator(
             small_collection.dimension, metrics=registry, **shape, **FAST
@@ -493,9 +492,10 @@ class TestStandaloneWorkers:
     def test_worker_op_error_mid_migration_breaks_the_cluster(
         self, monkeypatch, small_collection
     ):
-        # the migration's row inserts fail on the workers after the
-        # gathers: rows may now sit on two shards, so the cluster is
-        # marked broken and the next estimate says so
+        # a shrink to one shard migrates shard 1's buckets, whose row
+        # inserts fail on the workers after the gathers: rows may now sit
+        # on two shards, so the cluster is marked broken and the next
+        # estimate says so
         insert = ShardWorker.op_insert_prepared
         migrating = threading.Event()
 
@@ -516,12 +516,33 @@ class TestStandaloneWorkers:
             estimator = ShardedStreamingEstimator(cluster)
             migrating.set()
             with pytest.raises(ValidationError, match="injected migration failure"):
-                rebalance_cluster(cluster, partitioner="rendezvous")
+                rebalance_cluster(cluster, 1)
             assert cluster.broken is not None
             with pytest.raises(ClusterError, match="broken"):
                 estimator.estimate(THRESHOLD, random_state=1, mode="exact")
         finally:
             cluster.close()
+        for thread, _address in threads_addresses:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    @pytest.mark.timeout(120)
+    def test_growth_dry_run_over_external_workers(self, small_collection):
+        """A dry run plans from the facade's bucket table, so it needs no
+        worker beyond the configured ones and changes no shard."""
+        threads_addresses = [self._start_worker() for _ in range(2)]
+        addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
+        config = process_config(small_collection.dimension, shards=2, addresses=addresses)
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            cluster = engine.backend.index
+            sizes, opened = cluster.shard_sizes, engine.backend.config
+            plan = engine.rebalance(num_shards=4, dry_run=True)
+            assert plan.num_shards == 4 and plan.moved_keys > 0
+            assert plan.total_keys == cluster.primary_table.num_buckets
+            assert cluster.num_shards == 2 and cluster.shard_sizes == sizes
+            assert engine.backend.config == opened
+            cluster.check_invariants()
         for thread, _address in threads_addresses:
             thread.join(timeout=30)
             assert not thread.is_alive()
@@ -539,8 +560,7 @@ class TestStandaloneWorkers:
 
 def _row_path_pair(shape, collection, **options):
     """(facade of ``shape``, unsharded index) fed the same rows and deletes."""
-    kwargs = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED,
-                  partitioner="rendezvous", **options)
+    kwargs = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED, **options)
     if shape == "process":
         facade = ClusterCoordinator(collection.dimension, **kwargs, **FAST)
     else:
@@ -665,8 +685,7 @@ class TestOneDispatchPath:
         in_process = self._record(monkeypatch, ShardWorker)
         over_the_wire = self._record(monkeypatch, WorkerHandle)
         registry = MetricsRegistry()
-        shape = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED,
-                     partitioner="rendezvous")
+        shape = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED)
         ours = self._drive(
             ShardedMutableIndex(small_collection.dimension, **shape), small_collection
         )

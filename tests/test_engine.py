@@ -3,6 +3,7 @@
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from repro.errors import (
 )
 from repro.lsh import LSHIndex
 from repro.shard import (
+    KeyPartitioner,
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
@@ -64,6 +66,27 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match=f"unknown option.*{option}"):
             EngineConfig(backend=backend, dimension=8, options={option: True})
 
+    @pytest.mark.parametrize("backend", ["sharded", "process"])
+    def test_partitioner_option_rejected(self, backend):
+        # one placement rule: there is no partitioner kind to choose
+        with pytest.raises(ValidationError, match="unknown option.*partitioner"):
+            EngineConfig(backend=backend, dimension=8, options={"partitioner": "rendezvous"})
+
+    def test_bundle_naming_partitioner_refused(self, small_collection, tmp_path):
+        config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
+                              dimension=small_collection.dimension, options={"num_shards": 2})
+        path = tmp_path / "bundle.pkl"
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            engine.snapshot(path)
+        with open(path, "rb") as handle:
+            bundle = pickle.load(handle)
+        bundle["config"]["options"]["partitioner"] = "modulo"
+        with open(path, "wb") as handle:
+            pickle.dump(bundle, handle)
+        with pytest.raises(ValidationError, match="unknown option.*partitioner"):
+            JoinEstimationEngine.restore(path)
+
     def test_family_must_be_string(self):
         from repro.lsh import SignRandomProjectionFamily
 
@@ -93,7 +116,7 @@ class TestEngineConfig:
 
     def test_dict_round_trip(self):
         config = EngineConfig(backend="sharded", dimension=30,
-                              options={"num_shards": 3, "partitioner": "rendezvous"})
+                              options={"num_shards": 3})
         assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_json_round_trip(self):
@@ -154,7 +177,7 @@ class TestEngineConfig:
         if backend == "streaming":
             options = {"staleness_budget": 0.25, "reservoir_size": 64}
         elif backend == "sharded":
-            options = {"num_shards": 3, "partitioner": "rendezvous", "batch_size": 32}
+            options = {"num_shards": 3, "batch_size": 32}
         config = EngineConfig(
             backend=backend, family=family, num_hashes=num_hashes,
             num_tables=num_tables, seed=seed, dimension=dimension, options=options,
@@ -370,14 +393,13 @@ class TestBitIdentity:
         dimension = small_collection.dimension
         config = EngineConfig(
             backend="sharded", num_hashes=10, seed=5, dimension=dimension,
-            options={"num_shards": 3, "partitioner": "rendezvous", "batch_size": 64},
+            options={"num_shards": 3, "batch_size": 64},
         )
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
             via_engine = engine.estimate(EstimateRequest(0.8, seed=3, mode=mode))
         index = ShardedMutableIndex(
             dimension, num_shards=3, num_hashes=10, random_state=6,
-            partitioner="rendezvous",
         )
         router = ShardRouter(index, batch_size=64)
         estimator = ShardedStreamingEstimator(index, router=router, random_state=7)
@@ -671,7 +693,6 @@ def valid_states(tmp_path_factory):
     states["rows"] = states["index"]["rows"]
     states["estimator"] = states["index"]["estimators"][0]
     states["reservoir"] = states["estimator"]["reservoir_h"]
-    states["partitioner"] = states["sharded"]["partitioner"]
     states["cluster"] = states["sharded"]
     configs = {}
     for kind, options in (("static", {}), ("streaming", {}), ("sharded", {"num_shards": 3})):
@@ -726,20 +747,14 @@ def _read_rows(state, states, tmp_path):
     RowStore.from_state(state)
 
 
-def _read_partitioner(state, states, tmp_path):
-    from repro.shard.partition import partitioner_from_state
-
-    partitioner_from_state(state)
-
-
 _UNTAGGED = ("not-a-mapping", "missing-key", "unknown-key", "wrong-type")
 _TAGGED = _UNTAGGED + ("wrong-format", "wrong-kind")
 #: sharded snapshots whose parts disagree: refused before any shard (or
 #: worker) is built
 _SHARD_LAYOUT = (
-    "short-shards", "short-shard-of", "short-buckets", "format-1", "index-shard",
+    "short-shards", "short-shard-of", "short-buckets", "format-1", "format-3", "index-shard",
     "shard-of-out-of-range", "shard-of-negative", "shard-of-wrong-shard",
-    "bucket-owner-out-of-range", "bucket-owner-mismatch", "bucket-members-not-live",
+    "bucket-off-its-pick", "buckets-repeat-a-key", "bucket-members-not-live",
 )
 
 #: reader → (restore call, a field to drop / retype, applicable mutations)
@@ -767,7 +782,6 @@ _READERS = {
         _TAGGED + _SHARD_LAYOUT + ("negative-live-id",),
     ),
     "cluster": (_restore_cluster, "num_shards", _TAGGED + _SHARD_LAYOUT),
-    "partitioner": (_read_partitioner, "num_shards", _UNTAGGED),
     "engine": (_restore_engine, "config", _TAGGED),
     "static-backend": (_restore_backend("static"), "matrix", _TAGGED),
     "streaming-backend": (_restore_backend("streaming"), "index", _TAGGED + ("no-estimator",)),
@@ -791,6 +805,16 @@ def _mutate(state, mutation, field_name):
     elif mutation == "format-1":
         # the sharded state before the facade estimator served every mode
         state.update(format=1, shard_estimators=True, estimator_kwargs={})
+    elif mutation == "format-3":
+        # the sharded state with a partitioner and an owner per bucket
+        state.update(
+            format=3,
+            partitioner={"kind": "rendezvous", "num_shards": state["num_shards"]},
+            buckets=[
+                (key, members, KeyPartitioner(state["num_shards"]).shard_of(key))
+                for key, members in state["buckets"]
+            ],
+        )
     elif mutation == "wrong-kind":
         state["kind"] = "bogus"
     elif mutation == "short-tables":
@@ -828,13 +852,25 @@ def _mutate(state, mutation, field_name):
             }[mutation],
             *state["shard_of"][1:],
         ]
-    elif mutation in ("bucket-owner-out-of-range", "bucket-owner-mismatch"):
-        key, members, owner = state["buckets"][0]
-        owner = 9 if mutation == "bucket-owner-out-of-range" else (owner + 1) % 3
-        state["buckets"] = [(key, members, owner), *state["buckets"][1:]]
+    elif mutation == "bucket-off-its-pick":
+        # bucket 0 under an unused key whose pick is another shard than
+        # the one its members' rows are assigned to
+        key, members = state["buckets"][0]
+        partitioner = KeyPartitioner(state["num_shards"])
+        taken = {bucket_key for bucket_key, _members in state["buckets"]}
+        signature = np.frombuffer(key, dtype=np.int64)
+        key = next(
+            moved for moved in ((signature + step).tobytes() for step in range(1, 1000))
+            if moved not in taken and partitioner.shard_of(moved) != partitioner.shard_of(key)
+        )
+        state["buckets"] = [(key, members), *state["buckets"][1:]]
+    elif mutation == "buckets-repeat-a-key":
+        # bucket 1's members under bucket 0's key: no id repeats
+        (key, _members), (_key, members) = state["buckets"][:2]
+        state["buckets"] = [state["buckets"][0], (key, members), *state["buckets"][2:]]
     elif mutation == "bucket-members-not-live":
-        key, members, owner = state["buckets"][0]
-        state["buckets"] = [(key, [*members, 10**5], owner), *state["buckets"][1:]]
+        key, members = state["buckets"][0]
+        state["buckets"] = [(key, [*members, 10**5]), *state["buckets"][1:]]
     elif mutation == "staleness-budget-above-one":
         state["staleness_budget"] = 5.0
     elif mutation == "reservoir-target-size":
@@ -883,7 +919,7 @@ class TestRebalance:
     def test_grow_preserves_exact_estimates(self, small_collection):
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
                               dimension=small_collection.dimension,
-                              options={"num_shards": 2, "partitioner": "rendezvous"})
+                              options={"num_shards": 2})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
             before = engine.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
@@ -899,7 +935,7 @@ class TestRebalance:
         reservoirs, so auto answers stay bit-identical."""
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
                               dimension=small_collection.dimension,
-                              options={"num_shards": 2, "partitioner": "rendezvous"})
+                              options={"num_shards": 2})
 
         def auto(engine):
             return [engine.estimate(EstimateRequest(0.7, seed=s)).value for s in (1, 2, 3)]
@@ -909,45 +945,68 @@ class TestRebalance:
             before = auto(engine)
             assert engine.rebalance(num_shards=4).moved_keys > 0
             assert auto(engine) == before
-            engine.rebalance(num_shards=3, partitioner="modulo")
+            engine.rebalance(num_shards=3)
             assert auto(engine) == before
 
     def test_dry_run_leaves_data_placement_unchanged(self, small_collection):
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
                               dimension=small_collection.dimension,
-                              options={"num_shards": 3, "partitioner": "modulo"})
+                              options={"num_shards": 3})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
             index = engine.backend.index
             placement = [shard.store.ids().tolist() for shard in index.shards]
-            plan = engine.rebalance(partitioner="rendezvous", dry_run=True)
-            assert plan.total_keys > 0
+            plan = engine.rebalance(num_shards=2, dry_run=True)
+            assert plan.total_keys > 0 and plan.moved_keys > 0
+            assert {move.source for move in plan.moves} == {2}  # a shrink moves shard 2 only
             assert [shard.store.ids().tolist() for shard in index.shards] == placement
 
     def test_growth_dry_run_is_side_effect_free(self, small_collection):
         """A growth dry run must not leave phantom shards behind."""
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
                               dimension=small_collection.dimension,
-                              options={"num_shards": 2, "partitioner": "rendezvous"})
+                              options={"num_shards": 2})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
             plan = engine.rebalance(num_shards=5, dry_run=True)
-            assert plan.partitioner.num_shards == 5
+            assert plan.num_shards == 5
             assert engine.backend.index.num_shards == 2
             assert engine.describe()["backend"]["num_shards"] == 2
             assert engine.config == config
+
+    def test_dry_run_sends_no_shard_request(self, small_collection, monkeypatch):
+        """A dry run plans from the facade's bucket table: no shard is asked."""
+        from repro.shard import ShardWorker
+
+        config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
+                              dimension=small_collection.dimension,
+                              options={"num_shards": 2})
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            engine.flush()
+            sent = []
+            send_request = ShardWorker.send_request
+
+            def recording(worker, op, payload=None):
+                sent.append(op)
+                send_request(worker, op, payload)
+
+            monkeypatch.setattr(ShardWorker, "send_request", recording)
+            plan = engine.rebalance(num_shards=4, dry_run=True)
+            assert sent == []
+            assert plan.moved_keys > 0
+            assert engine.backend.index.num_shards == 2
 
     def test_applied_rebalance_updates_config(self, small_collection, tmp_path):
         """Snapshots taken after a rebalance describe the adopted shape."""
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
                               dimension=small_collection.dimension,
-                              options={"num_shards": 2, "partitioner": "modulo"})
+                              options={"num_shards": 2})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
             router_before = engine.backend._router
-            engine.rebalance(num_shards=4, partitioner="rendezvous")
+            engine.rebalance(num_shards=4)
             assert engine.config.options["num_shards"] == 4
-            assert engine.config.options["partitioner"] == "rendezvous"
             # the router holds no per-shard state, so the same router and
             # serving estimator carry on over the resized cluster
             assert engine.backend._router is router_before
@@ -958,7 +1017,6 @@ class TestRebalance:
             engine.snapshot(path)
         revived = JoinEstimationEngine.restore(path)
         assert revived.config.options["num_shards"] == 4
-        assert revived.config.options["partitioner"] == "rendezvous"
         revived.close()
 
 
@@ -1050,7 +1108,7 @@ class TestProvenance:
     def test_sharded_provenance_fields(self, small_collection):
         config = EngineConfig(backend="sharded", num_hashes=8, seed=4,
                               dimension=small_collection.dimension,
-                              options={"num_shards": 3, "partitioner": "rendezvous"})
+                              options={"num_shards": 3})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(small_collection)
             result = engine.estimate(EstimateRequest(0.8, seed=1))
@@ -1059,7 +1117,7 @@ class TestProvenance:
         assert 0.0 <= details["staleness"]["h"] <= 1.0
         assert 0.0 <= details["staleness"]["l"] <= 1.0
         assert sum(details["shard_sizes"]) == small_collection.size
-        assert details["partitioner"] == "rendezvous"
+        assert "partitioner" not in details
         assert details["pending_writes"] == 0
         assert details["num_collision_pairs"] + details["num_non_collision_pairs"] == (
             details["total_pairs"]

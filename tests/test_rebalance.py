@@ -1,4 +1,4 @@
-"""Tests for online shard rebalancing (repro.shard.rebalance + partitioners)."""
+"""Tests for online shard rebalancing (repro.shard.rebalance + KeyPartitioner)."""
 
 import numpy as np
 import pytest
@@ -7,23 +7,14 @@ from hypothesis import strategies as st
 
 from repro.errors import ClusterError, StrandedWritesError, ValidationError
 from repro.shard import (
-    KeyMove,
     KeyPartitioner,
-    RebalancePlan,
-    RendezvousPartitioner,
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
-    apply_plan,
     plan_rebalance,
     rebalance_cluster,
-    resolve_partitioner,
 )
-from repro.shard.partition import (
-    key_signature_matrix,
-    partitioner_from_state,
-    partitioner_state,
-)
+from repro.shard.partition import key_signature_matrix
 from repro.streaming import (
     ChangeLog,
     Delete,
@@ -37,7 +28,7 @@ SEED = 19
 NUM_HASHES = 10
 
 
-def _build_pair(collection, churn_log, *, num_shards, partitioner="rendezvous"):
+def _build_pair(collection, churn_log, *, num_shards):
     """(unsharded reference estimator, sharded cluster) over the same log."""
     log = churn_log
     unsharded = MutableLSHIndex(
@@ -50,7 +41,6 @@ def _build_pair(collection, churn_log, *, num_shards, partitioner="rendezvous"):
         num_shards=num_shards,
         num_hashes=NUM_HASHES,
         random_state=SEED,
-        partitioner=partitioner,
     )
     with ShardRouter(sharded, batch_size=64) as router:
         router.replay(log)
@@ -70,16 +60,20 @@ def _assert_matches_reference(sharded, reference, *, seeds=(11, 99)):
         assert ours.value == theirs.value
 
 
-class TestRendezvousPartitioner:
+class TestKeyPartitionerPlacement:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            RendezvousPartitioner(0)
+        for num_shards in (0, -1):
+            with pytest.raises(ValidationError):
+                KeyPartitioner(num_shards)
 
     def test_single_shard_is_constant(self):
-        assert RendezvousPartitioner(1)(b"\x01" * 16) == 0
+        partitioner = KeyPartitioner(1)
+        assert partitioner.shard_of(b"\x01" * 16) == 0
+        signatures = np.arange(30, dtype=np.int64).reshape(10, 3)
+        assert not partitioner.shard_of_signatures(signatures).any()
 
     def test_key_and_signature_paths_agree(self):
-        partitioner = RendezvousPartitioner(7)
+        partitioner = KeyPartitioner(7)
         rng = np.random.default_rng(0)
         signatures = rng.integers(-4, 4, size=(60, 12)).astype(np.int64)
         batch = partitioner.shard_of_signatures(signatures)
@@ -88,12 +82,12 @@ class TestRendezvousPartitioner:
             assert partitioner.shard_of(key) == batch[position]
 
     def test_deterministic_and_spread(self):
-        partitioner = RendezvousPartitioner(4)
+        partitioner = KeyPartitioner(4)
         rng = np.random.default_rng(1)
         signatures = rng.integers(0, 2, size=(2000, 16)).astype(np.int64)
         first = partitioner.shard_of_signatures(signatures)
         np.testing.assert_array_equal(
-            first, partitioner.shard_of_signatures(signatures)
+            first, KeyPartitioner(4).shard_of_signatures(signatures)
         )
         counts = np.bincount(first, minlength=4)
         assert counts.min() > 0.15 * signatures.shape[0]
@@ -103,28 +97,22 @@ class TestRendezvousPartitioner:
         """Growing S → S+1 relocates ~1/(S+1) of keys, all onto the new shard."""
         rng = np.random.default_rng(3)
         signatures = rng.integers(-8, 8, size=(20000, 12)).astype(np.int64)
-        old = RendezvousPartitioner(num_shards).shard_of_signatures(signatures)
-        new = RendezvousPartitioner(num_shards).with_num_shards(
-            num_shards + 1
-        ).shard_of_signatures(signatures)
+        old = KeyPartitioner(num_shards).shard_of_signatures(signatures)
+        new = KeyPartitioner(num_shards + 1).shard_of_signatures(signatures)
         moved = old != new
         assert np.mean(moved) <= 1.5 / (num_shards + 1)
         assert np.all(new[moved] == num_shards)  # only arrivals at the new shard
 
-    def test_state_round_trip_and_equality(self):
-        for partitioner in (RendezvousPartitioner(5), KeyPartitioner(3)):
-            revived = partitioner_from_state(partitioner_state(partitioner))
-            assert revived == partitioner
-        assert RendezvousPartitioner(3) != KeyPartitioner(3)
-
-    def test_resolve_partitioner(self):
-        assert resolve_partitioner("rendezvous", 3) == RendezvousPartitioner(3)
-        assert resolve_partitioner("modulo", 2) == KeyPartitioner(2)
-        assert resolve_partitioner(KeyPartitioner, 4) == KeyPartitioner(4)
-        with pytest.raises(ValidationError):
-            resolve_partitioner("fibonacci", 2)
-        with pytest.raises(ValidationError):
-            resolve_partitioner(KeyPartitioner(2), 3)  # instance must match S
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_shrink_moves_only_departing_keys(self, num_shards):
+        """Shrinking S+2 → S keeps every key of the surviving shards in place."""
+        rng = np.random.default_rng(4)
+        signatures = rng.integers(-8, 8, size=(20000, 12)).astype(np.int64)
+        old = KeyPartitioner(num_shards + 2).shard_of_signatures(signatures)
+        new = KeyPartitioner(num_shards).shard_of_signatures(signatures)
+        staying = old < num_shards
+        np.testing.assert_array_equal(new[staying], old[staying])
+        assert np.all(new < num_shards)
 
     def test_key_signature_matrix_round_trip(self):
         rng = np.random.default_rng(9)
@@ -137,56 +125,44 @@ class TestRendezvousPartitioner:
 
 
 class TestRowMigration:
-    """A migration moves the member rows of whole buckets by id; the
-    facade's bucket table stays as it was and only owners change."""
+    """A resize moves the member rows of whole buckets by id; the facade's
+    bucket table stays as it was and only the placement changes."""
 
     def test_migration_moves_member_rows_and_counters(self, small_collection, churn_log_factory):
         _, sharded = _build_pair(
             small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
-        buckets_before = sharded.primary_table.bucket_state()
-        sizes_before = sharded.shard_sizes
-        pairs_before = sharded.shard_collision_pairs
-        keys = [key for key, owner in sharded._owner_of_key.items() if owner == 0][::3]
+        table = sharded.primary_table
+        buckets_before = table.bucket_state()
+        sizes = [*sharded.shard_sizes, 0]
+        pairs = [*sharded.shard_collision_pairs, 0]
+        planned = plan_rebalance(sharded, 3)
+        assert planned.moves and all(move.target == 2 for move in planned.moves)
         moved = [
             vector_id
-            for key in keys
-            for vector_id in sharded.primary_table.bucket_members_by_key(key)
+            for move in planned.moves
+            for vector_id in table.bucket_members_by_key(move.key)
         ]
         rows_before = sharded._stack_raw(np.asarray(moved)).toarray()
-        plan = apply_plan(
-            sharded,
-            RebalancePlan(moves=[KeyMove(key, 0, 1) for key in keys],
-                          total_keys=len(sharded._owner_of_key)),
-        )
+        for move in planned.moves:
+            count = len(table.bucket_members_by_key(move.key))
+            sizes[move.source] -= count
+            sizes[move.target] += count
+            pairs[move.source] -= count * (count - 1) // 2
+            pairs[move.target] += count * (count - 1) // 2
+        plan = rebalance_cluster(sharded, 3)
         sharded.check_invariants()
+        assert plan == planned
         assert plan.moved_vectors == len(moved)
-        assert sharded.primary_table.bucket_state() == buckets_before
-        assert set(moved) <= set(sharded.shards[1].store.ids().tolist())
-        assert set(moved).isdisjoint(sharded.shards[0].store.ids().tolist())
+        assert table.bucket_state() == buckets_before
+        assert sorted(sharded.shards[2].store.ids().tolist()) == sorted(moved)
+        for shard in sharded.shards[:2]:
+            assert set(moved).isdisjoint(shard.store.ids().tolist())
         np.testing.assert_array_equal(
             sharded._stack_raw(np.asarray(moved)).toarray(), rows_before
         )
-        moved_pairs = sum(
-            len(members) * (len(members) - 1) // 2
-            for members in (sharded.primary_table.bucket_members_by_key(key) for key in keys)
-        )
-        assert sharded.shard_sizes == (sizes_before[0] - len(moved), sizes_before[1] + len(moved))
-        assert sharded.shard_collision_pairs == (
-            pairs_before[0] - moved_pairs, pairs_before[1] + moved_pairs
-        )
-
-    def test_plan_moving_a_key_twice_rejected(self, small_collection, churn_log_factory):
-        _, sharded = _build_pair(
-            small_collection, churn_log_factory(small_collection, 400), num_shards=3
-        )
-        key = next(key for key, owner in sharded._owner_of_key.items() if owner == 0)
-        twice = RebalancePlan(moves=[KeyMove(key, 0, 1), KeyMove(key, 0, 2)], total_keys=1)
-        sizes = sharded.shard_sizes
-        with pytest.raises(ValidationError, match="twice"):
-            apply_plan(sharded, twice)
-        assert sharded.shard_sizes == sizes
-        sharded.check_invariants()
+        assert sharded.shard_sizes == tuple(sizes)
+        assert sharded.shard_collision_pairs == tuple(pairs)
 
 
 class TestRebalance:
@@ -205,21 +181,20 @@ class TestRebalance:
         assert len(sharded.shards) == 2
         _assert_matches_reference(sharded, reference)
 
-    def test_partitioner_switch_keeps_exact_estimates(self, small_collection, churn_log_factory):
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_snapshot_round_trips_placement(self, small_collection, churn_log_factory, num_shards):
+        """A restore places every bucket on its key's pick, after a resize too."""
         reference, sharded = _build_pair(
-            small_collection, churn_log_factory(small_collection, 400),
-            num_shards=4, partitioner="modulo"
+            small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
-        plan = rebalance_cluster(sharded, partitioner="rendezvous")
-        assert sharded.partitioner == RendezvousPartitioner(4)
-        assert plan.moved_keys > 0  # a kind switch reshuffles
-        _assert_matches_reference(sharded, reference)
-
-    def test_snapshot_partitioner_kind_round_trips(self, small_collection, churn_log_factory):
-        _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
+        rebalance_cluster(sharded, num_shards)
         revived = ShardedMutableIndex.from_state(sharded.to_state())
-        assert revived.partitioner == sharded.partitioner
-        assert revived.partitioner.kind == "rendezvous"
+        assert revived.partitioner == KeyPartitioner(num_shards)
+        assert revived.shard_sizes == sharded.shard_sizes
+        assert revived.shard_collision_pairs == sharded.shard_collision_pairs
+        for ours, theirs in zip(revived.shards, sharded.shards):
+            np.testing.assert_array_equal(ours.store.ids(), theirs.store.ids())
+        _assert_matches_reference(revived, reference)
 
     def test_inserts_after_rebalance_follow_new_owners(self, small_collection, churn_log_factory):
         reference, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
@@ -234,9 +209,7 @@ class TestRebalance:
         _assert_matches_reference(sharded, reference)
 
     def test_empty_cluster_rebalance(self):
-        sharded = ShardedMutableIndex(
-            4, num_shards=2, num_hashes=4, random_state=0, partitioner="rendezvous"
-        )
+        sharded = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
         plan = rebalance_cluster(sharded, num_shards=3)
         assert plan.moved_keys == 0 and plan.total_keys == 0
         assert sharded.num_shards == 3
@@ -244,54 +217,24 @@ class TestRebalance:
 
     def test_noop_rebalance(self, small_collection, churn_log_factory):
         reference, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
-        plan = rebalance_cluster(sharded)
+        plan = rebalance_cluster(sharded, 2)
         assert plan.moved_keys == 0
         _assert_matches_reference(sharded, reference)
-
-    def test_manual_plan_migrates_chosen_keys(self, small_collection, churn_log_factory):
-        """A hand-built plan (partitioner=None) performs a raw key-range
-        migration; the facade keeps routing to the new owners."""
-        reference, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
-        keys = [
-            key for key, shard_id in sharded._owner_of_key.items()
-            if shard_id == 0
-        ][:5]
-        plan = RebalancePlan(
-            moves=[KeyMove(key, 0, 1) for key in keys],
-            total_keys=len(sharded._owner_of_key),
-        )
-        apply_plan(sharded, plan)
-        for key in keys:
-            assert sharded._owner_of_key[key] == 1
-        _assert_matches_reference(sharded, reference)
-
-    def test_stale_plan_rejected(self, small_collection, churn_log_factory):
-        _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
-        key = next(iter(sharded._owner_of_key))
-        owner = sharded._owner_of_key[key]
-        bad_source = RebalancePlan(
-            moves=[KeyMove(key, 1 - owner, owner)], total_keys=1
-        )
-        with pytest.raises(ValidationError):
-            apply_plan(sharded, bad_source)
-        with pytest.raises(ValidationError):
-            apply_plan(
-                sharded, RebalancePlan(moves=[KeyMove(key, owner, 9)], total_keys=1)
-            )
-        with pytest.raises(ValidationError):
-            apply_plan(
-                sharded, RebalancePlan(moves=[KeyMove(b"nope", 0, 1)], total_keys=1)
-            )
 
     def test_shrink_with_occupied_trailing_shard_rejected(self, small_collection, churn_log_factory):
         _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=3)
         with pytest.raises(ValidationError):
             sharded.drop_trailing_shards(2)  # nothing migrated away yet
 
-    def test_plan_requires_grown_cluster(self, small_collection, churn_log_factory):
+    def test_plan_reads_the_table_only(self, small_collection, churn_log_factory):
+        """A plan for more shards than the cluster has needs no shard."""
         _, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
+        plan = plan_rebalance(sharded, 5)
+        assert plan.num_shards == 5 and sharded.num_shards == 2
+        assert plan.total_keys == sharded.primary_table.num_buckets
+        assert {move.target for move in plan.moves} <= {2, 3, 4}
         with pytest.raises(ValidationError):
-            plan_rebalance(sharded, RendezvousPartitioner(5))
+            plan_rebalance(sharded, 0)
 
 
 class TestEstimatorMigration:
@@ -368,7 +311,6 @@ class TestMigrationPropertyBased:
             num_shards=num_shards,
             num_hashes=6,
             random_state=13,
-            partitioner="rendezvous",
         )
         with ShardRouter(sharded, batch_size=7) as router:
             router.replay(log)
@@ -439,41 +381,6 @@ class TestRouterFlushGuarantees:
         router.insert([0.0, 1.0, 0.0, 0.0])  # post-close writes fall back
         router.flush()
         assert index.size == 2
-
-
-class TestOwnerOverrideFastPath:
-    """The hot ingest path skips owner re-checks unless owners diverge."""
-
-    def test_flag_clear_after_full_rebalance(self, small_collection, churn_log_factory):
-        _, sharded = _build_pair(
-            small_collection, churn_log_factory(small_collection, 400), num_shards=2
-        )
-        assert not sharded._owner_overrides  # never-rebalanced cluster
-        rebalance_cluster(sharded, num_shards=3)
-        # a full plan realigns every owner with the new partitioner
-        assert not sharded._owner_overrides
-
-    def test_flag_set_by_manual_plan_and_restored(self, small_collection, churn_log_factory):
-        _, sharded = _build_pair(
-            small_collection, churn_log_factory(small_collection, 400), num_shards=2
-        )
-        keys = [
-            key for key, shard_id in sharded._owner_of_key.items()
-            if shard_id == 0
-        ][:3]
-        apply_plan(
-            sharded,
-            RebalancePlan(moves=[KeyMove(key, 0, 1) for key in keys],
-                          total_keys=len(sharded._owner_of_key)),
-        )
-        assert sharded._owner_overrides  # owners now deviate from the partitioner
-        revived = ShardedMutableIndex.from_state(sharded.to_state())
-        assert revived._owner_overrides  # restore re-detects the divergence
-        # routing still honours the manual owners on both write paths
-        for row in range(10):
-            revived.insert(small_collection.row(row))
-        revived.insert_many(small_collection.matrix[:10])
-        revived.check_invariants()
 
 
 class TestCommitFailureSafety:

@@ -55,7 +55,7 @@ class TestKeyPartitioner:
 
     def test_single_shard_is_constant(self):
         partitioner = KeyPartitioner(1)
-        assert partitioner(b"\x01" * 16) == 0
+        assert partitioner.shard_of(b"\x01" * 16) == 0
 
     def test_key_and_signature_paths_agree(self):
         partitioner = KeyPartitioner(7)
@@ -392,7 +392,7 @@ class TestRouterFailurePaths:
 
 def _assert_strata_identities(sharded):
     """The merged strata add up, and each shard's size and N_H equal a
-    recount from the live ids, the facade table and the bucket owners."""
+    recount from the live ids, the facade table and each key's pick."""
     strata = merge_strata(sharded)
     assert isinstance(strata, MergedStrata)
     assert strata.num_collision_pairs == sum(strata.shard_collision_pairs)
@@ -408,7 +408,7 @@ def _assert_strata_identities(sharded):
     sizes = [0] * sharded.num_shards
     pairs = [0] * sharded.num_shards
     for key, count in bucket_sizes.items():
-        owner = sharded._owner_of_key[key]
+        owner = sharded.partitioner.shard_of(key)
         sizes[owner] += count
         pairs[owner] += count * (count - 1) // 2
     assert strata.shard_sizes == tuple(sizes)
