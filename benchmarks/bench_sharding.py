@@ -13,11 +13,13 @@ Three acceptance gates for the sharded subsystem (``repro.shard``):
    per-stage timing model rather than wall-clock threading.
    Gate: ≥ 2× single-shard throughput at S = 4.
 2. **Query cost** — mutable-path ``cosine_pairs`` (pooled row store)
-   must stay within 2× of the static path
+   must stay within 1.3× of the static path
    (:func:`repro.vectors.similarity.cosine_pairs` over the pre-normalised
-   collection matrix), closing the E13 query-path gap; and the S = 4
+   collection matrix): both are one scipy row index per side into rows
+   normalised ahead of time, then the same kernel.  The S = 4
    :class:`~repro.shard.ShardedMutableIndex` facade must return the same
-   values within 2× of the mutable path on the same pairs.
+   values within 2× of the mutable path on the same pairs.  Each path
+   counts its best of three alternating timed blocks.
 3. **Merge fidelity** — after replaying a churn log, the sharded
    exact-mode estimate must be *bit-identical* to the unsharded
    streaming estimator's for the same seed, with identical strata.
@@ -153,35 +155,25 @@ def test_sharded_ingest_scaling(benchmark, dblp_collection, results_dir):
 
 
 def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
-    """Gate 2: pooled-row-store cosine queries within 2× of the static path,
+    """Gate 2: pooled-row-store cosine queries within 1.3× of the static path,
     and the S = 4 facade's within 2× of the pooled row store's."""
     index = MutableLSHIndex.from_collection(
         dblp_collection, num_hashes=NUM_HASHES, random_state=SEED
     )
-    rng = np.random.default_rng(SEED)
-    left = rng.integers(0, dblp_collection.size, size=QUERY_PAIRS)
-    right = rng.integers(0, dblp_collection.size, size=QUERY_PAIRS)
-    # warm both caches (lazy norms / normalized_matrix) outside the timing
-    mutable_values = index.cosine_pairs(left, right)
-    static_values = static_cosine_pairs(dblp_collection, left, right)
-    np.testing.assert_array_equal(mutable_values, static_values)
-
-    def run():
-        start = time.perf_counter()
-        for _ in range(QUERY_ROUNDS):
-            index.cosine_pairs(left, right)
-        mutable_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(QUERY_ROUNDS):
-            static_cosine_pairs(dblp_collection, left, right)
-        static_seconds = time.perf_counter() - start
-        return mutable_seconds, static_seconds
-
-    mutable_seconds, static_seconds = benchmark.pedantic(run, rounds=1, iterations=1)
-
     sharded = ShardedMutableIndex.from_collection(
         dblp_collection, num_shards=4, num_hashes=NUM_HASHES, random_state=SEED
     )
+    rng = np.random.default_rng(SEED)
+    left = rng.integers(0, dblp_collection.size, size=QUERY_PAIRS)
+    right = rng.integers(0, dblp_collection.size, size=QUERY_PAIRS)
+
+    def static(left_ids, right_ids):
+        return static_cosine_pairs(dblp_collection, left_ids, right_ids)
+
+    # the row stores normalise at insert; this first call builds the static
+    # collection's cached normalized_matrix outside the timing
+    mutable_values = index.cosine_pairs(left, right)
+    np.testing.assert_array_equal(mutable_values, static(left, right))
     np.testing.assert_array_equal(sharded.cosine_pairs(left, right), mutable_values)
 
     def timed(cosine_pairs) -> float:
@@ -190,25 +182,30 @@ def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
             cosine_pairs(left, right)
         return time.perf_counter() - start
 
-    # the facade against the row store: best of alternating blocks, so one
-    # burst of host noise cannot decide the gate
-    blocks = [(timed(index.cosine_pairs), timed(sharded.cosine_pairs)) for _ in range(3)]
-    best_mutable, sharded_seconds = (min(side) for side in zip(*blocks))
+    # best of alternating blocks, so one burst of host noise cannot decide a gate
+    def run():
+        return [
+            (timed(index.cosine_pairs), timed(static), timed(sharded.cosine_pairs))
+            for _ in range(3)
+        ]
+
+    blocks = benchmark.pedantic(run, rounds=1, iterations=1)
+    mutable_seconds, static_seconds, sharded_seconds = (min(side) for side in zip(*blocks))
     ratio = mutable_seconds / max(static_seconds, 1e-9)
-    sharded_ratio = sharded_seconds / max(best_mutable, 1e-9)
+    sharded_ratio = sharded_seconds / max(mutable_seconds, 1e-9)
     body = format_table(
-        ["path", "total (ms)", "per call (ms)"],
+        ["path (best of 3)", "total (ms)", "per call (ms)"],
         [
             ["mutable (RowStore gather)", mutable_seconds * 1000.0,
              mutable_seconds / QUERY_ROUNDS * 1000.0],
             ["static (normalized_matrix)", static_seconds * 1000.0,
              static_seconds / QUERY_ROUNDS * 1000.0],
-            ["sharded S = 4 (facade gather, best of 3)", sharded_seconds * 1000.0,
+            ["sharded S = 4 (facade gather)", sharded_seconds * 1000.0,
              sharded_seconds / QUERY_ROUNDS * 1000.0],
         ],
         float_format="{:.3f}",
     )
-    body += f"\nmutable / static ratio: {ratio:.2f}x (gate: ≤ 2×); values bit-identical"
+    body += f"\nmutable / static ratio: {ratio:.2f}x (gate: ≤ 1.3×); values bit-identical"
     body += f"\nsharded / mutable ratio: {sharded_ratio:.2f}x (gate: ≤ 2×); values bit-identical"
     emit(
         "E15_mutable_query_cost",
@@ -219,7 +216,7 @@ def test_mutable_query_cost_vs_static(benchmark, dblp_collection, results_dir):
         benchmark=benchmark,
         extra_info={"query_ratio": ratio, "sharded_query_ratio": sharded_ratio},
     )
-    assert ratio <= 2.0, f"mutable-path queries {ratio:.2f}x the static path"
+    assert ratio <= 1.3, f"mutable-path queries {ratio:.2f}x the static path"
     assert sharded_ratio <= 2.0, f"S = 4 facade queries {sharded_ratio:.2f}x the mutable path"
 
 

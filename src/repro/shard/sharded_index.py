@@ -79,13 +79,9 @@ from repro.streaming.mutable_index import (
     restore_estimator_states,
     signature_bucket_key,
 )
-from repro.streaming.rowstore import (
-    _MAX_ID,
-    ROW_STORE_STATE,
-    pairwise_cosine,
-    segment_positions,
-)
+from repro.streaming.rowstore import _MAX_ID, _MAX_POOL_NNZ, ROW_STORE_STATE
 from repro.vectors.collection import VectorCollection
+from repro.vectors.similarity import pairwise_cosine
 
 #: ``(data, indices, indptr)`` of a stack of CSR rows
 CSRParts = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -331,13 +327,13 @@ class ShardedMutableIndex:
 
     def _owners(self, ids: np.ndarray) -> np.ndarray:
         """The owning shard of every id; refuses the first one not live."""
-        valid = (ids >= 0) & (ids < self._shard_of_id.size)
-        owners = np.full(ids.size, -1, dtype=np.int64)
-        owners[valid] = self._shard_of_id[ids[valid]]
-        if owners.size and owners.min() < 0:
-            missing = int(ids[int(np.argmin(owners >= 0))])
-            raise ValidationError(f"vector id {missing} is not in the index")
-        return owners
+        size = self._shard_of_id.size
+        if ids.size == 0 or (ids.min() >= 0 and ids.max() < size):
+            owners = self._shard_of_id[ids]
+            if owners.size == 0 or owners.min() >= 0:
+                return owners
+        missing = next(int(i) for i in ids if not 0 <= i < size or self._shard_of_id[i] < 0)
+        raise ValidationError(f"vector id {missing} is not in the index")
 
     def _place(self, ids: np.ndarray, shard_ids: Union[int, np.ndarray]) -> None:
         """Record the owning shard of ``ids`` in the id-indexed map."""
@@ -605,41 +601,43 @@ class ShardedMutableIndex:
             self._table.same_bucket_many, random_state, max_attempts=max_attempts,
         )
 
-    def _gather(self, ids: np.ndarray, *, normalized: bool) -> CSRParts:
-        """CSR parts of the rows of ``ids`` (repeats allowed), in order.
+    def _gather(
+        self, ids: np.ndarray, *, normalized: bool
+    ) -> Tuple[sparse.csr_matrix, np.ndarray]:
+        """The fetched rows of ``ids`` as one CSR matrix, and each id's row in it.
 
-        Each owning shard is asked once, for its unique ids; the fetched
-        rows are then laid out in ``ids`` order by segment positions.
+        Each owning shard is asked once, for its unique ids; indexing the
+        matrix with the returned rows lays them out in ``ids`` order
+        (repeats allowed).
         """
-        unique, inverse = np.unique(ids, return_inverse=True)
-        owners = self._owners(unique)
-        order = np.argsort(owners, kind="stable")
-        bounds = np.searchsorted(owners[order], np.arange(self.num_shards + 1))
+        # one sort groups the unique ids by owning shard, ascending within each
+        keys = self._owners(ids) * _MAX_ID + ids
+        unique_keys, rows = np.unique(keys, return_inverse=True)
+        bounds = np.searchsorted(unique_keys, np.arange(self.num_shards + 1) * _MAX_ID)
+        unique = unique_keys % _MAX_ID
         replies = self._fan_out("gather_rows", [
-            (shard_id, {"ids": unique[order[start:stop]], "normalized": normalized})
+            (shard_id, {"ids": unique[start:stop], "normalized": normalized})
             for shard_id, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
             if stop > start
         ])
         parts: List[CSRParts] = [reply["parts"] for reply in replies]
-        # the fetched rows in `order`, as one pool with an extent per unique id
-        data = np.concatenate([part[0] for part in parts])
-        indices = np.concatenate([part[1] for part in parts])
-        lengths = np.concatenate([np.diff(part[2]) for part in parts]).astype(np.int64)
-        starts = np.zeros(lengths.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        slot = np.empty_like(order)
-        slot[order] = np.arange(order.size)
-        rows = slot[inverse.ravel()]
-        row_lengths = lengths[rows]
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=indptr[1:])
-        positions = segment_positions(starts[rows], row_lengths, indptr)
-        return data[positions], indices[positions], indptr
+        # int32 offsets where they fit, as a shard's pool has them: scipy then
+        # takes them as they are
+        nnz = sum(part[0].size for part in parts)
+        indptr = np.zeros(unique.size + 1, dtype=np.int32 if nnz <= _MAX_POOL_NNZ else np.int64)
+        np.cumsum(np.concatenate([np.diff(part[2]) for part in parts]), out=indptr[1:])
+        fetched = sparse.csr_matrix(
+            (np.concatenate([part[0] for part in parts]),
+             np.concatenate([part[1] for part in parts]), indptr),
+            shape=(unique.size, self.dimension),
+        )
+        return fetched, rows.ravel()
 
     def cosine_pairs(self, left_ids: Sequence[int], right_ids: Sequence[int]) -> np.ndarray:
         """Cosine similarities for live ``(left, right)`` id pairs across shards.
 
-        Both sides share one gather, so every shard is asked once per call.
+        Both sides share one gather, so every shard is asked once per call;
+        each side is then one row index of the fetched rows.
         """
         left = np.asarray(left_ids, dtype=np.int64)
         right = np.asarray(right_ids, dtype=np.int64)
@@ -647,18 +645,8 @@ class ShardedMutableIndex:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        data, indices, indptr = self._gather(
-            np.concatenate([left.ravel(), right.ravel()]), normalized=True
-        )
-        count, split = left.size, int(indptr[left.size])
-        shape = (count, self.dimension)
-        rows_left = sparse.csr_matrix(
-            (data[:split], indices[:split], indptr[: count + 1]), shape=shape
-        )
-        rows_right = sparse.csr_matrix(
-            (data[split:], indices[split:], indptr[count:] - split), shape=shape
-        )
-        return pairwise_cosine(rows_left, rows_right)
+        fetched, rows = self._gather(np.concatenate([left.ravel(), right.ravel()]), normalized=True)
+        return pairwise_cosine(fetched[rows[: left.size]], fetched[rows[left.size :]])
 
     # ------------------------------------------------------------------
     # export / verification
@@ -671,9 +659,8 @@ class ShardedMutableIndex:
         return VectorCollection(self._stack_raw(ids), copy=False), ids
 
     def _stack_raw(self, ids: np.ndarray) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
-            self._gather(ids, normalized=False), shape=(ids.size, self.dimension)
-        )
+        fetched, rows = self._gather(ids, normalized=False)
+        return fetched[rows]
 
     def _recount_shards(self) -> Tuple[List[int], List[int]]:
         """Per-shard sizes and ``N_H`` recounted from the table in one

@@ -52,8 +52,9 @@ from repro.lsh.index import resolve_family
 from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.state import StateSpec
-from repro.streaming.rowstore import _MAX_ID, RowStore, pairwise_cosine
+from repro.streaming.rowstore import _MAX_ID, RowStore
 from repro.vectors.collection import VectorCollection
+from repro.vectors.similarity import pairwise_cosine
 
 VectorInput = Union[Mapping[int, float], Sequence[float], np.ndarray, sparse.spmatrix]
 
@@ -763,9 +764,10 @@ class MutableLSHIndex:
     def cosine_pairs(self, left_ids: Sequence[int], right_ids: Sequence[int]) -> np.ndarray:
         """Cosine similarities for many live ``(left, right)`` id pairs.
 
-        Served from the pooled row store: one vectorised gather per side
-        instead of a per-row ``vstack``, with inverse norms cached lazily
-        (queries pay for normalisation once per row, updates never do).
+        Each side is one scipy row index of the row store's normalised
+        pool, whose rows were L2-normalised once at insert; the two stacks
+        then go through the kernel the static shape uses,
+        :func:`~repro.vectors.similarity.pairwise_cosine`.
         """
         left = np.asarray(left_ids, dtype=np.int64)
         right = np.asarray(right_ids, dtype=np.int64)
@@ -773,9 +775,9 @@ class MutableLSHIndex:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        rows_left = self._rows.gather_normalized(left)
-        rows_right = self._rows.gather_normalized(right)
-        return pairwise_cosine(rows_left, rows_right)
+        pool = self._rows.normalized_pool()
+        rows = self._rows.pool_rows(np.concatenate([left.ravel(), right.ravel()]))
+        return pairwise_cosine(pool[rows[: left.size]], pool[rows[left.size :]])
 
     def sample_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None

@@ -6,7 +6,7 @@ representation used throughout the library:
 
 * :class:`~repro.vectors.collection.VectorCollection` — an immutable,
   CSR-backed collection of sparse vectors with cached norms.
-* :mod:`~repro.vectors.similarity` — cosine / Jaccard / dot / overlap
+* :mod:`~repro.vectors.similarity` — cosine / Jaccard / overlap
   similarities, both pairwise and vectorised over index pairs.
 * :mod:`~repro.vectors.tfidf` — a small TF-IDF pipeline used by the
   synthetic NYT-like and PUBMED-like corpora.
@@ -19,7 +19,6 @@ from repro.vectors.similarity import (
     cosine_pairs,
     cosine_similarity,
     cosine_similarity_matrix,
-    dot_pairs,
     jaccard_pairs,
     jaccard_similarity,
     overlap_similarity,
@@ -32,7 +31,6 @@ __all__ = [
     "cosine_similarity",
     "cosine_similarity_matrix",
     "cosine_pairs",
-    "dot_pairs",
     "jaccard_similarity",
     "jaccard_pairs",
     "overlap_similarity",

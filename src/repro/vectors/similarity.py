@@ -47,30 +47,14 @@ def cosine_similarity(u: VectorLike, v: VectorLike) -> float:
     return float(np.clip(value, -1.0, 1.0))
 
 
-def dot_pairs(
-    collection: VectorCollection,
-    left_indices: Sequence[int],
-    right_indices: Sequence[int],
-    *,
-    other: Optional[VectorCollection] = None,
-) -> np.ndarray:
-    """Dot products ``<collection[left_i], other[right_i]>`` for index pairs.
+def pairwise_cosine(rows_left: sparse.csr_matrix, rows_right: sparse.csr_matrix) -> np.ndarray:
+    """Row-wise cosine of two aligned stacks of L2-normalised CSR rows.
 
-    ``other`` defaults to ``collection`` (self-join case).  This is the
-    vectorised primitive the samplers use: it touches only the sampled
-    rows, never the full ``n × n`` product.
+    The one cosine kernel: every shape gathers its normalised rows with
+    one scipy row index and evaluates them here.
     """
-    other = collection if other is None else other
-    left = np.asarray(left_indices, dtype=np.int64)
-    right = np.asarray(right_indices, dtype=np.int64)
-    if left.shape != right.shape:
-        raise ValidationError("left and right index arrays must have the same length")
-    if left.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    rows_left = collection.matrix[left]
-    rows_right = other.matrix[right]
     products = rows_left.multiply(rows_right).sum(axis=1)
-    return np.asarray(products).ravel()
+    return np.clip(np.asarray(products).ravel(), -1.0, 1.0)
 
 
 def cosine_pairs(
@@ -93,10 +77,7 @@ def cosine_pairs(
         raise ValidationError("left and right index arrays must have the same length")
     if left.size == 0:
         return np.zeros(0, dtype=np.float64)
-    rows_left = collection.normalized_matrix[left]
-    rows_right = other.normalized_matrix[right]
-    products = rows_left.multiply(rows_right).sum(axis=1)
-    return np.clip(np.asarray(products).ravel(), -1.0, 1.0)
+    return pairwise_cosine(collection.normalized_matrix[left], other.normalized_matrix[right])
 
 
 def cosine_similarity_matrix(
@@ -203,7 +184,7 @@ def angular_collision_to_cosine(collision: Union[float, np.ndarray]) -> Union[fl
 __all__ = [
     "cosine_similarity",
     "cosine_pairs",
-    "dot_pairs",
+    "pairwise_cosine",
     "cosine_similarity_matrix",
     "jaccard_similarity",
     "jaccard_pairs",

@@ -797,6 +797,25 @@ class TestShardWorkerOps:
         assert worker.handle("check", {})["size"] == 3
         assert worker.handle("ids", {})["ids"].tolist() == [0, 1, 2]
 
+    def test_rows_outside_the_dimension_refused(self):
+        """``insert_prepared`` and ``restore`` refuse rows wider than the
+        shard's dimension (or with a column outside it) and leave the
+        served store unchanged."""
+        worker = self._configured_worker()
+        self._insert(worker, np.eye(6)[:3] + 0.1)
+        before = worker.handle("snapshot", {})["state"]
+        wide = sparse.csr_matrix(([1.0], [9], [0, 1]), shape=(1, 10))
+        out_of_range = sparse.csr_matrix(([1.0], [9], [0, 1]), shape=(1, 6))
+        for csr in (wide, out_of_range):
+            with pytest.raises(ValidationError):
+                worker.handle("insert_prepared", {"ids": np.asarray([3]), "csr": csr})
+            with pytest.raises(ValidationError):
+                worker.handle("restore", {"state": {"dimension": 6, "ids": [3], "matrix": csr}})
+        assert worker.handle("check", {})["size"] == 3
+        after = worker.handle("snapshot", {})["state"]
+        assert after["ids"] == before["ids"] == [0, 1, 2]
+        np.testing.assert_array_equal(after["matrix"].toarray(), before["matrix"].toarray())
+
     def test_ids_and_gather_rows(self):
         worker = self._configured_worker()
         rows = [[1.0, 0, 0, 0, 0, 0]] * 3 + [[0, 1.0, 0, 0, 0, 0]]

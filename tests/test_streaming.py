@@ -557,8 +557,8 @@ class TestRowStore:
     def test_zero_row_keeps_unit_scale(self):
         dense = np.array([[0.0, 0.0], [1.0, 0.0]])
         store = self._store_with(dense)
-        assert store.inv_norm(0) == 1.0
-        np.testing.assert_allclose(store.gather_normalized([0]).toarray(), [[0.0, 0.0]])
+        np.testing.assert_array_equal(store.gather_normalized([0]).toarray(), [[0.0, 0.0]])
+        np.testing.assert_array_equal(store.gather_normalized([0, 1]).toarray(), dense)
 
     def test_missing_and_duplicate_ids_rejected(self):
         from repro.streaming.rowstore import RowStore
@@ -573,28 +573,123 @@ class TestRowStore:
         with pytest.raises(ValidationError):
             RowStore(0)
 
-    def test_slot_reuse_and_compaction_under_churn(self):
+    @staticmethod
+    def _assert_matches_static(cosine_of, gather_normalized, reference, rng):
+        """Served rows and cosines equal the static path's over the live raw rows."""
+        ids = np.asarray(sorted(reference))
+        collection = VectorCollection(
+            sparse.csr_matrix(np.array([reference[i] for i in ids])), copy=False
+        )
+        left = rng.integers(0, ids.size, size=200)
+        right = rng.integers(0, ids.size, size=200)
+        if gather_normalized is not None:
+            np.testing.assert_array_equal(
+                gather_normalized(ids[left]).toarray(),
+                collection.normalized_matrix[left].toarray(),
+            )
+        np.testing.assert_array_equal(
+            cosine_of(ids[left], ids[right]), cosine_pairs(collection, left, right)
+        )
+
+    @staticmethod
+    def _count_compactions(monkeypatch):
         from repro.streaming.rowstore import RowStore
 
+        compactions = []
+        compact = RowStore._compact
+
+        def counted(store):
+            compactions.append(store)
+            compact(store)
+
+        monkeypatch.setattr(RowStore, "_compact", counted)
+        return compactions
+
+    def test_slot_reuse_and_compaction_under_churn(self, monkeypatch):
+        from repro.streaming.rowstore import RowStore
+        from repro.vectors.similarity import pairwise_cosine
+
+        compactions = self._count_compactions(monkeypatch)
         rng = np.random.default_rng(0)
         store = RowStore(16)
+
+        def cosine_of(left, right):
+            return pairwise_cosine(store.gather_normalized(left), store.gather_normalized(right))
+
         reference = {}
         next_id = 0
-        for _ in range(3000):
-            if reference and rng.random() < 0.45:
+        checked_after_compaction = 0
+        for event in range(3000):
+            compacted = len(compactions)
+            if reference and rng.random() < 0.6:
                 victim = int(rng.choice(list(reference)))
                 store.remove(victim)
                 del reference[victim]
             else:
-                row = (rng.random(16) < 0.3) * rng.random(16)
-                store.add(next_id, sparse.csr_matrix(row[None, :]))
-                reference[next_id] = row
-                next_id += 1
+                # a batch append keeps a normalised view of the pool, a
+                # one-row append drops it: churn through both
+                batch = 1 if rng.random() < 0.5 else 3
+                rows = (rng.random((batch, 16)) < 0.3) * rng.random((batch, 16))
+                ids = list(range(next_id, next_id + batch))
+                if batch == 1:
+                    store.add(next_id, sparse.csr_matrix(rows))
+                else:
+                    store.add_many(ids, sparse.csr_matrix(rows))
+                reference.update(zip(ids, rows))
+                next_id += batch
             store.check_invariants()
+            if len(compactions) > compacted or event % 500 == 499:
+                checked_after_compaction += len(compactions) > compacted
+                self._assert_matches_static(cosine_of, store.gather_normalized, reference, rng)
+        assert checked_after_compaction >= 1
         assert len(store) == len(reference)
         ids = sorted(reference)
         gathered = store.gather_raw(ids).toarray()
-        np.testing.assert_allclose(gathered, np.array([reference[i] for i in ids]))
+        np.testing.assert_array_equal(gathered, np.array([reference[i] for i in ids]))
+
+    def test_facade_cosines_match_static_under_churn(self, monkeypatch):
+        """The same check through an in-process S = 3 facade, whose shards
+        compact often (a low compaction floor)."""
+        from repro.shard import ShardedMutableIndex
+        from repro.streaming import rowstore
+
+        monkeypatch.setattr(rowstore, "_COMPACTION_FLOOR", 64)
+        compactions = self._count_compactions(monkeypatch)
+        rng = np.random.default_rng(1)
+        index = ShardedMutableIndex(16, num_shards=3, num_hashes=6, random_state=0)
+        reference = {}
+        for event in range(1500):
+            if reference and rng.random() < 0.6:
+                victim = int(rng.choice(list(reference)))
+                index.delete(victim)
+                del reference[victim]
+            else:
+                rows = (rng.random((3, 16)) < 0.3) * rng.random((3, 16))
+                reference.update(zip(index.insert_many(rows).tolist(), rows))
+            if event % 300 == 299:
+                self._assert_matches_static(index.cosine_pairs, None, reference, rng)
+        index.check_invariants()
+        assert len({id(store) for store in compactions}) == 3
+
+    def test_refuses_rows_outside_the_dimension(self):
+        """A row wider than the store, or with a column outside
+        [0, dimension), is refused before any mutation."""
+        from repro.streaming.rowstore import RowStore
+
+        store = self._store_with(np.eye(4))
+        wide = sparse.csr_matrix(([1.0], [9], [0, 1]), shape=(1, 10))
+        out_of_range = sparse.csr_matrix(([1.0, 2.0], [1, 9], [0, 2]), shape=(1, 4))
+        negative = sparse.csr_matrix(([1.0], [-1], [0, 1]), shape=(1, 4))
+        for matrix in (wide, out_of_range, negative):
+            with pytest.raises(ValidationError):
+                store.add_many([7], matrix)
+            with pytest.raises(ValidationError):
+                store.add(7, matrix)
+            with pytest.raises(ValidationError):
+                RowStore.from_state({"dimension": 4, "ids": [0], "matrix": matrix})
+        store.check_invariants()
+        assert store.ids().tolist() == [0, 1, 2, 3]
+        np.testing.assert_array_equal(store.gather_raw([0, 1, 2, 3]).toarray(), np.eye(4))
 
     def test_state_round_trip(self):
         store = self._store_with(np.array([[1.0, 0.0], [0.0, 2.5]]))

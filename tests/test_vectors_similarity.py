@@ -16,9 +16,9 @@ from repro.vectors import (
 from repro.vectors.similarity import (
     angular_collision_to_cosine,
     cosine_to_angular_collision,
-    dot_pairs,
     jaccard_pairs,
     overlap_similarity,
+    pairwise_cosine,
 )
 
 
@@ -83,15 +83,26 @@ class TestCosinePairs:
         assert np.all(values <= 1.0) and np.all(values >= -1.0)
 
 
-class TestDotPairs:
-    def test_dot_products(self, tiny_collection):
-        values = dot_pairs(tiny_collection, [0, 2], [2, 4])
-        assert values[0] == pytest.approx(1.0)
-        assert values[1] == pytest.approx(0.0)
+class TestPairwiseCosine:
+    def test_matches_cosine_similarity(self, tiny_collection):
+        left, right = [0, 2, 5], [2, 4, 5]
+        rows = tiny_collection.normalized_matrix
+        values = pairwise_cosine(rows[left], rows[right])
+        expected = [
+            cosine_similarity(tiny_collection.row(i), tiny_collection.row(j))
+            for i, j in zip(left, right)
+        ]
+        np.testing.assert_allclose(values, expected, atol=1e-12)
 
-    def test_mismatched_lengths_raise(self, tiny_collection):
-        with pytest.raises(ValidationError):
-            dot_pairs(tiny_collection, [0], [1, 2])
+    def test_is_the_static_kernel(self, small_collection):
+        rng = np.random.default_rng(0)
+        left = rng.integers(0, small_collection.size, size=200)
+        right = rng.integers(0, small_collection.size, size=200)
+        rows = small_collection.normalized_matrix
+        np.testing.assert_array_equal(
+            pairwise_cosine(rows[left], rows[right]),
+            cosine_pairs(small_collection, left, right),
+        )
 
 
 class TestSimilarityMatrix:
