@@ -19,11 +19,12 @@ from benchmarks._helpers import emit, format_table
 
 
 def _legacy_virtual_pairs(index):
-    """The pre-vectorisation implementation (set of tuples, Python loops)."""
+    """The pre-vectorisation dedup (set of tuples, a Python loop per pair)."""
     seen = set()
     lefts, rights = [], []
     for table in index.tables:
-        for u, v in table.iter_collision_pairs():
+        left, right = table.collision_pairs_arrays()
+        for u, v in zip(left.tolist(), right.tolist()):
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 continue

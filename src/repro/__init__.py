@@ -107,7 +107,6 @@ from repro.streaming import (
     Delete,
     Insert,
     MutableLSHIndex,
-    MutableLSHTable,
     StreamingEstimator,
 )
 from repro.engine import (
@@ -206,7 +205,6 @@ __all__ = [
     "summarize_trials",
     # streaming
     "MutableLSHIndex",
-    "MutableLSHTable",
     "StreamingEstimator",
     "ChangeLog",
     "Insert",

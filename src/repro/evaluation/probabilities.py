@@ -54,16 +54,10 @@ class StratumProbabilities:
 
 def _collision_pair_similarities(table: LSHTable) -> np.ndarray:
     """Similarities of every pair that shares a bucket (exact, |SH| values)."""
-    lefts: List[int] = []
-    rights: List[int] = []
-    for left, right in table.iter_collision_pairs():
-        lefts.append(left)
-        rights.append(right)
-    if not lefts:
+    left, right = table.collision_pairs_arrays()
+    if not left.size:
         return np.zeros(0, dtype=np.float64)
-    return cosine_pairs(
-        table.collection, np.asarray(lefts, dtype=np.int64), np.asarray(rights, dtype=np.int64)
-    )
+    return cosine_pairs(table.collection, left, right)
 
 
 def empirical_stratum_probabilities(

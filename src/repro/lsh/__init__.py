@@ -6,18 +6,16 @@ extended with a per-bucket count (§4.1.1).  This subpackage provides:
 * :mod:`~repro.lsh.families` — hash-function families: sign random
   projection (Charikar, for cosine similarity), MinHash (Broder, for
   Jaccard similarity) and a p-stable family for L2 distance.
-* :mod:`~repro.lsh.signatures` — signature-matrix computation and the
-  prefix-collision counts used by the Lattice-Counting adaptation.
-* :mod:`~repro.lsh.table` — a single LSH table ``D_g`` for
-  ``g = (h_1, …, h_k)`` with bucket counts, pair counting ``N_H`` and
-  weighted bucket-pair sampling (the SampleH primitive).
+* :mod:`~repro.lsh.signatures` — signature-matrix computation, the
+  bucket-key format, and the prefix-collision counts used by the
+  Lattice-Counting adaptation.
+* :mod:`~repro.lsh.table` — the one LSH table ``D_g`` for
+  ``g = (h_1, …, h_k)`` with bucket counts, pair counting ``N_H``, and
+  SampleH / SampleL; bulk-built from a collection by the static shape,
+  filled by ``insert`` / ``delete`` in the mutable shapes of
+  :mod:`repro.streaming` and :mod:`repro.shard`.
 * :mod:`~repro.lsh.index` — an index of ``ℓ`` tables plus the
   virtual-bucket view used by the multi-table extensions (§B.2.1).
-
-The table and index here are build-once; their mutable counterparts —
-sharing the per-family :meth:`~repro.lsh.families.LSHFamily.hash_matrix`
-signature path so incremental and batch hashing agree bit-for-bit — live
-in :mod:`repro.streaming`.
 """
 
 from repro.lsh.families import (

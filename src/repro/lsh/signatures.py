@@ -1,7 +1,11 @@
 """Signature-matrix helpers shared by the LSH table and Lattice Counting.
 
 A *signature* of a vector is the tuple ``g(v) = (h_1(v), …, h_k(v))``.
-The LSH table groups vectors by their full signature; the
+The LSH table groups vectors by their full signature, serialised into a
+*bucket key*: the little-endian ``int64`` bytes of the row.  This module
+owns that format — :func:`signature_keys` encodes a matrix,
+:func:`signature_bucket_key` one row, and :func:`key_signature_matrix`
+decodes.  The
 Lattice-Counting adaptation additionally needs, for every prefix length
 ``j ≤ k``, the number of pairs whose first ``j`` hash values all agree —
 those counts are (noisy) observations of the ``j``-th moments of the
@@ -10,7 +14,7 @@ pair-similarity distribution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -45,6 +49,27 @@ def signature_keys(signatures: np.ndarray, prefix_length: int | None = None) -> 
         )
     prefix = np.ascontiguousarray(signatures[:, :prefix_length], dtype=np.int64)
     return [row.tobytes() for row in prefix]
+
+
+def signature_bucket_key(signature: np.ndarray, num_hashes: int) -> bytes:
+    """The bucket key of one ``(k,)`` signature row (its :func:`signature_keys` key)."""
+    row = np.ascontiguousarray(signature, dtype=np.int64).ravel()
+    if row.size != num_hashes:
+        raise ValidationError(f"signature has {row.size} values, expected k={num_hashes}")
+    return row.tobytes()
+
+
+def key_signature_matrix(keys: Iterable[bytes], num_hashes: int) -> np.ndarray:
+    """Decode bucket keys back into an ``(n, k)`` signature matrix (exact round trip)."""
+    keys = list(keys)
+    if not keys:
+        return np.zeros((0, num_hashes), dtype=np.int64)
+    flat = np.frombuffer(b"".join(keys), dtype=np.int64)
+    if flat.size != len(keys) * num_hashes:
+        raise ValidationError(
+            f"bucket keys do not decode into k={num_hashes} signature values"
+        )
+    return flat.reshape(len(keys), num_hashes)
 
 
 def group_by_signature(
@@ -97,6 +122,8 @@ def pack_signature(signature: np.ndarray) -> Tuple[int, ...]:
 __all__ = [
     "signature_matrix",
     "signature_keys",
+    "signature_bucket_key",
+    "key_signature_matrix",
     "group_by_signature",
     "collision_pair_count",
     "prefix_collision_counts",

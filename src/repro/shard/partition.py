@@ -29,8 +29,6 @@ changes an estimate; it only changes how much a resize moves.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.errors import ValidationError
@@ -69,25 +67,6 @@ def signature_shard_hash(signatures: np.ndarray) -> np.ndarray:
         )
         accumulator = (accumulator ^ mixed) * _FNV_PRIME
     return accumulator ^ (accumulator >> np.uint64(33))
-
-
-def key_signature_matrix(keys: Iterable[bytes], num_hashes: int) -> np.ndarray:
-    """Decode serialised bucket keys back into an ``(n, k)`` signature matrix.
-
-    Bucket keys are the little-endian ``int64`` bytes of the signature
-    (:func:`repro.streaming.mutable_index.signature_bucket_key`), so the
-    round trip is exact — the rebalance planner uses it to re-partition
-    every live bucket key in one vectorised pass.
-    """
-    keys = list(keys)
-    if not keys:
-        return np.zeros((0, num_hashes), dtype=np.int64)
-    flat = np.frombuffer(b"".join(keys), dtype=np.int64)
-    if flat.size != len(keys) * num_hashes:
-        raise ValidationError(
-            f"bucket keys do not decode into k={num_hashes} signature values"
-        )
-    return flat.reshape(len(keys), num_hashes)
 
 
 class KeyPartitioner:
@@ -142,5 +121,4 @@ class KeyPartitioner:
 __all__ = [
     "KeyPartitioner",
     "signature_shard_hash",
-    "key_signature_matrix",
 ]

@@ -32,7 +32,8 @@ from typing import List
 
 import numpy as np
 
-from repro.shard.partition import KeyPartitioner, key_signature_matrix, signature_shard_hash
+from repro.lsh.signatures import key_signature_matrix
+from repro.shard.partition import KeyPartitioner, signature_shard_hash
 from repro.shard.sharded_index import ShardedMutableIndex
 
 

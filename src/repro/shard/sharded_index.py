@@ -11,9 +11,9 @@ The facade exposes the full single-index surface — ``insert`` /
 cosine — with the *merge layer* built in:
 
 * the facade keeps the *global* bucket layout in one id-only
-  :class:`~repro.streaming.mutable_index.MutableLSHTable` fed every insert
-  and delete in arrival order — the table one unsharded index would have
-  built, bucket order and member order included, so SampleH draws are
+  :class:`~repro.lsh.table.LSHTable` fed every insert and delete in
+  arrival order — the table one unsharded index would have built, bucket,
+  member and live-id order included, so SampleH and SampleL draws are
   **bit-identical for the same seed**.  It is the only record of
   bucket membership; a bucket never straddles shards, and a live bucket
   always sits on its key's pick, ``partitioner.shard_of(key)``;
@@ -25,7 +25,7 @@ cosine — with the *merge layer* built in:
   and repairs answer from that table, so this class and the
   process-backed :class:`~repro.cluster.ClusterCoordinator` share one
   code path that never asks a shard.  SampleH / SampleL themselves are
-  the shared primitives of :mod:`repro.lsh.table`;
+  the table's;
 * every shard request — row inserts, deletes and gathers, snapshots,
   restores, invariant checks and rebalance moves — goes through one
   dispatch path, :meth:`ShardedMutableIndex._fan_out`, to endpoints that
@@ -62,14 +62,13 @@ from repro.errors import ClusterError, ValidationError
 from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
-from repro.lsh.table import sample_rejected_pairs, uniform_pairs_of
+from repro.lsh.signatures import key_signature_matrix, signature_bucket_key, signature_keys
+from repro.lsh.table import LSHTable
 from repro.rng import RandomState
 from repro.shard.ops import ShardEndpoint, ShardWorker
-from repro.shard.partition import KeyPartitioner, key_signature_matrix
+from repro.shard.partition import KeyPartitioner
 from repro.state import StateSpec
 from repro.streaming.mutable_index import (
-    LiveIds,
-    MutableLSHTable,
     VectorInput,
     bind_family,
     claim_vector_id,
@@ -77,7 +76,6 @@ from repro.streaming.mutable_index import (
     coerce_row,
     collect_estimator_states,
     restore_estimator_states,
-    signature_bucket_key,
 )
 from repro.streaming.rowstore import _MAX_ID, _MAX_POOL_NNZ, ROW_STORE_STATE
 from repro.vectors.collection import VectorCollection
@@ -170,11 +168,9 @@ class ShardedMutableIndex:
         #: id-indexed owning shard (-1 = not live); written on every write
         #: path (insert, delete, restore, rebalance), only read by queries
         self._shard_of_id = np.full(0, -1, dtype=np.int64)
-        #: the global bucket layout (ids only): answers SampleH, the
-        #: collision tests of SampleL and the estimators without asking
-        #: any shard
-        self._table = MutableLSHTable(self.family)
-        self._live = LiveIds()
+        #: the global bucket layout and live ids: answers SampleH, SampleL
+        #: and the estimators without asking any shard
+        self._table = LSHTable(self.family)
         self._next_id = 0
         self._observers: List[object] = []
 
@@ -281,18 +277,18 @@ class ShardedMutableIndex:
     @property
     def size(self) -> int:
         """Number of live vectors ``n`` across all shards."""
-        return len(self._live)
+        return self._table.num_vectors
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._live
+        return vector_id in self._table
 
     @property
     def ids(self) -> np.ndarray:
         """Live vector ids (arbitrary but stable order, as unsharded)."""
-        return self._live.array()
+        return self._table.ids
 
     @property
     def total_pairs(self) -> int:
@@ -321,7 +317,7 @@ class ShardedMutableIndex:
         return tuple(self._shard_collision_pairs)
 
     @property
-    def primary_table(self) -> MutableLSHTable:
+    def primary_table(self) -> LSHTable:
         """The global bucket table (ids only; the rows live on the shards)."""
         return self._table
 
@@ -466,14 +462,13 @@ class ShardedMutableIndex:
     # ------------------------------------------------------------------
     def _claim_id(self, vector_id: Optional[int]) -> int:
         vector_id, self._next_id = claim_vector_id(
-            vector_id, self._next_id, self._live
+            vector_id, self._next_id, self._table
         )
         return vector_id
 
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
         self._shard_collision_pairs[shard_id] += self._table.insert_key(vector_id, key)
         self._shard_sizes[shard_id] += 1
-        self._live.add(vector_id)
 
     def insert(self, vector: VectorInput, *, vector_id: Optional[int] = None) -> int:
         """Route one vector to its owning shard; returns the global id."""
@@ -519,7 +514,7 @@ class ShardedMutableIndex:
             if np.unique(ids).size != ids.size:
                 raise ValidationError("vector ids must be unique within a batch")
             ids = np.array([self._claim_id(int(i)) for i in ids], dtype=np.int64)
-        keys = [signatures[position].tobytes() for position in range(num_rows)]
+        keys = signature_keys(signatures)
         shard_ids = self.partitioner.shard_of_signatures(signatures)
         return PreparedBatch(ids=ids, csr=csr, keys=keys, shard_ids=shard_ids)
 
@@ -570,7 +565,7 @@ class ShardedMutableIndex:
 
     def delete(self, vector_id: int) -> None:
         """Remove a live vector from its owning shard."""
-        if vector_id not in self._live:
+        if vector_id not in self._table:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         shard_id = int(self._shard_of_id[vector_id])
         sizes = self._drop_rows([(shard_id, np.asarray([vector_id], dtype=np.int64))])
@@ -578,7 +573,6 @@ class ShardedMutableIndex:
         self._shard_collision_pairs[shard_id] -= remaining
         self._shard_sizes[shard_id] -= 1
         self._shard_of_id[vector_id] = -1
-        self._live.remove(vector_id)
         self._check_sizes([shard_id], sizes)
         for observer in self._observers:
             observer.on_delete(vector_id)
@@ -596,9 +590,8 @@ class ShardedMutableIndex:
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from the global stratum L via rejection (SampleL)."""
-        return sample_rejected_pairs(
-            sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
-            self._table.same_bucket_many, random_state, max_attempts=max_attempts,
+        return self._table.sample_non_collision_pairs(
+            sample_size, random_state=random_state, max_attempts=max_attempts
         )
 
     def _gather(
@@ -653,7 +646,7 @@ class ShardedMutableIndex:
     # ------------------------------------------------------------------
     def to_collection(self) -> Tuple[VectorCollection, np.ndarray]:
         """Materialise all live vectors as one collection (facade id order)."""
-        if not self._live:
+        if not self.size:
             raise ValidationError("cannot materialise an empty index as a collection")
         ids = self.ids
         return VectorCollection(self._stack_raw(ids), copy=False), ids
@@ -689,8 +682,6 @@ class ShardedMutableIndex:
                 f"cluster has {len(self.shards)}"
             )
         self._table.check_invariants()
-        if self._table.num_vectors != self.size:
-            raise AssertionError("facade bucket table drifted from the live set")
         if np.count_nonzero(self._shard_of_id >= 0) != self.size:
             raise AssertionError("id → shard map drifted from the live set")
         counters = (self._shard_sizes, self._shard_collision_pairs)
@@ -718,7 +709,7 @@ class ShardedMutableIndex:
             num_shards=self.num_shards,
             family=self.family,
             next_id=self._next_id,
-            live_ids=list(self._live),
+            live_ids=self._table.ids.tolist(),
             shard_of=self._shard_of_id[self.ids].tolist(),
             buckets=self._table.bucket_state(),
             shards=[reply["state"] for reply in self._fan_out("snapshot", self._to_every_shard())],
@@ -757,8 +748,7 @@ class ShardedMutableIndex:
         self.family = bind_family(
             cast(LSHFamily, state["family"]), self.num_hashes, self.dimension, None
         )
-        self._live = LiveIds(cast(Sequence[int], state["live_ids"]))
-        live_ids = self._live.array()
+        live_ids = np.asarray(cast(Sequence[int], state["live_ids"]), dtype=np.int64)
         if len(shard_of) != live_ids.size:
             SHARDED_STATE.refuse(f"{len(shard_of)} shard assignments for {live_ids.size} live ids")
         if live_ids.size and not 0 <= int(live_ids.min()) <= int(live_ids.max()) < _MAX_ID:
@@ -774,14 +764,11 @@ class ShardedMutableIndex:
                 SHARDED_STATE.refuse(f"shard {shard_id} holds other rows than its assigned ids")
         self._shard_of_id = np.full(0, -1, dtype=np.int64)
         self._place(live_ids, assigned)
-        self._table = MutableLSHTable(self.family)
-        self._table.load_bucket_state(list(buckets))
-        if self._table.num_buckets != len(buckets):
-            SHARDED_STATE.refuse("its buckets repeat a key")
-        if self._table.num_vectors != live_ids.size or not all(
-            vector_id in self._table for vector_id in self._live
-        ):
-            SHARDED_STATE.refuse("its bucket members are not exactly the live ids")
+        self._table = LSHTable(self.family)
+        try:
+            self._table.load_bucket_state(list(buckets), live_ids.tolist())
+        except ValidationError as error:
+            SHARDED_STATE.refuse(str(error))
         # refuses a bucket whose members are assigned off its key's pick
         self._shard_sizes, self._shard_collision_pairs = self._recount_shards()
         self._next_id = int(cast(int, state["next_id"]))

@@ -3,10 +3,10 @@
 The paper builds its estimators once over a static collection; this
 subpackage keeps them serveable while the collection grows and shrinks:
 
-* :mod:`~repro.streaming.mutable_index` — :class:`MutableLSHTable` /
-  :class:`MutableLSHIndex`, the paper's bucket-count-extended index under
-  O(1)-amortised ``insert`` / ``delete`` with exact ``N_H`` / ``N_L``
-  bookkeeping.
+* :mod:`~repro.streaming.mutable_index` — :class:`MutableLSHIndex`, the
+  paper's bucket-count-extended index (one
+  :class:`~repro.lsh.table.LSHTable`) under O(1)-amortised ``insert`` /
+  ``delete`` with exact ``N_H`` / ``N_L`` bookkeeping, plus row storage.
 * :mod:`~repro.streaming.estimator` — :class:`StreamingEstimator`,
   LSH-SS whose per-stratum sample reservoirs are repaired on mutation
   and partially resampled under a configurable staleness budget.
@@ -23,11 +23,10 @@ build.
 
 from repro.streaming.events import ChangeLog, Checkpoint, Delete, Event, Insert
 from repro.streaming.estimator import StreamingEstimator
-from repro.streaming.mutable_index import MutableLSHIndex, MutableLSHTable
+from repro.streaming.mutable_index import MutableLSHIndex
 
 __all__ = [
     "MutableLSHIndex",
-    "MutableLSHTable",
     "StreamingEstimator",
     "ChangeLog",
     "Insert",

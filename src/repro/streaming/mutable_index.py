@@ -1,26 +1,18 @@
 """A mutable LSH index: the paper's extended index under insert/delete.
 
-The static :class:`~repro.lsh.table.LSHTable` /
-:class:`~repro.lsh.index.LSHIndex` pair hashes a whole collection once
-and freezes the bucket layout; any change to the collection costs a full
-``O(n·k)`` rebuild.  This module provides the mutable counterpart used by
-the streaming estimators:
-
-* :class:`MutableLSHTable` — one hash table whose buckets support O(1)
-  amortised ``insert`` / ``delete`` while keeping the paper's bucket-count
-  bookkeeping (``N_H = Σ_j C(b_j, 2)``) *exact* at every step.  A vector's
-  signature — computed through the same
-  :meth:`~repro.lsh.families.LSHFamily.hash_matrix` code path as the
-  batch build — never changes, so a surviving pair never migrates between
-  stratum H and stratum L; mutations only add or remove pairs.
-* :class:`MutableLSHIndex` — one mutable table (multi-table LSH-SS is
-  static-only) over one growing / shrinking set of vectors, with stable
-  sequential ids (or caller-assigned ids), pooled row storage
-  (:class:`~repro.streaming.rowstore.RowStore`) for fast per-pair cosine
-  evaluation, and SampleH / SampleL through the shared primitives of
-  :mod:`repro.lsh.table` — it supplies its bucket layout, its
-  :class:`LiveIds` population and its collision test
-  (:class:`repro.streaming.estimator.StreamingEstimator` builds on these).
+:class:`MutableLSHIndex` holds one :class:`~repro.lsh.table.LSHTable` —
+the same bucket table the static shape bulk-builds — started empty and
+fed one ``insert`` / ``delete`` at a time, so the paper's bucket-count
+bookkeeping (``N_H = Σ_j C(b_j, 2)``) stays *exact* at every step.  A
+vector's signature is computed through the same
+:meth:`~repro.lsh.families.LSHFamily.hash_matrix` code path as the batch
+build and never changes, so a surviving pair never migrates between
+stratum H and stratum L.  Around the table the index keeps stable
+sequential ids (or caller-assigned ids), pooled row storage
+(:class:`~repro.streaming.rowstore.RowStore`) for fast per-pair cosine
+evaluation, and observers; SampleH / SampleL and the live-id population
+are the table's (:class:`repro.streaming.estimator.StreamingEstimator`
+builds on these).
 
 Because signatures are deterministic given the family seed, replaying a
 :class:`~repro.streaming.events.ChangeLog` through a mutable index yields
@@ -29,19 +21,17 @@ final collection would produce.
 
 Indexes are checkpointed with :meth:`MutableLSHIndex.to_state` and
 revived with :meth:`MutableLSHIndex.from_state`: the state holds the
-rows, the bucket layout (including dict iteration order, so sampling
-draws replay identically), and the hash family itself, under one-element
-``tables`` / ``families`` lists (``num_tables: 1``; more is refused).  The
-one snapshot *file* format is the engine bundle
+rows, the bucket layout (including bucket order, so sampling draws
+replay identically), the live-id order and the hash family itself, under
+one-element ``tables`` / ``families`` lists (``num_tables: 1``; more is
+refused).  The one snapshot *file* format is the engine bundle
 (:meth:`repro.engine.JoinEstimationEngine.snapshot`).
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import (
-    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 from scipy import sparse
@@ -49,7 +39,8 @@ from scipy import sparse
 from repro.errors import ValidationError
 from repro.lsh.families import LSHFamily
 from repro.lsh.index import resolve_family
-from repro.lsh.table import sample_rejected_pairs, sample_weighted_bucket_pairs, uniform_pairs_of
+from repro.lsh.signatures import signature_keys
+from repro.lsh.table import LSHTable
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.state import StateSpec
 from repro.streaming.rowstore import _MAX_ID, RowStore
@@ -57,9 +48,6 @@ from repro.vectors.collection import VectorCollection
 from repro.vectors.similarity import pairwise_cosine
 
 VectorInput = Union[Mapping[int, float], Sequence[float], np.ndarray, sparse.spmatrix]
-
-#: Per-table bucket layout in dict iteration order: ``[(key, [member, …]), …]``.
-BucketState = List[Tuple[bytes, List[int]]]
 
 #: index states carry no kind tag; engine bundles and cluster states do
 INDEX_STATE = StateSpec(
@@ -175,53 +163,8 @@ def coerce_matrix(
     return csr
 
 
-class LiveIds:
-    """The live vector ids in swap-pop order: the population SampleL draws from.
-
-    Holders fed the same inserts (appends) and deletes (the last id moves
-    into the freed slot) in the same order hold the same sequence, element
-    for element — an unsharded index and the sharded facade fed the same
-    events, so their SampleL draws agree.
-    """
-
-    def __init__(self, ids: Iterable[int] = ()) -> None:
-        self._live_ids: List[int] = [int(i) for i in ids]
-        self._live_position: Dict[int, int] = {
-            vector_id: position for position, vector_id in enumerate(self._live_ids)
-        }
-
-    def add(self, vector_id: int) -> None:
-        self._live_position[vector_id] = len(self._live_ids)
-        self._live_ids.append(vector_id)
-
-    def add_many(self, ids: Iterable[int]) -> None:
-        for vector_id in ids:
-            self.add(int(vector_id))
-
-    def remove(self, vector_id: int) -> None:
-        """Swap-pop ``vector_id`` out (``KeyError`` if it is not live)."""
-        position = self._live_position.pop(vector_id)
-        last = self._live_ids.pop()
-        if last != vector_id:
-            self._live_ids[position] = last
-            self._live_position[last] = position
-
-    def __contains__(self, vector_id: object) -> bool:
-        return vector_id in self._live_position
-
-    def __len__(self) -> int:
-        return len(self._live_ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._live_ids)
-
-    def array(self) -> np.ndarray:
-        """The ids in order as an int64 array."""
-        return np.asarray(self._live_ids, dtype=np.int64)
-
-
 def claim_vector_id(
-    vector_id: Optional[int], next_id: int, live: LiveIds
+    vector_id: Optional[int], next_id: int, table: LSHTable
 ) -> Tuple[int, int]:
     """Validate / assign one vector id; returns ``(vector_id, new_next_id)``.
 
@@ -237,250 +180,9 @@ def claim_vector_id(
             raise ValidationError(
                 f"vector ids must lie in [0, {_MAX_ID}), got {vector_id}"
             )
-        if vector_id in live:
+        if vector_id in table:
             raise ValidationError(f"vector id {vector_id} is already in the index")
     return vector_id, max(next_id, vector_id + 1)
-
-
-def signature_bucket_key(signature: np.ndarray, num_hashes: int) -> bytes:
-    """Serialise a ``(k,)`` signature into the bucket key used by the tables."""
-    row = np.ascontiguousarray(np.asarray(signature, dtype=np.int64).ravel())
-    if row.size != num_hashes:
-        raise ValidationError(
-            f"signature has {row.size} values, expected k={num_hashes}"
-        )
-    return row.tobytes()
-
-
-class MutableLSHTable:
-    """One mutable LSH hash table with exact ``N_H`` bookkeeping.
-
-    Buckets are keyed by the serialised signature; members are kept in
-    swap-pop lists with a position map so ``insert`` and ``delete`` are
-    O(1) dictionary operations.  ``num_collision_pairs`` is maintained
-    incrementally: inserting into a bucket of size ``b`` adds ``b`` new
-    co-bucket pairs, deleting from a bucket of size ``b`` removes
-    ``b − 1``.
-
-    The weighted bucket-pair sampler (SampleH) uses a lazily rebuilt flat
-    CSR-style view of the buckets; the view is invalidated by any
-    mutation and rebuilt in ``O(n)`` on the next sampling call, so bursts
-    of updates between queries pay for one rebuild only.
-    """
-
-    def __init__(self, family: LSHFamily) -> None:
-        self.family = family
-        self._key_of: Dict[int, bytes] = {}
-        self._members: Dict[bytes, List[int]] = {}
-        self._position: Dict[int, int] = {}
-        self._num_collision_pairs = 0
-        self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def num_vectors(self) -> int:
-        """Number of live vectors in the table."""
-        return len(self._key_of)
-
-    @property
-    def num_hashes(self) -> int:
-        """Number of hash functions ``k`` in ``g``."""
-        return self.family.num_hashes
-
-    @property
-    def num_buckets(self) -> int:
-        """Number of non-empty buckets."""
-        return len(self._members)
-
-    @property
-    def num_collision_pairs(self) -> int:
-        """``N_H = Σ_j C(b_j, 2)``, maintained exactly under mutation."""
-        return self._num_collision_pairs
-
-    @property
-    def bucket_sizes(self) -> np.ndarray:
-        """Sizes of all non-empty buckets (arbitrary but stable order)."""
-        return np.asarray([len(m) for m in self._members.values()], dtype=np.int64)
-
-    def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._key_of
-
-    def signature_key(self, vector_id: int) -> bytes:
-        """The serialised signature (bucket key) of a live vector."""
-        try:
-            return self._key_of[vector_id]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the table") from None
-
-    def bucket_size_of(self, vector_id: int) -> int:
-        """Size of the bucket containing ``vector_id``."""
-        return len(self._members[self.signature_key(vector_id)])
-
-    def bucket_members_of(self, vector_id: int) -> np.ndarray:
-        """Ids sharing a bucket with ``vector_id`` (including itself)."""
-        return np.asarray(self._members[self.signature_key(vector_id)], dtype=np.int64)
-
-    def same_bucket(self, u: int, v: int) -> bool:
-        """``True`` iff live vectors ``u`` and ``v`` share a bucket."""
-        return self.signature_key(u) == self.signature_key(v)
-
-    def same_bucket_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`same_bucket` over arrays of live vector ids."""
-        key_of = self._key_of
-        return np.fromiter(
-            (key_of[int(u)] == key_of[int(v)] for u, v in zip(left, right)),
-            dtype=bool,
-            count=len(left),
-        )
-
-    def bucket_keys(self) -> List[bytes]:
-        """The live bucket keys, in bucket order."""
-        return list(self._members)
-
-    def bucket_members_by_key(self, key: bytes) -> List[int]:
-        """The member list of the bucket keyed by ``key`` (do not mutate).
-
-        Used by the sharded facade to find the members of a bucket it
-        migrates to another shard.
-        """
-        try:
-            return self._members[key]
-        except KeyError:
-            raise ValidationError("no bucket with the given signature key") from None
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def insert(self, vector_id: int, signature: np.ndarray) -> int:
-        """Insert a vector with a precomputed ``(k,)`` signature row.
-
-        Returns the number of co-bucket pairs the insertion created (the
-        size of the target bucket before insertion).
-        """
-        return self.insert_key(vector_id, signature_bucket_key(signature, self.num_hashes))
-
-    def insert_key(self, vector_id: int, key: bytes) -> int:
-        """:meth:`insert` for a vector whose bucket key is already known."""
-        if vector_id in self._key_of:
-            raise ValidationError(f"vector id {vector_id} is already in the table")
-        bucket = self._members.setdefault(key, [])
-        new_pairs = len(bucket)
-        self._position[vector_id] = len(bucket)
-        bucket.append(vector_id)
-        self._key_of[vector_id] = key
-        self._num_collision_pairs += new_pairs
-        self._frozen = None
-        return new_pairs
-
-    def delete(self, vector_id: int) -> int:
-        """Remove a live vector; returns the number of co-bucket pairs removed."""
-        key = self.signature_key(vector_id)
-        bucket = self._members[key]
-        position = self._position.pop(vector_id)
-        last = bucket.pop()
-        if last != vector_id:
-            bucket[position] = last
-            self._position[last] = position
-        del self._key_of[vector_id]
-        removed_pairs = len(bucket)
-        self._num_collision_pairs -= removed_pairs
-        if not bucket:
-            del self._members[key]
-        self._frozen = None
-        return removed_pairs
-
-    # ------------------------------------------------------------------
-    # sampling (SampleH primitive)
-    # ------------------------------------------------------------------
-    def _frozen_layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-style (counts, offsets, members_flat, pair_counts) over buckets with ≥ 2 members."""
-        if self._frozen is None:
-            self._frozen = freeze_bucket_layout(
-                members
-                for members in self._members.values()
-                if len(members) >= 2
-            )
-        return self._frozen
-
-    def sample_collision_pairs(
-        self, sample_size: int, *, random_state: RandomState = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample uniform pairs from stratum H (same scheme as the static table)."""
-        return sample_weighted_bucket_pairs(*self._frozen_layout(), sample_size, random_state)
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def bucket_state(self) -> BucketState:
-        """The bucket layout in dict iteration order (snapshot substrate).
-
-        Preserving the iteration order matters: the SampleH layout is
-        derived from it, so a restored table replays the same draws the
-        original would for the same generator state.
-        """
-        return [(key, list(members)) for key, members in self._members.items()]
-
-    def load_bucket_state(self, buckets: BucketState) -> None:
-        """Replace the bucket layout with a previously captured state."""
-        self._key_of = {}
-        self._members = {}
-        self._position = {}
-        self._num_collision_pairs = 0
-        self._frozen = None
-        for key, members in buckets:
-            bucket = list(int(member) for member in members)
-            self._members[bytes(key)] = bucket
-            for position, vector_id in enumerate(bucket):
-                if vector_id in self._key_of:
-                    raise ValidationError(
-                        f"bucket state repeats vector id {vector_id}"
-                    )
-                self._key_of[vector_id] = bytes(key)
-                self._position[vector_id] = position
-            size = len(bucket)
-            self._num_collision_pairs += size * (size - 1) // 2
-
-    def check_invariants(self) -> None:
-        """Verify the incremental bookkeeping against a from-scratch recount."""
-        sizes = self.bucket_sizes
-        recomputed = int(np.sum(sizes * (sizes - 1) // 2)) if sizes.size else 0
-        if recomputed != self._num_collision_pairs:
-            raise AssertionError(
-                f"N_H bookkeeping drifted: incremental={self._num_collision_pairs}, "
-                f"recount={recomputed}"
-            )
-        if int(sizes.sum()) != len(self._key_of) or len(self._position) != len(self._key_of):
-            raise AssertionError("member bookkeeping drifted")
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"MutableLSHTable(n={self.num_vectors}, k={self.num_hashes}, "
-            f"buckets={self.num_buckets}, NH={self.num_collision_pairs})"
-        )
-
-
-def freeze_bucket_layout(
-    buckets: Iterable[Union[Sequence[int], np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten an iterable of member lists into the SampleH CSR layout.
-
-    Shared by :class:`MutableLSHTable` and the sharded merge layer
-    (:mod:`repro.shard`), which feeds buckets gathered from many shards —
-    identical inputs produce identical layouts, hence identical draws.
-    """
-    arrays = [np.asarray(members, dtype=np.int64) for members in buckets]
-    if arrays:
-        counts = np.asarray([a.size for a in arrays], dtype=np.int64)
-        members_flat = np.concatenate(arrays)
-    else:
-        counts = np.zeros(0, dtype=np.int64)
-        members_flat = np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    pair_counts = counts * (counts - 1) // 2
-    return counts, offsets, members_flat, pair_counts
 
 
 def collect_estimator_states(observers: Sequence[object]) -> List[Dict[str, object]]:
@@ -548,11 +250,8 @@ class MutableLSHIndex:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.num_hashes = int(num_hashes)
-        self._table = MutableLSHTable(
-            bind_family(family, self.num_hashes, self.dimension, random_state)
-        )
+        self._table = LSHTable(bind_family(family, self.num_hashes, self.dimension, random_state))
         self._rows = RowStore(self.dimension)
-        self._live = LiveIds()
         self._next_id = 0
         self._observers: List[object] = []
 
@@ -587,21 +286,21 @@ class MutableLSHIndex:
     @property
     def size(self) -> int:
         """Number of live vectors ``n``."""
-        return len(self._live)
+        return self._table.num_vectors
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._live
+        return vector_id in self._table
 
     @property
     def ids(self) -> np.ndarray:
         """Live vector ids (arbitrary but stable order)."""
-        return self._live.array()
+        return self._table.ids
 
     @property
-    def primary_table(self) -> MutableLSHTable:
+    def primary_table(self) -> LSHTable:
         """The table (the name the static index and the estimators share)."""
         return self._table
 
@@ -649,7 +348,7 @@ class MutableLSHIndex:
 
     def _claim_id(self, vector_id: Optional[int]) -> int:
         vector_id, self._next_id = claim_vector_id(
-            vector_id, self._next_id, self._live
+            vector_id, self._next_id, self._table
         )
         return vector_id
 
@@ -686,7 +385,6 @@ class MutableLSHIndex:
         self._check_signatures(signature, (self.num_hashes,))
         vector_id = self._claim_id(vector_id)
         self._rows.add(vector_id, row)
-        self._live.add(vector_id)
         self._table.insert(vector_id, signature)
         for observer in self._observers:
             observer.on_insert(vector_id)
@@ -733,27 +431,26 @@ class MutableLSHIndex:
             if np.unique(ids).size != ids.size:
                 raise ValidationError("vector ids must be unique within a batch")
             for vector_id in ids:
-                claim_vector_id(int(vector_id), self._next_id, self._live)
+                claim_vector_id(int(vector_id), self._next_id, self._table)
         # add_many validates the whole batch (range, duplicates) before
         # mutating, so a bad batch leaves the index untouched; only then
         # is _next_id advanced
         self._rows.add_many(ids, csr)
         if num_rows:
             self._next_id = max(self._next_id, int(ids.max()) + 1)
+        keys = signature_keys(signatures)
         for position in range(num_rows):
             vector_id = int(ids[position])
-            self._live.add(vector_id)
-            self._table.insert(vector_id, signatures[position])
+            self._table.insert_key(vector_id, keys[position])
             for observer in self._observers:
                 observer.on_insert(vector_id)
         return ids
 
     def delete(self, vector_id: int) -> None:
         """Remove a live vector by id."""
-        if vector_id not in self._live:
+        if vector_id not in self._table:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         self._table.delete(vector_id)
-        self._live.remove(vector_id)
         self._rows.remove(vector_id)
         for observer in self._observers:
             observer.on_delete(vector_id)
@@ -783,15 +480,14 @@ class MutableLSHIndex:
         self, sample_size: int, *, random_state: RandomState = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from stratum H (SampleH)."""
-        return self.primary_table.sample_collision_pairs(sample_size, random_state=random_state)
+        return self._table.sample_collision_pairs(sample_size, random_state=random_state)
 
     def sample_non_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None, max_attempts: int = 64
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pairs from stratum L via rejection (SampleL)."""
-        return sample_rejected_pairs(
-            sample_size, self.num_non_collision_pairs, uniform_pairs_of(self.ids),
-            self.primary_table.same_bucket_many, random_state, max_attempts=max_attempts,
+        return self._table.sample_non_collision_pairs(
+            sample_size, random_state=random_state, max_attempts=max_attempts
         )
 
     # ------------------------------------------------------------------
@@ -804,7 +500,7 @@ class MutableLSHIndex:
         vector whose streaming id is ``ids[i]``.  Used by tests and
         benchmarks to compare against a fresh static build.
         """
-        if not self._live:
+        if not self.size:
             raise ValidationError("cannot materialise an empty index as a collection")
         ids = self.ids
         stacked = self._rows.gather_raw(ids)
@@ -833,7 +529,7 @@ class MutableLSHIndex:
             num_hashes=self.num_hashes,
             num_tables=1,
             next_id=self._next_id,
-            live_ids=list(self._live),
+            live_ids=self._table.ids.tolist(),
             rows=self._rows.state(),
             families=[self.family],
             tables=[self._table.bucket_state()],
@@ -855,9 +551,14 @@ class MutableLSHIndex:
             family=state["families"][0],
         )
         index._rows = RowStore.from_state(state["rows"])
-        index._live = LiveIds(state["live_ids"])
+        live_ids = np.asarray(state["live_ids"], dtype=np.int64)
+        if not np.array_equal(np.sort(live_ids), index._rows.ids()):
+            INDEX_STATE.refuse("its live ids are not exactly its rows' ids")
+        try:
+            index._table.load_bucket_state(state["tables"][0], live_ids.tolist())
+        except ValidationError as error:
+            INDEX_STATE.refuse(str(error))
         index._next_id = int(state["next_id"])
-        index._table.load_bucket_state(state["tables"][0])
         restore_estimator_states(index, state.get("estimators", ()))
         return index
 
@@ -871,15 +572,11 @@ class MutableLSHIndex:
         )
 
     def check_invariants(self) -> None:
-        """Verify the table, live-id and row bookkeeping (tests / debugging aid)."""
+        """Verify the table and row bookkeeping (tests / debugging aid)."""
         self._table.check_invariants()
-        if self._table.num_vectors != self.size:
-            raise AssertionError(
-                f"table holds {self._table.num_vectors} vectors, index holds {self.size}"
-            )
         if len(self._rows) != self.size:
             raise AssertionError("row storage drifted from live-id bookkeeping")
-        if set(self._rows) != set(self._live):
+        if set(self._rows) != set(self._table.ids.tolist()):
             raise AssertionError("row storage holds a different id set than the index")
         self._rows.check_invariants()
 
@@ -891,16 +588,12 @@ class MutableLSHIndex:
 
 
 __all__ = [
-    "LiveIds",
-    "MutableLSHTable",
     "MutableLSHIndex",
     "bind_family",
     "check_index_state",
     "claim_vector_id",
     "coerce_row",
     "coerce_matrix",
-    "signature_bucket_key",
-    "freeze_bucket_layout",
     "collect_estimator_states",
     "restore_estimator_states",
 ]

@@ -101,10 +101,8 @@ class TestVirtualBuckets:
     def test_virtual_pairs_superset_of_single_table(self, small_index):
         left, right = small_index.virtual_collision_pairs()
         virtual = set(zip(left.tolist(), right.tolist()))
-        table_pairs = {
-            (min(u, v), max(u, v))
-            for u, v in small_index.primary_table.iter_collision_pairs()
-        }
+        table_left, table_right = small_index.primary_table.collision_pairs_arrays()
+        table_pairs = set(zip(table_left.tolist(), table_right.tolist()))
         assert table_pairs.issubset(virtual)
 
     def test_every_virtual_pair_collides_somewhere(self, small_index):

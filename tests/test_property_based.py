@@ -119,7 +119,9 @@ class TestLSHProperties:
     def test_enumerated_collision_pairs_match_count(self, token_sets, num_hashes, seed):
         collection = VectorCollection.from_token_sets(token_sets, dimension=31)
         table = LSHTable(SignRandomProjectionFamily(num_hashes, random_state=seed), collection)
-        assert len(list(table.iter_collision_pairs())) == table.num_collision_pairs
+        left, right = table.collision_pairs_arrays()
+        assert left.size == right.size == table.num_collision_pairs
+        assert np.all(left < right) and np.all(table.same_bucket_many(left, right))
 
 
 # Closed-form analysis invariants ----------------------------------------------

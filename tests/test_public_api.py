@@ -76,6 +76,16 @@ class TestPublicAPI:
         ):
             assert name in repro.__all__
 
+    def test_one_bucket_table(self):
+        """``LSHTable`` is the only bucket table; the mutable table, its
+        live-id list and its layout freezer are gone from the surface."""
+        from repro import streaming
+
+        for name in ("MutableLSHTable", "LiveIds", "freeze_bucket_layout"):
+            assert not hasattr(repro, name)
+            assert not hasattr(streaming, name)
+        assert isinstance(repro.MutableLSHIndex(3, num_hashes=2).primary_table, repro.LSHTable)
+
     def test_docstring_quickstart_runs(self):
         """The quickstart in the package docstring must actually work."""
         corpus = repro.make_dblp_like(num_vectors=300, random_state=0)

@@ -14,7 +14,7 @@ from repro.shard import (
     plan_rebalance,
     rebalance_cluster,
 )
-from repro.shard.partition import key_signature_matrix
+from repro.lsh.signatures import key_signature_matrix
 from repro.streaming import (
     ChangeLog,
     Delete,

@@ -8,26 +8,25 @@ from scipy import sparse
 
 from repro.core import LSHSSEstimator
 from repro.errors import InsufficientSampleError, ValidationError
-from repro.lsh import LSHIndex, SignRandomProjectionFamily
+from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily
 from repro.streaming import (
     ChangeLog,
     Checkpoint,
     Delete,
     Insert,
     MutableLSHIndex,
-    MutableLSHTable,
     StreamingEstimator,
 )
 from repro.streaming.events import event_from_dict, event_to_dict
 from repro.vectors import VectorCollection, cosine_pairs
 
 
-def _bucket_stats(table: MutableLSHTable):
+def _bucket_stats(table: LSHTable):
     """Order-independent bucket fingerprint: (n, N_H, sorted bucket sizes)."""
     return (
         table.num_vectors,
         table.num_collision_pairs,
-        sorted(table.bucket_sizes.tolist()),
+        sorted(table.bucket_counts.tolist()),
     )
 
 
@@ -36,11 +35,11 @@ def mutable_index(small_collection) -> MutableLSHIndex:
     return MutableLSHIndex.from_collection(small_collection, num_hashes=12, random_state=19)
 
 
-class TestMutableLSHTable:
+class TestIncrementalLSHTable:
     def test_insert_delete_bookkeeping(self):
         family = SignRandomProjectionFamily(4, random_state=0)
         family.ensure_initialised(3)
-        table = MutableLSHTable(family)
+        table = LSHTable(family)
         signature = np.array([1, 0, 1, 0])
         assert table.insert(0, signature) == 0
         assert table.insert(1, signature) == 1  # same bucket: one new pair
@@ -52,18 +51,18 @@ class TestMutableLSHTable:
         table.check_invariants()
 
     def test_duplicate_id_rejected(self):
-        table = MutableLSHTable(SignRandomProjectionFamily(2, random_state=0))
+        table = LSHTable(SignRandomProjectionFamily(2, random_state=0))
         table.insert(5, np.array([1, 0]))
         with pytest.raises(ValidationError):
             table.insert(5, np.array([0, 1]))
 
     def test_unknown_id_delete_rejected(self):
-        table = MutableLSHTable(SignRandomProjectionFamily(2, random_state=0))
+        table = LSHTable(SignRandomProjectionFamily(2, random_state=0))
         with pytest.raises(ValidationError):
             table.delete(3)
 
     def test_wrong_signature_length_rejected(self):
-        table = MutableLSHTable(SignRandomProjectionFamily(3, random_state=0))
+        table = LSHTable(SignRandomProjectionFamily(3, random_state=0))
         with pytest.raises(ValidationError):
             table.insert(0, np.array([1, 0]))
 
@@ -74,7 +73,7 @@ class TestMutableLSHTable:
         assert np.all(left != right)
 
     def test_sample_collision_pairs_empty_stratum(self):
-        table = MutableLSHTable(SignRandomProjectionFamily(2, random_state=0))
+        table = LSHTable(SignRandomProjectionFamily(2, random_state=0))
         table.insert(0, np.array([1, 0]))
         with pytest.raises(InsufficientSampleError):
             table.sample_collision_pairs(4)
@@ -89,7 +88,7 @@ class TestMutableLSHIndex:
         static_table = static.primary_table
         assert mutable.num_collision_pairs == static_table.num_collision_pairs
         assert mutable.num_buckets == static_table.num_buckets
-        assert sorted(mutable.bucket_sizes.tolist()) == sorted(
+        assert sorted(mutable.bucket_counts.tolist()) == sorted(
             static_table.bucket_counts.tolist()
         )
 
