@@ -47,6 +47,7 @@ from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily  # noqa: E4
 from repro.shard import (  # noqa: E402
     ShardedMutableIndex,
     ShardedStreamingEstimator,
+    ShardRouter,
     rebalance_cluster,
 )
 from repro.streaming import MutableLSHIndex, StreamingEstimator  # noqa: E402
@@ -88,6 +89,23 @@ def _churn(index: Any, collection: Any, seed: int) -> None:
             index.delete(live.pop(int(rng.integers(0, len(live)))))
         else:
             live.append(int(index.insert(collection.row(int(rng.integers(0, collection.size))))))
+
+
+def _routed_churn(index: Any, collection: Any, seed: int) -> None:
+    """:func:`_churn`'s events through a ``ShardRouter``, flushed every 50 events."""
+    rng = np.random.default_rng(seed)
+    live = [int(i) for i in index.insert_many(collection.matrix[:200])]
+    next_id = max(live) + 1
+    with ShardRouter(index, batch_size=256) as router:
+        for step in range(150):
+            if rng.random() < 0.4 and len(live) > 2:
+                router.delete(live.pop(int(rng.integers(0, len(live)))))
+            else:
+                router.insert(collection.row(int(rng.integers(0, collection.size))))
+                live.append(next_id)
+                next_id += 1
+            if step % 50 == 49:
+                router.flush()
 
 
 def _draws(sample_h: Callable[..., Any], sample_l: Callable[..., Any], seed: int) -> Dict[str, str]:
@@ -181,6 +199,18 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
     variants.append(("sharded3-rebalanced-exact", lambda t, s: migrated.estimate(
         t, random_state=s, mode="exact")))
 
+    # the same churn through the router's buffered write path
+    routed = ShardedMutableIndex(
+        collection.dimension, num_shards=3, num_hashes=NUM_HASHES, random_state=8,
+    )
+    routed_facade = StreamingEstimator(routed, reservoir_size=128, random_state=9)
+    _routed_churn(routed, collection, seed=5)
+    routed_merged = ShardedStreamingEstimator(routed)
+    variants.append(("sharded3-router-exact", lambda t, s: routed_merged.estimate(
+        t, random_state=s, mode="exact")))
+    variants.append(("sharded3-router-auto", lambda t, s: routed_facade.estimate(
+        t, random_state=s, mode="auto")))
+
     holders: List[Tuple[str, Tuple[Callable[..., Any], Callable[..., Any]]]] = [
         ("LSHTable", _index_samplers(table)),
         ("MutableLSHIndex", _index_samplers(streaming)),
@@ -189,10 +219,14 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
         ("virtual-source", (virtual._sample_virtual_h, virtual._sample_virtual_l)),
     ]
 
-    cluster = ClusterCoordinator(
-        collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=8,
-        request_timeout=60.0,
-    )
+    clusters = [
+        ClusterCoordinator(
+            collection.dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=8,
+            request_timeout=60.0,
+        )
+        for _ in range(2)
+    ]
+    cluster, routed_cluster = clusters
     try:
         cluster_facade = StreamingEstimator(cluster, reservoir_size=128, random_state=9)
         _churn(cluster, collection, seed=5)
@@ -202,6 +236,15 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
         variants.append(("process2-facade-auto", lambda t, s: cluster_facade.estimate(
             t, random_state=s, mode="auto")))
         holders.append(("ClusterCoordinator", _index_samplers(cluster)))
+        routed_cluster_facade = StreamingEstimator(
+            routed_cluster, reservoir_size=128, random_state=9
+        )
+        _routed_churn(routed_cluster, collection, seed=5)
+        routed_remote = ShardedStreamingEstimator(routed_cluster)
+        variants.append(("process2-router-exact", lambda t, s: routed_remote.estimate(
+            t, random_state=s, mode="exact")))
+        variants.append(("process2-router-auto", lambda t, s: routed_cluster_facade.estimate(
+            t, random_state=s, mode="auto")))
 
         estimates: Dict[str, Any] = {}
         for name, estimate in variants:
@@ -220,7 +263,8 @@ def run_grid(seeds: Sequence[int] = SEEDS) -> Dict[str, Any]:
             for name, (sample_h, sample_l) in holders
         }
     finally:
-        cluster.close()
+        for each in clusters:
+            each.close()
     return {"estimates": estimates, "draws": draws}
 
 

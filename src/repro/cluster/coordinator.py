@@ -28,9 +28,9 @@ worker per shard (:meth:`ClusterCoordinator._connect`), ``close``,
 ``stats`` and the wiring of :meth:`ClusterCoordinator.from_state`.
 
 Ingest is where the processes pay off: ``commit_batch`` *pipelines* a
-routed batch — every worker receives its slice before any reply is
-awaited, and the coordinator performs its own merge bookkeeping while
-the workers store their rows in parallel (real parallelism: separate
+routed batch — every touched worker receives its one ``write`` (the
+rows to add and the ids to drop) before any reply is awaited, so the
+workers store their rows in parallel (real parallelism: separate
 processes, no GIL).
 
 Failure model: every request carries a timeout; a worker that crashed or
@@ -107,7 +107,7 @@ class WorkerHandle:
         #: worker-reported handler wall time of the most recent reply
         #: (from the reply meta envelope; 0.0 before the first reply)
         self.last_op_seconds = 0.0
-        #: cumulative worker-side ingest compute (``insert_prepared`` replies)
+        #: cumulative worker-side ingest compute (``write`` replies)
         self.worker_ingest_seconds = 0.0
         self._coordinator = coordinator
         self._metrics = coordinator.metrics
@@ -174,7 +174,7 @@ class WorkerHandle:
 
         The reply meta envelope is unpacked here: ``seconds`` lands in
         :attr:`last_op_seconds` (even for error replies), and in
-        :attr:`worker_ingest_seconds` for row inserts, and shipped-back
+        :attr:`worker_ingest_seconds` for row writes, and shipped-back
         worker spans are adopted into the coordinator's tracer.
         """
         started = time.perf_counter()
@@ -186,7 +186,7 @@ class WorkerHandle:
             self.blocked_seconds += time.perf_counter() - started
             meta = self.conn.last_meta
             self.last_op_seconds = float(meta.get("seconds", 0.0))
-            if op == "insert_prepared":
+            if op == "write":
                 self.worker_ingest_seconds += self.last_op_seconds
             spans = meta.get("spans")
             if spans:
@@ -504,12 +504,12 @@ class ClusterCoordinator(ShardedMutableIndex):
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
         """Apply a prepared batch with every worker storing its rows in parallel.
 
-        All shard slices are *sent* before any reply is awaited, and the
-        coordinator does its own merge bookkeeping while the workers
-        store their rows.  A failure mid-commit (a transport failure or a
-        worker op error) leaves shard slices partially applied, so it
-        marks the cluster broken — the router layer above then refuses
-        further flushes, exactly like an in-process partial commit.
+        All shard slices are *sent* before any reply is awaited, so the
+        workers store their rows in parallel.  A failure mid-commit (a
+        transport failure or a worker op error) leaves shard slices
+        partially applied, so it marks the cluster broken — the router
+        layer above then refuses further flushes, exactly like an
+        in-process partial commit.
         Defined here so the commit of this shape has a name of its own
         for tracing.
         """

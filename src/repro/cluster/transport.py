@@ -3,9 +3,11 @@
 One frame is an 8-byte big-endian length followed by that many bytes of
 pickle.  A message is the tuple ``(op, payload, meta)`` where ``op`` is
 a short string, ``payload`` a dict whose values are exactly the objects
-the library already serialises elsewhere — id arrays, CSR rows and
-:meth:`~repro.streaming.rowstore.RowStore.state` snapshots — so the wire
-format is the snapshot substrate, not a second serialisation scheme.  ``meta`` is an
+the library already serialises elsewhere — id arrays and lists, CSR rows
+and :meth:`~repro.streaming.rowstore.RowStore.state` snapshots (a
+``write`` carries the ids and rows one shard gains and the id list it
+drops) — so the wire format is the snapshot substrate, not a second
+serialisation scheme.  ``meta`` is an
 out-of-band envelope dict (``{}`` when absent) that never carries data
 the op handler needs: requests use it to propagate the trace context
 (``{"trace": {"trace_id", "span_id"}}``), replies to carry op timing
@@ -50,7 +52,10 @@ from repro.errors import ClusterError, ReproError, ValidationError, WorkerCrashE
 #: 7: the op table moved to :class:`~repro.shard.ops.ShardWorker`, which
 #: also serves in process; ``gather_rows`` replies with CSR parts
 #: (``data, indices, indptr``) instead of a CSR matrix.
-PROTOCOL_VERSION = 7
+#: 8: ``insert_prepared`` and ``delete`` merged into one ``write`` op: one
+#: request per shard per batch carries the ids and rows to add and the
+#: ids to ``drop``.
+PROTOCOL_VERSION = 8
 
 #: refuse frames beyond this size (corrupt length prefix / runaway state)
 MAX_FRAME_BYTES = 4 << 30

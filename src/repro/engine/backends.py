@@ -65,7 +65,9 @@ from repro.errors import UnsupportedOperationError, ValidationError
 from repro.lsh import LSHIndex
 from repro.obs.metrics import MetricsRegistry, get_global_registry
 from repro.rng import RandomState
-from repro.shard import ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter
+from repro.shard import (
+    PendingWrites, ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter,
+)
 from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_cluster
 from repro.state import StateSpec
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
@@ -186,17 +188,17 @@ class EstimatorBackend(abc.ABC):
         estimates perform lazy maintenance override it.
         """
 
-    def drain_pending(self) -> list:
-        """Recover buffered-but-unapplied write payloads without applying them.
+    def drain_pending(self) -> PendingWrites:
+        """Recover buffered-but-unapplied writes without applying them.
 
-        Returns the drained payloads (1×d CSR rows for sharded
-        backends, in arrival order) and clears the buffer, so a close
-        after a mid-commit failure can surface
+        Returns the drained insert rows (1×d CSR) and delete ids, each in
+        arrival order, and clears the buffer, so a close after a
+        mid-commit failure can surface
         :class:`~repro.errors.StrandedWritesError` carrying the
-        recoverable rows instead of losing them behind process exit.
-        Unbuffered backends return an empty list.
+        recoverable writes instead of losing them behind process exit.
+        Unbuffered backends return two empty lists.
         """
-        return []
+        return PendingWrites([], [])
 
     # -- ingest --------------------------------------------------------
     @abc.abstractmethod
@@ -688,7 +690,7 @@ class ShardedBackend(EstimatorBackend):
         # against a published generation stay read-only
         self._estimator.repair()
 
-    def drain_pending(self) -> list:
+    def drain_pending(self) -> PendingWrites:
         return self._router.drain_pending()
 
     def ingest_collection(self, collection: VectorCollection) -> int:

@@ -38,6 +38,7 @@ from repro.engine.config import EngineConfig
 from repro.errors import IndexNotBuiltError, ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace
+from repro.shard import PendingWrites
 from repro.shard.rebalance import RebalancePlan
 from repro.state import StateSpec
 from repro.streaming.events import ChangeLog, Checkpoint, Delete, Insert
@@ -317,12 +318,12 @@ class JoinEstimationEngine:
         """
         self.backend.quiesce()
 
-    def drain_pending(self) -> list:
-        """Recover buffered-but-unapplied write payloads; see backend docs.
+    def drain_pending(self) -> PendingWrites:
+        """Recover buffered-but-unapplied writes; see backend docs.
 
         Used by shutdown paths that must not lose writes behind a failed
-        commit: drain first, close quietly, surface the rows in a
-        :class:`~repro.errors.StrandedWritesError`.
+        commit: drain first, close quietly, surface the rows and delete
+        ids in a :class:`~repro.errors.StrandedWritesError`.
         """
         return self.backend.drain_pending()
 

@@ -55,17 +55,20 @@ class StrandedWritesError(ReproError):
     """Raised when closing a writer would silently discard buffered writes.
 
     :meth:`repro.shard.router.ShardRouter.close` raises this after a
-    partial batch-commit failure: the buffered inserts can be neither
+    partial batch-commit failure: the buffered writes can be neither
     retried (some shard slices may already be applied) nor dropped
-    without telling the caller.  The unapplied rows are attached as
-    :attr:`pending_rows` (1×d CSR rows in arrival order) so callers can
-    re-route them to a fresh cluster.
+    without telling the caller.  The unapplied inserts are attached as
+    :attr:`pending_rows` (1×d CSR rows in arrival order) and the
+    unapplied deletes as :attr:`pending_deletes` (vector ids in arrival
+    order), so callers can re-route them to a fresh cluster.
     """
 
-    def __init__(self, message: str, pending_rows=()):
+    def __init__(self, message: str, pending_rows=(), pending_deletes=()):
         super().__init__(message)
         #: buffered insert rows (1×d CSR) that were never applied
         self.pending_rows = list(pending_rows)
+        #: buffered delete ids that were never applied
+        self.pending_deletes = list(pending_deletes)
 
 
 class ServeError(ReproError):

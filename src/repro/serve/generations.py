@@ -27,10 +27,10 @@ A failed commit (e.g. a cluster transport failure mid-batch) marks the
 manager **broken**.  The engine may then hold part of a batch whose
 clients were told it failed, so the server refuses estimates while
 ``describe`` and ``stats`` keep answering, further commits are refused,
-and :meth:`close` drains the buffered-but-unapplied rows *before*
+and :meth:`close` drains the buffered-but-unapplied writes *before*
 closing the engine so the failure surfaces as
 :class:`~repro.errors.StrandedWritesError` with the recoverable rows
-instead of losing them behind daemon exit.
+and delete ids instead of losing them behind daemon exit.
 """
 
 from __future__ import annotations
@@ -202,32 +202,39 @@ class GenerationManager:
         The caller (the server's shutdown path) guarantees no reader or
         commit is in flight.  After a failed commit the engine is drained
         via :meth:`~repro.engine.JoinEstimationEngine.drain_pending`
-        *before* closing, and the recovered rows are raised in one
-        :class:`~repro.errors.StrandedWritesError`.
+        *before* closing, and the recovered rows and delete ids are
+        raised in one :class:`~repro.errors.StrandedWritesError`.
         """
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-        # recover buffered rows before close() can discard them (or
+        # recover buffered writes before close() can discard them (or
         # raise from inside backend teardown)
-        stranded = list(self._engine.drain_pending()) if self._broken is not None else []
+        rows: List[Any] = []
+        deletes: List[int] = []
+        if self._broken is not None:
+            drained = self._engine.drain_pending()
+            rows, deletes = list(drained.rows), list(drained.deletes)
         teardown_error: Optional[Exception] = None
         try:
             self._engine.close()
         except StrandedWritesError as error:
             # close-path detection: a router noticed its own failed
-            # commit; fold its recovered rows into ours
-            stranded.extend(error.pending_rows)
-        except Exception as error:  # noqa: BLE001  # reprolint: disable=R007 - the recovered rows outrank a teardown error, which is chained onto them below
-            if not stranded:
+            # commit; fold its recovered writes into ours
+            rows.extend(error.pending_rows)
+            deletes.extend(error.pending_deletes)
+        except Exception as error:  # noqa: BLE001  # reprolint: disable=R007 - the recovered writes outrank a teardown error, which is chained onto them below
+            if not (rows or deletes):
                 raise
             teardown_error = error
-        if stranded:
+        if rows or deletes:
             raise StrandedWritesError(
-                f"serve shutdown recovered {len(stranded)} unapplied row(s) "
-                "after a failed commit; re-route them to a fresh deployment",
-                pending_rows=stranded,
+                f"serve shutdown recovered {len(rows)} unapplied row(s) and "
+                f"{len(deletes)} unapplied delete(s) after a failed commit; "
+                "re-route them to a fresh deployment",
+                pending_rows=rows,
+                pending_deletes=deletes,
             ) from teardown_error
 
 

@@ -159,9 +159,10 @@ class EstimationServer:
         self._inflight_cond = threading.Condition()
         self._stopping = threading.Event()
         self._closed = False
-        #: rows recovered by a drain after a failed commit (also carried
-        #: by the StrandedWritesError that shutdown() raises)
+        #: rows and delete ids recovered by a drain after a failed commit
+        #: (also carried by the StrandedWritesError that shutdown() raises)
         self.stranded_rows: List[Any] = []
+        self.stranded_deletes: List[int] = []
         # instrument handles cached up front, off the request hot path
         self._op_seconds: Dict[str, Any] = {}
         self._op_counters: Dict[Tuple[str, str], Any] = {}
@@ -209,9 +210,10 @@ class EstimationServer:
 
         Every acknowledged write is already committed (acks follow epoch
         publication), so a clean drain strands nothing.  After a failed
-        commit the engines are drained and the recovered rows surface as
+        commit the engines are drained and the recovered writes surface as
         :class:`~repro.errors.StrandedWritesError` (also kept in
-        :attr:`stranded_rows`) rather than disappearing with the daemon.
+        :attr:`stranded_rows` and :attr:`stranded_deletes`) rather than
+        disappearing with the daemon.
         """
         if self._closed:
             return
@@ -257,6 +259,7 @@ class EstimationServer:
             self._generations.close()
         except StrandedWritesError as error:
             self.stranded_rows = list(error.pending_rows)
+            self.stranded_deletes = list(error.pending_deletes)
             raise
 
     def _refuse_leftover_tickets(self) -> None:

@@ -36,11 +36,12 @@ from repro.shard.merge import MergedStrata, ShardedStreamingEstimator, merge_str
 from repro.shard.ops import ShardWorker
 from repro.shard.partition import KeyPartitioner
 from repro.shard.rebalance import KeyMove, RebalancePlan, plan_rebalance, rebalance_cluster
-from repro.shard.router import ShardRouter
+from repro.shard.router import PendingWrites, ShardRouter
 from repro.shard.sharded_index import PreparedBatch, ShardedMutableIndex
 
 __all__ = [
     "KeyPartitioner",
+    "PendingWrites",
     "PreparedBatch",
     "ShardedMutableIndex",
     "ShardWorker",

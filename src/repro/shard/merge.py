@@ -98,7 +98,7 @@ class ShardedStreamingEstimator(StreamingEstimator):
 
     ``router`` optionally attaches the cluster's
     :class:`~repro.shard.router.ShardRouter`: its buffer is flushed
-    before every estimate, so inserts still sitting in the write buffer
+    before every estimate, so writes still sitting in the write buffer
     can never be silently missing from a served estimate.
     """
 
@@ -149,7 +149,7 @@ class ShardedStreamingEstimator(StreamingEstimator):
         started = time.perf_counter()
         with trace("merge.estimate", mode=mode, threshold=threshold):
             if self.router is not None:
-                self.router.flush()  # buffered inserts must be visible to estimates
+                self.router.flush()  # buffered writes must be visible to estimates
             estimate = super().estimate(threshold, random_state=random_state, mode=mode)
             strata = merge_strata(self.index)
             estimate.details.update(

@@ -9,8 +9,9 @@ reply are the library's existing serialisations:
 ``configure``          build an empty row store of the given dimension
 ``restore``            revive the row store from a row-store state
 ``snapshot``           return the row-store state
-``insert_prepared``    add a routed batch slice (ids, CSR rows)
-``delete``             remove a list of ids
+``write``              one shard's slice of a write batch: remove the
+                       ``drop`` ids, then add the CSR rows ``csr`` under
+                       ``ids`` (either part may be absent)
 ``gather_rows``        CSR parts (``data, indices, indptr``) of the rows of
                        the shard's unique ids, optionally normalised
 ``ids``                the stored ids, ascending (invariant checks)
@@ -113,12 +114,12 @@ class ShardWorker:
     def op_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         return {"state": self._require_store().state()}
 
-    def op_insert_prepared(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_store().add_many(payload["ids"], payload["csr"])
-        return self._stats()
-
-    def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._require_store().remove_many(payload["ids"])
+    def op_write(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        store = self._require_store()
+        if "drop" in payload:
+            store.remove_many(payload["drop"])
+        if "ids" in payload:
+            store.add_many(payload["ids"], payload["csr"])
         return self._stats()
 
     def op_gather_rows(self, payload: Dict[str, Any]) -> Dict[str, Any]:

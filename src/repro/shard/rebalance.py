@@ -14,9 +14,10 @@ the raw vectors:
   weight placement moves an expected ``1/(S+1)`` of the keys on a grow
   to ``S+1`` and only the departing shards' keys on a shrink.
 * :func:`rebalance_cluster` executes it: grow the shard list, gather the
-  moved buckets' rows from their source shards, add them to the target
-  shards and remove them from the sources — one request per affected
-  shard and step, fanned out to the workers on the process shape — adopt
+  moved buckets' rows from their source shards, then add them to the
+  target shards and remove them from the sources — one ``write``
+  request per affected shard, fanned out to the workers on the process
+  shape — adopt
   the new partitioner and drop the trailing shards of a shrink.  The
   facade changes only the id → shard map and the per-shard counters: its
   bucket order, live-id order and reservoirs stay as they were, so the
@@ -92,8 +93,8 @@ def rebalance_cluster(sharded: ShardedMutableIndex, num_shards: int) -> Rebalanc
     Growing appends empty shards before the migration; shrinking drops
     the trailing shards once every key has left them.  Rows are looked
     up by id on both sides, so the migration is exactly as lossless as a
-    gather.  A failure after the first row insert marks the cluster
-    broken.  Returns the executed :class:`RebalancePlan`.
+    gather.  A failed row write marks the cluster broken.  Returns the
+    executed :class:`RebalancePlan`.
     """
     plan = plan_rebalance(sharded, num_shards)
     if plan.num_shards > sharded.num_shards:
@@ -106,12 +107,12 @@ def rebalance_cluster(sharded: ShardedMutableIndex, num_shards: int) -> Rebalanc
         sources = np.repeat([move.source for move in plan.moves], counts)
         targets = np.repeat([move.target for move in plan.moves], counts)
         rows = sharded._stack_raw(ids)  # one gather per source shard
-        arrivals = [
-            (int(target), np.flatnonzero(targets == target)) for target in np.unique(targets)
-        ]
-        departures = [(int(source), ids[sources == source]) for source in np.unique(sources)]
-        added = sharded._store_rows([(target, ids[of], rows[of]) for target, of in arrivals])
-        removed = sharded._drop_rows(departures)
+        requests = []
+        for shard_id in np.union1d(sources, targets).tolist():
+            arriving = np.flatnonzero(targets == shard_id)
+            csr = rows[arriving] if arriving.size else None
+            requests.append((shard_id, ids[arriving], csr, ids[sources == shard_id]))
+        sizes = sharded._write_rows(requests)
         for move, count in zip(plan.moves, counts.tolist()):
             pairs = count * (count - 1) // 2
             sharded._shard_sizes[move.source] -= count
@@ -119,10 +120,7 @@ def rebalance_cluster(sharded: ShardedMutableIndex, num_shards: int) -> Rebalanc
             sharded._shard_collision_pairs[move.source] -= pairs
             sharded._shard_collision_pairs[move.target] += pairs
         sharded._place(ids, targets)
-        # a shard that both receives and sends reports its final size last
-        reported = dict(zip([target for target, _ in arrivals], added))
-        reported.update(zip([source for source, _ in departures], removed))
-        sharded._check_sizes(list(reported), list(reported.values()))
+        sharded._check_sizes([request[0] for request in requests], sizes)
         plan.moved_vectors = int(ids.size)
     sharded.partitioner = KeyPartitioner(plan.num_shards)
     if plan.num_shards < sharded.num_shards:

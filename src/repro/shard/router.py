@@ -7,25 +7,31 @@ deletes, checkpoints — usually replayed from a
 :class:`~repro.streaming.events.ChangeLog`) and applies it to a
 :class:`~repro.shard.sharded_index.ShardedMutableIndex`:
 
-* **inserts buffer** up to ``batch_size`` rows; a flush coerces the
-  buffered vectors, hashes them in one batch matrix product, partitions
-  the rows by bucket key, and hands every shard its slice of rows in one
-  request (:meth:`ShardedMutableIndex.commit_batch`; in process one shard
-  after another, the ``process`` backend is the parallel path);
-* **deletes flush first** — a delete may target a still-buffered row, so
-  buffered inserts are materialised before the delete is routed;
+* **inserts and deletes buffer** together, in arrival order, up to
+  ``batch_size`` events; a flush hashes the buffered rows in one batch
+  matrix product, partitions them by bucket key, and hands every touched
+  shard the rows it owns and the ids it drops in one request
+  (:meth:`ShardedMutableIndex.commit_batch`; in process one shard after
+  another, the ``process`` backend is the parallel path).  A row
+  inserted and deleted within the buffer never reaches a shard;
+* **a delete is checked when it is buffered**: it must target a live
+  id not yet deleted in the buffer, or the id a buffered insert will
+  get — anything else raises at once and buffers nothing;
 * **checkpoints flush** and, when an estimator is attached to the
   replay, emit an estimate.
 
-The batch grouping preserves arrival order within every bucket, so the
-replayed cluster reaches exactly the bucket layout — and therefore the
-same exact-mode estimates — as an unsharded index fed the same log.
+Buffered writes become visible at the flush.  The facade applies the
+flushed batch in arrival order, so the replayed cluster reaches exactly
+the bucket layout and observer sequence — and therefore the same
+estimates — as an unsharded index fed the same log with the same flush
+points.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.core.base import SimilarityJoinSizeEstimator
 
@@ -38,6 +44,20 @@ from repro.rng import RandomState, ensure_rng
 from repro.shard.sharded_index import ShardedMutableIndex
 from repro.streaming.events import ChangeLog, Checkpoint, Delete, Insert
 from repro.streaming.mutable_index import VectorInput, coerce_row
+
+
+@dataclass(frozen=True)
+class PendingWrites:
+    """Buffered writes that were never applied, each kind in arrival order."""
+
+    #: the inserts' 1×d CSR rows
+    rows: List[sparse.csr_matrix]
+    #: the deletes' vector ids
+    deletes: List[int]
+
+    def __len__(self) -> int:
+        """The number of drained writes, inserts and deletes."""
+        return len(self.rows) + len(self.deletes)
 
 
 class ShardRouter:
@@ -63,6 +83,10 @@ class ShardRouter:
         self._flushed_rows = registry.counter("router_flushed_rows_total")
         self._routed_events = registry.counter("router_events_total")
         self._pending_rows: List[sparse.csr_matrix] = []
+        #: ``(after, vector_id)``: a delete that arrived after the first
+        #: ``after`` buffered inserts (:class:`PreparedBatch` ``deletes``)
+        self._pending_deletes: List[Tuple[int, int]] = []
+        self._deleted_ids: Set[int] = set()
         self._events_routed = 0
         #: set when a batch commit raised partway — shard slices may be
         #: applied while the facade saw nothing, so a retry would claim
@@ -72,12 +96,12 @@ class ShardRouter:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of buffered (not yet flushed) inserts."""
-        return len(self._pending_rows)
+        """Number of buffered (not yet flushed) inserts and deletes."""
+        return len(self._pending_rows) + len(self._pending_deletes)
 
     @property
     def events_routed(self) -> int:
-        """Total insert/delete events applied (flushed inserts only)."""
+        """Total insert/delete events applied (flushed events only)."""
         return self._events_routed
 
     @property
@@ -85,34 +109,48 @@ class ShardRouter:
         """True after a batch commit raised partway (see :meth:`flush`)."""
         return self._commit_failed
 
-    def drain_pending(self) -> List[sparse.csr_matrix]:
-        """Take the buffered (never applied) insert rows out of the router.
+    def drain_pending(self) -> PendingWrites:
+        """Take the buffered (never applied) writes out of the router.
 
-        Returns the 1×d CSR rows in arrival order and clears the buffer —
-        after a partial commit failure this is how callers recover the
-        inserts that can no longer be flushed here (re-route them to a
-        fresh cluster); a subsequent :meth:`close` then has nothing to
-        strand and succeeds.
+        Returns the insert rows and the delete ids, each in arrival
+        order, and clears the buffer — after a partial commit failure
+        this is how callers recover the writes that can no longer be
+        flushed here (re-route them to a fresh cluster); a subsequent
+        :meth:`close` then has nothing to strand and succeeds.
         """
-        rows = self._pending_rows
+        drained = PendingWrites(
+            self._pending_rows, [vector_id for _after, vector_id in self._pending_deletes]
+        )
         self._pending_rows = []
-        return rows
+        self._pending_deletes = []
+        self._deleted_ids = set()
+        return drained
 
     def insert(self, vector: VectorInput) -> None:
         """Buffer one insert; flushes automatically at ``batch_size``."""
         self._pending_rows.append(coerce_row(vector, self.index.dimension))
-        if len(self._pending_rows) >= self.batch_size:
+        if self.pending >= self.batch_size:
             self.flush()
 
     def delete(self, vector_id: int) -> None:
-        """Flush buffered inserts, then route the delete to its shard."""
-        self.flush()
-        self.index.delete(vector_id)
-        self._events_routed += 1
-        self._routed_events.inc()
+        """Buffer one delete; flushes automatically at ``batch_size``.
+
+        The id must be live and not already deleted in the buffer, or be
+        the id a buffered insert will get; anything else raises
+        :class:`~repro.errors.ValidationError` and buffers nothing.
+        """
+        vector_id = int(vector_id)
+        first_buffered = self.index.next_id
+        buffered = first_buffered <= vector_id < first_buffered + len(self._pending_rows)
+        if vector_id in self._deleted_ids or not (buffered or vector_id in self.index):
+            raise ValidationError(f"vector id {vector_id} is not in the index")
+        self._pending_deletes.append((len(self._pending_rows), vector_id))
+        self._deleted_ids.add(vector_id)
+        if self.pending >= self.batch_size:
+            self.flush()
 
     def flush(self) -> int:
-        """Hash, partition, and ingest the buffered inserts; returns the count.
+        """Hash, partition, and apply the buffered writes; returns their count.
 
         The buffer is cleared only after the batch commits.  A failure
         *before* the commit (e.g. while coercing a later event) leaves
@@ -122,7 +160,8 @@ class ShardRouter:
         ingesting those rows twice — recover by replaying the log onto
         a fresh cluster (replay semantics, not transactions).
         """
-        if not self._pending_rows:
+        count = self.pending
+        if not count:
             return 0
         if self._commit_failed:
             raise ValidationError(
@@ -130,24 +169,28 @@ class ShardRouter:
                 "a partial batch — replay the log onto a fresh cluster instead "
                 "of retrying this router"
             )
-        if len(self._pending_rows) == 1:
-            stacked = self._pending_rows[0]
+        rows = self._pending_rows
+        if len(rows) == 1:
+            stacked = rows[0]
+        elif rows:
+            stacked = sparse.vstack(rows, format="csr")
         else:
-            stacked = sparse.vstack(self._pending_rows, format="csr")
-        count = len(self._pending_rows)
+            stacked = sparse.csr_matrix((0, self.index.dimension))
         started = time.perf_counter()
-        with trace("router.flush", rows=count):
+        with trace("router.flush", rows=len(rows), deletes=len(self._pending_deletes)):
             # buffered rows are coerce_row output: canonical by construction
-            batch = self.index.prepare_batch(stacked, coerced=True)
+            batch = self.index.prepare_batch(
+                stacked, coerced=True, deletes=self._pending_deletes
+            )
             try:
                 self.index.commit_batch(batch)
             except BaseException:  # reprolint: disable=R007 - any escape here means buffered rows may be lost; latch the failure flag before re-raising
                 self._commit_failed = True
                 raise
         self._flush_seconds.observe(time.perf_counter() - started)
-        self._flushed_rows.inc(count)
+        self._flushed_rows.inc(len(rows))
         self._routed_events.inc(count)
-        self._pending_rows = []
+        self.drain_pending()  # applied: empty the buffer
         self._events_routed += count
         return count
 
@@ -169,7 +212,7 @@ class ShardRouter:
         :meth:`ChangeLog.replay` on a single index.
 
         A final flush is guaranteed even when the replay ends mid-batch
-        or an event fails to apply: inserts buffered before the failing
+        or an event fails to apply: writes buffered before the failing
         event are committed rather than silently dropped (at-least-once,
         as :meth:`flush` documents), and the original error propagates.
         """
@@ -205,30 +248,32 @@ class ShardRouter:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush remaining inserts.
+        """Flush remaining writes.
 
         Idempotent, and the router stays usable: later ``flush`` /
-        ``close`` calls ingest as before, so no buffered insert can be
+        ``close`` calls ingest as before, so no buffered write can be
         stranded by closing twice or by writing after close.
 
         After a partial commit failure the final flush cannot run
-        (retrying would double-ingest; see :meth:`flush`).  Rows still
+        (retrying would double-ingest; see :meth:`flush`).  Writes still
         buffered at that point are **not** silently dropped: they are
         drained and :class:`~repro.errors.StrandedWritesError` is raised
-        carrying them, so callers always learn which inserts were never
-        applied (call :meth:`drain_pending` first to recover them and
-        close quietly).
+        carrying them, so callers always learn which inserts and deletes
+        were never applied (call :meth:`drain_pending` first to recover
+        them and close quietly).
         """
         if not self._commit_failed:
             self.flush()
-        if self._commit_failed and self._pending_rows:
+        if self._commit_failed and self.pending:
             stranded = self.drain_pending()
             raise StrandedWritesError(
                 f"closing after a partial batch-commit failure strands "
-                f"{len(stranded)} buffered insert(s) that were never applied; "
-                "they are attached as .pending_rows — replay them onto a "
-                "fresh cluster",
-                pending_rows=stranded,
+                f"{len(stranded.rows)} buffered insert(s) and "
+                f"{len(stranded.deletes)} buffered delete(s) that were never "
+                "applied; they are attached as .pending_rows and "
+                ".pending_deletes — replay them onto a fresh cluster",
+                pending_rows=stranded.rows,
+                pending_deletes=stranded.deletes,
             )
 
     def __enter__(self) -> "ShardRouter":
@@ -253,4 +298,4 @@ class ShardRouter:
         )
 
 
-__all__ = ["ShardRouter"]
+__all__ = ["PendingWrites", "ShardRouter"]

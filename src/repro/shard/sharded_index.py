@@ -26,7 +26,8 @@ cosine — with the *merge layer* built in:
   process-backed :class:`~repro.cluster.ClusterCoordinator` share one
   code path that never asks a shard.  SampleH / SampleL themselves are
   the table's;
-* every shard request — row inserts, deletes and gathers, snapshots,
+* every shard request — row writes (the rows to add and the ids to
+  drop, one request per shard per batch) and gathers, snapshots,
   restores, invariant checks and rebalance moves — goes through one
   dispatch path, :meth:`ShardedMutableIndex._fan_out`, to endpoints that
   all expose ``send_request`` / ``recv_reply``: a
@@ -49,10 +50,10 @@ one row-store state per shard.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast,
+    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast,
 )
 
 import numpy as np
@@ -109,17 +110,31 @@ SHARDED_STATE = StateSpec(
 )
 
 #: ops whose failure may leave a fan-out's other requests applied
-_MUTATING_OPS = frozenset({"configure", "restore", "insert_prepared", "delete"})
+_MUTATING_OPS = frozenset({"configure", "restore", "write"})
+
+#: ``(shard_id, ids, rows, drop)``: one shard's ``write`` — add ``rows``
+#: (``None`` when ``ids`` is empty) under ``ids``, remove the ``drop`` ids
+ShardWrite = Tuple[int, np.ndarray, Optional[sparse.csr_matrix], np.ndarray]
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
 class PreparedBatch:
-    """A routed insert batch: coerced rows, bucket keys, shard targets."""
+    """A routed write batch: coerced rows, bucket keys, shard targets and
+    the deletes that ride along.
+
+    Each of ``deletes`` is ``(after, vector_id)``, in arrival order: the
+    delete arrived after the batch's first ``after`` inserts.  It targets
+    a vector live before the batch or one an earlier insert of the batch
+    adds, at most once (the router checks each delete as it buffers it).
+    """
 
     ids: np.ndarray
     csr: sparse.csr_matrix
     keys: List[bytes]
     shard_ids: np.ndarray
+    deletes: List[Tuple[int, int]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -385,28 +400,19 @@ class ShardedMutableIndex:
     def _to_every_shard(self, payload: Any = None) -> List[Tuple[int, Any]]:
         return [(shard_id, payload) for shard_id in range(self.num_shards)]
 
-    def _fan_out(
-        self,
-        op: str,
-        requests: Sequence[Tuple[int, Any]],
-        *,
-        meanwhile: Optional[Callable[[], None]] = None,
-    ) -> List[Any]:
+    def _fan_out(self, op: str, requests: Sequence[Tuple[int, Any]]) -> List[Any]:
         """Send ``op`` with every ``(shard_id, payload)``, then await every reply.
 
-        ``meanwhile`` runs between the sends and the first await (worker
-        processes store their rows meanwhile).  A reply error re-raises
-        only once every reply sent has been read, so no connection is
-        left holding a stale reply.  A failed mutating op marks the index
-        broken: the fan-out's other requests (or the call) may have applied.
+        A reply error re-raises only once every reply sent has been read,
+        so no connection is left holding a stale reply.  A failed mutating
+        op marks the index broken: the fan-out's other requests (or the
+        call) may have applied.
         """
         self._check_usable()
         endpoints = [self.shards[shard_id] for shard_id, _payload in requests]
         try:
             for endpoint, (_shard_id, payload) in zip(endpoints, requests):
                 endpoint.send_request(op, payload)
-            if meanwhile is not None:
-                meanwhile()
             replies: List[Any] = []
             first_error: Optional[Exception] = None
             for endpoint in endpoints:
@@ -423,29 +429,22 @@ class ShardedMutableIndex:
             raise
         return replies
 
-    def _store_rows(
-        self,
-        requests: Sequence[Tuple[int, np.ndarray, sparse.csr_matrix]],
-        *,
-        meanwhile: Optional[Callable[[], None]] = None,
-    ) -> List[int]:
-        """Add the rows of each ``(shard_id, ids, rows)`` request to its shard.
+    def _write_rows(self, requests: Sequence[ShardWrite]) -> List[int]:
+        """Send each :data:`ShardWrite` to its shard as one ``write`` request.
 
         Returns each shard's row count after its request, for
         :meth:`_check_sizes`.
         """
-        replies = self._fan_out("insert_prepared", [
-            (shard_id, {"ids": ids, "csr": rows}) for shard_id, ids, rows in requests
-        ], meanwhile=meanwhile)
-        return [int(reply["size"]) for reply in replies]
-
-    def _drop_rows(self, requests: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
-        """Remove the rows of each ``(shard_id, ids)`` request; returns the
-        shards' row counts after their requests."""
-        # a list pickles in a tenth of the time of a one-element array
-        replies = self._fan_out(
-            "delete", [(shard_id, {"ids": ids.tolist()}) for shard_id, ids in requests]
-        )
+        payloads = []
+        for shard_id, ids, rows, drop in requests:
+            payload: Dict[str, Any] = {}
+            if ids.size:
+                payload.update(ids=ids, csr=rows)
+            if drop.size:
+                # a list pickles in a tenth of the time of a one-element array
+                payload["drop"] = drop.tolist()
+            payloads.append((shard_id, payload))
+        replies = self._fan_out("write", payloads)
         return [int(reply["size"]) for reply in replies]
 
     def _check_sizes(self, shard_ids: Sequence[int], sizes: Sequence[int]) -> None:
@@ -466,9 +465,34 @@ class ShardedMutableIndex:
         )
         return vector_id
 
+    @property
+    def next_id(self) -> int:
+        """The id the next insert without a caller-given id will claim."""
+        return self._next_id
+
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
         self._shard_collision_pairs[shard_id] += self._table.insert_key(vector_id, key)
         self._shard_sizes[shard_id] += 1
+
+    def _apply_inserts(self, batch: PreparedBatch, start: int, stop: int) -> None:
+        """Place and track the batch's inserts ``start … stop−1``, then notify."""
+        self._place(batch.ids[start:stop], batch.shard_ids[start:stop])
+        for position in range(start, stop):
+            self._track_insert(
+                int(batch.ids[position]), batch.keys[position], int(batch.shard_ids[position])
+            )
+        for vector_id in batch.ids[start:stop].tolist():
+            for observer in self._observers:
+                observer.on_insert(vector_id)
+
+    def _apply_delete(self, vector_id: int) -> None:
+        """Remove a live vector from the table and counters, then notify."""
+        shard_id = int(self._shard_of_id[vector_id])
+        self._shard_collision_pairs[shard_id] -= self._table.delete(vector_id)
+        self._shard_sizes[shard_id] -= 1
+        self._shard_of_id[vector_id] = -1
+        for observer in self._observers:
+            observer.on_delete(vector_id)
 
     def insert(self, vector: VectorInput, *, vector_id: Optional[int] = None) -> int:
         """Route one vector to its owning shard; returns the global id."""
@@ -478,7 +502,7 @@ class ShardedMutableIndex:
         key = signature_bucket_key(signature, self.num_hashes)
         shard_id = self.partitioner.shard_of(key)
         ids = np.asarray([vector_id], dtype=np.int64)
-        sizes = self._store_rows([(shard_id, ids, row)])
+        sizes = self._write_rows([(shard_id, ids, row, _NO_IDS)])
         self._place(ids, shard_id)
         self._track_insert(vector_id, key, shard_id)
         self._check_sizes([shard_id], sizes)
@@ -492,6 +516,7 @@ class ShardedMutableIndex:
         *,
         vector_ids: Optional[Sequence[int]] = None,
         coerced: bool = False,
+        deletes: Sequence[Tuple[int, int]] = (),
     ) -> PreparedBatch:
         """Coerce, hash (one batch product), and route a batch.
 
@@ -499,7 +524,8 @@ class ShardedMutableIndex:
         ``coerced=True`` skips re-canonicalisation for input that is
         canonical by construction (float64 CSR, sorted indices, no
         explicit zeros, finite) — the router's buffered rows already
-        went through :func:`coerce_row` one by one.
+        went through :func:`coerce_row` one by one.  ``deletes`` ride
+        along (see :class:`PreparedBatch`).
         """
         csr = matrix if coerced else coerce_matrix(matrix, self.dimension)
         num_rows = csr.shape[0]
@@ -516,40 +542,45 @@ class ShardedMutableIndex:
             ids = np.array([self._claim_id(int(i)) for i in ids], dtype=np.int64)
         keys = signature_keys(signatures)
         shard_ids = self.partitioner.shard_of_signatures(signatures)
-        return PreparedBatch(ids=ids, csr=csr, keys=keys, shard_ids=shard_ids)
+        return PreparedBatch(
+            ids=ids, csr=csr, keys=keys, shard_ids=shard_ids, deletes=list(deletes)
+        )
 
     def commit_batch(self, batch: PreparedBatch) -> np.ndarray:
-        """Apply a prepared batch: one row slice per shard + merge bookkeeping.
+        """Apply a prepared batch: one ``write`` per shard + merge bookkeeping.
 
-        Each shard gets its rows in one :meth:`_store_rows` request.
-        Facade bucket bookkeeping follows the original row order, so the
-        merged SampleH layout is unaffected by the grouping; facade
-        observers are notified once the whole batch is live (per-event
-        granularity needs the unbatched :meth:`insert`).
+        Each touched shard gets the rows it owns and the ids it drops in
+        one :meth:`_write_rows` request; a row the batch inserts and
+        deletes again reaches no shard.  The facade applies the batch in
+        arrival order: each run of inserts is placed and tracked, then
+        its observers are notified, and each delete updates the table
+        and then notifies — so the merged SampleH layout and every
+        observer see exactly the unbatched sequence of runs and deletes.
         """
         histogram, rows_total = self._commit_instruments()
         started = time.perf_counter()
         with trace("shard.commit_batch", rows=len(batch)):
-            requests = []
+            deleted = np.fromiter(
+                (vector_id for _after, vector_id in batch.deletes), np.int64, len(batch.deletes)
+            )
+            sent = ~np.isin(batch.ids, deleted)
+            dropped = deleted[~np.isin(deleted, batch.ids)]
+            owners = self._owners(dropped)
+            requests: List[ShardWrite] = []
             for shard_id in range(self.num_shards):
-                rows = np.flatnonzero(batch.shard_ids == shard_id)
-                if rows.size:
-                    requests.append((shard_id, batch.ids[rows], batch.csr[rows]))
-
-            def track() -> None:
-                self._place(batch.ids, batch.shard_ids)
-                for position in range(len(batch)):
-                    self._track_insert(
-                        int(batch.ids[position]), batch.keys[position],
-                        int(batch.shard_ids[position]),
-                    )
-
-            sizes = self._store_rows(requests, meanwhile=track)
-            self._check_sizes([shard_id for shard_id, _ids, _rows in requests], sizes)
-            for position in range(len(batch)):
-                vector_id = int(batch.ids[position])
-                for observer in self._observers:
-                    observer.on_insert(vector_id)
+                rows = np.flatnonzero((batch.shard_ids == shard_id) & sent)
+                drop = dropped[owners == shard_id]
+                if rows.size or drop.size:
+                    csr = batch.csr[rows] if rows.size else None
+                    requests.append((shard_id, batch.ids[rows], csr, drop))
+            sizes = self._write_rows(requests)
+            start = 0
+            for after, vector_id in batch.deletes:
+                self._apply_inserts(batch, start, after)
+                self._apply_delete(vector_id)
+                start = after
+            self._apply_inserts(batch, start, len(batch))
+            self._check_sizes([request[0] for request in requests], sizes)
         histogram.observe(time.perf_counter() - started)
         rows_total.inc(len(batch))
         return batch.ids
@@ -568,14 +599,10 @@ class ShardedMutableIndex:
         if vector_id not in self._table:
             raise ValidationError(f"vector id {vector_id} is not in the index")
         shard_id = int(self._shard_of_id[vector_id])
-        sizes = self._drop_rows([(shard_id, np.asarray([vector_id], dtype=np.int64))])
-        remaining = self._table.delete(vector_id)  # = the co-bucket pairs removed
-        self._shard_collision_pairs[shard_id] -= remaining
-        self._shard_sizes[shard_id] -= 1
-        self._shard_of_id[vector_id] = -1
+        drop = np.asarray([vector_id], dtype=np.int64)
+        sizes = self._write_rows([(shard_id, _NO_IDS, None, drop)])
+        self._apply_delete(vector_id)
         self._check_sizes([shard_id], sizes)
-        for observer in self._observers:
-            observer.on_delete(vector_id)
 
     # ------------------------------------------------------------------
     # merged sampling + similarity (the query-side merge layer)
@@ -601,8 +628,10 @@ class ShardedMutableIndex:
 
         Each owning shard is asked once, for its unique ids; indexing the
         matrix with the returned rows lays them out in ``ids`` order
-        (repeats allowed).
+        (repeats allowed).  A broken index refuses before it checks the
+        ids: a failed commit may have left the facade without its batch.
         """
+        self._check_usable()
         # one sort groups the unique ids by owning shard, ascending within each
         keys = self._owners(ids) * _MAX_ID + ids
         unique_keys, rows = np.unique(keys, return_inverse=True)

@@ -33,6 +33,7 @@ from repro.shard import (
     rebalance_cluster,
 )
 from repro.streaming import ChangeLog, Delete, Insert, MutableLSHIndex, StreamingEstimator
+from repro.streaming.mutable_index import coerce_row
 from repro.vectors import VectorCollection
 
 SEED = 7
@@ -252,12 +253,15 @@ class TestClusterFailurePaths:
                 engine.ingest(small_collection)
             assert coordinator.broken is not None
             # once broken, every further op reports the cluster state clearly
+            live = int(coordinator.ids[0])
             with pytest.raises(ClusterError):
-                engine.ingest(Insert(np.zeros(small_collection.dimension)))
-                engine.flush()  # the buffered insert must not commit quietly
-            # the unapplied row stays recoverable; with the buffer drained,
-            # estimates surface the broken cluster rather than hanging
-            assert len(engine.backend._router.drain_pending()) == 1
+                engine.ingest([Insert(np.zeros(small_collection.dimension)), Delete(live)])
+                engine.flush()  # the buffered writes must not commit quietly
+            # the unapplied insert and delete stay recoverable; with the
+            # buffer drained, estimates surface the broken cluster rather
+            # than hanging
+            pending = engine.backend._router.drain_pending()
+            assert len(pending.rows) == 1 and pending.deletes == [live]
             with pytest.raises(ClusterError):
                 engine.estimate(THRESHOLD, seed=1, mode="exact")
         finally:
@@ -323,7 +327,7 @@ class TestClusterFailurePaths:
                 return handle.recv_reply(op)
 
             with pytest.raises(ValidationError, match="not in"):
-                request("delete", {"ids": [12345]})
+                request("write", {"drop": [12345]})
             # per-shard estimator ops, worker-side sampling and the shard
             # bucket table are gone
             for op in (
@@ -455,15 +459,15 @@ class TestStandaloneWorkers:
         # is applied: the commit must read shard 1's reply too (no stale
         # reply left on its connection) and mark the half-applied cluster
         # broken, so the next query says so instead of misreading a reply
-        insert = ShardWorker.op_insert_prepared
+        write = ShardWorker.op_write
         shard0_calls = itertools.count()
 
         def fail_shard0_once(worker, payload):
             if worker.shard_id == 0 and next(shard0_calls) == 0:
                 raise ValidationError("injected insert failure")
-            return insert(worker, payload)
+            return write(worker, payload)
 
-        monkeypatch.setattr(ShardWorker, "op_insert_prepared", fail_shard0_once)
+        monkeypatch.setattr(ShardWorker, "op_write", fail_shard0_once)
         threads_addresses = [self._start_worker(once=True) for _ in range(2)]
         addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
         cluster = ClusterCoordinator(
@@ -493,18 +497,18 @@ class TestStandaloneWorkers:
         self, monkeypatch, small_collection
     ):
         # a shrink to one shard migrates shard 1's buckets, whose row
-        # inserts fail on the workers after the gathers: rows may now sit
+        # writes fail on the workers after the gathers: rows may now sit
         # on two shards, so the cluster is marked broken and the next
         # estimate says so
-        insert = ShardWorker.op_insert_prepared
+        write = ShardWorker.op_write
         migrating = threading.Event()
 
         def fail_while_migrating(worker, payload):
             if migrating.is_set():
                 raise ValidationError("injected migration failure")
-            return insert(worker, payload)
+            return write(worker, payload)
 
-        monkeypatch.setattr(ShardWorker, "op_insert_prepared", fail_while_migrating)
+        monkeypatch.setattr(ShardWorker, "op_write", fail_while_migrating)
         threads_addresses = [self._start_worker(once=True) for _ in range(2)]
         addresses = [f"{host}:{port}" for _thread, (host, port) in threads_addresses]
         cluster = ClusterCoordinator(
@@ -701,7 +705,7 @@ class TestOneDispatchPath:
         per_op = Counter()
         for (op, _shard_id), count in over_the_wire.items():
             per_op[op] += count
-        assert set(per_op) == {"configure", "insert_prepared", "delete", "gather_rows"}
+        assert set(per_op) == {"configure", "write", "gather_rows"}
         for op, count in per_op.items():
             assert registry.counter("cluster_requests_total", op=op).value == count
 
@@ -748,6 +752,86 @@ class TestOneDispatchPath:
             assert [row["worker_ingest_seconds"] for row in rows] == ingested
 
 
+class TestBatchedWrites:
+    """The router buffers deletes beside inserts: a flush sends one ``write``
+    per touched shard, and answers stay those of the per-delete grouping."""
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("shape", ["sharded", "process"])
+    def test_mixed_batch_sends_one_write_per_touched_shard(
+        self, monkeypatch, shape, small_collection
+    ):
+        endpoint_class = ShardWorker if shape == "sharded" else WorkerHandle
+        sent = TestOneDispatchPath._record(monkeypatch, endpoint_class)
+        shape_kwargs = dict(num_shards=2, num_hashes=NUM_HASHES, random_state=SEED)
+        index = (
+            ShardedMutableIndex(small_collection.dimension, **shape_kwargs)
+            if shape == "sharded"
+            else ClusterCoordinator(small_collection.dimension, **shape_kwargs, **FAST)
+        )
+        try:
+            index.insert_many(small_collection.matrix[:100])
+            sent.clear()
+            router = ShardRouter(index, batch_size=256)
+            deleted_live = list(range(0, 48, 2))
+            for position, victim in enumerate(deleted_live):
+                router.insert(small_collection.row(100 + position))
+                router.delete(victim)
+            router.insert(small_collection.row(200))
+            router.delete(100)  # a buffered insert: its row is never sent
+            assert router.pending == 50 and not sent
+            touched = {int(index._shard_of_id[victim]) for victim in deleted_live}
+            assert router.flush() == 50
+            touched |= {int(index._shard_of_id[i]) for i in index.ids if i > 100}
+            assert sent == Counter({("write", shard_id): 1 for shard_id in touched})
+            assert index.size == 100 and 100 not in index
+            index.check_invariants()
+        finally:
+            _close(index)
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("backend", ["sharded", "process"])
+    def test_answers_match_the_per_delete_grouping(
+        self, backend, small_collection, churn_log_factory
+    ):
+        """50-event engine batches answer bit for bit as a facade fed
+        ``insert_many`` per run of inserts and ``delete`` per delete."""
+        dimension = small_collection.dimension
+        events = list(churn_log_factory(small_collection, 300, seed=5))
+        options = {"num_shards": 2} if backend == "sharded" else {"shards": 2, **FAST}
+        engine = JoinEstimationEngine(EngineConfig(
+            backend=backend, num_hashes=NUM_HASHES, seed=SEED, dimension=dimension,
+            options=options,
+        )).open()
+        facade = ShardedMutableIndex(
+            dimension, num_shards=2, num_hashes=NUM_HASHES, random_state=SEED + 1
+        )
+        reference = ShardedStreamingEstimator(facade, random_state=SEED + 2)
+        try:
+            for batch_number, start in enumerate(range(0, len(events), 50)):
+                batch = events[start : start + 50]
+                engine.ingest(batch)
+                run = []
+                for event in batch + [None]:
+                    if isinstance(event, Insert):
+                        run.append(coerce_row(event.vector, dimension))
+                        continue
+                    if run:
+                        facade.insert_many(sparse.vstack(run, format="csr"))
+                        run = []
+                    if event is not None:
+                        facade.delete(event.vector_id)
+                for mode in ("auto", "exact"):
+                    ours = engine.estimate(THRESHOLD, seed=batch_number, mode=mode)
+                    theirs = reference.estimate(
+                        THRESHOLD, random_state=batch_number, mode=mode
+                    )
+                    assert ours.value == theirs.value
+                    assert ours.details == theirs.details
+        finally:
+            engine.close()
+
+
 class TestShardWorkerOps:
     """Protocol-level tests of the worker dispatch, driven in process.
 
@@ -773,7 +857,7 @@ class TestShardWorkerOps:
     def _insert(worker, rows, first_id=0):
         csr = sparse.csr_matrix(np.asarray(rows, dtype=float))
         ids = np.arange(first_id, first_id + csr.shape[0], dtype=np.int64)
-        return worker.handle("insert_prepared", {"ids": ids, "csr": csr})
+        return worker.handle("write", {"ids": ids, "csr": csr})
 
     def test_mutation_replies_carry_the_row_count(self):
         worker = self._configured_worker()
@@ -781,7 +865,7 @@ class TestShardWorkerOps:
         # timing lives in the reply meta envelope (serve_connection stamps
         # meta["seconds"]); payloads stay data-only
         assert reply == {"size": 4}
-        deleted = worker.handle("delete", {"ids": np.asarray([2, 0])})
+        deleted = worker.handle("write", {"drop": [2, 0]})
         assert deleted == {"size": 2}
         ping = worker.handle("ping", {})
         assert ping["shard_id"] == 0 and ping["size"] == 2
@@ -793,12 +877,12 @@ class TestShardWorkerOps:
         self._insert(worker, np.eye(6)[:3] + 0.1)
         for ids in ([0, 99], [1, 1]):
             with pytest.raises(ValidationError):
-                worker.handle("delete", {"ids": ids})
+                worker.handle("write", {"drop": ids})
         assert worker.handle("check", {})["size"] == 3
         assert worker.handle("ids", {})["ids"].tolist() == [0, 1, 2]
 
     def test_rows_outside_the_dimension_refused(self):
-        """``insert_prepared`` and ``restore`` refuse rows wider than the
+        """``write`` and ``restore`` refuse rows wider than the
         shard's dimension (or with a column outside it) and leave the
         served store unchanged."""
         worker = self._configured_worker()
@@ -808,7 +892,7 @@ class TestShardWorkerOps:
         out_of_range = sparse.csr_matrix(([1.0], [9], [0, 1]), shape=(1, 6))
         for csr in (wide, out_of_range):
             with pytest.raises(ValidationError):
-                worker.handle("insert_prepared", {"ids": np.asarray([3]), "csr": csr})
+                worker.handle("write", {"ids": np.asarray([3]), "csr": csr})
             with pytest.raises(ValidationError):
                 worker.handle("restore", {"state": {"dimension": 6, "ids": [3], "matrix": csr}})
         assert worker.handle("check", {})["size"] == 3
@@ -866,7 +950,7 @@ class TestShardWorkerOps:
         with pytest.raises(ClusterError, match="unknown worker op"):
             worker.send_request("bucket_members", {})
         with pytest.raises(ValidationError):
-            worker.send_request("delete", {"ids": [99]})
+            worker.send_request("write", {"drop": [99]})
         worker.send_request("ids")
         assert worker.recv_reply("ids")["ids"].tolist() == [0, 1]
 

@@ -31,7 +31,7 @@ def test_two_seed_grid_is_reproducible(parity):
     assert first == second
     assert parity.compare(first, second) == ([], [])
     # every variant and every draw holder is in the grid
-    assert len(first["estimates"]) == 13
+    assert len(first["estimates"]) == 17
     assert set(first["draws"]) == {
         "LSHTable", "MutableLSHIndex", "ShardedMutableIndex", "PairedLSHTable",
         "virtual-source", "ClusterCoordinator",

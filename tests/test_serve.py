@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.obs import get_tracer, trace
 from repro.serve import EstimationServer, GenerationManager, ServeClient
 from repro.serve.generations import BatchResult
+from repro.shard import PendingWrites
 from repro.streaming import ChangeLog, Delete, Insert
 from repro.vectors import VectorCollection
 
@@ -180,6 +181,28 @@ class TestGenerationManager:
         fresh.close()
 
 
+    def test_close_surfaces_stranded_deletes(self):
+        """A failed commit strands the buffered deletes beside the rows:
+        close raises with both, each in arrival order."""
+        manager = GenerationManager(
+            _config(backend="sharded", options={"num_shards": 2, "batch_size": 1000})
+        )
+        manager.commit([_events(4)])
+
+        def explode(*_args, **_kwargs):
+            raise RuntimeError("transport failure mid-commit")
+
+        for shard in manager._engine.backend._index.shards:
+            shard.store.add_many = explode
+            shard.store.remove_many = explode
+        with pytest.raises(RuntimeError, match="mid-commit"):
+            manager.commit([[Delete(2), *_events(3, seed=5), Delete(0), Delete(4)]])
+        with pytest.raises(StrandedWritesError) as excinfo:
+            manager.close()
+        assert len(excinfo.value.pending_rows) == 3
+        assert excinfo.value.pending_deletes == [2, 0, 4]
+
+
 # ----------------------------------------------------------------------
 # engine-level hooks the serving layer depends on
 # ----------------------------------------------------------------------
@@ -187,15 +210,15 @@ class TestEngineServeHooks:
     def test_drain_pending_default_is_empty(self):
         with JoinEstimationEngine(_config()) as engine:
             engine.ingest(_events(3))
-            assert engine.drain_pending() == []
+            assert engine.drain_pending() == PendingWrites([], [])
 
     def test_sharded_drain_pending_recovers_buffered_rows(self):
         config = _config(backend="sharded", options={"num_shards": 2, "batch_size": 1000})
         with JoinEstimationEngine(config) as engine:
             engine.ingest(_events(4))  # buffered in the router, not flushed
-            rows = engine.drain_pending()
+            rows = engine.drain_pending().rows
             assert len(rows) == 4
-            assert engine.drain_pending() == []
+            assert engine.drain_pending() == PendingWrites([], [])
 
     def test_quiesce_makes_auto_estimates_read_only(self):
         with JoinEstimationEngine(_config()) as engine:

@@ -15,6 +15,7 @@ from repro.shard import (
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
+    ShardWorker,
     merge_strata,
     rebalance_cluster,
 )
@@ -179,14 +180,50 @@ class TestShardedMutableIndex:
 
 
 class TestShardRouter:
-    def test_delete_of_buffered_insert_flushes_first(self):
+    def test_delete_of_buffered_insert_stays_buffered(self, monkeypatch):
+        """A delete of a still-buffered insert buffers too; at the flush the
+        row reaches no shard, and the facade and shard sizes agree."""
         index = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
+        sent = []
+        send_request = ShardWorker.send_request
+
+        def recording(worker, op, payload=None):
+            sent.append((op, payload))
+            send_request(worker, op, payload)
+
+        monkeypatch.setattr(ShardWorker, "send_request", recording)
         router = ShardRouter(index, batch_size=100)
         router.insert([1.0, 0.0, 0.0, 0.0])
         router.insert([0.0, 1.0, 0.0, 0.0])
         assert router.pending == 2 and index.size == 0
         router.delete(0)  # targets a still-buffered row
-        assert router.pending == 0 and index.size == 1
+        assert router.pending == 3 and index.size == 0 and sent == []
+        assert router.flush() == 3
+        assert router.pending == 0 and index.size == 1 and index.ids.tolist() == [1]
+        assert [op for op, _payload in sent] == ["write"]
+        assert sent[0][1]["ids"].tolist() == [1] and "drop" not in sent[0][1]
+        assert [len(shard.store) for shard in index.shards] == list(index.shard_sizes)
+        assert sum(index.shard_sizes) == 1
+        index.check_invariants()
+        router.close()
+
+    def test_bad_delete_refused_at_once(self):
+        """An unknown id, or one deleted twice within one buffer, raises when
+        it is buffered and leaves the buffer as it was."""
+        index = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
+        router = ShardRouter(index, batch_size=100)
+        router.insert([1.0, 0.0, 0.0, 0.0])
+        router.flush()
+        router.insert([0.0, 1.0, 0.0, 0.0])  # will get id 1
+        router.delete(0)
+        router.delete(1)
+        for bad in (0, 1, 2, -1, 99):  # deleted twice (live, buffered), unknown
+            with pytest.raises(ValidationError, match=f"vector id {bad} is not"):
+                router.delete(bad)
+            assert router.pending == 3
+        assert router.flush() == 3
+        assert index.size == 0 and index.next_id == 2
+        index.check_invariants()
         router.close()
 
     def test_replay_emits_at_checkpoints(self, small_collection, churn_log_factory):
@@ -241,9 +278,34 @@ class TestRouterFailurePaths:
         router.close()
         router.close()
 
+    def test_close_surfaces_stranded_deletes(self):
+        index = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
+        router = ShardRouter(index, batch_size=100)
+        router.insert([1.0, 0.0, 0.0, 0.0])
+        router.insert([0.0, 1.0, 0.0, 0.0])
+        router.flush()
+        router.insert([0.0, 0.0, 1.0, 0.0])  # will get id 2
+        router.delete(1)
+        router.delete(2)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        for shard in index.shards:
+            shard.store.add_many = explode
+            shard.store.remove_many = explode
+        with pytest.raises(RuntimeError):
+            router.flush()
+        with pytest.raises(StrandedWritesError) as excinfo:
+            router.close()
+        assert len(excinfo.value.pending_rows) == 1
+        assert excinfo.value.pending_deletes == [1, 2]
+        assert router.pending == 0
+        router.close()
+
     def test_drain_pending_then_close_quietly(self):
         _index, router = self._router_with_failed_commit(buffered=2)
-        rows = router.drain_pending()
+        rows = router.drain_pending().rows
         assert len(rows) == 2 and router.pending == 0
         router.close()  # nothing stranded any more
         fresh = ShardedMutableIndex(4, num_shards=2, num_hashes=4, random_state=0)
