@@ -44,22 +44,14 @@ from repro.vectors import (
     cosine_pairs,
     cosine_similarity,
     cosine_similarity_matrix,
-    jaccard_similarity,
 )
-from repro.lsh import (
-    LSHIndex,
-    LSHTable,
-    MinHashFamily,
-    PStableL2Family,
-    SignRandomProjectionFamily,
-)
+from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily
 from repro.join import (
     SimilarityHistogram,
     all_pairs_join,
     exact_general_join_size,
     exact_join_size,
     exact_join_sizes,
-    jaccard_set_join,
 )
 from repro.datasets import (
     SyntheticCorpus,
@@ -158,14 +150,11 @@ __all__ = [
     "cosine_similarity",
     "cosine_similarity_matrix",
     "cosine_pairs",
-    "jaccard_similarity",
     "Tokenizer",
     "Vocabulary",
     "TfidfVectorizer",
     # lsh
     "SignRandomProjectionFamily",
-    "MinHashFamily",
-    "PStableL2Family",
     "LSHTable",
     "LSHIndex",
     # join
@@ -174,7 +163,6 @@ __all__ = [
     "exact_general_join_size",
     "SimilarityHistogram",
     "all_pairs_join",
-    "jaccard_set_join",
     # datasets
     "SyntheticCorpus",
     "SyntheticCorpusConfig",

@@ -157,7 +157,7 @@ class ProcessBackend(ShardedBackend):
     # ------------------------------------------------------------------
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ProcessBackend":
-        index_state, estimator_states = cls._split_state(state)
+        index_state, estimator_states = cls._split_state(config, state)
         backend = cls(config)
         backend._index = ClusterCoordinator.from_state(index_state, **backend._cluster_kwargs())
         try:

@@ -29,8 +29,8 @@ class UniformityEstimator(SimilarityJoinSizeEstimator):
     collision_model:
         ``"angular"`` (default) converts cosine thresholds into the
         sign-random-projection collision probability before applying the
-        closed form; ``"ideal"`` uses the threshold as-is (appropriate for
-        MinHash/Jaccard where Definition 3 holds exactly).
+        closed form; ``"ideal"`` uses the threshold as-is, as if
+        Definition 3 held for cosine itself (the collision-model ablation).
 
     ``details`` keys: ``num_collision_pairs``, ``transformed_threshold``.
     """

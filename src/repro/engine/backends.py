@@ -69,6 +69,7 @@ from repro.shard import (
     PendingWrites, ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter,
 )
 from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_cluster
+from repro.shard.sharded_index import SHARDED_STATE
 from repro.state import StateSpec
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
 from repro.streaming.mutable_index import coerce_row, restore_estimator_states
@@ -464,6 +465,22 @@ class StaticBackend(EstimatorBackend):
 # ----------------------------------------------------------------------
 # streaming
 # ----------------------------------------------------------------------
+def _check_restore_config(config: EngineConfig, index_state: Mapping[str, Any]) -> None:
+    """Refuse a restore ``config`` that contradicts a checked index state.
+
+    A mutable backend revives its index as it was hashed, so a config
+    naming another ``k`` or ``d`` would report parameters the index does
+    not use (the static backend rebuilds its index from the config).
+    """
+    for name in ("num_hashes", "dimension"):
+        if getattr(config, name) != index_state[name]:
+            raise ValidationError(
+                f"restore config has {name}={getattr(config, name)!r} but the "
+                f"snapshot's index has {name}={index_state[name]!r}; a mutable "
+                "backend keeps the index it restores"
+            )
+
+
 @register_backend("streaming")
 class StreamingBackend(EstimatorBackend):
     """Single-node mutable index with a reservoir-repaired estimator.
@@ -567,6 +584,7 @@ class StreamingBackend(EstimatorBackend):
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "StreamingBackend":
         cls.STATE.check(state)
         index = MutableLSHIndex.from_state(state["index"])
+        _check_restore_config(config, state["index"])
         restored = index.estimators
         if not restored:
             # open() always registers one, so every streaming bundle carries it
@@ -771,11 +789,14 @@ class ShardedBackend(EstimatorBackend):
 
     @classmethod
     def _split_state(
-        cls, state: Mapping[str, Any]
+        cls, config: EngineConfig, state: Mapping[str, Any]
     ) -> Tuple[Dict[str, Any], List[Mapping[str, Any]]]:
         """The index state without its estimators, and apart from it their
-        states (the served facade estimator's first)."""
+        states (the served facade estimator's first); refuses a ``config``
+        that contradicts the index (:func:`_check_restore_config`)."""
         cls.STATE.check(state)
+        SHARDED_STATE.check(state["index"])
+        _check_restore_config(config, state["index"])
         index_state = dict(state["index"])
         estimator_states = list(index_state.pop("estimators", ()))
         if not estimator_states:
@@ -786,7 +807,7 @@ class ShardedBackend(EstimatorBackend):
 
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ShardedBackend":
-        index_state, estimator_states = cls._split_state(state)
+        index_state, estimator_states = cls._split_state(config, state)
         backend = cls(config)
         backend._index = ShardedMutableIndex.from_state(index_state)
         backend._attach_serving_stack(estimator_states)

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.errors import ValidationError
+from repro.lsh.families import check_cosine_family
 
 #: Field names accepted by :meth:`EngineConfig.from_dict`.
 _CONFIG_FIELDS = ("backend", "family", "num_hashes", "num_tables", "seed", "dimension", "options")
@@ -48,8 +49,9 @@ class EngineConfig:
         Registered backend kind; ``"static"``, ``"streaming"`` and
         ``"sharded"`` ship with the library.
     family:
-        LSH family *name* (``"cosine"`` / ``"jaccard"``; classes are not
-        allowed here so configs stay JSON round-trippable).
+        LSH family *name*.  Only ``"cosine"`` is accepted: every estimator
+        evaluates cosine similarity, so the field declares the measure
+        (a name, not a family object, so configs stay JSON round-trippable).
     num_hashes / num_tables:
         ``k`` hash functions per table and ``ℓ`` tables.  ``ℓ > 1`` is
         static-only (the ``"multi-table"`` capability): the mutable
@@ -90,11 +92,7 @@ class EngineConfig:
         if not isinstance(self.backend, str):
             raise ValidationError(f"backend must be a kind string, got {self.backend!r}")
         backend_class = resolve_backend(self.backend)
-        if not isinstance(self.family, str):
-            raise ValidationError(
-                f"family must be a name string in an EngineConfig "
-                f"(JSON round-trip), got {self.family!r}"
-            )
+        check_cosine_family(self.family, instance_ok=False)
         for name in ("num_hashes", "num_tables", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

@@ -433,10 +433,12 @@ class JoinEstimationEngine:
     ) -> "JoinEstimationEngine":
         """Revive an engine from :meth:`snapshot` output.
 
-        Only engine bundles are accepted; a bare index snapshot carries
-        no config (hash family, backend options) to reopen it with.
-        Passing ``config`` overrides the embedded one — its backend kind
-        must match the snapshot's.
+        Only engine bundles are accepted: a bare index state holds its
+        hash family but no engine config (backend kind, options, seed) to
+        reopen it with.  Passing ``config`` overrides the embedded one —
+        its backend kind must match the snapshot's, and on the mutable
+        backends its ``num_hashes`` and ``dimension`` must match the
+        restored index's.
         """
         path = Path(path)
         if not path.is_file():

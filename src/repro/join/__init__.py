@@ -10,14 +10,13 @@ threshold of interest.  This subpackage provides:
 * :mod:`~repro.join.allpairs` — a Bayardo-style All-Pairs join that
   returns the actual result pairs above a threshold (the join-processing
   algorithm whose optimisation motivates size estimation).
-* :mod:`~repro.join.setjoin` — an exact Jaccard set-similarity join used
-  by the SSJ-related tests.
+
+Every join is a cosine join: the one similarity measure of the library.
 """
 
 from repro.join.exact import exact_join_size, exact_join_sizes, exact_general_join_size
 from repro.join.histogram import SimilarityHistogram
 from repro.join.allpairs import all_pairs_join
-from repro.join.setjoin import jaccard_set_join
 
 __all__ = [
     "exact_join_size",
@@ -25,5 +24,4 @@ __all__ = [
     "exact_general_join_size",
     "SimilarityHistogram",
     "all_pairs_join",
-    "jaccard_set_join",
 ]

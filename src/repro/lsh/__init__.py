@@ -3,9 +3,9 @@
 The paper's estimators sit on top of a conventional LSH index that is
 extended with a per-bucket count (§4.1.1).  This subpackage provides:
 
-* :mod:`~repro.lsh.families` — hash-function families: sign random
-  projection (Charikar, for cosine similarity), MinHash (Broder, for
-  Jaccard similarity) and a p-stable family for L2 distance.
+* :mod:`~repro.lsh.families` — the one hash-function family, sign
+  random projection (Charikar's SimHash, for cosine similarity), and the
+  check that refuses any other.
 * :mod:`~repro.lsh.signatures` — signature-matrix computation, the
   bucket-key format, and the prefix-collision counts used by the
   Lattice-Counting adaptation.
@@ -18,12 +18,7 @@ extended with a per-bucket count (§4.1.1).  This subpackage provides:
   virtual-bucket view used by the multi-table extensions (§B.2.1).
 """
 
-from repro.lsh.families import (
-    LSHFamily,
-    MinHashFamily,
-    PStableL2Family,
-    SignRandomProjectionFamily,
-)
+from repro.lsh.families import LSHFamily, SignRandomProjectionFamily
 from repro.lsh.signatures import prefix_collision_counts, signature_matrix
 from repro.lsh.table import LSHTable
 from repro.lsh.index import LSHIndex
@@ -31,8 +26,6 @@ from repro.lsh.index import LSHIndex
 __all__ = [
     "LSHFamily",
     "SignRandomProjectionFamily",
-    "MinHashFamily",
-    "PStableL2Family",
     "signature_matrix",
     "prefix_collision_counts",
     "LSHTable",

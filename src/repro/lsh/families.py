@@ -1,25 +1,16 @@
 """LSH hash-function families.
 
 Definition 3 of the paper idealises an LSH family as one where
-``P(h(u) = h(v)) = sim(u, v)``.  Concrete families satisfy this for
-*their* similarity measure:
+``P(h(u) = h(v)) = sim(u, v)``.  Every estimator here evaluates cosine
+similarity, so the one family is :class:`SignRandomProjectionFamily`
+(Charikar's SimHash): ``P = 1 − θ(u, v)/π``, i.e. the property holds for
+the *angular* similarity, a monotone transform of cosine similarity.  The
+analytical estimators account for this via
+:func:`repro.vectors.similarity.cosine_to_angular_collision`.
+:func:`check_cosine_family` refuses every other family.
 
-* :class:`MinHashFamily` — exactly ``P = Jaccard(A, B)`` (Broder).
-* :class:`SignRandomProjectionFamily` — ``P = 1 − θ(u, v)/π`` (Charikar),
-  i.e. the property holds for the *angular* similarity, a monotone
-  transform of cosine similarity.  The analytical estimators account for
-  this via :func:`repro.vectors.similarity.cosine_to_angular_collision`.
-* :class:`PStableL2Family` — the Datar et al. p-stable family for L2
-  distance, provided as an extension point (the paper notes LSH families
-  exist for several measures).
-
-Each family knows how to hash an entire :class:`VectorCollection` into an
-``(n, k)`` integer signature matrix, and exposes the collision-probability
-curve ``P(h(u)=h(v))`` as a function of the underlying similarity, which
-the analysis module uses for the f(s) = s^k reasoning of Figure 1.
-
-Hashing is implemented once per family over a raw CSR matrix
-(:meth:`LSHFamily.hash_matrix`); the batch path
+A family hashes a raw CSR matrix into an ``(n, k)`` integer signature
+matrix (:meth:`LSHFamily.hash_matrix`); the batch path
 (:meth:`LSHFamily.hash_collection`) and the streaming per-vector path
 (:class:`repro.streaming.MutableLSHIndex`) both delegate to it, so a
 vector inserted incrementally receives exactly the signature it would
@@ -32,41 +23,11 @@ import abc
 from typing import Optional, Union
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse
 
 from repro.errors import ValidationError
 from repro.rng import RandomState, ensure_rng
 from repro.vectors.collection import VectorCollection
-
-_MERSENNE_PRIME = (1 << 61) - 1
-_MASK_30 = np.uint64((1 << 30) - 1)
-_MASK_31 = np.uint64((1 << 31) - 1)
-_PRIME_U64 = np.uint64(_MERSENNE_PRIME)
-#: elements per ``(nnz × k)`` hash block — bounds temporary memory to a few MB
-_MINHASH_BLOCK_ELEMENTS = 1 << 20
-
-
-def _minhash_block(
-    support: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """``(a·x + b) mod (2^61 − 1)`` for a block of support indices, vectorised.
-
-    A plain ``a * x`` overflows 64 bits (``a < 2^61``, ``x < 2^31``), so the
-    multiplier is split into 31-bit limbs: with ``a = a_hi·2³¹ + a_lo``,
-
-    ``a·x ≡ a_lo·x + (t_hi + t_lo·2³¹)  (mod p)``
-
-    where ``t = a_hi·x = t_hi·2³⁰ + t_lo`` and ``2⁶¹ ≡ 1 (mod p)`` folds the
-    high limb back down.  Every intermediate fits in ``uint64``; the final
-    Mersenne fold yields the canonical residue, so the result is bit-identical
-    to exact (object-dtype) arithmetic.
-    """
-    x = support.astype(np.uint64)[:, None]
-    term_lo = a_lo[None, :] * x                      # < 2^62
-    t = a_hi[None, :] * x                            # < 2^61
-    total = term_lo + (t >> np.uint64(30)) + ((t & _MASK_30) << np.uint64(31)) + b[None, :]
-    total = (total & _PRIME_U64) + (total >> np.uint64(61))
-    return np.where(total >= _PRIME_U64, total - _PRIME_U64, total).astype(np.int64)
 
 
 class LSHFamily(abc.ABC):
@@ -84,9 +45,6 @@ class LSHFamily(abc.ABC):
         Seed or generator controlling the random draws of the functions.
     """
 
-    #: Name of the similarity measure the family is locality sensitive for.
-    similarity: str = "abstract"
-
     def __init__(self, num_hashes: int, *, random_state: RandomState = None):
         if num_hashes < 1:
             raise ValidationError(f"num_hashes (k) must be >= 1, got {num_hashes}")
@@ -102,10 +60,6 @@ class LSHFamily(abc.ABC):
     @abc.abstractmethod
     def _hash_matrix(self, matrix: sparse.csr_matrix) -> np.ndarray:
         """Return the ``(rows, k)`` integer signature matrix for a CSR matrix."""
-
-    @abc.abstractmethod
-    def collision_probability(self, similarity: np.ndarray) -> np.ndarray:
-        """Per-hash collision probability as a function of the native similarity."""
 
     # ------------------------------------------------------------------
     def ensure_initialised(self, dimension: int) -> None:
@@ -140,12 +94,6 @@ class LSHFamily(abc.ABC):
         if not sparse.issparse(matrix):
             matrix = sparse.csr_matrix(np.atleast_2d(np.asarray(matrix, dtype=np.float64)))
         csr = matrix.tocsr()
-        if csr.data.size and not np.all(csr.data):
-            # explicitly stored zeros would leak into support-based families
-            # (MinHash); canonicalise on a copy so the caller's matrix is
-            # never mutated
-            csr = csr.copy()
-            csr.eliminate_zeros()
         self.ensure_initialised(csr.shape[1])
         signatures = self._hash_matrix(csr)
         if signatures.shape != (csr.shape[0], self.num_hashes):
@@ -159,12 +107,8 @@ class LSHFamily(abc.ABC):
         """Hash every vector of ``collection``; returns an ``(n, k)`` int array."""
         return self.hash_matrix(collection.matrix)
 
-    def bucket_collision_probability(self, similarity: np.ndarray) -> np.ndarray:
-        """Probability that ``g(u) = g(v)``, i.e. all ``k`` hashes collide."""
-        return self.collision_probability(similarity) ** self.num_hashes
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}(k={self.num_hashes}, similarity={self.similarity!r})"
+        return f"{type(self).__name__}(k={self.num_hashes})"
 
 
 class SignRandomProjectionFamily(LSHFamily):
@@ -174,8 +118,6 @@ class SignRandomProjectionFamily(LSHFamily):
     Gaussian vector.  Collision probability is ``1 − θ(u, v)/π`` where
     ``θ`` is the angle between the vectors.
     """
-
-    similarity = "cosine"
 
     def __init__(self, num_hashes: int, *, random_state: RandomState = None):
         super().__init__(num_hashes, random_state=random_state)
@@ -189,139 +131,26 @@ class SignRandomProjectionFamily(LSHFamily):
         projected = np.asarray(matrix @ self._projections)
         return (projected > 0.0).astype(np.int64)
 
-    def collision_probability(self, similarity: np.ndarray) -> np.ndarray:
-        clipped = np.clip(similarity, -1.0, 1.0)
-        return 1.0 - np.arccos(clipped) / np.pi
 
-
-class MinHashFamily(LSHFamily):
-    """Broder's MinHash family for Jaccard similarity over vector supports.
-
-    Vectors are interpreted as the set of their non-zero dimensions; each
-    hash function applies a random linear permutation-hash
-    ``π_i(x) = (a_i · x + b_i) mod p`` and keeps the minimum over the set.
-    ``P(h(A) = h(B)) = Jaccard(A, B)`` exactly.
-    """
-
-    similarity = "jaccard"
-
-    def __init__(self, num_hashes: int, *, random_state: RandomState = None):
-        super().__init__(num_hashes, random_state=random_state)
-        self._coefficients_a: Optional[np.ndarray] = None
-        self._coefficients_b: Optional[np.ndarray] = None
-
-    def _initialise(self, dimension: int) -> None:
-        self._coefficients_a = self._rng.integers(
-            1, _MERSENNE_PRIME, size=self.num_hashes, dtype=np.int64
-        )
-        self._coefficients_b = self._rng.integers(
-            0, _MERSENNE_PRIME, size=self.num_hashes, dtype=np.int64
-        )
-
-    def _hash_matrix(self, matrix: sparse.csr_matrix) -> np.ndarray:
-        assert self._coefficients_a is not None and self._coefficients_b is not None
-        num_rows = matrix.shape[0]
-        if matrix.shape[1] >= (1 << 31):
-            raise ValidationError(
-                "MinHashFamily supports dimensions below 2^31, got "
-                f"{matrix.shape[1]}"
-            )
-        signatures = np.full(
-            (num_rows, self.num_hashes), _MERSENNE_PRIME, dtype=np.int64
-        )
-        indptr, indices = matrix.indptr, matrix.indices
-        if indices.size == 0:
-            return signatures
-        a = self._coefficients_a.astype(np.uint64)
-        a_hi, a_lo = a >> np.uint64(31), a & _MASK_31
-        b = self._coefficients_b.astype(np.uint64)
-        # Hash in row-aligned blocks so the (block_nnz × k) temporary stays
-        # bounded; per-row minima come from one reduceat per block (rows with
-        # empty support keep the sentinel, so segment boundaries stay exact).
-        budget = max(1, _MINHASH_BLOCK_ELEMENTS // self.num_hashes)
-        start_row = 0
-        while start_row < num_rows:
-            end_row = int(np.searchsorted(indptr, int(indptr[start_row]) + budget, side="right")) - 1
-            end_row = min(max(end_row, start_row + 1), num_rows)
-            block = indices[indptr[start_row] : indptr[end_row]]
-            if block.size:
-                hashed = _minhash_block(block, a_hi, a_lo, b)
-                lengths = np.diff(indptr[start_row : end_row + 1])
-                occupied = np.flatnonzero(lengths > 0)
-                segment_starts = (indptr[start_row + occupied] - indptr[start_row]).astype(np.int64)
-                signatures[start_row + occupied] = np.minimum.reduceat(
-                    hashed, segment_starts, axis=0
-                )
-            start_row = end_row
-        return signatures
-
-    def collision_probability(self, similarity: np.ndarray) -> np.ndarray:
-        return np.clip(similarity, 0.0, 1.0)
-
-
-class PStableL2Family(LSHFamily):
-    """Datar et al. p-stable family for Euclidean (L2) distance.
-
-    ``h(v) = floor((a · v + b) / w)`` with Gaussian ``a`` and uniform
-    ``b ∈ [0, w)``.  Included as the extension point the paper mentions
-    ("LSH families have been developed for several (dis)similarity
-    measures including … ℓ_p distance"); the collision probability is a
-    function of the L2 *distance* rather than a similarity in [0, 1].
-    """
-
-    similarity = "euclidean"
-
-    def __init__(
-        self,
-        num_hashes: int,
-        *,
-        bucket_width: float = 4.0,
-        random_state: RandomState = None,
-    ):
-        super().__init__(num_hashes, random_state=random_state)
-        if bucket_width <= 0:
-            raise ValidationError(f"bucket_width must be positive, got {bucket_width}")
-        self.bucket_width = float(bucket_width)
-        self._projections: Optional[np.ndarray] = None
-        self._offsets: Optional[np.ndarray] = None
-
-    def _initialise(self, dimension: int) -> None:
-        self._projections = self._rng.standard_normal((dimension, self.num_hashes))
-        self._offsets = self._rng.uniform(0.0, self.bucket_width, size=self.num_hashes)
-
-    def _hash_matrix(self, matrix: sparse.csr_matrix) -> np.ndarray:
-        assert self._projections is not None and self._offsets is not None
-        projected = np.asarray(matrix @ self._projections)
-        return np.floor((projected + self._offsets[None, :]) / self.bucket_width).astype(np.int64)
-
-    def collision_probability(self, distance: np.ndarray) -> np.ndarray:
-        """Collision probability as a function of L2 *distance* ``c``.
-
-        ``p(c) = 1 − 2·Φ(−w/c) − (2c / (√(2π) w)) (1 − exp(−w² / 2c²))``.
-        ``p(0)`` is defined as 1.
-        """
-        distance_array = np.asarray(distance, dtype=np.float64)
-        width = self.bucket_width
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = width / distance_array
-            term_normal = 1.0 - 2.0 * stats.norm.cdf(-ratio)
-            term_density = (
-                2.0
-                * distance_array
-                / (np.sqrt(2.0 * np.pi) * width)
-                * (1.0 - np.exp(-(ratio**2) / 2.0))
-            )
-            probability = term_normal - term_density
-        probability = np.where(distance_array <= 0.0, 1.0, probability)
-        result = np.clip(probability, 0.0, 1.0)
-        if np.isscalar(distance):
-            return float(result)
-        return result
+def check_cosine_family(family: object, *, instance_ok: bool = True) -> None:
+    """Refuse every family but cosine SimHash: the name ``"cosine"``, or —
+    where a pre-built family is accepted (``instance_ok``) — a
+    :class:`SignRandomProjectionFamily` instance."""
+    if isinstance(family, str) and family == "cosine":
+        return
+    if instance_ok and isinstance(family, SignRandomProjectionFamily):
+        return
+    expected = (
+        "'cosine' or a SignRandomProjectionFamily" if instance_ok else "the name string 'cosine'"
+    )
+    raise ValidationError(
+        f"unsupported LSH family {family!r}: the estimators evaluate cosine "
+        f"similarity, so the family must be {expected}"
+    )
 
 
 __all__ = [
     "LSHFamily",
     "SignRandomProjectionFamily",
-    "MinHashFamily",
-    "PStableL2Family",
+    "check_cosine_family",
 ]

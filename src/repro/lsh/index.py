@@ -16,38 +16,15 @@ lives in :mod:`repro.core.multi_table`.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Type
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.lsh.families import LSHFamily, MinHashFamily, SignRandomProjectionFamily
+from repro.lsh.families import SignRandomProjectionFamily, check_cosine_family
 from repro.lsh.table import LSHTable
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.vectors.collection import VectorCollection
-
-_FAMILY_BY_NAME = {
-    "cosine": SignRandomProjectionFamily,
-    "angular": SignRandomProjectionFamily,
-    "jaccard": MinHashFamily,
-}
-
-
-def resolve_family(family: str | Type[LSHFamily]) -> Type[LSHFamily]:
-    """Resolve a family name (``"cosine"``, ``"jaccard"``) or class to a class."""
-    if isinstance(family, str):
-        try:
-            return _FAMILY_BY_NAME[family.lower()]
-        except KeyError as error:
-            raise ValidationError(
-                f"unknown LSH family {family!r}; expected one of {sorted(_FAMILY_BY_NAME)}"
-            ) from error
-    if isinstance(family, type) and issubclass(family, LSHFamily):
-        return family
-    raise ValidationError(
-        "family must be a name string or an LSHFamily subclass, got "
-        f"{family!r}"
-    )
 
 
 class LSHIndex:
@@ -62,9 +39,8 @@ class LSHIndex:
     num_tables:
         ``ℓ`` — number of tables.
     family:
-        Family name (``"cosine"`` / ``"jaccard"``) or an
-        :class:`~repro.lsh.families.LSHFamily` subclass.  Each table draws
-        its own independent hash functions from the family.
+        The family name; only ``"cosine"`` (SimHash) is accepted.  Each
+        table draws its own independent hash functions from the family.
     random_state:
         Seed / generator for reproducibility; the ``ℓ`` tables receive
         independent child generators.
@@ -76,7 +52,7 @@ class LSHIndex:
         *,
         num_hashes: int = 20,
         num_tables: int = 1,
-        family: str | Type[LSHFamily] = "cosine",
+        family: str = "cosine",
         random_state: RandomState = None,
     ):
         if num_tables < 1:
@@ -84,12 +60,12 @@ class LSHIndex:
         self.collection = collection
         self.num_hashes = int(num_hashes)
         self.num_tables = int(num_tables)
-        family_class = resolve_family(family)
+        check_cosine_family(family, instance_ok=False)
         rng = ensure_rng(random_state)
         child_rngs = spawn(rng, num_tables)
         self.tables: List[LSHTable] = []
         for child in child_rngs:
-            family_instance = family_class(self.num_hashes, random_state=child)
+            family_instance = SignRandomProjectionFamily(self.num_hashes, random_state=child)
             self.tables.append(LSHTable(family_instance, collection))
 
     # ------------------------------------------------------------------
@@ -180,7 +156,7 @@ def build_index(
     *,
     num_hashes: int = 20,
     num_tables: int = 1,
-    family: str | Type[LSHFamily] = "cosine",
+    family: str = "cosine",
     random_state: RandomState = None,
 ) -> LSHIndex:
     """Convenience wrapper mirroring :class:`LSHIndex`'s constructor."""
@@ -193,4 +169,4 @@ def build_index(
     )
 
 
-__all__ = ["LSHIndex", "build_index", "resolve_family"]
+__all__ = ["LSHIndex", "build_index"]

@@ -1,4 +1,4 @@
-"""Sampling substrate: pair samplers, adaptive sampling, bifocal sampling.
+"""Sampling substrate: pair samplers and adaptive sampling.
 
 The estimators in :mod:`repro.core` are thin policies on top of these
 reusable sampling primitives:
@@ -7,19 +7,14 @@ reusable sampling primitives:
   (RS(pop)) and cross sampling (RS(cross), Haas et al.).
 * :mod:`~repro.sampling.adaptive` — Lipton-style adaptive sampling, the
   subroutine LSH-SS runs in stratum L.
-* :mod:`~repro.sampling.bifocal` — bifocal sampling for equi-join size
-  estimation (Ganguly et al.), the related-work baseline the paper argues
-  cannot handle high similarity thresholds.
 """
 
 from repro.sampling.pairs import CrossPairSampler, UniformPairSampler
 from repro.sampling.adaptive import AdaptiveSampleResult, adaptive_sample
-from repro.sampling.bifocal import bifocal_join_size_estimate
 
 __all__ = [
     "UniformPairSampler",
     "CrossPairSampler",
     "AdaptiveSampleResult",
     "adaptive_sample",
-    "bifocal_join_size_estimate",
 ]

@@ -1,9 +1,8 @@
 """Uniform pair sampling and cross sampling over vector collections.
 
 Both samplers return ``(left, right)`` index arrays; similarity
-evaluation is left to the caller (usually via
-:func:`repro.vectors.similarity.cosine_pairs`) so that the same sampler
-can serve cosine, Jaccard, or any other measure.
+evaluation is left to the caller, via
+:func:`repro.vectors.similarity.cosine_pairs`.
 """
 
 from __future__ import annotations

@@ -53,14 +53,14 @@ import time
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import (
-    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast,
+    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union, cast,
 )
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ClusterError, ValidationError
-from repro.lsh.families import LSHFamily
+from repro.lsh.families import LSHFamily, SignRandomProjectionFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
 from repro.obs.tracing import trace
 from repro.lsh.signatures import key_signature_matrix, signature_bucket_key, signature_keys
@@ -96,7 +96,7 @@ SHARDED_STATE = StateSpec(
         "dimension": Integral,
         "num_hashes": Integral,
         "num_shards": Integral,
-        "family": LSHFamily,
+        "family": SignRandomProjectionFamily,
         "next_id": Integral,
         "live_ids": (list, tuple),
         "shard_of": (list, tuple),
@@ -164,7 +164,7 @@ class ShardedMutableIndex:
         *,
         num_shards: int = 4,
         num_hashes: int = 20,
-        family: Union[str, Type[LSHFamily]] = "cosine",
+        family: Union[str, LSHFamily] = "cosine",
         random_state: RandomState = None,
     ) -> None:
         if dimension < 1:
@@ -224,7 +224,7 @@ class ShardedMutableIndex:
         *,
         num_shards: int = 4,
         num_hashes: int = 20,
-        family: Union[str, Type[LSHFamily]] = "cosine",
+        family: Union[str, LSHFamily] = "cosine",
         random_state: RandomState = None,
         **kwargs: Any,
     ) -> "ShardedMutableIndex":

@@ -31,14 +31,13 @@ refused).  The one snapshot *file* format is the engine bundle
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ValidationError
-from repro.lsh.families import LSHFamily
-from repro.lsh.index import resolve_family
+from repro.lsh.families import LSHFamily, SignRandomProjectionFamily, check_cosine_family
 from repro.lsh.signatures import signature_keys
 from repro.lsh.table import LSHTable
 from repro.rng import RandomState, ensure_rng, spawn
@@ -76,24 +75,30 @@ def check_index_state(state: Mapping[str, Any]) -> None:
             f"{len(tables)} table layouts and {len(families)} families for "
             f"num_tables={state['num_tables']}; a mutable index holds exactly one table"
         )
-    if not isinstance(families[0], LSHFamily):
-        INDEX_STATE.refuse(f"its family is a {type(families[0]).__name__}, not an LSHFamily")
+    if not isinstance(families[0], SignRandomProjectionFamily):
+        INDEX_STATE.refuse(
+            f"its family is a {type(families[0]).__name__}; the estimators evaluate "
+            "cosine, so it must be a SignRandomProjectionFamily"
+        )
 
 
 def bind_family(
-    family: Union[str, Type[LSHFamily], LSHFamily], num_hashes: int, dimension: int,
+    family: Union[str, LSHFamily], num_hashes: int, dimension: int,
     random_state: RandomState,
 ) -> LSHFamily:
-    """A mutable index's hash family, bound to ``dimension``: an instance is
-    checked against ``k``, a name or class is drawn from ``spawn(rng, 1)``
-    exactly as the static :class:`~repro.lsh.index.LSHIndex` draws its
-    first table's, so the same seed hashes identically."""
+    """A mutable index's hash family, bound to ``dimension``: only cosine
+    SimHash is accepted (:func:`~repro.lsh.families.check_cosine_family`).
+    An instance is checked against ``k``; the name ``"cosine"`` draws one
+    from ``spawn(rng, 1)`` exactly as the static
+    :class:`~repro.lsh.index.LSHIndex` draws its first table's, so the
+    same seed hashes identically."""
+    check_cosine_family(family)
     if isinstance(family, LSHFamily):
         if family.num_hashes != num_hashes:
             raise ValidationError(f"family has k={family.num_hashes}, index expects k={num_hashes}")
     else:
         (child,) = spawn(ensure_rng(random_state), 1)
-        family = resolve_family(family)(num_hashes, random_state=child)
+        family = SignRandomProjectionFamily(num_hashes, random_state=child)
     family.ensure_initialised(dimension)
     return family
 
@@ -141,12 +146,8 @@ def coerce_row(vector: VectorInput, dimension: int) -> sparse.csr_matrix:
 def coerce_matrix(
     matrix: Union[sparse.spmatrix, np.ndarray, VectorCollection], dimension: int
 ) -> sparse.csr_matrix:
-    """Canonicalise a whole input matrix the way :func:`coerce_row` does rows.
-
-    Canonicalisation happens BEFORE hashing: families that hash the
-    support (e.g. MinHash) must see the same rows ``insert`` / a fresh
-    batch build would, or explicit stored zeros would change signatures.
-    """
+    """Canonicalise a whole input matrix the way :func:`coerce_row` does rows,
+    so a bulk insert stores exactly the rows one ``insert`` at a time would."""
     if isinstance(matrix, VectorCollection):
         matrix = matrix.matrix
     if not sparse.issparse(matrix):
@@ -223,9 +224,9 @@ class MutableLSHIndex:
     num_hashes:
         ``k`` — hash functions in ``g``.
     family:
-        Family name (``"cosine"`` / ``"jaccard"``), an
-        :class:`~repro.lsh.families.LSHFamily` subclass, or an instance
-        (the shard layer shares one across shards; ignores ``random_state``).
+        The name ``"cosine"``, or a
+        :class:`~repro.lsh.families.SignRandomProjectionFamily` instance
+        (ignores ``random_state``); any other family is refused.
     random_state:
         Seed / generator; the family is drawn exactly as the first table
         of the static :class:`~repro.lsh.index.LSHIndex`, so the same seed
@@ -243,7 +244,7 @@ class MutableLSHIndex:
         dimension: int,
         *,
         num_hashes: int = 20,
-        family: Union[str, Type[LSHFamily], LSHFamily] = "cosine",
+        family: Union[str, LSHFamily] = "cosine",
         random_state: RandomState = None,
     ) -> None:
         if dimension < 1:
@@ -262,7 +263,7 @@ class MutableLSHIndex:
         collection: VectorCollection,
         *,
         num_hashes: int = 20,
-        family: Union[str, Type[LSHFamily], LSHFamily] = "cosine",
+        family: Union[str, LSHFamily] = "cosine",
         random_state: RandomState = None,
     ) -> "MutableLSHIndex":
         """Bulk-load a collection (ids ``0 … n−1`` in row order)."""

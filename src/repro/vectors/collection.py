@@ -216,12 +216,6 @@ class VectorCollection:
         row = self.row(index)
         return {int(i): float(v) for i, v in zip(row.indices, row.data)}
 
-    def row_support(self, index: int) -> np.ndarray:
-        """Return the non-zero dimension indices of vector ``index``."""
-        self._check_index(index)
-        start, stop = self._matrix.indptr[index], self._matrix.indptr[index + 1]
-        return self._matrix.indices[start:stop].copy()
-
     def subset(self, indices: Sequence[int]) -> "VectorCollection":
         """Return a new collection restricted to ``indices`` (in order)."""
         index_array = np.asarray(indices, dtype=np.int64)

@@ -1,14 +1,14 @@
-"""Similarity measures used by the VSJ / SSJ problems.
+"""Cosine similarity, the one similarity measure of the VSJ problem.
 
-The paper evaluates cosine similarity; Jaccard similarity appears through
-the Lattice-Counting adaptation (Min-Hashing) and the set-similarity-join
-substrate.  All functions accept either dense 1-D arrays, sparse rows, or
-``(collection, index)`` pairs via the vectorised helpers.
+Every estimator evaluates cosine.  The functions accept either dense 1-D
+arrays, sparse rows, or ``(collection, index)`` pairs via the vectorised
+helpers; :func:`cosine_to_angular_collision` maps cosine to the SimHash
+collision probability the analytical estimators reason with.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -103,60 +103,6 @@ def cosine_similarity_matrix(
     return product.tocsr()
 
 
-def jaccard_similarity(a: Union[Set[int], Iterable[int]], b: Union[Set[int], Iterable[int]]) -> float:
-    """Jaccard similarity ``|A ∩ B| / |A ∪ B|`` between two sets.
-
-    Empty-vs-empty is defined as 0.0 (no join contribution), matching the
-    convention of the SSJ literature.
-    """
-    set_a = set(a)
-    set_b = set(b)
-    if not set_a and not set_b:
-        return 0.0
-    intersection = len(set_a & set_b)
-    union = len(set_a | set_b)
-    return intersection / union
-
-
-def jaccard_pairs(
-    collection: VectorCollection,
-    left_indices: Sequence[int],
-    right_indices: Sequence[int],
-    *,
-    other: Optional[VectorCollection] = None,
-) -> np.ndarray:
-    """Jaccard similarity of the *supports* of vector pairs.
-
-    Vectors are treated as sets of their non-zero dimensions, which is the
-    standard embedding used when applying set-similarity techniques to a
-    binary vector collection.
-    """
-    other = collection if other is None else other
-    left = np.asarray(left_indices, dtype=np.int64)
-    right = np.asarray(right_indices, dtype=np.int64)
-    if left.shape != right.shape:
-        raise ValidationError("left and right index arrays must have the same length")
-    result = np.zeros(left.size, dtype=np.float64)
-    for position, (i, j) in enumerate(zip(left, right)):
-        support_i = collection.row_support(int(i))
-        support_j = other.row_support(int(j))
-        result[position] = jaccard_similarity(support_i.tolist(), support_j.tolist())
-    return result
-
-
-def overlap_similarity(a: Union[Set[int], Iterable[int]], b: Union[Set[int], Iterable[int]]) -> float:
-    """Overlap (intersection) size normalised by the smaller set.
-
-    Used by the All-Pairs prefix-filter join when converting a cosine
-    threshold into an overlap bound.
-    """
-    set_a = set(a)
-    set_b = set(b)
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / min(len(set_a), len(set_b))
-
-
 def cosine_to_angular_collision(similarity: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Map cosine similarity to the sign-random-projection collision probability.
 
@@ -186,9 +132,6 @@ __all__ = [
     "cosine_pairs",
     "pairwise_cosine",
     "cosine_similarity_matrix",
-    "jaccard_similarity",
-    "jaccard_pairs",
-    "overlap_similarity",
     "cosine_to_angular_collision",
     "angular_collision_to_cosine",
 ]

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.datasets import make_dblp_like, make_nyt_like
 from repro.join.histogram import SimilarityHistogram
-from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily
+from repro.lsh import LSHFamily, LSHIndex, LSHTable, SignRandomProjectionFamily
 from repro.vectors import VectorCollection
 
 
@@ -132,6 +132,22 @@ def binary_collection() -> VectorCollection:
         {10, 11},
     ]
     return VectorCollection.from_token_sets(token_sets, dimension=12)
+
+
+class ConstantFamily(LSHFamily):
+    """A family for some other measure than cosine: one bucket for everything."""
+
+    def _initialise(self, dimension):
+        pass
+
+    def _hash_matrix(self, matrix):
+        return np.zeros((matrix.shape[0], self.num_hashes), dtype=np.int64)
+
+
+@pytest.fixture
+def foreign_family() -> LSHFamily:
+    """A well-formed non-SimHash family (k = 4), which must be refused."""
+    return ConstantFamily(4, random_state=0)
 
 
 @pytest.fixture(scope="session")

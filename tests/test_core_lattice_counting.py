@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import LatticeCountingEstimator
 from repro.errors import ValidationError
-from repro.lsh import LSHTable, MinHashFamily, SignRandomProjectionFamily
+from repro.lsh import LSHTable, SignRandomProjectionFamily
 from repro.vectors import VectorCollection
 
 
@@ -49,15 +49,15 @@ class TestEstimates:
         assert len(details["prefix_counts"]) == small_table.num_hashes
         assert len(details["histogram"]) == len(details["bin_centers"])
 
-    def test_recovers_duplicate_mass_with_minhash(self):
-        """With an exact LSH family (MinHash/Jaccard) and a collection whose
-        only similar pairs are exact duplicates, the recovered histogram should
+    def test_recovers_duplicate_mass_with_simhash(self):
+        """With a collection whose only similar pairs are exact duplicates
+        (every other pair is orthogonal), the recovered histogram should
         place roughly the duplicate-pair count at the top of the range."""
         token_sets = [{i, i + 100, i + 200} for i in range(60)]
         token_sets += [{0, 100, 200}] * 6  # 6 extra copies of record 0
         collection = VectorCollection.from_token_sets(token_sets)
-        table = LSHTable(MinHashFamily(16, random_state=2), collection)
-        estimator = LatticeCountingEstimator(table, collision_model="ideal")
+        table = LSHTable(SignRandomProjectionFamily(16, random_state=2), collection)
+        estimator = LatticeCountingEstimator(table)
         true_duplicate_pairs = 7 * 6 // 2
         assert estimator.estimate(0.95).value == pytest.approx(true_duplicate_pairs, rel=0.5)
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core import LSHSEstimator, UniformityEstimator
 from repro.core.analysis import transform_threshold, uniformity_estimate
 from repro.errors import ValidationError
-from repro.lsh import LSHTable, MinHashFamily, SignRandomProjectionFamily
+from repro.lsh import LSHTable, SignRandomProjectionFamily
 from repro.vectors import VectorCollection
 
 
@@ -37,8 +37,8 @@ class TestUniformityEstimator:
         values = [estimator.estimate(t).value for t in (0.3, 0.5, 0.7, 0.9)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_ideal_model_on_minhash_table(self, binary_collection):
-        table = LSHTable(MinHashFamily(8, random_state=0), binary_collection)
+    def test_ideal_model_on_simhash_table(self, binary_collection):
+        table = LSHTable(SignRandomProjectionFamily(8, random_state=0), binary_collection)
         estimator = UniformityEstimator(table, collision_model="ideal")
         assert estimator.estimate(0.8).value >= 0.0
 

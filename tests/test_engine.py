@@ -24,7 +24,7 @@ from repro.errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from repro.lsh import LSHIndex
+from repro.lsh import LSHFamily, LSHIndex, SignRandomProjectionFamily
 from repro.shard import (
     KeyPartitioner,
     ShardedMutableIndex,
@@ -88,10 +88,28 @@ class TestEngineConfig:
             JoinEstimationEngine.restore(path)
 
     def test_family_must_be_string(self):
-        from repro.lsh import SignRandomProjectionFamily
-
         with pytest.raises(ValidationError, match="name string"):
             EngineConfig(family=SignRandomProjectionFamily)
+
+    _NOT_COSINE = ["jaccard", "angular", "nope", SignRandomProjectionFamily]
+
+    @pytest.mark.parametrize("backend", ["static", "streaming", "sharded", "process"])
+    @pytest.mark.parametrize(
+        "family", _NOT_COSINE, ids=["jaccard", "angular", "unknown", "class"]
+    )
+    def test_non_cosine_family_refused(self, backend, family):
+        # every estimator evaluates cosine: refused when the config is
+        # built, not at a static engine's first estimate or a mutable open
+        with pytest.raises(ValidationError, match="evaluate cosine"):
+            EngineConfig(backend=backend, family=family, dimension=8)
+        with pytest.raises(ValidationError, match="evaluate cosine"):
+            EngineConfig(backend=backend, dimension=8).replace(family=family)
+        if isinstance(family, str):
+            payload = {"backend": backend, "family": family, "dimension": 8}
+            with pytest.raises(ValidationError, match="evaluate cosine"):
+                EngineConfig.from_dict(payload)
+            with pytest.raises(ValidationError, match="evaluate cosine"):
+                EngineConfig.from_json(json.dumps(payload))
 
     _BAD_SCALARS = [
         ("num_hashes", 0, "static"),
@@ -161,7 +179,7 @@ class TestEngineConfig:
     # dict→json→dict round trip bit-identically
     @given(
         backend=st.sampled_from(["static", "streaming", "sharded"]),
-        family=st.sampled_from(["cosine", "jaccard"]),
+        family=st.just("cosine"),
         num_hashes=st.integers(min_value=1, max_value=64),
         num_tables=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=-(2**31), max_value=2**31),
@@ -634,6 +652,41 @@ class TestSnapshotRestore:
         with pytest.raises(ValidationError, match="does not match"):
             JoinEstimationEngine.restore(path, config=EngineConfig(backend="static"))
 
+    @pytest.mark.parametrize(
+        "backend,options",
+        [("streaming", {}), ("sharded", {"num_shards": 2})],
+        ids=["streaming", "sharded"],
+    )
+    @pytest.mark.parametrize(
+        "field,value", [("num_hashes", 12), ("dimension", 7)], ids=["num_hashes", "dimension"]
+    )
+    def test_restore_override_keeps_the_index(
+        self, small_collection, tmp_path, backend, options, field, value
+    ):
+        # a mutable backend keeps the index it restores: a config naming
+        # another k or d would report parameters the index does not hash with
+        config = EngineConfig(backend=backend, num_hashes=8, seed=4,
+                              dimension=small_collection.dimension, options=options)
+        path = tmp_path / "bundle.pkl"
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            before = engine.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
+            engine.snapshot(path)
+        with pytest.raises(ValidationError, match=field):
+            JoinEstimationEngine.restore(path, config=config.replace(**{field: value}))
+        # an override that agrees with the index is honoured
+        agreeing = config.replace(seed=9)
+        with JoinEstimationEngine.restore(path, config=agreeing) as revived:
+            assert revived.config == agreeing
+            after = revived.estimate(EstimateRequest(0.8, seed=2, mode="exact"))
+        assert after.value == before.value
+
+    def test_process_restore_override_refused_before_any_worker(self, valid_states):
+        state = valid_states["process-backend"]
+        config = valid_states["configs"]["process"].replace(num_hashes=12)
+        with pytest.raises(ValidationError, match="num_hashes"):
+            resolve_backend("process").from_state(config, state)
+
     def test_restore_garbage_rejected(self, small_collection, tmp_path):
         path = tmp_path / "junk.pkl"
         with open(path, "wb") as handle:
@@ -757,12 +810,22 @@ _SHARD_LAYOUT = (
     "bucket-off-its-pick", "buckets-repeat-a-key", "bucket-members-not-live",
 )
 
+class _ForeignFamily(LSHFamily):
+    """A test-local family for some other measure: one bucket for everything."""
+
+    def _initialise(self, dimension):
+        pass
+
+    def _hash_matrix(self, matrix):
+        return np.zeros((matrix.shape[0], self.num_hashes), dtype=np.int64)
+
+
 #: reader → (restore call, a field to drop / retype, applicable mutations)
 _READERS = {
     "index": (
         lambda state, states, tmp_path: MutableLSHIndex.from_state(state),
         "dimension",
-        _UNTAGGED + ("wrong-format", "short-tables", "two-tables"),
+        _UNTAGGED + ("wrong-format", "short-tables", "two-tables", "foreign-family"),
     ),
     "rows": (_read_rows, "dimension", _UNTAGGED),
     "reservoir": (_read_reservoir, "left", _UNTAGGED),
@@ -779,14 +842,20 @@ _READERS = {
     "sharded": (
         lambda state, states, tmp_path: ShardedMutableIndex.from_state(state),
         "num_shards",
-        _TAGGED + _SHARD_LAYOUT + ("negative-live-id",),
+        _TAGGED + _SHARD_LAYOUT + ("negative-live-id", "foreign-family"),
     ),
-    "cluster": (_restore_cluster, "num_shards", _TAGGED + _SHARD_LAYOUT),
+    "cluster": (_restore_cluster, "num_shards", _TAGGED + _SHARD_LAYOUT + ("foreign-family",)),
     "engine": (_restore_engine, "config", _TAGGED),
     "static-backend": (_restore_backend("static"), "matrix", _TAGGED),
-    "streaming-backend": (_restore_backend("streaming"), "index", _TAGGED + ("no-estimator",)),
-    "sharded-backend": (_restore_backend("sharded"), "index", _TAGGED + ("no-estimator",)),
-    "process-backend": (_restore_backend("process"), "index", _TAGGED + ("no-estimator",)),
+    "streaming-backend": (
+        _restore_backend("streaming"), "index", _TAGGED + ("no-estimator", "foreign-family")
+    ),
+    "sharded-backend": (
+        _restore_backend("sharded"), "index", _TAGGED + ("no-estimator", "foreign-family")
+    ),
+    "process-backend": (
+        _restore_backend("process"), "index", _TAGGED + ("no-estimator", "foreign-family")
+    ),
 }
 
 
@@ -882,6 +951,14 @@ def _mutate(state, mutation, field_name):
         }
     elif mutation == "reservoir-negative-unseen":
         state["reservoir_l"] = {**state["reservoir_l"], "unseen_pairs": -1}
+    elif mutation == "foreign-family":
+        # a well-formed family for another measure: the estimators evaluate cosine
+        if "index" in state:
+            state["index"] = _mutate(state["index"], mutation, field_name)
+        elif "families" in state:
+            state["families"] = [_ForeignFamily(state["num_hashes"], random_state=0)]
+        else:
+            state["family"] = _ForeignFamily(state["num_hashes"], random_state=0)
     elif mutation == "no-estimator":
         state["index"] = {
             key: value for key, value in state["index"].items() if key != "estimators"

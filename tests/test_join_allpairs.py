@@ -41,38 +41,3 @@ class TestAllPairsJoin:
     def test_max_pairs_guard(self, tiny_collection):
         with pytest.raises(ValidationError):
             all_pairs_join(tiny_collection, 0.1, max_pairs=1)
-
-
-class TestJaccardSetJoin:
-    def test_matches_brute_force(self):
-        from repro.join.setjoin import brute_force_jaccard_join, jaccard_set_join
-
-        rng = np.random.default_rng(0)
-        sets = [set(rng.choice(40, size=rng.integers(3, 10), replace=False).tolist()) for _ in range(60)]
-        # plant duplicates
-        sets[10] = set(sets[3])
-        sets[20] = set(sets[3]) | {99}
-        for threshold in (0.4, 0.6, 0.9):
-            filtered = {(i, j) for i, j, _ in jaccard_set_join(sets, threshold)}
-            brute = {(i, j) for i, j, _ in brute_force_jaccard_join(sets, threshold)}
-            assert filtered == brute
-
-    def test_exact_duplicates_found(self):
-        from repro.join import jaccard_set_join
-
-        sets = [{1, 2, 3}, {1, 2, 3}, {4, 5}]
-        results = jaccard_set_join(sets, 1.0)
-        assert [(u, v) for u, v, _ in results] == [(0, 1)]
-
-    def test_threshold_validation(self):
-        from repro.join import jaccard_set_join
-
-        with pytest.raises(ValidationError):
-            jaccard_set_join([{1}], 0.0)
-
-    def test_size_helper(self):
-        from repro.join.setjoin import jaccard_set_join_size
-
-        sets = [{1, 2}, {1, 2}, {1, 3}, {7, 8}]
-        assert jaccard_set_join_size(sets, 0.3) == 3
-        assert jaccard_set_join_size(sets, 0.99) == 1

@@ -1,17 +1,19 @@
-"""Tests for the LSH hash-function families.
+"""Tests for the LSH hash-function family and the cosine-only check.
 
 The key property under test is Definition 3: the empirical collision rate
-of a family must track its theoretical collision-probability curve for
-pairs of known similarity.
+of SimHash must track its theoretical collision-probability curve
+(:func:`~repro.vectors.similarity.cosine_to_angular_collision`) for pairs
+of known cosine similarity.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.lsh import MinHashFamily, PStableL2Family, SignRandomProjectionFamily
-from repro.vectors import VectorCollection, jaccard_similarity
-from repro.vectors.similarity import cosine_similarity
+from repro.lsh import SignRandomProjectionFamily
+from repro.lsh.families import check_cosine_family
+from repro.vectors import VectorCollection
+from repro.vectors.similarity import cosine_similarity, cosine_to_angular_collision
 
 
 def _pair_collection(u, v):
@@ -32,10 +34,9 @@ class TestSignRandomProjection:
         np.testing.assert_array_equal(signatures[0], signatures[1])
 
     def test_collision_probability_formula(self):
-        family = SignRandomProjectionFamily(8, random_state=0)
-        assert family.collision_probability(1.0) == pytest.approx(1.0)
-        assert family.collision_probability(0.0) == pytest.approx(0.5)
-        assert family.collision_probability(-1.0) == pytest.approx(0.0)
+        assert cosine_to_angular_collision(1.0) == pytest.approx(1.0)
+        assert cosine_to_angular_collision(0.0) == pytest.approx(0.5)
+        assert cosine_to_angular_collision(-1.0) == pytest.approx(0.0)
 
     def test_empirical_collision_rate_matches_theory(self):
         rng = np.random.default_rng(7)
@@ -47,13 +48,23 @@ class TestSignRandomProjection:
         family = SignRandomProjectionFamily(4000, random_state=3)
         signatures = family.hash_collection(collection)
         empirical = float(np.mean(signatures[0] == signatures[1]))
-        expected = float(family.collision_probability(similarity))
+        expected = cosine_to_angular_collision(similarity)
         assert empirical == pytest.approx(expected, abs=0.03)
 
     def test_bucket_collision_probability_is_power(self):
-        family = SignRandomProjectionFamily(10, random_state=0)
-        single = family.collision_probability(0.8)
-        assert family.bucket_collision_probability(0.8) == pytest.approx(single**10)
+        """``g`` concatenates ``k`` independent hashes, so a pair shares a
+        bucket with probability ``p(s)^k``."""
+        collection = _pair_collection([1.0, 0.2, 0.0], [0.8, 0.6, 0.3])
+        similarity = cosine_similarity([1.0, 0.2, 0.0], [0.8, 0.6, 0.3])
+        k, trials = 3, 2000
+
+        def same_bucket(seed):
+            u, v = SignRandomProjectionFamily(k, random_state=seed).hash_collection(collection)
+            return np.array_equal(u, v)
+
+        rate = np.mean([same_bucket(seed) for seed in range(trials)])
+        expected = cosine_to_angular_collision(similarity) ** k
+        assert rate == pytest.approx(expected, abs=0.04)
 
     def test_dimension_mismatch_rejected(self, small_collection):
         family = SignRandomProjectionFamily(4, random_state=0)
@@ -72,137 +83,42 @@ class TestSignRandomProjection:
             SignRandomProjectionFamily(0)
 
 
-class TestMinHash:
-    def test_signature_shape(self, binary_collection):
-        family = MinHashFamily(10, random_state=0)
-        signatures = family.hash_collection(binary_collection)
-        assert signatures.shape == (binary_collection.size, 10)
-
-    def test_identical_sets_identical_signatures(self, binary_collection):
-        family = MinHashFamily(24, random_state=2)
-        signatures = family.hash_collection(binary_collection)
-        np.testing.assert_array_equal(signatures[0], signatures[1])
-
-    def test_collision_probability_equals_jaccard(self):
-        family = MinHashFamily(4, random_state=0)
-        assert family.collision_probability(0.37) == pytest.approx(0.37)
-        assert family.collision_probability(1.3) == pytest.approx(1.0)
-
-    def test_empirical_collision_rate_tracks_jaccard(self):
-        set_a = set(range(0, 40))
-        set_b = set(range(20, 60))
-        collection = VectorCollection.from_token_sets([set_a, set_b], dimension=60)
-        family = MinHashFamily(3000, random_state=11)
-        signatures = family.hash_collection(collection)
-        empirical = float(np.mean(signatures[0] == signatures[1]))
-        expected = jaccard_similarity(set_a, set_b)
-        # linear permutation-hashes are only approximately min-wise
-        # independent, so allow a few percent of bias on top of sampling noise
-        assert empirical == pytest.approx(expected, abs=0.07)
-
-    def test_empty_support_gets_sentinel_signature(self):
-        collection = VectorCollection.from_dicts([{0: 0.0}, {1: 1.0}], dimension=2)
-        family = MinHashFamily(5, random_state=0)
-        signatures = family.hash_collection(collection)
-        assert signatures[0].min() > 0  # sentinel, not a real hash of tokens
-
-
-class TestPStable:
-    def test_signature_shape(self, small_collection):
-        family = PStableL2Family(6, bucket_width=4.0, random_state=0)
-        signatures = family.hash_collection(small_collection)
-        assert signatures.shape == (small_collection.size, 6)
-
-    def test_identical_vectors_collide(self):
-        collection = _pair_collection([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        family = PStableL2Family(32, random_state=0)
-        signatures = family.hash_collection(collection)
-        np.testing.assert_array_equal(signatures[0], signatures[1])
-
-    def test_collision_probability_decreases_with_distance(self):
-        family = PStableL2Family(4, bucket_width=4.0, random_state=0)
-        probabilities = family.collision_probability(np.array([0.0, 1.0, 4.0, 16.0]))
-        assert probabilities[0] == pytest.approx(1.0)
-        assert np.all(np.diff(probabilities) < 0)
-
-    def test_invalid_bucket_width(self):
-        with pytest.raises(ValidationError):
-            PStableL2Family(4, bucket_width=0.0)
-
-
 class TestHashMatrixCanonicalisation:
     def test_explicit_zeros_do_not_change_signatures_or_input(self):
-        """hash_matrix must hash the logical vector, not the storage, and
-        must never mutate the caller's matrix."""
+        """hash_matrix must hash the logical vector, not the storage (a
+        stored zero adds 0.0 to every projection), and must never mutate
+        the caller's matrix."""
         from scipy import sparse
 
-        from repro.lsh.families import MinHashFamily
-
-        data = np.array([1.0, 0.0, 2.0])  # explicit stored zero at column 2
+        data = np.array([1.0, 0.0, -2.0])  # explicit stored zero at column 2
         stored = sparse.csr_matrix((data, np.array([0, 2, 3]), [0, 3]), shape=(1, 6))
         canonical = stored.copy()
         canonical.eliminate_zeros()
-        family = MinHashFamily(8, random_state=0)
+        family = SignRandomProjectionFamily(64, random_state=0)
         np.testing.assert_array_equal(
             family.hash_matrix(stored), family.hash_matrix(canonical)
         )
         assert stored.nnz == 3  # caller's matrix untouched
 
 
-class TestMinHashBlockedArithmetic:
-    """The vectorised blocked-Mersenne path must equal exact arithmetic."""
+class TestCosineOnly:
+    """Every estimator evaluates cosine, so only SimHash is accepted."""
 
-    def test_matches_object_dtype_reference(self):
-        from scipy import sparse
+    def test_cosine_name_and_simhash_instance_accepted(self):
+        check_cosine_family("cosine")
+        check_cosine_family(SignRandomProjectionFamily(4, random_state=0))
 
-        from repro.lsh.families import _MERSENNE_PRIME
+    @pytest.mark.parametrize(
+        "family", ["jaccard", "angular", "COSINE", "nope", None, 3.14, SignRandomProjectionFamily]
+    )
+    def test_other_families_refused(self, family):
+        with pytest.raises(ValidationError, match="evaluate cosine"):
+            check_cosine_family(family)
 
-        rng = np.random.default_rng(11)
-        for k, (rows, dimension, density) in zip(
-            (4, 16, 33), ((40, 25, 0.3), (120, 800, 0.02), (8, 5, 0.6))
-        ):
-            matrix = sparse.random(rows, dimension, density=density,
-                                   random_state=rng, format="csr")
-            matrix.data[:] = 1.0
-            family = MinHashFamily(k, random_state=int(k))
-            family.ensure_initialised(dimension)
-            fast = family._hash_matrix(matrix)
-            a = family._coefficients_a.astype(object)
-            b = family._coefficients_b.astype(object)
-            expected = np.full((rows, k), _MERSENNE_PRIME, dtype=np.int64)
-            for row in range(rows):
-                support = matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]
-                if support.size == 0:
-                    continue
-                hashed = (support.astype(object)[:, None] * a[None, :]
-                          + b[None, :]) % _MERSENNE_PRIME
-                expected[row] = np.min(hashed.astype(np.int64), axis=0)
-            np.testing.assert_array_equal(fast, expected)
+    def test_other_family_object_refused(self, foreign_family):
+        with pytest.raises(ValidationError, match="evaluate cosine"):
+            check_cosine_family(foreign_family)
 
-    def test_blocking_boundary_independence(self):
-        """Signatures must not depend on how rows are split into blocks."""
-        from scipy import sparse
-
-        import repro.lsh.families as families_module
-
-        rng = np.random.default_rng(5)
-        matrix = sparse.random(60, 40, density=0.25, random_state=rng, format="csr")
-        matrix.data[:] = 1.0
-        family = MinHashFamily(6, random_state=3)
-        family.ensure_initialised(40)
-        full = family._hash_matrix(matrix)
-        original = families_module._MINHASH_BLOCK_ELEMENTS
-        try:
-            families_module._MINHASH_BLOCK_ELEMENTS = 7  # force tiny blocks
-            tiny_blocks = family._hash_matrix(matrix)
-        finally:
-            families_module._MINHASH_BLOCK_ELEMENTS = original
-        np.testing.assert_array_equal(full, tiny_blocks)
-
-    def test_oversized_dimension_rejected(self):
-        from scipy import sparse
-
-        family = MinHashFamily(4, random_state=0)
-        family.ensure_initialised(1 << 31)
-        with pytest.raises(ValidationError):
-            family._hash_matrix(sparse.csr_matrix((1, 1 << 31)))
+    def test_instance_refused_where_only_a_name_is(self):
+        with pytest.raises(ValidationError, match="must be the name string 'cosine'$"):
+            check_cosine_family(SignRandomProjectionFamily(4, random_state=0), instance_ok=False)

@@ -4,46 +4,26 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.lsh import LSHIndex, MinHashFamily, SignRandomProjectionFamily
-from repro.lsh.index import build_index, resolve_family
+from repro.lsh import LSHIndex, SignRandomProjectionFamily
+from repro.lsh.index import build_index
 from repro.vectors import VectorCollection
 
 
-class TestResolveFamily:
-    def test_cosine_name(self):
-        assert resolve_family("cosine") is SignRandomProjectionFamily
-        assert resolve_family("angular") is SignRandomProjectionFamily
+class TestCosineOnly:
+    """The index draws SimHash tables; every other family is refused."""
 
-    def test_jaccard_name(self):
-        assert resolve_family("jaccard") is MinHashFamily
+    def test_cosine_name(self, small_collection):
+        index = LSHIndex(small_collection, num_hashes=4, family="cosine", random_state=0)
+        assert all(isinstance(table.family, SignRandomProjectionFamily) for table in index)
 
-    def test_class_passthrough(self):
-        assert resolve_family(MinHashFamily) is MinHashFamily
-
-    def test_unknown_name(self):
-        with pytest.raises(ValidationError) as excinfo:
-            resolve_family("hamming-nope")
-        assert "hamming-nope" in str(excinfo.value)
-        assert "cosine" in str(excinfo.value)  # the message lists the options
-
-    def test_name_is_case_insensitive(self):
-        assert resolve_family("COSINE") is SignRandomProjectionFamily
-        assert resolve_family("Jaccard") is MinHashFamily
-
-    def test_non_family_class(self):
-        with pytest.raises(ValidationError):
-            resolve_family(dict)
-
-    def test_family_instance_rejected(self):
-        # an *instance* is not accepted, only names or classes
-        with pytest.raises(ValidationError):
-            resolve_family(MinHashFamily(4, random_state=0))
-
-    def test_none_and_numbers_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_family(None)
-        with pytest.raises(ValidationError):
-            resolve_family(3.14)
+    @pytest.mark.parametrize(
+        "family",
+        ["jaccard", "angular", SignRandomProjectionFamily, SignRandomProjectionFamily(4)],
+        ids=["jaccard", "angular", "class", "instance"],
+    )
+    def test_other_families_refused(self, small_collection, family):
+        with pytest.raises(ValidationError, match="evaluate cosine"):
+            LSHIndex(small_collection, num_hashes=4, family=family)
 
 
 class TestIndexConstruction:
@@ -74,10 +54,6 @@ class TestIndexConstruction:
     def test_build_index_helper(self, small_collection):
         index = build_index(small_collection, num_hashes=5, num_tables=2, random_state=0)
         assert len(index) == 2
-
-    def test_jaccard_family_index(self, binary_collection):
-        index = LSHIndex(binary_collection, num_hashes=8, family="jaccard", random_state=0)
-        assert index.primary_table.num_collision_pairs >= 1  # identical records collide
 
     def test_memory_estimate_sums_tables(self, small_index):
         total = small_index.memory_estimate_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.lsh import MinHashFamily, SignRandomProjectionFamily, signature_matrix
+from repro.lsh import SignRandomProjectionFamily, signature_matrix
 from repro.lsh.signatures import (
     collision_pair_count,
     group_by_signature,
@@ -84,23 +84,21 @@ class TestPrefixCollisionCounts:
         table = LSHTable(family, small_collection, signatures=signatures)
         assert counts[-1] == table.num_collision_pairs
 
-    def test_minhash_prefix_counts_estimate_moments(self, binary_collection):
-        """For MinHash the expected prefix count equals the sum of s^j over
-        pairs; for j=1 this is the sum of pairwise Jaccard similarities."""
+    def test_simhash_prefix_counts_estimate_moments(self, binary_collection):
+        """For SimHash the expected prefix count equals the sum of p(s)^j over
+        pairs; for j=1 this is the sum of the pairs' angular collision
+        probabilities ``1 − θ/π``."""
         trials = 60
         first_counts = []
         for seed in range(trials):
-            family = MinHashFamily(1, random_state=seed)
+            family = SignRandomProjectionFamily(1, random_state=seed)
             signatures = signature_matrix(family, binary_collection)
             first_counts.append(prefix_collision_counts(signatures)[0])
-        from repro.vectors import jaccard_similarity
+        from repro.vectors.similarity import cosine_similarity_matrix, cosine_to_angular_collision
 
-        supports = [set(binary_collection.row_support(i).tolist()) for i in range(6)]
-        expected = sum(
-            jaccard_similarity(supports[i], supports[j])
-            for i in range(6)
-            for j in range(i + 1, 6)
-        )
+        similarities = cosine_similarity_matrix(binary_collection, dense=True)
+        upper = similarities[np.triu_indices(binary_collection.size, k=1)]
+        expected = float(np.sum(cosine_to_angular_collision(upper)))
         assert np.mean(first_counts) == pytest.approx(expected, rel=0.35)
 
     def test_rejects_one_dimensional(self):

@@ -9,6 +9,7 @@ from scipy import sparse
 from repro.core import LSHSSEstimator
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.lsh import LSHIndex, LSHTable, SignRandomProjectionFamily
+from repro.shard import ShardedMutableIndex
 from repro.streaming import (
     ChangeLog,
     Checkpoint,
@@ -132,6 +133,22 @@ class TestMutableLSHIndex:
             MutableLSHIndex(0, num_hashes=4)
         with pytest.raises(ValidationError, match="k=3"):
             MutableLSHIndex(4, num_hashes=4, family=SignRandomProjectionFamily(3))
+
+    @pytest.mark.parametrize(
+        "index_class", [MutableLSHIndex, ShardedMutableIndex], ids=["mutable", "sharded"]
+    )
+    @pytest.mark.parametrize(
+        "family",
+        ["jaccard", "angular", SignRandomProjectionFamily, "family-object"],
+        ids=["jaccard", "angular", "class", "object"],
+    )
+    def test_non_cosine_family_refused(self, index_class, family, foreign_family):
+        """Every estimator evaluates cosine: only the name "cosine" or a
+        SimHash instance is accepted."""
+        if family == "family-object":
+            family = foreign_family
+        with pytest.raises(ValidationError, match="evaluate cosine"):
+            index_class(4, num_hashes=4, family=family)
 
     @pytest.mark.parametrize("shape", ["short", "narrow"])
     def test_malformed_prepared_signatures_refused_before_mutation(self, small_collection, shape):
@@ -472,14 +489,14 @@ class TestReviewRegressions:
         assert estimator.estimate(0.9, random_state=1).value >= 0.0
 
     def test_insert_many_with_explicit_zeros_matches_insert(self):
-        """Explicit stored zeros must not change jaccard signatures between
-        the bulk and per-vector paths (replay == fresh build invariant)."""
+        """Explicit stored zeros must not change signatures between the
+        bulk and per-vector paths (replay == fresh build invariant)."""
         data = np.array([1.0, 0.0, 2.0])          # explicit zero at column 2
         indices = np.array([0, 2, 3])
         matrix = sparse.csr_matrix((data, indices, [0, 3]), shape=(1, 5))
-        bulk = MutableLSHIndex(5, num_hashes=6, family="jaccard", random_state=9)
+        bulk = MutableLSHIndex(5, num_hashes=6, family="cosine", random_state=9)
         bulk.insert_many(matrix)
-        incremental = MutableLSHIndex(5, num_hashes=6, family="jaccard", random_state=9)
+        incremental = MutableLSHIndex(5, num_hashes=6, family="cosine", random_state=9)
         incremental.insert(matrix)
         assert (
             bulk.primary_table.signature_key(0)

@@ -133,9 +133,6 @@ class TestAccess:
     def test_row_dict(self, tiny_collection):
         assert tiny_collection.row_dict(2) == {0: 1.0, 1: 1.0}
 
-    def test_row_support(self, tiny_collection):
-        np.testing.assert_array_equal(tiny_collection.row_support(4), np.array([2, 3]))
-
     def test_row_out_of_range(self, tiny_collection):
         with pytest.raises(ValidationError):
             tiny_collection.row(6)

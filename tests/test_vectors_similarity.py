@@ -1,4 +1,4 @@
-"""Tests for similarity measures."""
+"""Tests for cosine similarity and the cosine ↔ SimHash collision transform."""
 
 import math
 
@@ -11,13 +11,10 @@ from repro.vectors import (
     cosine_pairs,
     cosine_similarity,
     cosine_similarity_matrix,
-    jaccard_similarity,
 )
 from repro.vectors.similarity import (
     angular_collision_to_cosine,
     cosine_to_angular_collision,
-    jaccard_pairs,
-    overlap_similarity,
     pairwise_cosine,
 )
 
@@ -127,40 +124,6 @@ class TestSimilarityMatrix:
         other = VectorCollection.from_dense([[1.0, 2.0]])
         with pytest.raises(DimensionMismatchError):
             cosine_similarity_matrix(tiny_collection, other)
-
-
-class TestJaccard:
-    def test_identical_sets(self):
-        assert jaccard_similarity({1, 2, 3}, {1, 2, 3}) == 1.0
-
-    def test_disjoint_sets(self):
-        assert jaccard_similarity({1, 2}, {3, 4}) == 0.0
-
-    def test_partial_overlap(self):
-        assert jaccard_similarity({1, 2, 3}, {2, 3, 4}) == pytest.approx(0.5)
-
-    def test_empty_sets(self):
-        assert jaccard_similarity(set(), set()) == 0.0
-
-    def test_accepts_iterables(self):
-        assert jaccard_similarity([1, 1, 2], (2, 3)) == pytest.approx(1.0 / 3.0)
-
-    def test_jaccard_pairs_on_supports(self, binary_collection):
-        values = jaccard_pairs(binary_collection, [0, 0], [1, 2])
-        assert values[0] == pytest.approx(1.0)
-        assert values[1] == pytest.approx(3.0 / 5.0)
-
-    def test_jaccard_pairs_length_mismatch(self, binary_collection):
-        with pytest.raises(ValidationError):
-            jaccard_pairs(binary_collection, [0], [1, 2])
-
-
-class TestOverlap:
-    def test_overlap_full_containment(self):
-        assert overlap_similarity({1, 2}, {1, 2, 3, 4}) == 1.0
-
-    def test_overlap_empty(self):
-        assert overlap_similarity(set(), {1}) == 0.0
 
 
 class TestAngularTransform:
