@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.join.exact import SIMILARITY_TOLERANCE
 from repro.join.histogram import SimilarityHistogram
 from repro.lsh.table import LSHTable
 from repro.vectors.similarity import cosine_pairs
@@ -91,7 +92,9 @@ def empirical_stratum_probabilities(
     results: List[StratumProbabilities] = []
     for threshold in thresholds:
         join_size = histogram.join_size(float(threshold))
-        true_collision = int(np.count_nonzero(collision_similarities >= threshold))
+        true_collision = int(
+            np.count_nonzero(collision_similarities >= threshold - SIMILARITY_TOLERANCE)
+        )
         true_non_collision = max(join_size - true_collision, 0)
         probability_true = join_size / total_pairs if total_pairs else 0.0
         alpha = true_collision / num_collision_pairs if num_collision_pairs else 0.0

@@ -88,7 +88,7 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     @property
     def histogram(self) -> SimilarityHistogram:
-        """The exact ground-truth oracle (built lazily, then cached)."""
+        """The ground-truth histogram, exact on its bin grid (built lazily, then cached)."""
         if self._histogram is None:
             self._histogram = SimilarityHistogram(self.collection)
         return self._histogram

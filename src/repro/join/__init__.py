@@ -1,17 +1,16 @@
-"""Exact similarity-join substrate (ground truth and join processing).
+"""Exact cosine similarity joins: the ground truth every estimate is judged by.
 
 Size-estimation experiments need the true join size ``J(τ)`` for every
-threshold of interest.  This subpackage provides:
+threshold of interest.  One block loop in :mod:`~repro.join.exact` runs
+the sparse product of the normalised rows and yields every pair with a
+non-zero similarity; everything here reads from it:
 
-* :mod:`~repro.join.exact` — exact cosine join sizes via block-wise
-  sparse matrix products (self-joins and general joins).
-* :mod:`~repro.join.histogram` — a one-pass similarity histogram from
-  which ``J(τ)`` can be read off for an entire threshold grid.
-* :mod:`~repro.join.allpairs` — a Bayardo-style All-Pairs join that
-  returns the actual result pairs above a threshold (the join-processing
-  algorithm whose optimisation motivates size estimation).
-
-Every join is a cosine join: the one similarity measure of the library.
+* :mod:`~repro.join.exact` — exact join sizes for a self-join or a
+  general join of two collections;
+* :mod:`~repro.join.histogram` — a similarity histogram from which
+  ``J(τ)`` can be read off for a whole threshold grid;
+* :mod:`~repro.join.allpairs` — the result pairs above a threshold, for
+  a caller that runs the join whose size was estimated.
 """
 
 from repro.join.exact import exact_join_size, exact_join_sizes, exact_general_join_size

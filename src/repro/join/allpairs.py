@@ -1,24 +1,25 @@
-"""A Bayardo-style All-Pairs cosine similarity join.
+"""The result pairs of a cosine self-join, for a caller that needs them.
 
 Similarity-join *processing* algorithms (Bayardo et al., WWW 2007;
 Chaudhuri et al., ICDE 2006; Arasu et al., VLDB 2006) are the operators
 whose cost a query optimiser must weigh against alternatives — which is
 why the paper argues join-size estimation is needed in the first place.
-This module implements the inverted-index / score-accumulation variant of
-All-Pairs so that examples can run a real join whose output size the
-estimators predicted.
-
-The implementation favours clarity over the last factor of performance:
-an inverted index over dimensions, candidate generation by partial dot
-products, and exact verification.  It is exact (no false negatives or
-positives) for cosine similarity over the normalised vectors.
+:func:`all_pairs_join` runs a real join whose output size the estimators
+predicted.  It reads every pair from the exact oracle's block-wise sparse
+product (:mod:`repro.join.exact`) and keeps those reaching the threshold,
+so its result size is exactly ``J(τ)``.  All-Pairs' inverted index earns
+its complexity only through pruning bounds; at this library's collection
+sizes one sparse product is faster.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ValidationError
+from repro.join.exact import SIMILARITY_TOLERANCE, _block_pairs
 from repro.vectors.collection import VectorCollection
 
 
@@ -41,58 +42,23 @@ def all_pairs_join(
         raise ``ValidationError`` (size estimation exists precisely to
         warn the optimiser before this happens).
 
-    Notes
-    -----
-    For each vector, a score accumulator over the inverted index collects
-    the full dot product against every previously indexed vector that
-    shares at least one dimension; pairs reaching the threshold are
-    emitted.  Pairs sharing no dimension have zero similarity and are
-    never considered, which is the filtering step that makes the join
-    practical on sparse collections.
+    The pairs are sorted by ``(u, v)``.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
-    normalized = collection.normalized_matrix
-    n = collection.size
-
-    results: List[Tuple[int, int, float]] = []
-    # inverted index: dimension -> list of (vector id, weight)
-    inverted: Dict[int, List[Tuple[int, float]]] = {}
-
-    for vector_id in range(n):
-        start, stop = normalized.indptr[vector_id], normalized.indptr[vector_id + 1]
-        dimensions = normalized.indices[start:stop]
-        weights = normalized.data[start:stop]
-        if dimensions.size == 0:
-            continue
-        # accumulate partial dot products against previously indexed vectors
-        scores: Dict[int, float] = {}
-        for dimension, weight in zip(dimensions, weights):
-            postings = inverted.get(int(dimension))
-            if not postings:
-                continue
-            for other_id, other_weight in postings:
-                scores[other_id] = scores.get(other_id, 0.0) + weight * other_weight
-        for other_id, score in scores.items():
-            similarity = min(float(score), 1.0)
-            if similarity >= threshold - 1e-12:
-                pair = (other_id, vector_id, similarity)
-                results.append(pair)
-                if max_pairs is not None and len(results) > max_pairs:
-                    raise ValidationError(
-                        f"all_pairs_join produced more than max_pairs={max_pairs} results"
-                    )
-        # index the current vector for subsequent candidates
-        for dimension, weight in zip(dimensions, weights):
-            inverted.setdefault(int(dimension), []).append((vector_id, float(weight)))
-
-    results.sort(key=lambda item: (item[0], item[1]))
-    return results
+    blocks = []
+    found = 0
+    for left, right, similarity in _block_pairs(collection):
+        keep = similarity >= threshold - SIMILARITY_TOLERANCE
+        found += int(np.count_nonzero(keep))
+        if max_pairs is not None and found > max_pairs:
+            raise ValidationError(
+                f"all_pairs_join produced more than max_pairs={max_pairs} results"
+            )
+        blocks.append((left[keep], right[keep], similarity[keep]))
+    left, right, similarity = (np.concatenate(part) for part in zip(*blocks))
+    order = np.lexsort((right, left))
+    return list(zip(left[order].tolist(), right[order].tolist(), similarity[order].tolist()))
 
 
-def all_pairs_join_size(collection: VectorCollection, threshold: float) -> int:
-    """Number of result pairs of :func:`all_pairs_join` (exact ``J(τ)``)."""
-    return len(all_pairs_join(collection, threshold))
-
-
-__all__ = ["all_pairs_join", "all_pairs_join_size"]
+__all__ = ["all_pairs_join"]

@@ -1,99 +1,89 @@
-"""Exact cosine-similarity join sizes (the ground truth oracle).
+"""Exact cosine-similarity joins: the one ground-truth oracle.
 
 The benchmark collections are small enough (thousands of vectors) that
-the exact join size can be computed by block-wise sparse matrix products
-of the row-normalised collection with itself.  Each block touches only
-``block_size × n`` pair similarities and only the non-zero dot products
+every pair similarity can be enumerated by block-wise sparse matrix
+products of the row-normalised collections.  Each block touches only
+``BLOCK_SIZE × n`` pair similarities and only the non-zero dot products
 are materialised, so memory stays bounded even for low thresholds where
-the join itself is enormous.
+the join itself is enormous.  Every exact answer of :mod:`repro.join` —
+the join sizes here, :class:`~repro.join.histogram.SimilarityHistogram`
+and :func:`~repro.join.allpairs.all_pairs_join` — reads its pairs from
+:func:`_block_pairs`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.vectors.collection import VectorCollection
 
-
-def _validate_thresholds(thresholds: Sequence[float]) -> np.ndarray:
-    array = np.asarray(list(thresholds), dtype=np.float64)
-    if array.size == 0:
-        raise ValidationError("at least one threshold is required")
-    if np.any(array <= 0.0) or np.any(array > 1.0):
-        raise ValidationError("thresholds must lie in (0, 1]")
-    return array
+#: Rows of the left collection per sparse product.
+BLOCK_SIZE = 512
+#: A pair within this of a threshold counts as reaching it, so that
+#: round-off cannot drop a pair that sits exactly on ``τ``.
+SIMILARITY_TOLERANCE = 1e-12
 
 
-def exact_join_sizes(
-    collection: VectorCollection,
-    thresholds: Sequence[float],
-    *,
-    block_size: int = 512,
-) -> np.ndarray:
-    """Exact self-join sizes ``J(τ)`` for every ``τ`` in ``thresholds``.
+def _block_pairs(
+    left: VectorCollection, right: Optional[VectorCollection] = None
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(left_ids, right_ids, similarity)`` arrays, one row block at a time.
 
-    Only pairs ``(u, v)`` with ``u < v`` are counted, matching
-    Definition 1 (unordered, distinct pairs).  Pairs with zero similarity
-    never appear in the sparse product and therefore never satisfy a
-    positive threshold, so they are correctly excluded.
+    Every pair with a stored dot product appears once, its similarity
+    capped at 1.0; pairs sharing no dimension (similarity 0) never do.
+    Without ``right`` this is the self-join of ``left`` and only pairs
+    ``u < v`` are yielded (Definition 1: unordered, distinct pairs).
     """
-    thresholds_array = _validate_thresholds(thresholds)
-    if block_size < 1:
-        raise ValidationError(f"block_size must be >= 1, got {block_size}")
-    normalized = collection.normalized_matrix
-    n = collection.size
-    counts = np.zeros(thresholds_array.size, dtype=np.int64)
-    # Tolerance guards against counting flips caused by floating-point
-    # round-off for pairs sitting exactly on a threshold.
-    epsilon = 1e-12
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        block = normalized[start:stop] @ normalized.T
-        block = block.tocoo()
-        global_rows = block.row + start
-        mask_upper = block.col > global_rows
-        if not np.any(mask_upper):
-            continue
-        data = np.minimum(block.data[mask_upper], 1.0)
-        for index, tau in enumerate(thresholds_array):
-            counts[index] += int(np.count_nonzero(data >= tau - epsilon))
+    normalized_left = left.normalized_matrix
+    for start in range(0, left.size, BLOCK_SIZE):
+        rows = normalized_left[start : start + BLOCK_SIZE]
+        if right is None:
+            # the columns left of the block hold only lower-triangle pairs
+            block = (rows @ normalized_left[start:].T).tocoo()
+            left_ids, right_ids = block.row + start, block.col + start
+            upper = right_ids > left_ids
+            yield left_ids[upper], right_ids[upper], np.minimum(block.data[upper], 1.0)
+        else:
+            block = (rows @ right.normalized_matrix.T).tocoo()
+            yield block.row + start, block.col, np.minimum(block.data, 1.0)
+
+
+def _count_at_least(
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]], thresholds: Sequence[float]
+) -> np.ndarray:
+    lower = np.asarray(list(thresholds), dtype=np.float64)
+    if lower.size == 0:
+        raise ValidationError("at least one threshold is required")
+    if np.any(lower <= 0.0) or np.any(lower > 1.0):
+        raise ValidationError("thresholds must lie in (0, 1]")
+    lower -= SIMILARITY_TOLERANCE
+    counts = np.zeros(lower.size, dtype=np.int64)
+    for _, _, similarity in blocks:
+        counts += [np.count_nonzero(similarity >= bound) for bound in lower]
     return counts
 
 
-def exact_join_size(
-    collection: VectorCollection,
-    threshold: float,
-    *,
-    block_size: int = 512,
-) -> int:
+def exact_join_sizes(collection: VectorCollection, thresholds: Sequence[float]) -> np.ndarray:
+    """Exact self-join sizes ``J(τ)`` for every ``τ`` in ``thresholds``.
+
+    Only pairs ``(u, v)`` with ``u < v`` are counted, matching
+    Definition 1 (unordered, distinct pairs).
+    """
+    return _count_at_least(_block_pairs(collection), thresholds)
+
+
+def exact_join_size(collection: VectorCollection, threshold: float) -> int:
     """Exact self-join size ``J(τ)`` for a single threshold."""
-    return int(exact_join_sizes(collection, [threshold], block_size=block_size)[0])
-
-
-def exact_general_join_size(
-    left: VectorCollection,
-    right: VectorCollection,
-    threshold: float,
-    *,
-    block_size: int = 512,
-) -> int:
-    """Exact join size between two collections (Definition 5, §B.2.2)."""
-    return int(
-        exact_general_join_sizes(left, right, [threshold], block_size=block_size)[0]
-    )
+    return int(exact_join_sizes(collection, [threshold])[0])
 
 
 def exact_general_join_sizes(
-    left: VectorCollection,
-    right: VectorCollection,
-    thresholds: Sequence[float],
-    *,
-    block_size: int = 512,
+    left: VectorCollection, right: VectorCollection, thresholds: Sequence[float]
 ) -> np.ndarray:
-    """Exact general-join sizes for a threshold grid.
+    """Exact general-join sizes (Definition 5, §B.2.2) for a threshold grid.
 
     Every pair ``(u, v)`` with ``u ∈ left`` and ``v ∈ right`` is counted;
     there is no distinctness constraint because the collections are
@@ -101,29 +91,14 @@ def exact_general_join_sizes(
     """
     if left.dimension != right.dimension:
         raise ValidationError("collections must share a dimension for a join")
-    thresholds_array = _validate_thresholds(thresholds)
-    if block_size < 1:
-        raise ValidationError(f"block_size must be >= 1, got {block_size}")
-    normalized_left = left.normalized_matrix
-    normalized_right = right.normalized_matrix
-    counts = np.zeros(thresholds_array.size, dtype=np.int64)
-    epsilon = 1e-12
-    for start in range(0, left.size, block_size):
-        stop = min(start + block_size, left.size)
-        block = normalized_left[start:stop] @ normalized_right.T
-        data = np.minimum(block.tocoo().data, 1.0)
-        for index, tau in enumerate(thresholds_array):
-            counts[index] += int(np.count_nonzero(data >= tau - epsilon))
-    return counts
+    return _count_at_least(_block_pairs(left, right), thresholds)
 
 
-def join_selectivity(
-    collection: VectorCollection, threshold: float, *, block_size: int = 512
-) -> float:
-    """Join size divided by the number of candidate pairs ``M`` (the paper's
-    "selectivity" row in §6.2)."""
-    size = exact_join_size(collection, threshold, block_size=block_size)
-    return size / collection.total_pairs
+def exact_general_join_size(
+    left: VectorCollection, right: VectorCollection, threshold: float
+) -> int:
+    """Exact join size between two collections for a single threshold."""
+    return int(exact_general_join_sizes(left, right, [threshold])[0])
 
 
 __all__ = [
@@ -131,5 +106,4 @@ __all__ = [
     "exact_join_sizes",
     "exact_general_join_size",
     "exact_general_join_sizes",
-    "join_selectivity",
 ]

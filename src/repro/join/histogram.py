@@ -2,12 +2,12 @@
 
 Several experiments (Table 1, Table 2, the join-size/selectivity table,
 and every accuracy figure) need the exact join size at many thresholds
-plus the per-stratum probabilities.  Recomputing block-wise products for
-every threshold would repeat the dominant cost, so this module performs a
-single pass that bins every positive pair similarity into a fine
-histogram; afterwards ``J(τ)`` for any ``τ`` on the bin grid is a suffix
-sum, and the total number of pairs below the first bin is recovered from
-``M``.
+plus the per-stratum probabilities.  Recomputing the exact join for
+every threshold would repeat the dominant cost, so this module makes a
+single pass over the exact oracle's pairs (:mod:`repro.join.exact`) and
+bins every positive pair similarity into a fine histogram; afterwards
+``J(τ)`` for any ``τ`` on the bin grid is a suffix sum, and the total
+number of pairs below the first bin is recovered from ``M``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.join.exact import SIMILARITY_TOLERANCE, _block_pairs
 from repro.vectors.collection import VectorCollection
 
 
@@ -33,48 +34,24 @@ class SimilarityHistogram:
         with :meth:`join_size` should be multiples of ``1 / num_bins`` to
         be exact; other thresholds are answered conservatively by the
         nearest bin edge above.
-    block_size:
-        Row-block size of the sparse product pass.
     """
 
-    def __init__(
-        self,
-        collection: VectorCollection,
-        *,
-        num_bins: int = 1000,
-        block_size: int = 512,
-    ):
+    def __init__(self, collection: VectorCollection, *, num_bins: int = 1000):
         if num_bins < 1:
             raise ValidationError(f"num_bins must be >= 1, got {num_bins}")
-        if block_size < 1:
-            raise ValidationError(f"block_size must be >= 1, got {block_size}")
         self.collection = collection
         self.num_bins = int(num_bins)
-        self.block_size = int(block_size)
         self._edges = np.linspace(0.0, 1.0, self.num_bins + 1)
         self._counts = self._build()
 
     def _build(self) -> np.ndarray:
-        normalized = self.collection.normalized_matrix
-        n = self.collection.size
         counts = np.zeros(self.num_bins, dtype=np.int64)
-        for start in range(0, n, self.block_size):
-            stop = min(start + self.block_size, n)
-            block = (normalized[start:stop] @ normalized.T).tocoo()
-            global_rows = block.row + start
-            mask_upper = block.col > global_rows
-            if not np.any(mask_upper):
-                continue
-            data = np.clip(block.data[mask_upper], 0.0, 1.0)
-            data = data[data > 0.0]
-            if data.size == 0:
-                continue
-            # Left-closed bins [edges[b], edges[b+1}); the +1e-12 shift mirrors
-            # the tolerance of the exact oracle so that a pair sitting a
-            # round-off below a bin edge is counted as being on the edge.
-            bins = np.floor((data + 1e-12) * self.num_bins).astype(np.int64)
-            bins = np.clip(bins, 0, self.num_bins - 1)
-            counts += np.bincount(bins, minlength=self.num_bins).astype(np.int64)
+        for _, _, similarity in _block_pairs(self.collection):
+            positive = similarity[similarity > 0.0]
+            # Left-closed bins [edges[b], edges[b+1}); the tolerance shift
+            # counts a pair a round-off below a bin edge as on the edge.
+            bins = np.floor((positive + SIMILARITY_TOLERANCE) * self.num_bins).astype(np.int64)
+            counts += np.bincount(np.minimum(bins, self.num_bins - 1), minlength=self.num_bins)
         return counts
 
     # ------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the empirical stratum probabilities (Tables 1 and 2)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.evaluation import alpha_beta_table, empirical_stratum_probabilities
 from repro.evaluation.probabilities import regime_boundaries
 from repro.join import exact_join_size
+from repro.lsh import LSHTable, SignRandomProjectionFamily
+from repro.vectors import VectorCollection
 
 
 THRESHOLDS = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -65,6 +68,19 @@ class TestEmpiricalStratumProbabilities:
     def test_as_dict_keys(self, small_table, small_histogram):
         row = empirical_stratum_probabilities(small_table, [0.5], histogram=small_histogram)[0]
         assert set(row.as_dict()) == {"tau", "P(T)", "P(T|H)", "P(H|T)", "P(T|L)", "J", "N_H", "J_H"}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairs_exactly_on_the_threshold_count_in_h(self, seed):
+        # rows and the same rows scaled: three pairs of cosine 1 (up to
+        # round-off), which always share a SimHash bucket
+        rows = np.abs(np.random.default_rng(seed).standard_normal((3, 8)))
+        collection = VectorCollection.from_dense(np.vstack([rows, 3.7 * rows]))
+        table = LSHTable(SignRandomProjectionFamily(8, random_state=seed), collection)
+        (row,) = empirical_stratum_probabilities(table, [1.0])
+        assert row.join_size == 3
+        assert row.true_collision_pairs == 3
+        assert row.probability_h_given_true == 1.0
+        assert row.probability_true_given_l == 0.0
 
     def test_builds_histogram_when_not_supplied(self, small_table):
         rows = empirical_stratum_probabilities(small_table, [0.9])

@@ -1,10 +1,11 @@
 """Sanity checks on the example scripts.
 
-The examples are exercised end-to-end manually (they print to stdout and
-use collection sizes tuned for humans, not CI), but the test suite still
-guards against bit-rot: every example must parse, carry a module
-docstring explaining its scenario, define a ``main()`` entry point, and
-only import names that the public API actually exposes.
+CI runs every example end to end in the ``tests`` job (``Run every
+example``: each ``examples/*.py`` with ``PYTHONPATH=src``, failing on a
+non-zero exit).  These tests are the fast guard against bit-rot: every
+example must parse, carry a module docstring explaining its scenario,
+define a ``main()`` entry point, and only import names that the public
+API actually exposes.
 """
 
 import ast

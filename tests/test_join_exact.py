@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.join import exact_join_size, exact_join_sizes, exact_general_join_size
-from repro.join.exact import exact_general_join_sizes, join_selectivity
+from repro.join import (
+    all_pairs_join,
+    exact,
+    exact_general_join_size,
+    exact_join_size,
+    exact_join_sizes,
+)
+from repro.join.exact import exact_general_join_sizes
 from repro.vectors import VectorCollection, cosine_similarity_matrix
 
 
@@ -40,10 +46,22 @@ class TestExactJoinSizes:
         sizes = exact_join_sizes(small_collection, thresholds)
         assert np.all(np.diff(sizes) <= 0)
 
-    def test_block_size_independence(self, small_collection):
-        a = exact_join_sizes(small_collection, [0.3, 0.8], block_size=32)
-        b = exact_join_sizes(small_collection, [0.3, 0.8], block_size=4096)
-        np.testing.assert_array_equal(a, b)
+    def test_block_size_independence(self, small_collection, monkeypatch):
+        collection = VectorCollection(small_collection.matrix[:150])
+        other = VectorCollection(small_collection.matrix[150:200])
+
+        def answers():
+            return (
+                exact_join_sizes(collection, [0.2, 0.4]).tolist(),
+                exact_general_join_sizes(collection, other, [0.2, 0.4]).tolist(),
+                all_pairs_join(collection, 0.3),
+            )
+
+        expected = answers()
+        assert expected[2]
+        for block_size in (1, 7, collection.size + 1):
+            monkeypatch.setattr(exact, "BLOCK_SIZE", block_size)
+            assert answers() == expected
 
     def test_duplicates_counted_once_per_pair(self):
         collection = VectorCollection.from_dense([[1.0, 0.0]] * 4)
@@ -57,12 +75,8 @@ class TestExactJoinSizes:
         with pytest.raises(ValidationError):
             exact_join_sizes(tiny_collection, [])
 
-    def test_invalid_block_size(self, tiny_collection):
-        with pytest.raises(ValidationError):
-            exact_join_sizes(tiny_collection, [0.5], block_size=0)
-
     def test_selectivity(self, tiny_collection):
-        selectivity = join_selectivity(tiny_collection, 0.99)
+        selectivity = exact_join_size(tiny_collection, 0.99) / tiny_collection.total_pairs
         assert selectivity == pytest.approx(1.0 / tiny_collection.total_pairs)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.join import SimilarityHistogram, exact_join_size, exact_join_sizes
+from repro.join import SimilarityHistogram, exact, exact_join_size, exact_join_sizes
 from repro.vectors import VectorCollection
 
 
@@ -39,8 +39,6 @@ class TestSimilarityHistogram:
     def test_invalid_construction_parameters(self, tiny_collection):
         with pytest.raises(ValidationError):
             SimilarityHistogram(tiny_collection, num_bins=0)
-        with pytest.raises(ValidationError):
-            SimilarityHistogram(tiny_collection, block_size=0)
 
     def test_duplicate_pairs_land_in_top_bin(self):
         collection = VectorCollection.from_dense([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
@@ -48,10 +46,13 @@ class TestSimilarityHistogram:
         assert histogram.join_size(1.0) == 3
         assert histogram.bin_counts[-1] == 3
 
-    def test_block_size_independence(self, small_collection):
-        coarse = SimilarityHistogram(small_collection, num_bins=100, block_size=64)
-        fine = SimilarityHistogram(small_collection, num_bins=100, block_size=1024)
-        np.testing.assert_array_equal(coarse.bin_counts, fine.bin_counts)
+    def test_block_size_independence(self, small_collection, monkeypatch):
+        collection = VectorCollection(small_collection.matrix[:150])
+        expected = SimilarityHistogram(collection, num_bins=100).bin_counts
+        for block_size in (1, 7, collection.size + 1):
+            monkeypatch.setattr(exact, "BLOCK_SIZE", block_size)
+            observed = SimilarityHistogram(collection, num_bins=100).bin_counts
+            np.testing.assert_array_equal(observed, expected)
 
     def test_moment_zero_is_positive_pair_count(self, small_histogram):
         assert small_histogram.moment(0) == pytest.approx(small_histogram.positive_pairs)
