@@ -108,8 +108,6 @@ from repro.engine import (
     EstimatorBackend,
     JoinEstimationEngine,
     Provenance,
-    available_backends,
-    register_backend,
 )
 from repro.cluster import ClusterCoordinator, ProcessBackend
 from repro.serve import (
@@ -214,8 +212,6 @@ __all__ = [
     "EstimateResult",
     "Provenance",
     "EstimatorBackend",
-    "register_backend",
-    "available_backends",
     # multi-process cluster
     "ClusterCoordinator",
     "ProcessBackend",

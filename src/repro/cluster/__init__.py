@@ -16,11 +16,11 @@ Because :class:`ClusterCoordinator` subclasses
 ``recv_reply`` pair as an in-process shard, the whole merge, dispatch,
 snapshot and rebalance layer is shared: estimates of a process cluster are
 **bit-identical** to an in-process one for the same seed, and exact-mode
-ones to an unsharded estimator.  :class:`ProcessBackend` (:mod:`~repro.cluster.backend`) registers
-the deployment shape as ``"process"`` with the engine, so every
-:class:`~repro.engine.JoinEstimationEngine` caller and CLI command
-reaches it through a one-line config change; ``repro worker`` runs a
-standalone shard worker for multi-machine setups.
+ones to an unsharded estimator.  :class:`ProcessBackend`
+(:mod:`~repro.cluster.backend`) is the engine's ``"process"`` backend
+kind, so every :class:`~repro.engine.JoinEstimationEngine` caller and
+CLI command reaches it through a one-line config change; ``repro
+worker`` runs a standalone shard worker for multi-machine setups.
 """
 
 from repro.cluster.backend import ProcessBackend

@@ -5,9 +5,9 @@
 :class:`~repro.shard.sharded_index.ShardedMutableIndex` for a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — everything else
 (buffered router, facade estimator, rebalance driver, event semantics)
-is inherited, so the two deployment shapes cannot drift apart.  It
-registers as ``register_backend("process")``: any
-:class:`~repro.engine.JoinEstimationEngine` caller (and every CLI
+is inherited, so the two deployment shapes cannot drift apart.  It is
+the engine's ``"process"`` kind (:func:`repro.engine.resolve_backend`):
+any :class:`~repro.engine.JoinEstimationEngine` caller (and every CLI
 command) reaches multi-process serving with a one-line config change::
 
     {"backend": "process", "dimension": 128,
@@ -22,19 +22,20 @@ ingest-throughput gate).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from numbers import Integral, Real
+from typing import Any, Dict, Mapping, Optional
 
 from repro.cluster.coordinator import (
     DEFAULT_REQUEST_TIMEOUT,
     ClusterCoordinator,
 )
-from repro.engine.backends import ShardedBackend, register_backend
+from repro.engine.backends import ShardedBackend
 from repro.engine.config import EngineConfig
 from repro.errors import ValidationError
+from repro.obs.metrics import MetricsRegistry
 from repro.state import StateSpec
 
 
-@register_backend("process")
 class ProcessBackend(ShardedBackend):
     """Bucket-key-partitioned cluster of shard **worker processes**.
 
@@ -56,36 +57,38 @@ class ProcessBackend(ShardedBackend):
         ``multiprocessing`` start method for spawned workers.
     """
 
-    OPTIONS = ShardedBackend.OPTIONS | frozenset(
-        {"shards", "addresses", "token", "request_timeout", "start_method"}
-    )
-    # no "concurrent-read": the coordinator keeps one outstanding request
-    # per worker connection, so the serving layer serialises reads that
-    # reach this backend instead of interleaving frames on its sockets
-    CAPABILITIES = (
-        ShardedBackend.CAPABILITIES | frozenset({"multi-process"})
-    ) - frozenset({"concurrent-read"})
+    kind = "process"
+    OPTIONS = {
+        **ShardedBackend.OPTIONS,
+        "shards": (Integral,),
+        "addresses": (list, tuple, type(None)),
+        "token": (str, type(None)),
+        "request_timeout": (Real, type(None)),
+        "start_method": (str, type(None)),
+    }
+    # the coordinator keeps one outstanding request per worker
+    # connection, so the serving layer serialises reads that reach this
+    # backend instead of interleaving frames on its sockets
+    CONCURRENT_READS = False
     # the inherited to_state writes this: same index state, own kind tag
     STATE = StateSpec(
         "a 'process' backend snapshot", {"index": Mapping}, kind="process-backend"
     )
 
-    def __init__(self, config: EngineConfig) -> None:
-        super().__init__(config)
+    def __init__(self, config: EngineConfig, *, metrics: Optional[MetricsRegistry] = None) -> None:
+        super().__init__(config, metrics=metrics)
         # normalise the 'shards' alias into 'num_shards' once, up front:
         # a later rebalance syncs 'num_shards' into the config, and a
         # stale alias surviving next to it would poison the re-open of a
         # rebalance-synced (or snapshot-embedded) config
         options = dict(config.options)
         if "shards" in options:
-            if "num_shards" in options and int(options["shards"]) != int(
-                options["num_shards"]
-            ):
+            if "num_shards" in options and options["shards"] != options["num_shards"]:
                 raise ValidationError(
                     "options 'shards' and 'num_shards' disagree "
                     f"({options['shards']} vs {options['num_shards']}); give one"
                 )
-            options["num_shards"] = int(options.pop("shards"))
+            options["num_shards"] = options.pop("shards")
             self.config = config.replace(options=options)
 
     def _cluster_kwargs(self) -> Dict[str, Any]:
@@ -109,7 +112,7 @@ class ProcessBackend(ShardedBackend):
         options = self.config.options
         self._index = ClusterCoordinator(
             self.config.dimension,
-            num_shards=int(options.get("num_shards", 4)),
+            num_shards=options.get("num_shards", 4),
             num_hashes=self.config.num_hashes,
             family=self.config.family,
             random_state=self.config.seed + 1,
@@ -156,9 +159,15 @@ class ProcessBackend(ShardedBackend):
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ProcessBackend":
+    def from_state(
+        cls,
+        config: EngineConfig,
+        state: Mapping[str, Any],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "ProcessBackend":
         index_state, estimator_states = cls._split_state(config, state)
-        backend = cls(config)
+        backend = cls(config, metrics=metrics)
         backend._index = ClusterCoordinator.from_state(index_state, **backend._cluster_kwargs())
         try:
             backend._attach_serving_stack(estimator_states)

@@ -10,17 +10,15 @@ one seam:
   JSON round-trippable description of a deployment (family, ``k``,
   seed, backend kind + options).
 * :mod:`~repro.engine.backends` — the :class:`EstimatorBackend`
-  protocol, the :func:`register_backend` registry, and the ``static`` /
-  ``streaming`` / ``sharded`` implementations delegating to the
-  existing layers (estimates stay bit-identical to direct construction
-  for the same seed).
+  protocol, :func:`resolve_backend` over the four declared kinds, and
+  the ``static`` / ``streaming`` / ``sharded`` implementations
+  delegating to the existing layers (estimates stay bit-identical to
+  direct construction for the same seed); the fourth, ``process``,
+  lives in :mod:`repro.cluster`.
 * :mod:`~repro.engine.engine` — :class:`JoinEstimationEngine` with the
   single lifecycle ``open → ingest → estimate → snapshot/restore →
   rebalance → close``, and the :class:`EstimateRequest` /
   :class:`EstimateResult` envelopes with full provenance.
-
-New deployment shapes (e.g. multi-process/RPC shard workers) register a
-backend kind and become reachable through the same caller code.
 """
 
 from repro.engine.backends import (
@@ -28,8 +26,6 @@ from repro.engine.backends import (
     ShardedBackend,
     StaticBackend,
     StreamingBackend,
-    available_backends,
-    register_backend,
     resolve_backend,
 )
 from repro.engine.config import EngineConfig
@@ -50,7 +46,5 @@ __all__ = [
     "StaticBackend",
     "StreamingBackend",
     "ShardedBackend",
-    "register_backend",
     "resolve_backend",
-    "available_backends",
 ]

@@ -1,15 +1,13 @@
-"""Estimation backends: one protocol, a registry, three implementations.
+"""Estimation backends: one protocol, four declared implementations.
 
 A backend owns one deployment shape of the LSH-SS machinery and adapts
 it to the engine lifecycle (``open`` / ingest / ``estimate`` /
-``to_state`` / ``close``).  The engine never imports a concrete backend —
-it resolves the configured kind through the registry — so new shapes
-(e.g. the planned multi-process/RPC shard workers) plug in by decorating
-a class with :func:`register_backend` and need no caller changes:
+``to_state`` / ``close``).  The engine serves exactly four kinds, named
+by ``EngineConfig.backend`` and looked up by :func:`resolve_backend`:
 
-* ``static`` — :class:`~repro.lsh.index.LSHIndex` over an immutable
-  collection, serving any of the paper's estimators (LSH-SS, LSH-S, JU,
-  LC, RS, …) selected per request;
+* ``static`` — :class:`~repro.lsh.index.LSHIndex` (one table) over an
+  immutable collection, serving any of the paper's estimators (LSH-SS,
+  LSH-S, JU, LC, RS, …) selected per request;
 * ``streaming`` — :class:`~repro.streaming.mutable_index.MutableLSHIndex`
   + :class:`~repro.streaming.estimator.StreamingEstimator` under
   insert/delete churn;
@@ -17,10 +15,9 @@ a class with :func:`register_backend` and need no caller changes:
   behind a buffered :class:`~repro.shard.router.ShardRouter`, with
   online rebalancing;
 * ``process`` — the multi-process cluster
-  (:class:`~repro.cluster.backend.ProcessBackend`, defined in
-  :mod:`repro.cluster` and registered through this module's registry):
-  shard worker processes behind a
-  :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+  (:class:`~repro.cluster.backend.ProcessBackend`, a ``sharded``
+  subclass defined in :mod:`repro.cluster`): shard worker processes
+  behind a :class:`~repro.cluster.coordinator.ClusterCoordinator`.
 
 Delegation is thin on purpose: for equal seeds, the estimate a backend
 serves is **bit-identical** to constructing the underlying layers by
@@ -32,22 +29,8 @@ provenance, not arithmetic.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import (
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from numbers import Integral, Real
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from scipy import sparse
 
@@ -75,97 +58,77 @@ from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, Streami
 from repro.streaming.mutable_index import coerce_row, restore_estimator_states
 from repro.vectors import VectorCollection
 
-_REGISTRY: Dict[str, Type["EstimatorBackend"]] = {}
-
-
-def register_backend(kind: str) -> Callable[[Type["EstimatorBackend"]], Type["EstimatorBackend"]]:
-    """Class decorator registering an :class:`EstimatorBackend` under ``kind``.
-
-    The kind becomes the value of ``EngineConfig.backend`` that selects
-    the class; registering an already-taken kind raises, so a plugin
-    cannot silently shadow a built-in.
-    """
-
-    def decorator(cls: Type["EstimatorBackend"]) -> Type["EstimatorBackend"]:
-        if not (isinstance(cls, type) and issubclass(cls, EstimatorBackend)):
-            raise ValidationError(
-                f"register_backend needs an EstimatorBackend subclass, got {cls!r}"
-            )
-        if kind in _REGISTRY:
-            raise ValidationError(f"backend kind {kind!r} is already registered")
-        cls.kind = kind
-        _REGISTRY[kind] = cls
-        return cls
-
-    return decorator
-
 
 def resolve_backend(kind: str) -> Type["EstimatorBackend"]:
-    """The backend class registered under ``kind`` (raises on unknown kinds)."""
+    """The backend class of ``kind``, one of the four the engine serves."""
+    # late import: ProcessBackend subclasses ShardedBackend below
+    from repro.cluster.backend import ProcessBackend
+
+    backends: Dict[str, Type[EstimatorBackend]] = {
+        "static": StaticBackend,
+        "streaming": StreamingBackend,
+        "sharded": ShardedBackend,
+        "process": ProcessBackend,
+    }
     try:
-        return _REGISTRY[kind]
+        return backends[kind]
     except KeyError as error:
         raise ValidationError(
-            f"unknown backend kind {kind!r}; registered: {available_backends()}"
+            f"unknown backend kind {kind!r}; expected one of {sorted(backends)}"
         ) from error
 
 
-def available_backends() -> Tuple[str, ...]:
-    """The registered backend kinds, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-#: the registry backends constructed inside a :func:`metrics_scope` adopt
-_construction_metrics: ContextVar[Optional[MetricsRegistry]] = ContextVar(
-    "repro_backend_construction_metrics", default=None
-)
-
-
-@contextmanager
-def metrics_scope(registry: Optional[MetricsRegistry]) -> Iterator[None]:
-    """Backends constructed inside this block record into ``registry``.
-
-    The engine wraps backend construction (both ``open`` and
-    ``from_state`` paths) in this scope so per-engine registries reach
-    every layer *without* widening the ``from_state`` classmethod
-    signature — third-party backends registered via
-    :func:`register_backend` keep working unchanged and still pick up
-    the engine's registry through :attr:`EstimatorBackend.metrics`.
-    """
-    token = _construction_metrics.set(registry)
-    try:
-        yield
-    finally:
-        _construction_metrics.reset(token)
+#: option value types shared by the mutable backends' estimator knobs
+#: (their ranges are checked where the estimator takes them)
+_COUNT_OR_DEFAULT = (Integral, type(None))
+_ESTIMATOR_OPTIONS: Dict[str, Tuple[type, ...]] = {
+    "sample_size_h": _COUNT_OR_DEFAULT,
+    "sample_size_l": _COUNT_OR_DEFAULT,
+    "answer_threshold": _COUNT_OR_DEFAULT,
+    "dampening": (Real, str, type(None)),
+}
 
 
 class EstimatorBackend(abc.ABC):
     """The protocol every deployment shape implements for the engine.
 
-    Subclasses declare ``OPTIONS`` (the ``EngineConfig.options`` keys
-    they understand — validated at config time) and ``CAPABILITIES``
-    (tags such as ``"mutable"`` / ``"rebalance"``; ``"multi-table"`` is
-    the one :class:`EngineConfig` checks: without it ``num_tables``
-    must be 1), and are constructed *closed*: the engine calls
+    Subclasses declare their ``kind``, ``OPTIONS`` (the
+    ``EngineConfig.options`` keys they understand, each with the types
+    its value may take — checked at config time) and
+    ``CONCURRENT_READS``, and are constructed *closed*: the engine calls
     :meth:`open` exactly once before any other method.
     """
 
-    #: registered kind string (set by :func:`register_backend`)
-    kind: ClassVar[str] = "abstract"
-    #: option keys this backend accepts in ``EngineConfig.options``
-    OPTIONS: ClassVar[FrozenSet[str]] = frozenset()
-    #: capability tags ("mutable", "rebalance", "multi-table", …)
-    CAPABILITIES: ClassVar[FrozenSet[str]] = frozenset()
+    #: the ``EngineConfig.backend`` value that selects this class
+    kind: ClassVar[str]
+    #: option key → accepted value types, for ``EngineConfig.options``
+    OPTIONS: ClassVar[Mapping[str, Tuple[type, ...]]] = {}
+    #: whether estimates/describes after a flush+quiesce may run from many
+    #: threads at once (see :mod:`repro.serve`); False serialises them
+    CONCURRENT_READS: ClassVar[bool] = True
 
-    def __init__(self, config: EngineConfig) -> None:
+    def __init__(self, config: EngineConfig, *, metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = config
         #: the metrics registry this backend (and the layers it builds)
-        #: records into: the enclosing :func:`metrics_scope`'s registry
-        #: when constructed by an engine, else the process-global default
-        scoped = _construction_metrics.get()
-        self.metrics: MetricsRegistry = (
-            scoped if scoped is not None else get_global_registry()
-        )
+        #: records into: the engine's, else the process-global default
+        self.metrics: MetricsRegistry = metrics if metrics is not None else get_global_registry()
+
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        """Refuse an undeclared option key or a value of an undeclared type."""
+        unknown = sorted(set(options) - set(cls.OPTIONS))
+        if unknown:
+            raise ValidationError(
+                f"unknown option(s) {unknown} for backend {cls.kind!r}; "
+                f"known: {sorted(cls.OPTIONS)}"
+            )
+        for key, value in options.items():
+            types = cls.OPTIONS[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join(t.__name__ for t in types)
+                raise ValidationError(
+                    f"option {key!r} of backend {cls.kind!r} must be {expected}, got {value!r}"
+                )
 
     # -- lifecycle -----------------------------------------------------
     @abc.abstractmethod
@@ -233,7 +196,13 @@ class EstimatorBackend(abc.ABC):
 
     @classmethod
     @abc.abstractmethod
-    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "EstimatorBackend":
+    def from_state(
+        cls,
+        config: EngineConfig,
+        state: Mapping[str, Any],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "EstimatorBackend":
         """Rebuild an *open* backend from :meth:`to_state` output."""
 
     # -- optional operations -------------------------------------------
@@ -279,7 +248,6 @@ class EstimatorBackend(abc.ABC):
 # ----------------------------------------------------------------------
 # static
 # ----------------------------------------------------------------------
-@register_backend("static")
 class StaticBackend(EstimatorBackend):
     """Batch-built :class:`LSHIndex` over an immutable collection.
 
@@ -300,8 +268,8 @@ class StaticBackend(EstimatorBackend):
         (``sample_size_h``, ``answer_threshold``, …).
     """
 
-    OPTIONS = frozenset({"estimator", "estimator_kwargs"})
-    CAPABILITIES = frozenset({"multi-estimator", "multi-table", "concurrent-read"})
+    kind = "static"
+    OPTIONS = {"estimator": (str,), "estimator_kwargs": (dict,)}
     STATE = StateSpec(
         "a 'static' backend snapshot",
         {"matrix": (sparse.spmatrix, type(None))},
@@ -327,13 +295,30 @@ class StaticBackend(EstimatorBackend):
         return tuple(cls._ESTIMATORS)
 
     @classmethod
-    def build_estimator(cls, name: str, table: Any, collection: Any, **kwargs: Any) -> Any:
-        """Construct one named estimator flavor over a table/collection."""
+    def _check_estimator_name(cls, name: str) -> None:
         if name not in cls._ESTIMATORS:
             raise ValidationError(
                 f"unknown estimator {name!r}; expected one of {sorted(cls._ESTIMATORS)}"
             )
-        return cls._ESTIMATORS[name](table, collection, **kwargs)
+
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        super().check_options(options)
+        if "estimator" in options:
+            cls._check_estimator_name(options["estimator"])
+
+    @classmethod
+    def build_estimator(cls, name: str, table: Any, collection: Any, **kwargs: Any) -> Any:
+        """Construct one named estimator flavor over a table/collection."""
+        cls._check_estimator_name(name)
+        try:
+            return cls._ESTIMATORS[name](table, collection, **kwargs)
+        except TypeError as error:
+            # kwargs come from the config's estimator_kwargs: a keyword
+            # (or value type) this flavor's constructor does not take
+            raise ValidationError(
+                f"estimator {name!r} refuses estimator_kwargs {kwargs}: {error}"
+            ) from error
 
     def open(self) -> None:
         self._dimension: Optional[int] = self.config.dimension
@@ -395,7 +380,6 @@ class StaticBackend(EstimatorBackend):
             self._index = LSHIndex(
                 collection,
                 num_hashes=self.config.num_hashes,
-                num_tables=self.config.num_tables,
                 family=self.config.family,
                 random_state=self.config.seed + 1,
             )
@@ -444,9 +428,15 @@ class StaticBackend(EstimatorBackend):
         return self.STATE.dump(matrix=matrix)
 
     @classmethod
-    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "StaticBackend":
+    def from_state(
+        cls,
+        config: EngineConfig,
+        state: Mapping[str, Any],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "StaticBackend":
         cls.STATE.check(state)
-        backend = cls(config)
+        backend = cls(config, metrics=metrics)
         backend.open()
         if state["matrix"] is not None:
             backend.ingest_collection(VectorCollection(state["matrix"], copy=False))
@@ -481,7 +471,6 @@ def _check_restore_config(config: EngineConfig, index_state: Mapping[str, Any]) 
             )
 
 
-@register_backend("streaming")
 class StreamingBackend(EstimatorBackend):
     """Single-node mutable index with a reservoir-repaired estimator.
 
@@ -492,17 +481,12 @@ class StreamingBackend(EstimatorBackend):
         Passed to :class:`StreamingEstimator` verbatim.
     """
 
-    OPTIONS = frozenset(
-        {
-            "reservoir_size",
-            "staleness_budget",
-            "sample_size_h",
-            "sample_size_l",
-            "answer_threshold",
-            "dampening",
-        }
-    )
-    CAPABILITIES = frozenset({"mutable", "concurrent-read"})
+    kind = "streaming"
+    OPTIONS = {
+        "reservoir_size": (Integral,),
+        "staleness_budget": (Real,),
+        **_ESTIMATOR_OPTIONS,
+    }
     STATE = StateSpec(
         "a 'streaming' backend snapshot", {"index": Mapping}, kind="streaming-backend"
     )
@@ -581,7 +565,13 @@ class StreamingBackend(EstimatorBackend):
         return self.STATE.dump(index=self._index.to_state())
 
     @classmethod
-    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "StreamingBackend":
+    def from_state(
+        cls,
+        config: EngineConfig,
+        state: Mapping[str, Any],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "StreamingBackend":
         cls.STATE.check(state)
         index = MutableLSHIndex.from_state(state["index"])
         _check_restore_config(config, state["index"])
@@ -589,7 +579,7 @@ class StreamingBackend(EstimatorBackend):
         if not restored:
             # open() always registers one, so every streaming bundle carries it
             cls.STATE.refuse("its index state carries no estimator")
-        backend = cls(config)
+        backend = cls(config, metrics=metrics)
         backend._index = index
         backend._estimator = restored[0]
         return backend
@@ -612,7 +602,6 @@ class StreamingBackend(EstimatorBackend):
 # ----------------------------------------------------------------------
 # sharded
 # ----------------------------------------------------------------------
-@register_backend("sharded")
 class ShardedBackend(EstimatorBackend):
     """Bucket-key-partitioned cluster behind a buffered router.
 
@@ -632,25 +621,11 @@ class ShardedBackend(EstimatorBackend):
         Passed to the :class:`ShardedStreamingEstimator`.
     """
 
-    OPTIONS = frozenset(
-        {
-            "num_shards",
-            "batch_size",
-            "sample_size_h",
-            "sample_size_l",
-            "answer_threshold",
-            "dampening",
-        }
-    )
-    # "concurrent-read": estimates/describes after a flush+quiesce are
-    # read-only and touch no shared mutable state, so the serving layer
-    # may run them from many threads without a lock (see repro.serve)
-    CAPABILITIES = frozenset({"mutable", "rebalance", "concurrent-read"})
+    kind = "sharded"
+    OPTIONS = {"num_shards": (Integral,), "batch_size": (Integral,), **_ESTIMATOR_OPTIONS}
     STATE = StateSpec(
         "a 'sharded' backend snapshot", {"index": Mapping}, kind="sharded-backend"
     )
-
-    _MERGE_KEYS = ("sample_size_h", "sample_size_l", "answer_threshold", "dampening")
 
     def open(self) -> None:
         if self.config.dimension is None:
@@ -688,7 +663,7 @@ class ShardedBackend(EstimatorBackend):
             )
             restore_estimator_states(self._index, estimator_states[1:])
             return
-        merge_kwargs = {key: options[key] for key in self._MERGE_KEYS if key in options}
+        merge_kwargs = {key: options[key] for key in _ESTIMATOR_OPTIONS if key in options}
         self._estimator = ShardedStreamingEstimator(
             self._index,
             router=self._router,
@@ -806,9 +781,15 @@ class ShardedBackend(EstimatorBackend):
         return index_state, estimator_states
 
     @classmethod
-    def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "ShardedBackend":
+    def from_state(
+        cls,
+        config: EngineConfig,
+        state: Mapping[str, Any],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "ShardedBackend":
         index_state, estimator_states = cls._split_state(config, state)
-        backend = cls(config)
+        backend = cls(config, metrics=metrics)
         backend._index = ShardedMutableIndex.from_state(index_state)
         backend._attach_serving_stack(estimator_states)
         return backend
@@ -833,14 +814,5 @@ __all__ = [
     "StaticBackend",
     "StreamingBackend",
     "ShardedBackend",
-    "register_backend",
     "resolve_backend",
-    "available_backends",
-    "metrics_scope",
 ]
-
-# registers the "process" backend (module-level side effect).  A plain
-# `import` (not `from … import`) keeps the circular import benign: when
-# repro.cluster is mid-import it is already in sys.modules, and its
-# register_backend decorator runs when its own module body completes.
-import repro.cluster.backend  # noqa: E402,F401  (registration side effect)

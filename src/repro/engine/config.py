@@ -2,12 +2,11 @@
 
 An :class:`EngineConfig` is the single construction ritual for every
 deployment shape: it names the LSH parameters shared by all backends
-(``family``, ``num_hashes``, ``seed``, and ``num_tables``, which only the
-static backend lets exceed 1), the backend ``kind`` (``"static"``,
-``"streaming"``, ``"sharded"``, or anything registered via
-:func:`repro.engine.backends.register_backend`), and the
-backend-specific ``options``.  Every field is a JSON-compatible scalar or
-mapping, so configs round-trip losslessly through
+(``family``, ``num_hashes``, ``seed``; every backend holds one LSH
+table), the backend ``kind`` (``"static"``, ``"streaming"``,
+``"sharded"`` or ``"process"``), and the backend-specific ``options``.
+Every field is a JSON-compatible scalar or mapping, so configs
+round-trip losslessly through
 :meth:`~EngineConfig.to_dict` / :meth:`~EngineConfig.from_dict` and
 :meth:`~EngineConfig.to_json` / :meth:`~EngineConfig.from_json` — the
 ``repro`` CLI reads them from a ``--config`` file, and engine snapshots
@@ -36,7 +35,7 @@ from repro.errors import ValidationError
 from repro.lsh.families import check_cosine_family
 
 #: Field names accepted by :meth:`EngineConfig.from_dict`.
-_CONFIG_FIELDS = ("backend", "family", "num_hashes", "num_tables", "seed", "dimension", "options")
+_CONFIG_FIELDS = ("backend", "family", "num_hashes", "seed", "dimension", "options")
 
 
 @dataclass
@@ -46,34 +45,32 @@ class EngineConfig:
     Parameters
     ----------
     backend:
-        Registered backend kind; ``"static"``, ``"streaming"`` and
-        ``"sharded"`` ship with the library.
+        Backend kind: ``"static"``, ``"streaming"``, ``"sharded"`` or
+        ``"process"``.
     family:
         LSH family *name*.  Only ``"cosine"`` is accepted: every estimator
         evaluates cosine similarity, so the field declares the measure
         (a name, not a family object, so configs stay JSON round-trippable).
-    num_hashes / num_tables:
-        ``k`` hash functions per table and ``ℓ`` tables.  ``ℓ > 1`` is
-        static-only (the ``"multi-table"`` capability): the mutable
-        backends hold one table, so validation refuses a config, config
-        file or engine bundle asking them for more.
+    num_hashes:
+        ``k`` hash functions of the one LSH table every backend holds
+        (the ``ℓ``-table variants live on :class:`~repro.lsh.LSHIndex`).
     seed:
-        Root seed of the determinism contract (see module docstring).
+        Root seed of the determinism contract (see module docstring);
+        a non-negative int.
     dimension:
         Vector dimensionality ``d``.  Required by the mutable backends
         (their hash families bind to ``d`` eagerly); the static backend
         can infer it from the first ingested collection.
     options:
         Backend-specific knobs.  Each backend declares the keys it
-        understands (``EstimatorBackend.OPTIONS``); unknown keys are
-        rejected at validation time so typos cannot silently change a
-        deployment.
+        understands and their value types (``EstimatorBackend.OPTIONS``);
+        unknown keys and wrongly typed values are rejected at validation
+        time so typos cannot silently change a deployment.
     """
 
     backend: str = "static"
     family: str = "cosine"
     num_hashes: int = 20
-    num_tables: int = 1
     seed: int = 7
     dimension: Optional[int] = None
     options: Dict[str, Any] = field(default_factory=dict)
@@ -93,19 +90,14 @@ class EngineConfig:
             raise ValidationError(f"backend must be a kind string, got {self.backend!r}")
         backend_class = resolve_backend(self.backend)
         check_cosine_family(self.family, instance_ok=False)
-        for name in ("num_hashes", "num_tables", "seed"):
+        for name in ("num_hashes", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.num_hashes < 1:
             raise ValidationError(f"num_hashes (k) must be >= 1, got {self.num_hashes}")
-        if self.num_tables < 1:
-            raise ValidationError(f"num_tables (ℓ) must be >= 1, got {self.num_tables}")
-        if self.num_tables != 1 and "multi-table" not in backend_class.CAPABILITIES:
-            raise ValidationError(
-                f"backend {self.backend!r} holds one LSH table; num_tables (ℓ) must "
-                f"be 1, got {self.num_tables} (ℓ > 1 needs the 'static' backend)"
-            )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.dimension is not None:
             if not isinstance(self.dimension, int) or isinstance(self.dimension, bool):
                 raise ValidationError(f"dimension must be an int, got {self.dimension!r}")
@@ -114,12 +106,7 @@ class EngineConfig:
         if not isinstance(self.options, Mapping):
             raise ValidationError(f"options must be a mapping, got {type(self.options).__name__}")
         self.options = dict(self.options)
-        unknown = sorted(set(self.options) - set(backend_class.OPTIONS))
-        if unknown:
-            raise ValidationError(
-                f"unknown option(s) {unknown} for backend {self.backend!r}; "
-                f"known: {sorted(backend_class.OPTIONS)}"
-            )
+        backend_class.check_options(self.options)
 
     # ------------------------------------------------------------------
     # round-tripping

@@ -2,8 +2,8 @@
 
 :class:`JoinEstimationEngine` is the seam callers program against.  A
 declarative :class:`~repro.engine.config.EngineConfig` picks the backend
-(static batch index, single-node streaming, or a sharded cluster — or
-any kind registered later); the lifecycle is always the same::
+(static batch index, single-node streaming, an in-process sharded
+cluster, or shard worker processes); the lifecycle is always the same::
 
     engine = JoinEstimationEngine(config).open()
     engine.ingest(collection_or_events)
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
-from repro.engine.backends import EstimatorBackend, metrics_scope, resolve_backend
+from repro.engine.backends import EstimatorBackend, resolve_backend
 from repro.engine.config import EngineConfig
 from repro.errors import IndexNotBuiltError, ValidationError
 from repro.obs.metrics import MetricsRegistry
@@ -199,8 +199,8 @@ class JoinEstimationEngine:
         #: this engine's metrics registry — fresh per engine by default,
         #: so two engines in one process never mix their counters; pass
         #: a shared registry (e.g. the process-global one) to pool them.
-        #: Backend construction runs inside a metrics_scope, so every
-        #: layer underneath records here too.
+        #: The backend is built with it, so every layer underneath
+        #: records here too.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._backend: Optional[EstimatorBackend] = None
         self._closed = False
@@ -232,9 +232,8 @@ class JoinEstimationEngine:
         if self._backend is not None and not self._closed:
             raise ValidationError("engine is already open")
         with trace("engine.open", backend=self.config.backend):
-            with metrics_scope(self.metrics):
-                backend = resolve_backend(self.config.backend)(self.config)
-                backend.open()
+            backend = resolve_backend(self.config.backend)(self.config, metrics=self.metrics)
+            backend.open()
         self._backend = backend
         self._closed = False
         return self
@@ -459,10 +458,9 @@ class JoinEstimationEngine:
             config = snapshot_config
         engine = cls(config, metrics=metrics)
         with trace("engine.open", backend=config.backend, restored=True):
-            with metrics_scope(engine.metrics):
-                engine._backend = resolve_backend(config.backend).from_state(
-                    config, backend_state
-                )
+            engine._backend = resolve_backend(config.backend).from_state(
+                config, backend_state, metrics=engine.metrics
+            )
         engine._closed = False
         return engine
 

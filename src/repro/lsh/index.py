@@ -151,22 +151,4 @@ class LSHIndex:
         )
 
 
-def build_index(
-    collection: VectorCollection,
-    *,
-    num_hashes: int = 20,
-    num_tables: int = 1,
-    family: str = "cosine",
-    random_state: RandomState = None,
-) -> LSHIndex:
-    """Convenience wrapper mirroring :class:`LSHIndex`'s constructor."""
-    return LSHIndex(
-        collection,
-        num_hashes=num_hashes,
-        num_tables=num_tables,
-        family=family,
-        random_state=random_state,
-    )
-
-
-__all__ = ["LSHIndex", "build_index"]
+__all__ = ["LSHIndex"]

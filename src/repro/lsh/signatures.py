@@ -14,7 +14,7 @@ pair-similarity distribution.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -114,11 +114,6 @@ def prefix_collision_counts(signatures: np.ndarray) -> np.ndarray:
     return counts
 
 
-def pack_signature(signature: np.ndarray) -> Tuple[int, ...]:
-    """Return a hashable tuple form of a single signature row."""
-    return tuple(int(value) for value in np.asarray(signature).ravel())
-
-
 __all__ = [
     "signature_matrix",
     "signature_keys",
@@ -127,5 +122,4 @@ __all__ = [
     "group_by_signature",
     "collision_pair_count",
     "prefix_collision_counts",
-    "pack_signature",
 ]

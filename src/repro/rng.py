@@ -20,6 +20,8 @@ from typing import Any, Dict, Sequence, Union
 
 import numpy as np
 
+from repro.errors import ValidationError
+
 RandomState = Union[None, int, np.random.Generator]
 """Type alias accepted by every ``random_state`` / ``seed`` parameter."""
 
@@ -30,11 +32,13 @@ def ensure_rng(random_state: RandomState = None) -> np.random.Generator:
     Parameters
     ----------
     random_state:
-        ``None`` for a non-deterministic generator, an integer seed, or an
-        existing generator (returned unchanged).
+        ``None`` for a non-deterministic generator, a non-negative integer
+        seed, or an existing generator (returned unchanged).
 
     Raises
     ------
+    ValidationError
+        If ``random_state`` is a negative integer seed.
     TypeError
         If ``random_state`` is none of the accepted types.
     """
@@ -43,6 +47,8 @@ def ensure_rng(random_state: RandomState = None) -> np.random.Generator:
     if isinstance(random_state, np.random.Generator):
         return random_state
     if isinstance(random_state, (int, np.integer)):
+        if random_state < 0:
+            raise ValidationError(f"seed must be >= 0, got {random_state}")
         return np.random.default_rng(int(random_state))
     raise TypeError(
         "random_state must be None, an int seed, or a numpy Generator; "
@@ -62,11 +68,6 @@ def spawn(rng: np.random.Generator, count: int) -> Sequence[np.random.Generator]
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
 
-def derive_seed(rng: np.random.Generator) -> int:
-    """Draw a single integer seed from ``rng`` suitable for child components."""
-    return int(rng.integers(0, 2**63 - 1, dtype=np.int64))
-
-
 def generator_state(rng: np.random.Generator) -> Dict[str, Any]:
     """A picklable snapshot of a generator's exact position in its stream.
 
@@ -84,8 +85,6 @@ def generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
     Takes a real ``dict`` (not ``Mapping``): numpy's
     ``bit_generator.state`` setter requires one.
     """
-    from repro.errors import ValidationError
-
     name = state.get("bit_generator")
     bit_generator_class = getattr(np.random, str(name), None)
     if bit_generator_class is None:
@@ -99,7 +98,6 @@ __all__ = [
     "RandomState",
     "ensure_rng",
     "spawn",
-    "derive_seed",
     "generator_state",
     "generator_from_state",
 ]

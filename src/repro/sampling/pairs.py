@@ -1,4 +1,4 @@
-"""Uniform pair sampling and cross sampling over vector collections.
+"""Uniform pair sampling and cross sampling over one collection (a self-join).
 
 Both samplers return ``(left, right)`` index arrays; similarity
 evaluation is left to the caller, via
@@ -8,7 +8,7 @@ evaluation is left to the caller, via
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,26 +20,17 @@ from repro.vectors.collection import VectorCollection
 class UniformPairSampler:
     """Sample pairs uniformly at random, with replacement — RS(pop).
 
-    For a self-join over a collection of size ``n`` the population is all
-    ``M = C(n, 2)`` unordered distinct pairs.  For a general join between
-    two collections the population is the cross product.
+    Over a collection of size ``n`` the population is all ``M = C(n, 2)``
+    unordered distinct pairs.
     """
 
-    def __init__(
-        self,
-        collection: VectorCollection,
-        *,
-        other: Optional[VectorCollection] = None,
-    ):
+    def __init__(self, collection: VectorCollection):
         self.collection = collection
-        self.other = other
 
     @property
     def population_size(self) -> int:
         """Number of candidate pairs ``M``."""
-        if self.other is None:
-            return self.collection.total_pairs
-        return self.collection.size * self.other.size
+        return self.collection.total_pairs
 
     def sample(
         self, sample_size: int, *, random_state: RandomState = None
@@ -51,16 +42,12 @@ class UniformPairSampler:
         if sample_size == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        if self.other is None:
-            n = self.collection.size
-            if n < 2:
-                raise InsufficientSampleError("need at least 2 vectors for a self-join pair")
-            left = rng.integers(0, n, size=sample_size)
-            right = rng.integers(0, n - 1, size=sample_size)
-            right = right + (right >= left)
-        else:
-            left = rng.integers(0, self.collection.size, size=sample_size)
-            right = rng.integers(0, self.other.size, size=sample_size)
+        n = self.collection.size
+        if n < 2:
+            raise InsufficientSampleError("need at least 2 vectors for a self-join pair")
+        left = rng.integers(0, n, size=sample_size)
+        right = rng.integers(0, n - 1, size=sample_size)
+        right = right + (right >= left)
         return left.astype(np.int64), right.astype(np.int64)
 
 
@@ -68,26 +55,17 @@ class CrossPairSampler:
     """Cross sampling — RS(cross), after Haas et al. [10].
 
     Instead of sampling pairs directly, cross sampling draws ``r`` vectors
-    and evaluates *all* ``C(r, 2)`` pairs among them (or ``r_u × r_v``
-    pairs for a general join).  Given a pair budget ``m``, the paper uses
-    ``r = ⌈√m⌉``.
+    and evaluates *all* ``C(r, 2)`` pairs among them.  Given a pair
+    budget ``m``, the paper uses ``r = ⌈√m⌉``.
     """
 
-    def __init__(
-        self,
-        collection: VectorCollection,
-        *,
-        other: Optional[VectorCollection] = None,
-    ):
+    def __init__(self, collection: VectorCollection):
         self.collection = collection
-        self.other = other
 
     @property
     def population_size(self) -> int:
         """Number of candidate pairs ``M`` in the full join."""
-        if self.other is None:
-            return self.collection.total_pairs
-        return self.collection.size * self.other.size
+        return self.collection.total_pairs
 
     def sample_vectors(
         self, num_vectors: int, population: int, rng: np.random.Generator
@@ -114,25 +92,12 @@ class CrossPairSampler:
             raise ValidationError(f"pair_budget must be >= 1, got {pair_budget}")
         rng = ensure_rng(random_state)
         num_vectors = int(np.ceil(np.sqrt(pair_budget)))
-        if self.other is None:
-            sampled = self.sample_vectors(max(num_vectors, 2), self.collection.size, rng)
-            pairs = np.array(list(combinations(sampled.tolist(), 2)), dtype=np.int64)
-            if pairs.size == 0:
-                raise InsufficientSampleError("cross sample produced no pairs")
-            left, right = pairs[:, 0], pairs[:, 1]
-            return left, right, left.size
-        left_vectors = self.sample_vectors(num_vectors, self.collection.size, rng)
-        right_vectors = self.sample_vectors(num_vectors, self.other.size, rng)
-        left = np.repeat(left_vectors, right_vectors.size)
-        right = np.tile(right_vectors, left_vectors.size)
-        return left.astype(np.int64), right.astype(np.int64), left.size
+        sampled = self.sample_vectors(max(num_vectors, 2), self.collection.size, rng)
+        pairs = np.array(list(combinations(sampled.tolist(), 2)), dtype=np.int64)
+        if pairs.size == 0:
+            raise InsufficientSampleError("cross sample produced no pairs")
+        left, right = pairs[:, 0], pairs[:, 1]
+        return left, right, left.size
 
 
-def scale_up(true_in_sample: int, sample_size: int, population_size: int) -> float:
-    """Horvitz–Thompson style scale-up ``count · population / sample``."""
-    if sample_size <= 0:
-        raise ValidationError("sample_size must be positive to scale up an estimate")
-    return float(true_in_sample) * float(population_size) / float(sample_size)
-
-
-__all__ = ["UniformPairSampler", "CrossPairSampler", "scale_up"]
+__all__ = ["UniformPairSampler", "CrossPairSampler"]

@@ -116,11 +116,6 @@ class GenerationManager:
             return self._epoch
 
     @property
-    def capabilities(self) -> frozenset:
-        """The backend's ``CAPABILITIES``."""
-        return self._engine.backend.CAPABILITIES
-
-    @property
     def reader_count(self) -> int:
         """Readers currently inside :meth:`read`."""
         with self._cond:

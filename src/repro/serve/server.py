@@ -53,6 +53,7 @@ from repro.cluster.transport import (
     describe_error,
     parse_address,
 )
+from repro.engine.backends import resolve_backend
 from repro.engine.engine import EstimateRequest, JoinEstimationEngine
 from repro.errors import ClusterError, ServeError, StrandedWritesError, ValidationError
 from repro.obs.metrics import MetricsRegistry
@@ -139,14 +140,12 @@ class EstimationServer:
         self._retry_after = float(retry_after)
         self._generations = GenerationManager(config, metrics=self.metrics)
         self.config = self._generations.config
-        # reads against a backend without the "concurrent-read"
-        # capability (the process cluster: one outstanding request per
-        # worker socket) are serialised here; in-process backends run
-        # them from every handler thread at once
+        # reads against a backend without CONCURRENT_READS (the process
+        # cluster: one outstanding request per worker socket) are
+        # serialised here; in-process backends run them from every
+        # handler thread at once
         self._read_serialiser: Optional[threading.Lock] = (
-            None
-            if "concurrent-read" in self._generations.capabilities
-            else threading.Lock()
+            None if resolve_backend(self.config.backend).CONCURRENT_READS else threading.Lock()
         )
         self._listener: Optional[socket.socket] = None
         self.address: Optional[Tuple[str, int]] = None
@@ -463,7 +462,7 @@ class EstimationServer:
     def _reading(self) -> Iterator[Tuple[JoinEstimationEngine, int]]:
         """Yield ``(engine, epoch)`` for one read; no commit runs meanwhile.
 
-        On a backend without ``"concurrent-read"`` the block also holds
+        On a backend without ``CONCURRENT_READS`` the block also holds
         ``_read_serialiser``: running the engine calls one at a time is
         that lock's entire job.  Inside the block take only locks that
         ``repro.analysis.lockdep.LOCK_ORDER`` ranks after it (today only

@@ -382,13 +382,14 @@ class TestEngineConfigCLI:
         assert exit_code == 2
         assert "not valid JSON" in captured.err
 
-    def test_multi_table_mutable_config_is_cli_error(self, capsys, tmp_path):
-        """ℓ is static-only: a streaming config asking for two tables is refused."""
-        config = self._config_file(tmp_path, {"backend": "streaming", "num_tables": 2})
+    @pytest.mark.parametrize("backend", ["static", "streaming", "sharded", "process"])
+    def test_multi_table_config_is_cli_error(self, capsys, tmp_path, backend):
+        """Every backend holds one LSH table: a config naming ℓ is refused."""
+        config = self._config_file(tmp_path, {"backend": backend, "num_tables": 1})
         exit_code = main(["estimate", "--config", str(config), "--threshold", "0.8"])
         captured = capsys.readouterr()
         assert exit_code == 2
-        assert captured.err.startswith("error:") and "'streaming'" in captured.err
+        assert captured.err.startswith("error: unknown config field(s) ['num_tables']")
 
     @pytest.mark.parametrize("backend, options", [
         ("sharded", {"dampening": "bogus"}),
@@ -404,6 +405,31 @@ class TestEngineConfigCLI:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.strip() == "error: dampening must be in (0, 1] or 'auto', got bogus"
+
+    @pytest.mark.parametrize("backend, options, message", [
+        ("sharded", {"num_shards": "2"}, "option 'num_shards' of backend 'sharded' must be"),
+        ("streaming", {"reservoir_size": "2"}, "option 'reservoir_size' of backend"),
+        ("static", {"estimator_kwargs": {"nope": 1}}, "estimator 'lsh-ss' refuses"),
+        ("process", {"shards": "x"}, "option 'shards' of backend 'process' must be"),
+    ], ids=["sharded-num_shards", "streaming-reservoir_size", "static-unknown-kwarg",
+            "process-shards"])
+    def test_bad_option_value_is_cli_error(self, capsys, tmp_path, backend, options, message):
+        """A wrongly typed option value ends in an ``error:`` line, not a traceback."""
+        config = self._config_file(tmp_path, {"backend": backend, "options": options})
+        exit_code = main(
+            ["estimate", "--config", str(config), "--threshold", "0.8",
+             "--num-vectors", "100", "--no-exact"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_negative_seed_is_cli_error(self, capsys):
+        exit_code = main(["estimate", "--seed", "-1", "--threshold", "0.8",
+                          "--num-vectors", "200"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.strip() == "error: seed must be >= 0, got -1"
 
     def test_stream_rejects_static_config(self, capsys, tmp_path):
         log = self._write_log(tmp_path / "events.jsonl", num_vectors=10)

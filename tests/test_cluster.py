@@ -17,7 +17,7 @@ from scipy import sparse
 
 from repro.cluster import ClusterCoordinator, ProcessBackend, WorkerHandle, parse_address
 from repro.cluster import worker as worker_module
-from repro.engine import EngineConfig, JoinEstimationEngine, available_backends
+from repro.engine import EngineConfig, JoinEstimationEngine, resolve_backend
 from repro.errors import (
     ClusterError,
     InsufficientSampleError,
@@ -76,9 +76,8 @@ def churned_cluster(small_collection, churn_log_factory):
 
 
 class TestProcessBackendFidelity:
-    def test_registered(self):
-        assert "process" in available_backends()
-        assert "multi-process" in ProcessBackend.CAPABILITIES
+    def test_declared(self):
+        assert resolve_backend("process") is ProcessBackend
 
     @pytest.mark.timeout(180)
     def test_exact_mode_bit_identical_to_unsharded(self, churned_cluster):

@@ -12,12 +12,9 @@ from repro.core import LSHSSEstimator, RandomPairSampling
 from repro.engine import (
     EngineConfig,
     EstimateRequest,
-    EstimatorBackend,
     JoinEstimationEngine,
-    available_backends,
-    register_backend,
+    resolve_backend,
 )
-from repro.engine.backends import _REGISTRY, resolve_backend
 from repro.errors import (
     IndexNotBuiltError,
     ReproError,
@@ -87,6 +84,33 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match="unknown option.*partitioner"):
             JoinEstimationEngine.restore(path)
 
+    @pytest.mark.parametrize("backend", ["static", "streaming"])
+    def test_bundle_naming_num_tables_refused(self, small_collection, tmp_path, backend):
+        # ℓ is no engine config field: a bundle whose config names it,
+        # even as 1, is refused like any other unknown field
+        config = EngineConfig(backend=backend, num_hashes=8, seed=4,
+                              dimension=small_collection.dimension)
+        path = tmp_path / "bundle.pkl"
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            engine.snapshot(path)
+        with open(path, "rb") as handle:
+            bundle = pickle.load(handle)
+        bundle["config"]["num_tables"] = 1
+        with open(path, "wb") as handle:
+            pickle.dump(bundle, handle)
+        with pytest.raises(ValidationError, match="unknown config field.*num_tables"):
+            JoinEstimationEngine.restore(path)
+
+    @pytest.mark.parametrize("backend", ["static", "streaming"])
+    def test_negative_request_seed_refused(self, small_collection, backend):
+        config = EngineConfig(backend=backend, num_hashes=8,
+                              dimension=small_collection.dimension)
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            with pytest.raises(ValidationError, match="seed must be >= 0"):
+                engine.estimate(EstimateRequest(0.8, seed=-2))
+
     def test_family_must_be_string(self):
         with pytest.raises(ValidationError, match="name string"):
             EngineConfig(family=SignRandomProjectionFamily)
@@ -113,14 +137,10 @@ class TestEngineConfig:
 
     _BAD_SCALARS = [
         ("num_hashes", 0, "static"),
-        ("num_tables", 0, "static"),
         ("dimension", 0, "static"),
         ("num_hashes", "20", "static"),
         ("seed", 1.5, "static"),
-        # ℓ is static-only: the mutable backends hold one table
-        ("num_tables", 2, "streaming"),
-        ("num_tables", 2, "sharded"),
-        ("num_tables", 2, "process"),
+        ("seed", -1, "static"),
     ]
 
     @pytest.mark.parametrize(
@@ -131,6 +151,37 @@ class TestEngineConfig:
     def test_bad_scalar_rejected(self, field, value, backend):
         with pytest.raises(ValidationError, match=None if backend == "static" else backend):
             EngineConfig(backend=backend, **{field: value})
+
+    _BAD_OPTIONS = [
+        ("sharded", {"num_shards": "2"}, "option 'num_shards'"),
+        ("sharded", {"batch_size": None}, "option 'batch_size'"),
+        ("sharded", {"num_shards": True}, "option 'num_shards'"),
+        ("streaming", {"reservoir_size": 2.5}, "option 'reservoir_size'"),
+        ("streaming", {"staleness_budget": "x"}, "option 'staleness_budget'"),
+        ("process", {"shards": "x"}, "option 'shards'"),
+        ("process", {"request_timeout": "30"}, "option 'request_timeout'"),
+        ("static", {"estimator_kwargs": [1]}, "option 'estimator_kwargs'"),
+        ("static", {"estimator": "nope"}, "unknown estimator 'nope'"),
+        ("static", {"estimator": 3}, "option 'estimator'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "backend,options,match", _BAD_OPTIONS,
+        ids=[f"{b}-{next(iter(o))}-{next(iter(o.values()))}" for b, o, _ in _BAD_OPTIONS],
+    )
+    def test_bad_option_value_refused_at_config_time(self, backend, options, match):
+        with pytest.raises(ValidationError, match=match):
+            EngineConfig(backend=backend, dimension=8, options=options)
+
+    def test_estimator_kwargs_a_flavor_refuses(self, small_collection):
+        # estimator_kwargs reach every flavor served: a keyword one of
+        # them does not take is refused when that flavor is built
+        config = EngineConfig(options={"estimator_kwargs": {"sample_size_h": 50}})
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            engine.estimate(0.8, seed=1)
+            with pytest.raises(ValidationError, match="estimator 'rs' refuses"):
+                engine.estimate(EstimateRequest(0.8, seed=1, estimator="rs"))
 
     def test_dict_round_trip(self):
         config = EngineConfig(backend="sharded", dimension=30,
@@ -181,16 +232,11 @@ class TestEngineConfig:
         backend=st.sampled_from(["static", "streaming", "sharded"]),
         family=st.just("cosine"),
         num_hashes=st.integers(min_value=1, max_value=64),
-        num_tables=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=-(2**31), max_value=2**31),
+        seed=st.integers(min_value=0, max_value=2**31),
         dimension=st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_config_round_trip_property(
-        self, backend, family, num_hashes, num_tables, seed, dimension
-    ):
-        if backend != "static":
-            num_tables = 1  # the mutable backends hold one table
+    def test_config_round_trip_property(self, backend, family, num_hashes, seed, dimension):
         options = {}
         if backend == "streaming":
             options = {"staleness_budget": 0.25, "reservoir_size": 64}
@@ -198,7 +244,7 @@ class TestEngineConfig:
             options = {"num_shards": 3, "batch_size": 32}
         config = EngineConfig(
             backend=backend, family=family, num_hashes=num_hashes,
-            num_tables=num_tables, seed=seed, dimension=dimension, options=options,
+            seed=seed, dimension=dimension, options=options,
         )
         via_json = EngineConfig.from_json(config.to_json())
         assert via_json == config
@@ -727,7 +773,7 @@ class TestSnapshotRestore:
 # ----------------------------------------------------------------------
 # Malformed snapshot states: every declared reader × every mutation
 # ----------------------------------------------------------------------
-_DIMENSION_CONFIG = {"num_hashes": 4, "num_tables": 1, "seed": 4}
+_DIMENSION_CONFIG = {"num_hashes": 4, "seed": 4}
 
 
 @pytest.fixture(scope="module")
@@ -1101,81 +1147,17 @@ class TestRebalance:
 # Backend registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(available_backends()) >= {"static", "streaming", "sharded"}
-
     def test_resolve_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown backend"):
             resolve_backend("quantum")
 
-    def test_duplicate_kind_rejected(self):
-        # the decorator rejects the duplicate kind before the (abstract)
-        # class would ever need to be instantiable
-        with pytest.raises(ValidationError, match="already registered"):
-
-            @register_backend("static")
-            class Duplicate(EstimatorBackend):  # pragma: no cover - never built
-                pass
-
-    def test_non_backend_class_rejected(self):
-        with pytest.raises(ValidationError, match="subclass"):
-            register_backend("bogus")(int)
-
-    def test_custom_backend_reachable_through_engine(self, small_collection):
-        """The plugin seam: a registered kind works with unchanged caller code."""
-        from repro.core.base import Estimate
-
-        @register_backend("toy")
-        class ToyBackend(EstimatorBackend):
-            OPTIONS = frozenset({"answer"})
-
-            def open(self):
-                self._n = 0
-
-            def ingest_collection(self, collection):
-                self._n += collection.size
-                return collection.size
-
-            def apply_event(self, event):
-                return 0
-
-            def estimate(self, threshold, *, mode="auto", random_state=None, estimator=None):
-                return Estimate(
-                    value=float(self.config.options.get("answer", 42)),
-                    estimator="toy",
-                    threshold=threshold,
-                )
-
-            def describe(self):
-                return {"size": self._n, "total_pairs": self.total_pairs}
-
-            def to_state(self):
-                return {"format": 1, "kind": "toy-backend", "n": self._n}
-
-            @classmethod
-            def from_state(cls, config, state):
-                backend = cls(config)
-                backend.open()
-                backend._n = state["n"]
-                return backend
-
-            @property
-            def size(self):
-                return self._n
-
-            @property
-            def total_pairs(self):
-                return self._n * (self._n - 1) // 2
-
-        try:
-            config = EngineConfig(backend="toy", options={"answer": 7})
-            with JoinEstimationEngine(config) as engine:
-                engine.ingest(small_collection)
-                result = engine.estimate(0.5)
-            assert result.value == 7.0
-            assert result.provenance.backend == "toy"
-        finally:
-            _REGISTRY.pop("toy", None)
+    @pytest.mark.parametrize("kind", ["static", "streaming", "sharded", "process"])
+    def test_declared_kinds_resolve(self, kind):
+        backend_class = resolve_backend(kind)
+        assert backend_class.kind == kind
+        # reads on the process cluster are serialised (one outstanding
+        # request per worker socket); every in-process backend allows many
+        assert backend_class.CONCURRENT_READS is (kind != "process")
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.lsh import LSHIndex, SignRandomProjectionFamily
-from repro.lsh.index import build_index
 from repro.vectors import VectorCollection
 
 
@@ -50,10 +49,6 @@ class TestIndexConstruction:
         a = LSHIndex(small_collection, num_hashes=6, num_tables=2, random_state=4)
         b = LSHIndex(small_collection, num_hashes=6, num_tables=2, random_state=4)
         np.testing.assert_array_equal(a.tables[1].signatures, b.tables[1].signatures)
-
-    def test_build_index_helper(self, small_collection):
-        index = build_index(small_collection, num_hashes=5, num_tables=2, random_state=0)
-        assert len(index) == 2
 
     def test_memory_estimate_sums_tables(self, small_index):
         total = small_index.memory_estimate_bytes()

@@ -8,7 +8,6 @@ from repro.lsh import SignRandomProjectionFamily, signature_matrix
 from repro.lsh.signatures import (
     collision_pair_count,
     group_by_signature,
-    pack_signature,
     prefix_collision_counts,
     signature_keys,
 )
@@ -104,10 +103,3 @@ class TestPrefixCollisionCounts:
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValidationError):
             prefix_collision_counts(np.array([1, 2, 3]))
-
-
-class TestPackSignature:
-    def test_pack_is_hashable_tuple(self):
-        packed = pack_signature(np.array([1, 2, 3]))
-        assert packed == (1, 2, 3)
-        assert hash(packed) is not None

@@ -40,8 +40,6 @@ class TestPublicAPI:
             "EstimateResult",
             "Provenance",
             "EstimatorBackend",
-            "register_backend",
-            "available_backends",
         ):
             assert name in repro.__all__
         # and the engine subpackage agrees with the top level

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.rng import derive_seed, ensure_rng, spawn
+from repro.errors import ValidationError
+from repro.rng import ensure_rng, spawn
 
 
 class TestEnsureRng:
@@ -30,6 +31,12 @@ class TestEnsureRng:
     def test_invalid_type_raises(self):
         with pytest.raises(TypeError, match="random_state"):
             ensure_rng("not-a-seed")
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), -(2**31)])
+    def test_negative_seed_is_a_validation_error(self, seed):
+        # a defined error, not numpy's "expected non-negative integer"
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            ensure_rng(seed)
 
 
 class TestSpawn:
@@ -58,14 +65,6 @@ class TestSpawn:
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn(ensure_rng(0), -1)
-
-
-class TestDeriveSeed:
-    def test_derive_seed_returns_int(self):
-        assert isinstance(derive_seed(ensure_rng(0)), int)
-
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(ensure_rng(5)) == derive_seed(ensure_rng(5))
 
 
 class TestGeneratorState:

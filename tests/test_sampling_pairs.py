@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.sampling import CrossPairSampler, UniformPairSampler
-from repro.sampling.pairs import scale_up
 from repro.vectors import VectorCollection
 
 
@@ -13,10 +12,6 @@ class TestUniformPairSampler:
     def test_population_size_self_join(self, small_collection):
         sampler = UniformPairSampler(small_collection)
         assert sampler.population_size == small_collection.total_pairs
-
-    def test_population_size_general_join(self, small_collection, tiny_collection):
-        sampler = UniformPairSampler(small_collection, other=tiny_collection)
-        assert sampler.population_size == small_collection.size * tiny_collection.size
 
     def test_no_self_pairs_in_self_join(self, small_collection):
         sampler = UniformPairSampler(small_collection)
@@ -46,12 +41,6 @@ class TestUniformPairSampler:
         a = sampler.sample(40, random_state=9)
         b = sampler.sample(40, random_state=9)
         np.testing.assert_array_equal(a[0], b[0])
-
-    def test_general_join_indices_in_range(self, small_collection, tiny_collection):
-        sampler = UniformPairSampler(small_collection, other=tiny_collection)
-        left, right = sampler.sample(300, random_state=1)
-        assert left.max() < small_collection.size
-        assert right.max() < tiny_collection.size
 
     def test_uniform_coverage(self):
         collection = VectorCollection.from_dense(np.eye(6))
@@ -84,12 +73,6 @@ class TestCrossPairSampler:
         keys = {(min(a, b), max(a, b)) for a, b in zip(left.tolist(), right.tolist())}
         assert len(keys) == left.size
 
-    def test_general_join_cross(self, small_collection, tiny_collection):
-        sampler = CrossPairSampler(small_collection, other=tiny_collection)
-        left, right, considered = sampler.sample(36, random_state=0)
-        assert considered == left.size
-        assert right.max() < tiny_collection.size
-
     def test_invalid_budget(self, small_collection):
         with pytest.raises(ValidationError):
             CrossPairSampler(small_collection).sample(0)
@@ -98,15 +81,3 @@ class TestCrossPairSampler:
         sampler = CrossPairSampler(tiny_collection)
         left, right, considered = sampler.sample(10_000, random_state=0)
         assert considered == tiny_collection.total_pairs
-
-
-class TestScaleUp:
-    def test_basic_scaling(self):
-        assert scale_up(3, 100, 10_000) == pytest.approx(300.0)
-
-    def test_zero_count(self):
-        assert scale_up(0, 100, 10_000) == 0.0
-
-    def test_zero_sample_raises(self):
-        with pytest.raises(ValidationError):
-            scale_up(1, 0, 100)

@@ -686,8 +686,8 @@ class TestProcessClusterFront:
                 assert client.server_backend == "process"
                 assert client.ingest(events) == 40
                 expected = client.estimate(THRESHOLD, seed=6, mode="exact").value
-            # process-backed reads are serialised (no concurrent-read
-            # capability) but stay correct and bit-stable under threads
+            # process-backed reads are serialised (CONCURRENT_READS is
+            # False) but stay correct and bit-stable under threads
             values = set()
             errors: list = []
 
