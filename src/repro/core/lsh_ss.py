@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Any, Callable, Dict, Literal, Optional, Tuple, Union
+from typing import Any, Dict, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,10 +44,8 @@ from repro.core.base import Estimate, SimilarityJoinSizeEstimator
 from repro.errors import ValidationError
 from repro.lsh.table import LSHTable, PairSource
 from repro.rng import RandomState, ensure_rng
-from repro.sampling.adaptive import AdaptiveSampleResult, adaptive_sample
+from repro.sampling.adaptive import AdaptiveSampleResult, SimilarityEvaluator, adaptive_sample
 from repro.vectors.similarity import cosine_pairs
-
-SimilarityEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 Dampening = Union[None, float, Literal["auto"]]
 """``None`` → plain LSH-SS (safe lower bound).  A float in (0, 1] → fixed
@@ -69,9 +67,10 @@ class LSHSSParameters:
     """``m_H``, ``m_L``, ``δ`` and the dampening, validated at construction.
 
     ``None`` sizes follow the §5.1 defaults for the ``n`` handed to
-    :meth:`resolve`.  Sizes must be integers ``≥ 1``; the dampening must
-    be ``None``, ``"auto"`` or a real number in ``(0, 1]``.  Anything else
-    raises :class:`~repro.errors.ValidationError`.
+    :meth:`resolve`.  Sizes must be integers ``≥ 1`` (a ``bool`` is not
+    one); the dampening must be ``None``, ``"auto"`` or a real number in
+    ``(0, 1]``.  Anything else raises
+    :class:`~repro.errors.ValidationError`.
     """
 
     sample_size_h: Optional[int] = None
@@ -85,7 +84,9 @@ class LSHSSParameters:
             ("sample_size_l (m_L)", self.sample_size_l),
             ("answer_threshold (δ)", self.answer_threshold),
         ):
-            if value is not None and not (isinstance(value, Integral) and value >= 1):
+            if value is not None and (
+                isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1)
+            ):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         dampening = self.dampening
         if not (
@@ -215,6 +216,44 @@ def sample_stratum_l(
     )
 
 
+def _distinct_pair_evaluator(evaluator: SimilarityEvaluator) -> SimilarityEvaluator:
+    """``evaluator`` called once per distinct ordered pair of each call.
+
+    SampleH and SampleL draw with replacement, often from a few hundred
+    pairs, so one call repeats many pairs.  Each pair becomes one int64
+    key; one sort finds the repeats, the distinct pairs go to
+    ``evaluator`` in key order and the values are scattered back to the
+    input order.  A call without repeats, or with an id that is negative
+    or too large for a collision-free key, goes through unchanged, so
+    the evaluator still refuses a bad id.  ``(u, v)`` and ``(v, u)`` stay
+    apart: a general join pairs two collections.
+    """
+
+    def evaluate(left_ids: np.ndarray, right_ids: np.ndarray) -> np.ndarray:
+        left = np.asarray(left_ids, dtype=np.int64)
+        right = np.asarray(right_ids, dtype=np.int64)
+        if left.shape != right.shape or left.size < 2:
+            return evaluator(left, right)
+        span = int(right.max()) + 1
+        if left.min() < 0 or right.min() < 0 or (int(left.max()) + 1) * span > 2**63:
+            return evaluator(left, right)
+        keys = left * span + right
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        if first.all():
+            return evaluator(left, right)
+        distinct = order[first]
+        values = evaluator(left[distinct], right[distinct])
+        inverse = np.empty(keys.size, dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        return values[inverse]
+
+    return evaluate
+
+
 def estimate_strata(
     params: LSHSSParameters,
     num_vectors: int,
@@ -234,8 +273,11 @@ def estimate_strata(
     estimate and the details every LSH-SS estimator reports:
     ``stratum_h`` / ``stratum_l`` (their estimates), ``true_in_sample_h``
     / ``true_in_sample_l``, ``samples_taken_l``,
-    ``reached_answer_threshold`` and ``dampening_used``.
+    ``reached_answer_threshold`` and ``dampening_used``.  Each call of
+    ``similarity_evaluator`` receives each of its distinct ordered pairs
+    once; the number of calls and the draws do not change.
     """
+    similarity_evaluator = _distinct_pair_evaluator(similarity_evaluator)
     sample_size_h, sample_size_l, answer_threshold = params.resolve(num_vectors)
     stratum_h = sample_stratum_h(
         num_h, source_h, similarity_evaluator, threshold, sample_size_h, rng

@@ -40,7 +40,11 @@ position.  :func:`adaptive_sample` relies on this to undo draws past its
 stopping point by restoring the generator."""
 
 SimilarityEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
-"""Callable mapping ``(left, right)`` index arrays to similarity values."""
+"""Callable mapping ``(left, right)`` index arrays to similarity values.
+
+A value depends only on its own ordered pair, so
+:func:`repro.core.lsh_ss.estimate_strata` evaluates each distinct ordered
+pair once per call and scatters the values back to the input order."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,8 @@ def adaptive_sample(
         A :data:`PairBatchSource` of uniform pairs from the target stratum
         (a pure function of ``(size, rng)``).
     similarity_evaluator:
-        Callable mapping index arrays to similarity values, one per pair;
-        each value depends only on its own pair.
+        A :data:`SimilarityEvaluator`: one value per pair, each depending
+        only on its own pair.
     threshold:
         The similarity threshold ``τ``.
     answer_threshold:

@@ -68,15 +68,33 @@ def cosine_pairs(
 
     The workhorse of every sampling-based estimator: given ``m`` sampled
     pairs it returns an ``(m,)`` array of similarities in one sparse
-    operation.
+    operation.  Left indices must lie in ``[0, collection.size)`` and
+    right ones in ``[0, other.size)``; the first one outside is refused
+    with :class:`~repro.errors.ValidationError`.
     """
     other = collection if other is None else other
+    if other.dimension != collection.dimension:
+        raise DimensionMismatchError(
+            f"cosine_pairs requires collections of one dimension, got "
+            f"{collection.dimension} and {other.dimension}"
+        )
     left = np.asarray(left_indices, dtype=np.int64)
     right = np.asarray(right_indices, dtype=np.int64)
     if left.shape != right.shape:
         raise ValidationError("left and right index arrays must have the same length")
     if left.size == 0:
         return np.zeros(0, dtype=np.float64)
+    if min(left.min(), right.min()) < 0 or left.max() >= collection.size or (
+        right.max() >= other.size
+    ):
+        left_bad = (left < 0) | (left >= collection.size)
+        position = int(np.argmax(left_bad | (right < 0) | (right >= other.size)))
+        side, index, size = (
+            ("left", left, collection.size)
+            if left_bad.flat[position]
+            else ("right", right, other.size)
+        )
+        raise ValidationError(f"{side} index {int(index.flat[position])} is outside [0, {size})")
     return pairwise_cosine(collection.normalized_matrix[left], other.normalized_matrix[right])
 
 

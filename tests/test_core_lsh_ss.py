@@ -70,6 +70,10 @@ _BAD_LSH_SS_PARAMETERS = [
     ("sample_size_h", -5),
     ("sample_size_l", 0),
     ("answer_threshold", 0),
+    # bool is an Integral, but True is no sample size
+    ("sample_size_h", True),
+    ("sample_size_l", True),
+    ("answer_threshold", True),
     ("dampening", 1.5),
     ("dampening", 2.0),
     ("dampening", 0.0),

@@ -183,6 +183,16 @@ class TestEngineConfig:
             with pytest.raises(ValidationError, match="estimator 'rs' refuses"):
                 engine.estimate(EstimateRequest(0.8, seed=1, estimator="rs"))
 
+    def test_boolean_sample_size_refused(self, small_collection):
+        # a bool passed as m_H is refused with a defined error, not a
+        # numpy TypeError at the first SampleH draw
+        config = EngineConfig(backend="static",
+                              options={"estimator_kwargs": {"sample_size_h": True}})
+        with JoinEstimationEngine(config) as engine:
+            engine.ingest(small_collection)
+            with pytest.raises(ValidationError, match="sample_size_h"):
+                engine.estimate(0.8, seed=1)
+
     def test_dict_round_trip(self):
         config = EngineConfig(backend="sharded", dimension=30,
                               options={"num_shards": 3})

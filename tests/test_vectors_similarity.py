@@ -73,6 +73,31 @@ class TestCosinePairs:
         assert values[0] == pytest.approx(1.0)
         assert values[1] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            ([0, -1], [1, 2], "left index -1 is outside"),
+            ([0, 1], [2, -3], "right index -3 is outside"),
+            ([0, 6], [1, 2], "left index 6 is outside"),
+            ([0, 1], [6, -1], "right index 6 is outside"),
+        ],
+    )
+    def test_index_outside_collection_refused(self, tiny_collection, left, right, message):
+        # a negative index must not wrap to the last rows
+        assert tiny_collection.size == 6
+        with pytest.raises(ValidationError, match=message):
+            cosine_pairs(tiny_collection, left, right)
+
+    def test_right_index_checked_against_other(self, tiny_collection):
+        other = VectorCollection.from_dense([[1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="right index 1 is outside"):
+            cosine_pairs(tiny_collection, [0], [1], other=other)
+
+    def test_other_of_another_dimension_refused(self, tiny_collection):
+        other = VectorCollection.from_dense([[1.0, 0.0, 0.0]])
+        with pytest.raises(DimensionMismatchError):
+            cosine_pairs(tiny_collection, [0], [0], other=other)
+
     def test_values_clipped_to_unit_interval(self, small_collection):
         left = np.arange(50)
         right = np.arange(50, 100)
