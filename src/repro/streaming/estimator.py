@@ -160,20 +160,26 @@ class _PairReservoir:
             del self._id_counts[vector_id]
 
     def drop_vector(self, vector_id: int) -> int:
-        """Evict every pair touching ``vector_id``; returns the eviction count."""
+        """Evict every pair touching ``vector_id``; returns the eviction count.
+
+        Evicts in place: the kept pairs keep their order, because
+        ``auto``-mode SampleL redraws from the reservoir by position.
+        """
         if self._id_counts.get(vector_id, 0) == 0:
             return 0
-        kept = [
-            (u, v)
-            for u, v in zip(self.left, self.right)
-            if u != vector_id and v != vector_id
-        ]
-        dropped = len(self.left) - len(kept)
-        self.left = [u for u, _ in kept]
-        self.right = [v for _, v in kept]
-        self._id_counts = Counter(self.left)
-        self._id_counts.update(self.right)
-        return dropped
+        slots = set()
+        for side in (self.left, self.right):
+            slot = -1
+            try:
+                while True:
+                    slot = side.index(vector_id, slot + 1)
+                    slots.add(slot)
+            except ValueError:
+                pass
+        for slot in sorted(slots, reverse=True):
+            self._discount(self.left.pop(slot))
+            self._discount(self.right.pop(slot))
+        return len(slots)
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return (

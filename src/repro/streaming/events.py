@@ -26,7 +26,9 @@ plain lists.  This is the interchange format consumed by
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -76,39 +78,87 @@ class Checkpoint:
 Event = Union[Insert, Delete, Checkpoint]
 
 
+def _integral(value: object, field: str) -> int:
+    """``value`` as an ``int``: integers, integral floats such as ``3.0`` and
+    numeric strings such as ``"3"`` (JSON object keys are always strings)
+    pass; anything else is refused naming ``field``."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, Integral):
+        return int(value)
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _real(value: object, field: str, position: object) -> float:
+    """``value`` as a finite ``float``, else refused naming ``field[position]``."""
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{field}[{position!r}] must be a finite number, got {value!r}")
+    return number
+
+
+def _sparse_payload(mapping: Mapping[object, object]) -> Dict[int, float]:
+    return {
+        _integral(k, "insert event 'vector' key"): _real(v, "insert event 'vector'", k)
+        for k, v in mapping.items()
+    }
+
+
+def _dense_payload(values: Iterable[object]) -> List[float]:
+    return [_real(v, "insert event 'dense'", i) for i, v in enumerate(values)]
+
+
 def event_to_dict(event: Event) -> Dict[str, object]:
     """Serialise one event into its JSONL dictionary form."""
     if isinstance(event, Insert):
         vector = event.vector
         if isinstance(vector, Mapping):
-            return {"op": "insert", "vector": {str(int(k)): float(v) for k, v in vector.items()}}
-        return {"op": "insert", "dense": [float(v) for v in vector]}
+            return {"op": "insert",
+                    "vector": {str(k): v for k, v in _sparse_payload(vector).items()}}
+        return {"op": "insert", "dense": _dense_payload(vector)}
     if isinstance(event, Delete):
-        return {"op": "delete", "id": int(event.vector_id)}
+        return {"op": "delete", "id": _integral(event.vector_id, "delete event 'id'")}
     if isinstance(event, Checkpoint):
         return {"op": "checkpoint", "label": event.label}
     raise ValidationError(f"unknown event type: {type(event).__name__}")
 
 
 def event_from_dict(payload: Mapping[str, object]) -> Event:
-    """Parse one JSONL dictionary back into an event."""
+    """Parse one JSONL dictionary back into an event.
+
+    Ids and vector keys must be integral, vector values real and finite;
+    anything else is a :class:`~repro.errors.ValidationError` naming the
+    field, never a truncated id or index.
+    """
     op = payload.get("op")
     if op == "insert":
         if "vector" in payload:
             mapping = payload["vector"]
             if not isinstance(mapping, Mapping):
                 raise ValidationError("insert event 'vector' must be an object")
-            return Insert({int(k): float(v) for k, v in mapping.items()})
+            return Insert(_sparse_payload(mapping))
         if "dense" in payload:
             dense = payload["dense"]
             if not isinstance(dense, (list, tuple)):
                 raise ValidationError("insert event 'dense' must be a list")
-            return Insert([float(v) for v in dense])
+            return Insert(_dense_payload(dense))
         raise ValidationError("insert event needs a 'vector' or 'dense' field")
     if op == "delete":
         if "id" not in payload:
             raise ValidationError("delete event needs an 'id' field")
-        return Delete(int(payload["id"]))  # type: ignore[arg-type]
+        return Delete(_integral(payload["id"], "delete event 'id'"))
     if op == "checkpoint":
         return Checkpoint(str(payload.get("label", "")))
     raise ValidationError(f"unknown event op {op!r}; expected insert/delete/checkpoint")

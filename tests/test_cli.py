@@ -170,6 +170,23 @@ class TestStreamCommand:
         assert exit_code == 2
         assert "not found" in captured.err
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ('{"op": "delete", "id": 1.5}', "'id' must be an integer"),
+            ('{"op": "insert", "vector": {"a": 1.0}}', "key must be an integer"),
+        ],
+        ids=["fractional-id", "word-key"],
+    )
+    def test_stream_refuses_malformed_event(self, capsys, tmp_path, bad, match):
+        """A fractional id used to delete row 1 (exit 0), a word key to
+        escape as a traceback (exit 1); both are defined errors."""
+        log = self._write_log(tmp_path / "events.jsonl", num_vectors=3)
+        log.write_text(log.read_text() + bad + "\n")
+        exit_code = main(["stream", "--events", str(log), "--num-hashes", "4"])
+        assert exit_code == 2
+        assert match in capsys.readouterr().err
+
     def test_stream_invalid_batch_size(self, capsys, tmp_path):
         log = self._write_log(tmp_path / "events.jsonl", num_vectors=5)
         exit_code = main(["stream", "--events", str(log), "--batch-size", "0"])

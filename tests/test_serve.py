@@ -801,6 +801,28 @@ class TestServerValidation:
             server.shutdown()
 
 
+    @pytest.mark.timeout(60)
+    def test_malformed_wire_events_refused(self):
+        """A fractional id must not delete row 1, nor a stray key or a
+        float index reach the engine: each is a ValidationError and the
+        served collection is unchanged."""
+        server = EstimationServer(_config()).start()
+        try:
+            with ServeClient(server.address) as client:
+                client.ingest(_events(3))
+                with pytest.raises(ValidationError, match="'id' must be an integer"):
+                    client._request("ingest", {"events": [{"op": "delete", "id": 1.5}]})
+                with pytest.raises(ValidationError, match="key must be an integer"):
+                    client._request(
+                        "ingest", {"events": [{"op": "insert", "vector": {"a": 1.0}}]}
+                    )
+                with pytest.raises(ValidationError, match="integers"):
+                    client.ingest([Insert({1.5: 1.0})])
+                client.flush()
+                assert client.describe()["describe"]["size"] == 3
+        finally:
+            server.shutdown()
+
 # ----------------------------------------------------------------------
 # lock-order regression: the shutdown protocol's ordering contract
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for the streaming subsystem (mutable index, estimator, events)."""
 
+import warnings
+from collections import Counter
+from typing import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,9 @@ from repro.streaming import (
     MutableLSHIndex,
     StreamingEstimator,
 )
+from repro.streaming.estimator import _PairReservoir
 from repro.streaming.events import event_from_dict, event_to_dict
+from repro.streaming.mutable_index import coerce_matrix, coerce_row
 from repro.vectors import VectorCollection, cosine_pairs
 
 
@@ -225,6 +231,156 @@ class TestMutableLSHIndex:
         assert index.total_pairs == final_collection.total_pairs
 
 
+def _scipy_coerce_row(vector, dimension: int) -> sparse.csr_matrix:
+    """The scipy construction ``coerce_row`` canonicalised valid rows with
+    before it went numpy-only — COO → CSR, ``eliminate_zeros``,
+    ``sort_indices`` — kept here as the oracle for its output."""
+    if isinstance(vector, Mapping):
+        indices = np.asarray([int(i) for i in vector.keys()], dtype=np.int64)
+        values = np.asarray([float(v) for v in vector.values()], dtype=np.float64)
+        row = sparse.csr_matrix(
+            (values, (np.zeros(indices.size, dtype=np.int64), indices)),
+            shape=(1, dimension),
+            dtype=np.float64,
+        )
+    elif sparse.issparse(vector):
+        row = vector.tocsr().astype(np.float64, copy=True)
+    else:
+        dense = np.asarray(vector, dtype=np.float64)
+        row = sparse.csr_matrix(dense[None, :] if dense.ndim == 1 else dense)
+    row.eliminate_zeros()
+    row.sort_indices()
+    return row
+
+
+_ROW_VALUES = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+)
+
+
+@st.composite
+def _valid_rows(draw):
+    """A valid row in one of the accepted shapes, with its dimension."""
+    dimension = draw(st.integers(min_value=1, max_value=24))
+    columns = draw(st.lists(
+        st.integers(min_value=0, max_value=dimension - 1), unique=True, max_size=dimension
+    ))  # drawn unsorted; may be empty
+    values = [draw(_ROW_VALUES) for _ in columns]
+    shape = draw(st.sampled_from(["dict", "numpy-keys", "str-keys", "sparse", "dense"]))
+    if shape == "dict":
+        return dict(zip(columns, values)), dimension
+    if shape == "numpy-keys":
+        key_type = draw(st.sampled_from([np.int32, np.int64, np.uint16]))
+        return {key_type(c): v for c, v in zip(columns, values)}, dimension
+    if shape == "str-keys":
+        return {str(c): v for c, v in zip(columns, values)}, dimension
+    if shape == "sparse":  # unsorted indices, explicit zeros kept
+        return sparse.csr_matrix(
+            (np.asarray(values, dtype=np.float64), np.asarray(columns, dtype=np.int32),
+             np.array([0, len(columns)], dtype=np.int32)),
+            shape=(1, dimension),
+        ), dimension
+    dense = np.zeros(dimension)
+    dense[columns] = values
+    return (dense if draw(st.booleans()) else dense.tolist()), dimension
+
+
+class TestCoerceRow:
+    @settings(max_examples=300, deadline=None)
+    @given(_valid_rows())
+    def test_matches_the_scipy_construction(self, case):
+        vector, dimension = case
+        expected = _scipy_coerce_row(vector, dimension)
+        row = coerce_row(vector, dimension)
+        assert row.shape == (1, dimension)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(row, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "vector, match",
+        [
+            ({1.5: 1.0}, "integers"),
+            ({float("nan"): 1.0}, "integers"),
+            ({1: 1.0, "1": 2.0}, "more than once"),
+            ({"1": 1.0, "01": 0.0}, "more than once"),
+            ({"a": 1.0}, "numbers"),
+            ({None: 1.0}, "integers"),
+            ({-1: 1.0}, r"lie in \[0, 4\)"),
+            ({float("inf"): 1.0}, r"lie in \[0, 4\)"),
+            ({1: 1 + 2j}, "real"),
+            ({1: np.complex128(2.0)}, "real"),
+            ({1: None}, "finite"),
+            ({1: "a"}, "numbers"),
+            ({1: float("nan")}, "finite"),
+            ({(1, 2): 1.0}, "single numbers"),
+            ({1: [1.0, 2.0]}, "single numbers"),
+            ([1.0, 2j, 0.0, 0.0], "real"),
+            (np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128), "real"),
+            ([1.0, None, 0.0, 0.0], "finite"),
+            (sparse.csr_matrix(np.array([[1.0, 0.0, 1j, 0.0]])), "real"),
+            (sparse.csr_matrix(
+                (np.array([1.0, 2.0]), np.array([1, 1]), np.array([0, 2])), shape=(1, 4)
+            ), "more than once"),
+            ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], "one vector"),
+        ],
+        ids=[
+            "float-key", "nan-key", "int-and-str-key", "str-and-padded-key",
+            "word-key", "none-key", "negative-key", "inf-key", "complex-value",
+            "numpy-complex-value", "none-value", "word-value", "nan-value",
+            "tuple-key", "list-value",
+            "dense-complex", "ndarray-complex", "dense-none",
+            "sparse-complex", "sparse-repeated-column", "two-rows",
+        ],
+    )
+    def test_malformed_row_refused(self, vector, match):
+        """Indices integral, in range and unrepeated, values real and finite;
+        anything else is refused — never truncated, summed or cast away
+        with a ComplexWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                coerce_row(vector, 4)
+            index = MutableLSHIndex(4, num_hashes=4, random_state=0)
+            with pytest.raises(ValidationError, match=match):
+                index.insert(vector)
+        assert index.size == 0
+
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1j, 0.0]]), "real"),
+            (sparse.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1j, 0.0]])), "real"),
+            (sparse.csr_matrix(
+                (np.ones(3), np.array([0, 2, 2]), np.array([0, 1, 3])), shape=(2, 3)
+            ), "more than once"),
+            ([[1.0, "a", 0.0]], "numbers"),
+            (np.zeros((2, 2, 3)), "ndim=3"),
+        ],
+        ids=["dense-complex", "sparse-complex", "repeated-column", "word", "3-d"],
+    )
+    def test_malformed_matrix_refused(self, matrix, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                coerce_matrix(matrix, 3)
+
+    def test_matrix_rows_spanning_a_row_boundary_are_no_repeat(self):
+        """Column 2 ending row 0 and opening row 1 is not a repeat, and an
+        unsorted row is sorted, not refused."""
+        csr = sparse.csr_matrix(
+            (np.array([1.0, 2.0, 3.0, 0.0]), np.array([2, 0, 2, 1]), np.array([0, 2, 4])),
+            shape=(2, 3),
+        )
+        got = coerce_matrix(csr, 3)
+        assert got.indices.tolist() == [0, 2, 2]
+        assert got.data.tolist() == [2.0, 1.0, 3.0]
+        assert csr.indices.tolist() == [2, 0, 2, 1]  # the caller's matrix is untouched
+
 class TestChangeLogEvents:
     def test_jsonl_round_trip(self, tmp_path):
         log = ChangeLog()
@@ -251,6 +407,56 @@ class TestChangeLogEvents:
             event_from_dict({"op": "delete"})
         with pytest.raises(ValidationError):
             event_to_dict("not an event")
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"op": "delete", "id": 1.5}, "'id' must be an integer"),
+            ({"op": "delete", "id": "x"}, "'id' must be an integer"),
+            ({"op": "delete", "id": None}, "'id' must be an integer"),
+            ({"op": "delete", "id": float("inf")}, "'id' must be an integer"),
+            ({"op": "insert", "vector": {"a": 1.0}}, "'vector' key must be an integer"),
+            ({"op": "insert", "vector": {"1.5": 1.0}}, "'vector' key must be an integer"),
+            ({"op": "insert", "vector": {"1": None}}, r"'vector'\['1'\] must be a finite"),
+            ({"op": "insert", "vector": {"1": "x"}}, r"'vector'\['1'\] must be a finite"),
+            ({"op": "insert", "vector": {"1": 1j}}, r"'vector'\['1'\] must be a finite"),
+            ({"op": "insert", "vector": {"1": float("nan")}}, r"'vector'\['1'\] must be a finite"),
+            ({"op": "insert", "dense": [1.0, None]}, r"'dense'\[1\] must be a finite"),
+            ({"op": "insert", "dense": [float("inf")]}, r"'dense'\[0\] must be a finite"),
+        ],
+    )
+    def test_event_dict_refuses_malformed_fields(self, payload, match):
+        """A fractional id must not delete another row, nor a stray key
+        escape as a raw ValueError/TypeError."""
+        with pytest.raises(ValidationError, match=match):
+            event_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "event", [Insert({1.5: 1.0}), Delete(1.5), Insert([1.0, 2j])],
+        ids=["float-key", "float-id", "complex-value"],
+    )
+    def test_event_to_dict_refuses_what_from_dict_would(self, event):
+        """A log is never written with a truncated key or id."""
+        with pytest.raises(ValidationError):
+            event_to_dict(event)
+
+    def test_event_dict_accepts_integral_spellings(self):
+        assert event_from_dict({"op": "delete", "id": 3.0}) == Delete(3)
+        assert event_from_dict({"op": "delete", "id": "3"}) == Delete(3)
+        assert event_from_dict({"op": "delete", "id": np.int64(3)}) == Delete(3)
+        event = event_from_dict({"op": "insert", "vector": {"3": 1, "2.0": "0.5", 7: 2.0}})
+        assert event == Insert({3: 1.0, 2: 0.5, 7: 2.0})
+        assert all(type(k) is int and type(v) is float for k, v in event.vector.items())
+
+    def test_fractional_delete_in_a_log_is_refused(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"op": "insert", "dense": [1.0, 0.0]}\n'
+            '{"op": "insert", "dense": [0.0, 1.0]}\n'
+            '{"op": "delete", "id": 1.5}\n'
+        )
+        with pytest.raises(ValidationError, match="'id' must be an integer"):
+            ChangeLog.from_jsonl(path)
 
     def test_malformed_jsonl_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -323,6 +529,42 @@ class TestChangeLogEvents:
             batch = static_estimator.estimate(threshold, random_state=123)
             assert streamed.value == batch.value
 
+
+_RESERVOIR_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 5), st.integers(0, 5)),
+        st.tuples(st.just("overwrite"), st.integers(0, 10 ** 6), st.integers(0, 5),
+                  st.integers(0, 5)),
+        st.tuples(st.just("drop"), st.integers(0, 6)),
+    ),
+    max_size=60,
+)
+
+
+class TestPairReservoir:
+    @settings(max_examples=200, deadline=None)
+    @given(_RESERVOIR_OPS)
+    def test_drop_vector_is_an_order_preserving_filter(self, ops):
+        """In-place eviction keeps the survivors in order (auto-mode SampleL
+        redraws by position) and the id multiset exact."""
+        reservoir = _PairReservoir(64)
+        pairs = []
+        for op in ops:
+            if op[0] == "append":
+                reservoir.append_pair(op[1], op[2])
+                pairs.append((op[1], op[2]))
+            elif op[0] == "overwrite" and pairs:
+                slot = op[1] % len(pairs)
+                reservoir.overwrite_slot(slot, op[2], op[3])
+                pairs[slot] = (op[2], op[3])
+            elif op[0] == "drop":
+                kept = [(u, v) for u, v in pairs if op[1] not in (u, v)]
+                assert reservoir.drop_vector(op[1]) == len(pairs) - len(kept)
+                pairs = kept
+            assert reservoir.left == [u for u, _ in pairs]
+            assert reservoir.right == [v for _, v in pairs]
+            assert reservoir._id_counts == Counter(reservoir.left) + Counter(reservoir.right)
+            assert all(count > 0 for count in reservoir._id_counts.values())
 
 class TestStreamingEstimator:
     def test_parameter_validation(self, mutable_index):
