@@ -90,7 +90,6 @@ from repro.shard import (
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
-    merge_strata,
     rebalance_cluster,
 )
 from repro.streaming import (
@@ -201,7 +200,6 @@ __all__ = [
     "ShardedMutableIndex",
     "ShardRouter",
     "ShardedStreamingEstimator",
-    "merge_strata",
     # rebalancing
     "RebalancePlan",
     "rebalance_cluster",

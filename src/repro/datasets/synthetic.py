@@ -95,21 +95,12 @@ class SyntheticCorpusConfig:
         Minimum document length.
     weighting:
         ``"binary"`` (DBLP-like), ``"counts"`` or ``"tfidf"``.
-    near_duplicate_fraction:
-        Fraction of documents generated as perturbed copies of base
-        documents (these populate the high-similarity tail).  Ignored when
-        ``planted_clusters`` is non-empty.
-    duplicate_cluster_size:
-        Inclusive ``(low, high)`` range of copies per chosen base document.
-        Ignored when ``planted_clusters`` is non-empty.
-    perturbation_levels:
-        Candidate edit rates; each duplicate picks one uniformly, so the
-        tail covers a spread of similarities instead of one spike.
-        Ignored when ``planted_clusters`` is non-empty.
     planted_clusters:
-        Optional explicit cluster tiers (see :class:`PlantedClusterSpec`);
-        when provided they fully describe the planted structure and the
-        three legacy fields above are ignored.
+        The planted cluster tiers (see :class:`PlantedClusterSpec`), the
+        whole planted structure.  The default is one tier: 15% of the
+        documents as perturbed copies, 1–4 per base document, each copy
+        at one of five edit rates so the high-similarity tail covers a
+        spread of similarities instead of one spike.
     """
 
     num_vectors: int
@@ -118,10 +109,9 @@ class SyntheticCorpusConfig:
     mean_length: float = 14.0
     min_length: int = 3
     weighting: str = "binary"
-    near_duplicate_fraction: float = 0.15
-    duplicate_cluster_size: Tuple[int, int] = (1, 4)
-    perturbation_levels: Tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.35)
-    planted_clusters: Tuple[PlantedClusterSpec, ...] = ()
+    planted_clusters: Tuple[PlantedClusterSpec, ...] = (
+        PlantedClusterSpec(0.15, (1, 4), (0.02, 0.05, 0.1, 0.2, 0.35)),
+    )
 
     def validate(self) -> None:
         """Raise :class:`ValidationError` if any parameter is out of range."""
@@ -139,33 +129,11 @@ class SyntheticCorpusConfig:
             raise ValidationError(
                 f"weighting must be one of {_WEIGHTINGS}, got {self.weighting!r}"
             )
-        if not 0.0 <= self.near_duplicate_fraction < 1.0:
-            raise ValidationError("near_duplicate_fraction must be in [0, 1)")
-        low, high = self.duplicate_cluster_size
-        if low < 1 or high < low:
-            raise ValidationError("duplicate_cluster_size must satisfy 1 <= low <= high")
-        if not self.perturbation_levels:
-            raise ValidationError("perturbation_levels must not be empty")
-        for level in self.perturbation_levels:
-            if not 0.0 <= level < 1.0:
-                raise ValidationError("perturbation levels must be in [0, 1)")
         total_planted = sum(spec.fraction for spec in self.planted_clusters)
         if total_planted >= 1.0:
             raise ValidationError("planted cluster fractions must sum to less than 1")
         for spec in self.planted_clusters:
             spec.validate()
-
-    def cluster_specs(self) -> Tuple["PlantedClusterSpec", ...]:
-        """The effective planted-cluster tiers (explicit or legacy single tier)."""
-        if self.planted_clusters:
-            return self.planted_clusters
-        return (
-            PlantedClusterSpec(
-                fraction=self.near_duplicate_fraction,
-                cluster_size=self.duplicate_cluster_size,
-                perturbation_levels=self.perturbation_levels,
-            ),
-        )
 
 
 @dataclass
@@ -289,7 +257,7 @@ def generate_corpus(
     rng = ensure_rng(random_state)
     probabilities = _zipf_probabilities(config.vocabulary_size, config.zipf_exponent)
 
-    specs = config.cluster_specs()
+    specs = config.planted_clusters
     planted_per_spec = [int(round(spec.fraction * config.num_vectors)) for spec in specs]
     num_base = config.num_vectors - sum(planted_per_spec)
     if num_base < 1:

@@ -55,8 +55,8 @@ from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_clust
 from repro.shard.sharded_index import SHARDED_STATE
 from repro.state import StateSpec
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
-from repro.streaming.mutable_index import coerce_row, restore_estimator_states
-from repro.vectors import VectorCollection
+from repro.streaming.mutable_index import restore_estimator_states
+from repro.vectors import VectorCollection, coerce_row
 
 
 def resolve_backend(kind: str) -> Type["EstimatorBackend"]:

@@ -20,7 +20,7 @@ have received in a build-once batch hash.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -83,23 +83,21 @@ class LSHFamily(abc.ABC):
                 f"{dimension}"
             )
 
-    def hash_matrix(self, matrix: Union[sparse.spmatrix, np.ndarray]) -> np.ndarray:
-        """Hash the rows of a raw ``(rows, d)`` matrix into signatures.
+    def hash_matrix(self, matrix: sparse.csr_matrix) -> np.ndarray:
+        """Hash the rows of a canonical ``(rows, d)`` CSR matrix into signatures.
 
         This is the single implementation point shared by the batch path
         (:meth:`hash_collection`) and the streaming per-vector path
         (:class:`repro.streaming.MutableLSHIndex`), guaranteeing that
-        incremental and build-once signatures are identical.
+        incremental and build-once signatures are identical.  Input is
+        canonicalised by :mod:`repro.vectors.collection` before it gets here.
         """
-        if not sparse.issparse(matrix):
-            matrix = sparse.csr_matrix(np.atleast_2d(np.asarray(matrix, dtype=np.float64)))
-        csr = matrix.tocsr()
-        self.ensure_initialised(csr.shape[1])
-        signatures = self._hash_matrix(csr)
-        if signatures.shape != (csr.shape[0], self.num_hashes):
+        self.ensure_initialised(matrix.shape[1])
+        signatures = self._hash_matrix(matrix)
+        if signatures.shape != (matrix.shape[0], self.num_hashes):
             raise ValidationError(
                 "family produced a signature matrix of shape "
-                f"{signatures.shape}, expected {(csr.shape[0], self.num_hashes)}"
+                f"{signatures.shape}, expected {(matrix.shape[0], self.num_hashes)}"
             )
         return signatures
 

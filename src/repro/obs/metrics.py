@@ -300,7 +300,7 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Named instruments behind one snapshot/merge/restore surface.
+    """Named instruments behind one :meth:`snapshot` (snapshots merge).
 
     Instrument creation takes a lock (it mutates the registry dict);
     the returned handles are lock-free.  Call sites on hot paths should
@@ -383,39 +383,6 @@ class MetricsRegistry:
 
     def to_dict(self) -> Dict[str, Any]:
         return self.snapshot().to_dict()
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a snapshot's values *into* this registry's live instruments."""
-        if isinstance(snapshot, MetricsSnapshot):
-            payload = snapshot.to_dict()
-        else:
-            payload = MetricsSnapshot(snapshot).to_dict()
-        for entry in payload["counters"]:
-            self.counter(entry["name"], **entry.get("labels", {}))._value += entry["value"]
-        for entry in payload["gauges"]:
-            self.gauge(entry["name"], **entry.get("labels", {}))._value += entry["value"]
-        for entry in payload["histograms"]:
-            histogram = self.histogram(
-                entry["name"], buckets=entry["buckets"], **entry.get("labels", {})
-            )
-            if list(histogram.bounds) != [float(b) for b in entry["buckets"]]:
-                raise ValidationError(
-                    f"cannot merge histogram {entry['name']!r}: bucket bounds differ"
-                )
-            histogram._counts += np.asarray(entry["counts"], dtype=np.int64)
-            histogram._sum += entry["sum"]
-            histogram._count += entry["count"]
-
-    def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Replace this registry's contents with a snapshot's values."""
-        self.clear()
-        self.merge(snapshot)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(payload)
-        return registry
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"MetricsRegistry(instruments={len(self._instruments)})"

@@ -13,6 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import InsufficientSampleError, ValidationError
+from repro.lsh.table import sample_uniform_pairs
 from repro.rng import RandomState, ensure_rng
 from repro.vectors.collection import VectorCollection
 
@@ -42,13 +43,7 @@ class UniformPairSampler:
         if sample_size == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        n = self.collection.size
-        if n < 2:
-            raise InsufficientSampleError("need at least 2 vectors for a self-join pair")
-        left = rng.integers(0, n, size=sample_size)
-        right = rng.integers(0, n - 1, size=sample_size)
-        right = right + (right >= left)
-        return left.astype(np.int64), right.astype(np.int64)
+        return sample_uniform_pairs(self.collection.size, sample_size, rng)
 
 
 class CrossPairSampler:

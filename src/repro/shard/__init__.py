@@ -21,9 +21,9 @@ approximation:
   path: batch hashing, bucket-key partitioning, and one row slice per
   shard on top of ``insert_many``; replays
   :class:`~repro.streaming.events.ChangeLog` streams.
-* :mod:`~repro.shard.merge` — :func:`merge_strata` (the facade's per-shard
-  ``N_H`` / ``N_L`` counts combined) and :class:`ShardedStreamingEstimator`, the
-  streaming estimator run over the facade; the exact mode is
+* :mod:`~repro.shard.merge` — :class:`ShardedStreamingEstimator`, the
+  streaming estimator run over the facade, its details carrying the
+  facade's per-shard ``N_H`` / ``n`` counters; the exact mode is
   bit-identical (same seed) to an unsharded estimator over the same
   event sequence, and no mode depends on the shard count.
 * :mod:`~repro.shard.rebalance` — online resizes, moving the members'
@@ -32,7 +32,7 @@ approximation:
   bit-identical.
 """
 
-from repro.shard.merge import MergedStrata, ShardedStreamingEstimator, merge_strata
+from repro.shard.merge import ShardedStreamingEstimator
 from repro.shard.ops import ShardWorker
 from repro.shard.partition import KeyPartitioner
 from repro.shard.rebalance import KeyMove, RebalancePlan, plan_rebalance, rebalance_cluster
@@ -46,8 +46,6 @@ __all__ = [
     "ShardedMutableIndex",
     "ShardWorker",
     "ShardRouter",
-    "MergedStrata",
-    "merge_strata",
     "ShardedStreamingEstimator",
     "KeyMove",
     "RebalancePlan",

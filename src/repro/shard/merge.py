@@ -1,4 +1,4 @@
-"""Merged strata statistics and the sharded LSH-SS estimator.
+"""The sharded LSH-SS estimator and its merged strata.
 
 The LSH-SS decomposition survives sharding because the strata are
 additive over the bucket-key partition:
@@ -9,8 +9,8 @@ additive over the bucket-key partition:
   stratum L: ``N_L = C(n, 2) − N_H``, with the intra-shard share
   ``Σ_s (C(n_s, 2) − N_H^{(s)})`` and the rest cross-shard.
 
-:func:`merge_strata` exposes those identities as numbers.
-:class:`ShardedStreamingEstimator` is the
+:class:`ShardedStreamingEstimator` reports the per-shard shares from the
+facade's counters (``O(S)``; no shard is asked).  It is the
 :class:`~repro.streaming.estimator.StreamingEstimator` kernel run over
 the facade: the facade's SampleH / SampleL reproduce an unsharded
 index's draws (see :mod:`repro.shard.sharded_index`), and its observer
@@ -31,8 +31,7 @@ modes are the streaming estimator's:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Any, Mapping, Optional, cast
 
 from repro.core.base import Estimate
 from repro.obs.metrics import MetricsRegistry, get_global_registry
@@ -43,47 +42,6 @@ from repro.streaming.estimator import ObservedIndex, StreamingEstimator
 
 if TYPE_CHECKING:  # the router imports this package's index; stay acyclic
     from repro.shard.router import ShardRouter
-
-
-@dataclass(frozen=True)
-class MergedStrata:
-    """Global strata sizes with their per-shard shares."""
-
-    size: int
-    num_collision_pairs: int
-    shard_sizes: Tuple[int, ...]
-    shard_collision_pairs: Tuple[int, ...]
-
-    @property
-    def total_pairs(self) -> int:
-        return self.size * (self.size - 1) // 2
-
-    @property
-    def num_non_collision_pairs(self) -> int:
-        return self.total_pairs - self.num_collision_pairs
-
-    @property
-    def shard_intra_non_collision_pairs(self) -> Tuple[int, ...]:
-        return tuple(
-            n * (n - 1) // 2 - collisions
-            for n, collisions in zip(self.shard_sizes, self.shard_collision_pairs)
-        )
-
-    @property
-    def cross_shard_pairs(self) -> int:
-        """Pairs spanning two shards — all of them stratum L."""
-        return self.total_pairs - sum(n * (n - 1) // 2 for n in self.shard_sizes)
-
-
-def merge_strata(sharded: ShardedMutableIndex) -> MergedStrata:
-    """Assemble the additive strata identities from the facade's counters
-    (``O(S)``; no shard is asked and no bucket is visited)."""
-    return MergedStrata(
-        size=sharded.size,
-        num_collision_pairs=sharded.num_collision_pairs,
-        shard_sizes=sharded.shard_sizes,
-        shard_collision_pairs=sharded.shard_collision_pairs,
-    )
 
 
 class ShardedStreamingEstimator(StreamingEstimator):
@@ -151,16 +109,18 @@ class ShardedStreamingEstimator(StreamingEstimator):
             if self.router is not None:
                 self.router.flush()  # buffered writes must be visible to estimates
             estimate = super().estimate(threshold, random_state=random_state, mode=mode)
-            strata = merge_strata(self.index)
+            index = self.index
+            within_shards = sum(n * (n - 1) // 2 for n in index.shard_sizes)
             estimate.details.update(
-                num_shards=self.index.num_shards,
-                shard_sizes=list(strata.shard_sizes),
-                shard_collision_pairs=list(strata.shard_collision_pairs),
-                cross_shard_pairs=strata.cross_shard_pairs,
+                num_shards=index.num_shards,
+                shard_sizes=list(index.shard_sizes),
+                shard_collision_pairs=list(index.shard_collision_pairs),
+                # pairs spanning two shards, all of them stratum L
+                cross_shard_pairs=index.size * (index.size - 1) // 2 - within_shards,
             )
         self._estimate_seconds.observe(time.perf_counter() - started)
         self._estimates_total.inc()
         return estimate
 
 
-__all__ = ["MergedStrata", "merge_strata", "ShardedStreamingEstimator"]
+__all__ = ["ShardedStreamingEstimator"]

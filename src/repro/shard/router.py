@@ -43,7 +43,7 @@ from repro.obs.tracing import trace
 from repro.rng import RandomState, ensure_rng
 from repro.shard.sharded_index import ShardedMutableIndex
 from repro.streaming.events import ChangeLog, Checkpoint, Delete, Insert
-from repro.streaming.mutable_index import VectorInput, coerce_row
+from repro.vectors.collection import VectorInput, coerce_row
 
 
 @dataclass(frozen=True)

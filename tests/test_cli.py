@@ -174,7 +174,7 @@ class TestStreamCommand:
         "bad, match",
         [
             ('{"op": "delete", "id": 1.5}', "'id' must be an integer"),
-            ('{"op": "insert", "vector": {"a": 1.0}}', "key must be an integer"),
+            ('{"op": "insert", "vector": {"a": 1.0}}', "vector indices must be numbers"),
         ],
         ids=["fractional-id", "word-key"],
     )

@@ -33,8 +33,7 @@ from repro.shard import (
     rebalance_cluster,
 )
 from repro.streaming import ChangeLog, Delete, Insert, MutableLSHIndex, StreamingEstimator
-from repro.streaming.mutable_index import coerce_row
-from repro.vectors import VectorCollection
+from repro.vectors import VectorCollection, coerce_row
 
 SEED = 7
 NUM_HASHES = 10

@@ -30,10 +30,14 @@ class TestConfigValidation:
             {"num_vectors": 10, "vocabulary_size": 100, "mean_length": 0.0},
             {"num_vectors": 10, "vocabulary_size": 100, "min_length": 0},
             {"num_vectors": 10, "vocabulary_size": 100, "weighting": "bm25"},
-            {"num_vectors": 10, "vocabulary_size": 100, "near_duplicate_fraction": 1.0},
-            {"num_vectors": 10, "vocabulary_size": 100, "duplicate_cluster_size": (3, 2)},
-            {"num_vectors": 10, "vocabulary_size": 100, "perturbation_levels": ()},
-            {"num_vectors": 10, "vocabulary_size": 100, "perturbation_levels": (1.0,)},
+            {"num_vectors": 10, "vocabulary_size": 100,
+             "planted_clusters": (PlantedClusterSpec(1.0, (1, 4), (0.1,)),)},
+            {"num_vectors": 10, "vocabulary_size": 100,
+             "planted_clusters": (PlantedClusterSpec(0.1, (3, 2), (0.1,)),)},
+            {"num_vectors": 10, "vocabulary_size": 100,
+             "planted_clusters": (PlantedClusterSpec(0.1, (1, 4), ()),)},
+            {"num_vectors": 10, "vocabulary_size": 100,
+             "planted_clusters": (PlantedClusterSpec(0.1, (1, 4), (1.0,)),)},
         ],
     )
     def test_invalid_configs_raise(self, kwargs):
@@ -57,18 +61,6 @@ class TestConfigValidation:
             PlantedClusterSpec(0.1, (0, 2), (0.1,)).validate()
         with pytest.raises(ValidationError):
             PlantedClusterSpec(0.1, (1, 2), ()).validate()
-
-    def test_legacy_fields_become_single_spec(self):
-        config = SyntheticCorpusConfig(
-            num_vectors=10,
-            vocabulary_size=100,
-            near_duplicate_fraction=0.2,
-            duplicate_cluster_size=(1, 2),
-            perturbation_levels=(0.1,),
-        )
-        specs = config.cluster_specs()
-        assert len(specs) == 1
-        assert specs[0].fraction == 0.2
 
 
 class TestGenerateCorpus:

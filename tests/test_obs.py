@@ -218,33 +218,6 @@ class TestSnapshots:
         b.histogram("h", buckets=[0.2]).observe(0.05)
         with pytest.raises(ValidationError):
             a.snapshot().merge(b.snapshot())
-        with pytest.raises(ValidationError):
-            a.merge(b.snapshot())
-
-    def test_registry_merge_folds_into_live_instruments(self):
-        registry = _loaded_registry()
-        registry.merge(_loaded_registry().snapshot())
-        assert registry.counter("requests_total", op="estimate").value == 6.0
-        assert registry.histogram("latency", buckets=[0.1, 1.0]).count == 4
-
-    def test_registry_restore_replaces(self):
-        snapshot = _loaded_registry().snapshot()
-        registry = _loaded_registry()
-        registry.counter("extra").inc()
-        registry.restore(snapshot)
-        assert registry.snapshot() == snapshot
-
-    def test_registry_from_dict(self):
-        snapshot = _loaded_registry().snapshot()
-        revived = MetricsRegistry.from_dict(snapshot.to_dict())
-        assert revived.snapshot() == snapshot
-
-    def test_disabled_snapshot_restore_still_works(self):
-        snapshot = _loaded_registry().snapshot()
-        set_enabled(False)
-        registry = MetricsRegistry.from_dict(snapshot.to_dict())
-        # restore writes raw state, not through the gated mutators
-        assert registry.snapshot() == snapshot
 
 
 # ======================================================================

@@ -812,7 +812,7 @@ class TestServerValidation:
                 client.ingest(_events(3))
                 with pytest.raises(ValidationError, match="'id' must be an integer"):
                     client._request("ingest", {"events": [{"op": "delete", "id": 1.5}]})
-                with pytest.raises(ValidationError, match="key must be an integer"):
+                with pytest.raises(ValidationError, match="'vector': vector indices must be"):
                     client._request(
                         "ingest", {"events": [{"op": "insert", "vector": {"a": 1.0}}]}
                     )

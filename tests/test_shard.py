@@ -11,12 +11,10 @@ from repro.cluster import ClusterCoordinator
 from repro.errors import ClusterError, StrandedWritesError, ValidationError
 from repro.shard import (
     KeyPartitioner,
-    MergedStrata,
     ShardedMutableIndex,
     ShardedStreamingEstimator,
     ShardRouter,
     ShardWorker,
-    merge_strata,
     rebalance_cluster,
 )
 from repro.shard.partition import signature_shard_hash
@@ -453,18 +451,22 @@ class TestRouterFailurePaths:
 
 
 def _assert_strata_identities(sharded):
-    """The merged strata add up, and each shard's size and N_H equal a
-    recount from the live ids, the facade table and each key's pick."""
-    strata = merge_strata(sharded)
-    assert isinstance(strata, MergedStrata)
-    assert strata.num_collision_pairs == sum(strata.shard_collision_pairs)
+    """The facade's per-shard counters add up, and each shard's size and
+    N_H equal a recount from the live ids, the facade table and each
+    key's pick."""
+    assert sharded.num_collision_pairs == sum(sharded.shard_collision_pairs)
+    assert sharded.size == sum(sharded.shard_sizes)
     assert (
-        strata.num_collision_pairs + strata.num_non_collision_pairs
-        == strata.total_pairs
+        sharded.num_collision_pairs + sharded.num_non_collision_pairs
+        == sharded.total_pairs
     )
-    intra_l = sum(strata.shard_intra_non_collision_pairs)
-    assert strata.num_non_collision_pairs == intra_l + strata.cross_shard_pairs
-    assert strata.cross_shard_pairs >= 0
+    intra_l = sum(
+        n * (n - 1) // 2 - collisions
+        for n, collisions in zip(sharded.shard_sizes, sharded.shard_collision_pairs)
+    )
+    cross_shard_pairs = sharded.total_pairs - sum(n * (n - 1) // 2 for n in sharded.shard_sizes)
+    assert sharded.num_non_collision_pairs == intra_l + cross_shard_pairs
+    assert cross_shard_pairs >= 0
     _, ids = sharded.to_collection()
     bucket_sizes = Counter(sharded.primary_table.signature_key(int(i)) for i in ids)
     sizes = [0] * sharded.num_shards
@@ -473,8 +475,8 @@ def _assert_strata_identities(sharded):
         owner = sharded.partitioner.shard_of(key)
         sizes[owner] += count
         pairs[owner] += count * (count - 1) // 2
-    assert strata.shard_sizes == tuple(sizes)
-    assert strata.shard_collision_pairs == tuple(pairs)
+    assert sharded.shard_sizes == tuple(sizes)
+    assert sharded.shard_collision_pairs == tuple(pairs)
     # through the `ids` op: on the process shape a shard is a WorkerHandle
     replies = sharded._fan_out("ids", sharded._to_every_shard())
     assert [reply["ids"].size for reply in replies] == sizes

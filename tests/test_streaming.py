@@ -24,8 +24,7 @@ from repro.streaming import (
 )
 from repro.streaming.estimator import _PairReservoir
 from repro.streaming.events import event_from_dict, event_to_dict
-from repro.streaming.mutable_index import coerce_matrix, coerce_row
-from repro.vectors import VectorCollection, cosine_pairs
+from repro.vectors import VectorCollection, coerce_matrix, coerce_row, cosine_pairs
 
 
 def _bucket_stats(table: LSHTable):
@@ -415,14 +414,19 @@ class TestChangeLogEvents:
             ({"op": "delete", "id": "x"}, "'id' must be an integer"),
             ({"op": "delete", "id": None}, "'id' must be an integer"),
             ({"op": "delete", "id": float("inf")}, "'id' must be an integer"),
-            ({"op": "insert", "vector": {"a": 1.0}}, "'vector' key must be an integer"),
-            ({"op": "insert", "vector": {"1.5": 1.0}}, "'vector' key must be an integer"),
-            ({"op": "insert", "vector": {"1": None}}, r"'vector'\['1'\] must be a finite"),
-            ({"op": "insert", "vector": {"1": "x"}}, r"'vector'\['1'\] must be a finite"),
-            ({"op": "insert", "vector": {"1": 1j}}, r"'vector'\['1'\] must be a finite"),
-            ({"op": "insert", "vector": {"1": float("nan")}}, r"'vector'\['1'\] must be a finite"),
-            ({"op": "insert", "dense": [1.0, None]}, r"'dense'\[1\] must be a finite"),
-            ({"op": "insert", "dense": [float("inf")]}, r"'dense'\[0\] must be a finite"),
+            ({"op": "insert", "vector": {"a": 1.0}}, "'vector': vector indices must be numbers"),
+            ({"op": "insert", "vector": {"1.5": 1.0}}, "'vector': vector indices must be integers"),
+            ({"op": "insert", "vector": {"1": None}}, "'vector': vector values must be finite"),
+            ({"op": "insert", "vector": {"1": "x"}}, "'vector': vector values must be numbers"),
+            ({"op": "insert", "vector": {"1": 1j}}, "'vector': vector values must be real"),
+            ({"op": "insert", "vector": {"1": float("nan")}},
+             "'vector': vector values must be finite"),
+            ({"op": "insert", "dense": [1.0, None]}, "'dense': vector values must be finite"),
+            ({"op": "insert", "dense": [float("inf")]}, "'dense': vector values must be finite"),
+        ],
+        ids=[
+            "fractional-id", "word-id", "none-id", "inf-id", "word-key", "fractional-key",
+            "none-value", "word-value", "complex-value", "nan-value", "dense-none", "dense-inf",
         ],
     )
     def test_event_dict_refuses_malformed_fields(self, payload, match):
